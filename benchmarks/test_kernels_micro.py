@@ -1,44 +1,37 @@
 """Candidate-kernel microbenchmarks with a perf-regression gate.
 
 Not a paper figure: this suite guards the `repro.graph.index` kernel
-layer itself.  Four experiments run per invocation:
+layer itself.  Four experiments run per invocation, each ``auto``
+(what a user gets) against ``sets`` (the reference):
 
 * **dense**: pool production (common-neighbor intersection, native
   representation) on a dense seeded G(n, p) — the regime the bitset
-  kernel exists for.  The acceptance floor is a >=2x speedup of
-  ``bitset`` over the legacy frozenset path.  The ``vector`` row runs
-  the same sample set through the tier-2 batch kernel
-  (:meth:`~repro.graph.index.GraphIndex.batch_pool`): one vectorized
-  pass over the packed adjacency matrix instead of per-sample
-  intersections, with a >=10x floor when numpy is available.
-* **labeled**: the same with label restriction, where the kernels
-  apply the label inside the intersection (one mask AND / a
-  label-partitioned seed window) while the legacy path filters
-  per-vertex afterwards.
+  pool tier exists for.  The acceptance floor is a >=2x speedup over
+  the legacy frozenset path.
+* **labeled**: the same with label restriction, where the kernel
+  applies the label inside the intersection (one mask AND) while the
+  legacy path filters per-vertex afterwards.
 * **mqc end-to-end**: the fig13-style MQC workload on the synthetic
-  dblp analog, timing ``auto`` against ``sets``.  ``auto`` must not
-  lose: on sparse graphs it *is* the legacy path (graph-level tier of
-  the hybrid, unit-tested as dispatch identity in
-  ``tests/test_kernel_equivalence.py``), so A and B run the same
-  code and the measurement is calibrated to read ~1.0x: rounds are
-  paired (A and B alternate within each round, canceling machine
-  drift between them) and summed rather than min-reduced (min-of-N
-  on two identical paths reports whichever path got the single
-  luckiest scheduler slice — a coin flip that regularly lands one
-  side at 0.97x).
+  dblp analog.  ``auto`` must not lose: on sparse graphs it *is* the
+  legacy path (graph-level tier of the hybrid, unit-tested as dispatch
+  identity in ``tests/test_kernel_equivalence.py``), so A and B run
+  the same code and the measurement is calibrated to read ~1.0x:
+  rounds are paired (A and B alternate within each round, canceling
+  machine drift between them) and summed rather than min-reduced
+  (min-of-N on two identical paths reports whichever path got the
+  single luckiest scheduler slice — a coin flip that regularly lands
+  one side at 0.97x).
 * **aux end-to-end**: MQC with auxiliary pruned graphs
   (:mod:`repro.graph.aux`) on a core+periphery graph, where pruning
   removes the periphery from every pattern's exploration.  Aux must
-  not lose; the committed baseline records the planted-workload win.
+  not lose.
 
 Results go to ``benchmarks/results/kernels_micro.txt`` (human) and
 ``benchmarks/results/kernels_micro.json`` (machine).  The committed
 ``kernels_micro_baseline.json`` pins expected speedups; the gate
 fails when any measured speedup drops below half its baseline (>2x
-regression), which is what the CI kernel-smoke job enforces.  Vector
-rows need numpy: without it (or under ``REPRO_NO_NUMPY=1``, the CI
-fallback leg) they are skipped and their baseline keys ignored — the
-pure-Python batch fallback is a compatibility path, not a kernel.
+regression), which is what the CI kernel-smoke job enforces on both
+legs (numpy present: batch prefetch on; ``REPRO_NO_NUMPY=1``: off).
 """
 
 import gc
@@ -50,7 +43,6 @@ import time
 from repro.apps import maximal_quasi_cliques
 from repro.bench import dataset, format_table
 from repro.graph import Graph, erdos_renyi
-from repro.graph.index import HAS_NUMPY
 from repro.mining import MiningStats
 
 from _common import RESULTS_DIR, emit, run_once
@@ -74,12 +66,12 @@ def _best_of(fn, rounds=ROUNDS):
 
 
 def _dense_workload():
-    """Pool production per mode on G(500, 0.4): native representations.
+    """Pool production on G(500, 0.4): native representations.
 
     The legacy path's product is a frozenset (its filters hash-probe);
-    the kernels' products are a bitmask / sorted tuple (their filters
-    mask or slice).  Timing each path to its own representation is the
-    honest comparison — no path pays for a decode its consumers skip.
+    the kernel's product is a bitmask (its filters mask).  Timing each
+    path to its own representation is the honest comparison — no path
+    pays for a decode its consumers skip.
     """
     graph = erdos_renyi(500, 0.4, seed=42)
     rng = random.Random(1)
@@ -87,13 +79,11 @@ def _dense_workload():
         tuple(rng.sample(range(500), rng.choice((2, 2, 3))))
         for _ in range(SAMPLES)
     ]
-    indexes = {
-        mode: graph.kernel_index(mode) for mode in ("bitset", "csr", "auto")
-    }
+    index = graph.kernel_index()
     stats = MiningStats()
     for v in graph.vertices():  # warm lazy adjacency forms
         graph.neighbor_set(v)
-        indexes["bitset"].neighbor_bits(v)
+        index.neighbor_bits(v)
 
     def time_sets():
         start = time.perf_counter()
@@ -103,33 +93,13 @@ def _dense_workload():
                 pool = pool & graph.neighbor_set(v)
         return time.perf_counter() - start
 
-    def time_mode(index):
-        def run():
-            start = time.perf_counter()
-            for anchors in samples:
-                index.pool(anchors, None, stats)
-            return time.perf_counter() - start
+    def time_auto():
+        start = time.perf_counter()
+        for anchors in samples:
+            index.pool(anchors, None, stats)
+        return time.perf_counter() - start
 
-        return run
-
-    times = {"sets": _best_of(time_sets)}
-    for mode, index in indexes.items():
-        times[mode] = _best_of(time_mode(index))
-    if HAS_NUMPY:
-        vector = graph.kernel_index("vector")
-        vector.batch_pool(samples[:4], None, stats)  # warm packed matrix
-
-        def time_vector():
-            # Four back-to-back passes per round: the batch region is
-            # ~0.3 ms, short enough that timer granularity and single
-            # scheduler stalls would dominate a one-pass measurement.
-            start = time.perf_counter()
-            for _ in range(4):
-                vector.batch_pool(samples, None, stats)
-            return (time.perf_counter() - start) / 4
-
-        times["vector"] = _best_of(time_vector)
-    return times
+    return {"sets": _best_of(time_sets), "auto": _best_of(time_auto)}
 
 
 def _labeled_workload():
@@ -144,13 +114,11 @@ def _labeled_workload():
         (tuple(rng.sample(range(400), 2)), rng.randrange(4))
         for _ in range(SAMPLES)
     ]
-    indexes = {
-        mode: graph.kernel_index(mode) for mode in ("bitset", "csr", "auto")
-    }
+    index = graph.kernel_index()
     stats = MiningStats()
     for v in graph.vertices():
         graph.neighbor_set(v)
-        indexes["bitset"].neighbor_bits(v)
+        index.neighbor_bits(v)
 
     def time_sets():
         start = time.perf_counter()
@@ -161,37 +129,13 @@ def _labeled_workload():
             [v for v in pool if graph.label(v) == label]
         return time.perf_counter() - start
 
-    def time_mode(index):
-        def run():
-            start = time.perf_counter()
-            for anchors, label in samples:
-                index.pool(anchors, label, stats)
-            return time.perf_counter() - start
+    def time_auto():
+        start = time.perf_counter()
+        for anchors, label in samples:
+            index.pool(anchors, label, stats)
+        return time.perf_counter() - start
 
-        return run
-
-    times = {"sets": _best_of(time_sets)}
-    for mode, index in indexes.items():
-        times[mode] = _best_of(time_mode(index))
-    if HAS_NUMPY:
-        vector = graph.kernel_index("vector")
-        vector.batch_pool([samples[0][0]], samples[0][1], stats)  # warm
-
-        def time_vector():
-            # Label grouping is part of the batch workflow, so it is
-            # timed: one batch_pool pass per distinct label.  Four
-            # back-to-back passes per round, as in the dense workload.
-            start = time.perf_counter()
-            for _ in range(4):
-                groups = {}
-                for anchors, label in samples:
-                    groups.setdefault(label, []).append(anchors)
-                for label, batch in groups.items():
-                    vector.batch_pool(batch, label, stats)
-            return (time.perf_counter() - start) / 4
-
-        times["vector"] = _best_of(time_vector)
-    return times
+    return {"sets": _best_of(time_sets), "auto": _best_of(time_auto)}
 
 
 def _paired_run(run_a, run_b, rounds=ROUNDS):
@@ -277,23 +221,25 @@ def _aux_graph():
     adjacency = [list(core.neighbors(v)) for v in core.vertices()]
     adjacency.extend([] for _ in range(total_n - core_n))
     for v in range(core_n, total_n):
-        for u in rng.sample(range(core_n), 2):
+        for u in sorted(rng.sample(range(core_n), 2)):
             adjacency[v].append(u)
             adjacency[u].append(v)
     return Graph(adjacency, name="core-periphery")
 
 
 def _aux_workload():
-    """End-to-end MQC with auxiliary pruned graphs on/off (bitset).
+    """End-to-end MQC with auxiliary pruned graphs on/off.
 
-    ``bitset`` is forced on both sides: the graph's *average* degree
-    is periphery-dominated and sparse, so ``auto`` would dispatch to
-    sets and hide the kernel-level effect aux targets.  ``min_size=4``
-    keeps the workload in the pruning regime — size-3 patterns only
-    require internal degree 2, which the degree-2 periphery satisfies.
+    Both sides run the default mode.  The graph's *average* degree is
+    periphery-dominated and sparse, so ``auto`` stays on the sets path
+    and aux contributes root filtering only (pool-level pruning needs
+    a kernel index) — which is what a user of ``--aux`` gets on this
+    graph.  ``min_size=4`` keeps the workload in the pruning regime —
+    size-3 patterns only require internal degree 2, which the degree-2
+    periphery satisfies.
     """
     graph = _aux_graph()
-    kwargs = dict(gamma=0.85, max_size=4, min_size=4, adjacency="bitset")
+    kwargs = dict(gamma=0.85, max_size=4, min_size=4)
     results = {}
     for aux in (False, True):  # warm indexes, aux artifacts, plans
         results[aux] = maximal_quasi_cliques(
@@ -312,14 +258,6 @@ def _aux_workload():
     }
 
 
-def _speedups(times):
-    return {
-        mode: times["sets"] / times[mode]
-        for mode in times
-        if mode != "sets"
-    }
-
-
 def run_experiment() -> str:
     dense = _dense_workload()
     labeled = _labeled_workload()
@@ -328,16 +266,15 @@ def run_experiment() -> str:
 
     metrics = {}
     for name, times in (("dense", dense), ("labeled", labeled)):
-        for mode, speedup in _speedups(times).items():
-            metrics[f"{name}_{mode}_speedup"] = round(speedup, 3)
+        metrics[f"{name}_auto_speedup"] = round(
+            times["sets"] / times["auto"], 3
+        )
     metrics["mqc_auto_speedup"] = round(mqc["auto_speedup"], 3)
     metrics["aux_mqc_speedup"] = round(aux["aux_speedup"], 3)
 
     rows = []
     for name, times in (("dense", dense), ("labeled", labeled)):
-        for mode in ("sets", "bitset", "csr", "auto", "vector"):
-            if mode not in times:
-                continue
+        for mode in ("sets", "auto"):
             speedup = times["sets"] / times[mode]
             rows.append(
                 (
@@ -363,9 +300,9 @@ def run_experiment() -> str:
 
     # Acceptance floors for the kernels themselves.
     failures = []
-    if metrics["dense_bitset_speedup"] < 2.0:
+    if metrics["dense_auto_speedup"] < 2.0:
         failures.append(
-            f"dense bitset speedup {metrics['dense_bitset_speedup']}x < 2x"
+            f"dense auto speedup {metrics['dense_auto_speedup']}x < 2x"
         )
     if metrics["mqc_auto_speedup"] < 0.90:
         # auto must never lose to sets end-to-end; 10% absorbs timer noise.
@@ -377,21 +314,13 @@ def run_experiment() -> str:
         failures.append(
             f"aux mqc speedup {metrics['aux_mqc_speedup']}x < 0.90x"
         )
-    if HAS_NUMPY and metrics["dense_vector_speedup"] < 10.0:
-        failures.append(
-            f"dense vector speedup {metrics['dense_vector_speedup']}x < 10x"
-        )
 
-    # Regression gate against the committed baseline.  Vector rows are
-    # numpy-only: the baseline is recorded with numpy, and the
-    # fallback leg (REPRO_NO_NUMPY=1 / numpy absent) skips them.
+    # Regression gate against the committed baseline.
     baseline_note = "no committed baseline (bootstrap run)"
     if os.path.exists(BASELINE_PATH):
         with open(BASELINE_PATH) as handle:
             baseline = json.load(handle)["metrics"]
         for key, floor in baseline.items():
-            if "_vector_" in key and not HAS_NUMPY:
-                continue
             current = metrics.get(key)
             if current is None:
                 failures.append(f"metric {key} missing from this run")

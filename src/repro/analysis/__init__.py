@@ -11,11 +11,13 @@ See ``docs/analysis.md`` for the diagnostic-code reference.
 """
 
 from .costmodel import (
+    AdmissionDecision,
     PlanEstimate,
     RecommendedConfig,
     SchedulerProjection,
     StepEstimate,
     WorkloadEstimate,
+    admit_query,
     check_estimate,
     estimate_constraint_set,
     estimate_patterns,
@@ -93,4 +95,6 @@ __all__ = [
     "estimate_constraint_set",
     "estimate_query_spec",
     "check_estimate",
+    "AdmissionDecision",
+    "admit_query",
 ]

@@ -10,13 +10,12 @@ touching a single data vertex:
 * per-step candidate-pool and partial-match cardinality estimates,
 * workload totals (ETask extension candidates + VTask bridge work),
 * peak-memory and per-scheduler wall-time projections,
-* a recommended ``--scheduler`` / ``--workers`` / ``--adjacency``
-  configuration.
+* a recommended ``--scheduler`` / ``--workers`` configuration.
 
 The estimates feed the CG6xx diagnostics (:func:`check_estimate`) that
-power ``repro analyze --estimate``, the ``--admission`` pre-run gate,
-and ``Query.strict()`` admission — the pieces the ROADMAP's daemon
-admission queue calls.
+power ``repro analyze --estimate`` and ``Query.strict()`` admission,
+and the one pre-run gate (:func:`admit_query`) behind both the CLI's
+``--admission`` flag and the serving daemon's intake.
 
 Estimation model
 ----------------
@@ -38,13 +37,14 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
 
 from ..core.constraints import ConstraintSet, ContainmentConstraint
 from ..graph.stats import GraphStats
 
 if TYPE_CHECKING:  # pragma: no cover - import-time only
     from ..graph.aux import AuxSummary
+    from ..graph.graph import Graph
 from ..patterns.pattern import Pattern
 from ..patterns.plan import ExplorationPlan, plan_for
 from .diagnostics import AnalysisReport, make
@@ -60,6 +60,8 @@ __all__ = [
     "estimate_constraint_set",
     "estimate_query_spec",
     "check_estimate",
+    "AdmissionDecision",
+    "admit_query",
     "CANDIDATES_PER_SECOND",
 ]
 
@@ -175,14 +177,12 @@ class RecommendedConfig:
 
     scheduler: str
     workers: int
-    adjacency: str
     projected_seconds: float
 
     def to_dict(self) -> Dict[str, object]:
         return {
             "scheduler": self.scheduler,
             "workers": self.workers,
-            "adjacency": self.adjacency,
             "projected_seconds": round(self.projected_seconds, 4),
         }
 
@@ -401,7 +401,6 @@ def _recommend(
     return RecommendedConfig(
         scheduler=best.scheduler,
         workers=best.workers if best.scheduler != "serial" else 1,
-        adjacency="auto",
         projected_seconds=best.seconds,
     )
 
@@ -636,7 +635,6 @@ def check_estimate(
                 "CG605",
                 f"recommended --scheduler {recommended.scheduler} "
                 f"--workers {recommended.workers} "
-                f"--adjacency {recommended.adjacency} "
                 f"(projected {recommended.projected_seconds:.2f}s, "
                 f"~{_fmt_count(estimate.total_candidates)} candidates, "
                 f"~{estimate.peak_memory_bytes / 1e6:.1f}MB peak)",
@@ -644,3 +642,70 @@ def check_estimate(
             )
         )
     return report
+
+
+@dataclass
+class AdmissionDecision:
+    """Outcome of one admission evaluation."""
+
+    admitted: bool
+    codes: List[str]
+    diagnostics: List[Dict[str, str]]
+    record: Dict[str, Any]
+
+    def to_dict(self) -> Dict[str, Any]:
+        return {
+            "admitted": self.admitted,
+            "codes": self.codes,
+            "diagnostics": self.diagnostics,
+            **self.record,
+        }
+
+
+def admit_query(
+    graph: "Graph",
+    constraint_set: ConstraintSet,
+    mode: str,
+    budget_seconds: Optional[float] = None,
+    budget_bytes: Optional[int] = None,
+    scheduler: str = "serial",
+    n_workers: int = 2,
+) -> AdmissionDecision:
+    """Evaluate the CG6xx gate for one query (CLI and daemon alike).
+
+    ``mode='off'`` admits unconditionally (empty record).  ``'warn'``
+    runs the estimate and annotates but always admits; ``'strict'``
+    rejects when the report carries error-severity findings (projected
+    CG601 TLE / CG602 OOM against the given budgets).  ``admitted``
+    means "was allowed to run"; the findings are in ``codes`` and
+    ``diagnostics`` either way, so a caller that refuses can say *why*
+    and what configuration the model recommends instead.
+    """
+    if mode == "off":
+        return AdmissionDecision(True, [], [], {"mode": "off"})
+    stats = graph.stats_summary()
+    estimate = estimate_constraint_set(constraint_set, stats)
+    report = check_estimate(
+        estimate,
+        budget_seconds=budget_seconds,
+        budget_bytes=budget_bytes,
+        scheduler=scheduler,
+        n_workers=n_workers,
+    ).sorted()
+    projection = estimate.projection_for(scheduler, n_workers)
+    record: Dict[str, Any] = {
+        "mode": mode,
+        "graph": stats.version,
+        "graph_fingerprint": stats.fingerprint,
+        "estimated_candidates": round(estimate.total_candidates, 2),
+        "projected_seconds": round(projection.seconds, 4),
+        "projected_peak_memory_bytes": round(estimate.peak_memory_bytes),
+        "recommended": estimate.recommended.to_dict(),
+    }
+    admitted = not (mode == "strict" and report.has_errors)
+    return AdmissionDecision(
+        admitted,
+        report.codes(),
+        [d.to_dict() for d in report.diagnostics],
+        record,
+    )

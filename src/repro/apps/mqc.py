@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Dict, FrozenSet, Optional, Set
 
-from ..core.constraints import maximality_constraints
+from ..core.constraints import ConstraintSet, maximality_constraints
 from ..core.runtime import ContigraEngine, ContigraResult
 from ..exec.context import TaskContext
 from ..exec.scheduler import make_scheduler
@@ -62,6 +62,17 @@ class MaximalQuasiCliqueResult:
         return f"MaximalQuasiCliqueResult({self.count} maximal, {sizes})"
 
 
+def mqc_constraint_set(
+    gamma: float, max_size: int, min_size: int = 3
+) -> ConstraintSet:
+    """The MQC workload: quasi-clique patterns of every size in range,
+    each constrained to be maximal (contained in no larger one)."""
+    return maximality_constraints(
+        quasi_clique_patterns_up_to(max_size, gamma, min_size=min_size),
+        induced=True,
+    )
+
+
 def build_mqc_engine(
     graph: Graph,
     gamma: float,
@@ -80,13 +91,9 @@ def build_mqc_engine(
     Exposed separately from :func:`maximal_quasi_cliques` so ablation
     benchmarks (Figs 13, 14, 16) can flip individual toggles.
     """
-    patterns_by_size = quasi_clique_patterns_up_to(
-        max_size, gamma, min_size=min_size
-    )
-    constraint_set = maximality_constraints(patterns_by_size, induced=True)
     return ContigraEngine(
         graph,
-        constraint_set,
+        mqc_constraint_set(gamma, max_size, min_size),
         enable_fusion=enable_fusion,
         enable_promotion=enable_promotion,
         enable_lateral=enable_lateral,

@@ -9,7 +9,17 @@ from .datasets import (
     spec,
     table1_rows,
 )
-from .harness import DEGRADED, OK, OOM, OOS, TLE, RunOutcome, speedup, timed_run
+from .harness import (
+    DEGRADED,
+    OK,
+    OOM,
+    OOS,
+    TLE,
+    RunOutcome,
+    speedup,
+    timed_run,
+    trend_label,
+)
 from .report import format_series, format_table, paper_vs_measured
 
 __all__ = [
@@ -23,6 +33,7 @@ __all__ = [
     "RunOutcome",
     "timed_run",
     "speedup",
+    "trend_label",
     "OK",
     "TLE",
     "OOM",

@@ -11,8 +11,9 @@ reported for these large graphs are only a lower bound").
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Optional
+from typing import Any, Callable, Dict, Optional, Sequence
 
 from ..errors import (
     MemoryBudgetExceeded,
@@ -148,6 +149,41 @@ def speedup(
     if baseline_budget is not None:
         floor = max(floor, baseline_budget)
     return ">=" + _fmt_ratio(floor / ours.seconds)
+
+
+def trend_label(sizes: Sequence[float], ratios: Sequence[float]) -> str:
+    """Whether ``ratios`` trend with ``sizes``: widening / narrowing /
+    flat/noisy.
+
+    Least-squares line through ``(log size, ratio)``.  The fitted
+    change across the measured range must exceed the residual standard
+    error (``n - 2`` degrees of freedom) to count as a trend, so
+    1.6 → 1.3 → 1.7 reads "flat/noisy" even though the last ratio is
+    above the first; fewer than three points never show a trend.
+    """
+    n = len(ratios)
+    if n < 3 or len(sizes) != n:
+        return "flat/noisy"
+    xs = [math.log(s) for s in sizes]
+    mean_x = sum(xs) / n
+    mean_y = sum(ratios) / n
+    spread_x = sum((x - mean_x) ** 2 for x in xs)
+    if spread_x == 0:
+        return "flat/noisy"
+    slope = (
+        sum((x - mean_x) * (y - mean_y) for x, y in zip(xs, ratios))
+        / spread_x
+    )
+    residual_error = math.sqrt(
+        sum(
+            (y - mean_y - slope * (x - mean_x)) ** 2
+            for x, y in zip(xs, ratios)
+        )
+        / (n - 2)
+    )
+    if abs(slope) * (max(xs) - min(xs)) <= residual_error:
+        return "flat/noisy"
+    return "widening" if slope > 0 else "narrowing"
 
 
 def _fmt_ratio(ratio: float) -> str:

@@ -35,6 +35,7 @@ from .apps import (
     mine_quasi_cliques_fused,
     nested_subgraph_query,
 )
+from .apps.mqc import mqc_constraint_set
 from .apps.nsq import paper_query_tailed_triangles, paper_query_triangles
 from .bench import dataset, dataset_keys, spec
 from .bench.report import format_table
@@ -102,9 +103,6 @@ def _add_graph_arguments(parser: argparse.ArgumentParser) -> None:
         "--time-limit", type=float, default=None,
         help="abort after this many seconds",
     )
-    parser.add_argument(
-        "--json", action="store_true", help="machine-readable output"
-    )
     _add_format_argument(parser)
 
 
@@ -113,8 +111,8 @@ def _add_adjacency_argument(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--adjacency", choices=ADJACENCY_MODES, default="auto",
         help="candidate-kernel adjacency mode (default: auto — "
-             "degree-threshold bitset/CSR hybrid; 'sets' is the "
-             "legacy frozenset path)",
+             "kernels where the graph's degree warrants them; 'sets' "
+             "is the reference frozenset path)",
     )
 
 
@@ -210,9 +208,9 @@ def _report(
 
     ``json_extra`` carries fields that only make sense machine-readable
     (the full counter snapshot, exact wall time); they are merged into
-    the payload when ``--format json`` / legacy ``--json`` is active.
+    the payload when ``--format json`` is active.
     """
-    if _resolve_format(args) == "json":
+    if args.format == "json":
         full = dict(payload)
         if json_extra:
             full.update(json_extra)
@@ -299,13 +297,6 @@ def _add_format_argument(
     )
 
 
-def _resolve_format(args: argparse.Namespace) -> str:
-    """``--format``, with a legacy ``--json`` flag forcing json."""
-    if getattr(args, "json", False):
-        return "json"
-    return args.format
-
-
 def _emit(fmt: str, payload: dict, text: str) -> None:
     """One reporting path for every ``--format``-aware command."""
     if fmt == "json":
@@ -341,7 +332,7 @@ def _cmd_graphs(args: argparse.Namespace) -> int:
     entries = store.entries()
     registered = {gv.name for gv in entries}
     unmaterialized = [k for k in dataset_keys() if k not in registered]
-    if _resolve_format(args) == "json":
+    if args.format == "json":
         payload = {
             "graphs": [
                 dict(
@@ -404,18 +395,6 @@ def _add_admission_argument(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _mqc_constraint_set(args: argparse.Namespace):
-    from .core import maximality_constraints
-    from .patterns import quasi_clique_patterns_up_to
-
-    return maximality_constraints(
-        quasi_clique_patterns_up_to(
-            args.max_size, args.gamma, min_size=args.min_size
-        ),
-        induced=True,
-    )
-
-
 def _admission_check(
     args: argparse.Namespace, graph: Graph, constraint_set
 ) -> Optional[dict]:
@@ -423,41 +402,34 @@ def _admission_check(
 
     ``--admission=off`` (the default) skips estimation entirely.
     Under ``strict``, a projected budget violation aborts with exit
-    code 2 before any task is scheduled.
+    code 2 before any task is scheduled.  The gate and the record are
+    the daemon's (:func:`repro.analysis.admit_query`).
     """
     if args.admission == "off":
         return None
-    from .analysis import check_estimate, estimate_constraint_set
+    from .analysis import Diagnostic, admit_query
 
-    stats = graph.stats_summary()
-    estimate = estimate_constraint_set(constraint_set, stats)
-    report = check_estimate(
-        estimate,
+    decision = admit_query(
+        graph,
+        constraint_set,
+        args.admission,
         budget_seconds=args.time_limit,
         scheduler=args.scheduler,
         n_workers=args.workers,
-    ).sorted()
-    for line in report.render_text().splitlines():
-        print(f"admission: {line}", file=sys.stderr)
-    if args.admission == "strict" and report.has_errors:
+    )
+    for diagnostic in decision.diagnostics:
+        print(
+            f"admission: {Diagnostic(**diagnostic).render()}",
+            file=sys.stderr,
+        )
+    if not decision.admitted:
         print(
             "admission: rejected — raise the budget, use the "
             "recommended configuration, or pass --admission=warn",
             file=sys.stderr,
         )
         raise SystemExit(2)
-    projection = estimate.projection_for(args.scheduler, args.workers)
-    return {
-        "mode": args.admission,
-        "admitted": report.ok,
-        "codes": report.codes(),
-        "graph": stats.version,
-        "graph_fingerprint": stats.fingerprint,
-        "estimated_candidates": round(estimate.total_candidates, 2),
-        "projected_seconds": round(projection.seconds, 4),
-        "projected_peak_memory_bytes": round(estimate.peak_memory_bytes),
-        "recommended": estimate.recommended.to_dict(),
-    }
+    return decision.to_dict()
 
 
 def _close_admission_loop(
@@ -486,7 +458,11 @@ def _cmd_mqc(args: argparse.Namespace) -> int:
     from .obs import RunScope
 
     graph = _load_graph(args)
-    admission = _admission_check(args, graph, _mqc_constraint_set(args))
+    admission = _admission_check(
+        args,
+        graph,
+        mqc_constraint_set(args.gamma, args.max_size, args.min_size),
+    )
     ctx, tracer, registry = _make_observability(args)
     scope = RunScope.begin()
     result = maximal_quasi_cliques(
@@ -651,19 +627,15 @@ def _cmd_nsq(args: argparse.Namespace) -> int:
 
 
 def _cmd_explain(args: argparse.Namespace) -> int:
-    from .core import explain_workload, maximality_constraints
-    from .patterns import quasi_clique_patterns_up_to
+    from .core import explain_workload
 
     graph = _load_graph(args)
-    constraint_set = maximality_constraints(
-        quasi_clique_patterns_up_to(
-            args.max_size, args.gamma, min_size=args.min_size
-        ),
-        induced=True,
+    constraint_set = mqc_constraint_set(
+        args.gamma, args.max_size, args.min_size
     )
     text = explain_workload(graph, constraint_set)
     _emit(
-        _resolve_format(args),
+        args.format,
         {
             "workload": "mqc",
             "gamma": args.gamma,
@@ -749,14 +721,8 @@ def _analyze_report(args: argparse.Namespace):
         report.merge(_sched_report(args))
         return report
     if args.workload == "mqc":
-        from .core import maximality_constraints
-        from .patterns import quasi_clique_patterns_up_to
-
-        constraint_set = maximality_constraints(
-            quasi_clique_patterns_up_to(
-                args.max_size, args.gamma, min_size=args.min_size
-            ),
-            induced=True,
+        constraint_set = mqc_constraint_set(
+            args.gamma, args.max_size, args.min_size
         )
         report = analyze_constraint_set(constraint_set)
         report.merge(_sched_report(args, constraint_set=constraint_set))
@@ -883,7 +849,8 @@ def _build_estimate(args: argparse.Namespace):
             raise SystemExit(f"--estimate: {exc}")
     elif args.workload == "mqc":
         estimate = estimate_constraint_set(
-            _mqc_constraint_set(args), stats
+            mqc_constraint_set(args.gamma, args.max_size, args.min_size),
+            stats,
         )
     elif args.workload == "kws":
         from .apps.kws import keyword_patterns
@@ -951,7 +918,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
             code.strip() for code in args.suppress.split(",")
         )
     report = report.sorted()
-    fmt = _resolve_format(args)
+    fmt = args.format
     payload = report.to_dict()
     if estimate is not None:
         payload["estimate"] = estimate.to_dict()
@@ -964,8 +931,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
             text += (
                 f"\nestimate: ~{estimate.total_candidates:,.0f} "
                 f"candidates, recommended --scheduler "
-                f"{recommended.scheduler} --workers {recommended.workers}"
-                f" --adjacency {recommended.adjacency} "
+                f"{recommended.scheduler} --workers {recommended.workers} "
                 f"(projected {recommended.projected_seconds:.2f}s)"
             )
         _emit(fmt, payload, text)

@@ -25,7 +25,6 @@ from .ordering import (
     prefer_sparse_first,
     resolve_strategy,
 )
-from .parallel import run_sharded
 from .promotion import PromotionRegistry
 from .query import Query
 from .runtime import ContigraEngine, ContigraResult
@@ -45,7 +44,6 @@ from .vtask import BridgeRecipe, ValidationTarget
 
 __all__ = [
     "Query",
-    "run_sharded",
     "explain_workload",
     "ContainmentConstraint",
     "ConstraintSet",

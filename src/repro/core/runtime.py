@@ -70,10 +70,10 @@ from ..exec.events import (
 from ..exec.scheduler import merge_counter_dict
 from ..graph.aux import auxiliary_graph
 from ..graph.graph import Graph
-from ..graph.index import ADJACENCY_MODES, GraphIndex
+from ..graph.index import GraphIndex, resolve_index
 from ..mining.cache import SetOperationCache
 from ..mining.candidates import root_candidates
-from ..mining.etask import ETask, resolve_index
+from ..mining.etask import ETask
 from ..mining.match import Match
 from ..mining.stats import ConstraintStats
 from ..patterns.pattern import Pattern
@@ -167,11 +167,7 @@ class ContigraEngine:
         one of its matches.  Exploration-only — containment VTasks
         always validate against the full graph, and with the ``sets``
         path (no kernel index) only root filtering applies."""
-        if adjacency not in ADJACENCY_MODES:
-            raise ValueError(
-                f"adjacency must be one of {ADJACENCY_MODES}, "
-                f"got {adjacency!r}"
-            )
+        resolve_index(graph, adjacency)  # rejects an unknown mode
         self.graph = graph
         self.constraints = constraint_set
         self.induced = constraint_set.induced
@@ -348,8 +344,8 @@ class EngineSession:
         self.result.stats = self.stats
         self.registry = PromotionRegistry()
         # Resolved per session (not stored on the engine): the graph
-        # caches one index per mode, so sessions share kernels while
-        # pickled engines stay lean.
+        # caches its index, so sessions share kernels while pickled
+        # engines stay lean.
         self._index = resolve_index(engine.graph, engine.adjacency)
         # Caches are scoped per rooted task, as in the paper's task
         # state ⟨P, S, C⟩: fusion lets VTasks read/extend the live
@@ -387,14 +383,13 @@ class EngineSession:
         """The kernel index this pattern's ETasks should run on.
 
         The session index unless auxiliary graphs are on, in which
-        case the pattern's pruned-adjacency index (same mode, distinct
-        cache key — see :mod:`repro.graph.aux` on fusion safety).
+        case the pattern's pruned-adjacency index (distinct cache
+        key — see :mod:`repro.graph.aux` on fusion safety).
         Exploration only: VTasks keep validating over the full graph.
         """
         if self._index is None or not self.engine.enable_aux:
             return self._index
-        aux = auxiliary_graph(self.engine.graph, pattern)
-        return aux.index(self._index.mode)
+        return auxiliary_graph(self.engine.graph, pattern).index()
 
     def run_roots(self, roots: Optional[Sequence[int]] = None) -> None:
         """Run every workload pattern over ``roots`` (None = all roots).

@@ -44,11 +44,7 @@ from ..exec.events import (
     VTASK_SPAWN,
 )
 from ..graph.graph import Graph
-from ..graph.index import (
-    ADJACENCY_MODES,
-    auto_selects_kernels,
-    bits_to_sorted,
-)
+from ..graph.index import bits_to_sorted, resolve_index
 from ..graph.store import PATTERN_SCOPE, derived_cache
 from ..mining.cache import SetOperationCache
 from ..mining.candidates import kernel_pool, raw_intersection
@@ -248,20 +244,14 @@ class ValidationTarget:
         baseline of §8.2).  ``adjacency`` selects the candidate kernel
         (see :mod:`repro.graph.index`); ``"sets"`` keeps the seed
         frozenset path."""
-        if adjacency not in ADJACENCY_MODES:
-            raise ValueError(
-                f"adjacency must be one of {ADJACENCY_MODES}, "
-                f"got {adjacency!r}"
-            )
         self.p_m = p_m
         self.p_plus = p_plus
         self.induced = induced
         self.use_intersections = use_intersections
-        self.adjacency = adjacency
+        # A bool, not the index: targets are pickled with their engine.
         self._use_kernels = (
-            use_intersections
-            and adjacency != "sets"
-            and (adjacency != "auto" or auto_selects_kernels(graph))
+            resolve_index(graph, adjacency) is not None
+            and use_intersections
         )
         self.gap = p_plus.num_vertices - p_m.num_vertices
         if self.gap < 1:
@@ -501,7 +491,7 @@ class ValidationTarget:
         stats: ConstraintStats,
     ) -> List[int]:
         """Kernel-path candidate computation for one bridge step."""
-        index = graph.kernel_index(self.adjacency)
+        index = graph.kernel_index()
         pool = kernel_pool(index, anchor_data, label, cache, stats)
         if isinstance(pool, int):
             for u in used:
@@ -562,8 +552,3 @@ class ValidationTarget:
             f"{self.p_plus.name or self.p_plus.num_vertices}, "
             f"gap={self.gap}, recipes={len(self.recipes)})"
         )
-
-
-# Backwards-compatible aliases for the pre-analyzer private names.
-_orbit_representative_embeddings = alignment_embeddings
-_connected_extension_orders = connected_extension_orders

@@ -256,12 +256,6 @@ class TaskContext:
             tracer.attach(ctx.bus)
         return ctx
 
-    @classmethod
-    def for_stats(cls, stats: Any) -> "TaskContext":
-        """Minimal context around an existing stats object (legacy call
-        sites that pass bare counters)."""
-        return cls.create(stats=stats)
-
     def child(self) -> "TaskContext":
         """Derived context: subordinate token, shared budget/bus/stats."""
         ctx = TaskContext.__new__(TaskContext)

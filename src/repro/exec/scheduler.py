@@ -121,11 +121,7 @@ class ExecutionJob(Protocol):
         ...
 
     def shard_context(self) -> TaskContext:
-        """A context configured for one shard worker (deadline etc.).
-
-        Optional in practice: schedulers fall back to a bare
-        :class:`TaskContext` for jobs that do not provide it.
-        """
+        """A context configured for one shard worker (deadline etc.)."""
         ...
 
 
@@ -142,15 +138,6 @@ def merge_counter_dict(stats: Any, shard_dict: Dict[str, float]) -> None:
         setattr(
             stats, field.name, getattr(stats, field.name) + int(value)
         )
-
-
-def _shard_context(job: Any) -> TaskContext:
-    """The job's shard context, or a bare one for legacy jobs."""
-    maker = getattr(job, "shard_context", None)
-    if maker is None:
-        return TaskContext()
-    ctx: TaskContext = maker()
-    return ctx
 
 
 def run_shard_payload(
@@ -188,7 +175,7 @@ def run_shard_payload(
     attempt = int(payload[5]) if len(payload) > 5 else 0
     ctx: Optional[TaskContext] = None
     if observe or spec is not None:
-        ctx = _shard_context(job)
+        ctx = job.shard_context()
         if spec is not None:
             spec.apply(ctx.budget)
     if fault_plan is not None:

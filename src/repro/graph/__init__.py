@@ -30,7 +30,7 @@ from .index import (
     auto_selects_kernels,
     bits_from_sorted,
     bits_to_sorted,
-    intersect_sorted,
+    resolve_index,
 )
 from .io import read_edge_list, write_edge_list, write_labels
 from .stats import GraphStats
@@ -63,7 +63,7 @@ __all__ = [
     "auto_selects_kernels",
     "bits_from_sorted",
     "bits_to_sorted",
-    "intersect_sorted",
+    "resolve_index",
     "DiGraph",
     "DiGraphBuilder",
     "directed_erdos_renyi",

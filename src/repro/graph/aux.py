@@ -149,14 +149,14 @@ class AuxSummary:
 
 
 class AuxiliaryGraph:
-    """One pruned-adjacency artifact: survivors, masks, kernel indexes.
+    """One pruned-adjacency artifact: survivors, masks, kernel index.
 
     Built once per ``(graph version, requirement signature)`` through
     the process-global derived cache; engines sharing a workload share
-    the artifact and its lazily-built per-mode kernel indexes.
+    the artifact and its lazily-built kernel index.
     """
 
-    __slots__ = ("graph", "allowed", "allowed_bits", "summary", "_tag", "_indexes")
+    __slots__ = ("graph", "allowed", "allowed_bits", "summary", "_tag", "_index")
 
     def __init__(
         self,
@@ -173,24 +173,24 @@ class AuxiliaryGraph:
         self.allowed_bits = bits
         self.summary = summary
         self._tag = f"aux{signature!r}"
-        self._indexes: Dict[str, GraphIndex] = {}
+        self._index: Optional[GraphIndex] = None
 
     def filter_roots(self, roots: List[int]) -> List[int]:
         """The subset of ``roots`` that survived pruning."""
         bits = self.allowed_bits
         return [v for v in roots if bits >> v & 1]
 
-    def index(self, mode: str) -> GraphIndex:
-        """A kernel index over the pruned adjacency (one per mode).
+    def index(self) -> GraphIndex:
+        """The kernel index over the pruned adjacency.
 
         Carries a signature-specific cache tag so pruned pools and
         full-graph pools never collide in shared set-operation caches
         (see the module docstring on fusion safety).
         """
-        index = self._indexes.get(mode)
+        index = self._index
         if index is None:
-            index = GraphIndex(self.graph, mode=mode, cache_tag=self._tag)
-            self._indexes[mode] = index
+            index = GraphIndex(self.graph, cache_tag=self._tag)
+            self._index = index
         return index
 
 

@@ -37,7 +37,7 @@ from typing import (
     Tuple,
 )
 
-from .index import GraphIndex
+from .index import GraphIndex, _require_auto
 
 if TYPE_CHECKING:  # pragma: no cover - import-time only
     from .stats import GraphStats
@@ -66,7 +66,7 @@ class Graph:
         "_fingerprint",
         "_version_key",
         "_adj_sets",
-        "_indexes",
+        "_index",
         "_label_index",
         "_label_freq",
         "_max_degree",
@@ -108,7 +108,7 @@ class Graph:
         self._fingerprint: Optional[str] = None
         self._version_key: Optional[str] = None
         self._adj_sets: Optional[Dict[int, FrozenSet[int]]] = None
-        self._indexes: Optional[Dict[str, GraphIndex]] = None
+        self._index: Optional[GraphIndex] = None
         self._label_index: Optional[Dict[int, Tuple[int, ...]]] = None
         self._label_freq: Optional[Dict[int, int]] = None
         self._max_degree: Optional[int] = None
@@ -226,30 +226,28 @@ class Graph:
         return sets
 
     def kernel_index(self, mode: str = "auto") -> GraphIndex:
-        """The :class:`~repro.graph.index.GraphIndex` for ``mode``.
+        """The graph's :class:`~repro.graph.index.GraphIndex`.
 
-        One index per (version, mode) lives in the derived cache, so
-        every engine, task, and same-version graph instance shares the
-        lazily-built CSR arrays, bitsets, and label partitions; the
-        cache's miss counter is the build counter (what the shard
-        regression test asserts on).
+        One index per version lives in the derived cache, so every
+        engine, task, and same-version graph instance shares the
+        lazily-built CSR arrays, bitsets, and label masks; the cache's
+        miss counter is the build counter (what the shard regression
+        test asserts on).
         """
-        from .store import derived_cache
+        # Called per VTask bridge step: the memoized hit stays one
+        # attribute read; a non-"auto" mode always takes the slow
+        # path, where _require_auto raises.
+        index = self._index
+        if index is None or mode != "auto":
+            _require_auto(mode)
+            from .store import derived_cache
 
-        indexes = self._indexes
-        if indexes is None:
-            indexes = derived_cache().get_or_build(
-                self.version_key, "kernel_indexes", dict
-            )
-            self._indexes = indexes
-        index = indexes.get(mode)
-        if index is None:
             index = derived_cache().get_or_build(
                 self.version_key,
-                ("index", mode),
-                lambda: GraphIndex(self, mode=mode, csr=self._shared_csr),
+                "kernel_index",
+                lambda: GraphIndex(self, csr=self._shared_csr),
             )
-            indexes[mode] = index
+            self._index = index
         return index
 
     def stats_summary(self) -> "GraphStats":

@@ -1,4 +1,4 @@
-"""Fast adjacency kernels: CSR arrays, bitsets, label partitions.
+"""Fast adjacency kernels: CSR arrays, bitsets, label masks.
 
 The mining inner loop is dominated by *candidate-pool computation*:
 intersect the adjacency of a handful of anchor vertices, restrict to a
@@ -7,47 +7,35 @@ implementation does all of that with per-vertex ``frozenset``s and a
 per-candidate Python filter loop.  This module provides the kernel
 layer the engines rewire onto (the cache-friendly substrate of the
 paper's Peregrine+ baseline, §2.3, with GraphMini-style pruned
-auxiliary adjacency):
-
-``csr``
-    Flat ``array('i')`` CSR adjacency (one contiguous neighbor array
-    plus offsets).  Intersections run by *galloping* — the smallest
-    adjacency window seeds the pool and every other operand filters it
-    with a narrowing binary search — and return already-sorted
-    results, so the candidate loop never re-sorts.
-
-``bitset``
-    Per-vertex Python big-int bitmasks.  CPython big-int ``&`` is a
-    vectorized word-wise intersection, so ANDing two neighbor bitsets
-    intersects 64 vertices per machine word.  Symmetry bounds,
-    injectivity, label restriction, and non-neighbor filters all stay
-    in bitset form (mask ANDs); only the final surviving candidates
-    are decoded back to a sorted vertex list.
-
-``auto``
-    Degree-threshold hybrid: pools seeded at a high-degree anchor use
-    bitsets, pools seeded at a low-degree anchor use CSR galloping.
-    This is the default engine mode.  When numpy is importable the
-    hybrid also engages the tier-2 batch kernel (see ``vector``) for
-    sibling-pool prefetches.
-
-``vector``
-    Tier-2 batched intersections: single pools behave exactly like
-    ``bitset`` pools, but *many* pools per extension step are computed
-    in one pass over a packed adjacency matrix
-    (:meth:`GraphIndex.batch_pool` / :meth:`GraphIndex.batch_extend`).
-    numpy is an optional accelerator — when it is missing (or
-    ``REPRO_NO_NUMPY`` is set) the same batch entry points run a pure
-    Python big-int fallback, so results never depend on numpy being
-    installed.
+auxiliary adjacency).  There are two adjacency modes:
 
 ``sets``
     The seed ``frozenset`` path, kept verbatim in
-    :mod:`repro.mining.candidates` for comparability (no index built).
+    :mod:`repro.mining.candidates` as the reference every kernel
+    result is checked against (no index built).
 
-Label partitioning: ``neighbors_with_label(v, label)`` and
-``label_bits(label)`` push per-step label constraints *inside* the
-intersection instead of a per-candidate post-filter.
+``auto``
+    The default.  Everything it chooses, it chooses from what it can
+    observe:
+
+    * *graph tier* — below :data:`AUTO_MIN_AVG_DEGREE` the whole graph
+      stays on the ``sets`` path (:func:`auto_selects_kernels`);
+    * *pool tier* — a pool seeded at an anchor of degree at least
+      :data:`BITSET_MIN_DEGREE` is a per-vertex Python big-int
+      bitmask: CPython big-int ``&`` intersects 64 vertices per
+      machine word, and symmetry bounds, injectivity, label
+      restriction and non-neighbor filters all stay mask ANDs until
+      one final decode.  A pool seeded at a lower degree intersects
+      hash sets (the AND cost of a bitset is proportional to n/64
+      regardless of degree) and is kept as an ascending tuple;
+    * *batch prefetch* — when numpy is importable, the pools of all
+      the children of one extension step are computed in one pass over
+      a packed adjacency matrix (:meth:`GraphIndex.batch_extend`).
+      Without numpy (or under ``REPRO_NO_NUMPY``) the prefetch is off
+      and each child computes its own pool; results are identical.
+
+:func:`resolve_index` is the one place that knows which mode strings
+exist and when ``auto`` engages the kernels.
 
 Everything is built lazily per vertex / per label, so tasks touching a
 few vertices of a large graph never pay an O(n + m) spike.
@@ -57,7 +45,7 @@ from __future__ import annotations
 
 import os
 from array import array
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from typing import (
     TYPE_CHECKING,
     Any,
@@ -73,11 +61,11 @@ from typing import (
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from .graph import Graph
 
-# numpy is an optional accelerator, never a dependency: the vector
-# kernels fall back to pure-Python big-int operations when it cannot
-# be imported, and ``REPRO_NO_NUMPY=1`` forces the fallback so the CI
-# numpy-absent leg (and local debugging) can exercise it on a machine
-# that has numpy installed.
+# numpy is an optional accelerator, never a dependency: without it the
+# batch prefetch is off and every pool is computed on its own, and
+# ``REPRO_NO_NUMPY=1`` forces that so the CI numpy-absent leg (and
+# local debugging) can exercise it on a machine that has numpy
+# installed.
 _np: Any = None
 if not os.environ.get("REPRO_NO_NUMPY"):
     try:  # pragma: no cover - exercised via the numpy-absent test leg
@@ -85,16 +73,16 @@ if not os.environ.get("REPRO_NO_NUMPY"):
     except ImportError:
         _np = None
 
-#: Whether the numpy-backed vector kernels are active in this process.
+#: Whether the numpy-backed batch prefetch is active in this process.
 HAS_NUMPY = _np is not None
 
 #: Public adjacency-mode names, as accepted by engines and the CLI.
-ADJACENCY_MODES: Tuple[str, ...] = ("auto", "sets", "bitset", "csr", "vector")
+ADJACENCY_MODES: Tuple[str, ...] = ("auto", "sets")
 
-#: ``auto`` seeds a bitset pool when the smallest anchor degree is at
-#: least this; below it, galloping over CSR windows wins (the AND cost
-#: of a bitset is proportional to n/64 regardless of degree).
-DEFAULT_BITSET_MIN_DEGREE = 16
+#: Pool tier of ``auto``: a pool is a bitset when the smallest anchor
+#: degree is at least this; below it, hash-set intersection wins (the
+#: AND cost of a bitset is proportional to n/64 regardless of degree).
+BITSET_MIN_DEGREE = 16
 
 #: Graph-level tier of the ``auto`` hybrid: below this average degree
 #: the whole graph stays on the legacy frozenset path.  Sparse pools
@@ -108,15 +96,7 @@ DEFAULT_BITSET_MIN_DEGREE = 16
 #: lose to it by construction (guarded by a dispatch-identity test).
 AUTO_MIN_AVG_DEGREE = 16.0
 
-#: Galloping cap (satellite fix for the csr-on-dense pathology): when
-#: the seed window of an explicit ``csr`` pool is at least this large,
-#: per-element binary search over equally large operand windows is
-#: strictly worse than one bitmask AND, so the pool falls through to
-#: the bitset path instead of galloping.  Below the cap (the sparse
-#: regime csr exists for) galloping keeps its already-sorted output.
-GALLOP_WINDOW_CAP = 64
-
-#: Minimum sibling-batch size for the tier-2 batch kernel: below this
+#: Minimum sibling-batch size for the batch prefetch: below this
 #: the per-call overhead of staging a batch exceeds what one pass
 #: saves over individual big-int ANDs.
 BATCH_MIN_SIZE = 4
@@ -126,15 +106,46 @@ def auto_selects_kernels(graph: "Graph") -> bool:
     """Whether ``auto`` engages the kernel layer for ``graph``.
 
     This is the coarse tier of the degree-threshold hybrid; the fine
-    tier (:meth:`GraphIndex.seed_is_bitset`) picks the pool
-    representation per intersection once kernels are in play.
+    tier (:data:`BITSET_MIN_DEGREE`, inside :meth:`GraphIndex.pool`)
+    picks the pool representation per intersection once kernels are
+    in play.
     """
     if graph.num_vertices == 0:
         return False
     return 2.0 * graph.num_edges / graph.num_vertices >= AUTO_MIN_AVG_DEGREE
 
-#: A candidate pool in kernel form: an ascending vertex tuple (CSR
-#: form) or a big-int bitmask (bitset form).
+
+def resolve_index(graph: "Graph", adjacency: str) -> Optional["GraphIndex"]:
+    """The kernel index an adjacency mode runs ``graph`` on, if any.
+
+    ``"sets"`` means the seed frozenset path (no index), as does
+    ``"auto"`` on a sparse graph (:func:`auto_selects_kernels`);
+    otherwise the graph's shared :meth:`Graph.kernel_index`.  Every
+    engine and VTask validates its ``adjacency`` argument by calling
+    this, so an unknown mode is the same ``ValueError`` everywhere.
+    """
+    if adjacency not in ADJACENCY_MODES:
+        raise ValueError(
+            f"adjacency must be one of {ADJACENCY_MODES}, got {adjacency!r}"
+        )
+    if adjacency == "sets" or not auto_selects_kernels(graph):
+        return None
+    return graph.kernel_index()
+
+
+def _require_auto(mode: str) -> None:
+    """``auto`` is the only kernel mode; the ``mode`` parameters of
+    :class:`GraphIndex` and :meth:`Graph.kernel_index` remain because
+    the frozen benchmark ledger passes it (ROADMAP item 2 follow-up)."""
+    if mode != "auto":
+        raise ValueError(
+            f"the kernel index has one mode, 'auto'; got {mode!r} "
+            f"(the 'sets' mode needs no index)"
+        )
+
+
+#: A candidate pool in kernel form: a big-int bitmask (high-degree
+#: seed) or an ascending vertex tuple (low-degree seed).
 Pool = Union[int, Tuple[int, ...]]
 
 # Bit positions set in each byte value, precomputed once: decoding a
@@ -182,42 +193,18 @@ def bits_count(bits: int) -> int:
     return bin(bits).count("1") if bits > 0 else 0
 
 
-def intersect_sorted(
-    pool: Sequence[int], other: Sequence[int], lo: int = 0, hi: int = -1
-) -> List[int]:
-    """Members of ``pool`` present in sorted ``other[lo:hi]``.
-
-    The search window narrows as the pool advances (both sides are
-    ascending), so each probe is a galloping binary search over the
-    remaining suffix only.  Returns an ascending list.
-    """
-    if hi < 0:
-        hi = len(other)
-    out: List[int] = []
-    append = out.append
-    pos = lo
-    for x in pool:
-        pos = bisect_left(other, x, pos, hi)
-        if pos >= hi:
-            break
-        if other[pos] == x:
-            append(x)
-            pos += 1
-    return out
-
-
 class GraphIndex:
     """Kernel-form adjacency for one :class:`~repro.graph.graph.Graph`.
 
     One index serves every engine over the graph; obtain it through
-    :meth:`Graph.kernel_index`, which serves one instance per
-    ``(graph version, mode)`` from the process-global
+    :meth:`Graph.kernel_index`, which serves one instance per graph
+    version from the process-global
     :class:`~repro.graph.store.DerivedCache` — content-identical
     graphs (e.g. per-shard unpickled copies landing in one worker)
     share the index instead of each building one.  All heavy
     structures are lazy: the CSR arrays are built on first
-    construction (O(n + m), flat ints), bitsets and label partitions
-    per vertex / per label on first touch.
+    construction (O(n + m), flat ints), bitsets and label masks per
+    vertex / per label on first touch.
 
     ``graph_version`` records the content version the index was built
     from, so diagnostics and run records can attribute a kernel to
@@ -226,16 +213,12 @@ class GraphIndex:
 
     __slots__ = (
         "graph",
-        "mode",
         "cache_key",
         "graph_version",
-        "bitset_min_degree",
-        "batch_enabled",
         "_offsets",
         "_flat",
         "_bits",
         "_label_bits",
-        "_label_adj",
         "_packed",
         "_label_packed",
     )
@@ -244,7 +227,6 @@ class GraphIndex:
         self,
         graph: "Graph",
         mode: str = "auto",
-        bitset_min_degree: int = DEFAULT_BITSET_MIN_DEGREE,
         csr: Optional[Tuple[Sequence[int], Sequence[int]]] = None,
         cache_tag: Optional[str] = None,
     ) -> None:
@@ -258,17 +240,11 @@ class GraphIndex:
         the same data graph (auxiliary pruned graphs,
         :mod:`repro.graph.aux`) must not answer each other's cache
         lookups, so their :attr:`cache_key` carries the tag while
-        plain indexes keep the bare mode string."""
-        if mode not in ("auto", "bitset", "csr", "vector"):
-            raise ValueError(
-                f"GraphIndex mode must be auto/bitset/csr/vector, got "
-                f"{mode!r} (the 'sets' mode needs no index)"
-            )
+        the graph's own index keeps the bare mode string."""
+        _require_auto(mode)
         self.graph = graph
-        self.mode = mode
         self.cache_key = mode if cache_tag is None else f"{mode}#{cache_tag}"
         self.graph_version = graph.version_key
-        self.bitset_min_degree = bitset_min_degree
         if csr is not None:
             self._offsets = csr[0]
             self._flat = csr[1]
@@ -282,13 +258,6 @@ class GraphIndex:
             self._flat = flat
         self._bits: Dict[int, int] = {}
         self._label_bits: Dict[int, int] = {}
-        self._label_adj: Dict[Tuple[int, int], Tuple[int, ...]] = {}
-        # Tier-2 batch kernel gate: ``vector`` always batches (pure
-        # Python fallback included); the ``auto``/``bitset`` tiers fold
-        # the batch pass in only when numpy makes it a win.
-        self.batch_enabled = mode == "vector" or (
-            HAS_NUMPY and mode in ("auto", "bitset")
-        )
         self._packed: Any = None
         self._label_packed: Dict[int, Any] = {}
 
@@ -325,21 +294,6 @@ class GraphIndex:
             self._label_bits[label] = bits
         return bits
 
-    def neighbors_with_label(self, v: int, label: int) -> Tuple[int, ...]:
-        """Label-partitioned adjacency: sorted neighbors of ``v`` with
-        ``label`` (lazy, cached per ``(vertex, label)`` pair)."""
-        key = (v, label)
-        part = self._label_adj.get(key)
-        if part is None:
-            graph = self.graph
-            lo, hi = self.window(v)
-            flat = self._flat
-            part = tuple(
-                w for w in flat[lo:hi] if graph.label(w) == label
-            )
-            self._label_adj[key] = part
-        return part
-
     def has_edge(self, u: int, v: int) -> bool:
         """Edge probe by binary search on the smaller CSR window."""
         if u == v:
@@ -354,16 +308,6 @@ class GraphIndex:
     # Pool kernels
     # ------------------------------------------------------------------
 
-    def seed_is_bitset(self, min_degree: int) -> bool:
-        """Whether a pool seeded at this degree should use bitsets."""
-        if self.mode in ("bitset", "vector"):
-            # ``vector`` single pools are bitset pools: the tier-2 win
-            # comes from batch_extend(), not a new single-pool form.
-            return True
-        if self.mode == "csr":
-            return False
-        return min_degree >= self.bitset_min_degree
-
     def pool(
         self,
         anchors: Sequence[int],
@@ -373,13 +317,13 @@ class GraphIndex:
         """Common neighbors of ``anchors``, label-restricted, in kernel
         form (bitmask or ascending tuple; see :data:`Pool`).
 
-        The smallest-degree anchor seeds the pool; label restriction
-        happens inside the kernel (label-partitioned seed window for
-        CSR pools, one label-mask AND for bitset pools).
+        The smallest-degree anchor seeds the pool and its degree picks
+        the representation (:data:`BITSET_MIN_DEGREE`); label
+        restriction happens inside the kernel.
         """
         ordered = sorted(anchors, key=self.degree)
         seed = ordered[0]
-        if self.seed_is_bitset(self.degree(seed)):
+        if self.degree(seed) >= BITSET_MIN_DEGREE:
             bits = self.neighbor_bits(seed)
             for v in ordered[1:]:
                 bits &= self.neighbor_bits(v)
@@ -391,54 +335,21 @@ class GraphIndex:
             if label is not None:
                 bits &= self.label_bits(label)
             return bits
-        if self.mode == "auto":
-            # Sparse seed under the hybrid: hash-set intersection runs
-            # at C speed and beats per-element galloping in pure
-            # Python; one final sort restores the kernel contract
-            # (ascending tuple).  Explicit ``csr`` mode keeps the
-            # galloping kernel for study.
-            members = self.graph.neighbor_set(seed)
-            for v in ordered[1:]:
-                members = members & self.graph.neighbor_set(v)
-                if stats is not None:
-                    stats.set_intersections += 1
-                if not members:
-                    return ()
-            if label is not None:
-                data_label = self.graph.label
-                return tuple(
-                    sorted(v for v in members if data_label(v) == label)
-                )
-            return tuple(sorted(members))
-        if label is not None:
-            current: Sequence[int] = self.neighbors_with_label(seed, label)
-        else:
-            lo, hi = self.window(seed)
-            current = self._flat[lo:hi]
-        if len(ordered) > 1 and len(current) >= GALLOP_WINDOW_CAP:
-            # Dense-seed fallthrough: galloping a large window through
-            # equally large operand windows is O(d log d) per operand
-            # while a bitmask AND is O(n/64) flat — on dense graphs the
-            # former loses by ~50x (the 0.14x csr-on-dense pathology).
-            bits = bits_from_sorted(current, self.graph.num_vertices)
-            for v in ordered[1:]:
-                bits &= self.neighbor_bits(v)
-                if stats is not None:
-                    stats.set_intersections += 1
-                    stats.bitset_intersections += 1
-                if not bits:
-                    return ()
-            return tuple(bits_to_sorted(bits))
-        result: List[int] = list(current)
+        # Sparse seed: hash-set intersection runs at C speed; one final
+        # sort restores the kernel contract (ascending tuple).
+        members = self.graph.neighbor_set(seed)
         for v in ordered[1:]:
-            lo, hi = self.window(v)
-            result = intersect_sorted(result, self._flat, lo, hi)
+            members = members & self.graph.neighbor_set(v)
             if stats is not None:
                 stats.set_intersections += 1
-                stats.galloping_intersections += 1
-            if not result:
-                break
-        return tuple(result)
+            if not members:
+                return ()
+        if label is not None:
+            data_label = self.graph.label
+            return tuple(
+                sorted(v for v in members if data_label(v) == label)
+            )
+        return tuple(sorted(members))
 
     def refine(
         self,
@@ -463,28 +374,16 @@ class GraphIndex:
                 if not pool:
                     return 0
             return pool
-        if self.mode == "auto":
-            # Sorted pool + hash membership keeps the output ascending
-            # without a galloping pass (same rationale as in pool()).
-            kept: Sequence[int] = pool
-            for v in anchors:
-                members = self.graph.neighbor_set(v)
-                kept = [x for x in kept if x in members]
-                if stats is not None:
-                    stats.set_intersections += 1
-                if not kept:
-                    break
-            return tuple(kept)
-        result: List[int] = list(pool)
+        # Sorted pool + hash membership keeps the output ascending.
+        kept: Sequence[int] = pool
         for v in anchors:
-            lo, hi = self.window(v)
-            result = intersect_sorted(result, self._flat, lo, hi)
+            members = self.graph.neighbor_set(v)
+            kept = [x for x in kept if x in members]
             if stats is not None:
                 stats.set_intersections += 1
-                stats.galloping_intersections += 1
-            if not result:
+            if not kept:
                 break
-        return tuple(result)
+        return tuple(kept)
 
     def apply_label(self, pool: Pool, label: int) -> Pool:
         """Restrict a pool to vertices carrying ``label``."""
@@ -505,11 +404,11 @@ class GraphIndex:
         return len(pool)
 
     # ------------------------------------------------------------------
-    # Tier-2 batch kernels
+    # Batch prefetch (numpy only)
     # ------------------------------------------------------------------
 
     def _ensure_packed(self) -> Any:
-        """The packed adjacency matrix behind the numpy batch kernels.
+        """The packed adjacency matrix behind :meth:`batch_extend`.
 
         A ``(n, ceil(n/8))`` uint8 matrix whose row ``v`` is the
         little-endian byte encoding of ``neighbor_bits(v)`` — the same
@@ -553,124 +452,39 @@ class GraphIndex:
     ) -> List[Pool]:
         """One pool per candidate: ``neighbor_bits(c) & base & label``.
 
-        This is the tier-2 sibling prefetch: when an extension step is
+        This is the sibling prefetch: when an extension step is
         about to descend into each candidate ``c`` in turn, every
         child's pool shares the same fixed-anchor ``base`` mask and
         differs only in ``c``'s adjacency — so all of them are one
         fancy-indexed row gather plus one broadcast AND over the packed
         matrix, instead of ``len(candidates)`` separate big-int ANDs.
-        Returns bitmask pools aligned with ``candidates``; the numpy
-        and pure-Python paths are bit-identical.
+        Returns bitmask pools aligned with ``candidates``.  Requires
+        numpy: callers gate on :data:`HAS_NUMPY`.
         """
         count = len(candidates)
         if stats is not None:
             stats.batch_intersections += 1
             stats.set_intersections += count
             stats.bitset_intersections += count
-        if _np is not None:
-            packed = self._ensure_packed()
-            width = packed.shape[1]
-            block = packed[
-                _np.fromiter(candidates, dtype=_np.int64, count=count)
-            ]
-            if base is not None:
-                block = block & _np.frombuffer(
-                    base.to_bytes(width, "little"), dtype=_np.uint8
-                )
-            if label is not None:
-                block = block & self._packed_label_row(label)
-            blob = block.tobytes()
-            return [
-                int.from_bytes(blob[i * width : (i + 1) * width], "little")
-                for i in range(count)
-            ]
-        label_mask = self.label_bits(label) if label is not None else None
-        neighbor_bits = self.neighbor_bits
-        out: List[Pool] = []
-        for c in candidates:
-            mask = neighbor_bits(c)
-            if base is not None:
-                mask &= base
-            if label_mask is not None:
-                mask &= label_mask
-            out.append(mask)
-        return out
-
-    def batch_pool(
-        self,
-        batches: Sequence[Sequence[int]],
-        label: Optional[int] = None,
-        stats: Optional["_IntersectionStats"] = None,
-    ) -> List[Pool]:
-        """Many independent anchor-set intersections in one pass.
-
-        ``batches[i]`` is an anchor sequence; the result is the bitmask
-        pool of each (common neighbors of its anchors, label-masked).
-        Anchor sets of equal size are grouped so each group is ``k``
-        column gathers AND-ed pairwise over ``(B, width)`` blocks —
-        measurably faster than one ``bitwise_and.reduce`` over a
-        gathered ``(B, k, width)`` cube, which materializes the full
-        intermediate before reducing.
-        """
-        if stats is not None:
-            stats.batch_intersections += 1
-            total = sum(max(len(b) - 1, 1) for b in batches)
-            stats.set_intersections += total
-            stats.bitset_intersections += total
-        results: List[Pool] = [0] * len(batches)
-        if _np is not None:
-            packed = self._ensure_packed()
-            width = packed.shape[1]
-            by_size: Dict[int, List[int]] = {}
-            for i, anchors in enumerate(batches):
-                by_size.setdefault(len(anchors), []).append(i)
-            label_row = (
-                self._packed_label_row(label) if label is not None else None
+        packed = self._ensure_packed()
+        width = packed.shape[1]
+        block = packed[_np.fromiter(candidates, dtype=_np.int64, count=count)]
+        if base is not None:
+            block = block & _np.frombuffer(
+                base.to_bytes(width, "little"), dtype=_np.uint8
             )
-            from_bytes = int.from_bytes
-            for size, positions in by_size.items():
-                if size == 0:
-                    continue
-                ids = _np.array(
-                    [batches[i] for i in positions], dtype=_np.int64
-                )
-                block = packed[ids[:, 0]]
-                for col in range(1, size):
-                    block = block & packed[ids[:, col]]
-                if label_row is not None:
-                    block = block & label_row
-                blob = block.tobytes()
-                pools = [
-                    from_bytes(blob[j * width : (j + 1) * width], "little")
-                    for j in range(len(positions))
-                ]
-                if len(positions) == len(batches):
-                    results = pools
-                else:
-                    for i, pool in zip(positions, pools):
-                        results[i] = pool
-            return results
-        label_mask = self.label_bits(label) if label is not None else None
-        neighbor_bits = self.neighbor_bits
-        for i, anchors in enumerate(batches):
-            if not anchors:
-                continue
-            it = iter(anchors)
-            mask = neighbor_bits(next(it))
-            for v in it:
-                mask &= neighbor_bits(v)
-                if not mask:
-                    break
-            if label_mask is not None:
-                mask &= label_mask
-            results[i] = mask
-        return results
+        if label is not None:
+            block = block & self._packed_label_row(label)
+        blob = block.tobytes()
+        return [
+            int.from_bytes(blob[i * width : (i + 1) * width], "little")
+            for i in range(count)
+        ]
 
     def __repr__(self) -> str:
         return (
-            f"GraphIndex(mode={self.mode!r}, |V|={self.graph.num_vertices}, "
-            f"|E|={self.graph.num_edges}, bitsets={len(self._bits)}, "
-            f"label_partitions={len(self._label_adj)})"
+            f"GraphIndex({self.cache_key!r}, |V|={self.graph.num_vertices}, "
+            f"|E|={self.graph.num_edges}, bitsets={len(self._bits)})"
         )
 
 

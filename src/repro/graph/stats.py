@@ -203,7 +203,6 @@ class GraphStats:
         return {
             "name": self.name,
             "version": self.version,
-            "version_alias": self.size_signature,
             "fingerprint": self.fingerprint,
             "num_vertices": self.num_vertices,
             "num_edges": self.num_edges,

@@ -2,19 +2,19 @@
 
 Given a partial match, the candidates for the next matching-order step
 are the common neighbors of the already-bound data vertices that the
-new pattern vertex must attach to.  Three execution paths compute them:
+new pattern vertex must attach to.  Two execution paths compute them:
 
 * the legacy ``sets`` path — per-vertex ``frozenset`` intersection with
   a per-candidate Python filter loop (the seed implementation, kept
   verbatim for comparability and as the property-test oracle);
-* the ``csr`` kernel path — galloping intersection over flat sorted
-  adjacency windows, label-partitioned seed operand, already-sorted
-  results;
-* the ``bitset`` kernel path — big-int AND intersections with label,
-  symmetry-bound, injectivity, and non-neighbor filters all applied as
-  bitmask operations before a single decode.
+* the kernel path (``auto`` on a dense graph) — pools from
+  :class:`~repro.graph.index.GraphIndex`: big-int AND intersections
+  with label, symmetry-bound, injectivity, and non-neighbor filters
+  all applied as bitmask operations before a single decode, or, for
+  pools seeded at a low-degree anchor, an already-sorted tuple whose
+  symmetry bounds are a binary-searched slice.
 
-Kernel paths add two reuse tiers on top of the shared
+The kernel path adds two reuse tiers on top of the shared
 :class:`~repro.mining.cache.SetOperationCache` (semantic keys): when a
 step's anchors extend a shallower step's anchors, the shallower step's
 cached pool is *refined* with only the new anchors instead of being
@@ -103,7 +103,7 @@ def _step_pool(
     """The candidate pool for one matching-order step, all reuse tiers.
 
     Lookup order: (1) the shared semantic cache, (2) a prefetched
-    ``override`` pool (the tier-2 batch kernel computed this step's
+    ``override`` pool (the batch prefetch computed this step's
     intersection alongside its siblings' — see
     :meth:`~repro.graph.index.GraphIndex.batch_extend`), (3)
     incremental refinement of the task's cached pool from the plan's
@@ -295,7 +295,7 @@ def _filter_sorted(
     lo: int,
     hi: int,
 ) -> List[int]:
-    """CSR filtering over an already-sorted, label-filtered pool.
+    """Filtering over an already-sorted, label-filtered tuple pool.
 
     Symmetry bounds become a binary-searched slice; no final sort.
     """

@@ -30,12 +30,12 @@ from typing import Callable, Iterable, Iterator, List, Optional, Sequence
 
 from ..exec.context import TaskContext
 from ..graph.graph import Graph
-from ..graph.index import ADJACENCY_MODES
+from ..graph.index import resolve_index
 from ..patterns.pattern import Pattern
 from ..patterns.plan import ExplorationPlan, plan_for
 from .cache import SetOperationCache
 from .candidates import root_candidates
-from .etask import ETask, resolve_index
+from .etask import ETask
 from .match import Match
 from .processors import (
     CollectProcessor,
@@ -65,9 +65,9 @@ class MiningEngine:
         Optional execution context (deadline + cancellation token)
         honored by every ETask this engine runs.
     adjacency:
-        Candidate-kernel mode: ``auto`` (default; degree-threshold
-        bitset/CSR hybrid), ``bitset``, ``csr``, or ``sets`` (the seed
-        frozenset path).  See :mod:`repro.graph.index`.
+        Candidate-kernel mode: ``auto`` (default; kernels where the
+        graph's degree warrants them) or ``sets`` (the seed frozenset
+        path).  See :mod:`repro.graph.index`.
     """
 
     def __init__(
@@ -88,11 +88,6 @@ class MiningEngine:
         experimentation."""
         if n_workers < 1:
             raise ValueError("n_workers must be >= 1")
-        if adjacency not in ADJACENCY_MODES:
-            raise ValueError(
-                f"adjacency must be one of {ADJACENCY_MODES}, "
-                f"got {adjacency!r}"
-            )
         self.graph = graph
         self.induced = induced
         self.n_workers = n_workers

@@ -35,9 +35,10 @@ from ..exec.events import (
 from ..graph.graph import Graph
 from ..graph.index import (
     BATCH_MIN_SIZE,
+    HAS_NUMPY,
     GraphIndex,
     Pool,
-    auto_selects_kernels,
+    resolve_index,
 )
 from ..patterns.plan import ExplorationPlan
 from .cache import SetOperationCache, TaskCache
@@ -66,10 +67,9 @@ class ETask:
         cancellation token cooperatively while descending.
     index:
         Optional :class:`~repro.graph.index.GraphIndex`: candidate
-        computation runs on its kernels (bitset / CSR galloping, with
-        incremental extension through a per-task
-        :class:`~repro.mining.cache.TaskCache`).  ``None`` keeps the
-        seed frozenset path.
+        computation runs on its kernels (with incremental extension
+        through a per-task :class:`~repro.mining.cache.TaskCache`).
+        ``None`` keeps the seed frozenset path.
     """
 
     __slots__ = (
@@ -190,20 +190,21 @@ class ETask:
     def _prefetch_child_pools(
         self, step: int, bound: List[int], candidates: List[int]
     ) -> Optional[List[Pool]]:
-        """Tier-2 sibling prefetch: pools for every child of this step.
+        """Sibling prefetch: pools for every child of this step.
 
         When the next matching-order position anchors on the vertex
         about to be bound here, each child's pool is ``base & N(v)``
         for a shared ``base`` — one
         :meth:`~repro.graph.index.GraphIndex.batch_extend` pass
         computes all of them at once.  Returns ``None`` whenever the
-        sequential path should run instead (batch disabled, batch too
-        small, or the children don't anchor on this position).
+        sequential path should run instead (no index or no numpy,
+        batch too small, or the children don't anchor on this
+        position).
         """
         index = self.index
         if (
             index is None
-            or not index.batch_enabled
+            or not HAS_NUMPY
             or len(candidates) < BATCH_MIN_SIZE
         ):
             return None
@@ -233,22 +234,6 @@ class ETask:
         for position, vertex in enumerate(bound):
             assignment[plan.order[position]] = vertex
         return Match(self.pattern, assignment)
-
-
-def resolve_index(graph: Graph, adjacency: str) -> Optional[GraphIndex]:
-    """The kernel index for an engine-level adjacency mode.
-
-    ``"sets"`` means the seed frozenset path (no index), as does
-    ``"auto"`` on a sparse graph (see
-    :func:`~repro.graph.index.auto_selects_kernels`); every other mode
-    resolves through :meth:`Graph.kernel_index`, which shares one
-    lazily-built index per mode across all engines on the graph.
-    """
-    if adjacency == "sets":
-        return None
-    if adjacency == "auto" and not auto_selects_kernels(graph):
-        return None
-    return graph.kernel_index(adjacency)
 
 
 def stream_single_pattern(

@@ -77,6 +77,7 @@ from ..graph.store import (
     derived_cache,
     graph_store,
 )
+from ..obs.metrics import COUNT_BUCKETS
 from ..patterns.pattern import Pattern
 
 __all__ = [
@@ -628,10 +629,12 @@ class SubscriptionRegistry:
         self._metrics.histogram(
             "repro_incremental_frontier_size",
             help_text="Touched-vertex frontier size per delta pass",
+            buckets=COUNT_BUCKETS,
         ).observe(float(update.frontier_size))
         self._metrics.histogram(
             "repro_incremental_revalidated_matches",
             help_text="Existing matches re-validated per delta pass",
+            buckets=COUNT_BUCKETS,
         ).observe(float(update.revalidated))
         self._metrics.histogram(
             "repro_incremental_delta_seconds",

@@ -28,6 +28,7 @@ from typing import Any, Optional, Tuple
 
 from ..exec.context import TaskContext
 from .metrics import (
+    COUNT_BUCKETS,
     DEFAULT_BUCKETS,
     ESTIMATE_ERROR_BUCKETS,
     Counter,
@@ -52,6 +53,7 @@ __all__ = [
     "MetricsSubscriber",
     "DEFAULT_BUCKETS",
     "ESTIMATE_ERROR_BUCKETS",
+    "COUNT_BUCKETS",
     "observe_estimate_error",
     "observed_context",
     "validate_chrome_trace",

@@ -43,6 +43,7 @@ __all__ = [
     "MetricsSubscriber",
     "DEFAULT_BUCKETS",
     "ESTIMATE_ERROR_BUCKETS",
+    "COUNT_BUCKETS",
     "observe_estimate_error",
 ]
 
@@ -55,6 +56,13 @@ DEFAULT_BUCKETS: Tuple[float, ...] = (
 #: log space around the perfectly calibrated 1.0.
 ESTIMATE_ERROR_BUCKETS: Tuple[float, ...] = (
     0.01, 0.03, 0.1, 0.3, 1.0, 3.0, 10.0, 30.0, 100.0,
+)
+
+#: Buckets for count-valued histograms (frontier sizes, re-validated
+#: matches): 1 … 10⁵ in powers of ~3.  The seconds-scaled default tops
+#: out at 120, which put every such sample in ``+Inf``.
+COUNT_BUCKETS: Tuple[float, ...] = (
+    1, 3, 10, 30, 100, 300, 1_000, 3_000, 10_000, 30_000, 100_000,
 )
 
 Labels = Tuple[Tuple[str, str], ...]

@@ -161,6 +161,17 @@ def validate_prometheus(text: str) -> List[str]:
             problems.append(
                 f"histogram {family}: bucket counts not cumulative"
             )
+        # Samples in the lowest bucket may be zeros (a no-op delta has
+        # a frontier of 0), so they do not show that the scale fits.
+        if counts:
+            zero_like = counts[0] if len(counts) > 1 else 0
+            beyond_scale = buckets.get("+Inf", 0) - counts[-1]
+            if beyond_scale > 0 and counts[-1] == zero_like:
+                problems.append(
+                    f"histogram {family}: every non-zero observation "
+                    f"fell in '+Inf' (the buckets do not fit the unit "
+                    f"observed)"
+                )
     for name in typed:
         if name not in series_seen:
             problems.append(f"TYPE declared but no samples for {name}")

@@ -12,14 +12,12 @@ See ``docs/serving.md`` for the endpoint reference, the tenancy model
 
 from __future__ import annotations
 
-from .admission import AdmissionDecision, admit_query
 from .client import ServeClient, ServeError
 from .config import ServeConfig, TenantConfig
 from .daemon import DaemonHandle, MiningDaemon, serve_in_thread
 from .ratelimit import TokenBucket
 
 __all__ = [
-    "AdmissionDecision",
     "DaemonHandle",
     "MiningDaemon",
     "ServeClient",
@@ -27,6 +25,5 @@ __all__ = [
     "ServeError",
     "TenantConfig",
     "TokenBucket",
-    "admit_query",
     "serve_in_thread",
 ]

@@ -10,7 +10,7 @@ One process serves many tenants and many queries:
   publication applies to every served graph automatically.
 * **Query intake** — ``POST /query`` passes a per-tenant token-bucket
   rate limit (429 + retry-after on refusal), then the CG6xx admission
-  gate (:mod:`repro.serve.admission`; 422 with diagnostic codes on
+  gate (:func:`repro.analysis.admit_query`; 422 with diagnostic codes on
   strict rejection), then enters a priority queue ordered by tenant
   priority.
 * **Run multiplexing** — ``max_concurrent`` worker slots pull from the
@@ -42,7 +42,8 @@ import uuid
 from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Dict, List, Optional, Set, Tuple
 
-from ..apps.mqc import build_mqc_engine
+from ..analysis import AdmissionDecision, admit_query
+from ..apps.mqc import build_mqc_engine, mqc_constraint_set
 from ..core.constraints import ConstraintSet
 from ..core.runtime import ContigraResult
 from ..errors import ReproError
@@ -57,7 +58,6 @@ from ..mining.incremental import (
 )
 from ..obs import MetricsRegistry, RunScope
 from ..patterns.pattern import Pattern
-from .admission import admit_query
 from .config import ServeConfig, TenantConfig
 from .ratelimit import TokenBucket
 
@@ -615,30 +615,7 @@ class MiningDaemon:
             graph = self.store.latest(name).graph
         except KeyError as exc:
             raise QueryError(404, {"error": str(exc.args[0])})
-        constraint_set = self._constraint_set(params)
-        decision = admit_query(
-            graph,
-            constraint_set,
-            params["admission"],
-            budget_seconds=params["time_limit"],
-            budget_bytes=tenant.budget_bytes,
-            scheduler=params["scheduler"],
-            n_workers=params["workers"],
-        )
-        if not decision.admitted:
-            self._tenant_counter(
-                "repro_serve_admission_rejected_total",
-                tenant.name,
-                "Queries rejected by the CG6xx admission gate",
-            )
-            raise QueryError(
-                422,
-                {
-                    "error": "admission rejected",
-                    "tenant": tenant.name,
-                    "admission": decision.to_dict(),
-                },
-            )
+        constraint_set, decision = self._admit(graph, params, tenant)
         query = StandingQuery(
             constraint_set=constraint_set,
             scheduler=params["scheduler"],
@@ -859,42 +836,14 @@ class MiningDaemon:
         }
         return params, tenant
 
-    def _constraint_set(self, params: Dict[str, Any]) -> ConstraintSet:
-        from ..core import maximality_constraints
-        from ..patterns import quasi_clique_patterns_up_to
-
-        return maximality_constraints(
-            quasi_clique_patterns_up_to(
-                params["max_size"],
-                params["gamma"],
-                min_size=params["min_size"],
-            ),
-            induced=True,
+    def _admit(
+        self, graph: Graph, params: Dict[str, Any], tenant: TenantConfig
+    ) -> Tuple[ConstraintSet, AdmissionDecision]:
+        """The CG6xx gate queries and subscriptions share: the request's
+        constraint set and its admission decision, or a 422."""
+        constraint_set = mqc_constraint_set(
+            params["gamma"], params["max_size"], params["min_size"]
         )
-
-    async def _handle_query(
-        self,
-        body: Dict[str, Any],
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-    ) -> None:
-        assert self._loop is not None
-        params, tenant = self._parse_query(body)
-        self._tenant_counter(
-            "repro_serve_queries_total",
-            tenant.name,
-            "Queries received, by tenant (all intake outcomes)",
-        )
-        if self._draining:
-            raise QueryError(
-                503, {"error": "daemon is draining", "tenant": tenant.name}
-            )
-        self._acquire_tokens(tenant, params["cost"])
-        try:
-            graph = self.store.resolve(params["graph"]).graph
-        except KeyError as exc:
-            raise QueryError(404, {"error": str(exc.args[0])})
-        constraint_set = self._constraint_set(params)
         decision = admit_query(
             graph,
             constraint_set,
@@ -918,6 +867,31 @@ class MiningDaemon:
                     "admission": decision.to_dict(),
                 },
             )
+        return constraint_set, decision
+
+    async def _handle_query(
+        self,
+        body: Dict[str, Any],
+        reader: asyncio.StreamReader,
+        writer: asyncio.StreamWriter,
+    ) -> None:
+        assert self._loop is not None
+        params, tenant = self._parse_query(body)
+        self._tenant_counter(
+            "repro_serve_queries_total",
+            tenant.name,
+            "Queries received, by tenant (all intake outcomes)",
+        )
+        if self._draining:
+            raise QueryError(
+                503, {"error": "daemon is draining", "tenant": tenant.name}
+            )
+        self._acquire_tokens(tenant, params["cost"])
+        try:
+            graph = self.store.resolve(params["graph"]).graph
+        except KeyError as exc:
+            raise QueryError(404, {"error": str(exc.args[0])})
+        _, decision = self._admit(graph, params, tenant)
         self._seq += 1
         run = QueryRun(
             query_id=uuid.uuid4().hex[:12],

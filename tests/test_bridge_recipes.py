@@ -5,8 +5,8 @@ import pytest
 from repro.core.vtask import (
     BridgeRecipe,
     ValidationTarget,
-    _connected_extension_orders,
-    _orbit_representative_embeddings,
+    connected_extension_orders,
+    alignment_embeddings,
 )
 from repro.graph import erdos_renyi
 from repro.patterns import clique, diamond_house, house, triangle
@@ -47,7 +47,7 @@ class TestBridgeRecipe:
 
 class TestExtensionOrders:
     def test_all_orders_connected(self):
-        orders = _connected_extension_orders(house(), [0, 1, 2], [3, 4])
+        orders = connected_extension_orders(house(), [0, 1, 2], [3, 4])
         assert orders
         for order in orders:
             bound = {0, 1, 2}
@@ -56,13 +56,13 @@ class TestExtensionOrders:
                 bound.add(v)
 
     def test_clique_extension_all_permutations_valid(self):
-        orders = _connected_extension_orders(clique(5), [0, 1, 2], [3, 4])
+        orders = connected_extension_orders(clique(5), [0, 1, 2], [3, 4])
         assert len(orders) == 2  # both orders of {3, 4}
 
 
 class TestOrbitEmbeddings:
     def test_triangle_into_house_roof_only(self):
-        reps = _orbit_representative_embeddings(
+        reps = alignment_embeddings(
             triangle(), house(), induced=False
         )
         # the house's only triangle is the roof; Aut(house) has order 2
@@ -73,7 +73,7 @@ class TestOrbitEmbeddings:
                 assert house().has_edge(image[u], image[v])
 
     def test_k4_into_k6_single_orbit(self):
-        reps = _orbit_representative_embeddings(
+        reps = alignment_embeddings(
             clique(4), clique(6), induced=True
         )
         assert len(reps) == 1

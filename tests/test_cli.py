@@ -31,7 +31,7 @@ class TestCommands:
     def test_mqc_on_dataset(self, capsys):
         assert main(
             ["mqc", "--dataset", "dblp", "--gamma", "0.8",
-             "--max-size", "4", "--json"]
+             "--max-size", "4", "--format", "json"]
         ) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["maximal_quasi_cliques"] > 0
@@ -40,7 +40,7 @@ class TestCommands:
     def test_quasicliques_fused_flag(self, capsys):
         assert main(
             ["quasicliques", "--dataset", "dblp", "--max-size", "4",
-             "--fused", "--json"]
+             "--fused", "--format", "json"]
         ) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["mode"] == "fused"
@@ -48,7 +48,7 @@ class TestCommands:
     def test_kws_mf(self, capsys):
         assert main(
             ["kws", "--dataset", "mico", "--keywords", "mf",
-             "--max-size", "4", "--json"]
+             "--max-size", "4", "--format", "json"]
         ) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["patterns_total"] > 0
@@ -56,7 +56,7 @@ class TestCommands:
     def test_kws_explicit_keywords(self, capsys):
         assert main(
             ["kws", "--dataset", "mico", "--keywords", "0,1",
-             "--max-size", "3", "--json"]
+             "--max-size", "3", "--format", "json"]
         ) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["keywords"] == [0, 1]
@@ -64,7 +64,7 @@ class TestCommands:
     def test_nsq(self, capsys):
         assert main(
             ["nsq", "--dataset", "amazon", "--query", "triangles",
-             "--json"]
+             "--format", "json"]
         ) == 0
         payload = json.loads(capsys.readouterr().out)
         assert "valid_matches" in payload
@@ -77,7 +77,7 @@ class TestCommands:
         write_edge_list(g, path)
         assert main(
             ["mqc", "--graph", path, "--gamma", "1.0",
-             "--max-size", "3", "--json"]
+             "--max-size", "3", "--format", "json"]
         ) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["maximal_quasi_cliques"] == 2  # two triangles
@@ -248,7 +248,7 @@ class TestAnalyzeEstimate:
 class TestAdmissionGate:
     def test_off_by_default_no_admission_record(self, capsys):
         assert main(
-            ["mqc", "--dataset", "dblp", "--max-size", "4", "--json"]
+            ["mqc", "--dataset", "dblp", "--max-size", "4", "--format", "json"]
         ) == 0
         payload = json.loads(capsys.readouterr().out)
         assert "admission" not in payload
@@ -257,7 +257,7 @@ class TestAdmissionGate:
     def test_warn_mode_records_and_proceeds(self, capsys):
         assert main(
             ["mqc", "--dataset", "dblp", "--max-size", "4",
-             "--time-limit", "60", "--admission", "warn", "--json"]
+             "--time-limit", "60", "--admission", "warn", "--format", "json"]
         ) == 0
         captured = capsys.readouterr()
         payload = json.loads(captured.out)
@@ -267,7 +267,7 @@ class TestAdmissionGate:
         assert admission["estimated_candidates"] > 0
         assert admission["actual_candidates"] > 0
         assert 0.1 <= admission["estimate_error_ratio"] <= 10.0
-        assert admission["recommended"]["adjacency"] == "auto"
+        assert "adjacency" not in admission["recommended"]
         assert "admission:" in captured.err
 
     def test_warn_mode_proceeds_past_projected_violation(self, capsys):
@@ -448,7 +448,7 @@ class TestGraphStoreCli:
     def test_graph_flag_resolves_store_ref(self, capsys):
         assert main(
             ["mqc", "--graph", "dblp@latest", "--gamma", "0.8",
-             "--max-size", "4", "--json"]
+             "--max-size", "4", "--format", "json"]
         ) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["maximal_quasi_cliques"] > 0
@@ -467,7 +467,7 @@ class TestGraphStoreCli:
         path = tmp_path / "toy.txt"
         write_edge_list(g, path)
         assert main(
-            ["mqc", "--graph", str(path), "--max-size", "4", "--json"]
+            ["mqc", "--graph", str(path), "--max-size", "4", "--format", "json"]
         ) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["graph"]["fingerprint"] == g.fingerprint
@@ -475,7 +475,7 @@ class TestGraphStoreCli:
     def test_admission_record_carries_fingerprint(self, capsys):
         assert main(
             ["mqc", "--dataset", "dblp", "--max-size", "4",
-             "--admission", "warn", "--time-limit", "60", "--json"]
+             "--admission", "warn", "--time-limit", "60", "--format", "json"]
         ) == 0
         payload = json.loads(capsys.readouterr().out)
         record = payload["admission"]

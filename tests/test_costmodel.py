@@ -233,7 +233,6 @@ class TestCheckEstimate:
         assert "CG605" in report.codes()
         recommended = estimate.recommended
         assert recommended.scheduler in ("serial", "workqueue", "process")
-        assert recommended.adjacency == "auto"
 
     def test_generous_budgets_pass(self):
         estimate = estimate_constraint_set(

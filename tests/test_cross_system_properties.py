@@ -23,8 +23,9 @@ from repro.baselines.naive import (
     maximal_quasi_cliques as oracle_mqc,
     minimal_keyword_covers,
 )
-from repro.core.parallel import run_sharded
 from repro.core import maximality_constraints
+from repro.core.runtime import ContigraEngine
+from repro.exec import ProcessShardScheduler
 from repro.graph import erdos_renyi
 from repro.patterns import quasi_clique_patterns_up_to
 
@@ -45,7 +46,9 @@ class TestFiveWayMQCAgreement:
         cs = maximality_constraints(
             quasi_clique_patterns_up_to(5, gamma), induced=True
         )
-        sharded = run_sharded(g, cs, n_workers=2)
+        sharded = ContigraEngine(g, cs).run_with(
+            ProcessShardScheduler(n_workers=2)
+        )
         assert set(sharded.vertex_sets()) == want
 
 

@@ -17,8 +17,11 @@ from concurrent.futures import ProcessPoolExecutor
 import pytest
 
 from repro.baselines import TThinkerConfig, tthinker_mqc
-from repro.core import maximality_constraints
-from repro.core.parallel import run_sharded
+from repro.baselines.naive import (
+    maximal_quasi_cliques as oracle_mqc,
+    nested_query_matches,
+)
+from repro.core import maximality_constraints, nested_query_constraints
 from repro.core.runtime import ContigraEngine
 from repro.errors import MemoryBudgetExceeded, TimeLimitExceeded
 from repro.exec import (
@@ -114,6 +117,54 @@ class TestThreeSchedulerEquivalence:
             make_scheduler("bogus")
         with pytest.raises(ValueError):
             make_scheduler("process", n_workers=0)
+        with pytest.raises(ValueError):
+            ProcessShardScheduler(n_workers=0)
+
+
+class TestProcessSharding:
+    """Root shards against the naive oracle (not just against serial)."""
+
+    @pytest.mark.parametrize("workers", [2, 4])
+    def test_mqc_matches_oracle_without_duplicates(self, workers):
+        g = erdos_renyi(18, 0.4, seed=1)
+        result = run_with(
+            g, mqc_constraints(max_size=5),
+            ProcessShardScheduler(n_workers=workers),
+        )
+        assert set(result.vertex_sets()) == oracle_mqc(g, 0.7, 3, 5)
+        assert len(result.valid) == len(set(result.valid))
+
+    def test_nsq_matches_oracle(self):
+        from repro.apps.nsq import paper_query_triangles
+
+        g = erdos_renyi(15, 0.2, seed=3)
+        p_m, p_plus = paper_query_triangles()
+        result = run_with(
+            g, nested_query_constraints(p_m, p_plus),
+            ProcessShardScheduler(n_workers=3),
+        )
+        assert set(result.assignments()) == nested_query_matches(
+            g, p_m, p_plus
+        )
+
+    def test_every_match_explored_once_across_shards(self):
+        g = erdos_renyi(16, 0.45, seed=5)
+        constraint_set = mqc_constraints(max_size=5)
+        serial = run_with(g, constraint_set, SerialScheduler())
+        sharded = run_with(
+            g, constraint_set, ProcessShardScheduler(n_workers=3)
+        )
+        assert sharded.stats.matches_found == serial.stats.matches_found
+        assert sharded.stats.vtasks_started > 0
+
+    def test_engine_options_reach_the_shards(self):
+        g = erdos_renyi(14, 0.45, seed=6)
+        result = run_with(
+            g, mqc_constraints(max_size=5),
+            ProcessShardScheduler(n_workers=2), enable_promotion=False,
+        )
+        assert result.stats.promotions == 0
+        assert set(result.vertex_sets()) == oracle_mqc(g, 0.7, 3, 5)
 
 
 class TestCrossProcessFailureTypes:
@@ -122,11 +173,11 @@ class TestCrossProcessFailureTypes:
     def test_sharded_run_tle_preserves_type(self):
         g = erdos_renyi(60, 0.4, seed=3)
         with pytest.raises(TimeLimitExceeded) as info:
-            run_sharded(
+            run_with(
                 g,
                 mqc_constraints(gamma=0.6, max_size=6),
-                n_workers=2,
-                engine_options={"time_limit": 0.02},
+                ProcessShardScheduler(n_workers=2),
+                time_limit=0.02,
             )
         # Shards run under the *residual* budget at dispatch time —
         # never more than the configured limit (and never a fresh copy

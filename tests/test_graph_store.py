@@ -95,15 +95,15 @@ class TestFingerprint:
         )
         assert Graph(rows).fingerprint != Graph(rows, labels=[0, 1]).fingerprint
 
-    def test_stats_carries_fingerprint_and_alias(self):
+    def test_stats_carries_fingerprint_and_signature(self):
         g = erdos_renyi(12, 0.4, seed=3)
         stats = g.stats_summary()
         assert stats.fingerprint == g.fingerprint
         assert stats.version == g.version_key
         d = stats.to_dict()
         assert d["fingerprint"] == g.fingerprint
-        assert d["version_alias"] == stats.size_signature
-        assert ":" in stats.size_signature  # old human-readable shape
+        assert "version_alias" not in d
+        assert ":" in stats.size_signature  # the fingerprint-less fallback
 
 
 # ----------------------------------------------------------------------
@@ -170,8 +170,8 @@ class TestArtifactSharing:
     def test_same_content_graphs_share_artifacts(self):
         g1 = erdos_renyi(18, 0.3, seed=5)
         g2 = _rebuilt(g1)
-        idx = g1.kernel_index("bitset")
-        assert g2.kernel_index("bitset") is idx
+        idx = g1.kernel_index()
+        assert g2.kernel_index() is idx
         assert g2.neighbor_set(0) is g1.neighbor_set(0)
         assert g2.stats_summary() is g1.stats_summary()
 
@@ -180,15 +180,15 @@ class TestArtifactSharing:
         # re-attach to the already-built index for their graph
         # version, not rebuild one per shard.
         g = erdos_renyi(18, 0.3, seed=6)
-        idx = g.kernel_index("bitset")
+        idx = g.kernel_index()
         cache = derived_cache()
         builds_before = cache.counters()["misses"]
         blob = pickle.dumps(g)
         shard_a = pickle.loads(blob)
         shard_b = pickle.loads(blob)
         assert shard_a.fingerprint == g.fingerprint
-        assert shard_a.kernel_index("bitset") is idx
-        assert shard_b.kernel_index("bitset") is idx
+        assert shard_a.kernel_index() is idx
+        assert shard_b.kernel_index() is idx
         # Zero index rebuilds across the two simulated shards.
         assert cache.counters()["misses"] == builds_before
 
@@ -421,7 +421,7 @@ class TestVersionBoundCaches:
         from repro.mining import MiningEngine
 
         g = erdos_renyi(12, 0.4, seed=37)
-        engine = MiningEngine(g, adjacency="bitset")
+        engine = MiningEngine(g)
         assert engine.cache.graph_version == g.version_key
         assert engine._task_cache().graph_version == g.version_key
 

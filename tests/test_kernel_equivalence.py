@@ -1,9 +1,19 @@
 """Property tests for the candidate-kernel layer (repro.graph.index).
 
-The legacy frozenset path (``index=None``) is the oracle: every kernel
-mode must produce *identical* candidate lists at every step of every
-exploration, and identical match multisets end to end — under every
-scheduler.  The suite sweeps 100+ seeded (graph, plan, step) cases.
+There are two adjacency modes.  ``sets`` — the legacy frozenset path,
+``index=None`` — is the oracle; ``auto`` must produce *identical*
+candidate lists at every step of every exploration, and identical
+match sets and paper counters end to end, under every scheduler, with
+and without auxiliary graphs, with numpy and under ``REPRO_NO_NUMPY=1``
+(CI runs this file on both legs).
+
+``auto`` chooses twice from what it observes, and the cases are built
+so both sides of each choice run: index-level cases construct
+``GraphIndex(graph)`` directly over graphs with a high-degree core and
+a low-degree periphery (bitset pools *and* hash-set pools); engine
+cases use graphs of average degree >= 16, where ``auto`` resolves to
+the kernels at all (on sparser graphs it *is* ``sets`` — the dispatch
+identity test).
 """
 
 import pickle
@@ -14,15 +24,18 @@ import pytest
 
 from repro.apps import maximal_quasi_cliques, mine_quasi_cliques
 from repro.apps.nsq import nested_subgraph_query, paper_query_triangles
+from repro.core.runtime import ContigraEngine
+from repro.core.vtask import ValidationTarget
 from repro.graph import (
-    ADJACENCY_MODES,
     Graph,
+    GraphIndex,
+    auto_selects_kernels,
     bits_from_sorted,
     bits_to_sorted,
     erdos_renyi,
-    intersect_sorted,
+    resolve_index,
 )
-from repro.graph.index import bits_count
+from repro.graph.index import BITSET_MIN_DEGREE, HAS_NUMPY, bits_count
 from repro.mining import (
     MiningEngine,
     MiningStats,
@@ -37,11 +50,46 @@ from repro.patterns.pattern import Pattern
 
 from conftest import labeled_random_graph, random_graph
 
-KERNEL_MODES = [m for m in ADJACENCY_MODES if m != "sets"]
+#: The counters the paper's figures are built from.
+PAPER_COUNTERS = (
+    "extensions_attempted",
+    "vtasks_started",
+    "promotions",
+    "vtasks_canceled_lateral",
+)
+
+
+def core_periphery(seed, core_n=20, total_n=34, p=0.9, num_labels=0):
+    """A dense core (degree >= BITSET_MIN_DEGREE) plus a degree-2
+    periphery: both pool tiers, and the regime auxiliary pruning
+    targets (the periphery can host no clique-like match)."""
+    rng = random.Random(seed)
+    core = erdos_renyi(core_n, p, seed=seed)
+    adjacency = [list(core.neighbors(v)) for v in core.vertices()]
+    adjacency.extend([] for _ in range(total_n - core_n))
+    for v in range(core_n, total_n):
+        for u in sorted(rng.sample(range(core_n), 2)):
+            adjacency[v].append(u)
+            adjacency[u].append(v)
+    labels = (
+        [rng.randrange(num_labels) for _ in range(total_n)]
+        if num_labels
+        else None
+    )
+    graph = Graph(adjacency, labels=labels, name=f"two-tier-{seed}")
+    degrees = [graph.degree(v) for v in graph.vertices()]
+    assert min(degrees) < BITSET_MIN_DEGREE <= max(degrees)
+    return graph
+
+
+def dense(graph):
+    """Engine-level fixture guard: ``auto`` must engage the kernels."""
+    assert resolve_index(graph, "auto") is not None
+    return graph
 
 
 # ----------------------------------------------------------------------
-# Kernel primitives
+# Kernel primitives and index-level kernels (both pool tiers)
 # ----------------------------------------------------------------------
 
 
@@ -59,115 +107,148 @@ class TestBitsetPrimitives:
         assert bits_from_sorted([], 10) == 0
         assert bits_to_sorted(0) == []
 
-    @pytest.mark.parametrize("seed", range(10))
-    def test_intersect_sorted_matches_set_intersection(self, seed):
-        rng = random.Random(100 + seed)
-        a = sorted(rng.sample(range(200), rng.randrange(0, 80)))
-        b = sorted(rng.sample(range(200), rng.randrange(0, 80)))
-        expected = sorted(set(a) & set(b))
-        assert list(intersect_sorted(tuple(a), tuple(b))) == expected
 
-    def test_intersect_sorted_window(self):
-        # The lo/hi window restricts the *first* operand's range.
-        a = (1, 3, 5, 7, 9)
-        b = (3, 5, 7)
-        assert list(intersect_sorted(a, b)) == [3, 5, 7]
+def _naive_pool(graph, anchors, label):
+    expected = set.intersection(*(set(graph.neighbors(v)) for v in anchors))
+    if label is not None:
+        expected = {v for v in expected if graph.label(v) == label}
+    return sorted(expected)
 
 
 class TestGraphIndex:
-    @pytest.mark.parametrize("mode", KERNEL_MODES)
-    def test_adjacency_agrees_with_graph(self, mode):
-        graph = random_graph(40, 0.2, seed=7)
-        index = graph.kernel_index(mode)
+    def test_adjacency_and_label_masks_agree_with_graph(self):
+        graph = core_periphery(seed=7, num_labels=3)
+        index = GraphIndex(graph)
         for v in graph.vertices():
             assert bits_to_sorted(index.neighbor_bits(v)) == sorted(
                 graph.neighbors(v)
             )
             for u in graph.vertices():
                 assert index.has_edge(u, v) == graph.has_edge(u, v)
-
-    def test_label_partitions(self):
-        graph = labeled_random_graph(40, 0.25, num_labels=3, seed=11)
-        index = graph.kernel_index("csr")
-        for v in graph.vertices():
-            for lab in range(3):
-                expected = sorted(
-                    u for u in graph.neighbors(v) if graph.label(u) == lab
-                )
-                assert list(index.neighbors_with_label(v, lab)) == expected
         for lab in range(3):
             assert bits_to_sorted(index.label_bits(lab)) == sorted(
                 graph.vertices_with_label(lab)
             )
 
-    @pytest.mark.parametrize("mode", KERNEL_MODES)
     @pytest.mark.parametrize("seed", range(5))
-    def test_pool_matches_naive_intersection(self, mode, seed):
-        graph = labeled_random_graph(50, 0.3, num_labels=2, seed=seed)
-        index = graph.kernel_index(mode)
+    def test_pool_matches_naive_intersection_on_both_tiers(self, seed):
+        graph = core_periphery(seed=seed, num_labels=2)
+        index = GraphIndex(graph)
         rng = random.Random(seed)
         stats = MiningStats()
-        for _ in range(20):
-            anchors = rng.sample(range(50), rng.randrange(1, 4))
+        forms = set()
+        for _ in range(40):
+            anchors = rng.sample(range(graph.num_vertices), rng.randrange(1, 4))
             for label in (None, 0, 1):
-                expected = set.intersection(
-                    *(set(graph.neighbors(v)) for v in anchors)
-                )
-                if label is not None:
-                    expected = {
-                        v for v in expected if graph.label(v) == label
-                    }
                 pool = index.pool(anchors, label, stats)
-                assert index.pool_to_sorted(pool) == sorted(expected)
+                forms.add(type(pool))
+                expected = _naive_pool(graph, anchors, label)
+                assert index.pool_to_sorted(pool) == expected
                 assert index.pool_size(pool) == len(expected)
+        assert forms == {int, tuple}  # bitset seeds and hash-set seeds
+        assert 0 < stats.bitset_intersections < stats.set_intersections
+        assert stats.galloping_intersections == 0  # the counter is vestigial
 
-    def test_refine_keeps_representation(self):
-        graph = random_graph(60, 0.4, seed=3)
+    def test_refine_and_apply_label_keep_representation(self):
+        graph = core_periphery(seed=3, num_labels=2)
+        index = GraphIndex(graph)
         stats = MiningStats()
-        for mode in ("bitset", "csr"):
-            index = graph.kernel_index(mode)
-            pool = index.pool([0], None, stats)
-            refined = index.refine(pool, [1], stats)
-            assert isinstance(refined, type(pool))
-            expected = sorted(
-                set(graph.neighbors(0)) & set(graph.neighbors(1))
+        core_seed, periphery_seed = 0, graph.num_vertices - 1
+        other = graph.neighbors(periphery_seed)[0]
+        for seed_vertex, form in ((core_seed, int), (periphery_seed, tuple)):
+            pool = index.pool([seed_vertex], None, stats)
+            assert isinstance(pool, form)
+            refined = index.refine(pool, [other], stats)
+            assert isinstance(refined, form)
+            assert index.pool_to_sorted(refined) == _naive_pool(
+                graph, [seed_vertex, other], None
             )
-            assert index.pool_to_sorted(refined) == expected
+            labeled = index.apply_label(pool, 1)
+            assert isinstance(labeled, form)
+            assert index.pool_to_sorted(labeled) == _naive_pool(
+                graph, [seed_vertex], 1
+            )
 
-    def test_kernel_index_is_cached_per_mode(self):
+    @pytest.mark.skipif(not HAS_NUMPY, reason="batch prefetch needs numpy")
+    @pytest.mark.parametrize("seed", range(3))
+    def test_batch_extend_matches_per_child_pools(self, seed):
+        graph = core_periphery(seed=60 + seed, num_labels=2)
+        index = GraphIndex(graph)
+        stats = MiningStats()
+        base = index.neighbor_bits(0) & index.neighbor_bits(1)
+        candidates = bits_to_sorted(base)  # core and periphery children
+        for label in (None, 1):
+            pools = index.batch_extend(base, candidates, label, stats)
+            assert len(pools) == len(candidates)
+            for c, pool in zip(candidates, pools):
+                expected = base & index.neighbor_bits(c)
+                if label is not None:
+                    expected &= index.label_bits(label)
+                assert pool == expected
+        assert stats.batch_intersections == 2
+        assert stats.bitset_intersections == 2 * len(candidates)
+
+    def test_one_index_per_graph_version(self):
         graph = random_graph(10, 0.3, seed=1)
-        assert graph.kernel_index("csr") is graph.kernel_index("csr")
-        assert graph.kernel_index("csr") is not graph.kernel_index("bitset")
+        assert graph.kernel_index() is graph.kernel_index("auto")
+        twin = Graph([graph.neighbors(v) for v in graph.vertices()])
+        assert twin.kernel_index() is graph.kernel_index()
 
-    def test_auto_graph_level_fallback(self):
-        from repro.graph import auto_selects_kernels
-        from repro.mining.etask import resolve_index
-
+    def test_auto_graph_level_fallback_is_dispatch_identity(self):
         sparse = random_graph(40, 0.05, seed=2)
-        dense = random_graph(40, 0.6, seed=2)
+        dense_graph = random_graph(40, 0.6, seed=2)
         assert not auto_selects_kernels(sparse)
-        assert auto_selects_kernels(dense)
+        assert auto_selects_kernels(dense_graph)
         # auto on a sparse graph IS the legacy path (no index at all),
         # so it can never be slower than sets there.
         assert resolve_index(sparse, "auto") is None
-        assert resolve_index(dense, "auto") is not None
-        assert resolve_index(sparse, "bitset") is not None
-        assert resolve_index(dense, "sets") is None
+        assert resolve_index(dense_graph, "auto") is dense_graph.kernel_index()
+        assert resolve_index(dense_graph, "sets") is None
         assert MiningEngine(sparse, adjacency="auto").index is None
-        assert MiningEngine(dense, adjacency="auto").index is not None
+        assert MiningEngine(dense_graph, adjacency="auto").index is not None
 
-    def test_invalid_mode_rejected(self):
-        graph = random_graph(5, 0.5, seed=1)
-        with pytest.raises(ValueError):
-            graph.kernel_index("nope")
-        with pytest.raises(ValueError):
-            MiningEngine(graph, adjacency="nope")
+
+class TestRemovedModesRejected:
+    """Five modes became two; the other three fail loudly, everywhere
+    the same way."""
+
+    @pytest.mark.parametrize("mode", ["csr", "bitset", "vector"])
+    def test_rejected_by_every_entry_point(self, mode, capsys):
+        from repro.apps.mqc import mqc_constraint_set
+        from repro.cli import main
+
+        graph = random_graph(8, 0.5, seed=1)
+        messages = set()
+        for build in (
+            lambda: MiningEngine(graph, adjacency=mode),
+            lambda: ContigraEngine(
+                graph, mqc_constraint_set(0.8, 4), adjacency=mode
+            ),
+            lambda: ValidationTarget(
+                triangle(), clique(4), graph, induced=True, adjacency=mode
+            ),
+            lambda: resolve_index(graph, mode),
+        ):
+            with pytest.raises(ValueError) as info:
+                build()
+            messages.add(str(info.value))
+        assert len(messages) == 1 and repr(mode) in messages.pop()
+        for build in (
+            lambda: graph.kernel_index(mode),
+            lambda: GraphIndex(graph, mode=mode),
+        ):
+            with pytest.raises(ValueError):
+                build()
+        with pytest.raises(SystemExit) as exit_info:
+            main(["mqc", "--dataset", "dblp", "--adjacency", mode])
+        assert exit_info.value.code == 2
+        assert "--adjacency" in capsys.readouterr().err
 
 
 class TestKernelPool:
     def test_shared_cache_keys_do_not_collide_with_legacy(self):
         graph = random_graph(20, 0.4, seed=5)
-        index = graph.kernel_index("bitset")
+        index = graph.kernel_index()
         stats = MiningStats()
         cache = SetOperationCache(stats=stats)
         pool = kernel_pool(index, [0, 1], None, cache, stats)
@@ -179,7 +260,7 @@ class TestKernelPool:
     def test_empty_pool_is_cached_not_recomputed(self):
         # Two isolated-from-each-other vertices: empty intersection.
         graph = Graph([(1,), (0,), (3,), (2,)])
-        index = graph.kernel_index("csr")
+        index = graph.kernel_index()
         stats = MiningStats()
         cache = SetOperationCache(stats=stats)
         kernel_pool(index, [0, 2], None, cache, stats)
@@ -236,7 +317,7 @@ class TestStepReuse:
 
 
 # ----------------------------------------------------------------------
-# Candidate-list equivalence: kernels vs the frozenset oracle
+# Candidate-list equivalence: the kernels vs the frozenset oracle
 # ----------------------------------------------------------------------
 
 
@@ -245,206 +326,159 @@ def _assert_candidates_equivalent(
     pattern: Pattern,
     induced: bool,
     apply_symmetry: bool,
+    stats: MiningStats,
 ) -> int:
-    """Walk the full exploration tree comparing every kernel mode
-    against the legacy path at every step.  Returns the number of
-    (graph, plan, step) comparisons performed."""
+    """Walk the full exploration tree comparing the kernel path against
+    the legacy path at every step.  Returns the number of (graph, plan,
+    step) comparisons performed; kernel work is counted in ``stats``."""
     plan = plan_for(pattern, induced=induced)
-    indexes = {mode: graph.kernel_index(mode) for mode in KERNEL_MODES}
-    stats = MiningStats()
-    oracle_cache = SetOperationCache(stats=stats)
+    index = GraphIndex(graph)
+    oracle_stats = MiningStats()
+    oracle_cache = SetOperationCache(stats=oracle_stats)
     kernel_cache = SetOperationCache(stats=stats)
     comparisons = 0
 
-    def descend(bound, task_caches):
+    def descend(bound, task_cache):
         nonlocal comparisons
         step = len(bound)
         if step == plan.num_steps:
             return
         expected = compute_candidates(
-            graph, plan, step, bound, oracle_cache, stats,
+            graph, plan, step, bound, oracle_cache, oracle_stats,
             apply_symmetry=apply_symmetry,
         )
-        for mode, index in indexes.items():
-            got = compute_candidates(
-                graph, plan, step, bound, kernel_cache, stats,
-                apply_symmetry=apply_symmetry,
-                index=index, task_cache=task_caches[mode],
-            )
-            assert got == expected, (
-                f"mode={mode} step={step} bound={bound}: "
-                f"{got} != {expected}"
-            )
-            comparisons += 1
+        got = compute_candidates(
+            graph, plan, step, bound, kernel_cache, stats,
+            apply_symmetry=apply_symmetry,
+            index=index, task_cache=task_cache,
+        )
+        assert got == expected, f"step={step} bound={bound}"
+        comparisons += 1
         for v in expected:
-            descend(bound + [v], task_caches)
+            descend(bound + [v], task_cache)
 
     for root in root_candidates(graph, plan):
-        # Fresh per-task caches per root, matching real ETasks.
-        descend(
-            [root],
-            {mode: TaskCache(plan.num_steps) for mode in KERNEL_MODES},
-        )
+        # A fresh per-task cache per root, matching real ETasks.
+        descend([root], TaskCache(plan.num_steps))
     return comparisons
 
 
-PATTERNS = [triangle(), clique(4), path(3), star(3)]
-
-
 class TestCandidateEquivalence:
-    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("seed", range(3))
     @pytest.mark.parametrize("induced", [False, True])
     def test_unlabeled_sweep(self, seed, induced):
-        graph = random_graph(18 + 3 * seed, 0.3, seed=seed)
-        total = 0
-        for pattern in PATTERNS:
-            total += _assert_candidates_equivalent(
-                graph, pattern, induced, apply_symmetry=True
+        graph = core_periphery(seed=seed, core_n=18, total_n=28)
+        stats = MiningStats()
+        total = sum(
+            _assert_candidates_equivalent(
+                graph, pattern, induced, True, stats
             )
-        assert total >= 100  # the issue's case floor, per sweep
+            for pattern in (triangle(), clique(4), path(3), star(3))
+        )
+        assert total >= 100
+        assert 0 < stats.bitset_intersections < stats.set_intersections
+        assert stats.incremental_extensions > 0
 
-    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("seed", range(3))
     def test_labeled_sweep(self, seed):
-        graph = labeled_random_graph(20, 0.35, num_labels=2, seed=seed)
+        graph = core_periphery(
+            seed=seed, core_n=18, total_n=28, num_labels=2
+        )
         labeled_triangle = Pattern(
             3, [(0, 1), (1, 2), (0, 2)], labels=[0, 1, seed % 2]
         )
         labeled_path = Pattern(3, [(0, 1), (1, 2)], labels=[1, 0, 1])
-        total = 0
-        for pattern in (labeled_triangle, labeled_path, clique(4)):
-            total += _assert_candidates_equivalent(
-                graph, pattern, induced=False, apply_symmetry=True
+        stats = MiningStats()
+        total = sum(
+            _assert_candidates_equivalent(
+                graph, pattern, False, True, stats
             )
+            for pattern in (labeled_triangle, labeled_path, clique(4))
+        )
         assert total > 0
+        assert 0 < stats.bitset_intersections < stats.set_intersections
 
-    @pytest.mark.parametrize("seed", range(2))
-    def test_without_symmetry_breaking(self, seed):
+    def test_without_symmetry_breaking(self):
         # VTasks drop symmetry bounds; kernels must agree there too.
-        graph = random_graph(16, 0.35, seed=40 + seed)
+        graph = core_periphery(seed=40, core_n=18, total_n=26)
+        stats = MiningStats()
         for pattern in (triangle(), clique(4)):
             _assert_candidates_equivalent(
-                graph, pattern, induced=False, apply_symmetry=False
+                graph, pattern, False, False, stats
             )
-
-    def test_dense_graph_exercises_bitset_seed(self):
-        # Dense => auto picks the bitset representation for most pools.
-        graph = random_graph(30, 0.7, seed=9)
-        stats = MiningStats()
-        pool = graph.kernel_index("auto").pool([0, 1], None, stats)
-        assert isinstance(pool, int)  # bitset representation chosen
         assert stats.bitset_intersections > 0
-        _assert_candidates_equivalent(
-            graph, clique(4), induced=False, apply_symmetry=True
-        )
-
-    def test_incremental_extensions_fire_and_stay_correct(self):
-        graph = random_graph(40, 0.5, seed=21)
-        plan = plan_for(clique(5))
-        index = graph.kernel_index("bitset")
-        stats = MiningStats()
-        cache = SetOperationCache(stats=stats, enabled=False)
-        task_cache = TaskCache(plan.num_steps)
-        oracle_stats = MiningStats()
-        oracle_cache = SetOperationCache(stats=oracle_stats)
-
-        def descend(bound):
-            step = len(bound)
-            if step == plan.num_steps:
-                return
-            expected = compute_candidates(
-                graph, plan, step, bound, oracle_cache, oracle_stats
-            )
-            got = compute_candidates(
-                graph, plan, step, bound, cache, stats,
-                index=index, task_cache=task_cache,
-            )
-            assert got == expected
-            for v in expected:
-                descend(bound + [v])
-
-        for root in root_candidates(graph, plan)[:10]:
-            descend([root])
-        # With the shared cache disabled, deep clique steps must have
-        # gone through the incremental-refinement tier.
-        assert stats.incremental_extensions > 0
 
 
 # ----------------------------------------------------------------------
-# End-to-end equivalence: engines, apps, schedulers
+# End-to-end equivalence: engines, apps, schedulers, aux
 # ----------------------------------------------------------------------
 
 
 def _match_multiset(graph, pattern, mode, induced=False):
     engine = MiningEngine(graph, induced=induced, adjacency=mode)
-    return Counter(
-        m.assignment for m in engine.stream(pattern)
-    )
+    return Counter(m.assignment for m in engine.stream(pattern))
+
+
+def _paper_counters(result, drop=()):
+    counters = result.stats.as_dict()
+    return {k: counters[k] for k in PAPER_COUNTERS if k not in drop}
 
 
 class TestEndToEndEquivalence:
     @pytest.mark.parametrize("induced", [False, True])
-    def test_match_multisets_identical_across_modes(self, induced):
-        graph = labeled_random_graph(35, 0.25, num_labels=2, seed=13)
-        for pattern in (triangle(), clique(4), path(3)):
-            baseline = _match_multiset(graph, pattern, "sets", induced)
-            for mode in KERNEL_MODES:
-                assert (
-                    _match_multiset(graph, pattern, mode, induced)
-                    == baseline
-                ), (pattern, mode)
+    def test_match_multisets_identical(self, induced):
+        graph = dense(labeled_random_graph(30, 0.6, num_labels=2, seed=13))
+        labeled = Pattern(3, [(0, 1), (1, 2), (0, 2)], labels=[0, 1, 1])
+        for pattern in (triangle(), clique(4), labeled):
+            assert _match_multiset(
+                graph, pattern, "auto", induced
+            ) == _match_multiset(graph, pattern, "sets", induced), pattern
 
-    def test_mqc_identical_across_modes(self):
-        graph = random_graph(30, 0.35, seed=17)
-        baseline = maximal_quasi_cliques(
-            graph, 0.8, 5, adjacency="sets"
-        ).all_sets()
-        assert baseline
-        for mode in KERNEL_MODES:
-            assert (
-                maximal_quasi_cliques(
-                    graph, 0.8, 5, adjacency=mode
-                ).all_sets()
-                == baseline
-            ), mode
-
-    def test_quasicliques_identical_across_modes(self):
-        graph = random_graph(28, 0.4, seed=19)
-        baseline = mine_quasi_cliques(
-            graph, 0.7, 5, adjacency="sets"
-        ).all_sets()
-        for mode in KERNEL_MODES:
-            assert (
-                mine_quasi_cliques(graph, 0.7, 5, adjacency=mode).all_sets()
-                == baseline
-            ), mode
-
-    def test_nsq_identical_across_modes(self):
-        graph = random_graph(25, 0.35, seed=23)
+    def test_apps_identical(self):
+        graph = dense(random_graph(26, 0.68, seed=19))
+        assert (
+            mine_quasi_cliques(graph, 0.7, 4, adjacency="auto").all_sets()
+            == mine_quasi_cliques(graph, 0.7, 4, adjacency="sets").all_sets()
+        )
         p_m, p_plus = paper_query_triangles()
-        baseline = nested_subgraph_query(
-            graph, p_m, p_plus, adjacency="sets"
-        ).assignments()
-        for mode in KERNEL_MODES:
-            assert (
-                nested_subgraph_query(
-                    graph, p_m, p_plus, adjacency=mode
-                ).assignments()
-                == baseline
-            ), mode
+        runs = {
+            mode: nested_subgraph_query(graph, p_m, p_plus, adjacency=mode)
+            for mode in ("auto", "sets")
+        }
+        assert runs["auto"].assignments() == runs["sets"].assignments()
+        assert _paper_counters(runs["auto"]) == _paper_counters(runs["sets"])
 
     @pytest.mark.parametrize("scheduler", ["serial", "process", "workqueue"])
-    def test_mqc_identical_across_schedulers(self, scheduler):
-        # Fig 13/14 workload shape: MQC with promotion+lateral active.
-        graph = random_graph(24, 0.4, seed=29)
-        baseline = maximal_quasi_cliques(
-            graph, 0.7, 5, adjacency="sets"
-        ).all_sets()
-        for mode in ("auto", "bitset"):
-            result = maximal_quasi_cliques(
-                graph, 0.7, 5,
-                scheduler=scheduler, n_workers=2, adjacency=mode,
-            )
-            assert result.all_sets() == baseline, (scheduler, mode)
+    @pytest.mark.parametrize("aux", [False, True])
+    def test_mqc_matches_and_paper_counters(self, scheduler, aux):
+        # gamma 0.6 gives size-3 patterns several containing patterns,
+        # so promotion *and* lateral cancellation both fire.
+        graph = dense(
+            core_periphery(seed=81, core_n=22, total_n=27)
+            if aux
+            else random_graph(28, 0.62, seed=29)
+        )
+        options = dict(scheduler=scheduler, n_workers=2)
+        oracle = maximal_quasi_cliques(
+            graph, 0.6, 4, adjacency="sets", **options
+        )
+        kernels = maximal_quasi_cliques(
+            graph, 0.6, 4, adjacency="auto", enable_aux=aux, **options
+        )
+        assert oracle.all_sets() and kernels.all_sets() == oracle.all_sets()
+        drop = set()
+        if aux:
+            # Pruned pools attempt fewer extensions: the point of aux.
+            drop.add("extensions_attempted")
+        if scheduler == "workqueue":
+            # Worker-local registries fill in steal order.
+            drop.add("promotions")
+        expected = _paper_counters(oracle, drop)
+        assert all(expected[k] > 0 for k in expected), expected
+        assert _paper_counters(kernels, drop) == expected
+        kernel_work = kernels.stats.as_dict()
+        assert kernel_work["bitset_intersections"] > 0
+        assert (kernel_work["batch_intersections"] > 0) == HAS_NUMPY
 
 
 # ----------------------------------------------------------------------
@@ -491,14 +525,14 @@ class TestGraphCaching:
         assert graph.label_frequencies()[0] != -1
 
     def test_pickle_round_trip_reattaches_derived_state(self):
-        graph = labeled_random_graph(15, 0.4, num_labels=2, seed=37)
+        graph = dense(labeled_random_graph(24, 0.75, num_labels=2, seed=37))
         adj = graph.neighbor_set(0)
-        idx = graph.kernel_index("bitset")
+        idx = graph.kernel_index()
         _ = graph.max_degree
         clone = pickle.loads(pickle.dumps(graph))
         # The payload carries no derived handles...
         assert clone._adj_sets is None
-        assert clone._indexes is None
+        assert clone._index is None
         assert clone._max_degree is None
         assert clone.num_edges == graph.num_edges
         assert clone.labels == graph.labels
@@ -509,7 +543,7 @@ class TestGraphCaching:
         # cache-owned artifacts instead of rebuilding (same process ⇒
         # same derived cache ⇒ same objects).
         assert clone.neighbor_set(0) is adj
-        assert clone.kernel_index("bitset") is idx
+        assert clone.kernel_index() is idx
         assert _match_multiset(clone, triangle(), "auto") == _match_multiset(
             graph, triangle(), "sets"
         )
@@ -517,94 +551,26 @@ class TestGraphCaching:
     def test_pickled_engine_carries_no_index_payload(self):
         from repro.apps.mqc import build_mqc_engine
 
-        graph = erdos_renyi(20, 0.3, seed=39)
-        engine = build_mqc_engine(graph, 0.8, 4, adjacency="bitset")
-        idx = graph.kernel_index("bitset")  # populate, then pickle
-        payload = pickle.dumps(engine)
-        revived = pickle.loads(payload)
-        assert revived.adjacency == "bitset"
-        assert revived.graph._indexes is None  # nothing shipped
+        graph = dense(erdos_renyi(24, 0.75, seed=39))
+        engine = build_mqc_engine(graph, 0.8, 4)
+        idx = graph.kernel_index()  # populated by the engine, then pickled
+        revived = pickle.loads(pickle.dumps(engine))
+        assert revived.adjacency == "auto"
+        assert revived.graph._index is None  # nothing shipped
         # In-process revival shares the already-built index.
-        assert revived.graph.kernel_index("bitset") is idx
+        assert revived.graph.kernel_index() is idx
 
 
 # ----------------------------------------------------------------------
-# Tier-2 batch kernels: one-pass sibling intersections
+# Auxiliary (pruned-adjacency) graphs: soundness
 # ----------------------------------------------------------------------
-
-
-class TestBatchKernels:
-    """``batch_pool``/``batch_extend`` vs per-pool oracle, both with
-    and without numpy (the fallback is bit-identical by contract)."""
-
-    @pytest.mark.parametrize("seed", range(3))
-    def test_batch_pool_matches_individual_pools(self, seed):
-        graph = labeled_random_graph(40, 0.4, num_labels=2, seed=seed)
-        index = graph.kernel_index("vector")
-        stats = MiningStats()
-        rng = random.Random(seed)
-        batch = [
-            rng.sample(range(40), rng.randrange(1, 4)) for _ in range(8)
-        ]
-        for label in (None, 0, 1):
-            pools = index.batch_pool(batch, label, stats)
-            assert len(pools) == len(batch)
-            for anchors, pool in zip(batch, pools):
-                expected = set.intersection(
-                    *(set(graph.neighbors(v)) for v in anchors)
-                )
-                if label is not None:
-                    expected = {
-                        v for v in expected if graph.label(v) == label
-                    }
-                assert index.pool_to_sorted(pool) == sorted(expected)
-
-    @pytest.mark.parametrize("seed", range(3))
-    def test_batch_extend_matches_per_child_pools(self, seed):
-        graph = random_graph(35, 0.4, seed=60 + seed)
-        index = graph.kernel_index("vector")
-        stats = MiningStats()
-        base = index.neighbor_bits(0) & index.neighbor_bits(1)
-        candidates = bits_to_sorted(base)
-        pools = index.batch_extend(base, candidates, None, stats)
-        assert len(pools) == len(candidates)
-        for c, pool in zip(candidates, pools):
-            expected = bits_to_sorted(base & index.neighbor_bits(c))
-            assert index.pool_to_sorted(pool) == expected
-
-    def test_batch_stats_counters_move(self):
-        graph = random_graph(30, 0.5, seed=71)
-        index = graph.kernel_index("vector")
-        stats = MiningStats()
-        index.batch_pool([[0, 1], [2, 3], [4]], None, stats)
-        assert stats.batch_intersections == 1
-        assert stats.set_intersections >= 3
-
-
-# ----------------------------------------------------------------------
-# Auxiliary (pruned-adjacency) graphs: soundness and equivalence
-# ----------------------------------------------------------------------
-
-
-def _core_periphery(seed=23, core_n=20, total_n=60):
-    """A dense core plus degree-2 periphery: the regime auxiliary
-    pruning targets (the periphery can host no clique-like match)."""
-    rng = random.Random(seed)
-    core = erdos_renyi(core_n, 0.6, seed=seed)
-    adjacency = [list(core.neighbors(v)) for v in core.vertices()]
-    adjacency.extend([] for _ in range(total_n - core_n))
-    for v in range(core_n, total_n):
-        for u in rng.sample(range(core_n), 2):
-            adjacency[v].append(u)
-            adjacency[u].append(v)
-    return Graph(adjacency, name=f"aux-test-{seed}")
 
 
 class TestAuxiliaryGraphs:
     def test_pruning_never_drops_a_match_vertex(self):
         from repro.graph.aux import auxiliary_graph
 
-        graph = _core_periphery()
+        graph = core_periphery(seed=23)
         pattern = clique(4)
         aux = auxiliary_graph(graph, pattern)
         assert aux.summary.prune_ratio > 0  # the test is not vacuous
@@ -614,14 +580,18 @@ class TestAuxiliaryGraphs:
             for v in assignment
         }
         assert used <= set(aux.allowed)
+        assert aux.filter_roots(list(graph.vertices())) == sorted(aux.allowed)
 
     def test_aux_pool_is_full_pool_restricted_to_survivors(self):
         from repro.graph.aux import auxiliary_graph
 
-        graph = _core_periphery(seed=31)
+        graph = core_periphery(seed=31)
         aux = auxiliary_graph(graph, clique(4))
-        full = graph.kernel_index("bitset")
-        pruned = aux.index("bitset")
+        full = graph.kernel_index()
+        pruned = aux.index()
+        # Distinct cache keys: pruned and full pools never collide.
+        assert full.cache_key == "auto"
+        assert pruned.cache_key.startswith("auto#aux")
         allowed = set(aux.allowed)
         stats = MiningStats()
         rng = random.Random(7)
@@ -635,19 +605,10 @@ class TestAuxiliaryGraphs:
             )
             assert aux_pool == full_pool & allowed
 
-    def test_aux_index_cache_key_never_collides_with_full(self):
-        from repro.graph.aux import auxiliary_graph
-
-        graph = _core_periphery(seed=37)
-        aux = auxiliary_graph(graph, clique(4))
-        for mode in ("bitset", "csr"):
-            assert graph.kernel_index(mode).cache_key == mode
-            assert aux.index(mode).cache_key.startswith(f"{mode}#aux")
-
     def test_artifact_cached_per_signature(self):
         from repro.graph.aux import auxiliary_graph, requirement_signature
 
-        graph = _core_periphery(seed=41)
+        graph = core_periphery(seed=41)
         first = auxiliary_graph(graph, clique(4))
         assert auxiliary_graph(graph, clique(4)) is first
         # A different degree requirement is a different artifact.
@@ -656,34 +617,13 @@ class TestAuxiliaryGraphs:
         )
         assert auxiliary_graph(graph, triangle()) is not first
 
-    def test_root_filtering_matches_allowed_set(self):
-        from repro.graph.aux import auxiliary_graph
-
-        graph = _core_periphery(seed=43)
-        aux = auxiliary_graph(graph, clique(4))
-        roots = list(graph.vertices())
-        assert aux.filter_roots(roots) == sorted(aux.allowed)
-
-    @pytest.mark.parametrize("mode", ["sets", "bitset", "auto"])
-    @pytest.mark.parametrize("seed", range(3))
-    def test_mqc_identical_with_aux(self, mode, seed):
-        graph = _core_periphery(seed=80 + seed)
-        baseline = maximal_quasi_cliques(
-            graph, 0.75, 4, adjacency=mode
-        ).all_sets()
-        assert baseline
-        with_aux = maximal_quasi_cliques(
-            graph, 0.75, 4, adjacency=mode, enable_aux=True
-        ).all_sets()
-        assert with_aux == baseline, (mode, seed)
-
     def test_nsq_identical_with_aux(self):
-        graph = _core_periphery(seed=91)
+        graph = dense(core_periphery(seed=81, core_n=22, total_n=27))
         p_m, p_plus = paper_query_triangles()
         baseline = nested_subgraph_query(
-            graph, p_m, p_plus, adjacency="bitset"
+            graph, p_m, p_plus, adjacency="sets"
         ).assignments()
         with_aux = nested_subgraph_query(
-            graph, p_m, p_plus, adjacency="bitset", enable_aux=True
+            graph, p_m, p_plus, adjacency="auto", enable_aux=True
         ).assignments()
         assert with_aux == baseline

@@ -41,6 +41,7 @@ from repro.mining.cache import SetOperationCache
 from repro.mining.incremental import StandingQuery, SubscriptionRegistry
 from repro.mining.stats import ConstraintStats
 from repro.obs import (
+    COUNT_BUCKETS,
     MetricsRegistry,
     MetricsSubscriber,
     SpanTracer,
@@ -545,6 +546,39 @@ class TestValidators:
             "h_sum 1", "h_count 3",
         ])
         assert any("+Inf" in p for p in validate_prometheus(no_inf))
+
+    def test_prometheus_rejects_histogram_living_in_inf(self):
+        # Counts observed into seconds buckets: everything above 120.
+        registry = MetricsRegistry()
+        misfit = registry.histogram("frontier_size")
+        misfit.observe(450.0)
+        misfit.observe(0.0)  # a no-op delta's zero must not excuse it
+        problems = validate_prometheus(registry.to_prometheus())
+        assert any("'+Inf'" in p and "unit" in p for p in problems)
+        misfit.observe(0.5)  # one sample inside the scale does
+        assert validate_prometheus(registry.to_prometheus()) == []
+
+    def test_incremental_count_histograms_use_count_buckets(self):
+        store = GraphStore()
+        store.register(erdos_renyi(150, 0.05, seed=5, name="inc"), "inc")
+        registry = MetricsRegistry()
+        subscriptions = SubscriptionRegistry(store=store, metrics=registry)
+        subscriptions.attach(store)
+        try:
+            subscriptions.subscribe("inc", StandingQuery.mqc(0.8, 3))
+            # 130 touched vertices: past the seconds scale's top (120).
+            store.apply_batch("inc", MutationBatch.of(
+                add_edges=[(v, v + 1) for v in range(0, 130, 2)],
+            ))
+        finally:
+            subscriptions.detach()
+        text = registry.to_prometheus()
+        assert validate_prometheus(text) == []
+        for name in ("frontier_size", "revalidated_matches"):
+            histogram = registry.histogram(f"repro_incremental_{name}")
+            assert histogram.buckets == COUNT_BUCKETS
+        frontier = registry.histogram("repro_incremental_frontier_size")
+        assert frontier.total > 120 and frontier.counts[-1] == frontier.count
 
 
 # ----------------------------------------------------------------------

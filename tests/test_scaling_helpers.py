@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.bench import OK, TLE, RunOutcome, speedup, timed_run
+from repro.bench import OK, TLE, RunOutcome, speedup, timed_run, trend_label
 from repro.errors import TimeLimitExceeded
 
 
@@ -50,3 +50,18 @@ class TestSpeedupCells:
         failed = RunOutcome(TLE, 5.0)  # died early in wall-clock terms
         cell = speedup(ours, failed, baseline_budget=30.0)
         assert cell == ">=30x"
+
+
+class TestTrendLabel:
+    SIZES = (96, 192, 384)
+
+    def test_last_above_first_is_not_a_trend(self):
+        # The bug: first-vs-last called this "widening".
+        assert trend_label(self.SIZES, (1.6, 1.3, 1.7)) == "flat/noisy"
+
+    def test_slope_clearing_the_scatter_is_labelled_by_sign(self):
+        assert trend_label(self.SIZES, (1.1, 1.6, 2.0)) == "widening"
+        assert trend_label(self.SIZES, (2.0, 1.6, 1.1)) == "narrowing"
+
+    def test_two_points_never_show_a_trend(self):
+        assert trend_label((96, 192), (1.0, 9.0)) == "flat/noisy"

@@ -17,14 +17,14 @@ import time
 
 import pytest
 
-from repro.apps.mqc import build_mqc_engine
+from repro.analysis import admit_query
+from repro.apps.mqc import build_mqc_engine, mqc_constraint_set
 from repro.graph import erdos_renyi
 from repro.graph.store import graph_store, reset_default_store
 from repro.serve import (
     ServeConfig,
     TenantConfig,
     TokenBucket,
-    admit_query,
     serve_in_thread,
 )
 from repro.serve.client import ServeClient, ServeError
@@ -136,12 +136,7 @@ class TestServeConfig:
 
 class TestAdmission:
     def _constraints(self):
-        from repro.core import maximality_constraints
-        from repro.patterns import quasi_clique_patterns_up_to
-
-        return maximality_constraints(
-            quasi_clique_patterns_up_to(4, 0.8), induced=True
-        )
+        return mqc_constraint_set(0.8, 4)
 
     def test_off_admits_unconditionally(self):
         graph = erdos_renyi(20, 0.3, seed=1)
@@ -368,6 +363,41 @@ class TestAdmissionRejection:
             assert ok["summary"]["status"] == "ok"
         finally:
             handle.stop()
+
+    def test_cli_and_daemon_carry_the_same_admission_object(self, capsys):
+        """One MQC request through both front ends: the CLI run record
+        and the daemon's ``accepted`` / 422 payloads hold the same
+        ``AdmissionDecision.to_dict()``."""
+        from repro.cli import main
+
+        request = dict(gamma=0.8, max_size=4, time_limit=60.0)
+        main(["mqc", "--dataset", "dblp", "--gamma", "0.8",
+              "--max-size", "4", "--time-limit", "60",
+              "--admission", "warn", "--format", "json"])
+        record = json.loads(capsys.readouterr().out)["admission"]
+        handle = _daemon(admission="strict")
+        try:
+            client = ServeClient(handle.host, handle.port)
+            client.register_graph("dblp", dataset="dblp")
+            stream = client.stream_query(
+                tenant="t", graph="dblp", admission="warn", **request
+            )
+            accepted = next(stream)["admission"]
+            stream.close()
+            with pytest.raises(ServeError) as err:
+                client.query(
+                    tenant="t", graph="dblp", **{**request, "time_limit": 1e-12}
+                )
+            refused = err.value.payload["admission"]
+        finally:
+            handle.stop()
+        assert accepted["admitted"] is True and refused["admitted"] is False
+        assert {k: record[k] for k in accepted} == accepted
+        assert set(refused) == set(accepted)
+        # The CLI adds only its post-run calibration.
+        assert set(record) - set(accepted) == {
+            "actual_candidates", "estimate_error_ratio",
+        }
 
 
 class TestDisconnectCancellation:
