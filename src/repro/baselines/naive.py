@@ -225,13 +225,13 @@ def nested_query_matches(
     automorphism yields another embedding), so checking one
     representative per orbit is exact.
     """
-    from ..patterns.symmetry import canonical_assignment
+    from ..patterns.symmetry import canonical_assignment_oracle
 
     valid: Set[tuple] = set()
     rejected: Set[tuple] = set()
     for assignment in pattern_matches(graph, p_m, induced=induced):
         ordered = [assignment[v] for v in p_m.vertices()]
-        key = canonical_assignment(ordered, p_m)
+        key = canonical_assignment_oracle(ordered, p_m)
         if key in valid or key in rejected:
             continue
         if any(

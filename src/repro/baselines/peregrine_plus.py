@@ -180,7 +180,7 @@ def posthoc_nsq(
     time_limit: Optional[float] = None,
 ) -> PostHocResult:
     """Nested subgraph query via the user-defined-function baseline."""
-    from ..patterns.symmetry import canonical_assignment
+    from ..patterns.symmetry import canonical_assignment_oracle
 
     result = PostHocResult()
     stats = result.stats
@@ -205,7 +205,7 @@ def posthoc_nsq(
             cold_cache = SetOperationCache(stats=stats)
             if target.run(match.assignment, graph, cold_cache, stats) is not None:
                 return False
-        valid_assignments.add(canonical_assignment(match.assignment, p_m))
+        valid_assignments.add(canonical_assignment_oracle(match.assignment, p_m))
         return False
 
     engine.explore(p_m, CallbackProcessor(on_match))

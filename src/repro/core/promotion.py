@@ -32,17 +32,16 @@ class PromotionRegistry:
         self._processed: Dict[tuple, Set[Hashable]] = {}
 
     def mark(self, pattern: Pattern, key: Hashable) -> bool:
-        """Record a processed match; True when newly recorded."""
+        """Record a processed match; True when newly recorded.
+
+        The one probe per subgraph: a ``False`` return is the "already
+        handled through promotion" answer callers skip on.
+        """
         bucket = self._processed.setdefault(pattern.structure_key(), set())
         if key in bucket:
             return False
         bucket.add(key)
         return True
-
-    def seen(self, pattern: Pattern, key: Hashable) -> bool:
-        """Whether the match was already processed for this pattern."""
-        bucket = self._processed.get(pattern.structure_key())
-        return bucket is not None and key in bucket
 
     def count(self) -> int:
         """Total processed subgraphs across patterns."""

@@ -457,24 +457,27 @@ class EngineSession:
             # emits each match once — skip the registry entirely.
             self._process_subgraph(match.pattern, match.assignment)
             return False
-        canonical = canonical_assignment(match.assignment, match.pattern)
-        if self.registry.seen(match.pattern, canonical):
+        # An ETask match satisfies its plan's symmetry conditions, so it
+        # is already the lex-min image the registry is keyed by.
+        if not self.registry.mark(match.pattern, match.assignment):
             # Already handled through promotion: the from-scratch ETask
             # work for this subgraph is canceled (§5.3).
             self.ctx.emit(CANCEL, kind="etask", count=1)
             return False
-        self.registry.mark(match.pattern, canonical)
-        self._process_subgraph(match.pattern, canonical)
+        self._process_subgraph(match.pattern, match.assignment)
         return False
 
     def _process_subgraph(
-        self, pattern: Pattern, assignment: Sequence[int]
+        self, pattern: Pattern, assignment: Tuple[int, ...]
     ) -> None:
         """Validate one subgraph match and emit/promote.
 
-        ``assignment`` is canonical when the match arrived through the
-        promotion path and raw (symmetry-broken, still unique per
-        orbit) when it came straight from an ETask.
+        ``assignment`` must be canonical (the lex-min automorphic
+        image), and is on both arrival paths: promoted completions are
+        canonicalised by the caller, and an ETask match satisfies the
+        symmetry conditions every :func:`plan_for` plan carries, which
+        makes it its own lex-min image — so valid matches are stored
+        as they arrive, with no second canonicalisation here.
         """
         engine = self.engine
         self.ctx.emit(MATCH_CHECKED, count=1)
@@ -488,12 +491,9 @@ class EngineSession:
             assignment, engine.graph, cache, self.stats, ctx=self.ctx
         )
         if violation is None:
-            # Results are stored canonically (idempotent for matches
-            # that arrived through the promotion path).
-            canonical = canonical_assignment(assignment, pattern)
-            self.result.valid.append((pattern, canonical))
+            self.result.valid.append((pattern, assignment))
             if self.match_sink is not None:
-                self.match_sink(pattern, canonical)
+                self.match_sink(pattern, assignment)
             if self.ctx.bus.has_subscribers(MATCH):
                 self.ctx.emit(
                     MATCH,
@@ -523,10 +523,13 @@ class EngineSession:
             completions.append, ctx=self.ctx,
         )
         for found in completions:
+            # The one site that canonicalises: completions follow the
+            # VTask's bridge order, not P⁺'s symmetry conditions.  Looked
+            # up through the module global so boundary instrumentation
+            # patched onto this module sees every call.
             canonical = canonical_assignment(found, workload_pattern)
-            if self.registry.seen(workload_pattern, canonical):
+            if not self.registry.mark(workload_pattern, canonical):
                 continue
-            self.registry.mark(workload_pattern, canonical)
             self.ctx.emit(PROMOTE, count=1)
             self._process_subgraph(workload_pattern, canonical)
 

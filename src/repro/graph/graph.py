@@ -20,7 +20,10 @@ into that cache.  Two instances with equal content (e.g. the
 per-shard copies a process scheduler unpickles into one worker, or
 two versions of a stored graph whose mutation was reverted) therefore
 share one set of artifacts instead of building one each, and
-invalidating a version evicts its artifacts for every holder at once.
+invalidating a version evicts its artifacts for every holder at once:
+the cache resets the attached references of every live instance of
+that version (:meth:`Graph._release_derived`), so the artifacts are
+actually freed and the next use rebuilds them.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from typing import (
     TYPE_CHECKING,
+    Callable,
     Dict,
     FrozenSet,
     Iterable,
@@ -35,12 +39,15 @@ from typing import (
     Optional,
     Sequence,
     Tuple,
+    TypeVar,
 )
 
 from .index import GraphIndex, _require_auto
 
 if TYPE_CHECKING:  # pragma: no cover - import-time only
     from .stats import GraphStats
+
+_T = TypeVar("_T")
 
 
 class Graph:
@@ -72,6 +79,7 @@ class Graph:
         "_max_degree",
         "_stats",
         "_shared_csr",
+        "__weakref__",  # the derived cache tracks attached instances weakly
     )
 
     def __init__(
@@ -98,25 +106,48 @@ class Graph:
         self._init_derived_handles()
 
     def _init_derived_handles(self) -> None:
-        """Null out the lazily-attached derived-cache references.
+        """Null out identity memos and derived-cache references."""
+        self._fingerprint: Optional[str] = None
+        self._version_key: Optional[str] = None
+        self._release_derived()
+        # Zero-copy CSR views into a shared-memory segment, set only by
+        # repro.graph.shm when this instance was attached rather than
+        # built: kernel indexes adopt them instead of re-flattening.
+        self._shared_csr: Optional[Tuple[Sequence[int], Sequence[int]]] = None
+
+    def _release_derived(self) -> None:
+        """Drop the lazily-attached derived-cache references.
 
         None of these are instance-private caches: each is attached on
         first use to the artifact the :class:`DerivedCache` owns for
         this graph's content version, shared with every other instance
-        of the same version.
+        of the same version.  The cache calls this on every attached
+        instance when it drops the version's scope, so a retained
+        snapshot (the store keeps the full history) does not pin the
+        artifacts it was invalidated to free; identity memos stay and
+        the next use re-attaches.
         """
-        self._fingerprint: Optional[str] = None
-        self._version_key: Optional[str] = None
         self._adj_sets: Optional[Dict[int, FrozenSet[int]]] = None
         self._index: Optional[GraphIndex] = None
         self._label_index: Optional[Dict[int, Tuple[int, ...]]] = None
         self._label_freq: Optional[Dict[int, int]] = None
         self._max_degree: Optional[int] = None
         self._stats: Optional["GraphStats"] = None
-        # Zero-copy CSR views into a shared-memory segment, set only by
-        # repro.graph.shm when this instance was attached rather than
-        # built: kernel indexes adopt them instead of re-flattening.
-        self._shared_csr: Optional[Tuple[Sequence[int], Sequence[int]]] = None
+
+    def _derived(
+        self, slot: str, artifact_key: str, builder: Callable[[], _T]
+    ) -> _T:
+        """This version's artifact from the derived cache, built on a miss.
+
+        The cache memoizes it in ``self.<slot>`` itself, atomically
+        with registering this instance as a holder of the version —
+        the same lock under which it resets the slot on a drop.
+        """
+        from .store import derived_cache
+
+        return derived_cache().get_or_build(
+            self.version_key, artifact_key, builder, attach=(self, slot)
+        )
 
     # ------------------------------------------------------------------
     # Identity
@@ -209,21 +240,12 @@ class Graph:
         """
         sets = self._adj_sets
         if sets is None:
-            sets = self._attach_adj_sets()
+            sets = self._derived("_adj_sets", "adj_sets", dict)
         cached = sets.get(v)
         if cached is None:
             cached = frozenset(self._adj[v])
             sets[v] = cached
         return cached
-
-    def _attach_adj_sets(self) -> Dict[int, FrozenSet[int]]:
-        from .store import derived_cache
-
-        sets: Dict[int, FrozenSet[int]] = derived_cache().get_or_build(
-            self.version_key, "adj_sets", dict
-        )
-        self._adj_sets = sets
-        return sets
 
     def kernel_index(self, mode: str = "auto") -> GraphIndex:
         """The graph's :class:`~repro.graph.index.GraphIndex`.
@@ -240,14 +262,11 @@ class Graph:
         index = self._index
         if index is None or mode != "auto":
             _require_auto(mode)
-            from .store import derived_cache
-
-            index = derived_cache().get_or_build(
-                self.version_key,
+            index = self._derived(
+                "_index",
                 "kernel_index",
                 lambda: GraphIndex(self, csr=self._shared_csr),
             )
-            self._index = index
         return index
 
     def stats_summary(self) -> "GraphStats":
@@ -261,14 +280,10 @@ class Graph:
         stats = self._stats
         if stats is None:
             from .stats import GraphStats
-            from .store import derived_cache
 
-            stats = derived_cache().get_or_build(
-                self.version_key,
-                "stats",
-                lambda: GraphStats.from_graph(self),
+            stats = self._derived(
+                "_stats", "stats", lambda: GraphStats.from_graph(self)
             )
-            self._stats = stats
         return stats
 
     def edges(self) -> Iterator[Tuple[int, int]]:
@@ -311,12 +326,9 @@ class Graph:
             return ()
         index = self._label_index
         if index is None:
-            from .store import derived_cache
-
-            index = derived_cache().get_or_build(
-                self.version_key, "label_index", self._build_label_index
+            index = self._derived(
+                "_label_index", "label_index", self._build_label_index
             )
-            self._label_index = index
         return index.get(label, ())
 
     def _build_label_index(self) -> Dict[int, Tuple[int, ...]]:
@@ -337,12 +349,9 @@ class Graph:
             return {}
         freq = self._label_freq
         if freq is None:
-            from .store import derived_cache
-
-            freq = derived_cache().get_or_build(
-                self.version_key, "label_freq", self._build_label_freq
+            freq = self._derived(
+                "_label_freq", "label_freq", self._build_label_freq
             )
-            self._label_freq = freq
         return dict(freq)
 
     def _build_label_freq(self) -> Dict[int, int]:
@@ -361,18 +370,11 @@ class Graph:
         """Maximum vertex degree (0 on the empty graph)."""
         cached = self._max_degree
         if cached is None:
-            from .store import derived_cache
-
-            cached = derived_cache().get_or_build(
-                self.version_key,
+            cached = self._derived(
+                "_max_degree",
                 "max_degree",
-                lambda: (
-                    max(len(neighbors) for neighbors in self._adj)
-                    if self._adj
-                    else 0
-                ),
+                lambda: max(map(len, self._adj), default=0),
             )
-            self._max_degree = cached
         return cached
 
     @property

@@ -24,8 +24,8 @@ This module gives the system that identity and lifecycle:
 * :class:`GraphStore` — a ``name -> [v1, v2, ...]`` registry of
   immutable snapshots.  :meth:`GraphStore.apply_batch` folds a
   :class:`MutationBatch` into the latest snapshot (structure-sharing
-  untouched adjacency rows) and eagerly invalidates superseded
-  versions' derived artifacts.
+  untouched adjacency rows) and eagerly invalidates — frees —
+  superseded versions' derived artifacts.
 
 Two identities coexist by design.  The *registry coordinate*
 ``name@v3`` is a human handle into one store's mutation history; the
@@ -44,6 +44,7 @@ from __future__ import annotations
 import hashlib
 import logging
 import threading
+import weakref
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import (
@@ -161,6 +162,14 @@ class DerivedCache:
     :data:`PATTERN_SCOPE` is exempt from eviction.  Builders run
     outside the lock, so artifact builders may recursively use the
     cache; a racing duplicate build is benign (first store wins).
+
+    Dropping frees: graphs memoize the artifacts they attach to, and a
+    :class:`GraphStore` keeps every snapshot, so the cache tracks the
+    attached instances of each version (weakly) and resets their
+    references whenever it drops that version's artifacts — by
+    :meth:`invalidate` or by LRU eviction alike.  An instance mined
+    again afterwards re-attaches and rebuilds; a run already holding
+    an artifact keeps its own reference until it ends.
     """
 
     def __init__(self, max_versions: int = 64) -> None:
@@ -169,6 +178,11 @@ class DerivedCache:
         self._scopes: "OrderedDict[str, Dict[Hashable, object]]" = (
             OrderedDict()
         )
+        # version -> {id(graph): graph}, weak: who memoized references
+        # into the scope (keyed by id because Graph hashes by content).
+        self._holders: Dict[
+            str, "weakref.WeakValueDictionary[int, Graph]"
+        ] = {}
         self._max_versions = max_versions
         self._lock = threading.Lock()
         self._hits = 0
@@ -182,12 +196,17 @@ class DerivedCache:
         graph_version: str,
         artifact_key: Hashable,
         builder: Callable[[], _T],
+        attach: Optional[Tuple[Graph, str]] = None,
     ) -> _T:
         """Serve the artifact for ``(graph_version, artifact_key)``.
 
         On a miss, ``builder()`` runs (outside the lock) and its
         result is stored; a concurrent build of the same key keeps
         whichever value landed first, so all callers share one object.
+        ``attach=(graph, slot)`` also memoizes the result in
+        ``graph.<slot>`` and registers the graph as a holder, in one
+        step under the lock — so a concurrent drop of the version
+        either resets that reference or is over before it is written.
         """
         with self._lock:
             scope = self._scopes.get(graph_version)
@@ -195,7 +214,9 @@ class DerivedCache:
                 self._scopes.move_to_end(graph_version)
                 if artifact_key in scope:
                     self._hits += 1
-                    return cast(_T, scope[artifact_key])
+                    return self._attach_locked(
+                        graph_version, attach, cast(_T, scope[artifact_key])
+                    )
             self._misses += 1
         value = builder()
         with self._lock:
@@ -204,10 +225,8 @@ class DerivedCache:
                 scope = {}
                 self._scopes[graph_version] = scope
                 self._evict_locked()
-            if artifact_key in scope:
-                return cast(_T, scope[artifact_key])
-            scope[artifact_key] = value
-        return value
+            value = cast(_T, scope.setdefault(artifact_key, value))
+            return self._attach_locked(graph_version, attach, value)
 
     def peek(
         self, graph_version: str, artifact_key: Hashable
@@ -251,15 +270,16 @@ class DerivedCache:
         """
         with self._lock:
             if graph_version is None:
-                dropped = sum(len(s) for s in self._scopes.values())
-                self._scopes.clear()
+                dropped = sum(
+                    self._drop_scope_locked(v) for v in list(self._scopes)
+                )
             elif artifact_key is None:
-                scope = self._scopes.pop(graph_version, None)
-                dropped = len(scope) if scope else 0
+                dropped = self._drop_scope_locked(graph_version)
             else:
                 scope = self._scopes.get(graph_version)
                 if scope is not None and artifact_key in scope:
                     del scope[artifact_key]
+                    self._release_holders_locked(graph_version)
                     dropped = 1
                 else:
                     dropped = 0
@@ -304,12 +324,40 @@ class DerivedCache:
 
     # -- internals ------------------------------------------------------
 
+    def _attach_locked(
+        self,
+        graph_version: str,
+        attach: Optional[Tuple[Graph, str]],
+        value: _T,
+    ) -> _T:
+        if attach is not None:
+            holder, slot = attach
+            holders = self._holders.get(graph_version)
+            if holders is None:
+                holders = self._holders[graph_version] = (
+                    weakref.WeakValueDictionary()
+                )
+            holders[id(holder)] = holder
+            setattr(holder, slot, value)
+        return value
+
+    def _release_holders_locked(self, graph_version: str) -> None:
+        """Reset every attached instance's references into one version."""
+        holders = self._holders.pop(graph_version, None)
+        if holders is not None:
+            for holder in holders.values():
+                holder._release_derived()
+
+    def _drop_scope_locked(self, graph_version: str) -> int:
+        """The one place a version's artifacts go away; returns how many."""
+        self._release_holders_locked(graph_version)
+        scope = self._scopes.pop(graph_version, None)
+        return len(scope) if scope else 0
+
     def _evict_locked(self) -> None:
         evictable = [v for v in self._scopes if v != PATTERN_SCOPE]
         while len(evictable) > self._max_versions:
-            victim = evictable.pop(0)
-            scope = self._scopes.pop(victim)
-            self._invalidations += len(scope)
+            self._invalidations += self._drop_scope_locked(evictable.pop(0))
 
 
 def publish_derived_cache_metrics(
@@ -532,9 +580,12 @@ class GraphStore:
     store keeps the full version history; *derived artifacts* are the
     expensive part, so :meth:`apply_batch` eagerly invalidates the
     derived-cache scopes of every superseded version beyond
-    ``derived_retain`` most-recent ones.  A superseded snapshot stays
-    minable — its artifacts simply rebuild (and re-enter the cache)
-    on demand.
+    ``derived_retain`` most-recent ones.  Invalidating frees: the
+    cache resets the artifact references the kept snapshots memoized
+    (see :class:`DerivedCache`), so the history costs adjacency rows,
+    not one set of derived artifacts per mutation.  A superseded
+    snapshot stays minable — its artifacts simply rebuild (and
+    re-enter the cache) on demand.
     """
 
     def __init__(

@@ -51,6 +51,7 @@ from .quasicliques import (
 from .structures import connected_structures, connected_structures_up_to
 from .symmetry import (
     canonical_assignment,
+    canonical_assignment_oracle,
     conditions_by_position,
     satisfies_conditions,
     symmetry_conditions,
@@ -77,6 +78,7 @@ __all__ = [
     "symmetry_conditions",
     "satisfies_conditions",
     "canonical_assignment",
+    "canonical_assignment_oracle",
     "conditions_by_position",
     "are_isomorphic",
     "find_isomorphism",

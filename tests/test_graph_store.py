@@ -12,7 +12,10 @@ rebuilt from scratch, on every scheduler, with stale derived artifacts
 provably evicted.
 """
 
+import gc
 import pickle
+import random
+import weakref
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -639,6 +642,143 @@ class TestInvalidationLiveness:
 # ----------------------------------------------------------------------
 # MutationBatch.of validation (malformed-payload regression)
 # ----------------------------------------------------------------------
+
+
+_DERIVED_HANDLES = (
+    "_adj_sets", "_index", "_label_index", "_label_freq", "_max_degree",
+    "_stats",
+)
+
+
+def _attached_handles(graph):
+    return [h for h in _DERIVED_HANDLES if getattr(graph, h) is not None]
+
+
+class TestSupersededSnapshotsReleaseArtifacts:
+    """Dropping a version's scope must free its artifacts even though
+    the store keeps the snapshot: the pre-fix graphs kept strong
+    references, so invalidation counted entries and freed nothing
+    (0.5 MiB per mutation on the churn workload, unbounded)."""
+
+    def _toggle_batch(self, rng, graph):
+        pairs = set()
+        while len(pairs) < 3:
+            u, v = rng.sample(range(graph.num_vertices), 2)
+            pairs.add((min(u, v), max(u, v)))
+        present = [e for e in pairs if graph.has_edge(*e)]
+        return MutationBatch.of(
+            add_edges=sorted(pairs - set(present)), remove_edges=present
+        )
+
+    def test_churn_frees_superseded_versions(self):
+        from repro.baselines.naive import maximal_quasi_cliques as oracle_mqc
+        from repro.mining.incremental import (
+            StandingQuery,
+            SubscriptionRegistry,
+        )
+
+        rng = random.Random(0x1EAF)
+        store = graph_store()
+        store.register(erdos_renyi(22, 0.3, seed=9, name="churn"), "churn")
+        registry = SubscriptionRegistry()
+        registry.attach(store)
+        registry.subscribe(
+            "churn", StandingQuery.mqc(0.8, 4), sink=lambda update: None
+        )
+        probes = []
+        for step in range(40):
+            latest = store.latest("churn")
+            if step % 4 == 0:
+                _mine_mqc(latest.graph)
+                latest.graph.kernel_index()
+                # dicts are not weak-referenceable: probe a row of the
+                # version's ``adj_sets`` artifact and its stats summary.
+                probes.append(weakref.ref(latest.graph.neighbor_set(0)))
+                probes.append(weakref.ref(latest.graph.stats_summary()))
+                assert _attached_handles(latest.graph)
+            new = store.apply_batch(
+                "churn", self._toggle_batch(rng, latest.graph)
+            )
+            assert new is not latest
+            for gv in store.versions("churn")[:-1]:
+                if gv.version_key != new.version_key:  # not a revert
+                    assert _attached_handles(gv.graph) == [], gv.ref
+        assert len(store.versions("churn")) == 41
+        gc.collect()
+        assert [ref for ref in probes if ref() is not None] == []
+
+        # Superseded snapshots stay minable: they re-attach and rebuild.
+        old = store.get("churn", 9)
+        assert _mine_mqc(old.graph).all_sets() == oracle_mqc(
+            old.graph, 0.8, 3, 4
+        )
+        assert _attached_handles(old.graph)
+
+    def test_lru_eviction_releases_handles(self):
+        _, cache = reset_default_store()
+        cache._max_versions = 2
+        graphs = [erdos_renyi(8, 0.4, seed=s, name=f"g{s}") for s in range(4)]
+        for g in graphs:
+            g.neighbor_set(0)
+            g.max_degree
+        assert [bool(_attached_handles(g)) for g in graphs] == [
+            False, False, True, True,
+        ]
+        assert graphs[0].neighbor_set(0) == frozenset(graphs[0].neighbors(0))
+
+    def test_drops_racing_attaches_leave_no_stray_reference(self):
+        """Readers attach while the main thread drops their versions:
+        every read is right, and one last drop finds every reference
+        (a reference written after its holder was forgotten would
+        survive it)."""
+        import sys
+        import threading
+        import time
+
+        graphs = [erdos_renyi(12, 0.4, seed=s, name=f"r{s}") for s in range(3)]
+        want = [
+            [frozenset(g.neighbors(v)) for v in g.vertices()] for g in graphs
+        ]
+        deadline = time.monotonic() + 1.0
+        errors = []
+
+        def reader():
+            try:
+                while time.monotonic() < deadline:
+                    for g, rows in zip(graphs, want):
+                        assert [g.neighbor_set(v) for v in g.vertices()] == rows
+                        assert g.max_degree == max(map(len, rows))
+                        assert g.kernel_index().graph is g
+            except Exception as exc:  # noqa: BLE001 — reported below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=reader) for _ in range(4)]
+            for t in threads:
+                t.start()
+            while time.monotonic() < deadline:
+                for g in graphs:
+                    derived_cache().invalidate(g.version_key)
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        derived_cache().invalidate()
+        assert [_attached_handles(g) for g in graphs] == [[], [], []]
+
+    def test_single_artifact_invalidation_releases_handles(self):
+        g = erdos_renyi(8, 0.4, seed=1, name="one")
+        probe = weakref.ref(g.stats_summary())
+        g.neighbor_set(0)
+        derived_cache().invalidate(g.version_key, "stats")
+        assert _attached_handles(g) == []
+        gc.collect()
+        assert probe() is None
+        assert g.stats_summary() is g.stats_summary()
 
 
 class TestMutationBatchValidation:

@@ -128,15 +128,14 @@ class TestPromotionRegistry:
     def test_mark_and_seen(self):
         registry = PromotionRegistry()
         key = (1, 2, 3)
-        assert not registry.seen(triangle(), key)
-        assert registry.mark(triangle(), key)
-        assert registry.seen(triangle(), key)
-        assert not registry.mark(triangle(), key)
+        assert registry.mark(triangle(), key)  # newly recorded
+        assert not registry.mark(triangle(), key)  # already seen
+        assert registry.count() == 1
 
     def test_patterns_are_separate_namespaces(self):
         registry = PromotionRegistry()
         registry.mark(triangle(), (1, 2, 3))
-        assert not registry.seen(house(), (1, 2, 3))
+        assert registry.mark(house(), (1, 2, 3))
 
     def test_count_and_clear(self):
         registry = PromotionRegistry()

@@ -170,3 +170,91 @@ class TestRuntimeMechanics:
         by_pattern = result.by_pattern()
         assert sum(by_pattern.values()) == result.count
         assert result.elapsed > 0
+
+
+class TestCanonicalisationSites:
+    """Only promoted completions are canonicalised, and through the
+    module-level name in ``repro.core.runtime`` (the attribute the perf
+    ledger's boundary instrumentation patches)."""
+
+    def _run_counted(self, monkeypatch, engine):
+        """Run ``engine``; return (result, canonicalise calls, completions)."""
+        from repro.core import runtime
+        from repro.core.vtask import ValidationTarget
+        from repro.patterns import canonical_assignment_oracle
+
+        calls = []
+        completions = []
+        real_canonical = runtime.canonical_assignment
+        real_enumerate = ValidationTarget.enumerate_completions
+
+        def counting_canonical(assignment, pattern):
+            calls.append((tuple(assignment), pattern))
+            return real_canonical(assignment, pattern)
+
+        def counting_enumerate(
+            self, assignment, graph, cache, stats, emit, ctx=None
+        ):
+            def counting_emit(found):
+                completions.append(found)
+                emit(found)
+
+            real_enumerate(
+                self, assignment, graph, cache, stats, counting_emit, ctx=ctx
+            )
+
+        monkeypatch.setattr(runtime, "canonical_assignment", counting_canonical)
+        monkeypatch.setattr(
+            ValidationTarget, "enumerate_completions", counting_enumerate
+        )
+        result = engine.run()
+        # Stored results are canonical without a call per valid match.
+        for pattern, assignment in result.valid:
+            assert assignment == canonical_assignment_oracle(assignment, pattern)
+        return result, calls, completions
+
+    def test_mqc_induced_canonicalises_completions_only(self, monkeypatch):
+        g = erdos_renyi(16, 0.45, seed=5)
+        cs = maximality_constraints(
+            quasi_clique_patterns_up_to(5, 0.7), induced=True
+        )
+        result, calls, completions = self._run_counted(
+            monkeypatch, ContigraEngine(g, cs)
+        )
+        assert result.stats.promotions > 0
+        assert result.stats.etasks_canceled > 0  # ETask site probed, uncounted
+        assert len(calls) == len(completions) > 0
+        # Promotions nest, so the two logs interleave differently.
+        assert sorted(a for a, _ in calls) == sorted(map(tuple, completions))
+
+    def test_edge_induced_promotion_canonicalises_completions_only(
+        self, monkeypatch
+    ):
+        from repro.patterns import diamond, tailed_triangle, triangle
+
+        # Edge-induced: one vertex set hosts several distinct matches
+        # of a containing pattern, so the key must be the assignment.
+        g = erdos_renyi(14, 0.4, seed=2)
+        cs = maximality_constraints(
+            {3: [triangle()], 4: [tailed_triangle(), diamond()]},
+            induced=False,
+        )
+        result, calls, completions = self._run_counted(
+            monkeypatch, ContigraEngine(g, cs)
+        )
+        assert result.stats.promotions > 0
+        assert len(calls) == len(completions) > 0
+        off = ContigraEngine(g, cs, enable_promotion=False).run()
+        assert sorted(result.assignments()) == sorted(off.assignments())
+
+    def test_nsq_without_promotion_never_canonicalises(self, monkeypatch):
+        from repro.core import nested_query_constraints
+
+        g = erdos_renyi(14, 0.4, seed=2)
+        p_m, p_plus_list = paper_query_triangles()
+        cs = nested_query_constraints(p_m, p_plus_list, induced=False)
+        result, calls, completions = self._run_counted(
+            monkeypatch, ContigraEngine(g, cs)
+        )
+        assert result.stats.matches_checked > 0
+        assert calls == [] and completions == []

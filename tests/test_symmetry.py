@@ -7,6 +7,7 @@ subgraph exactly once.
 """
 
 import itertools
+import random
 
 from hypothesis import given, settings
 
@@ -14,12 +15,14 @@ from repro.patterns import (
     Pattern,
     automorphisms,
     canonical_assignment,
+    canonical_assignment_oracle,
     clique,
     conditions_by_position,
     cycle,
     orbit_of,
     orbits,
     path,
+    quasi_clique_patterns,
     satisfies_conditions,
     star,
     symmetry_conditions,
@@ -131,16 +134,82 @@ class TestConditions:
             ) == 1
 
 
+def _pattern_library():
+    """Every shape the engine canonicalises, plus the awkward groups."""
+    patterns = [
+        triangle(), tailed_triangle(), clique(4), clique(5), path(3),
+        star(3), cycle(4), cycle(5), cycle(6),
+        triangle().with_labels([1, 1, 2]),
+        triangle().with_labels([1, 2, 3]),  # trivial group
+        clique(4).with_labels([1, 1, 2, 2]),
+        cycle(6).with_labels([1, 2, 1, 2, 1, 2]),
+        # Anti-edges are structure: they shrink the group.
+        path(3).with_anti_edges([(0, 3)]),
+        cycle(5).with_anti_edges([(0, 2)]),
+        star(3).with_anti_edges([(1, 2)]),
+    ]
+    for gamma in (0.5, 0.6, 0.8):
+        for size in range(3, 7):
+            patterns.extend(quasi_clique_patterns(size, gamma))
+    return patterns
+
+
 class TestCanonicalAssignment:
+    """The engine's compiled form against the brute-force oracle."""
+
     def test_minimal_image(self):
         # triangle: all 6 permutations are automorphic; min is sorted.
-        assert canonical_assignment([5, 3, 4], triangle()) == (3, 4, 5)
+        for canonical in (canonical_assignment, canonical_assignment_oracle):
+            assert canonical([5, 3, 4], triangle()) == (3, 4, 5)
 
     def test_respects_structure(self):
         p = tailed_triangle()  # only 0<->1 swap allowed
-        assert canonical_assignment([7, 2, 5, 9], p) == (2, 7, 5, 9)
+        for canonical in (canonical_assignment, canonical_assignment_oracle):
+            assert canonical([7, 2, 5, 9], p) == (2, 7, 5, 9)
 
     def test_idempotent(self):
         p = clique(4)
-        once = canonical_assignment([4, 2, 8, 6], p)
-        assert canonical_assignment(once, p) == once
+        for canonical in (canonical_assignment, canonical_assignment_oracle):
+            once = canonical([4, 2, 8, 6], p)
+            assert canonical(once, p) == once
+
+    def test_every_compiled_form_is_exercised(self):
+        """The library reaches the trivial, symmetric and trie branches."""
+        sizes = {
+            (len(automorphisms(p)), p.num_vertices) for p in _pattern_library()
+        }
+        assert any(order == 1 for order, _ in sizes)
+        assert (24, 4) in sizes  # K4: full symmetric group
+        assert any(1 < order < 120 for order, n in sizes if n == 5)
+
+    def test_compiled_equals_oracle_on_library(self):
+        rng = random.Random(17)
+        for p in _pattern_library():
+            for _ in range(40):
+                a = rng.sample(range(60), p.num_vertices)
+                assert canonical_assignment(a, p) == (
+                    canonical_assignment_oracle(a, p)
+                ), (p, a)
+
+    def test_conditions_hold_iff_fixed_point(self):
+        """What lets the engine skip canonicalising ETask matches."""
+        rng = random.Random(23)
+        for p in _pattern_library():
+            conditions = symmetry_conditions(p)
+            k = p.num_vertices
+            samples = [rng.sample(range(60), k) for _ in range(40)]
+            samples.append(sorted(samples[0]))  # satisfies any conditions
+            for a in samples:
+                assert satisfies_conditions(a, conditions) == (
+                    canonical_assignment_oracle(a, p) == tuple(a)
+                ), (p, a)
+
+    @given(connected_pattern_strategy(max_vertices=6))
+    @settings(max_examples=60, deadline=None)
+    def test_compiled_equals_oracle_property(self, p):
+        rng = random.Random(p.num_edges)
+        for _ in range(10):
+            a = rng.sample(range(40), p.num_vertices)
+            assert canonical_assignment(a, p) == (
+                canonical_assignment_oracle(a, p)
+            )

@@ -130,11 +130,11 @@ class TestEnumeration:
         stats = ConstraintStats()
         cache = SetOperationCache(stats=stats)
         target = make(triangle(), clique(4), g, induced=True)
-        from repro.patterns import canonical_assignment
+        from repro.patterns import canonical_assignment_oracle
         from repro.mining import MiningEngine
 
         expected = {
-            canonical_assignment(m.assignment, clique(4))
+            canonical_assignment_oracle(m.assignment, clique(4))
             for m in MiningEngine(g, induced=True).find_all(clique(4))
         }
         found = set()
@@ -143,7 +143,7 @@ class TestEnumeration:
             target.enumerate_completions(
                 ordered, g, cache, stats,
                 lambda comp: found.add(
-                    canonical_assignment(comp, clique(4))
+                    canonical_assignment_oracle(comp, clique(4))
                 ),
             )
         assert found == expected
