@@ -33,7 +33,7 @@ fusing the tasks.  Disabling fusion hands each VTask a throwaway cache.
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, FrozenSet, List, Optional, Sequence, Tuple
 
 from ..exec.context import TaskContext
 from ..exec.events import (
@@ -44,7 +44,7 @@ from ..exec.events import (
     VTASK_SPAWN,
 )
 from ..graph.graph import Graph
-from ..graph.index import bits_to_sorted, resolve_index
+from ..graph.index import GraphIndex, bits_to_sorted, resolve_index
 from ..graph.store import PATTERN_SCOPE, derived_cache
 from ..mining.cache import SetOperationCache
 from ..mining.candidates import kernel_pool, raw_intersection
@@ -54,6 +54,10 @@ from ..patterns.isomorphism import subpattern_embeddings
 from ..patterns.pattern import Pattern
 from .ordering import order_exploration_paths
 
+#: One compiled bridge step ``(new P⁺ vertex, anchor slots, non-neighbour
+#: slots, label)``; slots index the walker's P⁺-indexed ``bound`` list.
+BridgeStep = Tuple[int, Tuple[int, ...], Tuple[int, ...], Optional[int]]
+
 
 class BridgeRecipe:
     """One aligned RL-Path option: an embedding plus an extension order.
@@ -61,6 +65,9 @@ class BridgeRecipe:
     Attributes
     ----------
     embedding: tuple, ``embedding[v]`` = P⁺ vertex for P^M vertex ``v``.
+    steps: the compiled step program a VTask walks, one
+        :data:`BridgeStep` per added vertex; ``order``, ``anchors`` and
+        ``nonneighbors`` are its columns.
     order: P⁺ vertices to bind, in binding order.
     anchors: per step, the P⁺ vertices (already bound before the step)
         adjacent to the new vertex — their data images get intersected.
@@ -70,13 +77,7 @@ class BridgeRecipe:
         along this RL-Path, the sort key for Fig 9 ordering.
     """
 
-    __slots__ = (
-        "embedding",
-        "order",
-        "anchors",
-        "nonneighbors",
-        "intermediate_density",
-    )
+    __slots__ = ("embedding", "steps", "intermediate_density")
 
     def __init__(
         self,
@@ -85,27 +86,33 @@ class BridgeRecipe:
         order: Tuple[int, ...],
     ) -> None:
         self.embedding = embedding
-        self.order = order
         bound: List[int] = list(embedding)
-        anchors: List[Tuple[int, ...]] = []
-        nonneighbors: List[Tuple[int, ...]] = []
+        steps: List[BridgeStep] = []
         densities: List[float] = []
         for v in order:
-            anchors.append(
-                tuple(u for u in bound if p_plus.has_edge(u, v))
-            )
-            nonneighbors.append(
-                tuple(u for u in bound if not p_plus.has_edge(u, v))
-            )
+            anchors = tuple(u for u in bound if p_plus.has_edge(u, v))
+            if not anchors:
+                raise ValueError("extension order leaves a vertex unanchored")
+            nonneighbors = tuple(u for u in bound if u not in anchors)
+            steps.append((v, anchors, nonneighbors, p_plus.label(v)))
             bound.append(v)
             densities.append(p_plus.subpattern(bound).density)
-        if any(not a for a in anchors):
-            raise ValueError("extension order leaves a vertex unanchored")
-        self.anchors = tuple(anchors)
-        self.nonneighbors = tuple(nonneighbors)
+        self.steps = tuple(steps)
         self.intermediate_density = (
             sum(densities) / len(densities) if densities else 0.0
         )
+
+    @property
+    def order(self) -> Tuple[int, ...]:
+        return tuple(step[0] for step in self.steps)
+
+    @property
+    def anchors(self) -> Tuple[Tuple[int, ...], ...]:
+        return tuple(step[1] for step in self.steps)
+
+    @property
+    def nonneighbors(self) -> Tuple[Tuple[int, ...], ...]:
+        return tuple(step[2] for step in self.steps)
 
 
 # Query-compile-time memoization (§8.1's "lookup table indexed by
@@ -327,38 +334,8 @@ class ValidationTarget:
         pathological single VTask (dense graph, deep gap) cannot
         overshoot the time budget unchecked.
         """
-        stats.vtasks_started += 1
         stats.constraint_checks += 1
-        # Observability gate resolved once per VTask (not per recipe):
-        # ``obs`` is the context when someone is listening, else None.
-        obs = ctx if ctx is not None and ctx.observed else None
-        if obs is not None:
-            obs.emit(VTASK_SPAWN, gap=self.gap)
-            obs.phase_start(PHASE_ALIGN, gap=self.gap)
-        try:
-            for recipe in self.recipes:
-                bound: Dict[int, int] = {
-                    p_plus_v: assignment[p_m_v]
-                    for p_m_v, p_plus_v in enumerate(recipe.embedding)
-                }
-                if obs is not None:
-                    obs.phase_start(PHASE_BRIDGE, gap=self.gap)
-                try:
-                    completion = self._extend(
-                        recipe, 0, bound, graph, cache, stats, ctx
-                    )
-                finally:
-                    if obs is not None:
-                        obs.phase_end(PHASE_BRIDGE)
-                if completion is not None:
-                    stats.vtasks_matched += 1
-                    if obs is not None:
-                        obs.emit(VTASK_MATCH, gap=self.gap)
-                    return completion
-            return None
-        finally:
-            if obs is not None:
-                obs.phase_end(PHASE_ALIGN)
+        return self._walk(assignment, graph, cache, stats, ctx, None)
 
     def enumerate_completions(
         self,
@@ -378,91 +355,148 @@ class ValidationTarget:
         caller's to fold (one subgraph can contain several base-pattern
         matches).
         """
+        self._walk(assignment, graph, cache, stats, ctx, emit)
+
+    def _walk(
+        self,
+        assignment: Sequence[int],
+        graph: Graph,
+        cache: SetOperationCache,
+        stats: ConstraintStats,
+        ctx: Optional[TaskContext],
+        emit: Optional[Callable[[Tuple[int, ...]], None]],
+    ) -> Optional[Tuple[int, ...]]:
+        """Walk each recipe's step program over one P^M match.
+
+        ``emit=None`` returns at the first completion (Algorithm 2);
+        otherwise every completion goes to ``emit``.  The observability
+        gate, deadline hook and candidate source are resolved once per
+        VTask.  ``bound`` is indexed by P⁺ vertex, ``-1`` = unbound:
+        injectivity is ``v in bound``, a completion ``tuple(bound)``.
+        """
         stats.vtasks_started += 1
         obs = ctx if ctx is not None and ctx.observed else None
+        tick = ctx.check_deadline if ctx is not None else None
+        index = graph.kernel_index() if self._use_kernels else None
+        lazy = index is None and self.use_intersections
         if obs is not None:
-            obs.emit(VTASK_SPAWN, gap=self.gap, mode="enumerate")
-            obs.phase_start(PHASE_ALIGN, gap=self.gap, mode="enumerate")
+            mode = {} if emit is None else {"mode": "enumerate"}
+            obs.emit(VTASK_SPAWN, gap=self.gap, **mode)
+            obs.phase_start(PHASE_ALIGN, gap=self.gap, **mode)
         try:
             for recipe in self.recipes:
-                bound: Dict[int, int] = {
-                    p_plus_v: assignment[p_m_v]
-                    for p_m_v, p_plus_v in enumerate(recipe.embedding)
-                }
+                bound = [-1] * self.p_plus.num_vertices
+                for p_m_v, p_plus_v in enumerate(recipe.embedding):
+                    bound[p_plus_v] = assignment[p_m_v]
                 if obs is not None:
                     obs.phase_start(PHASE_BRIDGE, gap=self.gap)
                 try:
-                    self._extend_all(
-                        recipe, 0, bound, graph, cache, stats, emit, ctx
+                    completion = self._step(
+                        0, recipe.steps, bound, graph, index, lazy,
+                        cache, stats, tick, obs, emit,
                     )
                 finally:
                     if obs is not None:
                         obs.phase_end(PHASE_BRIDGE)
+                if completion is not None:
+                    stats.vtasks_matched += 1
+                    if obs is not None:
+                        obs.emit(VTASK_MATCH, gap=self.gap)
+                    return completion
+            return None
         finally:
             if obs is not None:
                 obs.phase_end(PHASE_ALIGN)
 
-    def _extend_all(
+    def _step(
         self,
-        recipe: BridgeRecipe,
-        step: int,
-        bound: Dict[int, int],
+        depth: int,
+        steps: Tuple[BridgeStep, ...],
+        bound: List[int],
         graph: Graph,
+        index: Optional[GraphIndex],
+        lazy: bool,
         cache: SetOperationCache,
         stats: ConstraintStats,
-        emit: Callable[[Tuple[int, ...]], None],
-        ctx: Optional[TaskContext] = None,
-    ) -> None:
-        if ctx is not None:
-            ctx.check_deadline()
-        if step == len(recipe.order):
-            emit(tuple(bound[v] for v in self.p_plus.vertices()))
-            return
-        new_vertex = recipe.order[step]
-        for v in self._candidates(recipe, step, bound, graph, cache, stats):
-            bound[new_vertex] = v
-            self._extend_all(
-                recipe, step + 1, bound, graph, cache, stats, emit, ctx
-            )
-            del bound[new_vertex]
+        tick: Optional[Callable[[], None]],
+        obs: Optional[TaskContext],
+        emit: Optional[Callable[[Tuple[int, ...]], None]],
+    ) -> Optional[Tuple[int, ...]]:
+        """One node of the bridge walk — the only walker there is.
 
-    def _candidates(
+        Both modes visit the same nodes in the same order (candidates
+        ascending); the deadline ticks at every node.  Of the three
+        candidate sources, the kernel index and the UDF-model scan
+        return filtered lists; the fused ``sets`` pool is only sorted
+        up front and filtered in the loop (injectivity, label, induced
+        non-neighbours as ``neighbor_set`` membership), so a first-match
+        walk never pays for candidates past the one it descends into.
+        """
+        if tick is not None:
+            tick()
+        if depth == len(steps):
+            if emit is None:
+                return tuple(bound)
+            emit(tuple(bound))
+            return None
+        if depth:
+            stats.bridge_steps += 1
+        if obs is not None:
+            obs.emit(KERNEL_INTERSECT, count=1)
+        stats.candidate_computations += 1
+        new_vertex, anchors, nonneighbors, label = steps[depth]
+        anchor_data = [bound[u] for u in anchors]
+        blocked: Sequence[FrozenSet[int]] = ()
+        if lazy:
+            candidates = sorted(
+                raw_intersection(graph, anchor_data, cache, stats)
+            )
+            if self.induced:
+                blocked = [graph.neighbor_set(bound[u]) for u in nonneighbors]
+        elif index is not None:
+            candidates = self._kernel_source(
+                index, anchor_data, nonneighbors, label, bound, cache, stats
+            )
+        else:
+            candidates = self._udf_source(
+                graph, anchor_data, nonneighbors, label, bound, stats
+            )
+        for v in candidates:
+            if lazy and (
+                v in bound
+                or label is not None and graph.label(v) != label
+            ):
+                continue
+            for neighbors in blocked:
+                if v in neighbors:
+                    break
+            else:
+                bound[new_vertex] = v
+                found = self._step(
+                    depth + 1, steps, bound, graph, index, lazy,
+                    cache, stats, tick, obs, emit,
+                )
+                if found is not None:
+                    return found
+        bound[new_vertex] = -1
+        return None
+
+    def _udf_source(
         self,
-        recipe: BridgeRecipe,
-        step: int,
-        bound: Dict[int, int],
         graph: Graph,
-        cache: SetOperationCache,
+        anchor_data: List[int],
+        nonneighbors: Tuple[int, ...],
+        label: Optional[int],
+        bound: List[int],
         stats: ConstraintStats,
     ) -> List[int]:
-        """Valid data vertices for the step's P⁺ vertex, sorted.
-
-        The fused path intersects cached pools through the graph's
-        kernel index (label restriction inside the intersection,
-        injectivity and induced non-neighbor filters as bitset masks
-        when the pool is a bitmask); the UDF-model path
-        (``use_intersections=False``) scans one adjacency list and
-        filters the rest by individual edge probes.
-        """
-        new_vertex = recipe.order[step]
-        anchor_data = [bound[u] for u in recipe.anchors[step]]
-        stats.candidate_computations += 1
-        label = self.p_plus.label(new_vertex)
-        used = set(bound.values())
-        if self._use_kernels:
-            return self._kernel_candidates(
-                recipe, step, bound, anchor_data, label, used,
-                graph, cache, stats,
-            )
-        if self.use_intersections:
-            pool = raw_intersection(graph, anchor_data, cache, stats)
-            rest: List[int] = []
-        else:
-            pool = graph.neighbor_set(anchor_data[0])
-            rest = anchor_data[1:]
+        """UDF-model source (``use_intersections=False``, Peregrine+):
+        scan one anchor's adjacency and probe the rest edge by edge,
+        eagerly — ``extensions_attempted`` counts every probed vertex."""
+        rest = anchor_data[1:]
         selected: List[int] = []
-        for v in sorted(pool):
-            if v in used:
+        for v in sorted(graph.neighbor_set(anchor_data[0])):
+            if v in bound:
                 continue
             if label is not None and graph.label(v) != label:
                 continue
@@ -471,80 +505,42 @@ class ValidationTarget:
                 if not all(graph.has_edge(v, w) for w in rest):
                     continue
             if self.induced and any(
-                graph.has_edge(v, bound[u])
-                for u in recipe.nonneighbors[step]
+                graph.has_edge(v, bound[u]) for u in nonneighbors
             ):
                 continue
             selected.append(v)
         return selected
 
-    def _kernel_candidates(
+    def _kernel_source(
         self,
-        recipe: BridgeRecipe,
-        step: int,
-        bound: Dict[int, int],
+        index: GraphIndex,
         anchor_data: List[int],
+        nonneighbors: Tuple[int, ...],
         label: Optional[int],
-        used: set,
-        graph: Graph,
+        bound: List[int],
         cache: SetOperationCache,
         stats: ConstraintStats,
     ) -> List[int]:
-        """Kernel-path candidate computation for one bridge step."""
-        index = graph.kernel_index()
+        """Kernel source: label restriction inside the cached pool;
+        injectivity and induced non-neighbour filters as bitset masks
+        when the pool is a bitmask, per vertex when it is a tuple."""
         pool = kernel_pool(index, anchor_data, label, cache, stats)
         if isinstance(pool, int):
-            for u in used:
-                if pool >> u & 1:
+            for u in bound:
+                if u >= 0 and pool >> u & 1:
                     pool -= 1 << u
             if self.induced:
-                for u in recipe.nonneighbors[step]:
+                for u in nonneighbors:
                     if not pool:
                         break
                     pool &= ~index.neighbor_bits(bound[u])
             return bits_to_sorted(pool)
-        selected: List[int] = []
-        for v in pool:
-            if v in used:
-                continue
-            if self.induced and any(
-                index.has_edge(v, bound[u])
-                for u in recipe.nonneighbors[step]
-            ):
-                continue
-            selected.append(v)
-        return selected
-
-    def _extend(
-        self,
-        recipe: BridgeRecipe,
-        step: int,
-        bound: Dict[int, int],
-        graph: Graph,
-        cache: SetOperationCache,
-        stats: ConstraintStats,
-        ctx: Optional[TaskContext] = None,
-    ) -> Optional[Tuple[int, ...]]:
-        # The deadline must fire inside bridging too: a multi-level gap
-        # over a dense graph can spend the whole budget in one VTask.
-        if ctx is not None:
-            ctx.check_deadline()
-        if step == len(recipe.order):
-            return tuple(bound[v] for v in self.p_plus.vertices())
-        if step > 0:
-            stats.bridge_steps += 1
-        if ctx is not None and ctx.observed:
-            ctx.emit(KERNEL_INTERSECT, count=1)
-        new_vertex = recipe.order[step]
-        for v in self._candidates(recipe, step, bound, graph, cache, stats):
-            bound[new_vertex] = v
-            result = self._extend(
-                recipe, step + 1, bound, graph, cache, stats, ctx
-            )
-            if result is not None:
-                return result
-            del bound[new_vertex]
-        return None
+        barred = [bound[u] for u in nonneighbors] if self.induced else ()
+        return [
+            v for v in pool
+            if v not in bound
+            and not (barred and any(index.has_edge(v, w) for w in barred))
+        ]
 
     def __repr__(self) -> str:
         return (

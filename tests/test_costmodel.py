@@ -149,7 +149,9 @@ class TestChaosWorkload:
 
     @pytest.fixture()
     def dense_graph_file(self, tmp_path):
-        graph = erdos_renyi(200, 0.2, seed=7)
+        # Sized to need ~4x the budget unbounded (~2 s), so the TLE
+        # fires with margin rather than within timing noise of it.
+        graph = erdos_renyi(300, 0.2, seed=7)
         path = str(tmp_path / "dense.txt")
         write_edge_list(graph, path)
         return graph, path

@@ -275,6 +275,23 @@ class TestBridgeDeadline:
         with pytest.raises(TimeLimitExceeded):
             target.run([0, 1, 2], g, cache, stats, ctx=ctx)
 
+    def test_expired_deadline_fires_inside_enumerate_mode(self):
+        # Same walker, other mode: promotion's emit-all walk is the
+        # longer one and must be just as interruptible.
+        g = erdos_renyi(12, 0.95, seed=3)
+        target = self._target(g)
+        stats = ConstraintStats()
+        ctx = TaskContext.create(
+            time_limit=1e-9, stats=stats, check_interval=1
+        )
+        cache = SetOperationCache(stats=stats)
+        emitted = []
+        with pytest.raises(TimeLimitExceeded):
+            target.enumerate_completions(
+                [0, 1, 2], g, cache, stats, emitted.append, ctx=ctx
+            )
+        assert not emitted
+
     def test_without_context_the_bridge_completes(self):
         g = erdos_renyi(12, 0.95, seed=3)
         target = self._target(g)

@@ -109,7 +109,10 @@ class TestMatchesAndProcessors:
     def test_first_match(self):
         g = erdos_renyi(20, 0.5, seed=1)
         assert MiningEngine(g).exists(triangle())
-        assert not MiningEngine(g).exists(clique(10))
+        # K7 is absent from this graph and has only 5040 automorphisms
+        # to enumerate (K10 is absent too, at 3.6 M and 66 s).
+        assert MiningEngine(g).find_all(clique(7), limit=1) == []
+        assert not MiningEngine(g).exists(clique(7))
 
     def test_exists_containing(self):
         g = erdos_renyi(14, 0.5, seed=4)

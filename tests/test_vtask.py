@@ -1,12 +1,22 @@
 """Tests for VTasks: alignment, gap bridging, fusion, enumeration."""
 
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.apps.nsq import (
+    nested_subgraph_query,
+    paper_query_tailed_triangles,
+)
 from repro.baselines.naive import match_contained_in, pattern_matches
+from repro.bench.datasets import dataset
 from repro.core import ValidationTarget
+from repro.exec.context import TaskContext
+from repro.exec.events import KERNEL_INTERSECT, PHASE_START
 from repro.graph import erdos_renyi
+from repro.graph.index import resolve_index
 from repro.mining import ConstraintStats, SetOperationCache
 from repro.patterns import (
     clique,
@@ -18,7 +28,7 @@ from repro.patterns import (
     triangle,
 )
 
-from conftest import graph_strategy
+from conftest import graph_strategy, labeled_random_graph
 
 
 def make(p_m, p_plus, graph, induced=False, **kw):
@@ -110,6 +120,9 @@ class TestRunCorrectness:
             a = fancy.run(ordered, g, cache, stats) is not None
             b = plain.run(ordered, g, cache, stats) is not None
             assert a == b
+        # Only the UDF-model scan counts per-candidate probes, and it
+        # stays eager: the Peregrine+ baseline numbers must not move.
+        assert stats.extensions_attempted == 316
 
     @given(graph_strategy(max_vertices=9), st.integers(0, 3))
     @settings(max_examples=20, deadline=None)
@@ -158,3 +171,144 @@ class TestEnumeration:
             ordered = [assignment[v] for v in triangle().vertices()]
             target.run(ordered, g, shared, stats)
         assert stats.cache_hits > 0
+
+
+def _bridge_cases():
+    """(P^M, P⁺) by gap; the last one binds labelled P⁺ vertices."""
+    braced, _ = paper_query_tailed_triangles()[1]
+    return {
+        "gap1": (triangle(), tailed_triangle()),
+        "gap2": (triangle(), house()),
+        "gap3": (triangle(), braced),
+        "labelled": (
+            triangle(), house().with_labels([None, None, None, 0, 1])
+        ),
+    }
+
+
+def _bridge_graph(path):
+    """A labelled graph on which ``auto`` resolves to ``path``."""
+    if path == "kernels":
+        g = labeled_random_graph(22, 0.85, num_labels=2, seed=5)
+    else:
+        g = labeled_random_graph(12, 0.4, num_labels=2, seed=5)
+    assert (resolve_index(g, "auto") is not None) == (path == "kernels")
+    return g
+
+
+def _sampled_matches(g, p_m, induced, limit=60):
+    matches = [
+        [a[v] for v in p_m.vertices()]
+        for a in pattern_matches(g, p_m, induced=induced)
+    ]
+    return matches[:: max(1, len(matches) // limit)]
+
+
+class TestCompiledBridge:
+    """The step program and the one walker that executes it."""
+
+    @pytest.mark.parametrize("path", ["sets", "kernels"])
+    @pytest.mark.parametrize("induced", [False, True])
+    @pytest.mark.parametrize("case", sorted(_bridge_cases()))
+    def test_walker_agrees_with_oracle_in_both_modes(
+        self, case, induced, path
+    ):
+        p_m, p_plus = _bridge_cases()[case]
+        g = _bridge_graph(path)
+        stats = ConstraintStats()
+        cache = SetOperationCache(stats=stats)
+        target = make(p_m, p_plus, g, induced=induced)
+        # Enumerate mode on the dense graph emits thousands of
+        # completions per match; a dozen matches cover both outcomes.
+        limit = 60 if path == "sets" else 12
+        for ordered in _sampled_matches(g, p_m, induced, limit):
+            got = target.run(ordered, g, cache, stats)
+            emitted = []
+            target.enumerate_completions(
+                ordered, g, cache, stats, emitted.append
+            )
+            want = match_contained_in(g, ordered, p_m, p_plus, induced)
+            assert (got is not None) == want
+            # One walker, one order: ``run`` stops at the completion
+            # enumerate mode reaches first.
+            assert got == (emitted[0] if emitted else None)
+            for completion in emitted:
+                assert set(ordered) <= set(completion)
+                assert len(set(completion)) == p_plus.num_vertices
+                for v in p_plus.vertices():
+                    assert p_plus.label(v) in (None, g.label(completion[v]))
+                for u in p_plus.vertices():
+                    for v in range(u):
+                        has = g.has_edge(completion[u], completion[v])
+                        if p_plus.has_edge(u, v):
+                            assert has
+                        else:
+                            assert not (induced and has)
+
+    def test_step_program_mirrors_recipe_and_survives_pickle(self):
+        g = erdos_renyi(12, 0.45, seed=2)
+        pairs = [(p, q, False) for p, q in _bridge_cases().values()]
+        (k4,) = quasi_clique_patterns(4, 0.8)
+        pairs += [(k4, k6, True) for k6 in quasi_clique_patterns(6, 0.8)]
+        pairs.append((diamond(), diamond_house(), False))
+        checked = 0
+        for p_m, p_plus, induced in pairs:
+            target = make(p_m, p_plus, g, induced=induced)
+            clone = pickle.loads(pickle.dumps(target))
+            for recipe, copy in zip(target.recipes, clone.recipes):
+                # The program, recomputed from the pattern alone.
+                bound = list(recipe.embedding)
+                for v, anchors, nonneighbors, label in recipe.steps:
+                    assert set(anchors) | set(nonneighbors) == set(bound)
+                    assert all(p_plus.has_edge(u, v) for u in anchors)
+                    assert not any(
+                        p_plus.has_edge(u, v) for u in nonneighbors
+                    )
+                    assert label == p_plus.label(v)
+                    bound.append(v)
+                assert sorted(bound) == list(p_plus.vertices())
+                assert recipe.steps == tuple(
+                    zip(
+                        recipe.order,
+                        recipe.anchors,
+                        recipe.nonneighbors,
+                        (p_plus.label(v) for v in recipe.order),
+                    )
+                )
+                assert copy.steps == recipe.steps
+                checked += 1
+            stats = ConstraintStats()
+            cache = SetOperationCache(stats=stats)
+            for ordered in _sampled_matches(g, p_m, induced, limit=10):
+                assert clone.run(ordered, g, cache, stats) == target.run(
+                    ordered, g, cache, stats
+                )
+        assert checked > 20
+
+    def test_enumerate_mode_counts_and_traces_bridge_steps(self):
+        g = erdos_renyi(12, 0.5, seed=3)
+        target = make(triangle(), house(), g)
+        stats = ConstraintStats()
+        ctx = TaskContext.create(stats=stats)
+        intersects = []
+        ctx.bus.subscribe(PHASE_START, lambda **payload: None)
+        ctx.bus.subscribe(
+            KERNEL_INTERSECT, lambda **payload: intersects.append(payload)
+        )
+        ordered = _sampled_matches(g, triangle(), False, limit=1)[0]
+        target.enumerate_completions(
+            ordered, g, SetOperationCache(stats=stats), stats,
+            lambda completion: None, ctx=ctx,
+        )
+        assert 0 < stats.bridge_steps < stats.candidate_computations
+        assert len(intersects) == stats.candidate_computations
+
+    def test_paper_nsq_counters_pinned(self):
+        # Laziness must not change what is visited: these are the
+        # values the eager filter-then-iterate bridge read.
+        p_m, p_plus = paper_query_tailed_triangles()
+        stats = nested_subgraph_query(dataset("youtube"), p_m, p_plus).stats
+        assert stats.vtasks_started == 77_891
+        assert stats.candidate_computations == 238_908
+        assert stats.cache_hits == 219_845
+        assert stats.bridge_steps == 142_978
