@@ -7,7 +7,7 @@ query is rejected in milliseconds instead of burning a mining run.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 from ..core.constraints import ConstraintSet, ContainmentConstraint
 from ..patterns.pattern import Pattern
@@ -187,11 +187,3 @@ def analyze_query(query: object) -> AnalysisReport:
         only_within=only_within,
         induced=induced,
     )
-
-
-def first_error_message(report: AnalysisReport) -> Optional[str]:
-    """Convenience for strict mode: the first error line, or None."""
-    errors = report.errors
-    if not errors:
-        return None
-    return errors[0].render()

@@ -140,10 +140,6 @@ class PlanEstimate:
     est_matches: float
     uncalibrated: bool
 
-    @property
-    def max_pool(self) -> float:
-        return max((s.pool_size for s in self.steps), default=0.0)
-
     def to_dict(self) -> Dict[str, object]:
         return {
             "pattern": self.pattern,

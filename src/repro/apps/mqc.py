@@ -15,9 +15,9 @@ from typing import Dict, FrozenSet, Optional, Set
 from ..core.constraints import ConstraintSet, maximality_constraints
 from ..core.runtime import ContigraEngine, ContigraResult
 from ..exec.context import TaskContext
-from ..exec.scheduler import make_scheduler
 from ..graph.graph import Graph
 from ..patterns.quasicliques import quasi_clique_patterns_up_to
+from ..request import run_engine
 
 
 class MaximalQuasiCliqueResult:
@@ -140,24 +140,13 @@ def maximal_quasi_cliques(
         time_limit=time_limit,
         **engine_options,
     )
-    if (
-        (scheduler is None or scheduler == "serial")
-        and ctx is None
-        and retries == 0
-        and on_failure == "raise"
-    ):
-        return MaximalQuasiCliqueResult(engine.run())
-    # With an external context (observability) or resilience knobs,
-    # even "serial" goes through the scheduler layer so the run-phase
-    # span opens and failure handling applies uniformly.
     return MaximalQuasiCliqueResult(
-        engine.run_with(
-            make_scheduler(
-                scheduler or "serial",
-                n_workers=n_workers,
-                retries=retries,
-                on_failure=on_failure,
-            ),
+        run_engine(
+            engine,
+            scheduler=scheduler,
+            n_workers=n_workers,
             ctx=ctx,
+            retries=retries,
+            on_failure=on_failure,
         )
     )

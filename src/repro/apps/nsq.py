@@ -20,10 +20,10 @@ from typing import List, Optional, Sequence, Tuple
 from ..core.constraints import nested_query_constraints
 from ..core.runtime import ContigraEngine, ContigraResult
 from ..exec.context import TaskContext
-from ..exec.scheduler import make_scheduler
 from ..graph.graph import Graph
 from ..patterns.library import house, tailed_triangle, triangle
 from ..patterns.pattern import Pattern
+from ..request import run_engine
 
 
 def nested_subgraph_query(
@@ -60,24 +60,13 @@ def nested_subgraph_query(
         time_limit=time_limit,
         **engine_options,
     )
-    if (
-        (scheduler is None or scheduler == "serial")
-        and ctx is None
-        and retries == 0
-        and on_failure == "raise"
-    ):
-        return engine.run()
-    # With an external context (observability) or resilience knobs,
-    # even "serial" goes through the scheduler layer so the run-phase
-    # span opens and failure handling applies uniformly.
-    return engine.run_with(
-        make_scheduler(
-            scheduler or "serial",
-            n_workers=n_workers,
-            retries=retries,
-            on_failure=on_failure,
-        ),
+    return run_engine(
+        engine,
+        scheduler=scheduler,
+        n_workers=n_workers,
         ctx=ctx,
+        retries=retries,
+        on_failure=on_failure,
     )
 
 

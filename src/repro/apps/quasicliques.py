@@ -16,14 +16,13 @@ Both return identical results; Fig 19 measures the work difference.
 from __future__ import annotations
 
 import time
-from typing import Dict, FrozenSet, List, Optional, Set
+from typing import Dict, FrozenSet, List, Set
 
 from ..graph.graph import Graph
 from ..mining.engine import MiningEngine
 from ..mining.processors import CallbackProcessor
 from ..mining.stats import ConstraintStats
 from ..mining.subsets import explore_connected_sets
-from ..patterns.containment import contains
 from ..patterns.pattern import Pattern
 from ..patterns.quasicliques import (
     quasi_clique_min_degree,
@@ -79,24 +78,6 @@ def mine_quasi_cliques(
     result.stats.merge(engine.stats)
     result.elapsed = time.monotonic() - start
     return result
-
-
-def _pick_base(
-    pattern: Pattern, candidates: List[Pattern]
-) -> Optional[Pattern]:
-    """Largest (then densest) workload pattern contained in ``pattern``."""
-    best: Optional[Pattern] = None
-    for candidate in candidates:
-        if candidate.num_vertices >= pattern.num_vertices:
-            continue
-        if not contains(candidate, pattern, induced=True):
-            continue
-        if best is None or (
-            candidate.num_vertices,
-            candidate.num_edges,
-        ) > (best.num_vertices, best.num_edges):
-            best = candidate
-    return best
 
 
 def quasi_clique_feasible(

@@ -30,13 +30,10 @@ from typing import Optional
 from .apps import (
     frequent_and_rare_keywords,
     keyword_search,
-    maximal_quasi_cliques,
     mine_quasi_cliques,
     mine_quasi_cliques_fused,
-    nested_subgraph_query,
 )
-from .apps.mqc import mqc_constraint_set
-from .apps.nsq import paper_query_tailed_triangles, paper_query_triangles
+from .apps.mqc import MaximalQuasiCliqueResult, mqc_constraint_set
 from .bench import dataset, dataset_keys, spec
 from .bench.report import format_table
 from .exec.resilience import ON_FAILURE_MODES
@@ -44,6 +41,18 @@ from .exec.scheduler import SCHEDULER_NAMES
 from .graph.graph import Graph
 from .graph.index import ADJACENCY_MODES
 from .graph.io import read_edge_list
+from .obs import observed_context
+from .request import (
+    ADMISSION_MODES,
+    NSQ_QUERIES,
+    REQUEST_FIELDS,
+    RequestError,
+    RunRecord,
+    RunRequest,
+    admit,
+    run,
+)
+from .serve.__main__ import add_serve_arguments, run_daemon
 
 
 def _resolve_store_ref(spec_text: str) -> Optional[Graph]:
@@ -116,18 +125,16 @@ def _add_adjacency_argument(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_aux_argument(parser: argparse.ArgumentParser) -> None:
-    """Auxiliary pruned graphs (ContigraEngine-backed commands)."""
+def _add_run_arguments(parser: argparse.ArgumentParser) -> None:
+    """The flags of an engine run (``mqc`` and ``nsq``): everything
+    :class:`repro.request.RunRequest` reads, plus the exports."""
+    _add_adjacency_argument(parser)
     parser.add_argument(
         "--aux", action="store_true",
         help="prune each pattern's exploration adjacency to vertices "
              "that can appear in one of its matches (tier-2 kernels; "
              "see docs/performance.md)",
     )
-
-
-def _add_scheduler_arguments(parser: argparse.ArgumentParser) -> None:
-    """Execution-core scheduler selection (mqc and nsq runs)."""
     parser.add_argument(
         "--scheduler", choices=SCHEDULER_NAMES, default="serial",
         help="execution-core scheduler (default: serial)",
@@ -148,10 +155,13 @@ def _add_scheduler_arguments(parser: argparse.ArgumentParser) -> None:
              "failure (default) or 'degrade' to a partial result "
              "marked incomplete with unprocessed roots listed",
     )
-
-
-def _add_observability_arguments(parser: argparse.ArgumentParser) -> None:
-    """Span-trace / metrics export flags (mqc and nsq runs)."""
+    parser.add_argument(
+        "--admission", choices=ADMISSION_MODES, default="off",
+        help="static cost-model gate before the run: 'warn' prints "
+             "CG6xx projections (vs --time-limit) to stderr and "
+             "proceeds; 'strict' refuses projected budget violations "
+             "with exit code 2 (default: off)",
+    )
     parser.add_argument(
         "--trace", metavar="FILE",
         help="write a Chrome trace_event JSON span trace of the run",
@@ -160,19 +170,6 @@ def _add_observability_arguments(parser: argparse.ArgumentParser) -> None:
         "--metrics", metavar="FILE",
         help="write run metrics in Prometheus text exposition format",
     )
-
-
-def _make_observability(args: argparse.Namespace):
-    """An observed TaskContext when ``--trace``/``--metrics`` asked for one.
-
-    Returns ``(ctx, tracer, registry)`` or ``(None, None, None)`` —
-    unobserved runs must not pay for bus subscriptions.
-    """
-    if not getattr(args, "trace", None) and not getattr(args, "metrics", None):
-        return None, None, None
-    from .obs import observed_context
-
-    return observed_context(time_limit=args.time_limit)
 
 
 def _export_observability(args: argparse.Namespace, tracer, registry) -> dict:
@@ -201,89 +198,26 @@ def _export_observability(args: argparse.Namespace, tracer, registry) -> dict:
 
 def _report(
     args: argparse.Namespace,
-    payload: dict,
-    json_extra: Optional[dict] = None,
+    summary: dict,
+    record: RunRecord,
+    extra: Optional[dict] = None,
 ) -> None:
     """Print a run result: short summary as text, full record as json.
 
-    ``json_extra`` carries fields that only make sense machine-readable
-    (the full counter snapshot, exact wall time); they are merged into
-    the payload when ``--format json`` is active.
+    The record's envelope (configuration, counters, graph pin,
+    admission) and ``extra`` (observability exports) only make sense
+    machine-readable, so they appear under ``--format json`` alone; a
+    degraded run is marked in both.
     """
     if args.format == "json":
-        full = dict(payload)
-        if json_extra:
-            full.update(json_extra)
+        full = {**summary, **record.to_dict(), **(extra or {})}
         print(json.dumps(full, indent=2, default=str))
         return
-    for key, value in payload.items():
+    if getattr(record.result, "incomplete", False):
+        print("incomplete: True")
+        print(f"unprocessed_roots: {len(record.result.unprocessed_roots)}")
+    for key, value in summary.items():
         print(f"{key}: {value}")
-
-
-def _run_record(
-    result,
-    scheduler: str,
-    adjacency: Optional[str] = None,
-    workers: Optional[int] = None,
-    graph: Optional[Graph] = None,
-    scope=None,
-) -> dict:
-    """The json-only run envelope: configuration, wall time, counters.
-
-    ``adjacency`` records the candidate-kernel mode the run used
-    (``None`` for commands that do not go through the kernel layer,
-    e.g. the keyword-search state-space explorer); ``workers`` the
-    parallel worker count.  Together with the admission record these
-    let bench results be joined against estimator recommendations.
-    When ``graph`` is given the record also pins the exact graph
-    content (fingerprint + store version key) plus a derived-cache
-    counter snapshot.  ``scope`` is the :class:`repro.obs.RunScope`
-    opened before the run: with it, the derived-cache counters are
-    *this run's* deltas rather than the process-cumulative totals (the
-    cumulative numbers inflated every second in-process run's record).
-    """
-    record = {
-        "scheduler": scheduler,
-        "adjacency": adjacency,
-        "workers": workers,
-        "wall_time_seconds": result.elapsed,
-        "counters": result.stats.as_dict(),
-    }
-    if graph is not None:
-        record["graph"] = {
-            "name": graph.name,
-            "version": graph.version_key,
-            "fingerprint": graph.fingerprint,
-        }
-        if scope is not None:
-            record["derived_cache"] = scope.deltas()["derived_cache"]
-        else:
-            from .graph.store import derived_cache
-
-            record["derived_cache"] = derived_cache().counters()
-    if getattr(result, "incomplete", False):
-        # Degraded runs are never silently complete: the record always
-        # names what was skipped and why.
-        record["incomplete"] = True
-        record["unprocessed_roots"] = list(
-            getattr(result, "unprocessed_roots", [])
-        )
-        record["failure_reasons"] = list(
-            getattr(result, "failure_reasons", [])
-        )
-    return record
-
-
-def _degraded_fields(result) -> dict:
-    """Human-visible degradation marker for text and json reports."""
-    if not getattr(result, "incomplete", False):
-        return {}
-    return {
-        "incomplete": True,
-        "unprocessed_roots": len(
-            getattr(result, "unprocessed_roots", [])
-        ),
-    }
 
 
 def _add_format_argument(
@@ -384,39 +318,23 @@ def _cmd_graphs(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_admission_argument(parser: argparse.ArgumentParser) -> None:
-    """CG6xx pre-run admission gate (mqc and nsq runs)."""
-    parser.add_argument(
-        "--admission", choices=("off", "warn", "strict"), default="off",
-        help="static cost-model gate before the run: 'warn' prints "
-             "CG6xx projections (vs --time-limit) to stderr and "
-             "proceeds; 'strict' refuses projected budget violations "
-             "with exit code 2 (default: off)",
-    )
+def _cmd_run(args: argparse.Namespace) -> int:
+    """``mqc`` and ``nsq``: flags -> request -> admit -> run -> report.
 
-
-def _admission_check(
-    args: argparse.Namespace, graph: Graph, constraint_set
-) -> Optional[dict]:
-    """Run the CG6xx admission gate; returns the json admission record.
-
-    ``--admission=off`` (the default) skips estimation entirely.
-    Under ``strict``, a projected budget violation aborts with exit
-    code 2 before any task is scheduled.  The gate and the record are
-    the daemon's (:func:`repro.analysis.admit_query`).
+    Under ``--admission strict`` a projected budget violation aborts
+    with exit code 2 before any task is scheduled; the gate and the
+    record are the daemon's (:mod:`repro.request`).
     """
-    if args.admission == "off":
-        return None
-    from .analysis import Diagnostic, admit_query
+    from .analysis import Diagnostic
 
-    decision = admit_query(
-        graph,
-        constraint_set,
-        args.admission,
-        budget_seconds=args.time_limit,
-        scheduler=args.scheduler,
-        n_workers=args.workers,
+    request = RunRequest.of(
+        {
+            "workload": args.command,
+            **{k: v for k, v in vars(args).items() if k in REQUEST_FIELDS},
+        }
     )
+    graph = _load_graph(args)
+    decision = admit(request, graph)
     for diagnostic in decision.diagnostics:
         print(
             f"admission: {Diagnostic(**diagnostic).render()}",
@@ -429,103 +347,59 @@ def _admission_check(
             file=sys.stderr,
         )
         raise SystemExit(2)
-    return decision.to_dict()
-
-
-def _close_admission_loop(
-    admission: Optional[dict], result, registry
-) -> dict:
-    """Fold estimate-vs-actual calibration into the admission record.
-
-    Returns the ``json_extra`` fields to merge; also feeds the
-    ``repro_estimate_error_ratio`` histogram when the run is observed.
-    """
-    if admission is None:
-        return {}
-    actual = result.stats.extensions_attempted
-    estimated = admission["estimated_candidates"]
-    admission["actual_candidates"] = actual
-    if estimated > 0 and actual > 0:
-        admission["estimate_error_ratio"] = round(actual / estimated, 4)
-    if registry is not None:
-        from .obs import observe_estimate_error
-
-        observe_estimate_error(registry, estimated, actual)
-    return {"admission": admission}
-
-
-def _cmd_mqc(args: argparse.Namespace) -> int:
-    from .obs import RunScope
-
-    graph = _load_graph(args)
-    admission = _admission_check(
-        args,
-        graph,
-        mqc_constraint_set(args.gamma, args.max_size, args.min_size),
+    # Unobserved runs must not pay for bus subscriptions.
+    ctx, tracer, registry = (
+        observed_context(time_limit=args.time_limit)
+        if args.trace or args.metrics
+        else (None, None, None)
     )
-    ctx, tracer, registry = _make_observability(args)
-    scope = RunScope.begin()
-    result = maximal_quasi_cliques(
-        graph,
-        gamma=args.gamma,
-        max_size=args.max_size,
-        min_size=args.min_size,
-        time_limit=args.time_limit,
-        scheduler=args.scheduler,
-        n_workers=args.workers,
-        adjacency=args.adjacency,
-        enable_aux=args.aux,
-        ctx=ctx,
-        retries=args.retries,
-        on_failure=args.on_failure,
+    record = run(
+        request, graph, ctx=ctx, admission=decision, metrics=registry
     )
-    admission_extra = _close_admission_loop(admission, result, registry)
-    obs_extra = _export_observability(args, tracer, registry)
-    _report(
-        args,
-        {
-            **_degraded_fields(result),
-            "maximal_quasi_cliques": result.count,
+    result = record.result
+    if request.workload == "mqc":
+        shaped = MaximalQuasiCliqueResult(result)
+        summary = {
+            "maximal_quasi_cliques": shaped.count,
             "by_size": {
                 size: len(group)
-                for size, group in sorted(result.by_size.items())
+                for size, group in sorted(shaped.by_size.items())
             },
             "elapsed_seconds": round(result.elapsed, 3),
             "vtasks": result.stats.vtasks_started,
             "vtasks_canceled": result.stats.vtasks_canceled_lateral,
             "promotions": result.stats.promotions,
             "cache_hit_rate": round(result.stats.cache_hit_rate, 3),
-        },
-        json_extra={
-            **_run_record(
-                result, args.scheduler, args.adjacency,
-                workers=args.workers, graph=graph, scope=scope,
-            ),
-            **admission_extra,
-            **obs_extra,
-        },
+        }
+    else:
+        summary = {
+            "query": args.query,
+            "valid_matches": result.count,
+            "elapsed_seconds": round(result.elapsed, 3),
+            "vtasks": result.stats.vtasks_started,
+        }
+    _report(
+        args, summary, record, _export_observability(args, tracer, registry)
     )
     return 0
 
 
 def _cmd_quasicliques(args: argparse.Namespace) -> int:
-    from .obs import RunScope
-
     graph = _load_graph(args)
-    scope = RunScope.begin()
+    # Fused mode walks the shared ESU tree directly; the kernel layer
+    # applies only to per-pattern ETask exploration.
+    record = RunRecord(
+        graph, adjacency=None if args.fused else args.adjacency
+    )
     if args.fused:
-        # Fused mode walks the shared ESU tree directly; the kernel
-        # layer applies only to per-pattern ETask exploration.
         result = mine_quasi_cliques_fused(
             graph, args.gamma, args.max_size, min_size=args.min_size
         )
-        adjacency: Optional[str] = None
     else:
         result = mine_quasi_cliques(
             graph, args.gamma, args.max_size, min_size=args.min_size,
             adjacency=args.adjacency,
         )
-        adjacency = args.adjacency
     _report(
         args,
         {
@@ -537,23 +411,30 @@ def _cmd_quasicliques(args: argparse.Namespace) -> int:
             "elapsed_seconds": round(result.elapsed, 3),
             "mode": "fused" if args.fused else "per-pattern",
         },
-        json_extra=_run_record(
-            result, "serial", adjacency, graph=graph, scope=scope
-        ),
+        record.finish(result),
     )
     return 0
 
 
-def _cmd_kws(args: argparse.Namespace) -> int:
-    from .obs import RunScope
+def _label_ids(text: str) -> list:
+    """``--keywords 0,1`` as label ids (a field error otherwise)."""
+    try:
+        return [int(k) for k in text.split(",")]
+    except ValueError:
+        raise RequestError(
+            "keywords",
+            f"expected comma-separated label ids, got {text!r}",
+        ) from None
 
+
+def _cmd_kws(args: argparse.Namespace) -> int:
     graph = _load_graph(args)
-    scope = RunScope.begin()
+    record = RunRecord(graph)
     if args.keywords in ("mf", "lf"):
         most_frequent, less_frequent = frequent_and_rare_keywords(graph)
         keywords = most_frequent if args.keywords == "mf" else less_frequent
     else:
-        keywords = [int(k) for k in args.keywords.split(",")]
+        keywords = _label_ids(args.keywords)
     result = keyword_search(
         graph,
         keywords,
@@ -570,58 +451,7 @@ def _cmd_kws(args: argparse.Namespace) -> int:
             "patterns_skipped": result.patterns_skipped,
             "matches_checked": result.stats.matches_checked,
         },
-        json_extra=_run_record(result, "serial", graph=graph, scope=scope),
-    )
-    return 0
-
-
-def _cmd_nsq(args: argparse.Namespace) -> int:
-    from .obs import RunScope
-
-    graph = _load_graph(args)
-    if args.query == "triangles":
-        p_m, p_plus = paper_query_triangles()
-    else:
-        p_m, p_plus = paper_query_tailed_triangles()
-    admission: Optional[dict] = None
-    if args.admission != "off":
-        from .core import nested_query_constraints
-
-        admission = _admission_check(
-            args, graph, nested_query_constraints(p_m, p_plus)
-        )
-    ctx, tracer, registry = _make_observability(args)
-    scope = RunScope.begin()
-    result = nested_subgraph_query(
-        graph, p_m, p_plus,
-        time_limit=args.time_limit,
-        scheduler=args.scheduler,
-        n_workers=args.workers,
-        adjacency=args.adjacency,
-        enable_aux=args.aux,
-        ctx=ctx,
-        retries=args.retries,
-        on_failure=args.on_failure,
-    )
-    admission_extra = _close_admission_loop(admission, result, registry)
-    obs_extra = _export_observability(args, tracer, registry)
-    _report(
-        args,
-        {
-            **_degraded_fields(result),
-            "query": args.query,
-            "valid_matches": result.count,
-            "elapsed_seconds": round(result.elapsed, 3),
-            "vtasks": result.stats.vtasks_started,
-        },
-        json_extra={
-            **_run_record(
-                result, args.scheduler, args.adjacency,
-                workers=args.workers, graph=graph, scope=scope,
-            ),
-            **admission_extra,
-            **obs_extra,
-        },
+        record.finish(result),
     )
     return 0
 
@@ -728,14 +558,9 @@ def _analyze_report(args: argparse.Namespace):
         report.merge(_sched_report(args, constraint_set=constraint_set))
         return report
     if args.workload == "kws":
-        try:
-            keywords = [int(k) for k in args.keywords.split(",")]
-        except ValueError:
-            raise SystemExit(
-                f"--keywords expects comma-separated label ids, "
-                f"got {args.keywords!r}"
-            )
-        report = analyze_kws_workload(keywords, args.max_size)
+        report = analyze_kws_workload(
+            _label_ids(args.keywords), args.max_size
+        )
         report.merge(_sched_report(args, workload="kws"))
         return report
     report = selfcheck(max_size=args.max_size, gamma=args.gamma)
@@ -855,9 +680,10 @@ def _build_estimate(args: argparse.Namespace):
     elif args.workload == "kws":
         from .apps.kws import keyword_patterns
 
-        keywords = [int(k) for k in args.keywords.split(",")]
         estimate = estimate_patterns(
-            keyword_patterns(keywords, args.max_size), stats, induced=True
+            keyword_patterns(_label_ids(args.keywords), args.max_size),
+            stats,
+            induced=True,
         )
     else:
         # Self-check mode: estimate the library patterns themselves.
@@ -955,11 +781,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     mqc = sub.add_parser("mqc", help="maximal quasi-cliques")
     _add_graph_arguments(mqc)
-    _add_scheduler_arguments(mqc)
-    _add_adjacency_argument(mqc)
-    _add_aux_argument(mqc)
-    _add_observability_arguments(mqc)
-    _add_admission_argument(mqc)
+    _add_run_arguments(mqc)
     mqc.add_argument("--gamma", type=float, default=0.8)
     mqc.add_argument("--max-size", type=int, default=5)
     mqc.add_argument("--min-size", type=int, default=3)
@@ -983,14 +805,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     nsq = sub.add_parser("nsq", help="nested subgraph queries")
     _add_graph_arguments(nsq)
-    _add_scheduler_arguments(nsq)
-    _add_adjacency_argument(nsq)
-    _add_aux_argument(nsq)
-    _add_observability_arguments(nsq)
-    _add_admission_argument(nsq)
+    _add_run_arguments(nsq)
     nsq.add_argument(
-        "--query", choices=("triangles", "tailed-triangles"),
-        default="triangles",
+        "--query", choices=NSQ_QUERIES, default="triangles",
     )
 
     trace = sub.add_parser(
@@ -1097,26 +914,7 @@ def build_parser() -> argparse.ArgumentParser:
             "streaming."
         ),
     )
-    serve.add_argument("--host", default="127.0.0.1")
-    serve.add_argument("--port", type=int, default=8265)
-    serve.add_argument(
-        "--max-concurrent", type=int, default=2,
-        help="worker slots executing queries concurrently",
-    )
-    serve.add_argument(
-        "--admission", choices=("off", "warn", "strict"), default="strict",
-        help="CG6xx admission gate mode (strict rejects projected "
-             "TLE/OOM before scheduling)",
-    )
-    serve.add_argument(
-        "--tenant-config", default=None, metavar="FILE",
-        help="JSON tenant policy file (rates, priorities, budgets)",
-    )
-    serve.add_argument(
-        "--preload", action="append", default=[], metavar="DATASET",
-        choices=dataset_keys(),
-        help="register this synthetic dataset at startup (repeatable)",
-    )
+    add_serve_arguments(serve)
 
     watch = sub.add_parser(
         "watch",
@@ -1162,46 +960,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_serve(args: argparse.Namespace) -> int:
-    from .bench import dataset
-    from .serve import ServeConfig, serve_in_thread
-
-    for key in args.preload:
-        dataset(key)  # registers in the process-global graph store
-    if args.tenant_config:
-        config = ServeConfig.from_file(
-            args.tenant_config,
-            host=args.host,
-            port=args.port,
-            max_concurrent=args.max_concurrent,
-            admission=args.admission,
-        )
-    else:
-        config = ServeConfig(
-            host=args.host,
-            port=args.port,
-            max_concurrent=args.max_concurrent,
-            admission=args.admission,
-        )
-    handle = serve_in_thread(config)
-    print(
-        json.dumps(
-            {
-                "serving": f"{handle.host}:{handle.port}",
-                "admission": config.admission,
-                "max_concurrent": config.max_concurrent,
-                "preloaded": list(args.preload),
-            }
-        ),
-        flush=True,
-    )
-    try:
-        handle.thread.join()
-    except KeyboardInterrupt:
-        handle.stop()
-    return 0
-
-
 def _cmd_watch(args: argparse.Namespace) -> int:
     from .serve import ServeClient, ServeError
 
@@ -1235,22 +993,28 @@ def _cmd_watch(args: argparse.Namespace) -> int:
 
 
 def main(argv: Optional[list] = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     handlers = {
         "datasets": _cmd_datasets,
         "graphs": _cmd_graphs,
-        "mqc": _cmd_mqc,
+        "mqc": _cmd_run,
         "quasicliques": _cmd_quasicliques,
         "kws": _cmd_kws,
-        "nsq": _cmd_nsq,
+        "nsq": _cmd_run,
         "trace": _cmd_trace,
         "explain": _cmd_explain,
         "analyze": _cmd_analyze,
-        "serve": _cmd_serve,
+        "serve": run_daemon,
         "watch": _cmd_watch,
     }
     try:
         return handlers[args.command](args)
+    except RequestError as exc:
+        # A flag value argparse's types let through but the request
+        # rejects: same one-line exit-2 shape, same text as the
+        # daemon's 400.
+        parser.error(str(exc))
     except BrokenPipeError:
         # Downstream consumer (e.g. ``| head``) closed the pipe; exit
         # quietly like a well-behaved Unix filter.  Redirect stdout to

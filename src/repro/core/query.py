@@ -34,10 +34,11 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, List, Optional, Tuple
 
 from ..errors import QueryAnalysisError
-from ..exec.scheduler import SCHEDULER_NAMES, make_scheduler
+from ..exec.scheduler import SCHEDULER_NAMES
 from ..graph.graph import Graph
 from ..mining.cache import SetOperationCache
 from ..patterns.pattern import Pattern
+from ..request import run_engine
 from .constraints import ConstraintSet, ContainmentConstraint
 from .runtime import ContigraEngine, ContigraResult
 from .vtask import ValidationTarget
@@ -262,12 +263,9 @@ class Query:
             rl_strategy=self._rl_strategy,
             time_limit=self._time_limit,
         )
-        if self._scheduler is None or self._scheduler == "serial":
-            result = engine.run()
-        else:
-            result = engine.run_with(
-                make_scheduler(self._scheduler, n_workers=self._n_workers)
-            )
+        result = run_engine(
+            engine, scheduler=self._scheduler, n_workers=self._n_workers
+        )
         if self._only_within:
             self._apply_only_within(result, graph)
         return result

@@ -287,15 +287,8 @@ class _ShardState:
         return self.errors[-1]
 
 
-class SerialScheduler:
-    """Run the whole job in-process, roots in order.
-
-    With a :class:`RetryPolicy` the whole run is the retry unit — a
-    transient failure reruns the job from scratch on a fresh session
-    (serial runs have no partial shards to salvage individually).
-    """
-
-    name = "serial"
+class _FailureOptions:
+    """What every scheduler is told about failures, validated once."""
 
     def __init__(
         self,
@@ -311,6 +304,33 @@ class SerialScheduler:
         self.retry = retry
         self.on_failure = on_failure
         self.fault_plan = fault_plan
+
+
+class _ParallelOptions(_FailureOptions):
+    """The same, plus the worker count the two sharding schedulers take."""
+
+    def __init__(
+        self,
+        n_workers: int = 2,
+        retry: Optional[RetryPolicy] = None,
+        on_failure: str = ON_FAILURE_RAISE,
+        fault_plan: Optional[FaultPlan] = None,
+    ) -> None:
+        if n_workers < 1:
+            raise ValueError("n_workers must be >= 1")
+        super().__init__(retry, on_failure, fault_plan)
+        self.n_workers = n_workers
+
+
+class SerialScheduler(_FailureOptions):
+    """Run the whole job in-process, roots in order.
+
+    With a :class:`RetryPolicy` the whole run is the retry unit — a
+    transient failure reruns the job from scratch on a fresh session
+    (serial runs have no partial shards to salvage individually).
+    """
+
+    name = "serial"
 
     def run(self, job: ExecutionJob, ctx: Optional[TaskContext] = None) -> Any:
         if self.retry is None and self.fault_plan is None:
@@ -392,7 +412,7 @@ class SerialScheduler:
         return "SerialScheduler()"
 
 
-class ProcessShardScheduler:
+class ProcessShardScheduler(_ParallelOptions):
     """Round-robin root shards across worker processes.
 
     Failed shards are the unit of recovery: a worker process crash
@@ -406,25 +426,6 @@ class ProcessShardScheduler:
     """
 
     name = "process"
-
-    def __init__(
-        self,
-        n_workers: int = 2,
-        retry: Optional[RetryPolicy] = None,
-        on_failure: str = ON_FAILURE_RAISE,
-        fault_plan: Optional[FaultPlan] = None,
-    ) -> None:
-        if n_workers < 1:
-            raise ValueError("n_workers must be >= 1")
-        if on_failure not in ON_FAILURE_MODES:
-            raise ValueError(
-                f"on_failure must be one of {ON_FAILURE_MODES}, "
-                f"got {on_failure!r}"
-            )
-        self.n_workers = n_workers
-        self.retry = retry
-        self.on_failure = on_failure
-        self.fault_plan = fault_plan
 
     def run(self, job: ExecutionJob, ctx: Optional[TaskContext] = None) -> Any:
         run_ctx = ctx if ctx is not None else TaskContext()
@@ -671,7 +672,7 @@ class ProcessShardScheduler:
         return f"ProcessShardScheduler(n_workers={self.n_workers})"
 
 
-class WorkQueueScheduler:
+class WorkQueueScheduler(_ParallelOptions):
     """Per-root work queues with stealing, over shared precomputation.
 
     Workers are threads: the GIL serializes the Python bytecode, so
@@ -692,25 +693,6 @@ class WorkQueueScheduler:
     """
 
     name = "workqueue"
-
-    def __init__(
-        self,
-        n_workers: int = 2,
-        retry: Optional[RetryPolicy] = None,
-        on_failure: str = ON_FAILURE_RAISE,
-        fault_plan: Optional[FaultPlan] = None,
-    ) -> None:
-        if n_workers < 1:
-            raise ValueError("n_workers must be >= 1")
-        if on_failure not in ON_FAILURE_MODES:
-            raise ValueError(
-                f"on_failure must be one of {ON_FAILURE_MODES}, "
-                f"got {on_failure!r}"
-            )
-        self.n_workers = n_workers
-        self.retry = retry
-        self.on_failure = on_failure
-        self.fault_plan = fault_plan
 
     def run(self, job: ExecutionJob, ctx: Optional[TaskContext] = None) -> Any:
         import threading
@@ -937,15 +919,12 @@ def make_scheduler(
         return SerialScheduler(
             retry=retry, on_failure=on_failure, fault_plan=fault_plan
         )
-    if name == "process":
-        return ProcessShardScheduler(
-            n_workers=n_workers,
-            retry=retry,
-            on_failure=on_failure,
-            fault_plan=fault_plan,
-        )
-    if name == "workqueue":
-        return WorkQueueScheduler(
+    sharding = {
+        "process": ProcessShardScheduler,
+        "workqueue": WorkQueueScheduler,
+    }
+    if name in sharding:
+        return sharding[name](
             n_workers=n_workers,
             retry=retry,
             on_failure=on_failure,

@@ -65,9 +65,8 @@ from typing import (
 )
 
 from ..core.constraints import ConstraintSet
-from ..core.runtime import ContigraEngine, ContigraJob, ContigraResult
+from ..core.runtime import ContigraEngine, ContigraResult
 from ..exec.events import DELTA, MATCH_ADDED, MATCH_RETRACTED, EventBus
-from ..exec.scheduler import make_scheduler
 from ..graph.graph import Graph
 from ..graph.store import (
     DerivedCache,
@@ -79,6 +78,7 @@ from ..graph.store import (
 )
 from ..obs.metrics import COUNT_BUCKETS
 from ..patterns.pattern import Pattern
+from ..request import run_engine
 
 __all__ = [
     "DeltaUpdate",
@@ -204,14 +204,10 @@ class StandingQuery:
         time_limit: Optional[float] = None,
     ) -> "StandingQuery":
         """Maximal quasi-clique workload (the serving daemon's shape)."""
-        from ..core.constraints import maximality_constraints
-        from ..patterns.quasicliques import quasi_clique_patterns_up_to
+        from ..apps.mqc import mqc_constraint_set
 
-        patterns_by_size = quasi_clique_patterns_up_to(
-            max_size, gamma, min_size=min_size
-        )
         return cls(
-            constraint_set=maximality_constraints(patterns_by_size, induced=True),
+            constraint_set=mqc_constraint_set(gamma, max_size, min_size),
             scheduler=scheduler,
             n_workers=n_workers,
             adjacency=adjacency,
@@ -231,39 +227,16 @@ class StandingQuery:
         return pattern_radius(self.constraint_set)
 
 
-class _RegionJob(ContigraJob):
-    """A ContigraJob whose exploration universe is a root region.
-
-    Under the serial scheduler the engine runs with the restricted
-    root set directly; under the sharded schedulers ``all_roots``
-    *is* the sharding universe, so restricting it restricts every
-    shard.  Pickles like its parent (process workers rebuild nothing).
-    """
-
-    def __init__(self, engine: ContigraEngine, roots: Sequence[int]) -> None:
-        super().__init__(engine)
-        self._roots = sorted(roots)
-
-    def all_roots(self) -> List[int]:
-        return list(self._roots)
-
-    def run_serial(self, ctx: Optional[Any] = None) -> ContigraResult:
-        return self.engine.run(roots=self._roots, ctx=ctx)
-
-
 def _run_region(
     query: StandingQuery, graph: Graph, roots: Optional[Sequence[int]]
 ) -> ContigraResult:
     """Mine ``graph`` under ``query`` (roots None = full universe)."""
-    engine = query.engine(graph)
-    if query.scheduler in (None, "serial"):
-        return engine.run(roots=None if roots is None else sorted(roots))
-    scheduler = make_scheduler(query.scheduler, n_workers=query.n_workers)
-    job: ContigraJob = (
-        ContigraJob(engine) if roots is None else _RegionJob(engine, roots)
+    return run_engine(
+        query.engine(graph),
+        scheduler=query.scheduler,
+        n_workers=query.n_workers,
+        roots=roots,
     )
-    result: ContigraResult = scheduler.run(job)
-    return result
 
 
 def _index_of(result: ContigraResult) -> MatchIndex:

@@ -17,6 +17,8 @@ import json
 import sys
 from typing import Any, Dict, List, Optional
 
+from ..bench import dataset, dataset_keys
+from ..request import ADMISSION_MODES
 from .client import ServeClient
 from .config import ServeConfig
 from .daemon import serve_in_thread
@@ -115,28 +117,57 @@ def _smoke() -> int:
         print(json.dumps(report, indent=2, default=str))
 
 
-def _serve(args: argparse.Namespace) -> int:
-    if args.tenant_config:
-        config = ServeConfig.from_file(
-            args.tenant_config,
-            host=args.host,
-            port=args.port,
-            max_concurrent=args.max_concurrent,
-            admission=args.admission,
-        )
-    else:
-        config = ServeConfig(
-            host=args.host,
-            port=args.port,
-            max_concurrent=args.max_concurrent,
-            admission=args.admission,
-        )
+def add_serve_arguments(parser: argparse.ArgumentParser) -> None:
+    """The daemon's flags, shared by ``repro serve`` and
+    ``python -m repro.serve``."""
+    parser.add_argument("--host", default="127.0.0.1")
+    parser.add_argument("--port", type=int, default=8265)
+    parser.add_argument(
+        "--max-concurrent", type=int, default=2,
+        help="worker slots executing queries concurrently",
+    )
+    parser.add_argument(
+        "--admission", choices=ADMISSION_MODES, default="strict",
+        help="CG6xx admission gate mode (strict rejects projected "
+             "TLE/OOM before scheduling)",
+    )
+    parser.add_argument(
+        "--tenant-config", default=None, metavar="FILE",
+        help="JSON tenant policy file (rates, priorities, budgets; "
+             "see docs/serving.md)",
+    )
+    parser.add_argument(
+        "--preload", action="append", default=[], metavar="DATASET",
+        choices=dataset_keys(),
+        help="register this synthetic dataset at startup (repeatable)",
+    )
+
+
+def run_daemon(args: argparse.Namespace) -> int:
+    """Serve until interrupted or ``POST /shutdown``; the first stdout
+    line is the ``{"serving": "host:port", ...}`` JSON launchers parse."""
+    for key in args.preload:
+        dataset(key)  # registers in the process-global graph store
+    options = dict(
+        host=args.host,
+        port=args.port,
+        max_concurrent=args.max_concurrent,
+        admission=args.admission,
+    )
+    config = (
+        ServeConfig.from_file(args.tenant_config, **options)
+        if args.tenant_config
+        else ServeConfig(**options)
+    )
     handle = serve_in_thread(config)
     print(
         json.dumps(
-            {"serving": f"{handle.host}:{handle.port}",
-             "admission": config.admission,
-             "max_concurrent": config.max_concurrent}
+            {
+                "serving": f"{handle.host}:{handle.port}",
+                "admission": config.admission,
+                "max_concurrent": config.max_concurrent,
+                "preloaded": list(args.preload),
+            }
         ),
         flush=True,
     )
@@ -152,16 +183,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         prog="python -m repro.serve",
         description="Run the mining daemon (or its CI smoke check).",
     )
-    parser.add_argument("--host", default="127.0.0.1")
-    parser.add_argument("--port", type=int, default=8265)
-    parser.add_argument("--max-concurrent", type=int, default=2)
-    parser.add_argument(
-        "--admission", choices=("off", "warn", "strict"), default="strict"
-    )
-    parser.add_argument(
-        "--tenant-config", default=None,
-        help="JSON tenant policy file (see docs/serving.md)",
-    )
+    add_serve_arguments(parser)
     parser.add_argument(
         "--smoke", action="store_true",
         help="boot ephemeral daemon, run one streamed query, exit",
@@ -169,7 +191,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     if args.smoke:
         return _smoke()
-    return _serve(args)
+    return run_daemon(args)
 
 
 if __name__ == "__main__":

@@ -40,24 +40,28 @@ import threading
 import time
 import uuid
 from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Dict, List, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import Any, Callable, Container, Dict, List, Optional, Set, Tuple
 
-from ..analysis import AdmissionDecision, admit_query
-from ..apps.mqc import build_mqc_engine, mqc_constraint_set
-from ..core.constraints import ConstraintSet
-from ..core.runtime import ContigraResult
+from ..analysis import AdmissionDecision
 from ..errors import ReproError
 from ..exec.context import TaskContext
-from ..exec.scheduler import SCHEDULER_NAMES, make_scheduler
 from ..graph.graph import Graph
-from ..graph.store import GraphStore, MutationBatch, graph_store
+from ..graph.store import (
+    GraphStore,
+    GraphVersion,
+    MutationBatch,
+    graph_store,
+)
 from ..mining.incremental import (
     DeltaUpdate,
     StandingQuery,
     SubscriptionRegistry,
 )
-from ..obs import MetricsRegistry, RunScope
+from ..obs import Gauge, MetricsRegistry
 from ..patterns.pattern import Pattern
+from ..request import RequestError, RunRecord, RunRequest, admit
+from ..request import run as run_request
 from .config import ServeConfig, TenantConfig
 from .ratelimit import TokenBucket
 
@@ -65,6 +69,15 @@ logger = logging.getLogger(__name__)
 
 #: Serving runs favor cancellation responsiveness over per-check cost.
 _CHECK_INTERVAL = 64
+
+#: The run fields a request body may set; ``RunRequest`` has more
+#: (``adjacency`` / ``aux`` / ``retries`` / ``on_failure``), which the
+#: wire ignores until they come with their own oracle tests.
+_WIRE_FIELDS = (
+    "gamma", "max_size", "min_size", "scheduler", "workers",
+    "time_limit", "admission",
+)
+_QUERY_TERMINALS = ("summary", "error", "cancelled")
 
 _REASONS = {
     200: "OK",
@@ -87,30 +100,24 @@ class QueryError(Exception):
         self.payload = payload
 
 
+@dataclass(eq=False)
 class QueryRun:
     """One admitted query travelling queue → worker slot → client."""
 
-    def __init__(
-        self,
-        query_id: str,
-        tenant: str,
-        priority: int,
-        params: Dict[str, Any],
-        graph: Graph,
-        ctx: TaskContext,
-        loop: asyncio.AbstractEventLoop,
-    ) -> None:
-        self.query_id = query_id
-        self.tenant = tenant
-        self.priority = priority
-        self.params = params
-        self.graph = graph
-        self.ctx = ctx
-        self.loop = loop
+    query_id: str
+    tenant: str
+    priority: int
+    request: RunRequest
+    admission: AdmissionDecision
+    graph: Graph
+    ctx: TaskContext
+    loop: asyncio.AbstractEventLoop
+
+    def __post_init__(self) -> None:
         #: Delivery channel consumed by the HTTP handler: match events
         #: followed by exactly one terminal summary/error event.
         self.events: "asyncio.Queue[Dict[str, Any]]" = asyncio.Queue()
-        self.finished = loop.create_future()
+        self.finished = self.loop.create_future()
 
     def post(self, event: Dict[str, Any]) -> None:
         """Thread-safe event delivery onto the daemon's loop."""
@@ -328,28 +335,25 @@ class MiningDaemon:
             lines.append(f"Content-Length: {length}")
         return ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1")
 
+    async def _send(
+        self,
+        writer: asyncio.StreamWriter,
+        status: int,
+        body: bytes,
+        content_type: str,
+    ) -> None:
+        writer.write(self._head(status, content_type, len(body)) + body)
+        await writer.drain()
+
     async def _send_json(
         self,
         writer: asyncio.StreamWriter,
         status: int,
         payload: Dict[str, Any],
     ) -> None:
-        body = _encode(payload) + b"\n"
-        writer.write(
-            self._head(status, "application/json", len(body)) + body
+        await self._send(
+            writer, status, _encode(payload) + b"\n", "application/json"
         )
-        await writer.drain()
-
-    async def _send_text(
-        self,
-        writer: asyncio.StreamWriter,
-        status: int,
-        text: str,
-        content_type: str = "text/plain; charset=utf-8",
-    ) -> None:
-        body = text.encode("utf-8")
-        writer.write(self._head(status, content_type, len(body)) + body)
-        await writer.drain()
 
     async def _dispatch(
         self,
@@ -364,9 +368,9 @@ class MiningDaemon:
             await self._send_json(writer, 200, self._health())
             return
         if path == "/metrics" and method == "GET":
-            await self._send_text(
-                writer, 200, self._render_metrics(),
-                content_type="text/plain; version=0.0.4; charset=utf-8",
+            await self._send(
+                writer, 200, self._render_metrics().encode("utf-8"),
+                "text/plain; version=0.0.4; charset=utf-8",
             )
             return
         if path == "/graphs" and method == "GET":
@@ -555,25 +559,19 @@ class MiningDaemon:
         self, sub_id: str, tenant: str, update: DeltaUpdate
     ) -> List[Dict[str, Any]]:
         """NDJSON lines for one delta pass: adds, retractions, summary."""
-        lines: List[Dict[str, Any]] = []
-        for pattern, assignment in update.added:
-            lines.append(
-                {
-                    "type": "match_added",
-                    "subscription": sub_id,
-                    "pattern": pattern.name or f"P{pattern.num_vertices}",
-                    "vertices": list(assignment),
-                }
+        lines: List[Dict[str, Any]] = [
+            {
+                "type": kind,
+                "subscription": sub_id,
+                "pattern": pattern.name or f"P{pattern.num_vertices}",
+                "vertices": list(assignment),
+            }
+            for kind, matches in (
+                ("match_added", update.added),
+                ("match_retracted", update.retracted),
             )
-        for pattern, assignment in update.retracted:
-            lines.append(
-                {
-                    "type": "match_retracted",
-                    "subscription": sub_id,
-                    "pattern": pattern.name or f"P{pattern.num_vertices}",
-                    "vertices": list(assignment),
-                }
-            )
+            for pattern, assignment in matches
+        ]
         lines.append(update.to_dict())
         self.registry.counter(
             "repro_serve_delta_events_total",
@@ -599,28 +597,20 @@ class MiningDaemon:
         down (terminal ``closed`` line).
         """
         assert self._loop is not None and self._executor is not None
-        params, tenant = self._parse_query(body)
-        self._tenant_counter(
+        # A standing query follows the graph's head, whatever version
+        # the reference pinned.
+        tenant, request, version, decision, _ = self._intake(
+            body,
             "repro_serve_subscriptions_total",
-            tenant.name,
             "Subscription requests received, by tenant",
+            lambda ref: self.store.latest(ref.partition("@")[0]),
         )
-        if self._draining:
-            raise QueryError(
-                503, {"error": "daemon is draining", "tenant": tenant.name}
-            )
-        self._acquire_tokens(tenant, params["cost"])
-        name = params["graph"].partition("@")[0]
-        try:
-            graph = self.store.latest(name).graph
-        except KeyError as exc:
-            raise QueryError(404, {"error": str(exc.args[0])})
-        constraint_set, decision = self._admit(graph, params, tenant)
+        name = version.name
         query = StandingQuery(
-            constraint_set=constraint_set,
-            scheduler=params["scheduler"],
-            n_workers=params["workers"],
-            time_limit=params["time_limit"],
+            constraint_set=request.constraint_set(),
+            scheduler=request.scheduler,
+            n_workers=request.workers,
+            time_limit=request.time_limit,
         )
         loop = self._loop
         queue: "asyncio.Queue[Dict[str, Any]]" = asyncio.Queue()
@@ -645,10 +635,11 @@ class MiningDaemon:
         except KeyError as exc:
             raise QueryError(404, {"error": str(exc.args[0])})
         self._sub_queues[sub.id] = queue
-        self.registry.gauge(
+        active = self.registry.gauge(
             "repro_serve_active_subscriptions",
             help_text="Standing queries with a live delta stream",
-        ).inc()
+        )
+        active.inc()
         try:
             writer.write(self._head(200, "application/x-ndjson"))
             writer.write(
@@ -666,46 +657,15 @@ class MiningDaemon:
                 + b"\n"
             )
             await writer.drain()
-            await self._pump_subscription(queue, reader, writer)
+            # EOF from the client needs no action here: the subscription
+            # dies with the connection in the ``finally`` below.
+            await self._pump(
+                queue, reader, writer, ("closed",), lambda reason: None
+            )
         finally:
             self._sub_queues.pop(sub.id, None)
             self.subscriptions.unsubscribe(sub.id)
-            self.registry.gauge(
-                "repro_serve_active_subscriptions",
-                help_text="Standing queries with a live delta stream",
-            ).dec()
-
-    async def _pump_subscription(
-        self,
-        queue: "asyncio.Queue[Dict[str, Any]]",
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-    ) -> None:
-        """Forward delta events until disconnect or a ``closed`` line."""
-        watcher = asyncio.ensure_future(reader.read(1))
-        try:
-            while True:
-                getter = asyncio.ensure_future(queue.get())
-                done, _ = await asyncio.wait(
-                    {getter, watcher},
-                    return_when=asyncio.FIRST_COMPLETED,
-                )
-                if getter not in done:
-                    # EOF from the client: the subscription dies with
-                    # the connection (the caller unsubscribes).
-                    getter.cancel()
-                    return
-                event = getter.result()
-                try:
-                    writer.write(_encode(event) + b"\n")
-                    await writer.drain()
-                except (ConnectionResetError, BrokenPipeError):
-                    return
-                if event.get("type") == "closed":
-                    return
-        finally:
-            if not watcher.done():
-                watcher.cancel()
+            active.dec()
 
     def _render_metrics(self) -> str:
         from ..graph.aux import publish_aux_graph_metrics
@@ -785,7 +745,13 @@ class MiningDaemon:
 
     def _parse_query(
         self, body: Dict[str, Any]
-    ) -> Tuple[Dict[str, Any], TenantConfig]:
+    ) -> Tuple[TenantConfig, RunRequest, str, float, bool]:
+        """Validate one request body, before any token is spent.
+
+        Tenant, ``graph``, ``cost`` and ``stream`` are the daemon's own;
+        the run fields go to :meth:`RunRequest.of`, whose field error
+        becomes a 400 carrying the field name.
+        """
         tenant_name = body.get("tenant", "default")
         if not isinstance(tenant_name, str) or not tenant_name:
             raise QueryError(400, {"error": "'tenant' must be a string"})
@@ -801,57 +767,56 @@ class MiningDaemon:
             raise QueryError(
                 400, {"error": "'graph' must be a store reference"}
             )
-        scheduler = body.get("scheduler", "serial")
-        if scheduler not in SCHEDULER_NAMES:
-            raise QueryError(
-                400,
-                {"error": f"scheduler must be one of {SCHEDULER_NAMES}"},
-            )
-        admission = body.get("admission", self.config.admission)
-        if admission not in ("off", "warn", "strict"):
-            raise QueryError(
-                400, {"error": "admission must be off/warn/strict"}
-            )
         try:
             cost = float(body.get("cost", 1.0))
         except (TypeError, ValueError):
             raise QueryError(400, {"error": "'cost' must be a number"})
         if cost <= 0:
             raise QueryError(400, {"error": "'cost' must be positive"})
-        time_limit = body.get("time_limit", tenant.budget_seconds)
-        params: Dict[str, Any] = {
-            "cost": cost,
-            "workload": "mqc",
-            "graph": graph_ref,
-            "gamma": float(body.get("gamma", 0.8)),
-            "max_size": int(body.get("max_size", 4)),
-            "min_size": int(body.get("min_size", 3)),
-            "scheduler": scheduler,
-            "workers": int(body.get("workers", 2)),
-            "time_limit": (
-                float(time_limit) if time_limit is not None else None
-            ),
-            "admission": admission,
-            "stream": bool(body.get("stream", True)),
-        }
-        return params, tenant
+        stream = body.get("stream", True)
+        try:
+            if not isinstance(stream, bool):
+                raise RequestError(
+                    "stream",
+                    "expected true or false, "
+                    f"got {type(stream).__name__} {stream!r}",
+                )
+            request = RunRequest.of(
+                {
+                    "admission": self.config.admission,
+                    "time_limit": tenant.budget_seconds,
+                    **{k: body[k] for k in _WIRE_FIELDS if k in body},
+                }
+            )
+        except RequestError as exc:
+            raise QueryError(400, {"error": str(exc), "field": exc.field})
+        return tenant, request, graph_ref, cost, stream
 
-    def _admit(
-        self, graph: Graph, params: Dict[str, Any], tenant: TenantConfig
-    ) -> Tuple[ConstraintSet, AdmissionDecision]:
-        """The CG6xx gate queries and subscriptions share: the request's
-        constraint set and its admission decision, or a 422."""
-        constraint_set = mqc_constraint_set(
-            params["gamma"], params["max_size"], params["min_size"]
-        )
-        decision = admit_query(
-            graph,
-            constraint_set,
-            params["admission"],
-            budget_seconds=params["time_limit"],
-            budget_bytes=tenant.budget_bytes,
-            scheduler=params["scheduler"],
-            n_workers=params["workers"],
+    def _intake(
+        self,
+        body: Dict[str, Any],
+        counter: str,
+        help_text: str,
+        resolve: Callable[[str], GraphVersion],
+    ) -> Tuple[
+        TenantConfig, RunRequest, GraphVersion, AdmissionDecision, bool
+    ]:
+        """The intake queries and subscriptions share, in this order:
+        parse (400), count, drain check (503), tokens (429), graph
+        (404), CG6xx gate (422)."""
+        tenant, request, graph_ref, cost, stream = self._parse_query(body)
+        self._tenant_counter(counter, tenant.name, help_text)
+        if self._draining:
+            raise QueryError(
+                503, {"error": "daemon is draining", "tenant": tenant.name}
+            )
+        self._acquire_tokens(tenant, cost)
+        try:
+            version = resolve(graph_ref)
+        except KeyError as exc:
+            raise QueryError(404, {"error": str(exc.args[0])})
+        decision = admit(
+            request, version.graph, budget_bytes=tenant.budget_bytes
         )
         if not decision.admitted:
             self._tenant_counter(
@@ -867,7 +832,14 @@ class MiningDaemon:
                     "admission": decision.to_dict(),
                 },
             )
-        return constraint_set, decision
+        return tenant, request, version, decision, stream
+
+    def _queue_gauge(self, tenant: str) -> Gauge:
+        return self.registry.gauge(
+            "repro_serve_queue_depth",
+            labels={"tenant": tenant},
+            help_text="Admitted queries waiting for a worker slot",
+        )
 
     async def _handle_query(
         self,
@@ -876,42 +848,30 @@ class MiningDaemon:
         writer: asyncio.StreamWriter,
     ) -> None:
         assert self._loop is not None
-        params, tenant = self._parse_query(body)
-        self._tenant_counter(
+        tenant, request, version, decision, stream = self._intake(
+            body,
             "repro_serve_queries_total",
-            tenant.name,
-            "Queries received, by tenant (all intake outcomes)",
+            "Queries whose body parsed, by tenant (every later intake "
+            "outcome; a body refused with 400 at parse is not counted)",
+            self.store.resolve,
         )
-        if self._draining:
-            raise QueryError(
-                503, {"error": "daemon is draining", "tenant": tenant.name}
-            )
-        self._acquire_tokens(tenant, params["cost"])
-        try:
-            graph = self.store.resolve(params["graph"]).graph
-        except KeyError as exc:
-            raise QueryError(404, {"error": str(exc.args[0])})
-        _, decision = self._admit(graph, params, tenant)
         self._seq += 1
         run = QueryRun(
             query_id=uuid.uuid4().hex[:12],
             tenant=tenant.name,
             priority=tenant.priority,
-            params=params,
-            graph=graph,
+            request=request,
+            admission=decision,
+            graph=version.graph,
             ctx=TaskContext.create(
-                time_limit=params["time_limit"],
+                time_limit=request.time_limit,
                 memory_budget_bytes=tenant.budget_bytes,
                 check_interval=_CHECK_INTERVAL,
             ),
             loop=self._loop,
         )
         self._pending.put_nowait((-run.priority, self._seq, run))
-        self.registry.gauge(
-            "repro_serve_queue_depth",
-            labels={"tenant": tenant.name},
-            help_text="Admitted queries waiting for a worker slot",
-        ).inc()
+        self._queue_gauge(tenant.name).inc()
         accepted: Dict[str, Any] = {
             "type": "accepted",
             "query_id": run.query_id,
@@ -919,63 +879,51 @@ class MiningDaemon:
             "priority": run.priority,
             "admission": decision.to_dict(),
         }
-        if params["stream"]:
-            await self._stream_response(run, accepted, reader, writer)
-        else:
-            await self._aggregate_response(run, accepted, reader, writer)
-
-    # ------------------------------------------------------------------
-    # Response delivery
-    # ------------------------------------------------------------------
-
-    async def _stream_response(
-        self,
-        run: QueryRun,
-        accepted: Dict[str, Any],
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-    ) -> None:
-        writer.write(self._head(200, "application/x-ndjson"))
-        writer.write(_encode(accepted) + b"\n")
-        await writer.drain()
-        await self._pump_events(run, reader, writer, emit_line=True)
-
-    async def _aggregate_response(
-        self,
-        run: QueryRun,
-        accepted: Dict[str, Any],
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-    ) -> None:
-        matches: List[Dict[str, Any]] = []
-        terminal = await self._pump_events(
-            run, reader, writer, emit_line=False, collect=matches
+        # Streamed: NDJSON lines as events arrive.  Aggregated: the same
+        # events gathered into one JSON object once the run ends.
+        matches: Optional[List[Dict[str, Any]]] = None if stream else []
+        if stream:
+            writer.write(self._head(200, "application/x-ndjson"))
+            writer.write(_encode(accepted) + b"\n")
+            await writer.drain()
+        terminal = await self._pump(
+            run.events, reader, writer, _QUERY_TERMINALS, run.ctx.cancel,
+            collect=matches,
         )
-        if terminal is None:
-            return  # client disconnected; nothing to send
-        payload = dict(accepted)
-        payload["type"] = "result"
-        payload["matches"] = matches
-        payload["summary"] = terminal
-        await self._send_json(writer, 200, payload)
+        # A None terminal is a client that disconnected: nothing to send.
+        if matches is not None and terminal is not None:
+            await self._send_json(
+                writer,
+                200,
+                {
+                    **accepted,
+                    "type": "result",
+                    "matches": matches,
+                    "summary": terminal,
+                },
+            )
 
-    async def _pump_events(
+    async def _pump(
         self,
-        run: QueryRun,
+        queue: "asyncio.Queue[Dict[str, Any]]",
         reader: asyncio.StreamReader,
         writer: asyncio.StreamWriter,
-        emit_line: bool,
+        terminals: Container[str],
+        on_disconnect: Callable[[str], None],
         collect: Optional[List[Dict[str, Any]]] = None,
     ) -> Optional[Dict[str, Any]]:
-        """Forward run events until the terminal one; watch for client
-        disconnect (EOF on ``reader``) and cancel the run if it goes.
+        """Forward ``queue`` events until one whose type is in
+        ``terminals``; watch for client disconnect (EOF on ``reader``)
+        and call ``on_disconnect(reason)`` if it goes.
 
+        Events are written as NDJSON lines, or — with ``collect`` —
+        gathered (terminal excluded) for an aggregate response.
         Returns the terminal event, or None when the client vanished.
         """
         watcher = asyncio.ensure_future(reader.read(1))
         try:
             while True:
-                getter = asyncio.ensure_future(run.events.get())
+                getter = asyncio.ensure_future(queue.get())
                 done, _ = await asyncio.wait(
                     {getter, watcher},
                     return_when=asyncio.FIRST_COMPLETED,
@@ -983,20 +931,18 @@ class MiningDaemon:
                 if getter not in done:
                     # EOF (or stray bytes) from the client: it is gone.
                     getter.cancel()
-                    run.ctx.cancel("client disconnected")
+                    on_disconnect("client disconnected")
                     return None
                 event = getter.result()
-                terminal = event.get("type") in (
-                    "summary", "error", "cancelled"
-                )
-                if emit_line:
+                terminal = event.get("type") in terminals
+                if collect is None:
                     try:
                         writer.write(_encode(event) + b"\n")
                         await writer.drain()
                     except (ConnectionResetError, BrokenPipeError):
-                        run.ctx.cancel("client connection lost")
+                        on_disconnect("client connection lost")
                         return None
-                elif collect is not None and not terminal:
+                elif not terminal:
                     collect.append(event)
                 if terminal:
                     return event
@@ -1012,11 +958,7 @@ class MiningDaemon:
         assert self._loop is not None
         while True:
             _, _, run = await self._pending.get()
-            self.registry.gauge(
-                "repro_serve_queue_depth",
-                labels={"tenant": run.tenant},
-                help_text="Admitted queries waiting for a worker slot",
-            ).dec()
+            self._queue_gauge(run.tenant).dec()
             if run.ctx.cancelled:
                 event = {
                     "type": "cancelled",
@@ -1048,8 +990,7 @@ class MiningDaemon:
     def _execute(self, run: QueryRun) -> Dict[str, Any]:
         """Run one query on the executor thread; returns the terminal
         event (which is also posted to the run's event queue)."""
-        params = run.params
-        scope = RunScope.begin()
+        request = run.request
         delivered = 0
 
         def sink(pattern: Pattern, assignment: Tuple[int, ...]) -> None:
@@ -1064,28 +1005,17 @@ class MiningDaemon:
                 }
             )
 
+        # The record is made here, not inside ``run()``, so a run that
+        # raises still reports its deltas and graph pin.
+        record = RunRecord(run.graph, request, run.admission)
         started = time.monotonic()
         status = "ok"
         error: Optional[str] = None
-        result: Optional[ContigraResult] = None
         try:
-            engine = build_mqc_engine(
-                run.graph,
-                params["gamma"],
-                params["max_size"],
-                min_size=params["min_size"],
+            run_request(
+                request, run.graph, ctx=run.ctx, match_sink=sink,
+                metrics=self.registry, record=record,
             )
-            if params["scheduler"] == "serial":
-                result = engine.run(ctx=run.ctx, match_sink=sink)
-            else:
-                result = engine.run_with(
-                    make_scheduler(
-                        params["scheduler"], n_workers=params["workers"]
-                    ),
-                    ctx=run.ctx,
-                )
-                for pattern, assignment in result.valid:
-                    sink(pattern, assignment)
         except ReproError as exc:
             status = "error"
             error = f"{type(exc).__name__}: {exc}"
@@ -1096,6 +1026,7 @@ class MiningDaemon:
         if run.ctx.cancelled:
             status = "cancelled"
         terminal: Dict[str, Any] = {
+            **record.to_dict(),
             "type": {"ok": "summary", "cancelled": "cancelled"}.get(
                 status, "error"
             ),
@@ -1103,10 +1034,8 @@ class MiningDaemon:
             "status": status,
             "matches": delivered,
             "elapsed_seconds": round(time.monotonic() - started, 4),
-            "run": scope.deltas(),
+            "run": record.deltas(),
         }
-        if result is not None:
-            terminal["counters"] = result.stats.as_dict()
         if error is not None:
             terminal["error"] = error
         if run.ctx.token.reason:

@@ -304,6 +304,41 @@ class TestAdmissionGate:
         assert "repro_estimate_error_ratio" in metrics_file.read_text()
 
 
+class TestBadFlagValues:
+    """Values argparse's types accept but the request rejects: exit 2
+    with one ``error: <field>: ...`` line (the daemon's 400 text), where
+    each used to die with a traceback."""
+
+    @pytest.mark.parametrize(
+        "argv, field",
+        [
+            (["mqc", "--dataset", "dblp", "--gamma", "1.5"], "gamma"),
+            (["mqc", "--dataset", "dblp", "--max-size", "2"], "max_size"),
+            (["mqc", "--dataset", "dblp", "--workers", "0"], "workers"),
+            (["nsq", "--dataset", "dblp", "--workers", "0"], "workers"),
+            (["kws", "--dataset", "mico", "--keywords", "a,b"], "keywords"),
+        ],
+    )
+    def test_exit_2_with_field_message(self, argv, field, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        last = captured.err.strip().splitlines()[-1]
+        assert last.startswith(f"repro: error: {field}: ")
+        assert "Traceback" not in captured.err
+
+    def test_message_is_the_daemons(self, capsys):
+        from repro.request import RequestError, RunRequest
+
+        with pytest.raises(RequestError) as err:
+            RunRequest.of({"gamma": 1.5})
+        with pytest.raises(SystemExit):
+            main(["mqc", "--dataset", "dblp", "--gamma", "1.5"])
+        assert str(err.value) in capsys.readouterr().err
+
+
 class TestSchedulerFlags:
     def test_mqc_scheduler_workqueue_json_counters(self, capsys):
         assert main(

@@ -1,0 +1,310 @@
+"""Tests for ``repro.request``: the one run path.
+
+``RunRequest.of`` is the only request parser, ``run_engine`` the only
+scheduler choice, ``RunRecord`` the only envelope — so the same request
+must read the same through every front end that adapts to them.
+"""
+
+from __future__ import annotations
+
+import json
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import repro.request as request_module
+from repro.apps import maximal_quasi_cliques
+from repro.apps.mqc import build_mqc_engine
+from repro.bench import dataset
+from repro.cli import main
+from repro.errors import QueryAnalysisError
+from repro.exec.context import TaskContext
+from repro.graph.store import reset_default_store
+from repro.obs import observed_context
+from repro.request import (
+    REQUEST_FIELDS,
+    RequestError,
+    RunRequest,
+    execute,
+    run_engine,
+)
+from repro.serve import ServeConfig, serve_in_thread
+from repro.serve.client import ServeClient
+
+SCHEDULERS = ("serial", "process", "workqueue")
+
+#: What each adapter adds around ``RunRecord.to_dict()``.
+CLI_ONLY = {
+    "maximal_quasi_cliques", "by_size", "elapsed_seconds", "vtasks",
+    "vtasks_canceled", "promotions", "cache_hit_rate",
+}
+DAEMON_ONLY = {
+    "type", "query_id", "status", "matches", "elapsed_seconds", "run",
+}
+
+
+@pytest.fixture(autouse=True)
+def clean_store():
+    reset_default_store()
+    yield
+    reset_default_store()
+
+
+def _vertex_sets(matches):
+    return {tuple(sorted(m["vertices"])) for m in matches}
+
+
+def _counters(counters, scheduler):
+    """Work-queue workers fill worker-local promotion registries in
+    steal order, so ``promotions`` (and the checks they save) vary run
+    to run there — the same exceptions ``test_kernel_equivalence`` drops."""
+    drop = {"promotions", "matches_checked"} if scheduler == "workqueue" else ()
+    return {k: v for k, v in counters.items() if k not in drop}
+
+
+class TestRunRequest:
+    def test_defaults_and_round_trip(self):
+        request = RunRequest.of({})
+        assert request == RunRequest()
+        assert set(request.to_dict()) == set(REQUEST_FIELDS)
+        custom = RunRequest.of(
+            {"workload": "nsq", "query": "tailed-triangles", "workers": 3,
+             "time_limit": 2.5, "aux": True, "max_size": 5.0}
+        )
+        assert custom.max_size == 5 and isinstance(custom.max_size, int)
+        assert RunRequest.of(custom.to_dict()) == custom
+        assert json.loads(json.dumps(custom.to_dict())) == custom.to_dict()
+
+    @pytest.mark.parametrize(
+        "mapping, field",
+        [
+            ({"gamma": "dense"}, "gamma"),
+            ({"gamma": 1.5}, "gamma"),
+            ({"gamma": 0}, "gamma"),
+            ({"gamma": True}, "gamma"),
+            ({"workers": "two"}, "workers"),
+            ({"workers": 0}, "workers"),
+            ({"workers": 1.5}, "workers"),
+            ({"workers": True}, "workers"),
+            ({"retries": -1}, "retries"),
+            ({"time_limit": "soon"}, "time_limit"),
+            ({"time_limit": 0}, "time_limit"),
+            ({"time_limit": float("nan")}, "time_limit"),
+            ({"time_limit": 10 ** 400}, "time_limit"),
+            ({"min_size": None}, "min_size"),
+            ({"max_size": 2}, "max_size"),
+            ({"min_size": 5, "max_size": 4}, "max_size"),
+            ({"aux": "false"}, "aux"),
+            ({"aux": 0}, "aux"),
+            ({"scheduler": "quantum"}, "scheduler"),
+            ({"scheduler": ["serial"]}, "scheduler"),
+            ({"admission": None}, "admission"),
+            ({"workload": "kws"}, "workload"),
+            ({"stream": True}, "stream"),
+            ([("gamma", 0.8)], "request"),
+        ],
+    )
+    def test_field_level_errors(self, mapping, field):
+        with pytest.raises(RequestError) as err:
+            RunRequest.of(mapping)
+        assert err.value.field == field
+        assert str(err.value).startswith(f"{field}: ")
+        # One error type, catchable as the library's or as a ValueError.
+        assert isinstance(err.value, ValueError)
+
+    def test_constraint_set_is_built_once(self):
+        request = RunRequest.of({"gamma": 0.8, "max_size": 4})
+        assert request.constraint_set() is request.constraint_set()
+        nsq = RunRequest.of({"workload": "nsq"})
+        assert nsq.constraint_set().patterns[0].num_vertices == 3
+
+    _json = st.recursive(
+        st.none() | st.booleans() | st.integers() | st.text(max_size=8)
+        | st.floats(allow_nan=True, allow_infinity=True),
+        lambda inner: st.lists(inner, max_size=3)
+        | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+        max_leaves=6,
+    )
+
+    @given(
+        st.dictionaries(
+            st.sampled_from(REQUEST_FIELDS) | st.text(max_size=6),
+            _json,
+            max_size=6,
+        )
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_any_json_mapping_parses_or_raises_the_field_error(self, body):
+        try:
+            request = RunRequest.of(body)
+        except RequestError as exc:
+            assert exc.field in body or exc.field == "max_size"
+            return
+        assert RunRequest.of(request.to_dict()) == request
+        assert request.min_size <= request.max_size and request.workers >= 1
+
+
+class TestRunEngineRule:
+    """``run_engine`` is a plain ``engine.run`` exactly when the five
+    call sites it replaced ran one: serial, no retries, no degrade
+    mode, no observed context."""
+
+    @pytest.fixture
+    def scheduler_calls(self, monkeypatch):
+        calls = []
+        real = request_module.make_scheduler
+
+        def spy(name, **kwargs):
+            calls.append(name)
+            return real(name, **kwargs)
+
+        monkeypatch.setattr(request_module, "make_scheduler", spy)
+        return calls
+
+    @pytest.mark.parametrize(
+        "options, plain",
+        [
+            ({}, True),
+            ({"scheduler": "serial"}, True),
+            ({"scheduler": "serial", "ctx": "unobserved"}, True),
+            ({"scheduler": "serial", "ctx": "observed"}, False),
+            ({"retries": 1}, False),
+            ({"on_failure": "degrade"}, False),
+            ({"scheduler": "workqueue"}, False),
+        ],
+    )
+    def test_fast_path_rule(self, scheduler_calls, options, plain):
+        graph = dataset("dblp")
+        tracer = None
+        if options.get("ctx") == "observed":
+            options["ctx"], tracer, _ = observed_context()
+        elif options.get("ctx") == "unobserved":
+            options["ctx"] = TaskContext.create()
+        streamed = []
+        result = run_engine(
+            build_mqc_engine(graph, 0.8, 4),
+            match_sink=lambda p, a: streamed.append(a),
+            **options,
+        )
+        assert (scheduler_calls == []) == plain
+        # Either way the sink sees every valid match exactly once.
+        assert sorted(streamed) == sorted(a for _, a in result.valid)
+        if tracer is not None:
+            tracer.finalize()
+            runs = [s for s in tracer.all_spans() if s.name == "run"]
+            assert len(runs) == 1
+
+    def test_default_library_call_opens_no_scheduler(self, scheduler_calls):
+        graph = dataset("dblp")
+        plain = maximal_quasi_cliques(graph, 0.8, 4)
+        assert scheduler_calls == []
+        ctx, tracer, _ = observed_context()
+        observed = maximal_quasi_cliques(graph, 0.8, 4, ctx=ctx)
+        assert scheduler_calls == ["serial"]
+        tracer.finalize()
+        assert [s.name for s in tracer.all_spans()].count("run") == 1
+        assert observed.all_sets() == plain.all_sets()
+
+    def test_roots_restrict_every_scheduler(self):
+        graph = dataset("dblp")
+        region = list(range(0, graph.num_vertices, 3))
+        expected = None
+        for scheduler in SCHEDULERS:
+            result = run_engine(
+                build_mqc_engine(graph, 0.8, 4),
+                scheduler=scheduler, roots=region,
+            )
+            found = sorted(a for _, a in result.valid)
+            expected = expected if expected is not None else found
+            assert found and found == expected
+
+
+class TestExecute:
+    def test_strict_refusal_raises_before_running(self):
+        request = RunRequest.of(
+            {"max_size": 4, "time_limit": 1e-12, "admission": "strict"}
+        )
+        with pytest.raises(QueryAnalysisError) as err:
+            execute(request, dataset("dblp"))
+        assert "CG601" in str(err.value)
+
+    def test_off_records_no_admission(self):
+        record = execute(RunRequest.of({}), dataset("dblp"))
+        assert "admission" not in record.to_dict()
+        assert record.result.count > 0
+
+
+class TestOnePath:
+    """One MQC request on ``dblp`` through every front end, under each
+    scheduler: same matches, same counters, same graph pin, and the
+    same ``RunRecord.to_dict()`` keys plus each adapter's own."""
+
+    @pytest.mark.parametrize("scheduler", SCHEDULERS)
+    def test_every_front_end_reads_the_same(self, scheduler, capsys):
+        graph = dataset("dblp")
+        wire = dict(
+            gamma=0.8, max_size=4, scheduler=scheduler, workers=2,
+            admission="warn", time_limit=60.0,
+        )
+        record = execute(RunRequest.of(wire), graph)
+        expected = record.to_dict()
+        matches = {tuple(sorted(a)) for _, a in record.result.valid}
+        counters = _counters(expected["counters"], scheduler)
+        assert matches and expected["admission"]["actual_candidates"] > 0
+
+        library = maximal_quasi_cliques(
+            graph, 0.8, 4, scheduler=scheduler, n_workers=2
+        )
+        assert {tuple(sorted(s)) for s in library.all_sets()} == matches
+        assert _counters(library.stats.as_dict(), scheduler) == counters
+
+        assert main(
+            ["mqc", "--dataset", "dblp", "--gamma", "0.8", "--max-size", "4",
+             "--scheduler", scheduler, "--workers", "2", "--admission",
+             "warn", "--time-limit", "60", "--format", "json"]
+        ) == 0
+        cli = json.loads(capsys.readouterr().out)
+        assert cli["maximal_quasi_cliques"] == len(matches)
+        assert _counters(cli["counters"], scheduler) == counters
+        assert cli["graph"] == expected["graph"]
+        assert set(cli) - CLI_ONLY == set(expected)
+        assert set(cli["admission"]) == set(expected["admission"])
+
+        handle = serve_in_thread(ServeConfig(admission="strict", port=0))
+        try:
+            client = ServeClient(handle.host, handle.port, timeout=120.0)
+            client.register_graph("dblp", dataset="dblp")
+            events = list(client.stream_query(tenant="t", graph="dblp", **wire))
+            aggregated = client.query(
+                tenant="t", graph="dblp", stream=False, **wire
+            )
+            stream = client.subscribe(tenant="t", graph="dblp", **wire)
+            subscribed = next(stream)
+            listed = client.subscriptions()
+            stream.close()
+            metrics = client.metrics()
+        finally:
+            handle.stop()
+        streamed = [e for e in events if e["type"] == "match"]
+        for found, summary in (
+            (streamed, events[-1]),
+            (aggregated["matches"], aggregated["summary"]),
+        ):
+            assert summary["type"] == "summary"
+            assert _vertex_sets(found) == matches
+            assert summary["matches"] == len(found) == len(matches)
+            assert _counters(summary["counters"], scheduler) == counters
+            assert summary["graph"] == expected["graph"]
+            assert set(summary) - DAEMON_ONLY == set(expected)
+            # The daemon closes the estimate-vs-actual loop too.
+            assert set(summary["admission"]) == set(expected["admission"])
+            assert summary["admission"]["actual_candidates"] == (
+                expected["admission"]["actual_candidates"]
+            )
+            assert summary["derived_cache"] == summary["run"]["derived_cache"]
+        assert "repro_estimate_error_ratio_count 2" in metrics
+        # The standing query's baseline is the same mine of the same pin.
+        assert subscribed["matches"] == len(matches)
+        assert listed[0]["version_key"] == expected["graph"]["version"]
+        assert subscribed["admission"]["graph"] == expected["graph"]["version"]

@@ -508,6 +508,58 @@ class TestIntakeValidation:
         finally:
             handle.stop()
 
+    @pytest.mark.parametrize(
+        "bad, field",
+        [
+            ({"gamma": "dense"}, "gamma"),
+            ({"workers": "two"}, "workers"),
+            ({"time_limit": "soon"}, "time_limit"),
+            ({"min_size": None}, "min_size"),
+            ({"gamma": 1.5}, "gamma"),
+            ({"max_size": 2}, "max_size"),
+            ({"workers": 0, "scheduler": "process"}, "workers"),
+            ({"stream": "false"}, "stream"),
+        ],
+    )
+    def test_malformed_query_bodies_get_field_level_400(
+        self, bad, field, caplog
+    ):
+        """Each shape used to answer 500 with a logged traceback (some
+        after the tenant's tokens were spent, one from a worker slot)."""
+        handle = serve_in_thread(
+            ServeConfig(
+                tenants={"t": TenantConfig("t", rate=0.001, burst=1)},
+                admission="off",
+                port=0,
+            )
+        )
+        try:
+            client = ServeClient(handle.host, handle.port)
+            client.register_graph("tiny", edges=SMOKE_EDGES, num_vertices=6)
+            body = {"tenant": "t", "graph": "tiny", "max_size": 3, **bad}
+            for path in ("/query", "/subscriptions"):
+                status, raw = client._request("POST", path, body)
+                payload = json.loads(raw)
+                assert status == 400, (path, payload)
+                assert payload["field"] == field
+                assert payload["error"].startswith(f"{field}: ")
+            # Validation ran before the token bucket: the tenant's one
+            # token is still there for a well-formed request.
+            ok = client.query(tenant="t", graph="tiny", max_size=3)
+            assert ok["summary"]["status"] == "ok"
+            with pytest.raises(ServeError) as err:
+                client.query(tenant="t", graph="tiny", max_size=3)
+            assert err.value.status == 429
+            # Only bodies that parse are counted, and none of the bad
+            # ones reached a worker slot.
+            metrics = client.metrics()
+            assert 'repro_serve_queries_total{tenant="t"} 2' in metrics
+            assert "repro_serve_subscriptions_total" not in metrics
+            assert client.health()["active_runs"] == 0
+        finally:
+            handle.stop()
+        assert not [r for r in caplog.records if r.levelname == "ERROR"]
+
     def test_malformed_mutation_payloads_get_field_level_400(self):
         handle = _daemon()
         try:
