@@ -30,8 +30,7 @@ Results go to ``benchmarks/results/kernels_micro.txt`` (human) and
 ``benchmarks/results/kernels_micro.json`` (machine).  The committed
 ``kernels_micro_baseline.json`` pins expected speedups; the gate
 fails when any measured speedup drops below half its baseline (>2x
-regression), which is what the CI kernel-smoke job enforces on both
-legs (numpy present: batch prefetch on; ``REPRO_NO_NUMPY=1``: off).
+regression), which is what the CI kernel-smoke job enforces.
 """
 
 import gc

@@ -21,9 +21,6 @@ Event vocabulary (the ``on_*`` hooks of the execution model):
 ``cache_hit``       set-operation cache hits (sampled; payload: count)
 ``cache_miss``      set-operation cache misses (sampled; payload: count)
 ``kernel_intersect``  a candidate set operation ran (payload: count)
-``kernel_batch_intersect``  a tier-2 batched intersection computed
-                    sibling pools in one pass (payload: count = pools
-                    in the batch)
 ``shard_retry``     a failed shard is re-dispatched (payload: shard,
                     attempt, delay, error, roots)
 ``shard_failed``    a shard exhausted its retries or failed terminally
@@ -85,7 +82,6 @@ PROMOTE = "promote"
 CACHE_HIT = "cache_hit"
 CACHE_MISS = "cache_miss"
 KERNEL_INTERSECT = "kernel_intersect"
-KERNEL_BATCH_INTERSECT = "kernel_batch_intersect"
 SHARD_RETRY = "shard_retry"
 SHARD_FAILED = "shard_failed"
 RUN_DEGRADED = "run_degraded"
@@ -107,7 +103,6 @@ EVENTS = (
     CACHE_HIT,
     CACHE_MISS,
     KERNEL_INTERSECT,
-    KERNEL_BATCH_INTERSECT,
     SHARD_RETRY,
     SHARD_FAILED,
     RUN_DEGRADED,

@@ -27,12 +27,7 @@ auxiliary adjacency).  There are two adjacency modes:
       restriction and non-neighbor filters all stay mask ANDs until
       one final decode.  A pool seeded at a lower degree intersects
       hash sets (the AND cost of a bitset is proportional to n/64
-      regardless of degree) and is kept as an ascending tuple;
-    * *batch prefetch* — when numpy is importable, the pools of all
-      the children of one extension step are computed in one pass over
-      a packed adjacency matrix (:meth:`GraphIndex.batch_extend`).
-      Without numpy (or under ``REPRO_NO_NUMPY``) the prefetch is off
-      and each child computes its own pool; results are identical.
+      regardless of degree) and is kept as an ascending tuple.
 
 :func:`resolve_index` is the one place that knows which mode strings
 exist and when ``auto`` engages the kernels.
@@ -43,12 +38,10 @@ few vertices of a large graph never pay an O(n + m) spike.
 
 from __future__ import annotations
 
-import os
 from array import array
 from bisect import bisect_left
 from typing import (
     TYPE_CHECKING,
-    Any,
     Dict,
     List,
     Optional,
@@ -61,21 +54,6 @@ from typing import (
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from .graph import Graph
 
-# numpy is an optional accelerator, never a dependency: without it the
-# batch prefetch is off and every pool is computed on its own, and
-# ``REPRO_NO_NUMPY=1`` forces that so the CI numpy-absent leg (and
-# local debugging) can exercise it on a machine that has numpy
-# installed.
-_np: Any = None
-if not os.environ.get("REPRO_NO_NUMPY"):
-    try:  # pragma: no cover - exercised via the numpy-absent test leg
-        import numpy as _np
-    except ImportError:
-        _np = None
-
-#: Whether the numpy-backed batch prefetch is active in this process.
-HAS_NUMPY = _np is not None
-
 #: Public adjacency-mode names, as accepted by engines and the CLI.
 ADJACENCY_MODES: Tuple[str, ...] = ("auto", "sets")
 
@@ -87,19 +65,14 @@ BITSET_MIN_DEGREE = 16
 #: Graph-level tier of the ``auto`` hybrid: below this average degree
 #: the whole graph stays on the legacy frozenset path.  Sparse pools
 #: are so small that the kernel layer's fixed per-step cost (semantic
-#: cache keys, reuse-table probes) exceeds what its intersections
-#: save over C-speed hash-set ``&``.  Calibrated against the bundled
-#: dataset analogs: on the densest committed sparse workload (dblp,
-#: avg degree ~5.8) every kernel mode measures 0.89–0.91x end-to-end,
+#: cache keys) exceeds what its intersections save over C-speed
+#: hash-set ``&``.  Calibrated against the bundled dataset analogs: on
+#: the densest committed sparse workload (dblp, avg degree ~5.8) every
+#: kernel mode measures 0.89–0.91x end-to-end,
 #: so the fallback *is* the optimal tier there — ``auto`` on a sparse
 #: graph dispatches to the identical code path as ``sets`` and cannot
 #: lose to it by construction (guarded by a dispatch-identity test).
 AUTO_MIN_AVG_DEGREE = 16.0
-
-#: Minimum sibling-batch size for the batch prefetch: below this
-#: the per-call overhead of staging a batch exceeds what one pass
-#: saves over individual big-int ANDs.
-BATCH_MIN_SIZE = 4
 
 
 def auto_selects_kernels(graph: "Graph") -> bool:
@@ -188,11 +161,6 @@ def bits_to_sorted(bits: int) -> List[int]:
     return out
 
 
-def bits_count(bits: int) -> int:
-    """Number of set bits (population count)."""
-    return bin(bits).count("1") if bits > 0 else 0
-
-
 class GraphIndex:
     """Kernel-form adjacency for one :class:`~repro.graph.graph.Graph`.
 
@@ -219,8 +187,6 @@ class GraphIndex:
         "_flat",
         "_bits",
         "_label_bits",
-        "_packed",
-        "_label_packed",
     )
 
     def __init__(
@@ -258,8 +224,6 @@ class GraphIndex:
             self._flat = flat
         self._bits: Dict[int, int] = {}
         self._label_bits: Dict[int, int] = {}
-        self._packed: Any = None
-        self._label_packed: Dict[int, Any] = {}
 
     # ------------------------------------------------------------------
     # Primitive accessors
@@ -359,11 +323,10 @@ class GraphIndex:
     ) -> Pool:
         """Intersect an existing pool with more anchors' adjacency.
 
-        This is the incremental-extension kernel: a cached pool from a
-        shallower step is narrowed by only the *new* anchors instead
-        of recomputing the whole intersection (the paper's "reuse
-        previous entries to compute new ones", §2.3).  The pool keeps
-        its representation; anchors of either degree class work.
+        The pool keeps its representation; anchors of either degree
+        class work.  No engine calls this: like :func:`_require_auto`
+        it remains because the frozen benchmark ledger times it
+        (``graph.index.pool_us``; ROADMAP item 2 follow-up).
         """
         if isinstance(pool, int):
             for v in anchors:
@@ -385,102 +348,6 @@ class GraphIndex:
                 break
         return tuple(kept)
 
-    def apply_label(self, pool: Pool, label: int) -> Pool:
-        """Restrict a pool to vertices carrying ``label``."""
-        if isinstance(pool, int):
-            return pool & self.label_bits(label)
-        graph = self.graph
-        return tuple(v for v in pool if graph.label(v) == label)
-
-    def pool_to_sorted(self, pool: Pool) -> List[int]:
-        """Decode a pool to an ascending candidate list."""
-        if isinstance(pool, int):
-            return bits_to_sorted(pool)
-        return list(pool)
-
-    def pool_size(self, pool: Pool) -> int:
-        if isinstance(pool, int):
-            return bits_count(pool)
-        return len(pool)
-
-    # ------------------------------------------------------------------
-    # Batch prefetch (numpy only)
-    # ------------------------------------------------------------------
-
-    def _ensure_packed(self) -> Any:
-        """The packed adjacency matrix behind :meth:`batch_extend`.
-
-        A ``(n, ceil(n/8))`` uint8 matrix whose row ``v`` is the
-        little-endian byte encoding of ``neighbor_bits(v)`` — the same
-        encoding big-int ``to_bytes``/``from_bytes`` uses, so rows and
-        bitmask pools interconvert without re-packing.  Built lazily on
-        the first batch call (O(n²/8) bytes; only graphs dense enough
-        to engage the batch tier pay it).
-        """
-        packed = self._packed
-        if packed is None:
-            n = self.graph.num_vertices
-            offsets = _np.asarray(self._offsets, dtype=_np.int64)
-            flat = _np.asarray(self._flat, dtype=_np.int64)
-            dense = _np.zeros((n, max(n, 1)), dtype=bool)
-            if len(flat):
-                rows = _np.repeat(_np.arange(n), _np.diff(offsets))
-                dense[rows, flat] = True
-            packed = _np.packbits(dense, axis=1, bitorder="little")
-            self._packed = packed
-        return packed
-
-    def _packed_label_row(self, label: int) -> Any:
-        """``label_bits(label)`` as a uint8 row aligned with the packed
-        adjacency matrix (lazy, cached per label)."""
-        row = self._label_packed.get(label)
-        if row is None:
-            width = self._ensure_packed().shape[1]
-            row = _np.frombuffer(
-                self.label_bits(label).to_bytes(width, "little"),
-                dtype=_np.uint8,
-            )
-            self._label_packed[label] = row
-        return row
-
-    def batch_extend(
-        self,
-        base: Optional[int],
-        candidates: Sequence[int],
-        label: Optional[int] = None,
-        stats: Optional["_IntersectionStats"] = None,
-    ) -> List[Pool]:
-        """One pool per candidate: ``neighbor_bits(c) & base & label``.
-
-        This is the sibling prefetch: when an extension step is
-        about to descend into each candidate ``c`` in turn, every
-        child's pool shares the same fixed-anchor ``base`` mask and
-        differs only in ``c``'s adjacency — so all of them are one
-        fancy-indexed row gather plus one broadcast AND over the packed
-        matrix, instead of ``len(candidates)`` separate big-int ANDs.
-        Returns bitmask pools aligned with ``candidates``.  Requires
-        numpy: callers gate on :data:`HAS_NUMPY`.
-        """
-        count = len(candidates)
-        if stats is not None:
-            stats.batch_intersections += 1
-            stats.set_intersections += count
-            stats.bitset_intersections += count
-        packed = self._ensure_packed()
-        width = packed.shape[1]
-        block = packed[_np.fromiter(candidates, dtype=_np.int64, count=count)]
-        if base is not None:
-            block = block & _np.frombuffer(
-                base.to_bytes(width, "little"), dtype=_np.uint8
-            )
-        if label is not None:
-            block = block & self._packed_label_row(label)
-        blob = block.tobytes()
-        return [
-            int.from_bytes(blob[i * width : (i + 1) * width], "little")
-            for i in range(count)
-        ]
-
     def __repr__(self) -> str:
         return (
             f"GraphIndex({self.cache_key!r}, |V|={self.graph.num_vertices}, "
@@ -499,4 +366,3 @@ class _IntersectionStats(Protocol):
     set_intersections: int
     bitset_intersections: int
     galloping_intersections: int
-    batch_intersections: int

@@ -1,6 +1,6 @@
 """Mining substrate: ETasks, caches, processors (the Peregrine+ layer)."""
 
-from .cache import SetOperationCache, TaskCache
+from .cache import SetOperationCache
 from .candidates import (
     compute_candidates,
     kernel_pool,
@@ -64,7 +64,6 @@ __all__ = [
     "run_single_pattern",
     "MiningEngine",
     "SetOperationCache",
-    "TaskCache",
     "compute_candidates",
     "kernel_pool",
     "raw_intersection",

@@ -17,7 +17,7 @@ every deep step re-derives — survive streams of one-shot entries.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Any, Hashable, Optional, Tuple
+from typing import Any, Hashable, Optional
 
 from ..exec.events import CACHE_HIT, CACHE_MISS, EventBus
 from .stats import MiningStats
@@ -157,46 +157,3 @@ class SetOperationCache:
     def clear(self) -> None:
         self._entries.clear()
 
-
-class TaskCache:
-    """Per-task view: one cached candidate pool per matching-order step.
-
-    This is the ``C`` of ETask/VTask state ⟨P, S, C⟩.  Entries are
-    ``(key, candidates)`` pairs so consumers can re-validate the
-    semantic key before reuse (the key is what makes an entry safe
-    across backtracking: a stale entry's key no longer matches the
-    anchors derived from the current partial match).  The kernel
-    engines use these entries for *incremental candidate extension* —
-    a step whose anchors extend a shallower step's anchors refines the
-    cached pool with only the new anchors (paper §2.3, "reuse
-    previous entries to compute new ones").
-    """
-
-    __slots__ = ("_entries", "graph_version")
-
-    def __init__(
-        self, num_steps: int, graph_version: Optional[str] = None
-    ) -> None:
-        """``graph_version`` tags the task's entries with the content
-        version of the graph the task explores.  Task caches are
-        created fresh per rooted task over one immutable snapshot, so
-        the tag is an audit handle (asserted by the mutation-
-        equivalence suite), not a per-lookup key component."""
-        self._entries: list = [None] * num_steps
-        self.graph_version = graph_version
-
-    def set_entry(self, step: int, key: CacheKey, candidates: Any) -> None:
-        self._entries[step] = (key, candidates)
-
-    def entry(self, step: int) -> Optional[Tuple[CacheKey, Any]]:
-        return self._entries[step]
-
-    def clear_from(self, step: int) -> None:
-        """Invalidate entries at and beyond ``step`` (on backtrack)."""
-        for i in range(step, len(self._entries)):
-            self._entries[i] = None
-
-    def utilization(self) -> float:
-        """Fraction of steps with live entries (paper's "cache utilization")."""
-        filled = sum(1 for e in self._entries if e is not None)
-        return filled / len(self._entries) if self._entries else 0.0

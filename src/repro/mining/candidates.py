@@ -14,13 +14,10 @@ new pattern vertex must attach to.  Two execution paths compute them:
   pools seeded at a low-degree anchor, an already-sorted tuple whose
   symmetry bounds are a binary-searched slice.
 
-The kernel path adds two reuse tiers on top of the shared
-:class:`~repro.mining.cache.SetOperationCache` (semantic keys): when a
-step's anchors extend a shallower step's anchors, the shallower step's
-cached pool is *refined* with only the new anchors instead of being
-recomputed — the paper's "reuse previous entries to compute new ones"
-(§2.3), realized through the per-task
-:class:`~repro.mining.cache.TaskCache`.
+Both paths reuse results through one tier, the shared
+:class:`~repro.mining.cache.SetOperationCache` (semantic keys): an
+ETask deeper in its tree, a fused VTask and a promoted ETask that need
+the same intersection hit the same entry (paper §5.2–5.3).
 
 Label constraints are applied inside the kernels; symmetry-breaking
 bounds, injectivity and induced-semantics filters remain per call
@@ -35,7 +32,7 @@ from typing import List, Optional, Sequence
 from ..graph.graph import Graph
 from ..graph.index import GraphIndex, Pool, bits_to_sorted
 from ..patterns.plan import ExplorationPlan
-from .cache import SetOperationCache, TaskCache
+from .cache import SetOperationCache
 from .stats import MiningStats
 
 
@@ -89,87 +86,6 @@ def kernel_pool(
     return pool
 
 
-def _step_pool(
-    index: GraphIndex,
-    plan: ExplorationPlan,
-    step: int,
-    bound: Sequence[int],
-    anchors: Sequence[int],
-    cache: SetOperationCache,
-    stats: MiningStats,
-    task_cache: Optional[TaskCache],
-    override: Optional[Pool] = None,
-) -> Pool:
-    """The candidate pool for one matching-order step, all reuse tiers.
-
-    Lookup order: (1) the shared semantic cache, (2) a prefetched
-    ``override`` pool (the batch prefetch computed this step's
-    intersection alongside its siblings' — see
-    :meth:`~repro.graph.index.GraphIndex.batch_extend`), (3)
-    incremental refinement of the task's cached pool from the plan's
-    reuse step, (4) full kernel intersection.  Whatever produced the
-    pool, it is stored in both caches for deeper steps and fused tasks.
-    """
-    label = plan.labels_at[step]
-    key = (frozenset(anchors), label, index.cache_key)
-    pool: Optional[Pool] = cache.lookup(key)
-    if pool is None:
-        pool = override
-        if pool is None and task_cache is not None:
-            pool = _incremental_pool(
-                index, plan, step, bound, label, stats, task_cache
-            )
-        if pool is None:
-            pool = index.pool(anchors, label, stats)
-        cache.store(key, pool)
-    if task_cache is not None:
-        # The task-cache validation token is a plain anchor tuple —
-        # cheaper to build and compare than the shared cache's
-        # frozenset key (this runs on every step of every descent).
-        task_cache.set_entry(step, (tuple(anchors), label), pool)
-    return pool
-
-
-def _incremental_pool(
-    index: GraphIndex,
-    plan: ExplorationPlan,
-    step: int,
-    bound: Sequence[int],
-    label: Optional[int],
-    stats: MiningStats,
-    task_cache: TaskCache,
-) -> Optional[Pool]:
-    """Refine the reuse step's cached pool with only the new anchors.
-
-    Returns None when the plan has no reuse step for ``step`` or the
-    task-cache entry is stale (its semantic key no longer matches the
-    anchors derived from the current partial match — the safe-reuse
-    test that makes entries survive backtracking unguarded).
-    """
-    reuse = plan.step_reuse()[step]
-    if reuse is None:
-        return None
-    source_step, new_positions = reuse
-    entry = task_cache.entry(source_step)
-    if entry is None:
-        return None
-    entry_key, entry_pool = entry
-    source_label = plan.labels_at[source_step]
-    expected_key = (
-        tuple(bound[p] for p in plan.backward_neighbors[source_step]),
-        source_label,
-    )
-    if entry_key != expected_key:
-        return None
-    pool = index.refine(
-        entry_pool, [bound[p] for p in new_positions], stats
-    )
-    if label is not None and source_label is None:
-        pool = index.apply_label(pool, label)
-    stats.incremental_extensions += 1
-    return pool
-
-
 def compute_candidates(
     graph: Graph,
     plan: ExplorationPlan,
@@ -177,21 +93,13 @@ def compute_candidates(
     bound: Sequence[int],
     cache: SetOperationCache,
     stats: MiningStats,
-    apply_symmetry: bool = True,
     index: Optional[GraphIndex] = None,
-    task_cache: Optional[TaskCache] = None,
-    pool_override: Optional[Pool] = None,
 ) -> List[int]:
     """Sorted data-vertex candidates for matching-order position ``step``.
 
     ``bound[i]`` is the data vertex at position ``i`` for ``i < step``.
-    ``apply_symmetry=False`` drops the symmetry-breaking bounds — used
-    by VTasks, where restrictions of the parent pattern must be undone
-    (paper §5.2.1).  ``index=None`` selects the legacy frozenset path;
-    otherwise the index's kernels run, with ``task_cache`` enabling
-    incremental candidate extension across steps and ``pool_override``
-    supplying a batch-prefetched pool (used only on a shared-cache
-    miss, so hit/miss semantics are unchanged).
+    ``index=None`` selects the legacy frozenset path; otherwise the
+    index's kernels run (:func:`kernel_pool`).
     """
     stats.candidate_computations += 1
     anchors = [bound[j] for j in plan.backward_neighbors[step]]
@@ -200,23 +108,19 @@ def compute_candidates(
 
     lo = -1
     hi = graph.num_vertices
-    if apply_symmetry:
-        for earlier, must_be_greater in plan.conditions_at.get(step, ()):  # type: ignore[call-overload]
-            anchor = bound[earlier]
-            if must_be_greater:
-                if anchor > lo:
-                    lo = anchor
-            else:
-                if anchor < hi:
-                    hi = anchor
+    for earlier, must_be_greater in plan.conditions_at.get(step, ()):  # type: ignore[call-overload]
+        anchor = bound[earlier]
+        if must_be_greater:
+            if anchor > lo:
+                lo = anchor
+        else:
+            if anchor < hi:
+                hi = anchor
 
     if index is None:
         return _filter_sets(graph, plan, step, bound, anchors, cache, stats, lo, hi)
 
-    pool = _step_pool(
-        index, plan, step, bound, anchors, cache, stats, task_cache,
-        override=pool_override,
-    )
+    pool = kernel_pool(index, anchors, plan.labels_at[step], cache, stats)
     if isinstance(pool, int):
         return _filter_bits(index, plan, step, bound, pool, lo, hi)
     return _filter_sorted(index, plan, step, bound, pool, lo, hi)

@@ -26,22 +26,11 @@ from __future__ import annotations
 from typing import Callable, Iterator, List, Optional
 
 from ..exec.context import TaskContext
-from ..exec.events import (
-    KERNEL_BATCH_INTERSECT,
-    KERNEL_INTERSECT,
-    TASK_COMPLETE,
-    TASK_START,
-)
+from ..exec.events import KERNEL_INTERSECT, TASK_COMPLETE, TASK_START
 from ..graph.graph import Graph
-from ..graph.index import (
-    BATCH_MIN_SIZE,
-    HAS_NUMPY,
-    GraphIndex,
-    Pool,
-    resolve_index,
-)
+from ..graph.index import GraphIndex, resolve_index
 from ..patterns.plan import ExplorationPlan
-from .cache import SetOperationCache, TaskCache
+from .cache import SetOperationCache
 from .candidates import compute_candidates
 from .match import Match
 from .stats import MiningStats
@@ -67,14 +56,13 @@ class ETask:
         cancellation token cooperatively while descending.
     index:
         Optional :class:`~repro.graph.index.GraphIndex`: candidate
-        computation runs on its kernels (with incremental extension
-        through a per-task :class:`~repro.mining.cache.TaskCache`).
-        ``None`` keeps the seed frozenset path.
+        computation runs on its kernels.  ``None`` keeps the seed
+        frozenset path.
     """
 
     __slots__ = (
         "graph", "plan", "root", "cache", "stats", "_stopped", "pattern",
-        "ctx", "index", "task_cache", "_trace",
+        "ctx", "index", "_trace",
     )
 
     def __init__(
@@ -100,11 +88,6 @@ class ETask:
         self.pattern = pattern if pattern is not None else plan.pattern
         self.ctx = ctx
         self.index = index
-        self.task_cache = (
-            TaskCache(plan.num_steps, graph_version=graph.version_key)
-            if index is not None
-            else None
-        )
         self._stopped = False
         # Instrumentation gate, resolved once per task: the subscriber
         # set cannot change mid-descent, so the hot recursion pays a
@@ -147,9 +130,7 @@ class ETask:
                 break
         return self._stopped
 
-    def _descend(
-        self, bound: List[int], pool_override: Optional[Pool] = None
-    ) -> Iterator[Match]:
+    def _descend(self, bound: List[int]) -> Iterator[Match]:
         ctx = self.ctx
         if ctx is not None:
             ctx.check_deadline()
@@ -166,66 +147,17 @@ class ETask:
             self.ctx.emit(KERNEL_INTERSECT, count=1)
         candidates = compute_candidates(
             self.graph, plan, step, bound, self.cache, self.stats,
-            index=self.index, task_cache=self.task_cache,
-            pool_override=pool_override,
+            index=self.index,
         )
         if not candidates:
             # Dead end: this root-to-leaf path terminates below a match.
             self.stats.rl_paths += 1
             return
-        child_pools = self._prefetch_child_pools(step, bound, candidates)
-        if child_pools is None:
-            for v in candidates:
-                self.stats.extensions_attempted += 1
-                bound.append(v)
-                yield from self._descend(bound)
-                bound.pop()
-            return
-        for v, child_pool in zip(candidates, child_pools):
+        for v in candidates:
             self.stats.extensions_attempted += 1
             bound.append(v)
-            yield from self._descend(bound, child_pool)
+            yield from self._descend(bound)
             bound.pop()
-
-    def _prefetch_child_pools(
-        self, step: int, bound: List[int], candidates: List[int]
-    ) -> Optional[List[Pool]]:
-        """Sibling prefetch: pools for every child of this step.
-
-        When the next matching-order position anchors on the vertex
-        about to be bound here, each child's pool is ``base & N(v)``
-        for a shared ``base`` — one
-        :meth:`~repro.graph.index.GraphIndex.batch_extend` pass
-        computes all of them at once.  Returns ``None`` whenever the
-        sequential path should run instead (no index or no numpy,
-        batch too small, or the children don't anchor on this
-        position).
-        """
-        index = self.index
-        if (
-            index is None
-            or not HAS_NUMPY
-            or len(candidates) < BATCH_MIN_SIZE
-        ):
-            return None
-        plan = self.plan
-        child = step + 1
-        if child >= plan.num_steps:
-            return None
-        anchors = plan.backward_neighbors[child]
-        if step not in anchors:
-            return None
-        base: Optional[int] = None
-        for p in anchors:
-            if p == step:
-                continue
-            nb = index.neighbor_bits(bound[p])
-            base = nb if base is None else base & nb
-        if self._trace:
-            self.ctx.emit(KERNEL_BATCH_INTERSECT, count=len(candidates))
-        return index.batch_extend(
-            base, candidates, plan.labels_at[child], self.stats
-        )
 
     def _to_match(self, bound: List[int]) -> Match:
         """Convert order-position bindings to a pattern-vertex assignment."""

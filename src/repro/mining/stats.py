@@ -25,8 +25,6 @@ class MiningStats:
     set_intersections: int = 0
     bitset_intersections: int = 0
     galloping_intersections: int = 0
-    batch_intersections: int = 0
-    incremental_extensions: int = 0
     cache_hits: int = 0
     cache_misses: int = 0
     extensions_attempted: int = 0
@@ -49,8 +47,6 @@ class MiningStats:
         self.set_intersections += other.set_intersections
         self.bitset_intersections += other.bitset_intersections
         self.galloping_intersections += other.galloping_intersections
-        self.batch_intersections += other.batch_intersections
-        self.incremental_extensions += other.incremental_extensions
         self.cache_hits += other.cache_hits
         self.cache_misses += other.cache_misses
         self.extensions_attempted += other.extensions_attempted
@@ -65,8 +61,6 @@ class MiningStats:
             "set_intersections": self.set_intersections,
             "bitset_intersections": self.bitset_intersections,
             "galloping_intersections": self.galloping_intersections,
-            "batch_intersections": self.batch_intersections,
-            "incremental_extensions": self.incremental_extensions,
             "cache_hits": self.cache_hits,
             "cache_misses": self.cache_misses,
             "cache_hit_rate": self.cache_hit_rate,

@@ -53,7 +53,6 @@ class ExplorationPlan:
         "conditions_at",
         "labels_at",
         "induced",
-        "_step_reuse",
     )
 
     def __init__(
@@ -116,64 +115,10 @@ class ExplorationPlan:
         self.labels_at: Tuple[Optional[int], ...] = tuple(
             pattern.label(v) for v in self.order
         )
-        self._step_reuse: Optional[
-            Tuple[Optional[Tuple[int, Tuple[int, ...]]], ...]
-        ] = None
 
     @property
     def num_steps(self) -> int:
         return len(self.order)
-
-    def step_reuse(
-        self,
-    ) -> Tuple[Optional[Tuple[int, Tuple[int, ...]]], ...]:
-        """Per-step incremental-extension recipe (lazy, memoized).
-
-        Entry ``k`` is ``(j, new_positions)`` when step ``k``'s anchor
-        positions are a superset of step ``j``'s (``j < k``): a task
-        holding step ``j``'s cached candidate pool can *refine* it
-        with only ``new_positions``' data vertices instead of
-        recomputing the whole intersection.  ``j`` maximizes the
-        reused prefix.  Reuse also requires label compatibility — the
-        cached pool is label-filtered, so step ``j``'s label must be
-        absent or equal to step ``k``'s.  ``None`` means no earlier
-        step qualifies.
-        """
-        if self._step_reuse is None:
-            table: List[Optional[Tuple[int, Tuple[int, ...]]]] = [None]
-            for k in range(1, self.num_steps):
-                anchors_k = set(self.backward_neighbors[k])
-                label_k = self.labels_at[k]
-                best: Optional[int] = None
-                for j in range(1, k):
-                    anchors_j = self.backward_neighbors[j]
-                    if not anchors_j:
-                        continue
-                    label_j = self.labels_at[j]
-                    if label_j is not None and label_j != label_k:
-                        continue
-                    if not set(anchors_j) <= anchors_k:
-                        continue
-                    if best is None or len(anchors_j) >= len(
-                        self.backward_neighbors[best]
-                    ):
-                        best = j
-                if best is None:
-                    table.append(None)
-                    continue
-                reused = set(self.backward_neighbors[best])
-                table.append(
-                    (
-                        best,
-                        tuple(
-                            p
-                            for p in self.backward_neighbors[k]
-                            if p not in reused
-                        ),
-                    )
-                )
-            self._step_reuse = tuple(table)
-        return self._step_reuse
 
     def prefix_pattern(self, length: int) -> Pattern:
         """Induced subpattern on the first ``length`` order vertices.

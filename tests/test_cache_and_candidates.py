@@ -6,7 +6,6 @@ from repro.graph import erdos_renyi, graph_from_edges
 from repro.mining import (
     MiningStats,
     SetOperationCache,
-    TaskCache,
     compute_candidates,
     raw_intersection,
     root_candidates,
@@ -53,29 +52,6 @@ class TestSetOperationCache:
         cache.store(frozenset({1}), frozenset())
         cache.clear()
         assert len(cache) == 0
-
-
-class TestTaskCache:
-    def test_entries_per_step(self):
-        tc = TaskCache(3)
-        tc.set_entry(1, frozenset({5}), frozenset({6}))
-        assert tc.entry(1) == (frozenset({5}), frozenset({6}))
-        assert tc.entry(0) is None
-
-    def test_clear_from(self):
-        tc = TaskCache(3)
-        for i in range(3):
-            tc.set_entry(i, frozenset({i}), frozenset())
-        tc.clear_from(1)
-        assert tc.entry(0) is not None
-        assert tc.entry(1) is None
-        assert tc.entry(2) is None
-
-    def test_utilization(self):
-        tc = TaskCache(4)
-        tc.set_entry(0, frozenset(), frozenset())
-        tc.set_entry(2, frozenset(), frozenset())
-        assert tc.utilization() == 0.5
 
 
 class TestRawIntersection:
@@ -125,23 +101,22 @@ class TestComputeCandidates:
         plan = plan_for(triangle())
         stats = MiningStats()
         cache = SetOperationCache(stats=stats)
-        with_bounds = compute_candidates(
-            g, plan, 1, [2], cache, stats, apply_symmetry=True
-        )
-        without = compute_candidates(
-            g, plan, 1, [2], cache, stats, apply_symmetry=False
-        )
-        assert set(with_bounds) <= set(without)
+        ((earlier, must_be_greater),) = plan.conditions_at[1]
+        assert earlier == 0
+        # Root 1 has a neighbor on each side; the bound keeps one side.
+        candidates = compute_candidates(g, plan, 1, [1], cache, stats)
+        assert candidates == ([2] if must_be_greater else [0])
 
     def test_injectivity(self):
-        g = graph_from_edges([(0, 1), (1, 2), (0, 2)])
-        plan = plan_for(path(2))
+        g = graph_from_edges([(0, 1), (1, 2), (2, 3)])
+        plan = plan_for(path(3))
         stats = MiningStats()
         cache = SetOperationCache(stats=stats)
-        candidates = compute_candidates(
-            g, plan, 2, [0, 1], cache, stats, apply_symmetry=False
-        )
-        assert 0 not in candidates and 1 not in candidates
+        # The last step anchors on data vertex 2, whose neighbors are 1
+        # and 3; both pass the symmetry bound (> 0), 1 is already bound.
+        assert plan.backward_neighbors[3] == (1,)
+        candidates = compute_candidates(g, plan, 3, [1, 2, 0], cache, stats)
+        assert candidates == [3]
 
     def test_label_filter(self):
         g = labeled_random_graph(12, 0.6, num_labels=2, seed=3)

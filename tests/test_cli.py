@@ -1,12 +1,22 @@
 """Tests for the command-line interface."""
 
 import json
+import subprocess
+import sys
 
 import pytest
 
 from repro.cli import build_parser, main
 from repro.graph import graph_from_edges
 from repro.graph.io import write_edge_list, write_labels
+
+
+def test_importing_the_cli_does_not_import_numpy():
+    # No engine path uses numpy; importing it cost every process
+    # ~0.2 s and ~12 MiB (docs/performance.md, "Removed tiers").
+    probe = "import repro.cli, sys; sys.exit('numpy' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", probe], timeout=60)
+    assert result.returncode == 0
 
 
 class TestParser:

@@ -4,8 +4,7 @@ There are two adjacency modes.  ``sets`` — the legacy frozenset path,
 ``index=None`` — is the oracle; ``auto`` must produce *identical*
 candidate lists at every step of every exploration, and identical
 match sets and paper counters end to end, under every scheduler, with
-and without auxiliary graphs, with numpy and under ``REPRO_NO_NUMPY=1``
-(CI runs this file on both legs).
+and without auxiliary graphs.
 
 ``auto`` chooses twice from what it observes, and the cases are built
 so both sides of each choice run: index-level cases construct
@@ -35,12 +34,12 @@ from repro.graph import (
     erdos_renyi,
     resolve_index,
 )
-from repro.graph.index import BITSET_MIN_DEGREE, HAS_NUMPY, bits_count
+from repro.graph.index import BITSET_MIN_DEGREE
 from repro.mining import (
+    ConstraintStats,
     MiningEngine,
     MiningStats,
     SetOperationCache,
-    TaskCache,
     compute_candidates,
     kernel_pool,
     root_candidates,
@@ -101,11 +100,15 @@ class TestBitsetPrimitives:
         vertices = sorted(rng.sample(range(n), rng.randrange(0, n)))
         bits = bits_from_sorted(vertices, n)
         assert bits_to_sorted(bits) == vertices
-        assert bits_count(bits) == len(vertices)
 
     def test_bits_empty(self):
         assert bits_from_sorted([], 10) == 0
         assert bits_to_sorted(0) == []
+
+
+def _decode(pool):
+    """A kernel pool (bitmask or ascending tuple) as an ascending list."""
+    return bits_to_sorted(pool) if isinstance(pool, int) else list(pool)
 
 
 def _naive_pool(graph, anchors, label):
@@ -143,13 +146,12 @@ class TestGraphIndex:
                 pool = index.pool(anchors, label, stats)
                 forms.add(type(pool))
                 expected = _naive_pool(graph, anchors, label)
-                assert index.pool_to_sorted(pool) == expected
-                assert index.pool_size(pool) == len(expected)
+                assert _decode(pool) == expected
         assert forms == {int, tuple}  # bitset seeds and hash-set seeds
         assert 0 < stats.bitset_intersections < stats.set_intersections
         assert stats.galloping_intersections == 0  # the counter is vestigial
 
-    def test_refine_and_apply_label_keep_representation(self):
+    def test_refine_keeps_representation(self):
         graph = core_periphery(seed=3, num_labels=2)
         index = GraphIndex(graph)
         stats = MiningStats()
@@ -160,33 +162,9 @@ class TestGraphIndex:
             assert isinstance(pool, form)
             refined = index.refine(pool, [other], stats)
             assert isinstance(refined, form)
-            assert index.pool_to_sorted(refined) == _naive_pool(
+            assert _decode(refined) == _naive_pool(
                 graph, [seed_vertex, other], None
             )
-            labeled = index.apply_label(pool, 1)
-            assert isinstance(labeled, form)
-            assert index.pool_to_sorted(labeled) == _naive_pool(
-                graph, [seed_vertex], 1
-            )
-
-    @pytest.mark.skipif(not HAS_NUMPY, reason="batch prefetch needs numpy")
-    @pytest.mark.parametrize("seed", range(3))
-    def test_batch_extend_matches_per_child_pools(self, seed):
-        graph = core_periphery(seed=60 + seed, num_labels=2)
-        index = GraphIndex(graph)
-        stats = MiningStats()
-        base = index.neighbor_bits(0) & index.neighbor_bits(1)
-        candidates = bits_to_sorted(base)  # core and periphery children
-        for label in (None, 1):
-            pools = index.batch_extend(base, candidates, label, stats)
-            assert len(pools) == len(candidates)
-            for c, pool in zip(candidates, pools):
-                expected = base & index.neighbor_bits(c)
-                if label is not None:
-                    expected &= index.label_bits(label)
-                assert pool == expected
-        assert stats.batch_intersections == 2
-        assert stats.bitset_intersections == 2 * len(candidates)
 
     def test_one_index_per_graph_version(self):
         graph = random_graph(10, 0.3, seed=1)
@@ -268,52 +246,48 @@ class TestKernelPool:
         kernel_pool(index, [0, 2], None, cache, stats)
         assert stats.cache_hits == before + 1
 
+    def test_etask_step_and_fused_vtask_step_share_one_entry(self):
+        # A triangle's one bridge step to K4 anchors on all three of
+        # its vertices — the intersection K4's ETask needs at step 3.
+        graph = dense(random_graph(28, 0.62, seed=29))
+        index = graph.kernel_index()
+        a, b, c = next(
+            m.assignment
+            for m in MiningEngine(graph, adjacency="sets").stream(triangle())
+            if min(map(graph.degree, m.assignment)) >= BITSET_MIN_DEGREE
+        )
+        stats = ConstraintStats()
+        cache = SetOperationCache(stats=stats)
+        compute_candidates(
+            graph, plan_for(clique(4)), 3, [a, b, c], cache, stats, index=index
+        )
+        assert (stats.cache_hits, stats.cache_misses) == (0, 1)
+        assert stats.bitset_intersections == 2
+        target = ValidationTarget(triangle(), clique(4), graph, induced=False)
+        target.run((a, b, c), graph, cache, stats)
+        assert (stats.cache_hits, stats.cache_misses) == (1, 1)
+        assert stats.bitset_intersections == 2
 
-# ----------------------------------------------------------------------
-# Plan-level reuse table
-# ----------------------------------------------------------------------
+    def test_cached_pool_form_is_a_function_of_its_key(self, monkeypatch):
+        # Which branch a fused lookup takes (mask ANDs or per-vertex
+        # filtering) must not depend on which task stored the entry.
+        graph = dense(core_periphery(seed=81, core_n=22, total_n=27))
+        stored = []
+        store = SetOperationCache.store
 
+        def spy(self, key, value):
+            stored.append((key, value))
+            store(self, key, value)
 
-class TestStepReuse:
-    def _check_table(self, pattern: Pattern, induced: bool = False):
-        plan = plan_for(pattern, induced=induced)
-        table = plan.step_reuse()
-        assert len(table) == plan.num_steps
-        assert table[0] is None
-        for step in range(1, plan.num_steps):
-            reuse = table[step]
-            if reuse is None:
-                continue
-            source, new_positions = reuse
-            assert 1 <= source < step
-            source_anchors = set(plan.backward_neighbors[source])
-            step_anchors = set(plan.backward_neighbors[step])
-            assert source_anchors and source_anchors <= step_anchors
-            assert set(new_positions) == step_anchors - source_anchors
-            source_label = plan.labels_at[source]
-            assert source_label is None or (
-                source_label == plan.labels_at[step]
-            )
-
-    @pytest.mark.parametrize(
-        "pattern",
-        [triangle(), clique(4), clique(5), path(3), star(4)],
-        ids=lambda p: p.name or "pattern",
-    )
-    def test_reuse_table_is_sound(self, pattern):
-        self._check_table(pattern)
-        self._check_table(pattern, induced=True)
-
-    def test_clique_reuses_previous_step(self):
-        # Step k of a clique anchors on all earlier positions, so it
-        # must refine step k-1's pool instead of recomputing.
-        plan = plan_for(clique(5))
-        table = plan.step_reuse()
-        for step in range(2, plan.num_steps):
-            assert table[step] is not None
-            source, new_positions = table[step]
-            assert source == step - 1
-            assert len(new_positions) == 1
+        monkeypatch.setattr(SetOperationCache, "store", spy)
+        assert maximal_quasi_cliques(graph, 0.6, 4, adjacency="auto").all_sets()
+        forms = set()
+        for (anchors, _label, cache_key), pool in stored:
+            assert cache_key == "auto"
+            is_bitset = min(map(graph.degree, anchors)) >= BITSET_MIN_DEGREE
+            assert isinstance(pool, int) == is_bitset, (sorted(anchors), pool)
+            forms.add(type(pool))
+        assert forms == {int, tuple}
 
 
 # ----------------------------------------------------------------------
@@ -325,7 +299,6 @@ def _assert_candidates_equivalent(
     graph: Graph,
     pattern: Pattern,
     induced: bool,
-    apply_symmetry: bool,
     stats: MiningStats,
 ) -> int:
     """Walk the full exploration tree comparing the kernel path against
@@ -338,28 +311,24 @@ def _assert_candidates_equivalent(
     kernel_cache = SetOperationCache(stats=stats)
     comparisons = 0
 
-    def descend(bound, task_cache):
+    def descend(bound):
         nonlocal comparisons
         step = len(bound)
         if step == plan.num_steps:
             return
         expected = compute_candidates(
-            graph, plan, step, bound, oracle_cache, oracle_stats,
-            apply_symmetry=apply_symmetry,
+            graph, plan, step, bound, oracle_cache, oracle_stats
         )
         got = compute_candidates(
-            graph, plan, step, bound, kernel_cache, stats,
-            apply_symmetry=apply_symmetry,
-            index=index, task_cache=task_cache,
+            graph, plan, step, bound, kernel_cache, stats, index=index
         )
         assert got == expected, f"step={step} bound={bound}"
         comparisons += 1
         for v in expected:
-            descend(bound + [v], task_cache)
+            descend(bound + [v])
 
     for root in root_candidates(graph, plan):
-        # A fresh per-task cache per root, matching real ETasks.
-        descend([root], TaskCache(plan.num_steps))
+        descend([root])
     return comparisons
 
 
@@ -370,14 +339,11 @@ class TestCandidateEquivalence:
         graph = core_periphery(seed=seed, core_n=18, total_n=28)
         stats = MiningStats()
         total = sum(
-            _assert_candidates_equivalent(
-                graph, pattern, induced, True, stats
-            )
+            _assert_candidates_equivalent(graph, pattern, induced, stats)
             for pattern in (triangle(), clique(4), path(3), star(3))
         )
         assert total >= 100
         assert 0 < stats.bitset_intersections < stats.set_intersections
-        assert stats.incremental_extensions > 0
 
     @pytest.mark.parametrize("seed", range(3))
     def test_labeled_sweep(self, seed):
@@ -390,23 +356,11 @@ class TestCandidateEquivalence:
         labeled_path = Pattern(3, [(0, 1), (1, 2)], labels=[1, 0, 1])
         stats = MiningStats()
         total = sum(
-            _assert_candidates_equivalent(
-                graph, pattern, False, True, stats
-            )
+            _assert_candidates_equivalent(graph, pattern, False, stats)
             for pattern in (labeled_triangle, labeled_path, clique(4))
         )
         assert total > 0
         assert 0 < stats.bitset_intersections < stats.set_intersections
-
-    def test_without_symmetry_breaking(self):
-        # VTasks drop symmetry bounds; kernels must agree there too.
-        graph = core_periphery(seed=40, core_n=18, total_n=26)
-        stats = MiningStats()
-        for pattern in (triangle(), clique(4)):
-            _assert_candidates_equivalent(
-                graph, pattern, False, False, stats
-            )
-        assert stats.bitset_intersections > 0
 
 
 # ----------------------------------------------------------------------
@@ -476,9 +430,7 @@ class TestEndToEndEquivalence:
         expected = _paper_counters(oracle, drop)
         assert all(expected[k] > 0 for k in expected), expected
         assert _paper_counters(kernels, drop) == expected
-        kernel_work = kernels.stats.as_dict()
-        assert kernel_work["bitset_intersections"] > 0
-        assert (kernel_work["batch_intersections"] > 0) == HAS_NUMPY
+        assert kernels.stats.bitset_intersections > 0
 
 
 # ----------------------------------------------------------------------
@@ -597,12 +549,8 @@ class TestAuxiliaryGraphs:
         rng = random.Random(7)
         for _ in range(20):
             anchors = rng.sample(aux.allowed, 2)
-            full_pool = set(
-                full.pool_to_sorted(full.pool(anchors, None, stats))
-            )
-            aux_pool = set(
-                pruned.pool_to_sorted(pruned.pool(anchors, None, stats))
-            )
+            full_pool = set(_decode(full.pool(anchors, None, stats)))
+            aux_pool = set(_decode(pruned.pool(anchors, None, stats)))
             assert aux_pool == full_pool & allowed
 
     def test_artifact_cached_per_signature(self):

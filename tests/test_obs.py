@@ -76,7 +76,7 @@ def observed_run(graph, scheduler, **engine_options):
 class TestEventVocabularyIsAlive:
     def test_engine_run_emits_every_non_cache_event(self):
         # Dense enough (avg degree >= AUTO_MIN_AVG_DEGREE) that auto
-        # engages the kernel tier, so kernel_batch_intersect is alive.
+        # engages the kernel tier: kernel_intersect fires on that path.
         graph = erdos_renyi(20, 0.9, seed=11)
         _, _, _, log = observed_run(graph, SerialScheduler())
         seen = {name for name, _ in log.records}
