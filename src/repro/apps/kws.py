@@ -36,12 +36,15 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tup
 
 from ..core import statespace
 from ..core.ordering import resolve_strategy
+from ..core.runtime import _DEADLINE_CHECK_INTERVAL
 from ..exec.context import Budget
 from ..graph.graph import Graph
 from ..mining.stats import ConstraintStats
 from ..mining.subsets import explore_connected_sets
+from ..patterns.library import clique, path
 from ..patterns.pattern import Pattern
 from ..patterns.structures import connected_structures
+from ..request import RequestError
 
 import itertools
 
@@ -104,33 +107,51 @@ class _MatchClassifier:
     The mined pattern of a match keeps keyword labels where the data
     has them and wildcards elsewhere (merged labels, §2.3), so the
     class depends only on the structure plus keyword placement.  The
-    memo key is the *exact* labeled shape in sorted-vertex form —
-    cheap to build (O(edges)), and exact-form equality implies
-    isomorphism, so entries are merely duplicated across isomorphic
-    forms instead of being re-derived per match.  (Keying by canonical
-    form would compute a factorial-cost canonicalization per match,
-    which dwarfs the classification itself.)
+    memo key is the *exact* labeled shape in sorted-vertex form: one
+    int with a bit per adjacent pair of sorted positions (pairs in
+    lexicographic order, read off ``neighbor_set`` membership) plus
+    the keyword-or-``None`` label tuple.  That is O(pairs) set probes
+    on a hit; the edge list is rebuilt from the int only on a miss.
+    Exact-form equality implies isomorphism, so entries are merely
+    duplicated across isomorphic forms instead of being re-derived per
+    match.  (Keying by canonical form would compute a factorial-cost
+    canonicalization per match, which dwarfs the classification
+    itself.)
     """
 
     def __init__(self, keywords: FrozenSet[int]) -> None:
         self._keywords = keywords
-        self._classes: Dict[tuple, str] = {}
+        # Data label -> pattern label: a keyword stays, the rest merge
+        # into the wildcard (``dict.get`` answers ``None`` for them).
+        self._pattern_label = {kw: kw for kw in keywords}.get
+        self._classes: Dict[Tuple[int, tuple], str] = {}
 
     def classify(self, graph: Graph, vertex_set: Sequence[int]) -> str:
         ordered = sorted(vertex_set)
-        position = {v: i for i, v in enumerate(ordered)}
-        edges = []
-        labels: List[Optional[int]] = []
-        for v in ordered:
-            lab = graph.label(v)
-            labels.append(lab if lab in self._keywords else None)
-            for w in graph.neighbors(v):
-                if w > v and w in position:
-                    edges.append((position[v], position[w]))
-        key = (len(ordered), tuple(edges), tuple(labels))
+        data_labels = graph.labels
+        labels = tuple(
+            [self._pattern_label(data_labels[v]) for v in ordered]
+        )
+        neighbor_set = graph.neighbor_set
+        adjacency = 0
+        pair = 1
+        for i, v in enumerate(ordered[:-1], 1):
+            adjacent = neighbor_set(v)
+            for w in ordered[i:]:
+                if w in adjacent:
+                    adjacency |= pair
+                pair <<= 1
+        key = (adjacency, labels)
         cached = self._classes.get(key)
         if cached is None:
-            cached = self._classify_shape(len(ordered), edges, labels)
+            n = len(ordered)
+            pairs = itertools.combinations(range(n), 2)
+            edges = [
+                edge
+                for slot, edge in enumerate(pairs)
+                if adjacency >> slot & 1
+            ]
+            cached = self._classify_shape(n, edges, labels)
             self._classes[key] = cached
         return cached
 
@@ -225,7 +246,7 @@ class KeywordSearchResult:
 def _ordered_cover_check(
     graph: Graph,
     vertex_set: Sequence[int],
-    keywords: FrozenSet[int],
+    coverage: statespace.KeywordCoverage,
     size_limit: int,
     ascending: bool,
     stats: ConstraintStats,
@@ -239,7 +260,10 @@ def _ordered_cover_check(
     the probe count — and hence the work — order-dependent.
     """
     members = list(dict.fromkeys(vertex_set))
-    sizes = range(len(keywords), min(size_limit, len(members)) + 1)
+    covers = coverage.covers
+    # A cover has at least one vertex per keyword.
+    fewest = bin(coverage.full).count("1")
+    sizes = range(fewest, min(size_limit, len(members)) + 1)
     # Smaller violating states are sparser than larger ones, so the
     # strategy maps to the size scan direction.  (Sorting *within* a
     # size by induced density was tried and reverted: it costs more
@@ -247,9 +271,7 @@ def _ordered_cover_check(
     for size in sizes if ascending else reversed(sizes):
         for subset in itertools.combinations(members, size):
             stats.constraint_checks += 1
-            if statespace.covers(graph, subset, keywords) and (
-                graph.is_connected_subset(subset)
-            ):
+            if covers(subset) and graph.is_connected_subset(subset):
                 return True
     return False
 
@@ -272,25 +294,52 @@ def keyword_search(
     the first cover), ``elimination`` (state-space SKIP/NO-CHECK
     classification).  All settings return identical minimal covers;
     only the work differs.
+
+    A query no pattern can answer — no keyword, ``max_size < 1``, or
+    more keywords than ``max_size`` vertices — is rejected before any
+    mining with a :class:`~repro.request.RequestError` (a
+    ``ValueError`` naming the field).
     """
     keyword_set = frozenset(keywords)
     if not graph.is_labeled:
         raise ValueError("keyword search requires a labeled graph")
+    if not keyword_set:
+        raise RequestError("keywords", "need at least one keyword")
+    if max_size < 1:
+        raise RequestError("max_size", f"must be >= 1, got {max_size}")
+    if max_size < len(keyword_set):
+        raise RequestError(
+            "max_size",
+            f"{len(keyword_set)} keywords need at least as many "
+            f"vertices, got {max_size}",
+        )
     result = KeywordSearchResult()
     stats = result.stats
     classifier = _MatchClassifier(keyword_set)
-    # check_interval=1 matches the historical behavior: the connected-set
-    # explorer polled the clock on every visited state.
-    budget = Budget(time_limit=time_limit, check_interval=1)
+    budget = Budget(
+        time_limit=time_limit, check_interval=_DEADLINE_CHECK_INTERVAL
+    )
+    check_deadline = budget.check_deadline
     # The KWS workload always spans sparse (tree) and dense (clique)
     # structures, so Fig 9's decision tree lands in the "mixed
     # targets" branch: decide by data-graph density.  Resolving on two
     # representative targets avoids materializing the full pattern
-    # workload just to pick an ordering.
-    from ..patterns.library import clique as _clique, path as _path
-
-    representatives = [_path(max_size - 1), _clique(max_size)]
+    # workload just to pick an ordering.  (A single vertex is its own
+    # clique and has no path beside it.)
+    representatives = [clique(max_size)]
+    if max_size > 1:
+        representatives.append(path(max_size - 1))
     ascending = resolve_strategy(rl_strategy, representatives, graph)
+
+    # Coverage is carried down the connected-set tree, not rebuilt per
+    # visit: covered[d] is the keyword mask of the current branch's
+    # first d vertices.  The explorer visits a set right after (a
+    # descendant of) its prefix — the latest visited set one vertex
+    # shorter *is* the prefix — so covered[d - 1] is still the prefix's
+    # mask when its extension arrives.
+    coverage = statespace.KeywordCoverage(graph, keyword_set, max_size)
+    bits, full, room = coverage.bits, coverage.full, coverage.room
+    covered = [0] * (max_size + 1)
 
     def handle_cover(current: Sequence[int]) -> None:
         """Classify a covering match and emit if minimal."""
@@ -307,7 +356,7 @@ def keyword_search(
         if not _ordered_cover_check(
             graph,
             current,
-            keyword_set,
+            coverage,
             size_limit=len(current) - 1,
             ascending=ascending,
             stats=stats,
@@ -315,30 +364,24 @@ def keyword_search(
             result.minimal.add(frozenset(current))
 
     def visit(current: Sequence[int]) -> bool:
-        budget.check_deadline()
-        found = {
-            lab
-            for lab in (graph.label(v) for v in current)
-            if lab in keyword_set
-        }
-        if len(found) == len(keyword_set):
+        check_deadline()
+        depth = len(current)
+        mask = covered[depth] = covered[depth - 1] | bits[current[-1]]
+        if mask == full:
             handle_cover(current)
             if enable_eager_filter:
                 # Any extension contains this cover: cancel the RL-Path.
                 stats.eager_filter_cuts += 1
                 return False
-            return len(current) < max_size
-        if enable_elimination:
+        elif enable_elimination and depth > room[mask]:
             # Virtual state-space skip, coverage side: every pattern
             # this branch could still match needs one vertex per
             # missing keyword; prune when the size cap can't fit them
             # (the paper's "ETasks targeting these patterns are
             # completely skipped", applied to the non-covering side).
-            missing = len(keyword_set) - len(found)
-            if len(current) + missing > max_size:
-                stats.etasks_skipped += 1
-                return False
-        return len(current) < max_size
+            stats.etasks_skipped += 1
+            return False
+        return depth < max_size
 
     if enable_promotion:
         explore_connected_sets(graph, max_size, visit, stats=stats)
@@ -348,13 +391,14 @@ def keyword_search(
         for size in range(len(keyword_set), max_size + 1):
 
             def visit_at(current: Sequence[int], size=size) -> bool:
-                budget.check_deadline()
-                is_cover = statespace.covers(graph, current, keyword_set)
-                if len(current) == size:
-                    if is_cover:
+                check_deadline()
+                depth = len(current)
+                mask = covered[depth] = covered[depth - 1] | bits[current[-1]]
+                if depth == size:
+                    if mask == full:
                         handle_cover(current)
                     return False
-                if is_cover and enable_eager_filter:
+                if mask == full and enable_eager_filter:
                     stats.eager_filter_cuts += 1
                     return False
                 return True

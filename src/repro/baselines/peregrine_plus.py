@@ -243,10 +243,13 @@ def posthoc_kws(
     engine.stats = stats
     engine.cache.stats = stats
     covering: List[FrozenSet[int]] = []
+    # The same coverage primitive Contigra's walk reads, so Fig 15 / 17
+    # compare execution models and not two spellings of "covers".
+    coverage = statespace.KeywordCoverage(graph, keyword_set, max_size)
 
     def on_match(match) -> bool:
         budget.check_deadline()
-        if statespace.covers(graph, match.vertex_set, keyword_set):
+        if coverage.covers(match.vertex_set):
             covering.append(match.vertex_set)
         return False
 

@@ -24,7 +24,7 @@ data-level helpers double as the correctness oracle used in tests.
 from __future__ import annotations
 
 import itertools
-from typing import Dict, FrozenSet, Iterable, List, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from ..graph.graph import Graph
 from ..patterns.isomorphism import connected_subpatterns
@@ -104,13 +104,67 @@ def skip_ratio(buckets: Dict[str, List[Pattern]]) -> float:
 
 
 def covers(graph: Graph, vertex_set: Iterable[int], keywords: FrozenSet[int]) -> bool:
-    """Whether the vertices' labels include every keyword."""
+    """Whether the vertices' labels include every keyword.
+
+    The set-spelled reference: :class:`KeywordCoverage` answers the
+    same question in integer arithmetic and is tested against this.
+    """
     found = set()
     for v in vertex_set:
         lab = graph.label(v)
         if lab in keywords:
             found.add(lab)
     return keywords <= found
+
+
+class KeywordCoverage:
+    """Keyword coverage as bit arithmetic, built once per query.
+
+    Each keyword owns one bit, so the keywords a vertex set carries are
+    the OR of its vertices' ``bits`` and the set covers when that
+    equals ``full``.  A walker that grows sets one vertex at a time
+    carries the mask down its branch (``mask | bits[v]`` per step)
+    instead of re-reading labels.
+
+    * ``bits[v]`` — the bit of ``v``'s label if it is a keyword, else 0.
+    * ``full`` — the mask of a covering set.
+    * ``room[mask]`` — the largest size a set carrying ``mask`` may have
+      and still grow into a cover within ``max_size``: every missing
+      keyword needs a vertex of its own, so ``max_size`` minus the
+      missing count.  ``len(s) > room[mask]`` is the set-spelled
+      ``len(s) + missing > max_size``.
+    """
+
+    __slots__ = ("bits", "full", "room")
+
+    def __init__(
+        self, graph: Graph, keywords: FrozenSet[int], max_size: int
+    ) -> None:
+        bit_of: Dict[Optional[int], int] = {
+            kw: 1 << i for i, kw in enumerate(sorted(keywords))
+        }
+        # An unlabeled graph carries no keyword anywhere.
+        labels: Sequence[Optional[int]] = (
+            graph.labels or [None] * graph.num_vertices
+        )
+        self.bits: List[int] = [bit_of.get(lab, 0) for lab in labels]
+        self.full: int = (1 << len(bit_of)) - 1
+        floor = max_size - len(bit_of)
+        self.room: List[int] = [
+            floor + bin(mask).count("1") for mask in range(self.full + 1)
+        ]
+
+    def mask(self, vertex_set: Iterable[int]) -> int:
+        """The keywords ``vertex_set`` carries, as a bit mask."""
+        bits = self.bits
+        found = 0
+        for v in vertex_set:
+            found |= bits[v]
+        return found
+
+    def covers(self, vertex_set: Iterable[int]) -> bool:
+        """Same answer as :func:`covers`, without building a set."""
+        return self.mask(vertex_set) == self.full
 
 
 def has_connected_cover_smaller_than(

@@ -42,6 +42,18 @@ def explore_connected_sets(
     enumeration chain is a connected subset of it, so monotone pruning
     predicates (anything true of a set that stays true of supersets)
     may safely cut branches in ``visit``.
+
+    The walk is depth-first over one ``current`` list, whatever
+    ``visit`` answers: when a set of k > 1 vertices is visited, the
+    latest visited set of k - 1 vertices is ``current[:-1]``.  A
+    ``visit`` may therefore carry per-branch state in a stack indexed
+    by ``len(current)`` (state of depth k from state of depth k - 1
+    and ``current[-1]``) instead of recomputing it from the whole set.
+
+    Counters are added per sibling batch, ahead of the visits: on a
+    completed walk ``extensions_attempted`` / ``rl_paths`` count every
+    visited set exactly; if ``visit`` raises, they also include the
+    unvisited siblings of each set on the abandoned branch.
     """
     if max_size < 1:
         raise ValueError("max_size must be >= 1")
@@ -70,16 +82,17 @@ def _extend(
     # ESU: each extension vertex spawns one branch and is excluded from
     # later siblings, which is what makes every set appear exactly once.
     ext = list(extension)
+    stats.extensions_attempted += len(ext)
+    stats.rl_paths += len(ext)
+    children_grow = len(current) + 1 < max_size
     neighborhood = set()
-    for v in current:
-        neighborhood.update(graph.neighbors(v))
+    if children_grow:
+        for v in current:
+            neighborhood.update(graph.neighbors(v))
     while ext:
         w = ext.pop()
-        stats.extensions_attempted += 1
         current.append(w)
-        stats.rl_paths += 1
-        grow = visit(current)
-        if grow and len(current) < max_size:
+        if visit(current) and children_grow:
             new_ext = ext + [
                 u
                 for u in graph.neighbors(w)

@@ -63,6 +63,20 @@ class TestCommands:
         payload = json.loads(capsys.readouterr().out)
         assert payload["patterns_total"] > 0
 
+    def test_kws_single_vertex_query(self, capsys):
+        # One keyword at --max-size 1 is a legal query (every vertex
+        # carrying it); it used to die building a 0-vertex path.
+        assert main(
+            ["kws", "--dataset", "mico", "--keywords", "0",
+             "--max-size", "1", "--format", "json"]
+        ) == 0
+        from repro.bench.datasets import dataset
+
+        captured = capsys.readouterr()
+        carriers = dataset("mico").vertices_with_label(0)
+        assert json.loads(captured.out)["minimal_covers"] == len(carriers)
+        assert "Traceback" not in captured.err
+
     def test_kws_explicit_keywords(self, capsys):
         assert main(
             ["kws", "--dataset", "mico", "--keywords", "0,1",
@@ -327,6 +341,10 @@ class TestBadFlagValues:
             (["mqc", "--dataset", "dblp", "--workers", "0"], "workers"),
             (["nsq", "--dataset", "dblp", "--workers", "0"], "workers"),
             (["kws", "--dataset", "mico", "--keywords", "a,b"], "keywords"),
+            (["kws", "--dataset", "mico", "--keywords", "mf",
+              "--max-size", "0"], "max_size"),
+            (["kws", "--dataset", "mico", "--keywords", "mf",
+              "--max-size", "2"], "max_size"),
         ],
     )
     def test_exit_2_with_field_message(self, argv, field, capsys):

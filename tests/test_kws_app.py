@@ -151,6 +151,119 @@ class TestSearchWork:
         assert 0 < result.pattern_skip_ratio <= 1
 
 
+class TestQueryValidation:
+    """A query no pattern can answer is rejected before any mining, and
+    the answer does not depend on ``collect_workload_stats``."""
+
+    @pytest.mark.parametrize("collect", [True, False])
+    @pytest.mark.parametrize(
+        "keywords, max_size, field",
+        [([], 4, "keywords"), (KW, 2, "max_size"), (KW, 0, "max_size"),
+         ([0], 0, "max_size")],
+    )
+    def test_rejected_up_front(self, keywords, max_size, field, collect,
+                               monkeypatch):
+        import repro.apps.kws as kws
+        from repro.request import RequestError
+
+        def never(*_args, **_kwargs):
+            raise AssertionError("mined before validating")
+
+        monkeypatch.setattr(kws, "explore_connected_sets", never)
+        g = labeled_random_graph(10, 0.3, num_labels=4, seed=1)
+        with pytest.raises(ValueError) as err:
+            keyword_search(
+                g, keywords, max_size, collect_workload_stats=collect
+            )
+        assert isinstance(err.value, RequestError)
+        assert err.value.field == field
+
+    @pytest.mark.parametrize("collect", [True, False])
+    def test_single_vertex_query(self, collect):
+        g = labeled_random_graph(20, 0.3, num_labels=4, seed=1)
+        result = keyword_search(g, [2], 1, collect_workload_stats=collect)
+        assert result.minimal == {
+            frozenset([v]) for v in g.vertices_with_label(2)
+        }
+        assert result.minimal == minimal_keyword_covers(g, [2], 1)
+
+
+class TestCounterPin:
+    """Same nodes, same order, every counter: the work counters and the
+    covers of one seeded graph under all eight ablations, as recorded
+    before coverage moved onto the bit table (PR 22's parent commit)."""
+
+    MINIMAL = {
+        (0, 1, 2, 13, 14), (0, 1, 3, 12), (0, 1, 3, 13), (0, 1, 12, 14),
+        (0, 2, 11, 13, 14), (0, 3, 10, 13), (0, 4, 11, 12, 14),
+        (0, 6, 11, 12, 14), (0, 10, 13, 14), (0, 13, 14, 15),
+        (1, 2, 3, 11, 12), (1, 3, 4, 11, 12), (1, 3, 4, 11, 13),
+        (1, 3, 5, 9, 12), (1, 3, 6, 11, 12), (1, 3, 8, 12),
+        (1, 5, 9, 12, 14), (1, 5, 12, 14, 15), (2, 3, 11, 13),
+        (2, 10, 11, 13, 14), (2, 11, 13, 14, 15), (3, 5, 13),
+        (3, 8, 13, 15), (5, 13, 14), (8, 10, 13, 14), (8, 12, 14),
+        (8, 13, 14, 15),
+    }
+    # (promotion, eager_filter, elimination) -> non-zero counters.
+    COUNTERS = {
+        (True, True, True): dict(
+            etasks_started=16, etasks_completed=16, rl_paths=889,
+            matches_found=115, extensions_attempted=873,
+            etasks_skipped=567, constraint_checks=239,
+            matches_checked=24, eager_filter_cuts=115),
+        (True, True, False): dict(
+            etasks_started=16, etasks_completed=16, rl_paths=1214,
+            matches_found=115, extensions_attempted=1198,
+            constraint_checks=1072, matches_checked=115,
+            eager_filter_cuts=115),
+        (True, False, True): dict(
+            etasks_started=16, etasks_completed=16, rl_paths=979,
+            matches_found=205, extensions_attempted=963,
+            etasks_skipped=657, constraint_checks=239,
+            matches_checked=24),
+        (True, False, False): dict(
+            etasks_started=16, etasks_completed=16, rl_paths=1304,
+            matches_found=205, extensions_attempted=1288,
+            constraint_checks=1739, matches_checked=205),
+        (False, True, True): dict(
+            etasks_started=48, etasks_completed=48, rl_paths=1831,
+            matches_found=115, extensions_attempted=1783,
+            etasks_skipped=88, constraint_checks=239,
+            matches_checked=24, eager_filter_cuts=34),
+        (False, True, False): dict(
+            etasks_started=48, etasks_completed=48, rl_paths=1831,
+            matches_found=115, extensions_attempted=1783,
+            constraint_checks=1072, matches_checked=115,
+            eager_filter_cuts=34),
+        (False, False, True): dict(
+            etasks_started=48, etasks_completed=48, rl_paths=1925,
+            matches_found=205, extensions_attempted=1877,
+            etasks_skipped=178, constraint_checks=239,
+            matches_checked=24),
+        (False, False, False): dict(
+            etasks_started=48, etasks_completed=48, rl_paths=1925,
+            matches_found=205, extensions_attempted=1877,
+            constraint_checks=1739, matches_checked=205),
+    }
+
+    @pytest.mark.parametrize("toggles", sorted(COUNTERS))
+    def test_counters_and_covers_as_recorded(self, toggles):
+        promotion, eager_filter, elimination = toggles
+        g = labeled_random_graph(16, 0.25, num_labels=5, seed=21)
+        result = keyword_search(
+            g, KW, 5,
+            enable_promotion=promotion,
+            enable_eager_filter=eager_filter,
+            enable_elimination=elimination,
+            collect_workload_stats=False,
+        )
+        counters = result.stats.as_dict()
+        assert {k: v for k, v in counters.items() if v} == (
+            self.COUNTERS[toggles]
+        )
+        assert {tuple(sorted(s)) for s in result.minimal} == self.MINIMAL
+
+
 class TestFastClassifier:
     @given(st.integers(0, 10_000))
     @settings(max_examples=30, deadline=None)
@@ -185,6 +298,36 @@ class TestFastClassifier:
                     Pattern(size, edges, labels=labels), keywords
                 )
                 assert fast == reference
+
+
+    def test_same_shape_shares_one_memo_entry(self, monkeypatch):
+        """The key is the shape in sorted-position form, not the vertex
+        ids: two paths with the keyword in the middle classify once."""
+        from repro.apps.kws import _MatchClassifier
+        from repro.graph import Graph
+
+        # Two paths, 0 - 1 - 2 and 3 - 4 - 5, keyword on the middle
+        # vertex of each; the other labels differ but are not keywords.
+        adjacency = [[1], [0, 2], [1], [4], [3, 5], [4]]
+        g = Graph(adjacency, labels=[7, 0, 8, 9, 0, 7])
+        classifier = _MatchClassifier(frozenset({0}))
+        calls = []
+        derive = classifier._classify_shape
+
+        def counting(n, edges, labels):
+            calls.append((n, tuple(edges), tuple(labels)))
+            return derive(n, edges, labels)
+
+        monkeypatch.setattr(classifier, "_classify_shape", counting)
+        first = classifier.classify(g, [2, 0, 1])
+        second = classifier.classify(g, [4, 5, 3])
+        assert first == second == statespace.SKIP
+        assert calls == [(3, ((0, 1), (1, 2)), (None, 0, None))]
+        assert len(classifier._classes) == 1
+        # A different shape on the same vertices' labels is a new entry.
+        triangle = Graph([[1, 2], [0, 2], [0, 1]], labels=[7, 0, 8])
+        classifier.classify(triangle, [0, 1, 2])
+        assert len(calls) == 2 and len(classifier._classes) == 2
 
 
 class TestKeywordSelection:

@@ -73,6 +73,27 @@ class TestESU:
             connected_vertex_sets(g, 1, max_size)
         )
 
+    @given(
+        graph_strategy(max_vertices=9),
+        st.integers(1, 5),
+        st.randoms(use_true_random=False),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_prefix_is_the_latest_shorter_visit(self, g, max_size, rng):
+        """The contract per-branch stacks lean on (KWS carries keyword
+        coverage this way): whatever ``visit`` answers, a visited set of
+        k > 1 vertices extends the latest visited set of k - 1."""
+        latest = {}
+
+        def visit(current):
+            k = len(current)
+            if k > 1:
+                assert latest[k - 1] == current[:-1]
+            latest[k] = list(current)
+            return rng.random() < 0.7
+
+        explore_connected_sets(g, max_size, visit)
+
 
 class TestQuasiCliqueMining:
     @pytest.mark.parametrize("seed", range(4))

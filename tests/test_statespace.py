@@ -10,6 +10,7 @@ from repro.core.statespace import (
     EAGER,
     NO_CHECK,
     SKIP,
+    KeywordCoverage,
     classify_all,
     classify_minimality,
     covers,
@@ -21,7 +22,7 @@ from repro.core.statespace import (
 from repro.graph import Graph, graph_from_edges
 from repro.patterns import Pattern, path, star, triangle
 
-from conftest import labeled_random_graph
+from conftest import graph_strategy, labeled_random_graph
 
 KW = frozenset({0, 1, 2})
 
@@ -90,6 +91,29 @@ class TestDataLevelChecks:
         g = self._labeled_path([0, 1, 2, 9])
         assert covers(g, [0, 1, 2], KW)
         assert not covers(g, [0, 1, 3], KW)
+
+    @given(st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_coverage_table_agrees_with_the_set_spelling(self, data):
+        g = data.draw(graph_strategy(max_vertices=10, max_labels=5))
+        keywords = data.draw(st.frozensets(st.integers(0, 5), max_size=4))
+        max_size = data.draw(st.integers(len(keywords), 6))
+        members = data.draw(
+            st.lists(st.sampled_from(range(g.num_vertices)), max_size=6)
+        )
+        table = KeywordCoverage(g, keywords, max_size)
+        mask = table.mask(members)
+        assert (mask == table.full) == covers(g, members, keywords)
+        assert table.covers(members) == covers(g, members, keywords)
+        found = {g.label(v) for v in members} & keywords
+        missing = len(keywords) - len(found)
+        assert (len(members) > table.room[mask]) == (
+            len(members) + missing > max_size
+        )
+
+    def test_coverage_table_on_unlabeled_graph(self):
+        g = graph_from_edges([(0, 1), (1, 2)])
+        assert not KeywordCoverage(g, KW, 3).covers([0, 1, 2])
 
     def test_minimal_cover_positive(self):
         g = self._labeled_path([0, 1, 2])
