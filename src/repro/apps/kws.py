@@ -92,7 +92,7 @@ def classify_workload(
 ) -> Dict[str, List[Pattern]]:
     """State-space classification of the whole pattern workload (§7)."""
     return statespace.classify_all(
-        keyword_patterns(keywords, max_size), keywords
+        keyword_patterns_cached(frozenset(keywords), max_size), keywords
     )
 
 
@@ -419,7 +419,8 @@ _PATTERN_CACHE: Dict[Tuple[FrozenSet[int], int], List[Pattern]] = {}
 def keyword_patterns_cached(
     keyword_set: FrozenSet[int], max_size: int
 ) -> List[Pattern]:
-    """Memoized :func:`keyword_patterns` (used for strategy resolution)."""
+    """Memoized :func:`keyword_patterns` (workload classification and
+    strategy resolution re-enumerate nothing)."""
     key = (keyword_set, max_size)
     cached = _PATTERN_CACHE.get(key)
     if cached is None:

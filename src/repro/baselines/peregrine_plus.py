@@ -86,7 +86,6 @@ def posthoc_mqc(
         graph, induced=True, cache_enabled=schedule == "peregrine"
     )
     engine.stats = stats
-    engine.cache.stats = stats
 
     patterns_by_size = quasi_clique_patterns_up_to(
         max_size, gamma, min_size=min_size
@@ -187,7 +186,6 @@ def posthoc_nsq(
     budget = _baseline_budget(time_limit)
     engine = MiningEngine(graph, induced=induced)
     engine.stats = stats
-    engine.cache.stats = stats
     targets = [
         ValidationTarget(
             p_m, p_plus, graph, induced=induced,
@@ -241,7 +239,6 @@ def posthoc_kws(
     budget = _baseline_budget(time_limit)
     engine = MiningEngine(graph, induced=True)
     engine.stats = stats
-    engine.cache.stats = stats
     covering: List[FrozenSet[int]] = []
     # The same coverage primitive Contigra's walk reads, so Fig 15 / 17
     # compare execution models and not two spellings of "covers".

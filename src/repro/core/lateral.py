@@ -7,14 +7,13 @@ serialize the VTasks and cancels the tail as soon as one matches.
 Ordering uses the Fig 9 heuristics *inverted* — most-likely-to-match
 first — because here a match is the cheap exit, not the expensive one.
 
-Cancellation is expressed through the execution core: the chain runs
-under a child :class:`~repro.exec.context.CancellationToken` of the
-caller's context, each VTask checks the token before starting, and the
-first match cancels the token — exactly the parent-cancels-children
-propagation every other part of the runtime uses.  Cancellation counts
-reach the stats sink over the context's event bus (``cancel`` events
-with ``kind="lateral"``); legacy callers that pass bare counters and
-no context get direct increments instead.
+The chain is one loop: the first matching VTask ends it, and the
+VTasks it never reached are the canceled ones.  Before each VTask the
+loop also checks the caller's cancellation token, so a parent
+cancellation (deadline, aborted ETask) stops the pending VTasks too.
+Either way the skipped VTasks are counted on the caller's stats
+(``vtasks_canceled_lateral``, Fig 14), and an observed context gets a
+``cancel`` event with ``kind="lateral"`` for the same count.
 
 Serial execution is deliberately not a scalability concern: ETasks
 provide the parallelism; serializing a single ETask's validations just
@@ -66,30 +65,21 @@ class LateralScheduler:
         Returns ``(target, completion)`` when some VTask matched (the
         subgraph violates its constraints) or None when every VTask
         exhausted (the subgraph is valid).  With cancellation enabled,
-        a match cancels the chain's token and the remaining VTasks are
-        counted as canceled (Fig 14); with it disabled every VTask
-        runs — the result is identical, only the work differs, which
-        is exactly the ablation the paper plots.
+        a match ends the chain and the remaining VTasks are counted as
+        canceled (Fig 14); with it disabled every VTask runs — the
+        result is identical, only the work differs, which is exactly
+        the ablation the paper plots.
         """
         violation: Optional[Tuple[ValidationTarget, Tuple[int, ...]]] = None
-        # The chain's token is a child of the caller's: a parent
-        # cancellation (deadline, aborted ETask) stops pending VTasks
-        # here too, not just future ETask descents.
-        chain_ctx = ctx.child() if ctx is not None else None
         for index, target in enumerate(self.targets):
-            if chain_ctx is not None and chain_ctx.cancelled:
+            if ctx is not None and ctx.cancelled:
                 remaining = len(self.targets) - index
                 self._count_canceled(remaining, stats, ctx)
                 break
-            completion = target.run(
-                assignment, graph, cache, stats, ctx=chain_ctx
-            )
+            completion = target.run(assignment, graph, cache, stats, ctx=ctx)
             if completion is not None:
                 violation = (target, completion)
                 if self.enable_cancellation:
-                    chain_ctx_reason = "lateral: sibling VTask matched"
-                    if chain_ctx is not None:
-                        chain_ctx.cancel(chain_ctx_reason)
                     remaining = len(self.targets) - index - 1
                     self._count_canceled(remaining, stats, ctx)
                     break
@@ -103,10 +93,9 @@ class LateralScheduler:
     ) -> None:
         if remaining <= 0:
             return
-        if ctx is not None:
+        stats.vtasks_canceled_lateral += remaining
+        if ctx is not None and ctx.observed:
             ctx.emit(CANCEL, kind="lateral", count=remaining)
-        else:
-            stats.vtasks_canceled_lateral += remaining
 
     def __len__(self) -> int:
         return len(self.targets)

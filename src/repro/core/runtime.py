@@ -24,9 +24,12 @@ The engine is split along the execution core's task model:
 Deadlines, byte budgets, and cancellation all flow through the
 session's TaskContext — the engine has no deadline code of its own
 (:meth:`repro.exec.context.Budget._check_deadline` is the single
-implementation).  Lifecycle counters (cancellations, promotions,
-checked matches) travel over the context's event bus and land in the
-session stats through :class:`~repro.exec.events.StatsSubscriber`.
+implementation).  Every counter, lifecycle ones included
+(cancellations, promotions, checked matches), is an integer add on the
+session's own stats at the place it happens; the context's event bus
+carries the same moments to observers, and only when there are any
+(:attr:`~repro.exec.context.TaskContext.observed`, read once per
+session).
 
 Predecessor-constrained workloads (keyword search) run on the
 dedicated explorer in :mod:`repro.apps.kws`, which is built on the
@@ -64,8 +67,6 @@ from ..exec.events import (
     MATCH_CHECKED,
     PHASE_PATTERN,
     PROMOTE,
-    EventBus,
-    StatsSubscriber,
 )
 from ..exec.scheduler import merge_counter_dict
 from ..graph.aux import auxiliary_graph
@@ -151,7 +152,6 @@ class ContigraEngine:
         enable_promotion: bool = True,
         enable_lateral: bool = True,
         rl_strategy: str = "heuristic",
-        cache_entries: int = 200_000,
         time_limit: Optional[float] = None,
         adjacency: str = "auto",
         enable_aux: bool = False,
@@ -179,7 +179,6 @@ class ContigraEngine:
         self.enable_aux = enable_aux
         self.time_limit = time_limit
         self.stats = ConstraintStats()
-        self._cache_entries = cache_entries
 
         unsupported = [
             c for c in constraint_set.all_constraints if c.is_predecessor
@@ -316,30 +315,15 @@ class EngineSession:
         self.engine = engine
         self.match_sink = match_sink
         self.stats = stats if stats is not None else ConstraintStats()
-        if ctx is None:
-            self.ctx = TaskContext.create(
-                time_limit=engine.time_limit,
-                stats=self.stats,
-                check_interval=_DEADLINE_CHECK_INTERVAL,
-            )
-        else:
-            # Keep the caller's token and budget (shared deadline,
-            # cooperative cancellation across sessions) but give the
-            # session its own bus wired to its own stats — worker
-            # sessions must not write into each other's counters.  The
-            # session bus *forwards* every event to the caller's bus,
-            # so observability subscribers attached at the top (span
-            # tracers, metric registries, event logs) see the whole
-            # run; before this, worker/session events silently died on
-            # the isolated bus and traces had scheduler-shaped holes.
-            self.ctx = TaskContext(
-                token=ctx.token,
-                budget=ctx.budget,
-                bus=EventBus(forward_to=ctx.bus),
-                stats=self.stats,
-                tracer=ctx.tracer,
-            )
-            StatsSubscriber(self.stats).attach(self.ctx.bus)
+        # The caller's context as is (shared deadline, cooperative
+        # cancellation, one bus for the whole run): worker sessions
+        # stay out of each other's counters because each counts on
+        # its own ``stats``, not because each has its own bus.
+        self.ctx = ctx if ctx is not None else TaskContext.create(
+            time_limit=engine.time_limit,
+            check_interval=_DEADLINE_CHECK_INTERVAL,
+        )
+        self._observed = self.ctx.observed
         self.result = ContigraResult()
         self.result.stats = self.stats
         self.registry = PromotionRegistry()
@@ -401,7 +385,6 @@ class EngineSession:
         """
         engine = self.engine
         shard = set(roots) if roots is not None else None
-        observed = self.ctx.observed
         for pattern in engine._ordered_patterns:
             plan = plan_for(pattern, induced=engine.induced)
             pattern_index = self._pattern_index(pattern)
@@ -410,7 +393,7 @@ class EngineSession:
                 pattern_roots = [r for r in pattern_roots if r in shard]
             if not pattern_roots:
                 continue
-            if observed:
+            if self._observed:
                 self.ctx.phase_start(
                     PHASE_PATTERN,
                     pattern=pattern.name or f"P{pattern.num_vertices}",
@@ -421,9 +404,7 @@ class EngineSession:
                     if self.ctx.cancelled:
                         return
                     self._task_cache = SetOperationCache(
-                        max_entries=engine._cache_entries,
-                        stats=self.stats,
-                        bus=self.ctx.bus,
+                        stats=self.stats, bus=self.ctx.bus
                     )
                     task = ETask(
                         engine.graph, plan, root, self._task_cache,
@@ -432,7 +413,7 @@ class EngineSession:
                     )
                     task.run(self._on_etask_match)
             finally:
-                if observed:
+                if self._observed:
                     self.ctx.phase_end(PHASE_PATTERN)
         self._task_cache = None
 
@@ -462,7 +443,9 @@ class EngineSession:
         if not self.registry.mark(match.pattern, match.assignment):
             # Already handled through promotion: the from-scratch ETask
             # work for this subgraph is canceled (§5.3).
-            self.ctx.emit(CANCEL, kind="etask", count=1)
+            self.stats.etasks_canceled += 1
+            if self._observed:
+                self.ctx.emit(CANCEL, kind="etask", count=1)
             return False
         self._process_subgraph(match.pattern, match.assignment)
         return False
@@ -480,7 +463,9 @@ class EngineSession:
         as they arrive, with no second canonicalisation here.
         """
         engine = self.engine
-        self.ctx.emit(MATCH_CHECKED, count=1)
+        self.stats.matches_checked += 1
+        if self._observed:
+            self.ctx.emit(MATCH_CHECKED, count=1)
         scheduler = engine._schedulers[pattern.structure_key()]
         cache = (
             self._task_cache
@@ -494,7 +479,7 @@ class EngineSession:
             self.result.valid.append((pattern, assignment))
             if self.match_sink is not None:
                 self.match_sink(pattern, assignment)
-            if self.ctx.bus.has_subscribers(MATCH):
+            if self._observed:
                 self.ctx.emit(
                     MATCH,
                     pattern=pattern.name or f"P{pattern.num_vertices}",
@@ -530,7 +515,9 @@ class EngineSession:
             canonical = canonical_assignment(found, workload_pattern)
             if not self.registry.mark(workload_pattern, canonical):
                 continue
-            self.ctx.emit(PROMOTE, count=1)
+            self.stats.promotions += 1
+            if self._observed:
+                self.ctx.emit(PROMOTE, count=1)
             self._process_subgraph(workload_pattern, canonical)
 
 

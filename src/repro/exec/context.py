@@ -14,9 +14,9 @@ byte accounting):
   / OOS).  The deadline check is tick-gated so hot loops pay one
   integer op per call, one clock read per ``check_interval`` calls.
 * :class:`TaskContext` — the bundle engines carry: token + budget +
-  event bus + stats sink.  ``child()`` derives a context whose token
-  is subordinate but whose budget/bus/stats are shared — the task
-  hierarchy of the paper's ETask → VTask spawning.
+  event bus (+ the tracer attached to it).  ``child()`` derives a
+  context whose token is subordinate but whose budget and bus are
+  shared — the task hierarchy of the paper's ETask → VTask spawning.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from ..errors import (
     StorageBudgetExceeded,
     TimeLimitExceeded,
 )
-from .events import PHASE_END, PHASE_START, EventBus, StatsSubscriber
+from .events import PHASE_END, PHASE_START, EventBus
 
 
 class CancellationToken:
@@ -201,42 +201,39 @@ class TaskContext:
 
     ``token`` gates cooperative cancellation, ``budget`` owns the
     deadline and byte accounting, ``bus`` carries instrumentation
-    events, ``stats`` is the counter sink subscribed to the bus, and
-    ``tracer`` optionally references the :class:`repro.obs.SpanTracer`
-    attached to the bus (so schedulers and the CLI can finalize or
-    export it without re-discovering the subscriber).
+    events to whoever observes the run, and ``tracer`` optionally
+    references the :class:`repro.obs.SpanTracer` attached to the bus
+    (so schedulers and the CLI can finalize or export it without
+    re-discovering the subscriber).  Counters are not the context's
+    business: each session owns its stats and counts in place.
     Contexts are cheap; derive per-scope children with :meth:`child`.
     """
 
-    __slots__ = ("token", "budget", "bus", "stats", "tracer")
+    __slots__ = ("token", "budget", "bus", "tracer")
 
     def __init__(
         self,
         token: Optional[CancellationToken] = None,
         budget: Optional[Budget] = None,
         bus: Optional[EventBus] = None,
-        stats: Optional[Any] = None,
         tracer: Optional[Any] = None,
     ) -> None:
         self.token = token if token is not None else CancellationToken()
         self.budget = budget if budget is not None else Budget()
         self.bus = bus if bus is not None else EventBus()
-        self.stats = stats
         self.tracer = tracer
 
     @classmethod
     def create(
         cls,
         time_limit: Optional[float] = None,
-        stats: Optional[Any] = None,
         check_interval: int = 256,
         memory_budget_bytes: Optional[int] = None,
         storage_budget_bytes: Optional[int] = None,
         bus: Optional[EventBus] = None,
         tracer: Optional[Any] = None,
     ) -> "TaskContext":
-        """Standard context: fresh token, fresh budget, stats wired to
-        the bus through a :class:`StatsSubscriber`; a ``tracer`` is
+        """Standard context: fresh token, fresh budget; a ``tracer`` is
         attached to the bus and remembered on the context."""
         ctx = cls(
             token=CancellationToken(),
@@ -246,23 +243,19 @@ class TaskContext:
                 storage_budget_bytes=storage_budget_bytes,
                 check_interval=check_interval,
             ),
-            bus=bus if bus is not None else EventBus(),
-            stats=stats,
+            bus=bus,
             tracer=tracer,
         )
-        if stats is not None:
-            StatsSubscriber(stats).attach(ctx.bus)
         if tracer is not None:
             tracer.attach(ctx.bus)
         return ctx
 
     def child(self) -> "TaskContext":
-        """Derived context: subordinate token, shared budget/bus/stats."""
+        """Derived context: subordinate token, shared budget and bus."""
         ctx = TaskContext.__new__(TaskContext)
         ctx.token = self.token.child()
         ctx.budget = self.budget
         ctx.bus = self.bus
-        ctx.stats = self.stats
         ctx.tracer = self.tracer
         return ctx
 
@@ -281,8 +274,9 @@ class TaskContext:
 
     @property
     def observed(self) -> bool:
-        """Whether phase events would reach anyone (hot-path gate)."""
-        return self.bus.has_subscribers(PHASE_START)
+        """Whether anyone subscribed to the bus — the gate every
+        emitter tests before publishing (see :class:`EventBus`)."""
+        return self.bus.observed
 
     def phase_start(self, phase: str, **payload: Any) -> None:
         """Open a named runtime phase (span) on the bus."""

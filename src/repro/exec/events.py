@@ -1,11 +1,12 @@
 """Instrumentation event bus for the execution core.
 
-Engines publish task-lifecycle events to an :class:`EventBus` instead
-of threading counter objects through every call signature.  Subscribers
-(the built-in :class:`StatsSubscriber`, the :mod:`repro.obs` tracing
-and metrics sinks) attach without the engines knowing about them — the
-same decoupling the paper's runtime gets from its per-task counter
-sinks, generalized.
+Engines publish task-lifecycle events to an :class:`EventBus` for
+whoever watches a run: the :mod:`repro.obs` tracing and metrics sinks,
+an :class:`EventLog`, a shard's :class:`EventRecorder`.  Subscribers
+attach without the engines knowing about them.  The bus carries
+observers' events only — counters are plain integer adds on the stats
+object at the place the counted thing happens (as the paper's tasks
+keep their own, §8.1), so a run nobody watches publishes nothing.
 
 Event vocabulary (the ``on_*`` hooks of the execution model):
 
@@ -42,11 +43,14 @@ Phases are nested: ``phase_start``/``phase_end`` pairs delimit the
 ``run`` → ``shard`` → ``pattern`` → ``align`` → ``bridge`` hierarchy
 the :class:`repro.obs.SpanTracer` turns into span trees.
 
-Emission is cheap when nobody listens: :meth:`EventBus.emit` is a dict
-lookup plus a truthiness test per event.  Handler exceptions are
-isolated — a raising subscriber is logged and skipped so it cannot
-abort the mining hot path (construct the bus with ``strict=True`` to
-re-raise instead, which tests do).
+One gate decides whether anything is emitted: :attr:`EventBus.observed`
+— whether the bus has any subscriber at all.  Emitters read it once
+per session / task / cache and skip their ``emit`` calls when it is
+false, so an unobserved run makes none; with any subscriber attached
+every event is published, and a subscriber to a single event receives
+it.  Handler exceptions are isolated — a raising subscriber is logged
+and skipped so it cannot abort the mining hot path (construct the bus
+with ``strict=True`` to re-raise instead, which tests do).
 
 Cross-process completeness: an :class:`EventRecorder` captures every
 event (with monotonic timestamps) on a shard worker's bus; the
@@ -163,11 +167,11 @@ class EventBus:
         When True, subscriber exceptions propagate to the emitter
         (useful in tests); the default logs and continues so one bad
         handler cannot starve the others or abort a mining run.
-    forward_to:
-        Optional parent bus every event is forwarded to after local
-        handlers ran.  Worker/session buses forward to the run bus so
-        observability subscribers attached at the top see the whole
-        run while per-worker stats stay isolated.
+
+    ``observed`` is whether any subscriber is attached — the one gate
+    emitters test (once per session / task / cache) before publishing.
+    It is a plain attribute, rewritten under the lock by every
+    subscription change, so reading it costs nothing on the hot path.
 
     Thread safety: subscription changes are serialized by a lock and
     applied copy-on-write — every mutation installs a *new* handler
@@ -179,18 +183,18 @@ class EventBus:
     dict lookup plus a truthiness test.
     """
 
-    __slots__ = ("_handlers", "_timed", "_forward", "_lock", "strict")
+    __slots__ = ("_handlers", "_timed", "_lock", "strict", "observed")
 
-    def __init__(
-        self,
-        strict: bool = False,
-        forward_to: Optional["EventBus"] = None,
-    ) -> None:
+    def __init__(self, strict: bool = False) -> None:
         self._handlers: Dict[str, Tuple[Handler, ...]] = {}
         self._timed: Tuple[TimedHandler, ...] = ()
-        self._forward = forward_to
         self._lock = threading.Lock()
         self.strict = strict
+        self.observed = False
+
+    def _refresh_observed(self) -> None:
+        """Recompute :attr:`observed`; callers hold the lock."""
+        self.observed = bool(self._timed) or any(self._handlers.values())
 
     def subscribe(self, event: str, handler: Handler) -> None:
         """Register ``handler`` for ``event`` (called on every emit)."""
@@ -200,6 +204,7 @@ class EventBus:
             self._handlers[event] = self._handlers.get(event, ()) + (
                 handler,
             )
+            self.observed = True
 
     def subscribe_all(self, handler: Handler) -> None:
         """Register ``handler`` for every event; it receives
@@ -210,6 +215,7 @@ class EventBus:
                 self._handlers[event] = self._handlers.get(event, ()) + (
                     _BoundEvent(event, handler),
                 )
+            self.observed = True
 
     def subscribe_timed(self, handler: TimedHandler) -> None:
         """Register a timestamp-aware handler for every event.
@@ -221,6 +227,7 @@ class EventBus:
         """
         with self._lock:
             self._timed = self._timed + (handler,)
+            self.observed = True
 
     def unsubscribe(self, event: str, handler: Handler) -> bool:
         """Remove one registration of ``handler`` from ``event``.
@@ -243,6 +250,7 @@ class EventBus:
                     self._handlers[event] = (
                         handlers[:index] + handlers[index + 1:]
                     )
+                    self._refresh_observed()
                     return True
             return False
 
@@ -264,6 +272,7 @@ class EventBus:
                 )
                 removed += len(handlers) - len(kept)
                 self._handlers[event] = kept
+            self._refresh_observed()
         return removed
 
     def unsubscribe_timed(self, handler: TimedHandler) -> bool:
@@ -274,23 +283,21 @@ class EventBus:
                     self._timed = (
                         self._timed[:index] + self._timed[index + 1:]
                     )
+                    self._refresh_observed()
                     return True
             return False
 
     def has_subscribers(self, event: str) -> bool:
-        """Whether emitting ``event`` would reach anyone (hot-path gate)."""
-        if self._handlers.get(event) or self._timed:
-            return True
-        if self._forward is not None:
-            return self._forward.has_subscribers(event)
-        return False
+        """Whether emitting ``event`` would reach anyone (a query; the
+        gate emitters test is :attr:`observed`)."""
+        return bool(self._handlers.get(event) or self._timed)
 
     def emit(self, event: str, **payload: Any) -> None:
         """Publish one event to all subscribers, in subscription order.
 
         A raising handler is isolated (logged and skipped) so the
-        remaining handlers and the forward target still run; under
-        ``strict=True`` the first failure propagates instead.
+        remaining handlers still run; under ``strict=True`` the first
+        failure propagates instead.
         """
         handlers = self._handlers.get(event)
         if handlers:
@@ -316,8 +323,6 @@ class EventBus:
                         "timed event handler %r failed for %r (skipped)",
                         timed, event,
                     )
-        if self._forward is not None:
-            self._forward.emit(event, **payload)
 
     def emit_replayed(
         self,
@@ -355,8 +360,6 @@ class EventBus:
                     "timed event handler %r failed for %r (skipped)",
                     timed, event,
                 )
-        if self._forward is not None:
-            self._forward.emit_replayed(event, timestamp, payload, track)
 
 
 class _BoundEvent:
@@ -374,60 +377,14 @@ class _BoundEvent:
         self._handler(self._event, **payload)
 
 
-class StatsSubscriber:
-    """Maps lifecycle events onto the MiningStats/ConstraintStats counters.
-
-    The hot exploration counters (set intersections, extensions, cache
-    internals) stay as direct integer adds on the stats object — they
-    fire millions of times and live inside the cache/candidate layer.
-    The *lifecycle* counters (cancellations, promotions, checked
-    matches) arrive through the bus, so engines no longer thread them
-    through call signatures.
-
-    Cancellation kinds outside the known vocabulary are not swallowed:
-    they are summed into ``stats.cancellations_other`` and itemized in
-    :attr:`unknown_cancel_kinds` so a new emitter cannot silently lose
-    counts.
-    """
-
-    def __init__(self, stats: Any) -> None:
-        self.stats = stats
-        self.unknown_cancel_kinds: Dict[str, int] = {}
-
-    def attach(self, bus: EventBus) -> "StatsSubscriber":
-        bus.subscribe(CANCEL, self.on_cancel)
-        bus.subscribe(PROMOTE, self.on_promote)
-        bus.subscribe(MATCH_CHECKED, self.on_match_checked)
-        return self
-
-    def on_cancel(
-        self, kind: str = "lateral", count: int = 1, **_: Any
-    ) -> None:
-        if kind == "lateral":
-            self.stats.vtasks_canceled_lateral += count
-        elif kind == "etask":
-            self.stats.etasks_canceled += count
-        else:
-            self.stats.cancellations_other += count
-            self.unknown_cancel_kinds[kind] = (
-                self.unknown_cancel_kinds.get(kind, 0) + count
-            )
-
-    def on_promote(self, count: int = 1, **_: Any) -> None:
-        self.stats.promotions += count
-
-    def on_match_checked(self, count: int = 1, **_: Any) -> None:
-        self.stats.matches_checked += count
-
-
 class EventLog:
     """Recording subscriber: keeps ``(event, payload)`` tuples.
 
     Useful in tests and for the CLI's machine-readable counter
     snapshots; not meant for hot production paths.  Appends are single
-    bytecode ops, so concurrent workers sharing one log through a
-    forwarding bus cannot corrupt it (each emit builds a fresh payload
-    dict, so records never alias mutable state across events).
+    bytecode ops, so concurrent workers sharing one log through the
+    run's bus cannot corrupt it (each emit builds a fresh payload dict,
+    so records never alias mutable state across events).
     """
 
     def __init__(self, bus: Optional[EventBus] = None) -> None:

@@ -52,19 +52,14 @@ from typing import (
     Dict,
     List,
     Optional,
+    Protocol,
     Sequence,
     Tuple,
 )
 
-try:  # pragma: no cover - version split
-    from typing import Protocol
-except ImportError:  # pragma: no cover - python < 3.8 has no Protocol
-    Protocol = object  # type: ignore[assignment]
-
 from ..errors import TimeLimitExceeded
 from .context import TaskContext
 from .events import (
-    EVENTS,
     PHASE_RETRY,
     PHASE_RUN,
     PHASE_SHARD,
@@ -141,16 +136,18 @@ def merge_counter_dict(stats: Any, shard_dict: Dict[str, float]) -> None:
 
 
 def run_shard_payload(
-    payload: Any,
+    payload: Tuple[
+        Any, Sequence[int], bool, BudgetSpec, Optional[FaultPlan], int
+    ],
 ) -> Tuple[Any, Dict[str, float], float, Optional[List[RecordedEvent]]]:
     """Process-pool entry point: run one shard end to end.
 
     Module-level so it pickles; budget exceptions propagate with their
     original types (see ``repro.errors`` ``__reduce__``).
 
-    The payload is ``(job, roots)``, ``(job, roots, observe)``, or the
-    resilient six-tuple ``(job, roots, observe, budget_spec,
-    fault_plan, attempt)``:
+    The payload is the six-tuple ``(job, roots, observe, budget_spec,
+    fault_plan, attempt)`` :meth:`ProcessShardScheduler._payload`
+    builds:
 
     * ``observe`` truthy makes the shard record every event it emits
       (with worker-side timestamps) and return the serialized summary
@@ -166,33 +163,16 @@ def run_shard_payload(
       injection before the shard runs (``attempt`` is the 0-based
       dispatch count for this shard's roots).
     """
-    job, roots = payload[0], payload[1]
-    observe = bool(payload[2]) if len(payload) > 2 else False
-    spec: Optional[BudgetSpec] = payload[3] if len(payload) > 3 else None
-    fault_plan: Optional[FaultPlan] = (
-        payload[4] if len(payload) > 4 else None
-    )
-    attempt = int(payload[5]) if len(payload) > 5 else 0
-    ctx: Optional[TaskContext] = None
-    if observe or spec is not None:
-        ctx = job.shard_context()
-        if spec is not None:
-            spec.apply(ctx.budget)
+    job, roots, observe, spec, fault_plan, attempt = payload
+    ctx = job.shard_context()
+    spec.apply(ctx.budget)
     if fault_plan is not None:
         fault_plan.fire(
-            roots,
-            attempt,
-            budget=ctx.budget if ctx is not None else None,
-            allow_kill=True,
+            roots, attempt, budget=ctx.budget, allow_kill=True
         )
     if not observe:
-        result = (
-            job.run_shard(roots, ctx=ctx)
-            if ctx is not None
-            else job.run_shard(roots)
-        )
+        result = job.run_shard(roots, ctx=ctx)
         return result.valid, result.stats.as_dict(), result.elapsed, None
-    assert ctx is not None
     recorder = EventRecorder(ctx.bus)
     ctx.phase_start(PHASE_SHARD, roots=len(roots))
     try:
@@ -246,13 +226,6 @@ def _release_job_graph(fingerprint: Optional[str]) -> None:
     from ..graph.shm import release_graph
 
     release_graph(fingerprint)
-
-
-def _is_observed(ctx: Optional[TaskContext]) -> bool:
-    """Whether any bus subscriber would miss unforwarded worker events."""
-    if ctx is None:
-        return False
-    return any(ctx.bus.has_subscribers(event) for event in EVENTS)
 
 
 def _classify_transient(
@@ -429,7 +402,7 @@ class ProcessShardScheduler(_ParallelOptions):
 
     def run(self, job: ExecutionJob, ctx: Optional[TaskContext] = None) -> Any:
         run_ctx = ctx if ctx is not None else TaskContext()
-        observed = _is_observed(ctx)
+        observed = run_ctx.observed
         resilient = (
             self.retry is not None
             or self.fault_plan is not None
@@ -537,7 +510,7 @@ class ProcessShardScheduler(_ParallelOptions):
                             dead.append(shard)
                         continue
                     partials.append(partial[:3])
-                    if len(partial) > 3 and partial[3]:
+                    if partial[3]:
                         summaries.append((shard.index, partial[3]))
             if dead and self.on_failure == ON_FAILURE_RAISE:
                 # The run is going to raise; retrying survivors would
@@ -699,7 +672,7 @@ class WorkQueueScheduler(_ParallelOptions):
         from collections import deque
 
         run_ctx = ctx if ctx is not None else TaskContext()
-        observed = _is_observed(ctx)
+        observed = run_ctx.observed
         roots = job.all_roots()
         if self.n_workers == 1 or len(roots) <= 1:
             return SerialScheduler(
@@ -828,7 +801,7 @@ class WorkQueueScheduler(_ParallelOptions):
         def worker(me: int) -> None:
             # Shard phase events go straight to the run bus from this
             # worker thread: the tracer separates worker timelines by
-            # thread, and session events forward to the same bus, so
+            # thread, and the session emits on the same bus, so
             # in-thread ordering is preserved (no replay needed — the
             # threads already share the parent's address space).
             if observed:

@@ -289,11 +289,10 @@ class DerivedCache:
     def note_invalidations(self, count: int) -> None:
         """Fold externally-evicted stale entries into the counter.
 
-        Version-bound caches that own their entries (the mining
-        layer's :class:`~repro.mining.cache.SetOperationCache`) report
-        here when rebinding to a new graph version forces them to
-        drop stale entries, so one counter stream covers every
-        version-scoped eviction in the process.
+        A version-bound cache that owns its entries reports here when
+        a new graph version forces it to drop stale ones, so one
+        counter stream covers every version-scoped eviction in the
+        process.
         """
         if count < 0:
             raise ValueError("count must be non-negative")

@@ -1,4 +1,4 @@
-"""Mining engine: root partitioning, multi-pattern scheduling, workers.
+"""Mining engine: rooted ETasks per pattern, multi-pattern scheduling.
 
 This is the substrate the paper calls **Peregrine+** (§8.1): Peregrine
 extended with per-task caches and simultaneous multi-pattern
@@ -17,15 +17,14 @@ core.
 
 Parallelism note: the paper's implementation uses 80 hardware threads;
 pure Python cannot profit from fine-grained thread parallelism (GIL),
-so ``n_workers`` exists for structural fidelity — tasks are genuinely
-partitioned and run on a thread pool — but benchmarks default to one
-worker and compare *work counters* and single-thread wall-clock, which
-preserves every relative result (see DESIGN.md, substitutions).
+so this engine is serial and benchmarks compare *work counters* and
+single-thread wall-clock, which preserves every relative result (see
+DESIGN.md, substitutions).  Root-sharded execution is the schedulers'
+job (:mod:`repro.exec.scheduler`).
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Iterable, Iterator, List, Optional, Sequence
 
 from ..exec.context import TaskContext
@@ -57,10 +56,9 @@ class MiningEngine:
         Matching semantics: ``True`` for vertex-induced matches (used
         by quasi-cliques and keyword search), ``False`` for
         edge-induced (nested subgraph queries).
-    cache_enabled / cache_entries:
-        Control the shared set-operation cache.
-    n_workers:
-        Thread-pool width for root partitioning (see module docstring).
+    cache_enabled:
+        ``False`` turns every task cache into a pass-through (each
+        lookup a miss) — the GraphPi-style no-cache baseline.
     ctx:
         Optional execution context (deadline + cancellation token)
         honored by every ETask this engine runs.
@@ -75,47 +73,24 @@ class MiningEngine:
         graph: Graph,
         induced: bool = False,
         cache_enabled: bool = True,
-        cache_entries: int = 200_000,
-        n_workers: int = 1,
-        per_task_caches: bool = True,
         ctx: Optional[TaskContext] = None,
         adjacency: str = "auto",
     ) -> None:
-        """``per_task_caches`` follows the paper's task model (§2.3): the
-        cache C is task-local, created fresh per rooted ETask.  Setting
-        it False shares one engine-wide cache across all tasks — more
-        reuse than any system in the paper has, useful only for
-        experimentation."""
-        if n_workers < 1:
-            raise ValueError("n_workers must be >= 1")
         self.graph = graph
         self.induced = induced
-        self.n_workers = n_workers
-        self.per_task_caches = per_task_caches
         self.ctx = ctx
         self.adjacency = adjacency
         self.index = resolve_index(graph, adjacency)
-        self._cache_entries = cache_entries
         self._cache_enabled = cache_enabled
         self.stats = MiningStats()
-        self.cache = SetOperationCache(
-            max_entries=cache_entries,
-            stats=self.stats,
-            enabled=cache_enabled,
-            bus=ctx.bus if ctx is not None else None,
-            graph_version=graph.version_key,
-        )
 
     def _task_cache(self) -> SetOperationCache:
-        """Cache for one rooted task (fresh or the shared one)."""
-        if not self.per_task_caches:
-            return self.cache
+        """A fresh cache for one rooted task — the paper's task model
+        (§2.3): the cache C is task-local."""
         return SetOperationCache(
-            max_entries=self._cache_entries,
             stats=self.stats,
             enabled=self._cache_enabled,
             bus=self.ctx.bus if self.ctx is not None else None,
-            graph_version=self.graph.version_key,
         )
 
     # ------------------------------------------------------------------
@@ -158,35 +133,7 @@ class MiningEngine:
         ctx: Optional[TaskContext] = None,
     ) -> Processor:
         """Run all ETasks for ``pattern``, feeding matches to ``processor``."""
-        if self.n_workers == 1:
-            processor.consume(self.stream(pattern, roots=roots, ctx=ctx))
-            return processor
-
-        # Thread-pool path: partition roots; each worker keeps private
-        # counters that are merged afterwards.  The processor is shared
-        # and must tolerate interleaved calls (built-ins do: their
-        # mutations are single bytecode ops under the GIL).
-        run_ctx = ctx if ctx is not None else self.ctx
-        plan = self.plan(pattern)
-        task_roots = list(roots) if roots is not None else root_candidates(
-            self.graph, plan
-        )
-        chunks = _partition(task_roots, self.n_workers)
-
-        def run_chunk(chunk: List[int]) -> MiningStats:
-            local = MiningStats()
-            for root in chunk:
-                task = ETask(
-                    self.graph, plan, root, self._task_cache(), local,
-                    pattern=pattern, ctx=run_ctx, index=self.index,
-                )
-                if task.run(processor.process):
-                    break
-            return local
-
-        with ThreadPoolExecutor(max_workers=self.n_workers) as pool:
-            for local in pool.map(run_chunk, chunks):
-                self.stats.merge(local)
+        processor.consume(self.stream(pattern, roots=roots, ctx=ctx))
         return processor
 
     def explore_many(
@@ -194,7 +141,7 @@ class MiningEngine:
         patterns: Iterable[Pattern],
         processor_factory: Callable[[], Processor] = CountProcessor,
     ) -> List[Processor]:
-        """Explore several patterns (one processor each), sharing the cache."""
+        """Explore several patterns (one processor each)."""
         return [
             self.explore(pattern, processor_factory())
             for pattern in patterns
@@ -238,10 +185,3 @@ class MiningEngine:
                 return True
         return False
 
-
-def _partition(items: List[int], parts: int) -> List[List[int]]:
-    """Round-robin partition (balances heavy low-id roots across workers)."""
-    buckets: List[List[int]] = [[] for _ in range(parts)]
-    for index, item in enumerate(items):
-        buckets[index % parts].append(item)
-    return [b for b in buckets if b]

@@ -92,9 +92,7 @@ class ETask:
         # Instrumentation gate, resolved once per task: the subscriber
         # set cannot change mid-descent, so the hot recursion pays a
         # bool test instead of a bus lookup per candidate computation.
-        self._trace = (
-            ctx is not None and ctx.bus.has_subscribers(TASK_START)
-        )
+        self._trace = ctx is not None and ctx.observed
 
     def matches(self) -> Iterator[Match]:
         """Stream all matches rooted here, depth first.

@@ -77,10 +77,6 @@ class ConstraintStats(MiningStats):
     vtasks_canceled_lateral: int = 0
     etasks_canceled: int = 0
     etasks_skipped: int = 0
-    #: Cancellations whose ``kind`` is outside the known vocabulary —
-    #: counted instead of silently dropped (the emitting kind is
-    #: itemized on ``StatsSubscriber.unknown_cancel_kinds``).
-    cancellations_other: int = 0
     promotions: int = 0
     constraint_checks: int = 0
     matches_checked: int = 0
@@ -103,7 +99,6 @@ class ConstraintStats(MiningStats):
             self.vtasks_canceled_lateral += other.vtasks_canceled_lateral
             self.etasks_canceled += other.etasks_canceled
             self.etasks_skipped += other.etasks_skipped
-            self.cancellations_other += other.cancellations_other
             self.promotions += other.promotions
             self.constraint_checks += other.constraint_checks
             self.matches_checked += other.matches_checked
@@ -120,7 +115,6 @@ class ConstraintStats(MiningStats):
                 "vtask_cancel_rate": self.vtask_cancel_rate,
                 "etasks_canceled": self.etasks_canceled,
                 "etasks_skipped": self.etasks_skipped,
-                "cancellations_other": self.cancellations_other,
                 "promotions": self.promotions,
                 "constraint_checks": self.constraint_checks,
                 "matches_checked": self.matches_checked,

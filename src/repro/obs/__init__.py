@@ -63,7 +63,6 @@ __all__ = [
 
 def observed_context(
     time_limit: Optional[float] = None,
-    stats: Optional[Any] = None,
     check_interval: int = 256,
     metrics: bool = True,
     **create_kwargs: Any,
@@ -82,7 +81,6 @@ def observed_context(
     registry = MetricsRegistry()
     ctx = TaskContext.create(
         time_limit=time_limit,
-        stats=stats,
         check_interval=check_interval,
         tracer=tracer,
         **create_kwargs,

@@ -34,7 +34,7 @@ from .core.runtime import (
 from .errors import QueryAnalysisError, ReproError
 from .exec.context import TaskContext
 from .exec.resilience import ON_FAILURE_MODES
-from .exec.scheduler import SCHEDULER_NAMES, make_scheduler
+from .exec.scheduler import SCHEDULER_NAMES, SerialScheduler, make_scheduler
 from .graph.graph import Graph
 from .graph.index import ADJACENCY_MODES
 from .obs import MetricsRegistry, RunScope, observe_estimate_error
@@ -174,23 +174,36 @@ class RunRequest:
 
 
 class _RegionJob(ContigraJob):
-    """A ContigraJob whose exploration universe is a root region.
+    """A ContigraJob whose exploration universe is a root region
+    (``None`` = every root).
 
     Under the serial scheduler the engine runs with the restricted
-    root set directly; under the sharded schedulers ``all_roots``
-    *is* the sharding universe, so restricting it restricts every
-    shard.  Pickles like its parent (process workers rebuild nothing).
+    root set directly — and hands ``match_sink`` each match as it
+    validates; under the sharded schedulers ``all_roots`` *is* the
+    sharding universe, so restricting it restricts every shard.
+    Pickles like its parent (process workers rebuild nothing) as long
+    as it carries no sink.
     """
 
-    def __init__(self, engine: ContigraEngine, roots: Sequence[int]) -> None:
+    def __init__(
+        self,
+        engine: ContigraEngine,
+        roots: Optional[Sequence[int]],
+        match_sink: Optional[MatchSink] = None,
+    ) -> None:
         super().__init__(engine)
-        self._roots = sorted(roots)
+        self._roots = None if roots is None else sorted(roots)
+        self._match_sink = match_sink
 
     def all_roots(self) -> List[int]:
+        if self._roots is None:
+            return super().all_roots()
         return list(self._roots)
 
     def run_serial(self, ctx: Optional[Any] = None) -> ContigraResult:
-        return self.engine.run(roots=self._roots, ctx=ctx)
+        return self.engine.run(
+            roots=self._roots, ctx=ctx, match_sink=self._match_sink
+        )
 
 
 def run_engine(
@@ -206,26 +219,20 @@ def run_engine(
 ) -> ContigraResult:
     """Run ``engine`` serially in-process or under a named scheduler.
 
-    A serial run with no retries, no degrade mode and no observed
-    context is a plain :meth:`ContigraEngine.run` — no scheduler object,
-    and ``match_sink`` fires as each match validates.  Everything else
-    goes through :func:`repro.exec.scheduler.make_scheduler`, so the
-    run-phase span opens and failure handling applies uniformly; there
-    ``match_sink`` sees the merged result's matches after the run.
-    ``roots`` restricts exploration to a root region (standing
-    queries); ``None`` is the full universe.
+    A serial run with no retries and no degrade mode is one
+    :meth:`ContigraEngine.run` that is never rerun, so ``match_sink``
+    fires as each match validates — whether or not anyone observes the
+    context (an observed one gets its run-phase span either way).
+    Everything else goes through
+    :func:`repro.exec.scheduler.make_scheduler`, so failure handling
+    applies uniformly; there ``match_sink`` sees the merged result's
+    matches after the run.  ``roots`` restricts exploration to a root
+    region (standing queries); ``None`` is the full universe.
     """
     name = scheduler or "serial"
-    if (
-        name == "serial"
-        and retries == 0
-        and on_failure == "raise"
-        and (ctx is None or not ctx.observed)
-    ):
-        return engine.run(
-            roots=None if roots is None else sorted(roots),
-            ctx=ctx,
-            match_sink=match_sink,
+    if name == "serial" and retries == 0 and on_failure == "raise":
+        return SerialScheduler().run(
+            _RegionJob(engine, roots, match_sink), ctx=ctx
         )
     chosen = make_scheduler(
         name, n_workers=n_workers, retries=retries, on_failure=on_failure

@@ -10,6 +10,29 @@ from hypothesis import strategies as st
 from repro.graph import Graph, GraphBuilder, erdos_renyi
 from repro.patterns import Pattern
 
+#: Tier-1 wall budget per test (ROADMAP item 3): a test whose call
+#: phase runs longer fails unless it is marked ``slow``
+#: (``pyproject.toml`` registers the marker).
+TIER1_BUDGET_SECONDS = 5.0
+
+
+@pytest.hookimpl(hookwrapper=True)
+def pytest_runtest_makereport(item, call):
+    outcome = yield
+    report = outcome.get_result()
+    if (
+        report.when == "call"
+        and report.passed
+        and call.duration > TIER1_BUDGET_SECONDS
+        and item.get_closest_marker("slow") is None
+    ):
+        report.outcome = "failed"
+        report.longrepr = (
+            f"{item.nodeid} took {call.duration:.1f} s, over the "
+            f"{TIER1_BUDGET_SECONDS:g} s tier-1 budget: make it faster "
+            "or mark it @pytest.mark.slow"
+        )
+
 
 def random_graph(
     num_vertices: int, edge_probability: float, seed: int

@@ -2,6 +2,7 @@
 
 import pytest
 
+import repro.mining.cache as cache_module
 from repro.graph import erdos_renyi, graph_from_edges
 from repro.mining import (
     MiningStats,
@@ -34,18 +35,17 @@ class TestSetOperationCache:
         assert cache.lookup(key) is None
         assert stats.cache_misses == 1
 
-    def test_fifo_eviction(self):
-        cache = SetOperationCache(max_entries=2)
+    def test_fifo_eviction(self, monkeypatch):
+        monkeypatch.setattr(cache_module, "MAX_ENTRIES", 2)
+        cache = SetOperationCache()
         cache.store(frozenset({1}), frozenset())
         cache.store(frozenset({2}), frozenset())
+        # A hit does not refresh {1}: insertion order decides.
+        assert cache.lookup(frozenset({1})) is not None
         cache.store(frozenset({3}), frozenset())
         assert len(cache) == 2
         assert cache.lookup(frozenset({1})) is None
         assert cache.lookup(frozenset({3})) is not None
-
-    def test_invalid_size(self):
-        with pytest.raises(ValueError):
-            SetOperationCache(max_entries=0)
 
     def test_clear(self):
         cache = SetOperationCache()

@@ -36,6 +36,7 @@ def test_maximal_quasi_cliques_example():
     assert "result sets: True" in out or "result sets:   True" in out
 
 
+@pytest.mark.slow  # two posthoc_kws baseline runs, 1.5-2 s each
 def test_keyword_search_example():
     out = run_example("keyword_search.py", "mico")
     assert "minimal covers" in out

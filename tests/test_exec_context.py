@@ -24,7 +24,6 @@ from repro.exec import (
     CancellationToken,
     EventBus,
     EventLog,
-    StatsSubscriber,
     TaskContext,
 )
 from repro.graph import erdos_renyi, graph_from_edges
@@ -151,18 +150,27 @@ class TestEventBus:
     def test_emit_without_subscribers_is_a_noop(self):
         EventBus().emit(CANCEL, kind="lateral", count=1)
 
-    def test_stats_subscriber_maps_lifecycle_events(self):
-        stats = ConstraintStats()
+    def test_observed_follows_every_kind_of_subscription(self):
+        """The one emit gate: any subscriber at all, to any event."""
         bus = EventBus()
-        StatsSubscriber(stats).attach(bus)
-        bus.emit(CANCEL, kind="lateral", count=3)
-        bus.emit(CANCEL, kind="etask", count=2)
-        bus.emit(PROMOTE, count=4)
-        bus.emit(MATCH_CHECKED, count=5)
-        assert stats.vtasks_canceled_lateral == 3
-        assert stats.etasks_canceled == 2
-        assert stats.promotions == 4
-        assert stats.matches_checked == 5
+        assert not bus.observed
+        seen = []
+        handler = lambda **kw: seen.append(kw)  # noqa: E731
+        bus.subscribe(PROMOTE, handler)
+        assert bus.observed and not bus.has_subscribers(CANCEL)
+        bus.emit(PROMOTE, count=1)
+        assert seen == [{"count": 1}]
+        assert bus.unsubscribe(PROMOTE, handler)
+        assert not bus.observed
+        timed = lambda *a: None  # noqa: E731
+        bus.subscribe_timed(timed)
+        assert bus.observed
+        assert bus.unsubscribe_timed(timed)
+        assert not bus.observed
+        log = EventLog(bus)
+        assert bus.observed
+        bus.unsubscribe_all(log.record)
+        assert not bus.observed
 
     def test_event_log_records_everything(self):
         bus = EventBus()
@@ -176,18 +184,11 @@ class TestEventBus:
 
 
 class TestTaskContext:
-    def test_create_wires_stats_to_the_bus(self):
-        stats = ConstraintStats()
-        ctx = TaskContext.create(stats=stats)
-        ctx.emit(CANCEL, kind="lateral", count=7)
-        assert stats.vtasks_canceled_lateral == 7
-
-    def test_child_shares_budget_bus_stats_with_subordinate_token(self):
-        ctx = TaskContext.create(time_limit=10.0, stats=ConstraintStats())
+    def test_child_shares_budget_bus_with_subordinate_token(self):
+        ctx = TaskContext.create(time_limit=10.0)
         child = ctx.child()
         assert child.budget is ctx.budget
         assert child.bus is ctx.bus
-        assert child.stats is ctx.stats
         ctx.cancel("parent gone")
         assert child.cancelled
         grandchild = child.child()
@@ -216,7 +217,7 @@ class TestParentCancellation:
         g = erdos_renyi(10, 0.9, seed=1)
         scheduler = lateral_scheduler(g)
         stats = ConstraintStats()
-        ctx = TaskContext.create(stats=stats)
+        ctx = TaskContext.create()
         ctx.cancel("parent aborted")
         cache = SetOperationCache(stats=stats)
         result = scheduler.validate([0, 1, 2], g, cache, stats, ctx=ctx)
@@ -228,7 +229,7 @@ class TestParentCancellation:
         g = graph_from_edges([(0, 1), (1, 2), (0, 2)])  # lone triangle
         scheduler = lateral_scheduler(g)
         stats = ConstraintStats()
-        ctx = TaskContext.create(stats=stats)
+        ctx = TaskContext.create()
         cache = SetOperationCache(stats=stats)
         assert (
             scheduler.validate([0, 1, 2], g, cache, stats, ctx=ctx)
@@ -241,14 +242,19 @@ class TestParentCancellation:
         g = erdos_renyi(10, 0.9, seed=1)  # nearly complete: contained
         scheduler = lateral_scheduler(g)
         stats = ConstraintStats()
-        ctx = TaskContext.create(stats=stats)
+        ctx = TaskContext.create()
         cache = SetOperationCache(stats=stats)
+        log = EventLog(ctx.bus)
         hit = scheduler.validate([0, 1, 2], g, cache, stats, ctx=ctx)
         assert hit is not None
         assert (
             stats.vtasks_started + stats.vtasks_canceled_lateral
             == len(scheduler)
         )
+        # Counted in place; the bus tells observers the same number.
+        assert [p for name, p in log.records if name == CANCEL] == [
+            {"kind": "lateral", "count": stats.vtasks_canceled_lateral}
+        ]
 
 
 class TestBridgeDeadline:
@@ -268,9 +274,7 @@ class TestBridgeDeadline:
         g = erdos_renyi(12, 0.95, seed=3)  # dense: deep bridge walks
         target = self._target(g)
         stats = ConstraintStats()
-        ctx = TaskContext.create(
-            time_limit=1e-9, stats=stats, check_interval=1
-        )
+        ctx = TaskContext.create(time_limit=1e-9, check_interval=1)
         cache = SetOperationCache(stats=stats)
         with pytest.raises(TimeLimitExceeded):
             target.run([0, 1, 2], g, cache, stats, ctx=ctx)
@@ -281,9 +285,7 @@ class TestBridgeDeadline:
         g = erdos_renyi(12, 0.95, seed=3)
         target = self._target(g)
         stats = ConstraintStats()
-        ctx = TaskContext.create(
-            time_limit=1e-9, stats=stats, check_interval=1
-        )
+        ctx = TaskContext.create(time_limit=1e-9, check_interval=1)
         cache = SetOperationCache(stats=stats)
         emitted = []
         with pytest.raises(TimeLimitExceeded):

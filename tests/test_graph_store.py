@@ -37,7 +37,6 @@ from repro.graph.store import (
     graph_store,
     reset_default_store,
 )
-from repro.mining import SetOperationCache
 
 SCHEDULERS = ("serial", "process", "workqueue")
 
@@ -400,33 +399,6 @@ class TestMutationEquivalence:
             apply_mutation(mutated, MutationBatch.of()).fingerprint
             == mutated.fingerprint
         )
-
-
-# ----------------------------------------------------------------------
-# Version-bound mining caches
-# ----------------------------------------------------------------------
-
-
-class TestVersionBoundCaches:
-    def test_set_operation_cache_rebind_reports_drops(self):
-        g = erdos_renyi(10, 0.4, seed=31)
-        cache = SetOperationCache(graph_version=g.version_key)
-        cache.store(frozenset({1}), frozenset({2, 3}))
-        cache.store(frozenset({4}), frozenset({5}))
-        before = derived_cache().counters()["invalidations"]
-        dropped = cache.rebind("other@deadbeef0123")
-        assert dropped == 2
-        assert cache.graph_version == "other@deadbeef0123"
-        assert cache.lookup(frozenset({1})) is None
-        assert derived_cache().counters()["invalidations"] == before + 2
-
-    def test_engine_caches_bound_to_graph_version(self):
-        from repro.mining import MiningEngine
-
-        g = erdos_renyi(12, 0.4, seed=37)
-        engine = MiningEngine(g)
-        assert engine.cache.graph_version == g.version_key
-        assert engine._task_cache().graph_version == g.version_key
 
 
 # ----------------------------------------------------------------------

@@ -434,21 +434,8 @@ class TestEndToEndEquivalence:
 
 
 # ----------------------------------------------------------------------
-# Satellite behaviors: LRU cache, lazy/cached graph properties, pickling
+# Satellite behaviors: lazy/cached graph properties, pickling
 # ----------------------------------------------------------------------
-
-
-class TestLRUCache:
-    def test_lookup_refreshes_recency(self):
-        cache = SetOperationCache(max_entries=2)
-        cache.store(frozenset({1}), frozenset({10}))
-        cache.store(frozenset({2}), frozenset({20}))
-        # Touch {1}: now {2} is least recently used.
-        assert cache.lookup(frozenset({1})) is not None
-        cache.store(frozenset({3}), frozenset({30}))
-        assert cache.lookup(frozenset({2})) is None
-        assert cache.lookup(frozenset({1})) is not None
-        assert cache.lookup(frozenset({3})) is not None
 
 
 class TestGraphCaching:

@@ -140,27 +140,14 @@ class TestEngineInternals:
         assert engine.stats.rl_paths > 0
         assert engine.stats.matches_found > 0
 
-    def test_shared_cache_mode_reuses_across_patterns(self):
-        g = erdos_renyi(15, 0.5, seed=6)
-        engine = MiningEngine(g, per_task_caches=False)
-        engine.count(clique(3))
-        engine.count(clique(4))  # reuses pairwise intersections
-        assert engine.stats.cache_hits > 0
-
     def test_per_task_caches_isolate_roots(self):
         # Plain single-pattern exploration never revisits a semantic
         # key within one rooted task, so per-task caches see no hits —
         # reuse comes from fusion/promotion (the Contigra layer).
         g = erdos_renyi(15, 0.6, seed=6)
-        engine = MiningEngine(g, induced=True, per_task_caches=True)
+        engine = MiningEngine(g, induced=True)
         engine.count(clique(4))
         assert engine.stats.cache_hits == 0
-
-    def test_per_task_mode_counts_match_shared_mode(self):
-        g = erdos_renyi(18, 0.4, seed=12)
-        a = MiningEngine(g, per_task_caches=True).count(tailed_triangle())
-        b = MiningEngine(g, per_task_caches=False).count(tailed_triangle())
-        assert a == b
 
     def test_cache_disabled(self):
         g = erdos_renyi(15, 0.5, seed=6)
@@ -168,16 +155,6 @@ class TestEngineInternals:
         engine.count(clique(3))
         engine.count(clique(4))
         assert engine.stats.cache_hits == 0
-
-    def test_workers_agree_with_serial(self):
-        g = erdos_renyi(25, 0.3, seed=8)
-        serial = MiningEngine(g).count(tailed_triangle())
-        threaded = MiningEngine(g, n_workers=4).count(tailed_triangle())
-        assert serial == threaded
-
-    def test_invalid_workers(self):
-        with pytest.raises(ValueError):
-            MiningEngine(erdos_renyi(5, 0.5, seed=0), n_workers=0)
 
     def test_roots_restriction(self):
         g = erdos_renyi(15, 0.5, seed=6)

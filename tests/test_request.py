@@ -20,6 +20,7 @@ from repro.bench import dataset
 from repro.cli import main
 from repro.errors import QueryAnalysisError
 from repro.exec.context import TaskContext
+from repro.exec.events import MATCH
 from repro.graph.store import reset_default_store
 from repro.obs import observed_context
 from repro.request import (
@@ -146,9 +147,9 @@ class TestRunRequest:
 
 
 class TestRunEngineRule:
-    """``run_engine`` is a plain ``engine.run`` exactly when the five
-    call sites it replaced ran one: serial, no retries, no degrade
-    mode, no observed context."""
+    """``run_engine`` is a plain ``engine.run`` exactly when the run is
+    serial with no retries and no degrade mode — whether anyone watches
+    the context has no say."""
 
     @pytest.fixture
     def scheduler_calls(self, monkeypatch):
@@ -168,7 +169,7 @@ class TestRunEngineRule:
             ({}, True),
             ({"scheduler": "serial"}, True),
             ({"scheduler": "serial", "ctx": "unobserved"}, True),
-            ({"scheduler": "serial", "ctx": "observed"}, False),
+            ({"scheduler": "serial", "ctx": "observed"}, True),
             ({"retries": 1}, False),
             ({"on_failure": "degrade"}, False),
             ({"scheduler": "workqueue"}, False),
@@ -201,10 +202,36 @@ class TestRunEngineRule:
         assert scheduler_calls == []
         ctx, tracer, _ = observed_context()
         observed = maximal_quasi_cliques(graph, 0.8, 4, ctx=ctx)
-        assert scheduler_calls == ["serial"]
+        assert scheduler_calls == []
         tracer.finalize()
         assert [s.name for s in tracer.all_spans()].count("run") == 1
         assert observed.all_sets() == plain.all_sets()
+
+    @pytest.mark.parametrize("watched", [False, True])
+    def test_serial_sink_fires_as_each_match_validates(self, watched):
+        """A subscriber must not move the sink behind the merge: each
+        sink call lands mid-run, right before that match's event."""
+        engine = build_mqc_engine(dataset("dblp"), 0.8, 4)
+        ctx = TaskContext.create()
+        order, checked_at_sink = [], []
+        if watched:
+            ctx.bus.subscribe_all(
+                lambda event, **kw: event == MATCH and order.append("event")
+            )
+
+        def sink(pattern, assignment):
+            order.append("sink")
+            # ``engine.stats`` is the running run's counters.
+            checked_at_sink.append(engine.stats.matches_checked)
+
+        result = run_engine(
+            engine, scheduler="serial", ctx=ctx, match_sink=sink
+        )
+        assert len(checked_at_sink) == len(result.valid) > 1
+        assert checked_at_sink == sorted(checked_at_sink)
+        assert checked_at_sink[0] < result.stats.matches_checked
+        if watched:
+            assert order == ["sink", "event"] * len(result.valid)
 
     def test_roots_restrict_every_scheduler(self):
         graph = dataset("dblp")

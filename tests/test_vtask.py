@@ -289,7 +289,7 @@ class TestCompiledBridge:
         g = erdos_renyi(12, 0.5, seed=3)
         target = make(triangle(), house(), g)
         stats = ConstraintStats()
-        ctx = TaskContext.create(stats=stats)
+        ctx = TaskContext.create()
         intersects = []
         ctx.bus.subscribe(PHASE_START, lambda **payload: None)
         ctx.bus.subscribe(
