@@ -179,8 +179,6 @@ def posthoc_nsq(
     time_limit: Optional[float] = None,
 ) -> PostHocResult:
     """Nested subgraph query via the user-defined-function baseline."""
-    from ..patterns.symmetry import canonical_assignment_oracle
-
     result = PostHocResult()
     stats = result.stats
     budget = _baseline_budget(time_limit)
@@ -203,7 +201,9 @@ def posthoc_nsq(
             cold_cache = SetOperationCache(stats=stats)
             if target.run(match.assignment, graph, cold_cache, stats) is not None:
                 return False
-        valid_assignments.add(canonical_assignment_oracle(match.assignment, p_m))
+        # A match satisfying its plan's symmetry conditions is already
+        # its own lex-min automorphic image: nothing to canonicalise.
+        valid_assignments.add(match.assignment)
         return False
 
     engine.explore(p_m, CallbackProcessor(on_match))

@@ -20,6 +20,7 @@ from .harness import (
     timed_run,
     trend_label,
 )
+from .persist import ExperimentRecord, compare_records
 from .report import format_series, format_table, paper_vs_measured
 
 __all__ = [
@@ -42,4 +43,6 @@ __all__ = [
     "format_table",
     "format_series",
     "paper_vs_measured",
+    "ExperimentRecord",
+    "compare_records",
 ]

@@ -10,12 +10,6 @@ from .algorithms import (
     triangle_count,
 )
 from .builder import GraphBuilder, graph_from_edges
-from .digraph import (
-    DiGraph,
-    DiGraphBuilder,
-    directed_citation_graph,
-    directed_erdos_renyi,
-)
 from .generators import (
     attach_labels,
     community_graph,
@@ -64,10 +58,6 @@ __all__ = [
     "bits_from_sorted",
     "bits_to_sorted",
     "resolve_index",
-    "DiGraph",
-    "DiGraphBuilder",
-    "directed_erdos_renyi",
-    "directed_citation_graph",
     "GraphBuilder",
     "graph_from_edges",
     "erdos_renyi",

@@ -7,11 +7,6 @@ from .candidates import (
     raw_intersection,
     root_candidates,
 )
-from .directed import (
-    di_count,
-    di_matches,
-    directed_containment_query,
-)
 from .engine import MiningEngine
 from .etask import ETask, run_single_pattern
 from .match import Match
@@ -30,6 +25,7 @@ from .processors import (
     Processor,
 )
 from .stats import ConstraintStats, MiningStats
+from .subsets import explore_connected_sets
 
 #: Lazily re-exported from :mod:`repro.mining.incremental` — that
 #: module imports :mod:`repro.core.runtime`, which imports this
@@ -57,9 +53,6 @@ def __getattr__(name):
 __all__ = [
     *_INCREMENTAL_EXPORTS,
     "Match",
-    "di_matches",
-    "di_count",
-    "directed_containment_query",
     "ETask",
     "run_single_pattern",
     "MiningEngine",
@@ -80,4 +73,5 @@ __all__ = [
     "MultiPatternExplorer",
     "group_by_structure",
     "match_pattern_key",
+    "explore_connected_sets",
 ]

@@ -1,8 +1,10 @@
-"""Mining engine: rooted ETasks per pattern, multi-pattern scheduling.
+"""Mining engine: rooted ETasks per pattern, one pattern at a time.
 
 This is the substrate the paper calls **Peregrine+** (§8.1): Peregrine
-extended with per-task caches and simultaneous multi-pattern
-exploration.  Constraint-aware execution lives in
+extended with per-task caches.  The paper's Peregrine+ also explores
+several patterns simultaneously; this engine does not — each pattern
+gets its own walk over its roots (ROADMAP, "Compile the ETask side").
+Constraint-aware execution lives in
 :class:`repro.core.runtime.ContigraEngine`, which builds on the same
 pieces.
 

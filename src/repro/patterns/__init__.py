@@ -1,13 +1,6 @@
 """Pattern substrate: patterns, isomorphism, symmetry, exploration plans."""
 
 from .automorphisms import automorphisms, orbit_of, orbits
-from .dipattern import (
-    DiPattern,
-    DiPlan,
-    di_automorphisms,
-    di_plan_for,
-    di_symmetry_conditions,
-)
 from .dsl import parse_pattern, to_dot, to_dsl
 from .containment import (
     classify_constraint,
@@ -58,11 +51,6 @@ from .symmetry import (
 )
 
 __all__ = [
-    "DiPattern",
-    "DiPlan",
-    "di_automorphisms",
-    "di_plan_for",
-    "di_symmetry_conditions",
     "connected_structures",
     "connected_structures_up_to",
     "parse_pattern",

@@ -1,8 +1,8 @@
 """``python -m repro.serve`` — serve, or run the CI smoke check.
 
 ``--smoke`` boots a daemon on an ephemeral port, registers a small
-graph, streams one MQC query through the full intake path (rate
-limit → admission → queue → worker slot → NDJSON), opens a standing
+graph, streams one MQC and one NSQ query through the full intake path
+(rate limit → admission → queue → worker slot → NDJSON), opens a standing
 query, applies one mutation batch and asserts the delta stream
 delivers the resulting ``match_added`` + ``delta`` events, scrapes
 ``/metrics``, shuts down cleanly, and prints a JSON report.  A nonzero
@@ -51,6 +51,18 @@ def _smoke() -> int:
         report["summary"] = summary
         matches = [e for e in events if e.get("type") == "match"]
         report["streamed_matches"] = len(matches)
+        nsq_events = list(
+            client.stream_query(
+                tenant="smoke-ci",
+                graph="smoke",
+                workload="nsq",
+                query="tailed-triangles",
+                time_limit=120.0,
+            )
+        )
+        nsq_summary = nsq_events[-1] if nsq_events else {}
+        report["nsq_summary"] = nsq_summary
+        nsq_matches = [e for e in nsq_events if e.get("type") == "match"]
         # Standing query round trip: subscribe, mutate (a disjoint
         # triangle appended to the graph — a guaranteed new maximal
         # quasi-clique), and assert the delta stream delivers it.
@@ -93,7 +105,7 @@ def _smoke() -> int:
         )
         metrics = client.metrics()
         report["metrics_ok"] = (
-            'repro_serve_queries_total{tenant="smoke-ci"} 1' in metrics
+            'repro_serve_queries_total{tenant="smoke-ci"} 2' in metrics
             and 'repro_serve_subscriptions_total{tenant="smoke-ci"} 1'
             in metrics
             and "repro_incremental_frontier_size" in metrics
@@ -103,6 +115,8 @@ def _smoke() -> int:
             and summary.get("status") == "ok"
             and len(matches) > 0
             and summary.get("matches") == len(matches)
+            and nsq_summary.get("status") == "ok"
+            and nsq_summary.get("matches") == len(nsq_matches) > 0
             and report["delta_ok"]
             and report["metrics_ok"]
         )

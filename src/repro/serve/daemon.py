@@ -74,8 +74,8 @@ _CHECK_INTERVAL = 64
 #: (``adjacency`` / ``aux`` / ``retries`` / ``on_failure``), which the
 #: wire ignores until they come with their own oracle tests.
 _WIRE_FIELDS = (
-    "gamma", "max_size", "min_size", "scheduler", "workers",
-    "time_limit", "admission",
+    "workload", "query", "gamma", "max_size", "min_size", "scheduler",
+    "workers", "time_limit", "admission",
 )
 _QUERY_TERMINALS = ("summary", "error", "cancelled")
 
@@ -597,6 +597,17 @@ class MiningDaemon:
         down (terminal ``closed`` line).
         """
         assert self._loop is not None and self._executor is not None
+        workload = body.get("workload", "mqc")
+        if workload != "mqc":
+            # Delta equivalence is proven for MQC only (ROADMAP, Parked).
+            raise QueryError(
+                400,
+                {
+                    "error": "workload: a standing query must be 'mqc', "
+                    f"got {workload!r}",
+                    "field": "workload",
+                },
+            )
         # A standing query follows the graph's head, whatever version
         # the reference pinned.
         tenant, request, version, decision, _ = self._intake(
@@ -756,12 +767,6 @@ class MiningDaemon:
         if not isinstance(tenant_name, str) or not tenant_name:
             raise QueryError(400, {"error": "'tenant' must be a string"})
         tenant = self.config.for_tenant(tenant_name)
-        workload = body.get("workload", "mqc")
-        if workload != "mqc":
-            raise QueryError(
-                400,
-                {"error": f"unsupported workload {workload!r} (only 'mqc')"},
-            )
         graph_ref = body.get("graph")
         if not isinstance(graph_ref, str) or not graph_ref:
             raise QueryError(

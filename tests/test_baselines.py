@@ -15,13 +15,18 @@ from repro.baselines.naive import (
     minimal_keyword_covers,
     nested_query_matches,
 )
-from repro.apps.nsq import paper_query_triangles
+from repro.apps.nsq import (
+    paper_query_tailed_triangles,
+    paper_query_triangles,
+)
 from repro.errors import (
     MemoryBudgetExceeded,
     StorageBudgetExceeded,
     TimeLimitExceeded,
 )
 from repro.graph import erdos_renyi
+from repro.mining import MiningEngine
+from repro.patterns import canonical_assignment_oracle
 
 from conftest import labeled_random_graph
 
@@ -67,6 +72,30 @@ class TestPostHocNSQandKWS:
     def test_nsq_matches_oracle(self):
         g = erdos_renyi(14, 0.22, seed=5)
         p_m, p_plus = paper_query_triangles()
+        result = posthoc_nsq(g, p_m, p_plus)
+        assert result.assignments == nested_query_matches(g, p_m, p_plus)
+
+    @pytest.mark.parametrize(
+        "query, graph_args",
+        [
+            (paper_query_triangles, (14, 0.22, 5)),
+            (paper_query_triangles, (15, 0.2, 9)),
+            (paper_query_tailed_triangles, (16, 0.18, 100)),
+        ],
+    )
+    def test_nsq_stores_engine_matches_uncanonicalised(self, query, graph_args):
+        """``posthoc_nsq`` keeps ``match.assignment`` as is: an engine
+        match is already the canonical form the oracle computes."""
+        n, p, seed = graph_args
+        g = erdos_renyi(n, p, seed=seed)
+        p_m, p_plus = query()
+        matches = MiningEngine(g).find_all(p_m)
+        assert matches
+        for match in matches:
+            assert (
+                canonical_assignment_oracle(match.assignment, p_m)
+                == match.assignment
+            )
         result = posthoc_nsq(g, p_m, p_plus)
         assert result.assignments == nested_query_matches(g, p_m, p_plus)
 

@@ -1,6 +1,7 @@
 """Smoke tests: every example script runs end to end."""
 
 import os
+import re
 import subprocess
 import sys
 
@@ -69,10 +70,16 @@ def test_motifs_and_fsm_example():
     assert "frequent labeled subgraphs" in out
 
 
-def test_directed_motifs_example():
-    out = run_example("directed_motifs.py")
-    assert "feed-forward" in out
-    assert "terminal" in out
+def test_every_example_is_run_here_and_listed_in_the_readme():
+    """An example is added or removed on all three sides or on none."""
+    on_disk = {f for f in os.listdir(EXAMPLES_DIR) if f.endswith(".py")}
+    with open(__file__) as handle:
+        run_here = set(re.findall(r'run_example\(\s*"(\w+\.py)"', handle.read()))
+    readme = os.path.join(os.path.dirname(EXAMPLES_DIR), "README.md")
+    with open(readme) as handle:
+        listed = set(re.findall(r"^\| `(\w+\.py)` \|", handle.read(), re.M))
+    assert run_here == on_disk
+    assert listed == on_disk
 
 
 def test_unknown_dataset_rejected():

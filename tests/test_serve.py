@@ -19,6 +19,11 @@ import pytest
 
 from repro.analysis import admit_query
 from repro.apps.mqc import build_mqc_engine, mqc_constraint_set
+from repro.apps.nsq import (
+    paper_query_tailed_triangles,
+    paper_query_triangles,
+)
+from repro.baselines.naive import nested_query_matches
 from repro.graph import erdos_renyi
 from repro.graph.store import graph_store, reset_default_store
 from repro.serve import (
@@ -301,6 +306,60 @@ class TestStreaming:
             handle.stop()
 
 
+class TestNestedQueriesOverTheWire:
+    @pytest.mark.parametrize("scheduler", ["serial", "process"])
+    def test_streamed_and_aggregated_equal_the_naive_oracle(self, scheduler):
+        cases = [
+            (paper_query_triangles, "triangles", erdos_renyi(24, 0.12, seed=3)),
+            (
+                paper_query_tailed_triangles,
+                "tailed-triangles",
+                erdos_renyi(16, 0.18, seed=100),
+            ),
+        ]
+        handle = _daemon()
+        try:
+            client = ServeClient(handle.host, handle.port, timeout=120.0)
+            for build, query, graph in cases:
+                graph_store().register(graph, query)
+                want = nested_query_matches(graph, *build())
+                assert want
+                params = dict(
+                    tenant="t", graph=query, workload="nsq", query=query,
+                    scheduler=scheduler, workers=2,
+                )
+                events = list(client.stream_query(**params))
+                assert events[-1]["type"] == "summary"
+                assert events[-1]["status"] == "ok"
+                streamed = [e for e in events if e["type"] == "match"]
+                assert {tuple(e["vertices"]) for e in streamed} == want
+                assert len(streamed) == len(want)
+                result = client.query(**params)
+                assert result["summary"]["status"] == "ok"
+                assert {
+                    tuple(e["vertices"]) for e in result["matches"]
+                } == want
+        finally:
+            handle.stop()
+
+    def test_subscriptions_stay_mqc_only(self):
+        handle = _daemon()
+        try:
+            client = ServeClient(handle.host, handle.port)
+            client.register_graph("tiny", edges=SMOKE_EDGES, num_vertices=6)
+            with pytest.raises(ServeError) as err:
+                next(
+                    client.subscribe(
+                        tenant="t", graph="tiny", workload="nsq"
+                    )
+                )
+            assert err.value.status == 400
+            assert err.value.payload["field"] == "workload"
+            assert client.subscriptions() == []
+        finally:
+            handle.stop()
+
+
 class TestRateLimiting:
     def test_second_query_hits_429_with_retry_after(self):
         handle = serve_in_thread(
@@ -519,6 +578,7 @@ class TestIntakeValidation:
             ({"max_size": 2}, "max_size"),
             ({"workers": 0, "scheduler": "process"}, "workers"),
             ({"stream": "false"}, "stream"),
+            ({"workload": "kws"}, "workload"),
         ],
     )
     def test_malformed_query_bodies_get_field_level_400(
