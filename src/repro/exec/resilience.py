@@ -6,14 +6,11 @@ process died or the deadline landed mid-run.  This module is the
 resilience vocabulary the schedulers in
 :mod:`repro.exec.scheduler` share:
 
-* :class:`RetryPolicy` — capped exponential backoff with
-  deterministic (seeded) jitter, plus the transient/terminal
-  classification: a crashed worker process
-  (``BrokenProcessPool``) or a :class:`TransientWorkerError` is
-  retryable; budget violations (TLE/OOM/OOS) and everything else are
-  terminal.  ``split_retries`` re-dispatches a failed shard as two
-  half-shards from the second attempt on, so a poison root only takes
-  half the shard down with it on each subsequent try.
+* :func:`is_transient` — the transient/terminal classification: a
+  crashed worker process (``BrokenProcessPool``) or a
+  :class:`TransientWorkerError` is retryable; budget violations
+  (TLE/OOM/OOS) and everything else are terminal.  Retries wait
+  :func:`backoff_delay` — a fixed capped exponential schedule.
 * :class:`BudgetSpec` — the picklable *residual* budget a shard is
   dispatched with: remaining wall clock and byte headroom measured on
   the parent's :class:`~repro.exec.context.Budget` at dispatch time,
@@ -40,11 +37,10 @@ terminal-vs-transient table and retry walkthrough.
 from __future__ import annotations
 
 import os
-import random
 import time
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass
-from typing import Any, List, Optional, Sequence, Tuple, Type
+from dataclasses import dataclass, fields
+from typing import Any, List, Optional, Sequence, Tuple
 
 from ..errors import (
     MemoryBudgetExceeded,
@@ -55,6 +51,8 @@ from ..errors import (
 from .context import Budget
 
 __all__ = [
+    "BACKOFF_BASE",
+    "BACKOFF_MAX",
     "BUDGET_ERRORS",
     "BudgetSpec",
     "Fault",
@@ -62,8 +60,8 @@ __all__ = [
     "FaultPlan",
     "InjectedFault",
     "ON_FAILURE_MODES",
-    "RetryPolicy",
     "TransientWorkerError",
+    "backoff_delay",
     "is_transient",
     "mark_degraded",
     "register_crash_cleanup",
@@ -90,8 +88,8 @@ class TransientWorkerError(ReproError):
     """A worker failure that is safe to retry (crash-equivalent).
 
     Schedulers treat this class — and a broken process pool — as
-    *transient*: the failed shard's roots are re-dispatched under the
-    :class:`RetryPolicy` instead of aborting the run.  Raise (or
+    *transient*: the failed unit's roots are re-dispatched while the
+    run's ``retries`` last instead of aborting the run.  Raise (or
     subclass) it for infrastructure-shaped failures: a flaky remote
     fetch, a worker that lost its sandbox, an injected chaos fault.
     """
@@ -113,78 +111,27 @@ class InjectedFault(TransientWorkerError):
         return (type(self), (self.root, self.attempt))
 
 
-def is_transient(
-    exc: BaseException, extra: Sequence[Type[BaseException]] = ()
-) -> bool:
+def is_transient(exc: BaseException) -> bool:
     """Whether ``exc`` is a retryable worker failure.
 
-    Budget violations are always terminal, even when a type in
-    ``extra`` would otherwise match — rerunning an out-of-budget shard
-    cannot succeed.
+    Budget violations are always terminal — rerunning an out-of-budget
+    shard cannot succeed.
     """
     if isinstance(exc, BUDGET_ERRORS):
         return False
-    if isinstance(exc, (TransientWorkerError, BrokenProcessPool)):
-        return True
-    return bool(extra) and isinstance(exc, tuple(extra))
+    return isinstance(exc, (TransientWorkerError, BrokenProcessPool))
 
 
-@dataclass(frozen=True)
-class RetryPolicy:
-    """Capped exponential backoff with deterministic jitter.
+#: The retry backoff schedule: ``BACKOFF_BASE * 2**(n-1)`` seconds
+#: before retry ``n``, capped at ``BACKOFF_MAX`` (and, by the
+#: schedulers, at the run's remaining time).
+BACKOFF_BASE = 0.05
+BACKOFF_MAX = 2.0
 
-    ``delay(attempt)`` for attempts 1, 2, 3… is
-    ``min(backoff_max, backoff_base * backoff_factor**(attempt-1))``
-    spread by ``±jitter/2`` of itself, seeded — two runs with the same
-    policy sleep the same sequence, which keeps the chaos suite
-    deterministic.  ``split_retries`` re-dispatches a failed shard as
-    two halves from the second attempt on.  ``transient_types`` widens
-    the transient classification for job-specific failures.
-    """
 
-    max_retries: int = 2
-    backoff_base: float = 0.05
-    backoff_factor: float = 2.0
-    backoff_max: float = 2.0
-    jitter: float = 0.25
-    split_retries: bool = True
-    seed: int = 0
-    transient_types: Tuple[Type[BaseException], ...] = ()
-
-    def __post_init__(self) -> None:
-        if self.max_retries < 0:
-            raise ValueError("max_retries must be >= 0")
-        if self.backoff_base < 0 or self.backoff_max < 0:
-            raise ValueError("backoff durations must be >= 0")
-        if not 0.0 <= self.jitter <= 1.0:
-            raise ValueError("jitter must be in [0, 1]")
-
-    def delay(self, attempt: int, key: int = 0) -> float:
-        """Backoff before retry ``attempt`` (1-based) of shard ``key``."""
-        exponent = max(0, attempt - 1)
-        base = min(
-            self.backoff_max,
-            self.backoff_base * self.backoff_factor ** exponent,
-        )
-        if self.jitter <= 0 or base <= 0:
-            return base
-        # Tuple-of-ints hashing is process-stable, so the jitter
-        # sequence is reproducible across runs and worker processes.
-        rng = random.Random(hash((self.seed, key, attempt)))
-        spread = self.jitter * base
-        return max(0.0, base - spread / 2 + spread * rng.random())
-
-    def is_transient(self, exc: BaseException) -> bool:
-        return is_transient(exc, extra=self.transient_types)
-
-    def should_split(self, attempt: int, n_roots: int) -> bool:
-        """Whether this re-dispatch should split the shard in half.
-
-        ``attempt`` is the retry count (1 = second dispatch): splitting
-        starts with the first retry, halving the blast radius of a
-        poison root on every attempt after the initial dispatch.
-        """
-        return self.split_retries and attempt >= 1 and n_roots > 1
+def backoff_delay(attempt: int) -> float:
+    """Seconds to wait before retry ``attempt`` (1-based)."""
+    return min(BACKOFF_MAX, BACKOFF_BASE * 2.0 ** max(0, attempt - 1))
 
 
 @dataclass(frozen=True)
@@ -196,7 +143,9 @@ class BudgetSpec:
     parent's progress toward the limits instead of a fresh copy of
     them.  ``apply`` imposes the spec on a worker-side
     :class:`~repro.exec.context.Budget` (capping, never extending,
-    whatever the job configured) and re-anchors its clock.
+    whatever the job configured) and re-anchors its clock.  The fields
+    are named after the :class:`~repro.exec.context.Budget` attributes
+    they cap.
     """
 
     time_limit: Optional[float] = None
@@ -205,61 +154,27 @@ class BudgetSpec:
 
     @classmethod
     def residual(cls, budget: Budget) -> "BudgetSpec":
-        time_left: Optional[float] = None
-        if budget.time_limit is not None:
-            time_left = max(0.0, budget.time_limit - budget.elapsed())
-        memory_left: Optional[int] = None
-        if budget.memory_budget_bytes is not None:
-            memory_left = max(
-                0, budget.memory_budget_bytes - budget.memory_used_bytes
-            )
-        storage_left: Optional[int] = None
-        if budget.storage_budget_bytes is not None:
-            storage_left = max(
-                0, budget.storage_budget_bytes - budget.storage_used_bytes
-            )
-        return cls(time_left, memory_left, storage_left)
+        def left(limit: Any, used: Any) -> Any:
+            return None if limit is None else max(limit - used, 0)
+
+        return cls(
+            left(budget.time_limit, budget.elapsed()),
+            left(budget.memory_budget_bytes, budget.memory_used_bytes),
+            left(budget.storage_budget_bytes, budget.storage_used_bytes),
+        )
 
     @property
     def exhausted(self) -> bool:
         """Whether dispatching under this spec is pointless."""
-        return (
-            (self.time_limit is not None and self.time_limit <= 0)
-            or (
-                self.memory_budget_bytes is not None
-                and self.memory_budget_bytes <= 0
-            )
-            or (
-                self.storage_budget_bytes is not None
-                and self.storage_budget_bytes <= 0
-            )
-        )
+        limits = [getattr(self, f.name) for f in fields(self)]
+        return any(limit is not None and limit <= 0 for limit in limits)
 
     def apply(self, budget: Budget) -> Budget:
         """Cap ``budget`` by this spec and re-anchor its clock."""
-        if self.time_limit is not None:
-            budget.time_limit = (
-                self.time_limit
-                if budget.time_limit is None
-                else min(budget.time_limit, self.time_limit)
-            )
-        if self.memory_budget_bytes is not None:
-            budget.memory_budget_bytes = (
-                self.memory_budget_bytes
-                if budget.memory_budget_bytes is None
-                else min(
-                    budget.memory_budget_bytes, self.memory_budget_bytes
-                )
-            )
-        if self.storage_budget_bytes is not None:
-            budget.storage_budget_bytes = (
-                self.storage_budget_bytes
-                if budget.storage_budget_bytes is None
-                else min(
-                    budget.storage_budget_bytes,
-                    self.storage_budget_bytes,
-                )
-            )
+        for f in fields(self):
+            cap, own = getattr(self, f.name), getattr(budget, f.name)
+            if cap is not None:
+                setattr(budget, f.name, cap if own is None else min(own, cap))
         budget.restart()
         return budget
 

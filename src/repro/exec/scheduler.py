@@ -1,51 +1,54 @@
 """Pluggable schedulers for constraint-aware mining runs.
 
-A :class:`Scheduler` decides *where and in what order* the independent
+A scheduler decides *where and in what order* the independent
 root-level ETask groups of a run execute; the execution semantics
-(match sets, TLE/OOM/OOS vocabulary) are identical across schedulers:
+(match sets, TLE/OOM/OOS vocabulary) are identical across schedulers.
+A run is a list of *root units*, and the three schedulers differ only
+in how they cut the roots into units and how one round of units runs:
 
 ``SerialScheduler``
-    One engine, one promotion registry, roots in order — the paper's
-    single-worker execution and the reference for equivalence tests.
+    One unit of all roots, run in-process with one engine and one
+    promotion registry — the paper's single-worker execution and the
+    reference for equivalence tests.
 
 ``ProcessShardScheduler``
-    Roots partitioned round-robin across worker *processes* (CPython's
-    GIL makes threads useless for this workload).  Each shard keeps a
-    local promotion registry, exactly like distributed Contigra
-    workers without a shared registry; results are canonically
-    deduplicated and counters summed at merge.  Worker budget failures
-    (TLE/OOM/OOS) cross the process boundary as their original
-    exception types.
+    ``n_workers`` round-robin shards, one worker *process* each
+    (CPython's GIL makes threads useless for this workload).  Each
+    shard keeps a local promotion registry, exactly like distributed
+    Contigra workers without a shared registry; results are
+    canonically deduplicated and counters summed at merge.  Worker
+    budget failures (TLE/OOM/OOS) cross the process boundary as their
+    original exception types.
 
 ``WorkQueueScheduler``
-    Per-root work stealing: every worker owns a deque of root tasks
-    and steals from the busiest victim when idle.  Workers share one
-    engine's pattern-level precomputation and one cancellation
-    token/deadline, so a budget failure in any worker cancels the
-    rest cooperatively.
+    One unit per root, fed to worker threads that each own a deque and
+    steal from the busiest victim when idle.  Workers share one
+    engine's pattern-level precomputation and one budget; a failure
+    that ends the run cancels the rest of the round cooperatively.
 
 All three consume an :class:`ExecutionJob` — the bridge the Contigra
-runtime implements (:class:`repro.core.runtime.ContigraJob` is built
-by :func:`contigra_job`).
+runtime implements (:class:`repro.core.runtime.ContigraJob`).
 
-Resilience (see :mod:`repro.exec.resilience` and ``docs/execution.md``
-"Failure semantics"): every scheduler accepts a
-:class:`~repro.exec.resilience.RetryPolicy` (transient worker
-failures are re-dispatched with capped exponential backoff, shards
-optionally split in half from the second attempt on), an
-``on_failure`` mode (``"raise"`` surfaces the primary failure with
-its original type; ``"degrade"`` merges the healthy partials into a
-result marked ``incomplete`` listing the unprocessed roots), and an
-optional :class:`~repro.exec.resilience.FaultPlan` for deterministic
-chaos testing.  Shards are always dispatched with the *residual*
-run budget (:class:`~repro.exec.resilience.BudgetSpec`), never a
-fresh copy of the configured limits.
+Failures are decided once, by the driver all three share (see
+``docs/execution.md``, "Failure semantics"): a round's transient
+failures are re-queued for the next round after one capped backoff
+while ``retries`` lasts (a multi-root shard split in half), the rest
+are dead, and dead units end the run in one tail — raise the primary
+failure (``on_failure="raise"``) or merge the healthy partials into a
+result marked ``incomplete`` (``"degrade"``).  Units a cancelled round
+or a spent budget set aside unrun are dead too: listed as unprocessed,
+never re-run, with no ``shard_failed`` of their own.  Every round
+runs under the *residual* run budget
+(:class:`~repro.exec.resilience.BudgetSpec`); an optional
+:class:`~repro.exec.resilience.FaultPlan` injects deterministic chaos.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import threading
 import time
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from typing import (
     Any,
@@ -71,12 +74,11 @@ from .events import (
     replay_events,
 )
 from .resilience import (
-    ON_FAILURE_DEGRADE,
     ON_FAILURE_MODES,
     ON_FAILURE_RAISE,
     BudgetSpec,
     FaultPlan,
-    RetryPolicy,
+    backoff_delay,
     is_transient,
     mark_degraded,
     run_crash_cleanups,
@@ -87,7 +89,7 @@ SCHEDULER_NAMES = ("serial", "process", "workqueue")
 
 
 class ExecutionJob(Protocol):
-    """What a scheduler needs from a runnable workload."""
+    """What the schedulers call on a runnable workload."""
 
     def all_roots(self) -> List[int]:
         """Every root vertex the run may explore."""
@@ -146,13 +148,13 @@ def run_shard_payload(
     original types (see ``repro.errors`` ``__reduce__``).
 
     The payload is the six-tuple ``(job, roots, observe, budget_spec,
-    fault_plan, attempt)`` :meth:`ProcessShardScheduler._payload`
+    fault_plan, attempt)`` :meth:`ProcessShardScheduler._run_round`
     builds:
 
     * ``observe`` truthy makes the shard record every event it emits
       (with worker-side timestamps) and return the serialized summary
-      as the fourth element, which the parent replays into its bus at
-      merge — the cross-process half of trace/metric completeness.
+      as the fourth element, which the parent replays into its bus —
+      the cross-process half of trace/metric completeness.
       Unobserved shards skip recording entirely, so runs without
       observability subscribers pay nothing.
     * ``budget_spec`` is the parent's *residual*
@@ -228,18 +230,15 @@ def _release_job_graph(fingerprint: Optional[str]) -> None:
     release_graph(fingerprint)
 
 
-def _classify_transient(
-    policy: Optional[RetryPolicy], exc: BaseException
-) -> bool:
-    if policy is not None:
-        return policy.is_transient(exc)
-    return is_transient(exc)
+class _Unit:
+    """One root unit's dispatch bookkeeping across rounds.
 
+    ``shelved`` marks a unit set aside without failing itself — still
+    queued or cut short when its round was cancelled, or left over when
+    the budget ran out — which is dead but gets no ``shard_failed``.
+    """
 
-class _ShardState:
-    """One shard's dispatch bookkeeping across retry rounds."""
-
-    __slots__ = ("index", "roots", "attempt", "errors")
+    __slots__ = ("index", "roots", "attempt", "errors", "shelved")
 
     def __init__(
         self,
@@ -254,655 +253,554 @@ class _ShardState:
         self.errors: List[BaseException] = (
             errors if errors is not None else []
         )
+        self.shelved = False
 
     @property
     def last_error(self) -> BaseException:
         return self.errors[-1]
 
 
-class _FailureOptions:
-    """What every scheduler is told about failures, validated once."""
+#: What one round hands back to the driver: the partial results of the
+#: units that finished, and the units that did not (each failed one
+#: with its new error appended, each shelved one flagged).
+_Round = Tuple[List[Any], List[_Unit]]
+
+
+class _Scheduler:
+    """The one driver: rounds of root units, one failure policy."""
+
+    name = ""
+    n_workers = 1
+    #: Whether a retried multi-root unit may be split in half.
+    splits_units = True
 
     def __init__(
         self,
-        retry: Optional[RetryPolicy] = None,
+        retries: int = 0,
         on_failure: str = ON_FAILURE_RAISE,
         fault_plan: Optional[FaultPlan] = None,
     ) -> None:
+        if retries < 0:
+            raise ValueError("retries must be >= 0")
         if on_failure not in ON_FAILURE_MODES:
             raise ValueError(
                 f"on_failure must be one of {ON_FAILURE_MODES}, "
                 f"got {on_failure!r}"
             )
-        self.retry = retry
+        self.retries = retries
         self.on_failure = on_failure
         self.fault_plan = fault_plan
 
+    def run(self, job: ExecutionJob, ctx: Optional[TaskContext] = None) -> Any:
+        run_ctx = ctx if ctx is not None else TaskContext()
+        observed = run_ctx.observed
+        if observed:
+            run_ctx.phase_start(
+                PHASE_RUN, scheduler=self.name, workers=self.n_workers
+            )
+        try:
+            return self._drive(job, ctx, run_ctx)
+        finally:
+            if observed:
+                run_ctx.phase_end(PHASE_RUN)
 
-class _ParallelOptions(_FailureOptions):
-    """The same, plus the worker count the two sharding schedulers take."""
+    # -- what differs between schedulers ------------------------------
 
-    def __init__(
+    def _units(self, roots: List[int]) -> List[List[int]]:
+        """Cut the run's roots into units (round-robin shards)."""
+        shards = [roots[i::self.n_workers] for i in range(self.n_workers)]
+        return [shard for shard in shards if shard]
+
+    def _run_round(
         self,
-        n_workers: int = 2,
-        retry: Optional[RetryPolicy] = None,
-        on_failure: str = ON_FAILURE_RAISE,
-        fault_plan: Optional[FaultPlan] = None,
-    ) -> None:
-        if n_workers < 1:
-            raise ValueError("n_workers must be >= 1")
-        super().__init__(retry, on_failure, fault_plan)
-        self.n_workers = n_workers
+        job: ExecutionJob,
+        ctx: Optional[TaskContext],
+        run_ctx: TaskContext,
+        units: List[_Unit],
+        spec: BudgetSpec,
+    ) -> _Round:
+        raise NotImplementedError
+
+    def _merge(
+        self, job: ExecutionJob, run_ctx: TaskContext, partials: List[Any]
+    ) -> Any:
+        return job.merge(partials, run_ctx.budget.elapsed())
+
+    # -- the driver ---------------------------------------------------
+
+    def _retryable(self, unit: _Unit) -> bool:
+        """Whether a unit that did not finish goes round again; every
+        other such unit is dead."""
+        return (
+            not unit.shelved
+            and is_transient(unit.last_error)
+            and unit.attempt < self.retries
+        )
+
+    def _drive(
+        self,
+        job: ExecutionJob,
+        ctx: Optional[TaskContext],
+        run_ctx: TaskContext,
+    ) -> Any:
+        pending = [
+            _Unit(index, roots)
+            for index, roots in enumerate(self._units(job.all_roots()))
+        ]
+        next_index = len(pending)
+        partials: List[Any] = []
+        dead: List[_Unit] = []
+        retry_round = 0
+        while pending:
+            # Dispatch with what is *left* of the run budget, so unit
+            # deadlines include parent-side setup and earlier rounds.
+            spec = BudgetSpec.residual(run_ctx.budget)
+            if spec.exhausted:
+                # What is left never runs: shelved, with the budget
+                # verdict as the reason.
+                limit = run_ctx.budget.time_limit
+                exc = TimeLimitExceeded(
+                    limit if limit is not None else 0.0,
+                    run_ctx.budget.elapsed(),
+                )
+                for unit in pending:
+                    unit.errors.append(exc)
+                    unit.shelved = True
+                dead.extend(pending)
+                break
+            done, failed = self._run_round(job, ctx, run_ctx, pending, spec)
+            partials.extend(done)
+            retry = [unit for unit in failed if self._retryable(unit)]
+            dead.extend(unit for unit in failed if unit not in retry)
+            if not retry or (dead and self.on_failure == ON_FAILURE_RAISE):
+                # Nothing to retry, or the run is going to raise and
+                # retrying survivors would only burn budget.
+                break
+            retry_round += 1
+            delay = backoff_delay(max(unit.attempt for unit in retry) + 1)
+            remaining = run_ctx.budget.remaining_time()
+            if remaining is not None:
+                delay = min(delay, remaining)
+            for unit in retry:
+                unit.attempt += 1
+                run_ctx.emit(
+                    SHARD_RETRY,
+                    shard=unit.index,
+                    attempt=unit.attempt,
+                    delay=delay,
+                    error=type(unit.last_error).__name__,
+                    roots=len(unit.roots),
+                )
+            if run_ctx.observed:
+                run_ctx.phase_start(
+                    PHASE_RETRY, round=retry_round, shards=len(retry)
+                )
+            try:
+                if delay > 0:
+                    time.sleep(delay)
+            finally:
+                if run_ctx.observed:
+                    run_ctx.phase_end(PHASE_RETRY)
+            pending = []
+            for unit in retry:
+                pending.append(unit)
+                if self.splits_units and len(unit.roots) > 1:
+                    # Halve the blast radius: a poison root only takes
+                    # half the unit down with it on the next attempt.
+                    mid = len(unit.roots) // 2
+                    pending.append(
+                        _Unit(
+                            next_index,
+                            unit.roots[mid:],
+                            unit.attempt,
+                            list(unit.errors),
+                        )
+                    )
+                    unit.roots = unit.roots[:mid]
+                    next_index += 1
+        return self._finish(job, run_ctx, partials, dead)
+
+    def _finish(
+        self,
+        job: ExecutionJob,
+        run_ctx: TaskContext,
+        partials: List[Any],
+        dead: List[_Unit],
+    ) -> Any:
+        """The one tail: raise the primary failure or degrade."""
+        for unit in dead:
+            if not unit.shelved:
+                run_ctx.emit(
+                    SHARD_FAILED,
+                    shard=unit.index,
+                    attempt=unit.attempt,
+                    error=type(unit.last_error).__name__,
+                    roots=len(unit.roots),
+                )
+        # Every error a dead unit saw, once each (split halves and a
+        # budget verdict share exception objects).
+        failures = list(
+            {id(exc): exc for unit in dead for exc in unit.errors}.values()
+        )
+        if failures and self.on_failure == ON_FAILURE_RAISE:
+            # Budget violations outrank the secondary,
+            # cancellation-induced errors of the other units; the rest
+            # stay reachable via __cause__ / suppressed_failures.  (Only
+            # the caller's own cancellation shelves units with no error.)
+            raise select_primary_failure(failures)
+        merged = self._merge(job, run_ctx, partials)
+        if dead:
+            unprocessed = [root for unit in dead for root in unit.roots]
+            mark_degraded(merged, unprocessed, failures)
+            run_ctx.emit(
+                RUN_DEGRADED,
+                unprocessed=len(unprocessed),
+                failures=[type(exc).__name__ for exc in failures],
+            )
+        return merged
 
 
-class SerialScheduler(_FailureOptions):
+class SerialScheduler(_Scheduler):
     """Run the whole job in-process, roots in order.
 
-    With a :class:`RetryPolicy` the whole run is the retry unit — a
-    transient failure reruns the job from scratch on a fresh session
-    (serial runs have no partial shards to salvage individually).
+    The whole run is the one unit: a transient failure reruns the job
+    from scratch on a fresh session (serial runs have no partial shards
+    to salvage individually).  With no retries, no fault plan and
+    ``on_failure="raise"`` a run is exactly one ``job.run_serial`` call.
     """
 
     name = "serial"
+    # ``run_serial`` takes no roots: the one unit is never split.
+    splits_units = False
 
-    def run(self, job: ExecutionJob, ctx: Optional[TaskContext] = None) -> Any:
-        if self.retry is None and self.fault_plan is None:
-            return self._run_once(job, ctx)
-        return self._run_resilient(job, ctx)
+    def _units(self, roots: List[int]) -> List[List[int]]:
+        return [roots]
 
-    def _run_once(
-        self, job: ExecutionJob, ctx: Optional[TaskContext]
+    def _drive(
+        self,
+        job: ExecutionJob,
+        ctx: Optional[TaskContext],
+        run_ctx: TaskContext,
     ) -> Any:
-        if ctx is None or not ctx.observed:
+        if (
+            self.retries == 0
+            and self.on_failure == ON_FAILURE_RAISE
+            and self.fault_plan is None
+        ):
             return job.run_serial(ctx=ctx)
-        ctx.phase_start(PHASE_RUN, scheduler=self.name)
+        return super()._drive(job, ctx, run_ctx)
+
+    def _run_round(
+        self,
+        job: ExecutionJob,
+        ctx: Optional[TaskContext],
+        run_ctx: TaskContext,
+        units: List[_Unit],
+        spec: BudgetSpec,
+    ) -> _Round:
+        (unit,) = units
         try:
-            return job.run_serial(ctx=ctx)
-        finally:
-            ctx.phase_end(PHASE_RUN)
+            if self.fault_plan is not None:
+                self.fault_plan.fire(
+                    unit.roots,
+                    unit.attempt,
+                    budget=run_ctx.budget,
+                    allow_kill=False,
+                )
+            return [job.run_serial(ctx=ctx)], []
+        except Exception as exc:  # noqa: BLE001 - the driver triages
+            unit.errors.append(exc)
+            return [], [unit]
 
-    def _run_resilient(
-        self, job: ExecutionJob, ctx: Optional[TaskContext]
+    def _merge(
+        self, job: ExecutionJob, run_ctx: TaskContext, partials: List[Any]
     ) -> Any:
-        run_ctx = ctx if ctx is not None else TaskContext()
-        policy = self.retry
-        max_retries = policy.max_retries if policy is not None else 0
-        attempt = 0
-        failures: List[BaseException] = []
-        while True:
-            try:
-                if self.fault_plan is not None:
-                    self.fault_plan.fire(
-                        job.all_roots(),
-                        attempt,
-                        budget=run_ctx.budget,
-                        allow_kill=False,
-                    )
-                return self._run_once(job, ctx)
-            except BaseException as exc:  # noqa: BLE001 - triaged below
-                failures.append(exc)
-                if (
-                    _classify_transient(policy, exc)
-                    and attempt < max_retries
-                ):
-                    attempt += 1
-                    delay = (
-                        policy.delay(attempt) if policy is not None else 0.0
-                    )
-                    remaining = run_ctx.budget.remaining_time()
-                    if remaining is not None:
-                        delay = min(delay, remaining)
-                    run_ctx.emit(
-                        SHARD_RETRY,
-                        shard=0,
-                        attempt=attempt,
-                        delay=delay,
-                        error=type(exc).__name__,
-                        roots=len(job.all_roots()),
-                    )
-                    if delay > 0:
-                        time.sleep(delay)
-                    continue
-                run_ctx.emit(
-                    SHARD_FAILED,
-                    shard=0,
-                    attempt=attempt,
-                    error=type(exc).__name__,
-                    roots=len(job.all_roots()),
-                )
-                if self.on_failure == ON_FAILURE_RAISE:
-                    raise select_primary_failure(failures) from None
-                merged = job.merge([], run_ctx.budget.elapsed())
-                mark_degraded(merged, job.all_roots(), failures)
-                run_ctx.emit(
-                    RUN_DEGRADED,
-                    unprocessed=len(job.all_roots()),
-                    failures=[type(f).__name__ for f in failures],
-                )
-                return merged
+        # A finished serial run is its own result.
+        return partials[0] if partials else super()._merge(
+            job, run_ctx, partials
+        )
 
     def __repr__(self) -> str:
         return "SerialScheduler()"
 
 
-class ProcessShardScheduler(_ParallelOptions):
+class _ParallelScheduler(_Scheduler):
+    """The same, plus the worker count the two sharding schedulers take."""
+
+    def __init__(
+        self,
+        n_workers: int = 2,
+        retries: int = 0,
+        on_failure: str = ON_FAILURE_RAISE,
+        fault_plan: Optional[FaultPlan] = None,
+    ) -> None:
+        if n_workers < 1:
+            raise ValueError("n_workers must be >= 1")
+        super().__init__(retries, on_failure, fault_plan)
+        self.n_workers = n_workers
+
+    def run(self, job: ExecutionJob, ctx: Optional[TaskContext] = None) -> Any:
+        if self.n_workers == 1:
+            return SerialScheduler(
+                self.retries, self.on_failure, self.fault_plan
+            ).run(job, ctx=ctx)
+        return super().run(job, ctx=ctx)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(n_workers={self.n_workers})"
+
+
+class ProcessShardScheduler(_ParallelScheduler):
     """Round-robin root shards across worker processes.
 
-    Failed shards are the unit of recovery: a worker process crash
-    (``BrokenProcessPool``) or transient error re-dispatches *only
-    the failed shard's roots* on a fresh pool after a backoff,
-    optionally split in half from the second attempt on; healthy
-    shards keep their results.  Every dispatch carries the residual
-    run budget, and exhausted retries either raise the primary
-    failure (``on_failure="raise"``) or merge the healthy partials
-    into a result marked ``incomplete`` (``"degrade"``).
+    Each round runs on a fresh process pool, so a worker crash
+    (``BrokenProcessPool``) costs only the shards of that round that
+    had not returned; healthy shards keep their results.  The run
+    holds a shared-memory lease on a registered data graph, and
+    observed shards' events are replayed into the run bus.
     """
 
     name = "process"
 
-    def run(self, job: ExecutionJob, ctx: Optional[TaskContext] = None) -> Any:
-        run_ctx = ctx if ctx is not None else TaskContext()
-        observed = run_ctx.observed
-        resilient = (
-            self.retry is not None
-            or self.fault_plan is not None
-            or self.on_failure == ON_FAILURE_DEGRADE
-        )
-        if self.n_workers == 1 and not resilient:
-            return SerialScheduler().run(job, ctx=ctx)
-        if observed:
-            run_ctx.phase_start(
-                PHASE_RUN, scheduler=self.name, workers=self.n_workers
-            )
-        lease: Optional[str] = None
+    def _drive(
+        self,
+        job: ExecutionJob,
+        ctx: Optional[TaskContext],
+        run_ctx: TaskContext,
+    ) -> Any:
+        lease = _share_job_graph(job)
         try:
-            lease = _share_job_graph(job)
-            shards: List[List[int]] = [[] for _ in range(self.n_workers)]
-            for index, vertex in enumerate(job.all_roots()):
-                shards[index % self.n_workers].append(vertex)
-            pending = [
-                _ShardState(index, shard)
-                for index, shard in enumerate(shards)
-                if shard
-            ]
-            if not pending:
-                return job.merge([], run_ctx.budget.elapsed())
-            return self._run_rounds(job, run_ctx, observed, pending)
+            return super()._drive(job, ctx, run_ctx)
         finally:
             _release_job_graph(lease)
-            if observed:
-                run_ctx.phase_end(PHASE_RUN)
 
-    def _payload(
-        self,
-        job: ExecutionJob,
-        shard: _ShardState,
-        observed: bool,
-        spec: BudgetSpec,
-    ) -> Tuple[Any, ...]:
-        return tuple(job.shard_payload(shard.roots)) + (
-            observed,
-            spec,
-            self.fault_plan,
-            shard.attempt,
-        )
-
-    def _run_rounds(
+    def _finish(
         self,
         job: ExecutionJob,
         run_ctx: TaskContext,
-        observed: bool,
-        pending: List[_ShardState],
+        partials: List[Any],
+        dead: List[_Unit],
     ) -> Any:
-        policy = self.retry
-        max_retries = policy.max_retries if policy is not None else 0
-        partials: List[Any] = []
-        summaries: List[Tuple[int, List[RecordedEvent]]] = []
-        dead: List[_ShardState] = []
-        dispatch_ts = time.monotonic()
-        next_index = max(shard.index for shard in pending) + 1
-        retry_round = 0
-        while pending:
-            # Dispatch with what is *left* of the run budget, so shard
-            # deadlines include parent-side setup and earlier rounds.
-            spec = BudgetSpec.residual(run_ctx.budget)
-            if spec.exhausted:
-                limit = run_ctx.budget.time_limit
-                exc: BaseException = TimeLimitExceeded(
-                    limit if limit is not None else 0.0,
-                    run_ctx.budget.elapsed(),
-                )
-                for shard in pending:
-                    shard.errors.append(exc)
-                dead.extend(pending)
-                pending = []
-                break
-            round_shards = pending
-            pending = []
-            retry_now: List[_ShardState] = []
-            workers = min(self.n_workers, len(round_shards))
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                # submit() (not map()) so each shard's outcome is
-                # separable: one dead worker breaks the pool for every
-                # in-flight future, but completed shards keep their
-                # results and only the failed dispatches are retried.
-                submitted = [
-                    (
-                        shard,
-                        pool.submit(
-                            run_shard_payload,
-                            self._payload(job, shard, observed, spec),
-                        ),
-                    )
-                    for shard in round_shards
-                ]
-                for shard, future in submitted:
-                    try:
-                        partial = future.result()
-                    except BaseException as exc:  # noqa: BLE001 - triaged
-                        shard.errors.append(exc)
-                        if (
-                            _classify_transient(policy, exc)
-                            and shard.attempt < max_retries
-                        ):
-                            retry_now.append(shard)
-                        else:
-                            dead.append(shard)
-                        continue
-                    partials.append(partial[:3])
-                    if partial[3]:
-                        summaries.append((shard.index, partial[3]))
-            if dead and self.on_failure == ON_FAILURE_RAISE:
-                # The run is going to raise; retrying survivors would
-                # only burn budget.
-                break
-            if retry_now:
-                assert policy is not None
-                retry_round += 1
-                pending = self._schedule_retries(
-                    run_ctx,
-                    observed,
-                    policy,
-                    retry_now,
-                    retry_round,
-                    next_index,
-                )
-                next_index += len(pending)
-        for shard in dead:
-            run_ctx.emit(
-                SHARD_FAILED,
-                shard=shard.index,
-                attempt=shard.attempt,
-                error=type(shard.last_error).__name__,
-                roots=len(shard.roots),
-            )
-        if dead and self.on_failure == ON_FAILURE_RAISE:
-            # Reclaim crash-scoped resources (shared-memory graph
-            # segments) now: a chaos-killed worker skipped all of its
-            # own cleanup, and the raise below may be the run's last
-            # act in this process for a long time.
-            run_crash_cleanups()
-            raise select_primary_failure(
-                [shard.last_error for shard in dead]
-            )
-        merged = job.merge(partials, run_ctx.budget.elapsed())
-        # Replay worker-side events into the parent bus after the
-        # merge shaped the result: traces and metrics collected at the
-        # top see exactly what each successful shard emitted, rebased
-        # onto the dispatch instant of the first pool (zero events
-        # lost).
-        for index, summary in summaries:
-            replay_events(
-                run_ctx.bus,
-                summary,
-                base=dispatch_ts,
-                track=f"shard-{index}",
-            )
-        if dead:
-            unprocessed = [
-                root for shard in dead for root in shard.roots
-            ]
-            mark_degraded(
-                merged,
-                unprocessed,
-                [shard.last_error for shard in dead],
-            )
-            run_ctx.emit(
-                RUN_DEGRADED,
-                unprocessed=len(unprocessed),
-                failures=[
-                    type(shard.last_error).__name__ for shard in dead
-                ],
-            )
-            run_crash_cleanups()
-        return merged
-
-    def _schedule_retries(
-        self,
-        run_ctx: TaskContext,
-        observed: bool,
-        policy: RetryPolicy,
-        retry_now: List[_ShardState],
-        retry_round: int,
-        next_index: int,
-    ) -> List[_ShardState]:
-        """Backoff once for the round, then split/requeue the shards."""
-        delay = max(
-            policy.delay(shard.attempt + 1, key=shard.index)
-            for shard in retry_now
-        )
-        remaining = run_ctx.budget.remaining_time()
-        if remaining is not None:
-            delay = min(delay, remaining)
-        for shard in retry_now:
-            run_ctx.emit(
-                SHARD_RETRY,
-                shard=shard.index,
-                attempt=shard.attempt + 1,
-                delay=delay,
-                error=type(shard.last_error).__name__,
-                roots=len(shard.roots),
-            )
-        if observed:
-            run_ctx.phase_start(
-                PHASE_RETRY, round=retry_round, shards=len(retry_now)
-            )
         try:
-            if delay > 0:
-                time.sleep(delay)
+            return super()._finish(job, run_ctx, partials, dead)
         finally:
-            if observed:
-                run_ctx.phase_end(PHASE_RETRY)
-        pending: List[_ShardState] = []
-        for shard in retry_now:
-            shard.attempt += 1
-            if policy.should_split(shard.attempt, len(shard.roots)):
-                # Halve the blast radius: a poison root only takes half
-                # the shard down with it on the next attempt.
-                mid = len(shard.roots) // 2
-                pending.append(
-                    _ShardState(
-                        shard.index,
-                        shard.roots[:mid],
-                        shard.attempt,
-                        shard.errors,
-                    )
+            if dead:
+                # Reclaim crash-scoped resources (shared-memory graph
+                # segments) now: a chaos-killed worker skipped all of
+                # its own cleanup, and a raise may be the run's last
+                # act in this process for a long time.  Only worker
+                # processes die that way, so only this scheduler fires
+                # the hooks.
+                run_crash_cleanups()
+
+    def _run_round(
+        self,
+        job: ExecutionJob,
+        ctx: Optional[TaskContext],
+        run_ctx: TaskContext,
+        units: List[_Unit],
+        spec: BudgetSpec,
+    ) -> _Round:
+        observed = run_ctx.observed
+        partials: List[Any] = []
+        failed: List[_Unit] = []
+        dispatched = time.monotonic()
+        workers = min(self.n_workers, len(units))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            # submit() (not map()) so each shard's outcome is
+            # separable: one dead worker breaks the pool for every
+            # in-flight future, but completed shards keep their
+            # results and only the failed dispatches are retried.
+            submitted = [
+                (
+                    unit,
+                    pool.submit(
+                        run_shard_payload,
+                        tuple(job.shard_payload(unit.roots))
+                        + (observed, spec, self.fault_plan, unit.attempt),
+                    ),
                 )
-                pending.append(
-                    _ShardState(
-                        next_index,
-                        shard.roots[mid:],
-                        shard.attempt,
-                        list(shard.errors),
+                for unit in units
+            ]
+            for unit, future in submitted:
+                try:
+                    valid, stats, elapsed, summary = future.result()
+                except Exception as exc:  # noqa: BLE001 - triaged
+                    unit.errors.append(exc)
+                    failed.append(unit)
+                    continue
+                partials.append((valid, stats, elapsed))
+                if summary:
+                    # Worker-side events, rebased onto this round's
+                    # dispatch instant: traces and metrics collected
+                    # at the top see what each shard emitted.
+                    replay_events(
+                        run_ctx.bus,
+                        summary,
+                        base=dispatched,
+                        track=f"shard-{unit.index}",
                     )
-                )
-                next_index += 1
-            else:
-                pending.append(shard)
-        return pending
-
-    def __repr__(self) -> str:
-        return f"ProcessShardScheduler(n_workers={self.n_workers})"
+        return partials, failed
 
 
-class WorkQueueScheduler(_ParallelOptions):
+class WorkQueueScheduler(_ParallelScheduler):
     """Per-root work queues with stealing, over shared precomputation.
 
     Workers are threads: the GIL serializes the Python bytecode, so
     this scheduler is about *load-balanced task order* and structural
     fidelity (the paper's 80-thread work stealing), not wall-clock
     parallelism — see DESIGN.md's substitutions table.  Each worker
-    keeps private stats and a private promotion registry (shard
-    semantics); one shared budget and cancellation token span all
-    workers, so a deadline hit anywhere cancels everyone.
+    keeps one session (private stats, private promotion registry —
+    shard semantics); one budget spans all workers.
 
-    The retry unit here is one *root*: a transient failure abandons
-    the worker's session (sealing the healthy roots it already
-    processed — the merge deduplicates), reruns the root on a fresh
-    session after a backoff, and only gives up after
-    ``retry.max_retries`` attempts.  Budget failures stay terminal
-    and cancel the run; ``on_failure="degrade"`` turns both cases
-    into an ``incomplete`` merged result listing unprocessed roots.
+    A failed root abandons its worker's session — sealing the healthy
+    roots it already processed (the merge deduplicates) — and the
+    worker goes on with a fresh session; the driver retries the root in
+    the next round.  A dead root that ends the run — any, under
+    ``on_failure="raise"``; a terminal one under ``"degrade"`` —
+    cancels the round for every worker, and the roots it cut short or
+    left queued are shelved.
     """
 
     name = "workqueue"
 
-    def run(self, job: ExecutionJob, ctx: Optional[TaskContext] = None) -> Any:
-        import threading
-        from collections import deque
+    def _units(self, roots: List[int]) -> List[List[int]]:
+        return [[root] for root in roots]
 
-        run_ctx = ctx if ctx is not None else TaskContext()
+    def _run_round(
+        self,
+        job: ExecutionJob,
+        ctx: Optional[TaskContext],
+        run_ctx: TaskContext,
+        units: List[_Unit],
+        spec: BudgetSpec,
+    ) -> _Round:
         observed = run_ctx.observed
-        roots = job.all_roots()
-        if self.n_workers == 1 or len(roots) <= 1:
-            return SerialScheduler(
-                retry=self.retry,
-                on_failure=self.on_failure,
-                fault_plan=self.fault_plan,
-            ).run(job, ctx=ctx)
-
-        policy = self.retry
-        max_retries = policy.max_retries if policy is not None else 0
+        # The round's own token: cancelling it stops this round's
+        # workers, not the caller's context or the next round.
+        round_ctx = run_ctx.child()
         queues: List[Any] = [deque() for _ in range(self.n_workers)]
-        for index, root in enumerate(roots):
-            queues[index % self.n_workers].append(root)
+        for index, unit in enumerate(units):
+            queues[index % self.n_workers].append(unit)
         lock = threading.Lock()
-        results: List[Any] = []
-        failures: List[BaseException] = []
-        unprocessed: List[int] = []
-        degrade = self.on_failure == ON_FAILURE_DEGRADE
+        partials: List[Any] = []
+        failed: Dict[int, _Unit] = {}
+        unfinished: List[_Unit] = []
 
-        def next_root(me: int) -> Optional[int]:
+        def next_unit(me: int) -> Optional[_Unit]:
             with lock:
                 if queues[me]:
-                    return int(queues[me].popleft())
+                    return queues[me].popleft()
                 victim = max(
                     (q for q in queues if q), key=len, default=None
                 )
-                if victim is None:
-                    return None
                 # Steal from the back: the victim keeps its cache-warm
                 # front-of-queue roots.
-                return int(victim.pop())
+                return victim.pop() if victim is not None else None
 
-        def seal(session: Any) -> None:
-            """Seal a session, guarding against a poisoned ``finish()``.
+        def fail(lost: List[_Unit], exc: BaseException) -> None:
+            with lock:
+                for unit in lost:
+                    unit.errors.append(exc)
+                    failed[id(unit)] = unit
+            # A transient root out of retries is lost alone in degrade
+            # mode; any other dead root ends the run, so stop mining.
+            if any(not self._retryable(unit) for unit in lost) and (
+                self.on_failure == ON_FAILURE_RAISE or not is_transient(exc)
+            ):
+                round_ctx.cancel("worker failure")
 
-            ``finish()`` used to run bare in the worker's ``finally``
-            block, where its own exception could mask the original
-            budget error (and silently drop the worker's results).
-            Now a raising ``finish()`` is recorded as a failure in its
-            own right and never shadows what the worker body raised.
-            """
+        def seal(session: Any, held: List[_Unit]) -> None:
+            """Seal a session; a raising ``finish()`` fails what it held
+            instead of masking the error the worker body raised."""
             try:
-                sealed = session.finish()
-            except BaseException as exc:  # noqa: BLE001 - recorded
-                with lock:
-                    failures.append(exc)
-                run_ctx.token.cancel("session finish failed")
+                result = session.finish()
+            except Exception as exc:  # noqa: BLE001 - recorded
+                fail(held, exc)
                 return
             with lock:
-                results.append(sealed)
-
-        def run_root(session: Any, root: int) -> Tuple[Any, bool]:
-            """One root with per-root retries; returns (session, ok)."""
-            attempt = 0
-            while True:
-                try:
-                    if self.fault_plan is not None:
-                        self.fault_plan.fire(
-                            [root],
-                            attempt,
-                            budget=run_ctx.budget,
-                            allow_kill=False,
-                        )
-                    session.run_roots([root])
-                except BaseException as exc:  # noqa: BLE001 - triaged
-                    # The session may hold a poisoned registry for this
-                    # root (marked but unprocessed subgraphs): seal the
-                    # healthy roots it finished and retry on a fresh
-                    # session — the merge deduplicates any overlap.
-                    seal(session)
-                    session = job.worker_session(run_ctx.child())
-                    transient = _classify_transient(policy, exc)
-                    if (
-                        transient
-                        and attempt < max_retries
-                        and not run_ctx.token.cancelled
-                    ):
-                        attempt += 1
-                        delay = (
-                            policy.delay(attempt, key=root)
-                            if policy is not None
-                            else 0.0
-                        )
-                        remaining = run_ctx.budget.remaining_time()
-                        if remaining is not None:
-                            delay = min(delay, remaining)
-                        run_ctx.emit(
-                            SHARD_RETRY,
-                            shard=root,
-                            attempt=attempt,
-                            delay=delay,
-                            error=type(exc).__name__,
-                            roots=1,
-                        )
-                        if delay > 0:
-                            time.sleep(delay)
-                        continue
-                    run_ctx.emit(
-                        SHARD_FAILED,
-                        shard=root,
-                        attempt=attempt,
-                        error=type(exc).__name__,
-                        roots=1,
-                    )
-                    if degrade and transient:
-                        # This root is lost, the run is not: record it
-                        # and keep mining the rest.
-                        with lock:
-                            unprocessed.append(root)
-                            failures.append(exc)
-                        return session, True
-                    with lock:
-                        failures.append(exc)
-                    # Lateral cancellation across workers: a terminal
-                    # failure anywhere stops the whole run
-                    # cooperatively.
-                    run_ctx.token.cancel("worker failure")
-                    return session, False
-                if degrade and run_ctx.token.cancelled:
-                    # Cancellation may have cut this root's exploration
-                    # short — conservatively list it as unprocessed.
-                    with lock:
-                        unprocessed.append(root)
-                return session, True
+                partials.append(
+                    (result.valid, result.stats.as_dict(), result.elapsed)
+                )
 
         def worker(me: int) -> None:
             # Shard phase events go straight to the run bus from this
             # worker thread: the tracer separates worker timelines by
             # thread, and the session emits on the same bus, so
-            # in-thread ordering is preserved (no replay needed — the
-            # threads already share the parent's address space).
+            # in-thread ordering is preserved.
             if observed:
                 run_ctx.phase_start(PHASE_SHARD, worker=me)
-            session = job.worker_session(run_ctx.child())
+            session = job.worker_session(round_ctx)
+            held: List[_Unit] = []
             try:
-                while True:
-                    if run_ctx.token.cancelled:
+                while not round_ctx.cancelled:
+                    unit = next_unit(me)
+                    if unit is None:
                         break
-                    root = next_root(me)
-                    if root is None:
-                        break
-                    session, ok = run_root(session, root)
-                    if not ok:
-                        break
+                    try:
+                        if self.fault_plan is not None:
+                            self.fault_plan.fire(
+                                unit.roots,
+                                unit.attempt,
+                                budget=run_ctx.budget,
+                                allow_kill=False,
+                            )
+                        session.run_roots(unit.roots)
+                    except Exception as exc:  # noqa: BLE001 - triaged
+                        # The session may hold registry marks for
+                        # subgraphs this root never processed: seal what
+                        # it finished and go on with a fresh one.
+                        seal(session, held + [unit])
+                        session, held = job.worker_session(round_ctx), []
+                        fail([unit], exc)
+                    else:
+                        if round_ctx.cancelled:
+                            # Cancellation may have cut this root short.
+                            with lock:
+                                unfinished.append(unit)
+                        else:
+                            held.append(unit)
             finally:
-                seal(session)
+                seal(session, held)
                 if observed:
                     run_ctx.phase_end(PHASE_SHARD)
 
-        if observed:
-            run_ctx.phase_start(
-                PHASE_RUN, scheduler=self.name, workers=self.n_workers
-            )
-        try:
-            threads = [
-                threading.Thread(target=worker, args=(i,), daemon=True)
-                for i in range(self.n_workers)
-            ]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join()
-            degraded = degrade and (bool(failures) or bool(unprocessed))
-            if failures and not degraded:
-                # Budget violations outrank the secondary,
-                # cancellation-induced errors of the other workers;
-                # the non-selected failures stay reachable via
-                # __cause__ / suppressed_failures.
-                raise select_primary_failure(failures)
-            with lock:
-                # Roots still queued when the run was cancelled were
-                # never dispatched.
-                for queue in queues:
-                    unprocessed.extend(int(r) for r in queue)
-                    queue.clear()
-            partials = [
-                (r.valid, r.stats.as_dict(), r.elapsed)
-                for r in results
-                if r is not None
-            ]
-            merged = job.merge(partials, run_ctx.budget.elapsed())
-            if degraded:
-                mark_degraded(merged, unprocessed, failures)
-                run_ctx.emit(
-                    RUN_DEGRADED,
-                    unprocessed=len(set(unprocessed)),
-                    failures=[type(f).__name__ for f in failures],
-                )
-            return merged
-        finally:
-            if observed:
-                run_ctx.phase_end(PHASE_RUN)
-
-    def __repr__(self) -> str:
-        return f"WorkQueueScheduler(n_workers={self.n_workers})"
+        threads = [
+            threading.Thread(target=worker, args=(i,), daemon=True)
+            for i in range(self.n_workers)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        for queue in queues:
+            unfinished.extend(queue)
+        for unit in unfinished:
+            unit.shelved = True
+        return partials, list(failed.values()) + unfinished
 
 
 def make_scheduler(
     name: str,
     n_workers: int = 2,
-    retry: Optional[RetryPolicy] = None,
-    retries: Optional[int] = None,
+    retries: int = 0,
     on_failure: str = ON_FAILURE_RAISE,
     fault_plan: Optional[FaultPlan] = None,
 ) -> Any:
     """Scheduler factory for the CLI/apps ``--scheduler`` knob.
 
-    ``retry`` passes a full :class:`RetryPolicy`; the simpler
-    ``retries=N`` (the CLI's ``--retries``) builds a default policy
-    with ``max_retries=N`` (``0`` disables retrying).  ``on_failure``
-    is ``"raise"`` (default) or ``"degrade"``; ``fault_plan`` injects
-    deterministic chaos (tests only).
+    ``retries`` is the CLI's ``--retries`` (``0`` disables retrying);
+    ``on_failure`` is ``"raise"`` (default) or ``"degrade"``;
+    ``fault_plan`` injects deterministic chaos (tests only).
     """
-    if retry is None and retries is not None and retries > 0:
-        retry = RetryPolicy(max_retries=retries)
     if name == "serial":
-        return SerialScheduler(
-            retry=retry, on_failure=on_failure, fault_plan=fault_plan
-        )
+        return SerialScheduler(retries, on_failure, fault_plan)
     sharding = {
         "process": ProcessShardScheduler,
         "workqueue": WorkQueueScheduler,
     }
     if name in sharding:
-        return sharding[name](
-            n_workers=n_workers,
-            retry=retry,
-            on_failure=on_failure,
-            fault_plan=fault_plan,
-        )
+        return sharding[name](n_workers, retries, on_failure, fault_plan)
     raise ValueError(
         f"unknown scheduler {name!r} (choose from {SCHEDULER_NAMES})"
     )

@@ -482,7 +482,7 @@ atexit.register(_cleanup)
 
 # Failed runs reclaim segments immediately instead of waiting for
 # process exit: the scheduler fires resilience's crash cleanups when a
-# run ends with dead shards (see ProcessShardScheduler._run_rounds).
+# run ends with dead shards (see ProcessShardScheduler._finish).
 from ..exec.resilience import register_crash_cleanup  # noqa: E402
 
 register_crash_cleanup(unpublish_all)

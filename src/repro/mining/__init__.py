@@ -10,12 +10,6 @@ from .candidates import (
 from .engine import MiningEngine
 from .etask import ETask, run_single_pattern
 from .match import Match
-from .multipattern import (
-    MergedPatternGroup,
-    MultiPatternExplorer,
-    group_by_structure,
-    match_pattern_key,
-)
 from .processors import (
     CallbackProcessor,
     CollectProcessor,
@@ -69,9 +63,5 @@ __all__ = [
     "FilterMapReduceProcessor",
     "MiningStats",
     "ConstraintStats",
-    "MergedPatternGroup",
-    "MultiPatternExplorer",
-    "group_by_structure",
-    "match_pattern_key",
     "explore_connected_sets",
 ]

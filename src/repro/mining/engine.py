@@ -27,7 +27,7 @@ job (:mod:`repro.exec.scheduler`).
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Iterator, List, Optional, Sequence
+from typing import Iterator, List, Optional, Sequence
 
 from ..exec.context import TaskContext
 from ..graph.graph import Graph
@@ -138,17 +138,6 @@ class MiningEngine:
         processor.consume(self.stream(pattern, roots=roots, ctx=ctx))
         return processor
 
-    def explore_many(
-        self,
-        patterns: Iterable[Pattern],
-        processor_factory: Callable[[], Processor] = CountProcessor,
-    ) -> List[Processor]:
-        """Explore several patterns (one processor each)."""
-        return [
-            self.explore(pattern, processor_factory())
-            for pattern in patterns
-        ]
-
     # ------------------------------------------------------------------
     # Conveniences
     # ------------------------------------------------------------------
@@ -166,24 +155,3 @@ class MiningEngine:
     def exists(self, pattern: Pattern) -> bool:
         """Whether at least one match exists."""
         return self.explore(pattern, FirstMatchProcessor()).result() is not None
-
-    def exists_containing(
-        self,
-        pattern: Pattern,
-        required_vertices: frozenset,
-    ) -> bool:
-        """Whether a match for ``pattern`` contains all ``required_vertices``.
-
-        This is the *post-hoc* containment probe the Peregrine+ baseline
-        uses in its user-defined function — exhaustive relative to
-        Contigra's fused VTasks, which is exactly the gap the paper
-        measures.
-        """
-        # Only roots that can reach the required vertices are relevant,
-        # but the baseline faithfully scans all roots (it has no way to
-        # know better without Contigra's dependency machinery).
-        for match in self.stream(pattern):
-            if required_vertices <= match.vertex_set:
-                return True
-        return False
-

@@ -1,4 +1,4 @@
-"""Tests for maximal cliques, anti-vertex queries, multi-pattern groups."""
+"""Tests for maximal cliques and anti-vertex queries."""
 
 import pytest
 
@@ -10,14 +10,7 @@ from repro.apps import (
     maximal_cliques_reference,
 )
 from repro.graph import erdos_renyi, graph_from_edges
-from repro.mining import (
-    CountProcessor,
-    MiningEngine,
-    MultiPatternExplorer,
-    group_by_structure,
-    match_pattern_key,
-)
-from repro.patterns import Pattern, clique, path, triangle
+from repro.patterns import Pattern, triangle
 
 
 class TestBronKerbosch:
@@ -94,53 +87,3 @@ class TestAntiVertex:
         got = {frozenset(a) for a in result.assignments()}
         # edge 2-3 closes no triangle; every triangle edge does.
         assert got == {frozenset({2, 3})}
-
-
-class TestMultiPattern:
-    def test_group_by_structure(self):
-        patterns = [
-            triangle().with_labels([0, 1, 2]),
-            triangle().with_labels([0, 0, 1]),
-            path(2).with_labels([0, 1, 2]),
-        ]
-        groups = group_by_structure(patterns)
-        assert len(groups) == 2
-
-    def test_match_pattern_key_distinguishes_labels(self):
-        from repro.graph import Graph
-
-        g = Graph([(1, 2), (0, 2), (0, 1)], labels=[0, 1, 2])
-        h = Graph([(1, 2), (0, 2), (0, 1)], labels=[0, 0, 1])
-        assert match_pattern_key(g, [0, 1, 2]) != match_pattern_key(
-            h, [0, 1, 2]
-        )
-
-    def test_explorer_attributes_matches(self):
-        from conftest import labeled_random_graph
-
-        g = labeled_random_graph(15, 0.4, num_labels=3, seed=5)
-        engine = MiningEngine(g, induced=True)
-        patterns = [
-            triangle().with_labels([0, 1, 2]),
-            triangle().with_labels([0, 0, 1]),
-        ]
-        explorer = MultiPatternExplorer(engine, patterns)
-        processor = CountProcessor()
-        results = explorer.explore(processor)
-        attributed = sum(count for _, count in results)
-        # attribution must match direct per-pattern counts
-        direct = sum(
-            MiningEngine(g, induced=True).count(p) for p in patterns
-        )
-        assert attributed == direct
-
-    def test_requires_induced_engine(self):
-        g = erdos_renyi(8, 0.4, seed=0)
-        with pytest.raises(ValueError):
-            MultiPatternExplorer(MiningEngine(g), [triangle()])
-
-    def test_group_members_must_share_structure(self):
-        from repro.mining.multipattern import MergedPatternGroup
-
-        with pytest.raises(ValueError):
-            MergedPatternGroup(triangle(), [triangle(), path(2)])

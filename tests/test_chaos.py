@@ -13,14 +13,9 @@ The acceptance properties of the fault-tolerance layer:
 * **Budget propagation** — shards are dispatched with the residual
   run budget, so a run with ``time_limit=T`` cannot burn a fresh
   ``T`` per dispatch round.
-
-The chaos-smoke CI job runs this file per scheduler; set
-``REPRO_CHAOS_SCHEDULERS`` to a comma-separated subset to restrict
-the parametrization (defaults to all three).
 """
 
 import multiprocessing
-import os
 import time
 
 import pytest
@@ -29,10 +24,10 @@ from repro.core import maximality_constraints
 from repro.core.runtime import ContigraEngine, ContigraJob
 from repro.errors import TimeLimitExceeded
 from repro.exec import (
+    SHARD_FAILED,
     FaultPlan,
     InjectedFault,
     ProcessShardScheduler,
-    RetryPolicy,
     SerialScheduler,
     TaskContext,
     WorkQueueScheduler,
@@ -43,16 +38,7 @@ from repro.patterns import quasi_clique_patterns_up_to
 
 HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
 
-SCHEDULERS = tuple(
-    name.strip()
-    for name in os.environ.get(
-        "REPRO_CHAOS_SCHEDULERS", "serial,process,workqueue"
-    ).split(",")
-    if name.strip()
-)
-
-#: Fast policy for tests: retries without meaningful sleeps.
-FAST = RetryPolicy(max_retries=2, backoff_base=0.001, backoff_max=0.005)
+SCHEDULERS = ("serial", "process", "workqueue")
 
 
 def mqc_constraints(gamma=0.7, max_size=4):
@@ -96,15 +82,12 @@ class TestDeterminismUnderCrashRetry:
         for root in (0, 3, 7):
             plan.crash(root, times=1)
         chaotic = engine_for(graph).run_with(
-            build_scheduler(name, retry=FAST, fault_plan=plan)
+            build_scheduler(name, retries=2, fault_plan=plan)
         )
         assert match_multiset(chaotic) == reference
         assert not getattr(chaotic, "incomplete", False)
 
     @pytest.mark.skipif(not HAS_FORK, reason="fork start method required")
-    @pytest.mark.skipif(
-        "process" not in SCHEDULERS, reason="process scheduler excluded"
-    )
     def test_killed_worker_process_recovers(self):
         """A real worker-process death (BrokenProcessPool), not a
         simulated raise: the shard is re-dispatched on a fresh pool and
@@ -115,7 +98,7 @@ class TestDeterminismUnderCrashRetry:
         )
         plan = FaultPlan().kill(0, times=1)
         result = engine_for(graph).run_with(
-            ProcessShardScheduler(n_workers=2, retry=FAST, fault_plan=plan)
+            ProcessShardScheduler(n_workers=2, retries=2, fault_plan=plan)
         )
         assert match_multiset(result) == reference
         assert not getattr(result, "incomplete", False)
@@ -130,7 +113,7 @@ class TestDeterminismUnderCrashRetry:
         )
         plan = FaultPlan().crash(2, times=2)
         result = engine_for(graph).run_with(
-            build_scheduler(name, retry=FAST, fault_plan=plan)
+            build_scheduler(name, retries=2, fault_plan=plan)
         )
         assert match_multiset(result) == reference
 
@@ -145,7 +128,7 @@ class TestDegradedMode:
         plan = FaultPlan().crash(4, times=50)  # outlives any retry
         result = engine_for(graph).run_with(
             build_scheduler(
-                name, retry=FAST, on_failure="degrade", fault_plan=plan
+                name, retries=2, on_failure="degrade", fault_plan=plan
             )
         )
         assert result.incomplete
@@ -163,7 +146,7 @@ class TestDegradedMode:
         result = engine_for(graph).run_with(
             WorkQueueScheduler(
                 n_workers=3,
-                retry=FAST,
+                retries=2,
                 on_failure="degrade",
                 fault_plan=plan,
             )
@@ -188,18 +171,76 @@ class TestDegradedMode:
             engine_for(graph).run_with(SerialScheduler())
         )
         result = engine_for(graph).run_with(
-            build_scheduler(name, retry=FAST, on_failure="degrade")
+            build_scheduler(name, retries=2, on_failure="degrade")
         )
         assert match_multiset(result) == reference
         assert not result.incomplete
         assert result.unprocessed_roots == []
 
 
+@pytest.mark.parametrize("name", SCHEDULERS)
+def test_deadline_mid_run_degrades_without_retries(name):
+    """Degrade mode never depends on retries: a deadline landing
+    mid-run returns a partial result on every scheduler (serial used
+    to raise unless a retry policy or fault plan was also set)."""
+    graph = erdos_renyi(60, 0.4, seed=3)
+    result = engine_for(graph).run_with(
+        make_scheduler(name, on_failure="degrade"),
+        ctx=TaskContext.create(time_limit=0.02),
+    )
+    assert result.incomplete
+    assert result.unprocessed_roots
+    assert any(
+        "TimeLimitExceeded" in reason for reason in result.failure_reasons
+    )
+
+
+class TestWorkQueueRound:
+    def test_dead_transient_root_cancels_raise_mode_round(self):
+        """Out of retries is dead: under ``raise`` the round stops
+        instead of mining every other root before raising."""
+        graph = erdos_renyi(30, 0.3, seed=11)
+        engine = engine_for(graph)
+        runs = []
+
+        class CountingSession:
+            def __init__(self, inner):
+                self._inner = inner
+
+            def run_roots(self, roots):
+                runs.append(roots)
+                return self._inner.run_roots(roots)
+
+            def finish(self):
+                return self._inner.finish()
+
+        class CountingJob(ContigraJob):
+            def worker_session(self, ctx):
+                return CountingSession(super().worker_session(ctx))
+
+        plan = FaultPlan().crash(engine.all_roots()[0], times=50)
+        with pytest.raises(InjectedFault):
+            WorkQueueScheduler(n_workers=3, fault_plan=plan).run(
+                CountingJob(engine)
+            )
+        assert len(runs) < len(engine.all_roots()) - 1
+
+    def test_deadline_fails_only_roots_that_ran(self):
+        """Roots a deadline-cancelled round never reached are listed
+        unprocessed without a ``shard_failed`` each."""
+        graph = erdos_renyi(60, 0.4, seed=3)
+        ctx = TaskContext.create(time_limit=0.02)
+        failed = []
+        ctx.bus.subscribe(SHARD_FAILED, lambda **kw: failed.append(kw))
+        result = engine_for(graph).run_with(
+            WorkQueueScheduler(n_workers=3, on_failure="degrade"), ctx=ctx
+        )
+        assert result.incomplete
+        assert 1 <= len(failed) <= 3 < len(result.unprocessed_roots)
+
+
 class TestRaiseModeFidelity:
     @pytest.mark.skipif(not HAS_FORK, reason="fork start method required")
-    @pytest.mark.skipif(
-        "process" not in SCHEDULERS, reason="process scheduler excluded"
-    )
     def test_worker_tle_class_survives_process_boundary(self):
         """An exhaust fault raises TimeLimitExceeded *inside the worker
         process*; raise mode must surface that exact class (terminal —
@@ -209,7 +250,7 @@ class TestRaiseModeFidelity:
         with pytest.raises(TimeLimitExceeded):
             engine_for(graph).run_with(
                 ProcessShardScheduler(
-                    n_workers=2, retry=FAST, fault_plan=plan
+                    n_workers=2, retries=2, fault_plan=plan
                 )
             )
 
@@ -219,7 +260,7 @@ class TestRaiseModeFidelity:
         plan = FaultPlan().crash(0, times=50)
         with pytest.raises(InjectedFault):
             engine_for(graph).run_with(
-                build_scheduler(name, retry=FAST, fault_plan=plan)
+                build_scheduler(name, retries=2, fault_plan=plan)
             )
 
     def test_budget_failure_preferred_over_secondary_errors(self):
@@ -325,17 +366,13 @@ class TestBudgetPropagation:
 
 class TestMakeSchedulerKnobs:
     def test_retries_builds_default_policy(self):
-        scheduler = make_scheduler("process", retries=3)
-        assert scheduler.retry is not None
-        assert scheduler.retry.max_retries == 3
+        for name in SCHEDULERS:
+            assert make_scheduler(name, retries=3).retries == 3
 
     def test_zero_retries_means_no_policy(self):
-        assert make_scheduler("process", retries=0).retry is None
-
-    def test_explicit_policy_wins(self):
-        policy = RetryPolicy(max_retries=7)
-        scheduler = make_scheduler("workqueue", retry=policy, retries=1)
-        assert scheduler.retry is policy
+        assert make_scheduler("process").retries == 0
+        with pytest.raises(ValueError):
+            make_scheduler("process", retries=-1)
 
     def test_on_failure_validated(self):
         for name in ("serial", "process", "workqueue"):
@@ -349,9 +386,6 @@ class TestSharedSegmentReclamation:
     contract of ``repro.graph.shm``)."""
 
     @pytest.mark.skipif(not HAS_FORK, reason="fork start method required")
-    @pytest.mark.skipif(
-        "process" not in SCHEDULERS, reason="process scheduler excluded"
-    )
     def test_killed_worker_leaves_segment_reclaimable(self):
         from multiprocessing import shared_memory
 
@@ -373,7 +407,7 @@ class TestSharedSegmentReclamation:
             plan = FaultPlan().kill(0, times=1)
             result = engine_for(graph).run_with(
                 ProcessShardScheduler(
-                    n_workers=2, retry=FAST, fault_plan=plan
+                    n_workers=2, retries=2, fault_plan=plan
                 )
             )
             # The run published the registered graph and survived the
@@ -393,10 +427,32 @@ class TestSharedSegmentReclamation:
             unpublish_all()
             reset_default_store()
 
+    @pytest.mark.parametrize("name", ("serial", "workqueue"))
+    def test_in_process_dead_unit_spares_leased_segment(self, name):
+        """Only dead worker *processes* fire the crash cleanups: a dead
+        serial or work-queue unit leaves the segment a concurrent
+        process-scheduler run still leases published."""
+        from repro.graph.shm import (
+            acquire_graph,
+            published_segment,
+            release_graph,
+            unpublish_all,
+        )
+
+        graph = erdos_renyi(12, 0.45, seed=8, name="chaos-leased")
+        fingerprint = acquire_graph(graph)  # the concurrent run's lease
+        try:
+            plan = FaultPlan().crash(0, times=50)
+            result = engine_for(graph).run_with(
+                build_scheduler(name, on_failure="degrade", fault_plan=plan)
+            )
+            assert result.incomplete
+            assert published_segment(fingerprint) is not None
+        finally:
+            release_graph(fingerprint)
+            unpublish_all()
+
     @pytest.mark.skipif(not HAS_FORK, reason="fork start method required")
-    @pytest.mark.skipif(
-        "process" not in SCHEDULERS, reason="process scheduler excluded"
-    )
     def test_no_segment_leak_across_sequential_runs(self):
         """N sequential in-process runs leave zero published segments
         behind — the daemon-lifetime contract: each run's lease release
@@ -414,7 +470,7 @@ class TestSharedSegmentReclamation:
             before = shm_counters()
             for _ in range(3):
                 engine_for(graph).run_with(
-                    ProcessShardScheduler(n_workers=2, retry=FAST)
+                    ProcessShardScheduler(n_workers=2, retries=2)
                 )
                 assert published_segment(graph.fingerprint) is None
             after = shm_counters()

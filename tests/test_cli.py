@@ -7,7 +7,7 @@ import sys
 import pytest
 
 from repro.cli import build_parser, main
-from repro.graph import graph_from_edges
+from repro.graph import erdos_renyi, graph_from_edges
 from repro.graph.io import write_edge_list, write_labels
 
 
@@ -441,6 +441,23 @@ class TestSchedulerFlags:
         sharded = json.loads(capsys.readouterr().out)
         assert sharded["valid_matches"] == serial["valid_matches"]
         assert sharded["scheduler"] == "workqueue"
+
+    def test_degrade_on_deadline_exits_zero_incomplete(
+        self, tmp_path, capsys
+    ):
+        """``--on-failure degrade`` needs no ``--retries``: a deadline
+        mid-run prints the partial record instead of a traceback."""
+        path = str(tmp_path / "g.txt")
+        write_edge_list(erdos_renyi(60, 0.4, seed=3), path)
+        assert main(
+            ["mqc", "--graph", path, "--gamma", "0.7", "--max-size", "4",
+             "--time-limit", "0.02", "--on-failure", "degrade",
+             "--format", "json"]
+        ) == 0
+        captured = capsys.readouterr()
+        assert '"incomplete": true' in captured.out
+        assert json.loads(captured.out)["unprocessed_roots"]
+        assert "Traceback" not in captured.err
 
     def test_unknown_scheduler_rejected_by_parser(self):
         with pytest.raises(SystemExit):

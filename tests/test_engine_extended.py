@@ -1,27 +1,10 @@
-"""Extended engine tests: explore_many, plan reuse, determinism."""
+"""Extended engine tests: plan reuse, determinism, stats accounting."""
 
 import pytest
 
 from repro.graph import erdos_renyi
-from repro.mining import CountProcessor, MiningEngine
+from repro.mining import MiningEngine
 from repro.patterns import clique, path, plan_for, triangle
-
-
-class TestExploreMany:
-    def test_counts_per_pattern(self):
-        g = erdos_renyi(14, 0.45, seed=1)
-        engine = MiningEngine(g)
-        processors = engine.explore_many([triangle(), clique(4)])
-        assert processors[0].result() == MiningEngine(g).count(triangle())
-        assert processors[1].result() == MiningEngine(g).count(clique(4))
-
-    def test_custom_processor_factory(self):
-        g = erdos_renyi(10, 0.5, seed=2)
-        engine = MiningEngine(g)
-        processors = engine.explore_many(
-            [triangle()], processor_factory=CountProcessor
-        )
-        assert len(processors) == 1
 
 
 class TestDeterminism:

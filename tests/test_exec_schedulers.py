@@ -229,3 +229,16 @@ class TestWorkQueueCancellation:
         result = engine.run_with(WorkQueueScheduler(n_workers=2), ctx=ctx)
         assert result.valid == []
         assert result.stats.etasks_started == 0
+
+    def test_precancelled_degrade_run_lists_every_root(self):
+        from repro.exec import TaskContext
+
+        g = erdos_renyi(14, 0.5, seed=4)
+        engine = ContigraEngine(g, mqc_constraints())
+        ctx = TaskContext.create()
+        ctx.cancel("aborted before start")
+        result = engine.run_with(
+            WorkQueueScheduler(n_workers=2, on_failure="degrade"), ctx=ctx
+        )
+        assert result.incomplete
+        assert result.unprocessed_roots == sorted(engine.all_roots())

@@ -114,16 +114,6 @@ class TestMatchesAndProcessors:
         assert MiningEngine(g).find_all(clique(7), limit=1) == []
         assert not MiningEngine(g).exists(clique(7))
 
-    def test_exists_containing(self):
-        g = erdos_renyi(14, 0.5, seed=4)
-        engine = MiningEngine(g)
-        match = engine.find_all(clique(4), limit=1)[0]
-        three = frozenset(list(match.vertex_set)[:3])
-        assert engine.exists_containing(clique(4), three)
-        assert not engine.exists_containing(
-            clique(4), frozenset({0, 1, 2, 3, 4})
-        )
-
     def test_counts_per_pattern_name(self):
         g = erdos_renyi(12, 0.5, seed=7)
         engine = MiningEngine(g)

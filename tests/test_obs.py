@@ -26,7 +26,6 @@ from repro.exec import (
     RESILIENCE_EVENTS,
     FaultPlan,
     ProcessShardScheduler,
-    RetryPolicy,
     SerialScheduler,
     TaskContext,
     WorkQueueScheduler,
@@ -146,7 +145,7 @@ class TestEventVocabularyIsAlive:
         plan = FaultPlan().crash(0, times=10)
         degraded = engine.run_with(
             SerialScheduler(
-                retry=RetryPolicy(max_retries=1, backoff_base=0.0),
+                retries=1,
                 on_failure="degrade",
                 fault_plan=plan,
             ),
@@ -636,8 +635,8 @@ class TestSchedulerObservabilityEquivalence:
     @pytest.mark.parametrize("scheduler", ["serial", "workqueue"])
     def test_unobserved_run_emits_nothing(self, monkeypatch, scheduler):
         """No subscriber: zero ``emit`` calls, and no context derived
-        per validated match (the work queue's one per worker session
-        is all there is)."""
+        per validated match (the work queue's one per round is all
+        there is)."""
         emits, children = [], []
         real_child = TaskContext.child
 
@@ -665,6 +664,4 @@ class TestSchedulerObservabilityEquivalence:
         assert mqc.stats.matches_checked and mqc.stats.promotions
         assert nsq.stats.vtasks_canceled_lateral
         assert emits == []
-        assert len(children) == (
-            0 if scheduler == "serial" else 2 * workers
-        )
+        assert len(children) == (0 if scheduler == "serial" else 2)

@@ -1,6 +1,6 @@
 """Unit tests for the resilience layer (repro.exec.resilience).
 
-Covers the retry policy (deterministic seeded backoff, cap, split
+Covers the retry policy (the fixed capped backoff, the split
 schedule), the transient/terminal failure classification, residual
 budget specs, multi-failure triage, degraded-result marking, and the
 fault-injection plan primitives the chaos suite is built on.
@@ -12,13 +12,25 @@ from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
+from repro.core import maximality_constraints
+from repro.core.runtime import ContigraEngine
 from repro.errors import (
     MemoryBudgetExceeded,
     StorageBudgetExceeded,
     TimeLimitExceeded,
 )
-from repro.exec import Budget
+from repro.exec import (
+    SHARD_RETRY,
+    Budget,
+    EventLog,
+    ProcessShardScheduler,
+    SerialScheduler,
+    TaskContext,
+    make_scheduler,
+)
 from repro.exec.resilience import (
+    BACKOFF_BASE,
+    BACKOFF_MAX,
     BUDGET_ERRORS,
     FAULT_KINDS,
     ON_FAILURE_MODES,
@@ -26,67 +38,68 @@ from repro.exec.resilience import (
     Fault,
     FaultPlan,
     InjectedFault,
-    RetryPolicy,
     TransientWorkerError,
+    backoff_delay,
     is_transient,
     mark_degraded,
     select_primary_failure,
 )
+from repro.graph import erdos_renyi
+from repro.patterns import quasi_clique_patterns_up_to
 
 
 class TestRetryPolicy:
+    """The retry count plus the fixed backoff and split schedule."""
+
     def test_backoff_grows_exponentially_and_caps(self):
-        policy = RetryPolicy(
-            backoff_base=0.1, backoff_factor=2.0, backoff_max=0.3,
-            jitter=0.0,
-        )
-        assert policy.delay(1) == pytest.approx(0.1)
-        assert policy.delay(2) == pytest.approx(0.2)
-        assert policy.delay(3) == pytest.approx(0.3)  # capped
-        assert policy.delay(10) == pytest.approx(0.3)
-
-    def test_jitter_is_deterministic_and_bounded(self):
-        policy = RetryPolicy(
-            backoff_base=0.1, jitter=0.5, seed=7
-        )
-        # Same (seed, key, attempt) -> same delay, every time.
-        assert policy.delay(1, key=3) == policy.delay(1, key=3)
-        # Different keys/attempts spread, but stay within +-jitter/2.
-        for key in range(20):
-            d = policy.delay(1, key=key)
-            assert 0.075 <= d <= 0.125
-        spread = {policy.delay(1, key=k) for k in range(20)}
-        assert len(spread) > 1
-
-    def test_different_seeds_differ(self):
-        a = RetryPolicy(seed=0).delay(1, key=1)
-        b = RetryPolicy(seed=1).delay(1, key=1)
-        assert a != b
+        assert BACKOFF_BASE == 0.05 and BACKOFF_MAX == 2.0
+        assert backoff_delay(1) == pytest.approx(0.05)
+        assert backoff_delay(2) == pytest.approx(0.1)
+        assert backoff_delay(3) == pytest.approx(0.2)
+        assert backoff_delay(6) == pytest.approx(1.6)
+        assert backoff_delay(7) == pytest.approx(2.0)  # capped
+        assert backoff_delay(50) == pytest.approx(2.0)
 
     def test_split_schedule(self):
-        policy = RetryPolicy(split_retries=True)
-        assert not policy.should_split(0, 10)  # initial dispatch
-        assert policy.should_split(1, 10)      # first retry splits
-        assert policy.should_split(2, 10)
-        assert not policy.should_split(1, 1)   # nothing to split
-        off = RetryPolicy(split_retries=False)
-        assert not off.should_split(1, 10)
+        """A retried shard is split in half on every retry: the first
+        retry re-dispatches 6 roots as 3 + 3, the second 3 as 1 + 2."""
+        graph = erdos_renyi(12, 0.45, seed=9)
+        engine = ContigraEngine(
+            graph,
+            maximality_constraints(
+                quasi_clique_patterns_up_to(4, 0.7), induced=True
+            ),
+        )
+        ctx = TaskContext.create()
+        log = EventLog(ctx.bus)
+        plan = FaultPlan().crash(2, times=2)
+        engine.run_with(
+            ProcessShardScheduler(n_workers=2, retries=2, fault_plan=plan),
+            ctx=ctx,
+        )
+        retried = [
+            (payload["attempt"], payload["roots"])
+            for name, payload in log.records
+            if name == SHARD_RETRY
+        ]
+        assert retried == [(1, 6), (2, 3)]
+        # The serial unit is the whole run: retried, never split.
+        ctx = TaskContext.create()
+        log = EventLog(ctx.bus)
+        engine.run_with(
+            SerialScheduler(retries=2, fault_plan=plan), ctx=ctx
+        )
+        assert [
+            (payload["attempt"], payload["roots"])
+            for name, payload in log.records
+            if name == SHARD_RETRY
+        ] == [(1, 12), (2, 12)]
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            RetryPolicy(max_retries=-1)
+            SerialScheduler(retries=-1)
         with pytest.raises(ValueError):
-            RetryPolicy(backoff_base=-0.1)
-        with pytest.raises(ValueError):
-            RetryPolicy(jitter=1.5)
-
-    def test_transient_types_widen_classification(self):
-        policy = RetryPolicy(transient_types=(OSError,))
-        assert policy.is_transient(OSError("flaky disk"))
-        assert not policy.is_transient(ValueError("logic bug"))
-        # Budget errors stay terminal even when a listed type matches.
-        wide = RetryPolicy(transient_types=(Exception,))
-        assert not wide.is_transient(TimeLimitExceeded(1.0, 2.0))
+            make_scheduler("workqueue", retries=-1)
 
 
 class TestTransientClassification:
