@@ -14,7 +14,8 @@ The engine is split along the execution core's task model:
   alignment tables, lateral schedulers, promotability sets) — built
   once, shared by every run and every scheduler worker.
 * **EngineSession** holds the per-run state (promotion registry,
-  result, live task cache, stats, :class:`~repro.exec.TaskContext`).
+  result, the live per-(size, root) cache, stats,
+  :class:`~repro.exec.TaskContext`).
   Serial runs use one session; process shards and work-stealing
   workers each get their own, over the same engine.
 * **ContigraJob** adapts an engine to the
@@ -49,6 +50,7 @@ Every toggle the paper ablates is a constructor flag:
 from __future__ import annotations
 
 import time
+from itertools import groupby
 from typing import (
     Any,
     Callable,
@@ -78,7 +80,7 @@ from ..mining.etask import ETask
 from ..mining.match import Match
 from ..mining.stats import ConstraintStats
 from ..patterns.pattern import Pattern
-from ..patterns.plan import plan_for
+from ..patterns.plan import ExplorationPlan, plan_for
 from ..patterns.symmetry import canonical_assignment
 from .constraints import ConstraintSet
 from .lateral import LateralScheduler
@@ -90,6 +92,10 @@ _DEADLINE_CHECK_INTERVAL = 256
 #: Incremental match consumer: ``(pattern, canonical_assignment)``,
 #: called synchronously on the mining thread as matches validate.
 MatchSink = Callable[[Pattern, Tuple[int, ...]], None]
+
+#: One pattern's ETask at a root: the pattern, its plan, and the kernel
+#: index its exploration runs on (None: the sets path).
+_RootTask = Tuple[Pattern, ExplorationPlan, Optional[GraphIndex]]
 
 
 class ContigraResult:
@@ -224,12 +230,17 @@ class ContigraEngine:
                 enable_cancellation=enable_lateral,
             )
         # Smallest patterns first: their VTask promotions pre-populate
-        # the registry (and the cache) before larger patterns' ETasks
-        # run, which is where promotion pays off (§5.3).
-        self._ordered_patterns: List[Pattern] = sorted(
+        # the registry before larger patterns' ETasks run, which is
+        # where promotion pays off (§5.3).  Same-size patterns form one
+        # group, run root-major (EngineSession.run_roots).
+        ordered = sorted(
             constraint_set.patterns,
             key=lambda p: (p.num_vertices, -p.num_edges),
         )
+        self._patterns_by_size: List[Tuple[int, List[Pattern]]] = [
+            (size, list(group))
+            for size, group in groupby(ordered, key=lambda p: p.num_vertices)
+        ]
 
     # ------------------------------------------------------------------
     # Execution
@@ -298,11 +309,12 @@ class ContigraEngine:
 class EngineSession:
     """Mutable state of one constraint-aware run over one engine.
 
-    Owns the promotion registry, the in-progress result, the live task
-    cache, the stats sink, and the :class:`TaskContext` whose budget
-    and cancellation token govern the run.  Scheduler workers create
-    one session each and feed it roots incrementally via
-    :meth:`run_roots`; :meth:`finish` seals and returns the result.
+    Owns the promotion registry, the in-progress result, the live
+    per-(size, root) cache, the stats sink, and the
+    :class:`TaskContext` whose budget and cancellation token govern the
+    run.  Scheduler workers create one session each and feed it roots
+    incrementally via :meth:`run_roots`; :meth:`finish` seals and
+    returns the result.
     """
 
     def __init__(
@@ -331,11 +343,12 @@ class EngineSession:
         # caches its index, so sessions share kernels while pickled
         # engines stay lean.
         self._index = resolve_index(engine.graph, engine.adjacency)
-        # Caches are scoped per rooted task, as in the paper's task
-        # state ⟨P, S, C⟩: fusion lets VTasks read/extend the live
-        # task's cache, promotion carries it into the containing
-        # subgraph's processing.  There is no global cross-task cache —
-        # that is exactly what promotion is for (Fig 10 / Fig 13).
+        # Caches are scoped per (pattern size, root): the C of the task
+        # state ⟨P, S, C⟩, shared by the root's same-size ETasks.
+        # Fusion lets VTasks read/extend the live cache, promotion
+        # carries it into the containing subgraph's processing.  There
+        # is no cross-root cache — that is exactly what promotion is
+        # for (Fig 10 / Fig 13).
         self._task_cache: Optional[SetOperationCache] = None
         self._pattern_roots: Dict[tuple, List[int]] = {}
         self._start = time.monotonic()
@@ -378,40 +391,50 @@ class EngineSession:
     def run_roots(self, roots: Optional[Sequence[int]] = None) -> None:
         """Run every workload pattern over ``roots`` (None = all roots).
 
-        Patterns run smallest first within the given root set, so the
+        Sizes run smallest first within the given root set, so the
         promotion registry fills in the same order as a full serial
-        run restricted to those roots.  May be called repeatedly (the
-        work-stealing scheduler feeds one root at a time).
+        run restricted to those roots: a promotion always lands in a
+        strictly larger pattern, so no size waits on its own matches.
+        Within one size the run is root-major: each root's ETasks, one
+        per same-size pattern rooted there, share one cache, so a
+        neighbourhood intersected for one pattern is a hit for the next
+        (the multi-pattern reuse of Peregrine+, PAPER.md §8.1).  May be
+        called repeatedly (the work-stealing scheduler feeds one root
+        at a time).
         """
         engine = self.engine
         shard = set(roots) if roots is not None else None
-        for pattern in engine._ordered_patterns:
-            plan = plan_for(pattern, induced=engine.induced)
-            pattern_index = self._pattern_index(pattern)
-            pattern_roots = self._roots_for(pattern)
-            if shard is not None:
-                pattern_roots = [r for r in pattern_roots if r in shard]
-            if not pattern_roots:
+        for size, patterns in engine._patterns_by_size:
+            at_root: Dict[int, List[_RootTask]] = {}
+            for pattern in patterns:
+                task = (
+                    pattern,
+                    plan_for(pattern, induced=engine.induced),
+                    self._pattern_index(pattern),
+                )
+                for root in self._roots_for(pattern):
+                    if shard is None or root in shard:
+                        at_root.setdefault(root, []).append(task)
+            if not at_root:
                 continue
             if self._observed:
                 self.ctx.phase_start(
-                    PHASE_PATTERN,
-                    pattern=pattern.name or f"P{pattern.num_vertices}",
-                    roots=len(pattern_roots),
+                    PHASE_PATTERN, size=size,
+                    patterns=len(patterns), roots=len(at_root),
                 )
             try:
-                for root in pattern_roots:
-                    if self.ctx.cancelled:
-                        return
+                for root in sorted(at_root):
                     self._task_cache = SetOperationCache(
                         stats=self.stats, bus=self.ctx.bus
                     )
-                    task = ETask(
-                        engine.graph, plan, root, self._task_cache,
-                        self.stats, pattern=pattern, ctx=self.ctx,
-                        index=pattern_index,
-                    )
-                    task.run(self._on_etask_match)
+                    for pattern, plan, pattern_index in at_root[root]:
+                        if self.ctx.cancelled:
+                            return
+                        ETask(
+                            engine.graph, plan, root, self._task_cache,
+                            self.stats, pattern=pattern, ctx=self.ctx,
+                            index=pattern_index,
+                        ).run(self._on_etask_match)
             finally:
                 if self._observed:
                     self.ctx.phase_end(PHASE_PATTERN)

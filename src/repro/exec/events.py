@@ -287,11 +287,6 @@ class EventBus:
                     return True
             return False
 
-    def has_subscribers(self, event: str) -> bool:
-        """Whether emitting ``event`` would reach anyone (a query; the
-        gate emitters test is :attr:`observed`)."""
-        return bool(self._handlers.get(event) or self._timed)
-
     def emit(self, event: str, **payload: Any) -> None:
         """Publish one event to all subscribers, in subscription order.
 

@@ -10,9 +10,9 @@ paper's Peregrine+ baseline, §2.3, with GraphMini-style pruned
 auxiliary adjacency).  There are two adjacency modes:
 
 ``sets``
-    The seed ``frozenset`` path, kept verbatim in
-    :mod:`repro.mining.candidates` as the reference every kernel
-    result is checked against (no index built).
+    The seed ``frozenset`` path
+    (:func:`repro.mining.candidates.raw_intersection`), the reference
+    every kernel result is checked against (no index built).
 
 ``auto``
     The default.  Everything it chooses, it chooses from what it can
@@ -109,7 +109,7 @@ def resolve_index(graph: "Graph", adjacency: str) -> Optional["GraphIndex"]:
 def _require_auto(mode: str) -> None:
     """``auto`` is the only kernel mode; the ``mode`` parameters of
     :class:`GraphIndex` and :meth:`Graph.kernel_index` remain because
-    the frozen benchmark ledger passes it (ROADMAP item 2 follow-up)."""
+    the frozen benchmark ledger passes it (ROADMAP items 1 and 3)."""
     if mode != "auto":
         raise ValueError(
             f"the kernel index has one mode, 'auto'; got {mode!r} "
@@ -326,7 +326,7 @@ class GraphIndex:
         The pool keeps its representation; anchors of either degree
         class work.  No engine calls this: like :func:`_require_auto`
         it remains because the frozen benchmark ledger times it
-        (``graph.index.pool_us``; ROADMAP item 2 follow-up).
+        (``graph.index.pool_us``; ROADMAP items 1 and 3).
         """
         if isinstance(pool, int):
             for v in anchors:

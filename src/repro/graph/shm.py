@@ -37,11 +37,13 @@ publish time).  Four reclamation paths cover every exit mode:
   never auto-reclaimed by a lease release, only by these);
 * normal exit — an ``atexit`` hook runs :func:`unpublish_all` in the
   owner;
-* failed runs — :func:`unpublish_all` is registered as a crash-cleanup
-  hook with :mod:`repro.exec.resilience`, which the process scheduler
-  fires when a run ends with dead shards, so a chaos-killed worker
-  (``os._exit`` skips all child-side cleanup) cannot leak segments:
-  the *parent* reclaims them (covered in ``tests/test_chaos.py``).
+* failed runs — :meth:`SharedGraphManager.reclaim_unleased` is
+  registered as a crash-cleanup hook with :mod:`repro.exec.resilience`,
+  which the process scheduler fires when a run ends with dead shards,
+  so a chaos-killed worker (``os._exit`` skips all child-side cleanup)
+  cannot leak segments: the *parent* reclaims every segment no live
+  run leases, and spares the ones a concurrent run still holds
+  (covered in ``tests/test_chaos.py``).
 
 Only the owner PID ever unlinks: forked workers inherit the publish
 registry, and their (inherited) ``atexit`` hooks must not destroy
@@ -290,6 +292,19 @@ class SharedGraphManager:
                 count += 1
         return count
 
+    def reclaim_unleased(self) -> int:
+        """Reclaim every owned segment no live run leases (the crash
+        hook): a failed run must not unlink a segment a concurrent run
+        still holds.  The failed run's own segment goes when its lease
+        is released, like any other run's."""
+        with self._lock:
+            idle = [
+                fingerprint
+                for fingerprint, entry in self._published.items()
+                if entry.leases == 0
+            ]
+        return sum(self.unpublish(fingerprint) for fingerprint in idle)
+
     # -- attaching (reader side) ----------------------------------------
 
     def attach(self, name: str, fingerprint: str, segment: str) -> Graph:
@@ -485,4 +500,4 @@ atexit.register(_cleanup)
 # run ends with dead shards (see ProcessShardScheduler._finish).
 from ..exec.resilience import register_crash_cleanup  # noqa: E402
 
-register_crash_cleanup(unpublish_all)
+register_crash_cleanup(_MANAGER.reclaim_unleased)

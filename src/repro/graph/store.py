@@ -286,19 +286,6 @@ class DerivedCache:
             self._invalidations += dropped
             return dropped
 
-    def note_invalidations(self, count: int) -> None:
-        """Fold externally-evicted stale entries into the counter.
-
-        A version-bound cache that owns its entries reports here when
-        a new graph version forces it to drop stale ones, so one
-        counter stream covers every version-scoped eviction in the
-        process.
-        """
-        if count < 0:
-            raise ValueError("count must be non-negative")
-        with self._lock:
-            self._invalidations += count
-
     # -- introspection --------------------------------------------------
 
     def counters(self) -> Dict[str, int]:

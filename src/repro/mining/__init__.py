@@ -2,7 +2,6 @@
 
 from .cache import SetOperationCache
 from .candidates import (
-    compute_candidates,
     kernel_pool,
     raw_intersection,
     root_candidates,
@@ -51,7 +50,6 @@ __all__ = [
     "run_single_pattern",
     "MiningEngine",
     "SetOperationCache",
-    "compute_candidates",
     "kernel_pool",
     "raw_intersection",
     "root_candidates",

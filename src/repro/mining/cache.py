@@ -9,11 +9,16 @@ vertices' adjacency lists were intersected), so any task computing the
 same operation — the same ETask deeper in its tree, a fused VTask
 after permutation, or a promoted ETask — hits the same entry.
 
-The cache lives as long as one rooted task (a fresh one per ETask
-root), so it is a plain ``dict`` under a fixed bound: at
-:data:`MAX_ENTRIES` the oldest-inserted entry makes room.  No recency
-order is kept — on the ledger's workloads a task cache peaks at about
-a tenth of the bound and never evicts, so there is nothing to order.
+A cache is scoped to one (pattern size, root) of a constraint-aware
+run: every same-size pattern's ETask at that root, and the VTasks fused
+with them, share it — Peregrine+'s multi-pattern reuse (PAPER.md
+§8.1) — and it is dropped when the root is done.
+(:class:`~repro.mining.engine.MiningEngine` gives each rooted task its
+own.)  Either way it is short-lived, so it is a plain ``dict`` under a
+fixed bound: at :data:`MAX_ENTRIES` the oldest-inserted entry makes
+room.  No recency order is kept — on the ledger's workloads a cache
+peaks far below the bound and never evicts, so there is nothing to
+order.
 """
 
 from __future__ import annotations

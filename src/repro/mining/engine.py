@@ -3,7 +3,9 @@
 This is the substrate the paper calls **Peregrine+** (§8.1): Peregrine
 extended with per-task caches.  The paper's Peregrine+ also explores
 several patterns simultaneously; this engine does not — each pattern
-gets its own walk over its roots (ROADMAP, "Compile the ETask side").
+gets its own walk over its roots.  The constraint-aware engine shares
+one cache across a root's same-size patterns; a prefix trie that walks
+them together is open work (ROADMAP item 2).
 Constraint-aware execution lives in
 :class:`repro.core.runtime.ContigraEngine`, which builds on the same
 pieces.

@@ -13,7 +13,11 @@ An exploration plan fixes, for one pattern:
 * *symmetry-breaking conditions* re-keyed by step position;
 * per-step label constraints.
 
-Plans are deterministic functions of the pattern and are memoized.
+The ETask walker reads all five per-step facts from one compiled
+:attr:`ExplorationPlan.steps` tuple (Peregrine's exploration plan taken
+literally: the matching order and each step's set operations are fixed
+ahead of time).  Plans are deterministic functions of the pattern and
+are memoized, so a step program is built once per pattern.
 """
 
 from __future__ import annotations
@@ -22,6 +26,16 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .pattern import Pattern
 from .symmetry import Condition, conditions_by_position, symmetry_conditions
+
+#: One compiled ETask step ``(anchor slots, non-neighbour slots, label,
+#: lower-bound slots, upper-bound slots)``.  Slots are earlier matching
+#: order positions: the candidate must be adjacent to every anchor's data
+#: vertex, adjacent to no non-neighbour's, greater than every lower
+#: bound's and less than every upper bound's (symmetry breaking).
+PlanStep = Tuple[
+    Tuple[int, ...], Tuple[int, ...], Optional[int],
+    Tuple[int, ...], Tuple[int, ...],
+]
 
 
 class ExplorationPlan:
@@ -41,6 +55,9 @@ class ExplorationPlan:
         (see :func:`repro.patterns.symmetry.conditions_by_position`).
     labels_at: label constraint per step (None = wildcard).
     induced: whether matches must be induced subgraphs.
+    steps: the compiled step program, one :data:`PlanStep` per step;
+        ``backward_neighbors``, ``backward_nonneighbors``, ``labels_at``
+        and ``conditions_at`` are its columns.
     """
 
     __slots__ = (
@@ -53,6 +70,7 @@ class ExplorationPlan:
         "conditions_at",
         "labels_at",
         "induced",
+        "steps",
     )
 
     def __init__(
@@ -115,6 +133,17 @@ class ExplorationPlan:
         self.labels_at: Tuple[Optional[int], ...] = tuple(
             pattern.label(v) for v in self.order
         )
+        steps: List[PlanStep] = []
+        for i in range(len(self.order)):
+            conditions_here = self.conditions_at.get(i, ())
+            steps.append((
+                backward_n[i],
+                backward_nn[i],
+                self.labels_at[i],
+                tuple(j for j, greater in conditions_here if greater),
+                tuple(j for j, greater in conditions_here if not greater),
+            ))
+        self.steps: Tuple[PlanStep, ...] = tuple(steps)
 
     @property
     def num_steps(self) -> int:

@@ -5,13 +5,14 @@ import pytest
 import repro.mining.cache as cache_module
 from repro.graph import erdos_renyi, graph_from_edges
 from repro.mining import (
+    ETask,
     MiningStats,
     SetOperationCache,
-    compute_candidates,
     raw_intersection,
     root_candidates,
 )
-from repro.patterns import clique, path, plan_for, triangle
+from repro.patterns import path, plan_for, triangle
+from repro.patterns.plan import ExplorationPlan
 
 from conftest import labeled_random_graph
 
@@ -85,59 +86,62 @@ class TestRawIntersection:
         assert raw_intersection(g, [0, 2], cache, stats) == frozenset()
 
 
+def rooted_matches(graph, pattern, root, induced=False):
+    """Assignments of one ETask's walk from ``root`` (sets path)."""
+    stats = MiningStats()
+    task = ETask(
+        graph, plan_for(pattern, induced=induced), root,
+        SetOperationCache(stats=stats), stats,
+    )
+    return [m.assignment for m in task.matches()]
+
+
 class TestComputeCandidates:
+    """``computeCandidates`` (Algorithms 1–2) as the ETask walker does it
+    at every step of its plan's compiled step program."""
+
     def test_respects_adjacency(self):
         g = graph_from_edges([(0, 1), (0, 2), (1, 2), (2, 3)])
-        plan = plan_for(triangle())
-        stats = MiningStats()
-        cache = SetOperationCache(stats=stats)
-        # bind position 0 to vertex 0; candidates for position 1 are
-        # neighbors of 0 subject to symmetry bounds.
-        candidates = compute_candidates(g, plan, 1, [0], cache, stats)
-        assert set(candidates) <= set(g.neighbors(0))
+        # Rooted at 0, every later vertex is a neighbor of an earlier one.
+        for assignment in rooted_matches(g, triangle(), 0):
+            assert set(assignment) - {0} <= set(g.neighbors(0))
 
     def test_symmetry_bounds_prune(self):
         g = graph_from_edges([(0, 1), (0, 2), (1, 2)])
         plan = plan_for(triangle())
-        stats = MiningStats()
-        cache = SetOperationCache(stats=stats)
-        ((earlier, must_be_greater),) = plan.conditions_at[1]
-        assert earlier == 0
-        # Root 1 has a neighbor on each side; the bound keeps one side.
-        candidates = compute_candidates(g, plan, 1, [1], cache, stats)
-        assert candidates == ([2] if must_be_greater else [0])
+        anchors, _, _, lower, upper = plan.steps[1]
+        assert anchors == (0,) and len(lower + upper) == 1
+        # Each root has a neighbor on each side; the bound keeps one
+        # side, so the triangle is found once, not once per automorphism.
+        found = [rooted_matches(g, triangle(), root) for root in range(3)]
+        assert sum(map(len, found)) == 1
 
     def test_injectivity(self):
         g = graph_from_edges([(0, 1), (1, 2), (2, 3)])
         plan = plan_for(path(3))
-        stats = MiningStats()
-        cache = SetOperationCache(stats=stats)
-        # The last step anchors on data vertex 2, whose neighbors are 1
-        # and 3; both pass the symmetry bound (> 0), 1 is already bound.
-        assert plan.backward_neighbors[3] == (1,)
-        candidates = compute_candidates(g, plan, 3, [1, 2, 0], cache, stats)
-        assert candidates == [3]
+        # The last step anchors on one vertex only, whose bound
+        # neighbor must not be re-bound (a Match would reject it).
+        assert plan.steps[3][0] == (1,)
+        assert rooted_matches(g, path(3), 1) == [(0, 1, 2, 3)]
 
     def test_label_filter(self):
         g = labeled_random_graph(12, 0.6, num_labels=2, seed=3)
         pattern = path(1).with_labels([None, 1])
-        plan = plan_for(pattern)
-        stats = MiningStats()
-        cache = SetOperationCache(stats=stats)
-        # order may start at either endpoint; find the wildcard root.
-        root = 0
-        candidates = compute_candidates(g, plan, 1, [root], cache, stats)
-        want_label = plan.labels_at[1]
-        if want_label is not None:
-            assert all(g.label(v) == want_label for v in candidates)
+        found = [
+            assignment
+            for root in root_candidates(g, plan_for(pattern))
+            for assignment in rooted_matches(g, pattern, root)
+        ]
+        assert found
+        assert all(g.label(a[1]) == 1 for a in found)
 
     def test_step_zero_rejected(self):
-        g = graph_from_edges([(0, 1)])
-        plan = plan_for(path(1))
+        # Step 0 binds the root and is the one step without anchors; an
+        # order that leaves a later step without one is rejected.
+        plan = plan_for(path(2))
+        assert plan.steps[0][0] == () and all(s[0] for s in plan.steps[1:])
         with pytest.raises(ValueError):
-            compute_candidates(
-                g, plan, 0, [], SetOperationCache(), MiningStats()
-            )
+            ExplorationPlan(path(2), (0, 2, 1), induced=False)
 
     def test_root_candidates_unlabeled(self):
         g = erdos_renyi(10, 0.5, seed=1)

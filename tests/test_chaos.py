@@ -453,6 +453,42 @@ class TestSharedSegmentReclamation:
             unpublish_all()
 
     @pytest.mark.skipif(not HAS_FORK, reason="fork start method required")
+    def test_process_dead_unit_spares_leased_segment(self):
+        """A process run with a dead unit fires the crash cleanups, which
+        reclaim only segments no live run leases: the segment a
+        concurrent run still leases stays published, and the dead run's
+        own lease release leaves it to that run."""
+        from repro.graph.shm import (
+            acquire_graph,
+            published_segment,
+            release_graph,
+            shared_graphs,
+            unpublish_all,
+        )
+        from repro.graph.store import graph_store, reset_default_store
+
+        graph = erdos_renyi(12, 0.45, seed=9, name="chaos-leased-process")
+        graph_store().register(graph)
+        fingerprint = acquire_graph(graph)  # the concurrent run's lease
+        try:
+            plan = FaultPlan().crash(0, times=50)
+            result = engine_for(graph).run_with(
+                ProcessShardScheduler(
+                    n_workers=2, on_failure="degrade", fault_plan=plan
+                )
+            )
+            assert result.incomplete and 0 in result.unprocessed_roots
+            assert published_segment(fingerprint) is not None
+            assert shared_graphs().lease_count(fingerprint) == 1
+            # The last lease going reclaims the segment as usual.
+            assert release_graph(fingerprint)
+            assert published_segment(fingerprint) is None
+        finally:
+            release_graph(fingerprint)
+            unpublish_all()
+            reset_default_store()
+
+    @pytest.mark.skipif(not HAS_FORK, reason="fork start method required")
     def test_no_segment_leak_across_sequential_runs(self):
         """N sequential in-process runs leave zero published segments
         behind — the daemon-lifetime contract: each run's lease release

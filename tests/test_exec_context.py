@@ -157,7 +157,8 @@ class TestEventBus:
         seen = []
         handler = lambda **kw: seen.append(kw)  # noqa: E731
         bus.subscribe(PROMOTE, handler)
-        assert bus.observed and not bus.has_subscribers(CANCEL)
+        assert bus.observed
+        bus.emit(CANCEL, kind="lateral", count=1)  # observed, unheard
         bus.emit(PROMOTE, count=1)
         assert seen == [{"count": 1}]
         assert bus.unsubscribe(PROMOTE, handler)
@@ -180,7 +181,8 @@ class TestEventBus:
         assert log.count(PROMOTE) == 1
         assert log.count(CANCEL) == 1
         assert log.records[1] == (CANCEL, {"kind": "lateral", "count": 2})
-        assert bus.has_subscribers(MATCH_CHECKED)
+        bus.emit(MATCH_CHECKED, count=3)
+        assert log.count(MATCH_CHECKED) == 1
 
 
 class TestTaskContext:

@@ -141,11 +141,6 @@ class TestDerivedCache:
         assert cache.invalidate("g@1", artifact_key="a") == 1
         assert cache.artifact_count("g@1") == 1
 
-    def test_note_invalidations_folds_external_evictions(self):
-        cache = DerivedCache()
-        cache.note_invalidations(7)
-        assert cache.counters()["invalidations"] == 7
-
     def test_version_lru_eviction(self):
         cache = DerivedCache(max_versions=2)
         cache.get_or_build("g@1", "a", dict)

@@ -2,9 +2,9 @@
 
 There are two adjacency modes.  ``sets`` — the legacy frozenset path,
 ``index=None`` — is the oracle; ``auto`` must produce *identical*
-candidate lists at every step of every exploration, and identical
-match sets and paper counters end to end, under every scheduler, with
-and without auxiliary graphs.
+candidates at every step of every ETask walk (the same ordered matches
+and per-node counters), and identical match sets and paper counters
+end to end, under every scheduler, with and without auxiliary graphs.
 
 ``auto`` chooses twice from what it observes, and the cases are built
 so both sides of each choice run: index-level cases construct
@@ -39,10 +39,11 @@ from repro.mining import (
     ConstraintStats,
     MiningEngine,
     MiningStats,
+    ETask,
     SetOperationCache,
-    compute_candidates,
     kernel_pool,
     root_candidates,
+    run_single_pattern,
 )
 from repro.patterns import clique, path, plan_for, star, triangle
 from repro.patterns.pattern import Pattern
@@ -248,9 +249,9 @@ class TestKernelPool:
 
     def test_etask_step_and_fused_vtask_step_share_one_entry(self):
         # A triangle's one bridge step to K4 anchors on all three of
-        # its vertices — the intersection K4's ETask needs at step 3.
+        # its vertices — the intersection K4's ETask makes at its last
+        # step, below the triangle's ordered prefix.
         graph = dense(random_graph(28, 0.62, seed=29))
-        index = graph.kernel_index()
         a, b, c = next(
             m.assignment
             for m in MiningEngine(graph, adjacency="sets").stream(triangle())
@@ -258,15 +259,19 @@ class TestKernelPool:
         )
         stats = ConstraintStats()
         cache = SetOperationCache(stats=stats)
-        compute_candidates(
-            graph, plan_for(clique(4)), 3, [a, b, c], cache, stats, index=index
+        run_single_pattern(
+            graph, plan_for(clique(4)), lambda m: False, cache=cache,
+            stats=stats, roots=sorted((a, b, c)), adjacency="auto",
         )
-        assert (stats.cache_hits, stats.cache_misses) == (0, 1)
-        assert stats.bitset_intersections == 2
+        walked = (stats.cache_hits, stats.cache_misses)
+        assert stats.bitset_intersections > 0
+        intersections = stats.bitset_intersections
         target = ValidationTarget(triangle(), clique(4), graph, induced=False)
         target.run((a, b, c), graph, cache, stats)
-        assert (stats.cache_hits, stats.cache_misses) == (1, 1)
-        assert stats.bitset_intersections == 2
+        assert (stats.cache_hits, stats.cache_misses) == (
+            walked[0] + 1, walked[1]
+        )
+        assert stats.bitset_intersections == intersections
 
     def test_cached_pool_form_is_a_function_of_its_key(self, monkeypatch):
         # Which branch a fused lookup takes (mask ANDs or per-vertex
@@ -291,7 +296,7 @@ class TestKernelPool:
 
 
 # ----------------------------------------------------------------------
-# Candidate-list equivalence: the kernels vs the frozenset oracle
+# Walk equivalence: the kernels vs the frozenset oracle
 # ----------------------------------------------------------------------
 
 
@@ -301,35 +306,31 @@ def _assert_candidates_equivalent(
     induced: bool,
     stats: MiningStats,
 ) -> int:
-    """Walk the full exploration tree comparing the kernel path against
-    the legacy path at every step.  Returns the number of (graph, plan,
-    step) comparisons performed; kernel work is counted in ``stats``."""
+    """Walk every root's ETask on the kernel path and on the legacy
+    path: the same candidates at every step show as the same ordered
+    matches and the same per-node counters.  Returns the number of
+    candidate computations compared; kernel work is counted in
+    ``stats``."""
     plan = plan_for(pattern, induced=induced)
-    index = GraphIndex(graph)
-    oracle_stats = MiningStats()
-    oracle_cache = SetOperationCache(stats=oracle_stats)
-    kernel_cache = SetOperationCache(stats=stats)
-    comparisons = 0
-
-    def descend(bound):
-        nonlocal comparisons
-        step = len(bound)
-        if step == plan.num_steps:
-            return
-        expected = compute_candidates(
-            graph, plan, step, bound, oracle_cache, oracle_stats
-        )
-        got = compute_candidates(
-            graph, plan, step, bound, kernel_cache, stats, index=index
-        )
-        assert got == expected, f"step={step} bound={bound}"
-        comparisons += 1
-        for v in expected:
-            descend(bound + [v])
-
-    for root in root_candidates(graph, plan):
-        descend([root])
-    return comparisons
+    walks = []
+    for index in (None, GraphIndex(graph)):
+        run_stats = MiningStats()
+        matches = []
+        for root in root_candidates(graph, plan):
+            task = ETask(
+                graph, plan, root, SetOperationCache(stats=run_stats),
+                run_stats, index=index,
+            )
+            matches.extend(m.assignment for m in task.matches())
+        walks.append((matches, [
+            getattr(run_stats, name) for name in (
+                "candidate_computations", "extensions_attempted",
+                "rl_paths", "matches_found",
+            )
+        ]))
+    stats.merge(run_stats)  # the kernel walk's
+    assert walks[1] == walks[0], pattern
+    return walks[0][1][0]
 
 
 class TestCandidateEquivalence:

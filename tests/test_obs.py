@@ -630,7 +630,7 @@ class TestSchedulerObservabilityEquivalence:
         phase/emit hot paths stay behind their gates."""
         ctx = TaskContext.create()
         assert not ctx.observed
-        assert not ctx.bus.has_subscribers("match")
+        assert not ctx.bus.observed
 
     @pytest.mark.parametrize("scheduler", ["serial", "workqueue"])
     def test_unobserved_run_emits_nothing(self, monkeypatch, scheduler):
