@@ -2,7 +2,9 @@
 
 ``--smoke`` boots a daemon on an ephemeral port, registers a small
 graph, streams one MQC and one NSQ query through the full intake path
-(rate limit → admission → queue → worker slot → NDJSON), opens a standing
+(rate limit → admission → queue → worker slot → NDJSON), sends the MQC
+query again with ``stream: false`` and asserts the aggregated match
+list equals the streamed one in order, opens a standing
 query, applies one mutation batch and asserts the delta stream
 delivers the resulting ``match_added`` + ``delta`` events, scrapes
 ``/metrics``, shuts down cleanly, and prints a JSON report.  A nonzero
@@ -34,15 +36,11 @@ def _smoke() -> int:
         # A bundled synthetic dataset, registered through the HTTP
         # registry like any client graph would be.
         client.register_graph("smoke", dataset="dblp")
-        events: List[Dict[str, Any]] = list(
-            client.stream_query(
-                tenant="smoke-ci",
-                graph="smoke",
-                gamma=0.8,
-                max_size=4,
-                time_limit=120.0,
-            )
+        mqc = dict(
+            tenant="smoke-ci", graph="smoke", gamma=0.8, max_size=4,
+            time_limit=120.0,
         )
+        events: List[Dict[str, Any]] = list(client.stream_query(**mqc))
         report["events"] = len(events)
         report["accepted"] = bool(
             events and events[0].get("type") == "accepted"
@@ -51,6 +49,11 @@ def _smoke() -> int:
         report["summary"] = summary
         matches = [e for e in events if e.get("type") == "match"]
         report["streamed_matches"] = len(matches)
+        # The same query aggregated: the same matches, in the same order.
+        aggregated = client.query(**mqc)["matches"]
+        report["aggregate_ok"] = [
+            (e["pattern"], e["vertices"]) for e in aggregated
+        ] == [(e["pattern"], e["vertices"]) for e in matches]
         nsq_events = list(
             client.stream_query(
                 tenant="smoke-ci",
@@ -105,7 +108,7 @@ def _smoke() -> int:
         )
         metrics = client.metrics()
         report["metrics_ok"] = (
-            'repro_serve_queries_total{tenant="smoke-ci"} 2' in metrics
+            'repro_serve_queries_total{tenant="smoke-ci"} 3' in metrics
             and 'repro_serve_subscriptions_total{tenant="smoke-ci"} 1'
             in metrics
             and "repro_incremental_frontier_size" in metrics
@@ -115,6 +118,7 @@ def _smoke() -> int:
             and summary.get("status") == "ok"
             and len(matches) > 0
             and summary.get("matches") == len(matches)
+            and report["aggregate_ok"]
             and nsq_summary.get("status") == "ok"
             and nsq_summary.get("matches") == len(nsq_matches) > 0
             and report["delta_ok"]

@@ -20,9 +20,12 @@ One process serves many tenants and many queries:
   cancelled when the client disconnects mid-stream — the engine's
   cooperative checks then end the run early, so no worker is orphaned.
 * **Streaming** — with ``"stream": true`` matches are delivered as
-  newline-delimited JSON the moment they validate (the engine-session
+  newline-delimited JSON as they validate (the engine-session
   ``match_sink`` hook), followed by one terminal ``summary`` line
   carrying per-run counter deltas (:class:`~repro.obs.RunScope`).
+  Each stream has one :class:`Outbox`: the first match leaves at once,
+  whatever validates meanwhile rides the next batch (one loop wake-up
+  and one socket write per batch), and the lines and order are as ever.
 * **/metrics** — the Prometheus exposition :mod:`repro.obs` renders,
   extended with per-tenant intake counters and queue-depth gauges.
 
@@ -100,6 +103,43 @@ class QueryError(Exception):
         self.payload = payload
 
 
+class Outbox:
+    """One stream's events, carried from any thread onto the loop in
+    batches: only the :meth:`post` that finds the list empty schedules a
+    delivery, which swaps the list out onto :attr:`batches`, so whatever
+    is posted meanwhile rides along.  A ``streamed`` client reads each
+    batch as it arrives, so that post also hands the loop the GIL.
+    Create it on the loop's thread.
+    """
+
+    def __init__(
+        self, loop: asyncio.AbstractEventLoop, streamed: bool
+    ) -> None:
+        self._loop = loop
+        self._hand_off = streamed
+        self._loop_thread = threading.get_ident()
+        self._lock = threading.Lock()
+        self._pending: List[Dict[str, Any]] = []
+        self.batches: "asyncio.Queue[List[Dict[str, Any]]]" = asyncio.Queue()
+
+    def post(self, *events: Dict[str, Any]) -> None:
+        with self._lock:
+            first = not self._pending
+            self._pending.extend(events)
+        if first:
+            self._loop.call_soon_threadsafe(self._deliver)
+            if self._hand_off and threading.get_ident() != self._loop_thread:
+                # Else a mining thread keeps the GIL a switch interval.
+                # An aggregated reply is read only at its end, so it
+                # skips the sleep's ~50 µs of timer slack per delivery.
+                time.sleep(0)
+
+    def _deliver(self) -> None:
+        with self._lock:
+            batch, self._pending = self._pending, []
+        self.batches.put_nowait(batch)
+
+
 @dataclass(eq=False)
 class QueryRun:
     """One admitted query travelling queue → worker slot → client."""
@@ -111,22 +151,8 @@ class QueryRun:
     admission: AdmissionDecision
     graph: Graph
     ctx: TaskContext
-    loop: asyncio.AbstractEventLoop
-
-    def __post_init__(self) -> None:
-        #: Delivery channel consumed by the HTTP handler: match events
-        #: followed by exactly one terminal summary/error event.
-        self.events: "asyncio.Queue[Dict[str, Any]]" = asyncio.Queue()
-        self.finished = self.loop.create_future()
-
-    def post(self, event: Dict[str, Any]) -> None:
-        """Thread-safe event delivery onto the daemon's loop."""
-        self.loop.call_soon_threadsafe(self.events.put_nowait, event)
-
-    def seal(self, summary: Dict[str, Any]) -> None:
-        """Mark the run finished (idempotent; loop thread only)."""
-        if not self.finished.done():
-            self.finished.set_result(summary)
+    #: Match events, then exactly one terminal summary/error event.
+    outbox: Outbox
 
 
 def _json_body(body: bytes) -> Dict[str, Any]:
@@ -165,13 +191,13 @@ class MiningDaemon:
         self.registry = MetricsRegistry()
         #: Standing queries: delta passes run on the mutating thread
         #: (the executor slot applying the batch) and publish into the
-        #: per-stream queues via their sinks.
+        #: per-stream outboxes via their sinks.
         self.subscriptions = SubscriptionRegistry(
             store=self.store,
             cache=self.store._derived_cache(),
             metrics=self.registry,
         )
-        self._sub_queues: Dict[str, "asyncio.Queue[Dict[str, Any]]"] = {}
+        self._sub_outboxes: Dict[str, Outbox] = {}
         self._buckets: Dict[str, TokenBucket] = {}
         self._pending: "asyncio.PriorityQueue[Tuple[int, int, QueryRun]]"
         self.shutdown_event: asyncio.Event
@@ -232,16 +258,14 @@ class MiningDaemon:
         # sentinel *before* closing the server: on Python 3.12+
         # ``wait_closed`` waits for active connection handlers, and a
         # delta stream would otherwise hold shutdown open forever.
-        for queue in list(self._sub_queues.values()):
-            queue.put_nowait(
-                {"type": "closed", "reason": "daemon shutdown"}
-            )
+        for outbox in list(self._sub_outboxes.values()):
+            outbox.post({"type": "closed", "reason": "daemon shutdown"})
         # ... and wait for the pumps to flush it: the stop coroutine is
         # the loop's last work, so without this the sentinel write
         # races loop close and clients see a dead socket instead of an
-        # orderly goodbye.  Each stream handler pops its queue on exit.
+        # orderly goodbye.  Each stream handler pops its outbox on exit.
         deadline = time.monotonic() + 5.0
-        while self._sub_queues and time.monotonic() < deadline:
+        while self._sub_outboxes and time.monotonic() < deadline:
             await asyncio.sleep(0.01)
         for worker in self._workers:
             worker.cancel()
@@ -549,10 +573,10 @@ class MiningDaemon:
                 404, {"error": f"unknown subscription {sub_id!r}"}
             )
         # If a stream is attached, end it; its pump unregisters the
-        # queue on the way out.
-        queue = self._sub_queues.get(sub_id)
-        if queue is not None:
-            queue.put_nowait({"type": "closed", "reason": "unsubscribed"})
+        # outbox on the way out.
+        outbox = self._sub_outboxes.get(sub_id)
+        if outbox is not None:
+            outbox.post({"type": "closed", "reason": "unsubscribed"})
         return {"unsubscribed": sub_id}
 
     def _delta_events(
@@ -624,16 +648,14 @@ class MiningDaemon:
             time_limit=request.time_limit,
         )
         loop = self._loop
-        queue: "asyncio.Queue[Dict[str, Any]]" = asyncio.Queue()
+        outbox = Outbox(loop, streamed=True)
 
         def sink(update: DeltaUpdate) -> None:
-            # Runs on the mutating thread (executor slot): hand each
-            # NDJSON line to the stream queue on the daemon's loop.
-            lines = self._delta_events(
-                update.subscription, tenant.name, update
+            # Runs on the mutating thread (executor slot): one delta
+            # pass is one batch of NDJSON lines.
+            outbox.post(
+                *self._delta_events(update.subscription, tenant.name, update)
             )
-            for line in lines:
-                loop.call_soon_threadsafe(queue.put_nowait, line)
 
         try:
             # The baseline mine happens off-loop like any other run.
@@ -645,7 +667,7 @@ class MiningDaemon:
             )
         except KeyError as exc:
             raise QueryError(404, {"error": str(exc.args[0])})
-        self._sub_queues[sub.id] = queue
+        self._sub_outboxes[sub.id] = outbox
         active = self.registry.gauge(
             "repro_serve_active_subscriptions",
             help_text="Standing queries with a live delta stream",
@@ -668,13 +690,11 @@ class MiningDaemon:
                 + b"\n"
             )
             await writer.drain()
-            # EOF from the client needs no action here: the subscription
+            # A vanished client needs no action here: the subscription
             # dies with the connection in the ``finally`` below.
-            await self._pump(
-                queue, reader, writer, ("closed",), lambda reason: None
-            )
+            await self._pump(outbox, reader, writer, ("closed",))
         finally:
-            self._sub_queues.pop(sub.id, None)
+            self._sub_outboxes.pop(sub.id, None)
             self.subscriptions.unsubscribe(sub.id)
             active.dec()
 
@@ -873,7 +893,7 @@ class MiningDaemon:
                 memory_budget_bytes=tenant.budget_bytes,
                 check_interval=_CHECK_INTERVAL,
             ),
-            loop=self._loop,
+            outbox=Outbox(self._loop, streamed=stream),
         )
         self._pending.put_nowait((-run.priority, self._seq, run))
         self._queue_gauge(tenant.name).inc()
@@ -887,15 +907,20 @@ class MiningDaemon:
         # Streamed: NDJSON lines as events arrive.  Aggregated: the same
         # events gathered into one JSON object once the run ends.
         matches: Optional[List[Dict[str, Any]]] = None if stream else []
-        if stream:
-            writer.write(self._head(200, "application/x-ndjson"))
-            writer.write(_encode(accepted) + b"\n")
-            await writer.drain()
-        terminal = await self._pump(
-            run.events, reader, writer, _QUERY_TERMINALS, run.ctx.cancel,
-            collect=matches,
-        )
-        # A None terminal is a client that disconnected: nothing to send.
+        terminal: Optional[Dict[str, Any]] = None
+        try:
+            if stream:
+                writer.write(self._head(200, "application/x-ndjson"))
+                writer.write(_encode(accepted) + b"\n")
+                await writer.drain()
+            terminal = await self._pump(
+                run.outbox, reader, writer, _QUERY_TERMINALS, collect=matches
+            )
+        finally:
+            # Any way out short of a terminal event (a vanished client, a
+            # failed write, a cancelled task): no slot mines for nobody.
+            if terminal is None:
+                run.ctx.cancel("client disconnected")
         if matches is not None and terminal is not None:
             await self._send_json(
                 writer,
@@ -910,25 +935,24 @@ class MiningDaemon:
 
     async def _pump(
         self,
-        queue: "asyncio.Queue[Dict[str, Any]]",
+        outbox: Outbox,
         reader: asyncio.StreamReader,
         writer: asyncio.StreamWriter,
         terminals: Container[str],
-        on_disconnect: Callable[[str], None],
         collect: Optional[List[Dict[str, Any]]] = None,
     ) -> Optional[Dict[str, Any]]:
-        """Forward ``queue`` events until one whose type is in
-        ``terminals``; watch for client disconnect (EOF on ``reader``)
-        and call ``on_disconnect(reason)`` if it goes.
+        """Forward ``outbox`` batches until an event whose type is in
+        ``terminals``, watching for client disconnect (EOF on ``reader``).
 
-        Events are written as NDJSON lines, or — with ``collect`` —
-        gathered (terminal excluded) for an aggregate response.
-        Returns the terminal event, or None when the client vanished.
+        Each batch is NDJSON lines in one write and one drain, or — with
+        ``collect`` — gathered (terminal excluded) for an aggregate
+        response.  Returns the terminal event, or None when the client
+        vanished.
         """
         watcher = asyncio.ensure_future(reader.read(1))
         try:
             while True:
-                getter = asyncio.ensure_future(queue.get())
+                getter = asyncio.ensure_future(outbox.batches.get())
                 done, _ = await asyncio.wait(
                     {getter, watcher},
                     return_when=asyncio.FIRST_COMPLETED,
@@ -936,21 +960,25 @@ class MiningDaemon:
                 if getter not in done:
                     # EOF (or stray bytes) from the client: it is gone.
                     getter.cancel()
-                    on_disconnect("client disconnected")
                     return None
-                event = getter.result()
-                terminal = event.get("type") in terminals
+                batch = getter.result()
+                terminal = next(
+                    (e for e in batch if e.get("type") in terminals), None
+                )
+                if terminal is not None:
+                    del batch[batch.index(terminal) + 1:]
                 if collect is None:
                     try:
-                        writer.write(_encode(event) + b"\n")
+                        writer.write(
+                            b"".join(_encode(e) + b"\n" for e in batch)
+                        )
                         await writer.drain()
                     except (ConnectionResetError, BrokenPipeError):
-                        on_disconnect("client connection lost")
                         return None
-                elif not terminal:
-                    collect.append(event)
-                if terminal:
-                    return event
+                else:
+                    collect.extend(e for e in batch if e is not terminal)
+                if terminal is not None:
+                    return terminal
         finally:
             if not watcher.done():
                 watcher.cancel()
@@ -970,16 +998,14 @@ class MiningDaemon:
                     "query_id": run.query_id,
                     "reason": run.ctx.token.reason or "cancelled",
                 }
-                run.post(event)
-                run.seal(event)
+                run.outbox.post(event)
                 continue
             self._active.add(run.query_id)
             try:
                 assert self._executor is not None
-                summary = await self._loop.run_in_executor(
+                await self._loop.run_in_executor(
                     self._executor, self._execute, run
                 )
-                run.seal(summary)
             except Exception as exc:  # defensive: _execute catches
                 logger.exception("query %s failed", run.query_id)
                 event = {
@@ -987,21 +1013,20 @@ class MiningDaemon:
                     "query_id": run.query_id,
                     "error": str(exc),
                 }
-                run.post(event)
-                run.seal(event)
+                run.outbox.post(event)
             finally:
                 self._active.discard(run.query_id)
 
     def _execute(self, run: QueryRun) -> Dict[str, Any]:
         """Run one query on the executor thread; returns the terminal
-        event (which is also posted to the run's event queue)."""
+        event (which is also posted to the run's outbox)."""
         request = run.request
         delivered = 0
 
         def sink(pattern: Pattern, assignment: Tuple[int, ...]) -> None:
             nonlocal delivered
             delivered += 1
-            run.post(
+            run.outbox.post(
                 {
                     "type": "match",
                     "query_id": run.query_id,
@@ -1045,7 +1070,7 @@ class MiningDaemon:
             terminal["error"] = error
         if run.ctx.token.reason:
             terminal["reason"] = run.ctx.token.reason
-        run.post(terminal)
+        run.outbox.post(terminal)
         return terminal
 
 

@@ -11,7 +11,9 @@ and no shared-memory leak across sequential in-process runs).
 
 from __future__ import annotations
 
+import asyncio
 import json
+import sys
 import threading
 import time
 
@@ -24,8 +26,11 @@ from repro.apps.nsq import (
     paper_query_triangles,
 )
 from repro.baselines.naive import nested_query_matches
+from repro.bench import dataset
 from repro.graph import erdos_renyi
 from repro.graph.store import graph_store, reset_default_store
+from repro.request import RunRequest
+from repro.request import run as run_request
 from repro.serve import (
     ServeConfig,
     TenantConfig,
@@ -33,6 +38,7 @@ from repro.serve import (
     serve_in_thread,
 )
 from repro.serve.client import ServeClient, ServeError
+from repro.serve.daemon import MiningDaemon, Outbox
 
 SMOKE_EDGES = [
     (0, 1), (1, 2), (0, 2),
@@ -304,6 +310,136 @@ class TestStreaming:
             assert 'repro_serve_queries_total{tenant="bob"} 1' in metrics
         finally:
             handle.stop()
+
+
+class TestCoalescedDelivery:
+    def test_a_burst_posted_while_the_loop_is_busy_is_one_delivery(self):
+        async def scenario():
+            outbox = Outbox(asyncio.get_running_loop(), streamed=True)
+            poster = threading.Thread(
+                target=lambda: [outbox.post({"seq": i}) for i in range(5000)]
+            )
+            poster.start()
+            poster.join()  # the loop is blocked until every post is in
+            received, deliveries = [], 0
+            while len(received) < 5000:
+                received.extend(await outbox.batches.get())
+                deliveries += 1
+            return received, deliveries
+
+        received, deliveries = asyncio.run(scenario())
+        assert [event["seq"] for event in received] == list(range(5000))
+        assert deliveries <= 2
+
+    def test_concurrent_posters_lose_nothing_and_keep_their_order(self):
+        posters, per_poster = 4, 2000
+
+        async def scenario():
+            outbox = Outbox(asyncio.get_running_loop(), streamed=True)
+            threads = [
+                threading.Thread(
+                    target=lambda t=t: [
+                        outbox.post({"t": t, "seq": i})
+                        for i in range(per_poster)
+                    ]
+                )
+                for t in range(posters)
+            ]
+            for thread in threads:
+                thread.start()
+            received = []
+            while len(received) < posters * per_poster:
+                received.extend(
+                    await asyncio.wait_for(outbox.batches.get(), 10.0)
+                )
+            for thread in threads:
+                thread.join(10.0)
+                assert not thread.is_alive()
+            assert outbox.batches.empty()
+            return received
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            received = asyncio.run(scenario())
+        finally:
+            sys.setswitchinterval(previous)
+        assert len(received) == posters * per_poster
+        for t in range(posters):
+            assert [e["seq"] for e in received if e["t"] == t] == list(
+                range(per_poster)
+            )
+
+    def test_streamed_lines_keep_sink_order_and_equal_the_aggregate(self):
+        graph = dataset("dblp")
+        sunk = []
+        run_request(
+            RunRequest.of({"gamma": 0.8, "max_size": 4}),
+            graph,
+            match_sink=lambda p, a: sunk.append(
+                [p.name or f"P{p.num_vertices}", list(a)]
+            ),
+        )
+        handle = _daemon()
+        try:
+            client = ServeClient(handle.host, handle.port, timeout=120.0)
+            client.register_graph("dblp", dataset="dblp")
+            params = dict(
+                tenant="t", graph="dblp", gamma=0.8, max_size=4,
+                time_limit=120.0,
+            )
+            events = list(client.stream_query(**params))
+            aggregated = client.query(**params)
+        finally:
+            handle.stop()
+        streamed = [
+            [e["pattern"], e["vertices"]]
+            for e in events
+            if e["type"] == "match"
+        ]
+        assert len(streamed) > 100
+        assert streamed == sunk
+        assert [
+            [e["pattern"], e["vertices"]] for e in aggregated["matches"]
+        ] == streamed
+        assert events[-1]["type"] == "summary"
+        assert events[-1]["matches"] == len(streamed)
+        assert aggregated["summary"]["matches"] == len(streamed)
+
+    def test_orphaned_run_is_cancelled_when_the_head_cannot_be_sent(self):
+        """A client gone before the ``accepted`` line: the queued run
+        must not mine for nobody."""
+
+        class GoneWriter:
+            def write(self, data):
+                pass
+
+            async def drain(self):
+                raise ConnectionResetError("client gone")
+
+        async def scenario():
+            daemon = MiningDaemon(ServeConfig(admission="off", port=0))
+            await daemon.start()
+            try:
+                daemon.store.register(erdos_renyi(30, 0.4, seed=7), "g")
+                with pytest.raises(ConnectionResetError):
+                    await daemon._handle_query(
+                        {"tenant": "t", "graph": "g", "max_size": 4},
+                        asyncio.StreamReader(),
+                        GoneWriter(),
+                    )
+                # Taken before any worker slot can see it.
+                _, _, run = daemon._pending.get_nowait()
+                return await asyncio.get_running_loop().run_in_executor(
+                    None, daemon._execute, run
+                )
+            finally:
+                await daemon.stop()
+
+        terminal = asyncio.run(scenario())
+        assert terminal["type"] == "cancelled"
+        assert terminal["reason"] == "client disconnected"
+        assert terminal["counters"]["matches_checked"] == 0
 
 
 class TestNestedQueriesOverTheWire:
@@ -708,6 +844,48 @@ class TestSubscriptions:
             ), "disconnect did not remove the subscription"
         finally:
             handle.stop()
+
+    def test_delta_lines_arrive_in_order_and_end_with_delta(self):
+        graph = erdos_renyi(20, 0.3, seed=9)
+        n = graph.num_vertices
+        # Removing one edge of a baseline match retracts it; a disjoint
+        # appended triangle adds one.
+        _, victim = build_mqc_engine(graph, 0.8, 4).run().valid[0]
+        handle = _daemon()
+        try:
+            client = ServeClient(handle.host, handle.port, timeout=120.0)
+            graph_store().register(graph, "dyn")
+            stream = client.subscribe(
+                tenant="t", graph="dyn", gamma=0.8, max_size=4
+            )
+            assert next(stream)["type"] == "subscribed"
+            client.mutate_graph(
+                "dyn",
+                add_vertices=3,
+                add_edges=[[n, n + 1], [n, n + 2], [n + 1, n + 2]],
+                remove_edges=[list(victim[:2])],
+            )
+            events = []
+            for event in stream:
+                events.append(event)
+                if event["type"] == "delta":
+                    break
+            stream.close()
+        finally:
+            handle.stop()
+        delta = events[-1]
+        assert delta["type"] == "delta"
+        assert delta["added"] and delta["retracted"]
+        assert [e["type"] for e in events] == (
+            ["match_added"] * len(delta["added"])
+            + ["match_retracted"] * len(delta["retracted"])
+            + ["delta"]
+        )
+        lines = [
+            {"pattern": e["pattern"], "vertices": e["vertices"]}
+            for e in events[:-1]
+        ]
+        assert lines == delta["added"] + delta["retracted"]
 
     def test_explicit_unsubscribe_closes_the_stream(self):
         handle = _daemon()
