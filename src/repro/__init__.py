@@ -12,7 +12,7 @@ Reproduces "Contigra: Graph Mining with Containment Constraints"
   constraints, cross-task dependencies, VTasks with task fusion,
   promotion, lateral cancellation, virtual state-space analysis;
 * :mod:`repro.apps` — Maximal Quasi-Cliques, Keyword Search, Nested
-  Subgraph Queries, anti-vertex queries, maximal cliques;
+  Subgraph Queries, anti-vertex queries;
 * :mod:`repro.baselines` — brute-force oracles, Peregrine+ post-hoc
   checking, a budgeted TThinker simulation;
 * :mod:`repro.bench` — synthetic Table-1 datasets and the experiment

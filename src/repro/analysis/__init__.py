@@ -27,9 +27,7 @@ from .costmodel import (
 from .analyzer import (
     analyze_constraint_set,
     analyze_kws_workload,
-    analyze_pattern,
     analyze_patterns,
-    analyze_query,
     analyze_query_spec,
 )
 from .depgraph import check_dependency_graph
@@ -46,14 +44,12 @@ from .plancheck import (
     check_alignment_feasibility,
     check_constraint_alignments,
     check_plans,
-    verify_symmetry_conditions,
 )
-from .schedcheck import check_scheduler, promotable_constraints
+from .schedcheck import check_scheduler
 from .satisfiability import (
     check_duplicate_constraints,
     check_predecessor_buckets,
     check_query_satisfiability,
-    classify_predecessor_pattern,
 )
 from .selfcheck import library_patterns, selfcheck
 
@@ -64,9 +60,7 @@ __all__ = [
     "ERROR",
     "WARNING",
     "INFO",
-    "analyze_pattern",
     "analyze_patterns",
-    "analyze_query",
     "analyze_query_spec",
     "analyze_constraint_set",
     "analyze_kws_workload",
@@ -75,14 +69,11 @@ __all__ = [
     "check_query_satisfiability",
     "check_duplicate_constraints",
     "check_predecessor_buckets",
-    "classify_predecessor_pattern",
     "check_dependency_graph",
     "check_plans",
     "check_alignment_feasibility",
     "check_constraint_alignments",
     "check_scheduler",
-    "promotable_constraints",
-    "verify_symmetry_conditions",
     "library_patterns",
     "selfcheck",
     "StepEstimate",

@@ -26,16 +26,6 @@ from .satisfiability import (
 )
 
 
-def analyze_pattern(
-    pattern: Pattern, induced: bool = False
-) -> AnalysisReport:
-    """Lint plus plan verification for one standalone pattern."""
-    report = AnalysisReport()
-    report.extend(lint_pattern(pattern, induced=induced))
-    report.extend(check_plans([pattern], induced=induced))
-    return report
-
-
 def analyze_patterns(
     patterns: Sequence[Pattern], induced: bool = False
 ) -> AnalysisReport:
@@ -171,19 +161,3 @@ def analyze_kws_workload(
             )
         )
     return report
-
-
-def analyze_query(query: object) -> AnalysisReport:
-    """Analyze a :class:`repro.core.query.Query` builder instance."""
-    spec = getattr(query, "spec", None)
-    if spec is None or not callable(spec):
-        raise TypeError(
-            "analyze_query expects a repro.core.query.Query instance"
-        )
-    target, not_within, only_within, induced = spec()
-    return analyze_query_spec(
-        target,
-        not_within=not_within,
-        only_within=only_within,
-        induced=induced,
-    )

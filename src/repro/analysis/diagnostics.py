@@ -160,12 +160,6 @@ CODES: Dict[str, Tuple[str, str, str]] = {
         "run-level token cancel or a lateral signal raised in one "
         "shard never interrupts workers mid-shard",
     ),
-    "CG504": (
-        "degenerate-worker-count",
-        WARNING,
-        "a parallel scheduler with fewer than two workers pays "
-        "sharding overhead without any parallelism",
-    ),
     "CG505": (
         "scheduler-ignored-workload",
         WARNING,

@@ -14,9 +14,10 @@ cannot honor them across workers:
   so a run-level cancel (or a lateral signal raised in another shard)
   never interrupts a worker mid-shard.
 
-These checks surface both before a run, alongside a couple of plain
-configuration errors (unknown scheduler name, degenerate worker
-counts, workloads whose pipeline ignores the scheduler entirely).
+These checks surface both before a run, alongside two plain
+configuration errors (unknown scheduler name, workloads whose pipeline
+ignores the scheduler entirely).  A parallel scheduler given one
+worker runs the serial path, so it draws the serial report.
 """
 
 from __future__ import annotations
@@ -85,18 +86,9 @@ def check_scheduler(
             )
         )
         return report
-    if name == "serial":
+    if name == "serial" or n_workers == 1:
+        # One worker runs the serial path (``_ParallelScheduler.run``).
         return report
-    if n_workers < 2:
-        report.add(
-            make(
-                "CG504",
-                f"{name!r} with n_workers={n_workers} shards roots "
-                "but runs them on a single worker; use the serial "
-                "scheduler instead",
-                subject="scheduler",
-            )
-        )
     if name in PROCESS_SCHEDULERS:
         report.add(
             make(

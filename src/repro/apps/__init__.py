@@ -1,19 +1,17 @@
-"""Applications: the paper's containment-constrained workloads."""
+"""Applications: the paper's containment-constrained workloads.
+
+Maximal quasi-cliques, keyword search and nested subgraph queries
+(with anti-vertex queries lowered onto them), plus the unconstrained
+quasi-clique miners of Figs 2 and 19 and an MQC result certificate.
+"""
 
 from .antivertex import anti_vertex_query, lower_anti_vertices
-from .fsm import FrequentPattern, frequent_subgraphs
 from .kws import (
     KeywordSearchResult,
     classify_workload,
     frequent_and_rare_keywords,
     keyword_patterns,
     keyword_search,
-)
-from .motifs import motif_counts, motif_counts_esu, motif_significance
-from .maximal_cliques import (
-    bron_kerbosch,
-    maximal_cliques_contigra,
-    maximal_cliques_reference,
 )
 from .mqc import (
     MaximalQuasiCliqueResult,
@@ -25,33 +23,20 @@ from .nsq import (
     paper_query_tailed_triangles,
     paper_query_triangles,
 )
-from .verify import (
-    verify_maximal_quasi_cliques,
-    verify_minimal_covers,
-    verify_quasi_clique_universe,
-)
+from .verify import verify_maximal_quasi_cliques
 from .quasicliques import (
     QuasiCliqueResult,
     mine_quasi_cliques,
     mine_quasi_cliques_fused,
-    quasi_clique_feasible,
 )
 
 __all__ = [
     "verify_maximal_quasi_cliques",
-    "verify_minimal_covers",
-    "verify_quasi_clique_universe",
-    "motif_counts",
-    "motif_counts_esu",
-    "motif_significance",
-    "frequent_subgraphs",
-    "FrequentPattern",
     "maximal_quasi_cliques",
     "build_mqc_engine",
     "MaximalQuasiCliqueResult",
     "mine_quasi_cliques",
     "mine_quasi_cliques_fused",
-    "quasi_clique_feasible",
     "QuasiCliqueResult",
     "keyword_search",
     "keyword_patterns",
@@ -63,7 +48,4 @@ __all__ = [
     "paper_query_tailed_triangles",
     "anti_vertex_query",
     "lower_anti_vertices",
-    "maximal_cliques_contigra",
-    "maximal_cliques_reference",
-    "bron_kerbosch",
 ]

@@ -1,25 +1,24 @@
-"""Result self-verification.
+"""Result self-verification for maximal quasi-cliques.
 
 Downstream users of a mining system rarely re-derive ground truth; a
 cheap certificate check on the *reported* results catches integration
-mistakes (wrong gamma, wrong semantics, truncated runs).  Each checker
-validates the defining properties of one workload's output directly
-against the data graph and returns a list of violation strings (empty
-means the result is internally consistent).
+mistakes (wrong gamma, wrong semantics, truncated runs).  The checker
+validates the defining properties of an MQC result directly against
+the data graph and returns a list of violation strings (empty means
+the result is internally consistent).
 
-These checks are *sound but partial*: they verify every reported match
-satisfies its definition and mutual constraints, and spot-check
+The check is *sound but partial*: it verifies every reported match
+satisfies its definition and mutual constraints, and spot-checks
 completeness by local perturbation; full completeness needs the
 oracles in :mod:`repro.baselines.naive` (exponential, test-only).
 """
 
 from __future__ import annotations
 
-from typing import FrozenSet, Iterable, List, Sequence, Set
+from typing import FrozenSet, Iterable, List, Set
 
-from ..core import statespace
 from ..graph.graph import Graph
-from ..patterns.quasicliques import is_quasi_clique, quasi_clique_min_degree
+from ..patterns.quasicliques import is_quasi_clique
 
 
 def verify_maximal_quasi_cliques(
@@ -71,71 +70,4 @@ def verify_maximal_quasi_cliques(
                     f"into a quasi-clique (not maximal)"
                 )
                 break
-    return violations
-
-
-def verify_minimal_covers(
-    graph: Graph,
-    result_sets: Iterable[FrozenSet[int]],
-    keywords: Sequence[int],
-    max_size: int,
-) -> List[str]:
-    """Check a KWS result set's defining properties.
-
-    Verifies: every reported set is connected, covers the keywords,
-    fits the size cap, and contains no smaller connected cover; and
-    that no reported set nests inside another.
-    """
-    keyword_set = frozenset(keywords)
-    violations: List[str] = []
-    sets = list(result_sets)
-    for vertex_set in sets:
-        ordered = sorted(vertex_set)
-        if len(vertex_set) > max_size:
-            violations.append(f"{ordered}: exceeds size cap {max_size}")
-            continue
-        if not graph.is_connected_subset(ordered):
-            violations.append(f"{ordered}: not connected")
-            continue
-        if not statespace.covers(graph, ordered, keyword_set):
-            violations.append(f"{ordered}: does not cover {sorted(keyword_set)}")
-            continue
-        if not statespace.is_minimal_cover(graph, ordered, keyword_set):
-            violations.append(f"{ordered}: contains a smaller connected cover")
-    as_set = set(sets)
-    for a in as_set:
-        for b in as_set:
-            if a < b:
-                violations.append(
-                    f"{sorted(a)} nested inside reported {sorted(b)}"
-                )
-    return violations
-
-
-def verify_quasi_clique_universe(
-    graph: Graph,
-    result_sets: Iterable[FrozenSet[int]],
-    gamma: float,
-    max_size: int,
-    min_size: int = 3,
-) -> List[str]:
-    """Check an unconstrained QC result (membership + degree property)."""
-    violations: List[str] = []
-    threshold_of = {
-        k: quasi_clique_min_degree(k, gamma)
-        for k in range(min_size, max_size + 1)
-    }
-    for vertex_set in result_sets:
-        size = len(vertex_set)
-        if size not in threshold_of:
-            violations.append(f"{sorted(vertex_set)}: size {size} out of range")
-            continue
-        degrees = graph.degrees_within(sorted(vertex_set))
-        if min(degrees.values()) < threshold_of[size]:
-            violations.append(
-                f"{sorted(vertex_set)}: min degree "
-                f"{min(degrees.values())} < {threshold_of[size]}"
-            )
-        if not graph.is_connected_subset(sorted(vertex_set)):
-            violations.append(f"{sorted(vertex_set)}: disconnected")
     return violations

@@ -1,7 +1,6 @@
 """Benchmark support: synthetic datasets, timed harness, text reports."""
 
 from .datasets import (
-    SPECS,
     DatasetSpec,
     dataset,
     dataset_keys,
@@ -21,11 +20,10 @@ from .harness import (
     trend_label,
 )
 from .persist import ExperimentRecord, compare_records
-from .report import format_series, format_table, paper_vs_measured
+from .report import format_series, format_table
 
 __all__ = [
     "DatasetSpec",
-    "SPECS",
     "dataset",
     "dataset_keys",
     "labeled_dataset_keys",
@@ -42,7 +40,6 @@ __all__ = [
     "DEGRADED",
     "format_table",
     "format_series",
-    "paper_vs_measured",
     "ExperimentRecord",
     "compare_records",
 ]

@@ -60,12 +60,3 @@ def format_series(
             rendered = str(value)
         parts.append(f"  {str(label).ljust(label_width)}  {bar} {rendered}")
     return "\n".join(parts)
-
-
-def paper_vs_measured(
-    experiment: str,
-    paper_claim: str,
-    measured: str,
-) -> str:
-    """One EXPERIMENTS.md-style comparison line."""
-    return f"[{experiment}] paper: {paper_claim} | measured: {measured}"

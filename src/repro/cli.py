@@ -734,6 +734,7 @@ def _render_explain(report, estimate) -> str:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
+    RunRequest.of({"workers": args.workers})  # the run path's field check
     report = _analyze_report(args)
     estimate = None
     if args.estimate:

@@ -19,9 +19,7 @@ from .explain import explain_workload
 from .lateral import LateralScheduler
 from .ordering import (
     STRATEGIES,
-    graph_is_dense,
     order_validation_targets,
-    pattern_is_dense,
     prefer_sparse_first,
     resolve_strategy,
 )
@@ -65,8 +63,6 @@ __all__ = [
     "STRATEGIES",
     "prefer_sparse_first",
     "resolve_strategy",
-    "pattern_is_dense",
-    "graph_is_dense",
     "order_validation_targets",
     "virtual_state_space",
     "classify_minimality",

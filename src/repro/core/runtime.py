@@ -1,12 +1,12 @@
 """The Contigra execution model (paper §3 and Algorithm 1 in full).
 
-:class:`ContigraEngine` runs successor-constrained workloads (MQC,
-NSQ, maximal cliques): ETasks explore the workload patterns smallest
-first, and every matching RL-Path triggers the fused, laterally
-scheduled VTask chain.  VTask matches invalidate the subgraph and —
-when the containing pattern is itself in the workload — promote into
-immediate processing of the containing subgraph, canceling the ETask
-work that would rediscover it.
+:class:`ContigraEngine` runs successor-constrained workloads (MQC and
+NSQ): ETasks explore the workload patterns smallest first, and every
+matching RL-Path triggers the fused, laterally scheduled VTask chain.
+VTask matches invalidate the subgraph and — when the containing
+pattern is itself in the workload — promote into immediate processing
+of the containing subgraph, canceling the ETask work that would
+rediscover it.
 
 The engine is split along the execution core's task model:
 

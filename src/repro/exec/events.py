@@ -135,15 +135,6 @@ PHASE_ALIGN = "align"
 PHASE_BRIDGE = "bridge"
 PHASE_RETRY = "retry"
 
-PHASES = (
-    PHASE_RUN,
-    PHASE_SHARD,
-    PHASE_PATTERN,
-    PHASE_ALIGN,
-    PHASE_BRIDGE,
-    PHASE_RETRY,
-)
-
 #: The lifecycle subset used by completeness properties: these events
 #: must survive every scheduler boundary with identical multisets.
 LIFECYCLE_EVENTS = (

@@ -1,19 +1,10 @@
 """Data-graph substrate: immutable graphs, builders, generators, I/O."""
 
-from .algorithms import (
-    bfs_distances,
-    clustering_profile,
-    connected_components,
-    degeneracy_order,
-    is_clique,
-    k_core,
-    triangle_count,
-)
+from .algorithms import k_core, triangle_count
 from .builder import GraphBuilder, graph_from_edges
 from .generators import (
     attach_labels,
     community_graph,
-    disjoint_union,
     erdos_renyi,
     powerlaw_graph,
 )
@@ -22,7 +13,6 @@ from .index import (
     ADJACENCY_MODES,
     GraphIndex,
     auto_selects_kernels,
-    bits_from_sorted,
     bits_to_sorted,
     resolve_index,
 )
@@ -55,7 +45,6 @@ __all__ = [
     "GraphIndex",
     "ADJACENCY_MODES",
     "auto_selects_kernels",
-    "bits_from_sorted",
     "bits_to_sorted",
     "resolve_index",
     "GraphBuilder",
@@ -64,15 +53,9 @@ __all__ = [
     "powerlaw_graph",
     "community_graph",
     "attach_labels",
-    "disjoint_union",
     "read_edge_list",
     "write_edge_list",
     "write_labels",
-    "connected_components",
-    "degeneracy_order",
     "k_core",
     "triangle_count",
-    "clustering_profile",
-    "bfs_distances",
-    "is_clique",
 ]

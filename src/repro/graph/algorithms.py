@@ -1,71 +1,16 @@
-"""Classic graph algorithms used by the mining substrate and baselines.
+"""Graph algorithms outside the mining engine.
 
-The TThinker-style baseline prunes sparse regions using k-cores and
-degeneracy ordering (as the Quick algorithm does); connectivity helpers
-back the keyword-search minimality semantics.
+:func:`k_core` is the TThinker-style baseline's peel of sparse regions
+(as the Quick algorithm does); :func:`triangle_count` is an independent
+count the engine's triangle matches are checked against.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, List, Sequence, Set, Tuple
+from typing import Set
 
 from .graph import Graph
-
-
-def connected_components(graph: Graph) -> List[List[int]]:
-    """Connected components, each as a sorted vertex list."""
-    seen = [False] * graph.num_vertices
-    components: List[List[int]] = []
-    for start in graph.vertices():
-        if seen[start]:
-            continue
-        component = []
-        queue = deque([start])
-        seen[start] = True
-        while queue:
-            v = queue.popleft()
-            component.append(v)
-            for w in graph.neighbors(v):
-                if not seen[w]:
-                    seen[w] = True
-                    queue.append(w)
-        components.append(sorted(component))
-    return components
-
-
-def degeneracy_order(graph: Graph) -> Tuple[List[int], int]:
-    """Degeneracy (smallest-last) ordering.
-
-    Returns ``(order, degeneracy)`` where ``order`` removes a
-    minimum-degree vertex at each step.  Standard bucket-queue
-    implementation, O(n + m).
-    """
-    n = graph.num_vertices
-    degree = [graph.degree(v) for v in range(n)]
-    max_deg = max(degree, default=0)
-    buckets: List[Set[int]] = [set() for _ in range(max_deg + 1)]
-    for v in range(n):
-        buckets[degree[v]].add(v)
-    order: List[int] = []
-    removed = [False] * n
-    degeneracy = 0
-    current = 0
-    for _ in range(n):
-        while current <= max_deg and not buckets[current]:
-            current += 1
-        v = buckets[current].pop()
-        degeneracy = max(degeneracy, current)
-        order.append(v)
-        removed[v] = True
-        for w in graph.neighbors(v):
-            if not removed[w]:
-                buckets[degree[w]].discard(w)
-                degree[w] -= 1
-                buckets[degree[w]].add(w)
-        # Degrees only drop by one per removal, so back up one bucket.
-        current = max(0, current - 1)
-    return order, degeneracy
 
 
 def k_core(graph: Graph, k: int) -> Set[int]:
@@ -97,38 +42,3 @@ def triangle_count(graph: Graph) -> int:
                 if w > v and w in higher_set:
                     count += 1
     return count
-
-
-def clustering_profile(graph: Graph) -> Dict[str, float]:
-    """Summary stats used by the density heuristics and dataset reports."""
-    n = graph.num_vertices
-    return {
-        "vertices": float(n),
-        "edges": float(graph.num_edges),
-        "density": graph.density,
-        "max_degree": float(graph.max_degree),
-        "avg_degree": (2.0 * graph.num_edges / n) if n else 0.0,
-    }
-
-
-def bfs_distances(graph: Graph, source: int) -> Dict[int, int]:
-    """Unweighted shortest-path distances from ``source``."""
-    distances = {source: 0}
-    queue = deque([source])
-    while queue:
-        v = queue.popleft()
-        for w in graph.neighbors(v):
-            if w not in distances:
-                distances[w] = distances[v] + 1
-                queue.append(w)
-    return distances
-
-
-def is_clique(graph: Graph, vertex_set: Sequence[int]) -> bool:
-    """Whether ``vertex_set`` induces a complete subgraph."""
-    members = list(dict.fromkeys(vertex_set))
-    for i, u in enumerate(members):
-        for v in members[i + 1 :]:
-            if not graph.has_edge(u, v):
-                return False
-    return True

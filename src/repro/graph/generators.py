@@ -24,7 +24,7 @@ paper's keyword-search evaluation (Fig 15).
 from __future__ import annotations
 
 import random
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 from .builder import GraphBuilder
 from .graph import Graph
@@ -173,18 +173,3 @@ def attach_labels(
     labels = [draw() for _ in graph.vertices()]
     adjacency = [graph.neighbors(v) for v in graph.vertices()]
     return Graph(adjacency, labels=labels, name=graph.name)
-
-
-def disjoint_union(graphs: Sequence[Graph], name: str = "") -> Graph:
-    """Disjoint union of several graphs (vertex ids shifted)."""
-    builder = GraphBuilder(name=name)
-    offset = 0
-    any_labeled = any(g.is_labeled for g in graphs)
-    for g in graphs:
-        for v in g.vertices():
-            label = g.label(v) if any_labeled else None
-            builder.add_vertex(offset + v, label=label if label is not None else (-1 if any_labeled else None))
-        for u, v in g.edges():
-            builder.add_edge(offset + u, offset + v)
-        offset += g.num_vertices
-    return builder.build()

@@ -13,7 +13,6 @@ from .processors import (
     CallbackProcessor,
     CollectProcessor,
     CountProcessor,
-    FilterMapReduceProcessor,
     FirstMatchProcessor,
     Processor,
 )
@@ -30,7 +29,6 @@ _INCREMENTAL_EXPORTS = (
     "SubscriptionRegistry",
     "delta_frontier",
     "expand_frontier",
-    "pattern_radius",
     "scratch_index",
 )
 
@@ -58,7 +56,6 @@ __all__ = [
     "CollectProcessor",
     "FirstMatchProcessor",
     "CallbackProcessor",
-    "FilterMapReduceProcessor",
     "MiningStats",
     "ConstraintStats",
     "explore_connected_sets",

@@ -104,28 +104,3 @@ class CallbackProcessor(Processor):
 
     def result(self) -> int:
         return self.calls
-
-
-class FilterMapReduceProcessor(Processor):
-    """Peregrine-style filter/map/reduce pipeline over matches."""
-
-    def __init__(
-        self,
-        map_fn: Callable[[Match], object],
-        reduce_fn: Callable[[object, object], object],
-        initial: object,
-        filter_fn: Optional[Callable[[Match], bool]] = None,
-    ) -> None:
-        self._filter = filter_fn
-        self._map = map_fn
-        self._reduce = reduce_fn
-        self._acc = initial
-
-    def process(self, match: Match) -> bool:
-        if self._filter is not None and not self._filter(match):
-            return False
-        self._acc = self._reduce(self._acc, self._map(match))
-        return False
-
-    def result(self):
-        return self._acc

@@ -29,8 +29,6 @@ from typing import Any, Optional, Tuple
 from ..exec.context import TaskContext
 from .metrics import (
     COUNT_BUCKETS,
-    DEFAULT_BUCKETS,
-    ESTIMATE_ERROR_BUCKETS,
     Counter,
     Gauge,
     Histogram,
@@ -51,8 +49,6 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "MetricsSubscriber",
-    "DEFAULT_BUCKETS",
-    "ESTIMATE_ERROR_BUCKETS",
     "COUNT_BUCKETS",
     "observe_estimate_error",
     "observed_context",

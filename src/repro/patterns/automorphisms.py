@@ -7,7 +7,7 @@ is sufficient.  Results are memoized per structure.
 
 from __future__ import annotations
 
-from typing import Dict, List, Set, Tuple
+from typing import Dict, List, Tuple
 
 from .pattern import Pattern
 
@@ -67,33 +67,3 @@ def automorphisms(pattern: Pattern) -> Tuple[Tuple[int, ...], ...]:
     frozen = tuple(sorted(results))
     _AUT_CACHE[key] = frozen
     return frozen
-
-
-def orbits(pattern: Pattern) -> List[Set[int]]:
-    """Vertex orbits under Aut(P), as a list of disjoint sets."""
-    auts = automorphisms(pattern)
-    parent = list(range(pattern.num_vertices))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for sigma in auts:
-        for v, w in enumerate(sigma):
-            rv, rw = find(v), find(w)
-            if rv != rw:
-                parent[rw] = rv
-    groups: Dict[int, Set[int]] = {}
-    for v in range(pattern.num_vertices):
-        groups.setdefault(find(v), set()).add(v)
-    return list(groups.values())
-
-
-def orbit_of(pattern: Pattern, vertex: int) -> Set[int]:
-    """The orbit containing ``vertex``."""
-    for group in orbits(pattern):
-        if vertex in group:
-            return group
-    raise ValueError(f"vertex {vertex} not in pattern")

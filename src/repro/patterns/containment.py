@@ -1,26 +1,18 @@
 """Pattern-level containment relationships.
 
-Containment constraints ⟨P^M, P^+⟩ (paper §2.2) relate two patterns;
-the runtime needs to know *how* one embeds in the other to align
-exploration plans (task fusion) and to bridge gaps through
-intermediate patterns.  Everything here is pattern-level (tiny), so it
-is computed once before exploration — the paper reports 0.1s–2s for
-all such precomputation, versus hours of exploration.
+Containment constraints ⟨P^M, P^+⟩ (paper §2.2) relate two patterns.
+When a :class:`repro.core.constraints.ContainmentConstraint` is built,
+:func:`classify_constraint` decides the pair's direction and
+:func:`contains` checks that one pattern sits inside the other; the
+static analyzer's satisfiability pass asks :func:`contains` too.  How
+one pattern embeds in the other, for plan alignment and bridging, is
+:func:`repro.patterns.isomorphism.subpattern_embeddings`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
-
-from .isomorphism import contains_subpattern, subpattern_embeddings
+from .isomorphism import contains_subpattern
 from .pattern import Pattern
-
-
-def embeddings(
-    small: Pattern, big: Pattern, induced: bool = False
-) -> List[Dict[int, int]]:
-    """All embeddings of ``small`` into ``big`` (materialized)."""
-    return list(subpattern_embeddings(small, big, induced=induced))
 
 
 def contains(small: Pattern, big: Pattern, induced: bool = False) -> bool:
@@ -44,75 +36,3 @@ def classify_constraint(p_m: Pattern, p_plus: Pattern) -> str:
     raise ValueError(
         "containment constraints need patterns of different sizes"
     )
-
-
-def extension_sets(
-    p_m: Pattern, p_plus: Pattern, induced: bool = False
-) -> List[Tuple[Dict[int, int], Tuple[int, ...]]]:
-    """Ways ``p_plus`` extends ``p_m``.
-
-    Returns ``(embedding, added)`` pairs: ``embedding`` maps each
-    ``p_m`` vertex to its ``p_plus`` image, ``added`` lists the
-    ``p_plus`` vertices not covered (the ones a VTask must bind).
-    Empty when ``p_plus`` does not contain ``p_m``.
-    """
-    results = []
-    for emb in subpattern_embeddings(p_m, p_plus, induced=induced):
-        covered = set(emb.values())
-        added = tuple(v for v in p_plus.vertices() if v not in covered)
-        results.append((emb, added))
-    return results
-
-
-def one_vertex_extensions(
-    p_m: Pattern,
-    candidates: Sequence[Pattern],
-    induced: bool = False,
-) -> List[Pattern]:
-    """Candidates one vertex larger than ``p_m`` that contain it.
-
-    Used when charting bridge paths (paper §5.2.2): the intermediate
-    pattern at each step is exactly one level deeper.
-    """
-    return [
-        candidate
-        for candidate in candidates
-        if candidate.num_vertices == p_m.num_vertices + 1
-        and contains(p_m, candidate, induced=induced)
-    ]
-
-
-def containment_closure(
-    patterns: Sequence[Pattern], induced: bool = False
-) -> Dict[int, List[int]]:
-    """Index ``i -> [j, ...]`` with ``patterns[i]`` contained in ``patterns[j]``.
-
-    Only strict containment (``j`` strictly larger) is recorded.  This
-    is the dependency skeleton the runtime turns into successor
-    dependencies.
-    """
-    closure: Dict[int, List[int]] = {i: [] for i in range(len(patterns))}
-    for i, small in enumerate(patterns):
-        for j, big in enumerate(patterns):
-            if (
-                big.num_vertices > small.num_vertices
-                and contains(small, big, induced=induced)
-            ):
-                closure[i].append(j)
-    return closure
-
-
-def minimal_supersets(
-    p_m: Pattern,
-    universe: Sequence[Pattern],
-    induced: bool = False,
-) -> List[Pattern]:
-    """Smallest-first list of universe patterns strictly containing ``p_m``."""
-    supersets = [
-        p
-        for p in universe
-        if p.num_vertices > p_m.num_vertices
-        and contains(p_m, p, induced=induced)
-    ]
-    supersets.sort(key=lambda p: (p.num_vertices, -p.num_edges))
-    return supersets

@@ -112,9 +112,3 @@ def quasi_clique_patterns_up_to(
         size: quasi_clique_patterns(size, gamma)
         for size in range(min_size, max_size + 1)
     }
-
-
-def count_quasi_clique_patterns(max_size: int, gamma: float, min_size: int = 3) -> int:
-    """Total pattern count across sizes (the paper's "7–26 patterns")."""
-    per_size = quasi_clique_patterns_up_to(max_size, gamma, min_size=min_size)
-    return sum(len(patterns) for patterns in per_size.values())

@@ -63,13 +63,3 @@ def connected_structures(size: int) -> Tuple[Pattern, ...]:
     )
     _STRUCTURE_CACHE[size] = named
     return named
-
-
-def connected_structures_up_to(
-    max_size: int, min_size: int = 1
-) -> Dict[int, Tuple[Pattern, ...]]:
-    """Structures for every size in ``[min_size, max_size]``."""
-    return {
-        size: connected_structures(size)
-        for size in range(min_size, max_size + 1)
-    }

@@ -10,15 +10,14 @@ from repro.analysis import (
     AnalysisReport,
     analyze_constraint_set,
     analyze_kws_workload,
-    analyze_query,
     analyze_query_spec,
     check_alignment_feasibility,
     check_dependency_graph,
     lint_pattern,
     lint_pattern_text,
     selfcheck,
-    verify_symmetry_conditions,
 )
+from repro.analysis.plancheck import verify_symmetry_conditions
 from repro.core import ConstraintSet, ContainmentConstraint, Query
 from repro.errors import QueryAnalysisError
 from repro.graph import graph_from_edges
@@ -240,12 +239,7 @@ class TestEntryPoints:
         assert analyze_constraint_set(cs).ok
 
     def test_analyze_query_builder(self):
-        query = Query(triangle()).not_within(house())
-        assert analyze_query(query).ok
-
-    def test_analyze_query_rejects_non_query(self):
-        with pytest.raises(TypeError):
-            analyze_query(triangle())
+        assert Query(triangle()).not_within(house()).analyze().ok
 
 
 class TestStrictQuery:
@@ -357,7 +351,8 @@ class TestSchedulerFeasibility:
         assert "CG503" not in codes
 
     def test_nsq_style_constraints_are_not_promotable(self):
-        from repro.analysis import check_scheduler, promotable_constraints
+        from repro.analysis import check_scheduler
+        from repro.analysis.schedcheck import promotable_constraints
         from repro.core import nested_query_constraints
         from repro.patterns import house, triangle
 
@@ -371,13 +366,15 @@ class TestSchedulerFeasibility:
         }
         assert "CG502" not in codes
 
-    def test_single_worker_warns_cg504(self):
+    def test_single_worker_draws_the_serial_report(self):
+        """One worker runs the serial path: no sharding, one token."""
         from repro.analysis import check_scheduler
 
-        codes = {
-            d.code for d in check_scheduler("process", n_workers=1).diagnostics
-        }
-        assert "CG504" in codes
+        for name in ("process", "workqueue"):
+            report = check_scheduler(
+                name, n_workers=1, constraint_set=self._mqc_constraints()
+            )
+            assert not report.diagnostics, name
 
     def test_query_builder_surfaces_scheduler_diagnostics(self):
         from repro.patterns import house, triangle

@@ -1,55 +1,32 @@
-"""Tests for maximal cliques and anti-vertex queries."""
+"""Tests for maximal cliques (MQC at gamma = 1) and anti-vertex queries."""
 
 import pytest
 
 from repro.apps import (
     anti_vertex_query,
-    bron_kerbosch,
     lower_anti_vertices,
-    maximal_cliques_contigra,
-    maximal_cliques_reference,
+    maximal_quasi_cliques,
 )
+from repro.baselines.naive import maximal_quasi_cliques as oracle_mqc
 from repro.graph import erdos_renyi, graph_from_edges
 from repro.patterns import Pattern, triangle
-
-
-class TestBronKerbosch:
-    def test_triangle_plus_edge(self):
-        g = graph_from_edges([(0, 1), (1, 2), (0, 2), (2, 3)])
-        cliques = bron_kerbosch(g)
-        assert frozenset({0, 1, 2}) in cliques
-        assert frozenset({2, 3}) in cliques
-        assert len(cliques) == 2
-
-    def test_complete_graph(self):
-        g = graph_from_edges(
-            [(u, v) for u in range(5) for v in range(u + 1, 5)]
-        )
-        assert bron_kerbosch(g) == {frozenset(range(5))}
-
-    def test_covers_every_vertex(self):
-        g = erdos_renyi(20, 0.3, seed=1)
-        cliques = bron_kerbosch(g)
-        covered = set().union(*cliques)
-        assert covered == set(g.vertices())
 
 
 class TestMaximalCliques:
     @pytest.mark.parametrize("seed", range(4))
     def test_contigra_matches_reference(self, seed):
         g = erdos_renyi(15, 0.45, seed=seed)
-        got = maximal_cliques_contigra(g, max_size=5).all_sets()
-        want = maximal_cliques_reference(g, max_size=5)
-        assert got == want
+        got = maximal_quasi_cliques(g, 1.0, 5).all_sets()
+        assert got == oracle_mqc(g, 1.0, 3, 5)
 
     def test_cap_semantics(self):
         # K6: mined with cap 4, every 4-subset is capped-maximal.
         g = graph_from_edges(
             [(u, v) for u in range(6) for v in range(u + 1, 6)]
         )
-        got = maximal_cliques_contigra(g, max_size=4).all_sets()
+        got = maximal_quasi_cliques(g, 1.0, 4).all_sets()
         assert len(got) == 15  # C(6,4)
-        assert got == maximal_cliques_reference(g, max_size=4)
+        assert got == oracle_mqc(g, 1.0, 3, 4)
 
 
 class TestAntiVertex:

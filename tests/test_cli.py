@@ -345,6 +345,8 @@ class TestBadFlagValues:
               "--max-size", "0"], "max_size"),
             (["kws", "--dataset", "mico", "--keywords", "mf",
               "--max-size", "2"], "max_size"),
+            (["analyze", "--workload", "mqc", "--scheduler", "process",
+              "--workers", "0"], "workers"),
         ],
     )
     def test_exit_2_with_field_message(self, argv, field, capsys):

@@ -5,17 +5,11 @@ import pytest
 from repro.patterns import (
     classify_constraint,
     clique,
-    containment_closure,
     contains,
     cycle,
-    embeddings,
-    extension_sets,
     house,
-    minimal_supersets,
-    one_vertex_extensions,
     path,
-    quasi_clique_patterns_up_to,
-    tailed_triangle,
+    subpattern_embeddings,
     triangle,
 )
 
@@ -29,7 +23,7 @@ class TestContains:
         assert not contains(cycle(4), clique(5), induced=True)
 
     def test_embeddings_structure(self):
-        embs = embeddings(triangle(), house())
+        embs = list(subpattern_embeddings(triangle(), house()))
         assert embs  # the roof
         for emb in embs:
             for u, v in triangle().edges:
@@ -46,39 +40,3 @@ class TestClassification:
     def test_equal_sizes_rejected(self):
         with pytest.raises(ValueError):
             classify_constraint(triangle(), path(2))
-
-
-class TestExtensionSets:
-    def test_added_vertices(self):
-        results = extension_sets(triangle(), tailed_triangle())
-        assert results
-        for emb, added in results:
-            assert len(added) == 1
-            assert set(emb.values()) | set(added) == {0, 1, 2, 3}
-
-    def test_empty_when_unrelated(self):
-        assert extension_sets(cycle(4), clique(4), induced=True) == []
-
-
-class TestClosure:
-    def test_quasi_clique_closure_gamma08(self):
-        by_size = quasi_clique_patterns_up_to(6, 0.8)
-        flat = [p for size in sorted(by_size) for p in by_size[size]]
-        closure = containment_closure(flat, induced=True)
-        # the triangle (index 0) is inside every larger quasi-clique
-        assert len(closure[0]) == len(flat) - 1
-        # the largest patterns contain nothing bigger
-        assert closure[len(flat) - 1] == []
-
-    def test_one_vertex_extensions(self):
-        candidates = [tailed_triangle(), clique(4), cycle(4), house()]
-        extensions = one_vertex_extensions(triangle(), candidates)
-        names = {p.name for p in extensions}
-        assert names == {"tailed-triangle", "clique-4"}
-
-    def test_minimal_supersets_ordering(self):
-        universe = [clique(5), tailed_triangle(), clique(4), house()]
-        supersets = minimal_supersets(triangle(), universe)
-        sizes = [p.num_vertices for p in supersets]
-        assert sizes == sorted(sizes)
-        assert supersets[0].num_vertices == 4

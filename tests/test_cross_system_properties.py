@@ -14,8 +14,6 @@ from repro.apps import (
     maximal_quasi_cliques,
     mine_quasi_cliques,
     mine_quasi_cliques_fused,
-    motif_counts,
-    motif_counts_esu,
 )
 from repro.baselines import posthoc_mqc, tthinker_mqc
 from repro.baselines.naive import (
@@ -117,16 +115,3 @@ class TestKeywordSearchInvariants:
             g, [0, 1], 4, collect_workload_stats=False
         ).minimal
         assert small <= large
-
-
-class TestMotifInvariants:
-    @given(st.integers(0, 10_000))
-    @settings(max_examples=10, deadline=None)
-    def test_motif_methods_agree_and_total(self, seed):
-        from repro.baselines.naive import connected_vertex_sets
-
-        g = erdos_renyi(11, 0.35, seed=seed)
-        a = motif_counts(g, 3)
-        b = motif_counts_esu(g, 3)
-        assert a == b
-        assert sum(a.values()) == len(connected_vertex_sets(g, 3, 3))

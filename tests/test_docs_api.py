@@ -1,4 +1,4 @@
-"""The docs name only what exists.
+"""The docs name only what exists, and what exists is used.
 
 docs/api.md: for every ``## Title — `repro.x` `` section, the leading
 identifier of each backticked entry point in the table's first column
@@ -6,8 +6,15 @@ must resolve with ``getattr`` on that package.
 
 DESIGN.md: the module map lists every module under ``src/repro`` (bar
 ``__init__.py``) under its package, and nothing that is not there.
+
+Exports: every name in a ``repro.*`` package's ``__all__`` is named by
+another ``src/repro`` module, a benchmark or an example, or is listed
+in ``UNCONSUMED_EXPORTS`` with its reason.  Docs do not count: they
+describe whatever exists.
 """
 
+import ast
+import glob
 import importlib
 import os
 import re
@@ -88,3 +95,147 @@ def test_design_module_map_matches_the_tree():
     mapped = mapped_modules()
     assert len(mapped) == len(set(mapped))
     assert sorted(mapped) == on_disk
+
+
+#: Exports that no ``src/repro`` module, benchmark or example names,
+#: each with why it stays exported:
+#:
+#: * ``oracle`` — a reference the tests check the engine against;
+#: * ``test-helper`` — builds test inputs or records what a run did;
+#: * ``return-type`` — the type of what a consumed entry point returns
+#:   or raises;
+#: * ``io`` — reads, writes or checks a format that leaves the process;
+#: * ``vocabulary`` — the named values a consumed type carries.
+#:
+#: Anything else with no consumer is dead API: delete it, or stop
+#: exporting a helper only its own module calls.
+UNCONSUMED_EXPORTS = {
+    "repro.analysis.ERROR": "vocabulary",
+    "repro.analysis.WARNING": "vocabulary",
+    "repro.analysis.INFO": "vocabulary",
+    "repro.analysis.StepEstimate": "return-type",
+    "repro.analysis.PlanEstimate": "return-type",
+    "repro.analysis.SchedulerProjection": "return-type",
+    "repro.analysis.RecommendedConfig": "return-type",
+    "repro.apps.QuasiCliqueResult": "return-type",
+    "repro.apps.KeywordSearchResult": "return-type",
+    "repro.baselines.all_quasi_cliques": "oracle",
+    "repro.baselines.minimal_keyword_covers": "oracle",
+    "repro.baselines.nested_query_matches": "oracle",
+    "repro.baselines.pattern_matches": "oracle",
+    "repro.baselines.match_contained_in": "oracle",
+    "repro.baselines.connected_vertex_sets": "oracle",
+    "repro.baselines.PostHocResult": "return-type",
+    "repro.baselines.TThinkerResult": "return-type",
+    "repro.baselines.TThinkerAccounting": "return-type",
+    "repro.bench.DatasetSpec": "return-type",
+    "repro.bench.DEGRADED": "vocabulary",
+    "repro.bench.ExperimentRecord": "io",
+    "repro.bench.compare_records": "io",
+    "repro.core.DependencyEdge": "return-type",
+    "repro.core.DependencyGraph": "return-type",
+    "repro.core.SUCCESSOR": "vocabulary",
+    "repro.core.PREDECESSOR": "vocabulary",
+    "repro.core.BridgeRecipe": "return-type",
+    "repro.exec.EventLog": "test-helper",
+    "repro.exec.EVENTS": "vocabulary",
+    "repro.exec.INCREMENTAL_EVENTS": "vocabulary",
+    "repro.exec.LIFECYCLE_EVENTS": "vocabulary",
+    "repro.exec.RESILIENCE_EVENTS": "vocabulary",
+    "repro.exec.BUDGET_ERRORS": "vocabulary",
+    "repro.exec.FAULT_KINDS": "vocabulary",
+    "repro.exec.Fault": "return-type",
+    "repro.exec.InjectedFault": "return-type",
+    "repro.exec.TransientWorkerError": "return-type",
+    "repro.graph.graph_from_edges": "test-helper",
+    "repro.graph.write_edge_list": "io",
+    "repro.graph.write_labels": "io",
+    "repro.graph.triangle_count": "oracle",
+    "repro.obs.Histogram": "return-type",
+    "repro.obs.validate_prometheus": "io",
+    "repro.patterns.to_dsl": "io",
+    "repro.patterns.quasi_clique_patterns": "test-helper",
+    "repro.serve.DaemonHandle": "return-type",
+    "repro.serve.MiningDaemon": "return-type",
+}
+REASONS = ("oracle", "test-helper", "return-type", "io", "vocabulary")
+
+
+def _defined_names(tree):
+    """Names a module binds at top level (``def``, ``class``, ``=``)."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Assign):
+            names.update(
+                target.id for target in node.targets
+                if isinstance(target, ast.Name)
+            )
+        elif isinstance(node, ast.AnnAssign) and isinstance(
+            node.target, ast.Name
+        ):
+            names.add(node.target.id)
+    return names
+
+
+def _consumer_text(path, source, tree):
+    """What in a file can name an export: all of it, except that an
+    ``__init__.py``'s imports and ``__all__`` re-export rather than use,
+    so only its functions and classes count."""
+    if os.path.basename(path) != "__init__.py":
+        return source
+    return "\n".join(
+        ast.get_source_segment(source, node)
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+    )
+
+
+def _python_files(top):
+    return glob.glob(os.path.join(top, "**", "*.py"), recursive=True)
+
+
+def _read(path):
+    with open(path) as handle:
+        return handle.read()
+
+
+def unconsumed_exports():
+    """``repro.<pkg>.<name>`` for each name in a package's ``__all__``
+    that no other ``src/repro`` module, benchmark or example names."""
+    defines, texts, packages = {}, {}, []
+    for path in _python_files(SRC):
+        source = _read(path)
+        tree = ast.parse(source)
+        defines[path] = _defined_names(tree)
+        texts[path] = _consumer_text(path, source, tree)
+        if os.path.basename(path) == "__init__.py":
+            folder = os.path.relpath(os.path.dirname(path), os.path.dirname(SRC))
+            packages.append(folder.replace(os.sep, "."))
+    outside_text = "\n".join(
+        _read(path)
+        for top in ("benchmarks", "examples")
+        for path in _python_files(os.path.join(ROOT, top))
+    )
+    found = []
+    for package in sorted(packages):
+        for name in importlib.import_module(package).__all__:
+            if name.startswith("__"):  # __version__: metadata, not API
+                continue
+            word = re.compile(rf"\b{re.escape(name)}\b")
+            if word.search(outside_text) or any(
+                word.search(text)
+                for path, text in texts.items()
+                if name not in defines[path]
+            ):
+                continue
+            found.append(f"{package}.{name}")
+    return found
+
+
+def test_every_export_has_a_consumer():
+    found = unconsumed_exports()
+    assert not [name for name in found if name not in UNCONSUMED_EXPORTS]
+    assert not [name for name in UNCONSUMED_EXPORTS if name not in found]
+    assert set(UNCONSUMED_EXPORTS.values()) <= set(REASONS)

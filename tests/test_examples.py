@@ -64,12 +64,6 @@ def test_nested_query_builder_example():
     assert "graph braced_square" in out
 
 
-def test_motifs_and_fsm_example():
-    out = run_example("motifs_and_fsm.py", "mico")
-    assert "motif census" in out
-    assert "frequent labeled subgraphs" in out
-
-
 def test_every_example_is_run_here_and_listed_in_the_readme():
     """An example is added or removed on all three sides or on none."""
     on_disk = {f for f in os.listdir(EXAMPLES_DIR) if f.endswith(".py")}

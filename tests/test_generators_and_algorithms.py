@@ -1,4 +1,4 @@
-"""Tests for graph generators and classic graph algorithms."""
+"""Tests for graph generators, k-cores and the triangle count."""
 
 import pytest
 from hypothesis import given, settings
@@ -6,15 +6,9 @@ from hypothesis import strategies as st
 
 from repro.graph import (
     attach_labels,
-    bfs_distances,
-    clustering_profile,
     community_graph,
-    connected_components,
-    degeneracy_order,
-    disjoint_union,
     erdos_renyi,
     graph_from_edges,
-    is_clique,
     k_core,
     powerlaw_graph,
     triangle_count,
@@ -67,34 +61,8 @@ class TestGenerators:
         with pytest.raises(ValueError):
             attach_labels(erdos_renyi(5, 0.5, seed=0), num_labels=0)
 
-    def test_disjoint_union(self):
-        a = graph_from_edges([(0, 1)])
-        b = graph_from_edges([(0, 1), (1, 2)])
-        u = disjoint_union([a, b])
-        assert u.num_vertices == 5
-        assert u.num_edges == 3
-        assert not u.has_edge(1, 2)  # no cross edges
-
 
 class TestAlgorithms:
-    def test_connected_components(self):
-        g = graph_from_edges([(0, 1), (2, 3), (3, 4)])
-        components = sorted(connected_components(g), key=len)
-        assert components == [[0, 1], [2, 3, 4]]
-
-    def test_degeneracy_of_clique(self):
-        g = graph_from_edges(
-            [(u, v) for u in range(5) for v in range(u + 1, 5)]
-        )
-        order, degeneracy = degeneracy_order(g)
-        assert degeneracy == 4
-        assert sorted(order) == list(range(5))
-
-    def test_degeneracy_of_tree(self):
-        g = graph_from_edges([(0, 1), (1, 2), (1, 3), (3, 4)])
-        _, degeneracy = degeneracy_order(g)
-        assert degeneracy == 1
-
     def test_k_core(self):
         # triangle with pendant: 2-core is the triangle
         g = graph_from_edges([(0, 1), (1, 2), (0, 2), (2, 3)])
@@ -106,25 +74,6 @@ class TestAlgorithms:
         g = graph_from_edges([(0, 1), (1, 2), (0, 2), (2, 3), (1, 3)])
         assert triangle_count(g) == 2
 
-    def test_bfs_distances(self):
-        g = graph_from_edges([(0, 1), (1, 2), (2, 3)])
-        assert bfs_distances(g, 0) == {0: 0, 1: 1, 2: 2, 3: 3}
-
-    def test_bfs_unreachable_absent(self):
-        g = graph_from_edges([(0, 1), (2, 3)])
-        assert 2 not in bfs_distances(g, 0)
-
-    def test_is_clique(self):
-        g = graph_from_edges([(0, 1), (1, 2), (0, 2), (2, 3)])
-        assert is_clique(g, [0, 1, 2])
-        assert not is_clique(g, [0, 1, 3])
-
-    def test_clustering_profile(self):
-        g = erdos_renyi(20, 0.3, seed=4)
-        profile = clustering_profile(g)
-        assert profile["vertices"] == 20
-        assert profile["density"] == pytest.approx(g.density)
-
     @given(graph_strategy(max_vertices=12))
     @settings(max_examples=40, deadline=None)
     def test_kcore_property(self, g):
@@ -133,18 +82,3 @@ class TestAlgorithms:
             core = k_core(g, k)
             for v in core:
                 assert sum(1 for w in g.neighbors(v) if w in core) >= k
-
-    @given(graph_strategy(max_vertices=12))
-    @settings(max_examples=40, deadline=None)
-    def test_components_partition(self, g):
-        components = connected_components(g)
-        flat = [v for component in components for v in component]
-        assert sorted(flat) == list(g.vertices())
-
-    @given(graph_strategy(max_vertices=10))
-    @settings(max_examples=30, deadline=None)
-    def test_degeneracy_bounds(self, g):
-        _, degeneracy = degeneracy_order(g)
-        assert degeneracy <= g.max_degree
-        if g.num_edges:
-            assert degeneracy >= 1

@@ -10,12 +10,13 @@ from repro.patterns import (
     contains_subpattern,
     cycle,
     diamond,
-    find_isomorphism,
     house,
     path,
     subpattern_embeddings,
     triangle,
 )
+
+from repro.patterns.isomorphism import find_isomorphism
 
 from conftest import connected_pattern_strategy
 

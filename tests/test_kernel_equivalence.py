@@ -29,12 +29,11 @@ from repro.graph import (
     Graph,
     GraphIndex,
     auto_selects_kernels,
-    bits_from_sorted,
     bits_to_sorted,
     erdos_renyi,
     resolve_index,
 )
-from repro.graph.index import BITSET_MIN_DEGREE
+from repro.graph.index import BITSET_MIN_DEGREE, bits_from_sorted
 from repro.mining import (
     ConstraintStats,
     MiningEngine,

@@ -15,7 +15,6 @@ from repro.patterns import (
     quasi_clique_min_degree,
     quasi_clique_patterns,
     quasi_clique_patterns_up_to,
-    count_quasi_clique_patterns,
     star,
     tailed_triangle,
     triangle,
@@ -108,9 +107,9 @@ class TestQuasiCliqueDegree:
 class TestQuasiCliquePatterns:
     def test_paper_pattern_counts(self):
         """The paper's §8.2: 7-26 patterns for gamma in [0.6, 0.8]."""
-        assert count_quasi_clique_patterns(6, 0.8) == 7
-        assert count_quasi_clique_patterns(6, 0.7) == 9
-        assert count_quasi_clique_patterns(6, 0.6) == 26
+        for gamma, total in ((0.8, 7), (0.7, 9), (0.6, 26)):
+            by_size = quasi_clique_patterns_up_to(6, gamma)
+            assert sum(map(len, by_size.values())) == total
 
     def test_gamma08_small_sizes_are_cliques(self):
         assert quasi_clique_patterns(4, 0.8) == (

@@ -7,7 +7,6 @@ from repro.mining import (
     CallbackProcessor,
     CollectProcessor,
     CountProcessor,
-    FilterMapReduceProcessor,
     FirstMatchProcessor,
     Match,
     MiningEngine,
@@ -83,30 +82,6 @@ class TestProcessors:
         assert not p.process(matches[0])
         assert p.process(matches[1])
         assert p.calls == 2
-
-    def test_filter_map_reduce(self):
-        p = FilterMapReduceProcessor(
-            map_fn=lambda m: min(m.vertex_set),
-            reduce_fn=lambda acc, x: acc + x,
-            initial=0,
-            filter_fn=lambda m: 0 in m.vertex_set,
-        )
-        for m in self._matches():
-            p.process(m)
-        expected = sum(
-            0 for m in self._matches() if 0 in m.vertex_set
-        )
-        assert p.result() == expected
-
-    def test_filter_map_reduce_no_filter(self):
-        p = FilterMapReduceProcessor(
-            map_fn=lambda m: 1,
-            reduce_fn=lambda acc, x: acc + x,
-            initial=0,
-        )
-        for m in self._matches():
-            p.process(m)
-        assert p.result() == len(self._matches())
 
     def test_base_processor_abstract(self):
         from repro.mining.processors import Processor

@@ -1,41 +1,12 @@
-"""Extended maximal-clique tests: Bron–Kerbosch as the anchor oracle."""
+"""Capped maximal cliques: the MQC workload at gamma = 1 against the
+naive MQC oracle."""
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.apps import (
-    bron_kerbosch,
-    maximal_cliques_contigra,
-    maximal_cliques_reference,
-)
+from repro.apps import maximal_quasi_cliques
+from repro.baselines.naive import maximal_quasi_cliques as oracle_mqc
 from repro.graph import erdos_renyi, graph_from_edges
-
-from conftest import graph_strategy
-
-
-class TestBKProperties:
-    @given(graph_strategy(max_vertices=12))
-    @settings(max_examples=40, deadline=None)
-    def test_cliques_are_maximal_cliques(self, g):
-        from repro.graph import is_clique
-
-        cliques = bron_kerbosch(g)
-        for c in cliques:
-            assert is_clique(g, sorted(c))
-            # maximality: no vertex extends it
-            for v in g.vertices():
-                if v in c:
-                    continue
-                assert not all(g.has_edge(v, u) for u in c)
-
-    @given(graph_strategy(max_vertices=12))
-    @settings(max_examples=40, deadline=None)
-    def test_every_vertex_covered(self, g):
-        if g.num_vertices == 0:
-            return
-        covered = set().union(*bron_kerbosch(g))
-        assert covered == set(g.vertices())
 
 
 class TestCappedSemantics:
@@ -43,19 +14,20 @@ class TestCappedSemantics:
     @settings(max_examples=15, deadline=None)
     def test_contigra_equals_reference(self, seed, cap):
         g = erdos_renyi(13, 0.5, seed=seed)
-        got = maximal_cliques_contigra(g, max_size=cap).all_sets()
-        assert got == maximal_cliques_reference(g, max_size=cap)
+        got = maximal_quasi_cliques(g, 1.0, cap).all_sets()
+        assert got == oracle_mqc(g, 1.0, 3, cap)
 
     def test_reference_handles_oversized_cliques(self):
         # K5 capped at 3: every triangle inside is capped-maximal.
         g = graph_from_edges(
             [(u, v) for u in range(5) for v in range(u + 1, 5)]
         )
-        reference = maximal_cliques_reference(g, max_size=3)
-        assert len(reference) == 10  # C(5,3)
+        got = maximal_quasi_cliques(g, 1.0, 3).all_sets()
+        assert len(got) == 10  # C(5,3)
+        assert got == oracle_mqc(g, 1.0, 3, 3)
 
     def test_min_size_filters(self):
         g = graph_from_edges([(0, 1), (1, 2), (0, 2), (3, 4)])
-        got = maximal_cliques_contigra(g, max_size=4, min_size=3).all_sets()
+        got = maximal_quasi_cliques(g, 1.0, 4, min_size=3).all_sets()
         # the lone edge 3-4 is below min_size
         assert got == {frozenset({0, 1, 2})}

@@ -6,13 +6,16 @@ from repro.core import (
     LateralScheduler,
     PromotionRegistry,
     ValidationTarget,
-    graph_is_dense,
     order_validation_targets,
-    pattern_is_dense,
     prefer_sparse_first,
     resolve_strategy,
 )
-from repro.core.ordering import order_by_density, order_exploration_paths
+from repro.core.ordering import (
+    graph_is_dense,
+    order_by_density,
+    order_exploration_paths,
+    pattern_is_dense,
+)
 from repro.graph import erdos_renyi
 from repro.mining import ConstraintStats, SetOperationCache
 from repro.patterns import (

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from repro.patterns import (
     ExplorationPlan,
     Pattern,
-    choose_matching_order,
     clique,
     house,
     path,
@@ -14,6 +13,8 @@ from repro.patterns import (
     tailed_triangle,
     triangle,
 )
+
+from repro.patterns.plan import choose_matching_order
 
 from conftest import connected_pattern_strategy
 

@@ -19,8 +19,6 @@ from repro.patterns import (
     clique,
     conditions_by_position,
     cycle,
-    orbit_of,
-    orbits,
     path,
     quasi_clique_patterns,
     satisfies_conditions,
@@ -58,16 +56,6 @@ class TestAutomorphisms:
     def test_identity_always_present(self):
         for p in (triangle(), path(3), star(3)):
             assert tuple(range(p.num_vertices)) in automorphisms(p)
-
-    def test_orbits_triangle(self):
-        assert orbits(triangle()) == [{0, 1, 2}]
-
-    def test_orbits_star(self):
-        groups = sorted(orbits(star(3)), key=len)
-        assert groups == [{0}, {1, 2, 3}]
-
-    def test_orbit_of(self):
-        assert orbit_of(star(3), 2) == {1, 2, 3}
 
 
 class TestConditions:

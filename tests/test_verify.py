@@ -2,15 +2,12 @@
 
 import pytest
 
-from repro.apps import keyword_search, maximal_quasi_cliques, mine_quasi_cliques
-from repro.apps.verify import (
+from repro.apps import (
+    maximal_quasi_cliques,
+    mine_quasi_cliques,
     verify_maximal_quasi_cliques,
-    verify_minimal_covers,
-    verify_quasi_clique_universe,
 )
 from repro.graph import erdos_renyi
-
-from conftest import labeled_random_graph
 
 
 class TestMQCVerification:
@@ -64,49 +61,3 @@ class TestMQCVerification:
             g, {frozenset({0, 1})}, 0.7, 5, min_size=3
         )
         assert any("out of range" in v for v in violations)
-
-
-class TestKWSVerification:
-    def test_clean_result_passes(self):
-        g = labeled_random_graph(15, 0.3, num_labels=4, seed=5)
-        result = keyword_search(
-            g, [0, 1], 4, collect_workload_stats=False
-        )
-        assert verify_minimal_covers(g, result.minimal, [0, 1], 4) == []
-
-    def test_detects_non_cover(self):
-        g = labeled_random_graph(15, 0.3, num_labels=4, seed=5)
-        bogus = frozenset({v for v in range(3) if g.is_connected_subset(range(3))} or {0})
-        violations = verify_minimal_covers(g, {frozenset({0})}, [0, 1], 4)
-        # a single vertex can't cover two keywords
-        assert violations
-
-    def test_detects_oversized(self):
-        g = labeled_random_graph(15, 0.5, num_labels=2, seed=6)
-        big = frozenset(range(6))
-        violations = verify_minimal_covers(g, {big}, [0], 4)
-        assert any("size cap" in v for v in violations)
-
-
-class TestUniverseVerification:
-    def test_clean_result_passes(self):
-        g = erdos_renyi(14, 0.5, seed=7)
-        result = mine_quasi_cliques(g, 0.7, 5)
-        assert verify_quasi_clique_universe(
-            g, result.all_sets(), 0.7, 5
-        ) == []
-
-    def test_detects_low_degree(self):
-        g = erdos_renyi(14, 0.3, seed=8)
-        sparse_set = None
-        import itertools
-
-        for combo in itertools.combinations(range(14), 4):
-            degrees = g.degrees_within(list(combo))
-            if g.is_connected_subset(combo) and min(degrees.values()) == 1:
-                sparse_set = frozenset(combo)
-                break
-        if sparse_set is None:
-            pytest.skip("no suitably sparse connected set")
-        violations = verify_quasi_clique_universe(g, {sparse_set}, 0.8, 5)
-        assert any("min degree" in v for v in violations)
