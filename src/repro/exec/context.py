@@ -14,9 +14,9 @@ byte accounting):
   / OOS).  The deadline check is tick-gated so hot loops pay one
   integer op per call, one clock read per ``check_interval`` calls.
 * :class:`TaskContext` — the bundle engines carry: token + budget +
-  event bus (+ the tracer attached to it).  ``child()`` derives a
-  context whose token is subordinate but whose budget and bus are
-  shared — the task hierarchy of the paper's ETask → VTask spawning.
+  event bus.  ``child()`` derives a context whose token is subordinate
+  but whose budget and bus are shared — the task hierarchy of the
+  paper's ETask → VTask spawning.
 """
 
 from __future__ import annotations
@@ -200,28 +200,24 @@ class TaskContext:
     """Everything a task needs from its runtime, in one handle.
 
     ``token`` gates cooperative cancellation, ``budget`` owns the
-    deadline and byte accounting, ``bus`` carries instrumentation
-    events to whoever observes the run, and ``tracer`` optionally
-    references the :class:`repro.obs.SpanTracer` attached to the bus
-    (so schedulers and the CLI can finalize or export it without
-    re-discovering the subscriber).  Counters are not the context's
-    business: each session owns its stats and counts in place.
+    deadline and byte accounting, and ``bus`` carries instrumentation
+    events to whoever observes the run.  Counters are not the
+    context's business: each session owns its stats and counts in
+    place.
     Contexts are cheap; derive per-scope children with :meth:`child`.
     """
 
-    __slots__ = ("token", "budget", "bus", "tracer")
+    __slots__ = ("token", "budget", "bus")
 
     def __init__(
         self,
         token: Optional[CancellationToken] = None,
         budget: Optional[Budget] = None,
         bus: Optional[EventBus] = None,
-        tracer: Optional[Any] = None,
     ) -> None:
         self.token = token if token is not None else CancellationToken()
         self.budget = budget if budget is not None else Budget()
         self.bus = bus if bus is not None else EventBus()
-        self.tracer = tracer
 
     @classmethod
     def create(
@@ -231,11 +227,9 @@ class TaskContext:
         memory_budget_bytes: Optional[int] = None,
         storage_budget_bytes: Optional[int] = None,
         bus: Optional[EventBus] = None,
-        tracer: Optional[Any] = None,
     ) -> "TaskContext":
-        """Standard context: fresh token, fresh budget; a ``tracer`` is
-        attached to the bus and remembered on the context."""
-        ctx = cls(
+        """Standard context: fresh token, fresh budget."""
+        return cls(
             token=CancellationToken(),
             budget=Budget(
                 time_limit=time_limit,
@@ -244,11 +238,7 @@ class TaskContext:
                 check_interval=check_interval,
             ),
             bus=bus,
-            tracer=tracer,
         )
-        if tracer is not None:
-            tracer.attach(ctx.bus)
-        return ctx
 
     def child(self) -> "TaskContext":
         """Derived context: subordinate token, shared budget and bus."""
@@ -256,7 +246,6 @@ class TaskContext:
         ctx.token = self.token.child()
         ctx.budget = self.budget
         ctx.bus = self.bus
-        ctx.tracer = self.tracer
         return ctx
 
     @property

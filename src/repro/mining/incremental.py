@@ -19,10 +19,11 @@ the batch could possibly have changed.  The machinery:
   label-partition intersections* (``EngineSession.run_roots`` filters
   every pattern's label-partition root candidates by the region), then
   re-validates only matches whose vertex set intersects the inner
-  region.  New matches are published as ``match_added`` events,
-  vanished ones as ``match_retracted`` — a retraction is a lookup in
-  the subscription's per-version match index (kept in the
-  :class:`~repro.graph.store.DerivedCache`), never a re-mine.
+  region.  Each pass hands the subscription's sink one
+  :class:`DeltaUpdate` listing the added and the retracted matches — a
+  retraction is a lookup in the subscription's per-version match index
+  (kept in the :class:`~repro.graph.store.DerivedCache`), never a
+  re-mine.
 
 Correctness is anchored by a property oracle (see
 ``tests/test_incremental.py``): for any (graph, batch, query) the
@@ -66,7 +67,6 @@ from typing import (
 
 from ..core.constraints import ConstraintSet
 from ..core.runtime import ContigraEngine, ContigraResult
-from ..exec.events import DELTA, MATCH_ADDED, MATCH_RETRACTED, EventBus
 from ..graph.graph import Graph
 from ..graph.store import (
     DerivedCache,
@@ -260,7 +260,7 @@ def _match_dict(pattern: Pattern, assignment: Tuple[int, ...]) -> Dict[str, Any]
 
 @dataclass
 class DeltaUpdate:
-    """One delta pass for one subscription, ready for the event bus."""
+    """One delta pass for one subscription, as its sink receives it."""
 
     subscription: str
     graph: str
@@ -354,12 +354,10 @@ class SubscriptionRegistry:
         self,
         store: Optional[GraphStore] = None,
         cache: Optional[DerivedCache] = None,
-        bus: Optional[EventBus] = None,
         metrics: Optional[Any] = None,
     ) -> None:
         self._store = store if store is not None else graph_store()
         self._cache = cache if cache is not None else derived_cache()
-        self.bus = bus if bus is not None else EventBus()
         self._metrics = metrics
         self._subs: Dict[str, Subscription] = {}
         self._lock = threading.Lock()
@@ -560,31 +558,6 @@ class SubscriptionRegistry:
         return update
 
     def _publish(self, sub: Subscription, update: DeltaUpdate) -> None:
-        for pattern, assignment in update.added:
-            self.bus.emit(
-                MATCH_ADDED,
-                subscription=sub.id,
-                graph=sub.name,
-                **_match_dict(pattern, assignment),
-            )
-        for pattern, assignment in update.retracted:
-            self.bus.emit(
-                MATCH_RETRACTED,
-                subscription=sub.id,
-                graph=sub.name,
-                **_match_dict(pattern, assignment),
-            )
-        self.bus.emit(
-            DELTA,
-            subscription=sub.id,
-            graph=sub.name,
-            added=len(update.added),
-            retracted=len(update.retracted),
-            frontier=update.frontier_size,
-            revalidated=update.revalidated,
-            mode=update.mode,
-            elapsed=update.elapsed,
-        )
         self._observe(update)
         if sub.sink is not None:
             try:

@@ -13,10 +13,11 @@ The one-call entry point is :func:`observed_context`:
 .. code-block:: python
 
     ctx, tracer, registry = observed_context(time_limit=60.0)
-    engine = ContigraEngine(graph, query, ctx=ctx)
-    result = engine.run()
+    result = maximal_quasi_cliques(graph, 0.8, 4, ctx=ctx)
     tracer.finalize().write_chrome("trace.json")
     registry.write_prometheus("metrics.prom")
+
+``repro trace trace.json`` renders the exported span tree.
 
 See ``docs/observability.md`` for the architecture, the event/spans
 mapping, and how traces stay complete across process-shard workers.
@@ -24,7 +25,7 @@ mapping, and how traces stay complete across process-shard workers.
 
 from __future__ import annotations
 
-from typing import Any, Optional, Tuple
+from typing import Optional, Tuple
 
 from ..exec.context import TaskContext
 from .metrics import (
@@ -59,28 +60,15 @@ __all__ = [
 
 def observed_context(
     time_limit: Optional[float] = None,
-    check_interval: int = 256,
-    metrics: bool = True,
-    **create_kwargs: Any,
 ) -> Tuple[TaskContext, SpanTracer, MetricsRegistry]:
     """A :class:`TaskContext` with tracing and metrics attached.
 
-    Returns ``(ctx, tracer, registry)``: the context carries the tracer
-    (so schedulers and CLIs can reach it via ``ctx.tracer``), the
-    tracer and a :class:`MetricsSubscriber` over ``registry`` are both
-    subscribed to the context's bus.  ``metrics=False`` skips the
-    metrics subscription (the registry is still returned, just unfed).
-    Extra keyword arguments pass through to
-    :meth:`TaskContext.create`.
+    Returns ``(ctx, tracer, registry)``: the tracer and a
+    :class:`MetricsSubscriber` over ``registry`` are both subscribed to
+    the context's bus.
     """
-    tracer = SpanTracer()
+    ctx = TaskContext.create(time_limit=time_limit)
+    tracer = SpanTracer().attach(ctx.bus)
     registry = MetricsRegistry()
-    ctx = TaskContext.create(
-        time_limit=time_limit,
-        check_interval=check_interval,
-        tracer=tracer,
-        **create_kwargs,
-    )
-    if metrics:
-        MetricsSubscriber(registry).attach(ctx.bus)
+    MetricsSubscriber(registry).attach(ctx.bus)
     return ctx, tracer, registry

@@ -11,7 +11,7 @@ for embedding in benchmark JSON records.
 registry: every event increments ``repro_events_total{event=...}``,
 lifecycle events feed dedicated counters, and ``phase_start`` /
 ``phase_end`` pairs are folded into per-phase duration histograms —
-using the *emission* timestamps delivered to timed subscribers, so
+using the *emission* timestamps delivered to subscribers, so
 durations of replayed shard events reflect worker-side time, not
 merge-time.
 """
@@ -34,6 +34,7 @@ from ..exec.events import (
     SHARD_RETRY,
     EventBus,
 )
+from .trace import track_key
 
 __all__ = [
     "Counter",
@@ -301,10 +302,11 @@ class MetricsRegistry:
 class MetricsSubscriber:
     """Feeds a :class:`MetricsRegistry` from an execution event bus.
 
-    Subscribes as a *timed* handler so phase durations use emission
-    timestamps (worker-side time for replayed shard events).  Phase
-    stacks are per track — mirroring :class:`repro.obs.trace.SpanTracer`
-    — so interleaved threads and replayed shards measure correctly.
+    Phase durations use the emission timestamps the bus delivers
+    (worker-side time for replayed shard events).  Phase stacks are
+    per track — the :class:`repro.obs.trace.SpanTracer`'s
+    :func:`~repro.obs.trace.track_key` — so interleaved threads and
+    replayed shards measure correctly.
     """
 
     def __init__(self, registry: Optional[MetricsRegistry] = None) -> None:
@@ -313,13 +315,8 @@ class MetricsSubscriber:
         self._lock = threading.Lock()
 
     def attach(self, bus: EventBus) -> "MetricsSubscriber":
-        bus.subscribe_timed(self.on_event)
+        bus.subscribe(self.on_event)
         return self
-
-    def _track_key(self, track: Optional[str]) -> str:
-        if track is not None:
-            return track
-        return f"live-{threading.get_ident()}"
 
     def on_event(
         self,
@@ -328,7 +325,7 @@ class MetricsSubscriber:
         payload: Dict[str, Any],
         track: Optional[str],
     ) -> None:
-        """Timed-subscriber entry point (see ``TimedHandler``)."""
+        """Subscriber entry point (see ``repro.exec.events.Handler``)."""
         raw_count = payload.get("count", 1)
         count = float(raw_count) if isinstance(raw_count, (int, float)) else 1.0
         registry = self.registry
@@ -340,15 +337,15 @@ class MetricsSubscriber:
         if event == PHASE_START:
             phase = str(payload.get("phase", "?"))
             with self._lock:
-                self._stacks.setdefault(
-                    self._track_key(track), []
-                ).append((phase, timestamp))
+                self._stacks.setdefault(track_key(track), []).append(
+                    (phase, timestamp)
+                )
             return
         if event == PHASE_END:
             phase = str(payload.get("phase", "?"))
             opened: Optional[Tuple[str, float]] = None
             with self._lock:
-                stack = self._stacks.get(self._track_key(track))
+                stack = self._stacks.get(track_key(track))
                 while stack:
                     candidate = stack.pop()
                     if candidate[0] == phase:

@@ -1,17 +1,18 @@
 """Span tracing over the execution event bus.
 
-The :class:`SpanTracer` is a timed bus subscriber
-(:meth:`repro.exec.events.EventBus.subscribe_timed`) that folds the
+The :class:`SpanTracer` is a bus subscriber
+(:meth:`repro.exec.events.EventBus.subscribe`) that folds the
 ``phase_start`` / ``phase_end`` event stream into nested **spans** with
 monotonic timings, and attaches every other event to the span that was
 open when it fired (lifecycle events as per-span counts).
 
 Tracks
 ------
-Spans nest per *track*.  Live events land on a track derived from the
-emitting thread (``WorkQueueScheduler`` workers interleave their phase
-events on one shared bus; per-thread tracks keep their stacks apart);
-events replayed from a process shard carry the replay's ``track`` label
+Spans nest per *track* (:func:`track_key`).  Live events land on a
+track derived from the emitting thread (``WorkQueueScheduler``
+workers interleave their phase events on one shared bus; per-thread
+tracks keep their stacks apart); events replayed from a process
+shard carry the replay's ``track`` label
 (``shard-0``, ``shard-1``, …), so each worker's timeline stays a
 self-consistent tree even though the replay happens sequentially at
 merge time.
@@ -20,20 +21,19 @@ Exports
 -------
 :meth:`SpanTracer.to_chrome` renders the span forest in the Chrome
 ``trace_event`` JSON format (load it at ``chrome://tracing`` or
-https://ui.perfetto.dev); :meth:`SpanTracer.render` produces a
-human-readable indented tree for terminals (the ``repro trace``
-subcommand).
+https://ui.perfetto.dev); the ``repro trace`` subcommand prints a
+written file as an indented tree for terminals.
 """
 
 from __future__ import annotations
 
 import json
 import threading
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Optional
 
 from ..exec.events import PHASE_END, PHASE_START, EventBus
 
-__all__ = ["Span", "SpanTracer"]
+__all__ = ["Span", "SpanTracer", "track_key"]
 
 
 class Span:
@@ -86,12 +86,10 @@ class Span:
 class SpanTracer:
     """Turns bus events into a span forest, one tree stack per track.
 
-    Attach with :meth:`attach` (or pass the tracer to
-    :meth:`repro.exec.context.TaskContext.create`); call
-    :meth:`finalize` after the run to close any spans left open by an
-    abnormal exit, then export.
+    Attach with :meth:`attach`; call :meth:`finalize` after the run to
+    close any spans left open by an abnormal exit, then export.
 
-    The tracer is an ordinary timed subscriber: it sees replayed shard
+    The tracer is an ordinary subscriber: it sees replayed shard
     events with their original (rebased) timestamps and their shard
     ``track`` label, so cross-process traces are complete and correctly
     timed without any scheduler-specific code here.
@@ -111,16 +109,8 @@ class SpanTracer:
     # ------------------------------------------------------------------
 
     def attach(self, bus: EventBus) -> "SpanTracer":
-        bus.subscribe_timed(self.on_event)
+        bus.subscribe(self.on_event)
         return self
-
-    def _track_key(self, track: Optional[str]) -> str:
-        if track is not None:
-            return track
-        ident = threading.get_ident()
-        if ident == _MAIN_THREAD_ID:
-            return "main"
-        return f"thread-{ident}"
 
     def on_event(
         self,
@@ -129,13 +119,13 @@ class SpanTracer:
         payload: Dict[str, Any],
         track: Optional[str],
     ) -> None:
-        """Timed-subscriber entry point (see ``TimedHandler``)."""
+        """Subscriber entry point (see ``repro.exec.events.Handler``)."""
         with self._lock:
             if self._first_ts is None or timestamp < self._first_ts:
                 self._first_ts = timestamp
             if self._last_ts is None or timestamp > self._last_ts:
                 self._last_ts = timestamp
-            key = self._track_key(track)
+            key = track_key(track)
             stack = self._stacks.setdefault(key, [])
             if event == PHASE_START:
                 name = str(payload.get("phase", "?"))
@@ -292,49 +282,16 @@ class SpanTracer:
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(self.to_chrome(), fh)
 
-    def render(self, unit: str = "ms") -> str:
-        """Human-readable indented span tree (terminal output)."""
-        scale, suffix = _UNITS.get(unit, _UNITS["ms"])
-        lines: List[str] = []
-        by_track: Dict[str, List[Span]] = {}
-        for root in self.roots:
-            by_track.setdefault(root.track, []).append(root)
-        for track in sorted(by_track):
-            lines.append(f"[{track}]")
-            for root in by_track[track]:
-                self._render_span(root, lines, 1, scale, suffix)
-        if self._orphans:
-            orphans = ", ".join(
-                f"{name}={count}"
-                for name, count in sorted(self._orphans.items())
-            )
-            lines.append(f"(outside spans: {orphans})")
-        return "\n".join(lines)
-
-    def _render_span(
-        self,
-        span: Span,
-        lines: List[str],
-        depth: int,
-        scale: float,
-        suffix: str,
-    ) -> None:
-        duration = f"{span.duration * scale:.3f}{suffix}"
-        extras: List[str] = []
-        for key, value in sorted(span.payload.items()):
-            extras.append(f"{key}={value}")
-        for event, count in sorted(span.events.items()):
-            extras.append(f"{event}={count}")
-        detail = f"  ({', '.join(extras)})" if extras else ""
-        lines.append(f"{'  ' * depth}{span.name} {duration}{detail}")
-        for child in span.children:
-            self._render_span(child, lines, depth + 1, scale, suffix)
-
 
 _MAIN_THREAD_ID = threading.main_thread().ident
 
-_UNITS: Dict[str, Tuple[float, str]] = {
-    "s": (1.0, "s"),
-    "ms": (1e3, "ms"),
-    "us": (1e6, "us"),
-}
+
+def track_key(track: Optional[str]) -> str:
+    """The track an event's phase stack lives on: the replay label, or
+    for a live event (``track=None``) the emitting thread."""
+    if track is not None:
+        return track
+    ident = threading.get_ident()
+    if ident == _MAIN_THREAD_ID:
+        return "main"
+    return f"thread-{ident}"

@@ -9,7 +9,7 @@ query, applies one mutation batch and asserts the delta stream
 delivers the resulting ``match_added`` + ``delta`` events, scrapes
 ``/metrics``, shuts down cleanly, and prints a JSON report.  A nonzero
 exit code means some stage of that round trip broke — this is the CI
-``serve-smoke`` and ``incremental-smoke`` jobs' entry point.
+``serve-smoke`` job's entry point.
 """
 
 from __future__ import annotations

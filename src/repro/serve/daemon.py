@@ -47,6 +47,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Container, Dict, List, Optional, Set, Tuple
 
 from ..analysis import AdmissionDecision
+from ..core.runtime import _DEADLINE_CHECK_INTERVAL
 from ..errors import ReproError
 from ..exec.context import TaskContext
 from ..graph.graph import Graph
@@ -69,9 +70,6 @@ from .config import ServeConfig, TenantConfig
 from .ratelimit import TokenBucket
 
 logger = logging.getLogger(__name__)
-
-#: Serving runs favor cancellation responsiveness over per-check cost.
-_CHECK_INTERVAL = 64
 
 #: The run fields a request body may set; ``RunRequest`` has more
 #: (``adjacency`` / ``aux`` / ``retries`` / ``on_failure``), which the
@@ -891,7 +889,7 @@ class MiningDaemon:
             ctx=TaskContext.create(
                 time_limit=request.time_limit,
                 memory_budget_bytes=tenant.budget_bytes,
-                check_interval=_CHECK_INTERVAL,
+                check_interval=_DEADLINE_CHECK_INTERVAL,
             ),
             outbox=Outbox(self._loop, streamed=stream),
         )

@@ -231,7 +231,10 @@ class TestWorkQueueRound:
         graph = erdos_renyi(60, 0.4, seed=3)
         ctx = TaskContext.create(time_limit=0.02)
         failed = []
-        ctx.bus.subscribe(SHARD_FAILED, lambda **kw: failed.append(kw))
+        ctx.bus.subscribe(
+            lambda event, ts, payload, track: event == SHARD_FAILED
+            and failed.append(payload)
+        )
         result = engine_for(graph).run_with(
             WorkQueueScheduler(n_workers=3, on_failure="degrade"), ctx=ctx
         )

@@ -406,6 +406,27 @@ class TestSchedulerFlags:
         rendered = capsys.readouterr().out
         assert "run" in rendered and "pattern" in rendered
 
+    def test_render_tree_shape(self, tmp_path, capsys):
+        from repro.obs import SpanTracer
+
+        tracer = SpanTracer()
+        for event, ts, payload in [
+            ("phase_start", 0.0, {"phase": "run"}),
+            ("phase_start", 0.1, {"phase": "pattern", "pattern": "p"}),
+            ("phase_end", 0.2, {"phase": "pattern"}),
+            ("phase_end", 0.3, {"phase": "run"}),
+        ]:
+            tracer.on_event(event, ts, payload, None)
+        trace_file = tmp_path / "trace.json"
+        tracer.finalize().write_chrome(str(trace_file))
+        assert main(["trace", str(trace_file)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "[main]"
+        run, pattern = lines[1:]
+        assert run.startswith("  run ")
+        assert pattern.startswith("    pattern ")
+        assert "pattern=p" in pattern
+
     def test_trace_subcommand_rejects_invalid_file(
         self, tmp_path, capsys
     ):

@@ -139,7 +139,6 @@ UNCONSUMED_EXPORTS = {
     "repro.core.BridgeRecipe": "return-type",
     "repro.exec.EventLog": "test-helper",
     "repro.exec.EVENTS": "vocabulary",
-    "repro.exec.INCREMENTAL_EVENTS": "vocabulary",
     "repro.exec.LIFECYCLE_EVENTS": "vocabulary",
     "repro.exec.RESILIENCE_EVENTS": "vocabulary",
     "repro.exec.BUDGET_ERRORS": "vocabulary",

@@ -3,7 +3,7 @@
 Covers ``repro.mining.incremental`` bottom-up: the touched-vertex
 frontier, the pattern radius, BFS region expansion over the union
 adjacency, the ``SubscriptionRegistry`` lifecycle (baseline seeding,
-store-listener wiring, event emission, scratch fallback, metrics),
+store-listener wiring, sink delivery, scratch fallback, metrics),
 and — the anchor — the delta-equivalence property oracle: for random
 (graph, batch) pairs, the incremental added/retracted sets must equal
 the set-diff of scratch re-mines of the two versions, under all three
@@ -14,7 +14,6 @@ import random
 
 import pytest
 
-from repro.exec.events import DELTA, MATCH_ADDED, MATCH_RETRACTED
 from repro.graph import Graph, erdos_renyi
 from repro.graph.store import (
     MutationBatch,
@@ -180,7 +179,8 @@ class TestSubscriptionRegistry:
         n = g.num_vertices
 
         store.apply_batch("reg", _triangle_batch(n))
-        grow = updates[-1]
+        (grow,) = updates  # one delta pass per batch
+        assert (grow.subscription, grow.graph) == (sub.id, "reg")
         assert grow.mode == "delta"
         assert grow.frontier_size == 3
         triangle = (n, n + 1, n + 2)
@@ -193,39 +193,13 @@ class TestSubscriptionRegistry:
         store.apply_batch(
             "reg", MutationBatch.of(remove_edges=[(n, n + 1)])
         )
+        assert len(updates) == 2
         shrink = updates[-1]
         assert shrink.mode == "delta"
         assert any(a == triangle for _, a in shrink.retracted)
         assert sub.deltas == 2
         assert sub.added_total >= 1
         assert sub.retracted_total >= 1
-
-    def test_events_emitted_on_bus(self):
-        g = erdos_renyi(18, 0.3, seed=9, name="reg")
-        store = graph_store()
-        store.register(g, "reg")
-        reg = _registry()
-        sub = reg.subscribe("reg", StandingQuery.mqc(0.8, 4))
-        seen = {MATCH_ADDED: [], MATCH_RETRACTED: [], DELTA: []}
-        for event in seen:
-            reg.bus.subscribe(
-                event,
-                lambda _event=event, **payload: seen[_event].append(payload),
-            )
-        n = g.num_vertices
-        store.apply_batch("reg", _triangle_batch(n))
-        assert seen[MATCH_ADDED]
-        added = seen[MATCH_ADDED][0]
-        assert added["subscription"] == sub.id
-        assert added["graph"] == "reg"
-        assert sorted(added["vertices"]) == [n, n + 1, n + 2]
-        assert len(seen[DELTA]) == 1
-        assert seen[DELTA][0]["mode"] == "delta"
-        store.apply_batch(
-            "reg", MutationBatch.of(remove_edges=[(n, n + 1)])
-        )
-        assert seen[MATCH_RETRACTED]
-        assert len(seen[DELTA]) == 2
 
     def test_evicted_index_degrades_to_scratch_not_wrong(self):
         g = erdos_renyi(18, 0.3, seed=9, name="reg")

@@ -21,7 +21,6 @@ from repro.core import maximality_constraints
 from repro.core.runtime import ContigraEngine
 from repro.exec import (
     EVENTS,
-    INCREMENTAL_EVENTS,
     LIFECYCLE_EVENTS,
     RESILIENCE_EVENTS,
     FaultPlan,
@@ -108,15 +107,12 @@ class TestEventVocabularyIsAlive:
         graph = erdos_renyi(20, 0.9, seed=11)
         _, _, _, log = observed_run(graph, SerialScheduler())
         seen = {name for name, _ in log.records}
-        # Cache events need a cache; resilience events need a
-        # failure; incremental events need a standing query (their
-        # liveness is asserted in tests/test_incremental.py).
+        # Cache events need a cache; resilience events need a failure.
         missing = (
             set(EVENTS)
             - seen
             - {CACHE_HIT, CACHE_MISS}
             - set(RESILIENCE_EVENTS)
-            - set(INCREMENTAL_EVENTS)
         )
         assert not missing, f"declared but never emitted: {missing}"
 
@@ -153,28 +149,6 @@ class TestEventVocabularyIsAlive:
         )
         assert degraded.incomplete
         seen |= {name for name, _ in chaos_log.records}
-        # Incremental events need a standing query: append a disjoint
-        # triangle (match_added + delta), then break it
-        # (match_retracted).
-        inc_store = GraphStore()
-        base = erdos_renyi(12, 0.3, seed=5, name="inc")
-        inc_store.register(base, "inc")
-        registry = SubscriptionRegistry(store=inc_store)
-        inc_log = EventLog(registry.bus)
-        registry.attach(inc_store)
-        try:
-            registry.subscribe("inc", StandingQuery.mqc(0.8, 4))
-            n = base.num_vertices
-            inc_store.apply_batch("inc", MutationBatch.of(
-                add_vertices=3,
-                add_edges=[(n, n + 1), (n + 1, n + 2), (n, n + 2)],
-            ))
-            inc_store.apply_batch("inc", MutationBatch.of(
-                remove_edges=[(n, n + 1)],
-            ))
-        finally:
-            registry.detach()
-        seen |= {name for name, _ in inc_log.records}
         assert seen >= set(EVENTS)
 
     def test_cache_events_are_sampled_with_counts(self):
@@ -208,8 +182,8 @@ class TestHandlerIsolation:
     def test_raising_handler_is_skipped_by_default(self, caplog):
         bus = EventBus()
         calls = []
-        bus.subscribe("match", lambda **kw: 1 / 0)
-        bus.subscribe("match", lambda **kw: calls.append(kw))
+        bus.subscribe(lambda event, ts, payload, track: 1 / 0)
+        bus.subscribe(lambda event, ts, payload, track: calls.append(payload))
         with caplog.at_level("ERROR"):
             bus.emit("match", pattern="t")
         assert calls == [{"pattern": "t"}]
@@ -217,50 +191,37 @@ class TestHandlerIsolation:
 
     def test_strict_mode_propagates(self):
         bus = EventBus(strict=True)
-        bus.subscribe("match", lambda **kw: 1 / 0)
+        bus.subscribe(lambda event, ts, payload, track: 1 / 0)
         with pytest.raises(ZeroDivisionError):
             bus.emit("match")
 
     def test_timed_handler_isolation(self):
+        """Replayed events go through the same isolating loop."""
         bus = EventBus()
         seen = []
 
         def bad(event, ts, payload, track):
             raise RuntimeError("boom")
 
-        bus.subscribe_timed(bad)
-        bus.subscribe_timed(
-            lambda event, ts, payload, track: seen.append(event)
-        )
-        bus.emit("match")
-        assert seen == ["match"]
+        bus.subscribe(bad)
+        bus.subscribe(lambda event, ts, payload, track: seen.append(track))
+        replay_events(bus, [("match", 0.0, {})], track="shard-0")
+        assert seen == ["shard-0"]
 
 
 # ----------------------------------------------------------------------
-# Satellite: subscribe_all ordering + EventLog under concurrency
+# Satellite: handler order + EventLog under concurrency
 # ----------------------------------------------------------------------
 
 
-class TestSubscribeAllAndEventLog:
-    def test_subscribe_all_preserves_per_event_order(self):
+class TestHandlerOrderAndEventLog:
+    def test_handlers_run_in_subscription_order(self):
         bus = EventBus(strict=True)
         order = []
-        bus.subscribe("match", lambda **kw: order.append("first"))
-        bus.subscribe_all(lambda event, **kw: order.append("all"))
-        bus.subscribe("match", lambda **kw: order.append("last"))
+        bus.subscribe(lambda event, ts, payload, track: order.append("first"))
+        bus.subscribe(lambda event, ts, payload, track: order.append("last"))
         bus.emit("match")
-        assert order == ["first", "all", "last"]
-
-    def test_subscribe_all_receives_event_name_and_payload(self):
-        bus = EventBus(strict=True)
-        seen = []
-        bus.subscribe_all(lambda event, **kw: seen.append((event, kw)))
-        bus.emit("cancel", kind="lateral", count=2)
-        assert seen == [("cancel", {"kind": "lateral", "count": 2})]
-
-    def test_unknown_event_subscription_rejected(self):
-        with pytest.raises(ValueError):
-            EventBus().subscribe("no_such_event", lambda **kw: None)
+        assert order == ["first", "last"]
 
     def test_event_log_is_consistent_under_workqueue_concurrency(self):
         """Concurrent worker threads share one log through the run's
@@ -294,7 +255,7 @@ class TestRecorderReplay:
         parent = EventBus()
         log = EventLog(parent)
         timed = []
-        parent.subscribe_timed(
+        parent.subscribe(
             lambda event, ts, payload, track: timed.append((event, ts, track))
         )
         n = replay_events(parent, recorder.serialize(), base=100.0, track="s0")
@@ -370,7 +331,6 @@ class TestSpanTracer:
         tracer = SpanTracer()
         self.feed(tracer, [("match", 1.0, {}, None)])
         assert tracer.orphan_events == {"match": 1}
-        assert "outside spans" in tracer.render()
 
     def test_coverage_reflects_uncovered_gaps(self):
         tracer = SpanTracer()
@@ -394,20 +354,6 @@ class TestSpanTracer:
         spans = [e for e in doc["traceEvents"] if e["ph"] == "X"]
         assert spans[0]["ts"] == 0.0
         assert spans[0]["dur"] == pytest.approx(0.5e6)
-
-    def test_render_tree_shape(self):
-        tracer = SpanTracer()
-        self.feed(tracer, [
-            ("phase_start", 0.0, {"phase": "run"}, None),
-            ("phase_start", 0.1, {"phase": "pattern", "pattern": "p"}, None),
-            ("phase_end", 0.2, {"phase": "pattern"}, None),
-            ("phase_end", 0.3, {"phase": "run"}, None),
-        ])
-        tracer.finalize()
-        text = tracer.render()
-        assert "[main]" in text
-        assert text.index("run") < text.index("pattern")
-        assert "pattern=p" in text
 
 
 # ----------------------------------------------------------------------

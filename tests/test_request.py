@@ -215,8 +215,9 @@ class TestRunEngineRule:
         ctx = TaskContext.create()
         order, checked_at_sink = [], []
         if watched:
-            ctx.bus.subscribe_all(
-                lambda event, **kw: event == MATCH and order.append("event")
+            ctx.bus.subscribe(
+                lambda event, ts, payload, track: event == MATCH
+                and order.append("event")
             )
 
         def sink(pattern, assignment):

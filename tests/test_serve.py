@@ -595,6 +595,26 @@ class TestAdmissionRejection:
         }
 
 
+class TestTenantDeadline:
+    def test_tiny_budget_ends_the_run_with_time_limit_exceeded(self):
+        handle = _daemon(
+            tenants={"hasty": TenantConfig("hasty", budget_seconds=1e-9)}
+        )
+        try:
+            client = ServeClient(handle.host, handle.port)
+            graph_store().register(erdos_renyi(40, 0.4, seed=3), "big")
+            events = list(
+                client.stream_query(tenant="hasty", graph="big", max_size=4)
+            )
+        finally:
+            handle.stop()
+        assert events[0]["type"] == "accepted"
+        terminal = events[-1]
+        assert terminal["type"] == "error"
+        assert terminal["status"] == "error"
+        assert "TimeLimitExceeded" in terminal["error"]
+
+
 class TestDisconnectCancellation:
     def test_mid_stream_disconnect_cancels_the_run(self):
         handle = _daemon(max_concurrent=1, admission="off")

@@ -14,7 +14,7 @@ from repro.baselines.naive import match_contained_in, pattern_matches
 from repro.bench.datasets import dataset
 from repro.core import ValidationTarget
 from repro.exec.context import TaskContext
-from repro.exec.events import KERNEL_INTERSECT, PHASE_START
+from repro.exec.events import KERNEL_INTERSECT
 from repro.graph import erdos_renyi
 from repro.graph.index import resolve_index
 from repro.mining import ConstraintStats, SetOperationCache
@@ -291,9 +291,9 @@ class TestCompiledBridge:
         stats = ConstraintStats()
         ctx = TaskContext.create()
         intersects = []
-        ctx.bus.subscribe(PHASE_START, lambda **payload: None)
         ctx.bus.subscribe(
-            KERNEL_INTERSECT, lambda **payload: intersects.append(payload)
+            lambda event, ts, payload, track: event == KERNEL_INTERSECT
+            and intersects.append(payload)
         )
         ordered = _sampled_matches(g, triangle(), False, limit=1)[0]
         target.enumerate_completions(
