@@ -13,15 +13,11 @@ See ``docs/analysis.md`` for the diagnostic-code reference.
 from .costmodel import (
     AdmissionDecision,
     PlanEstimate,
-    RecommendedConfig,
-    SchedulerProjection,
     StepEstimate,
     WorkloadEstimate,
     admit_query,
     check_estimate,
     estimate_constraint_set,
-    estimate_patterns,
-    estimate_plan,
     estimate_query_spec,
 )
 from .analyzer import (
@@ -78,11 +74,7 @@ __all__ = [
     "selfcheck",
     "StepEstimate",
     "PlanEstimate",
-    "SchedulerProjection",
-    "RecommendedConfig",
     "WorkloadEstimate",
-    "estimate_plan",
-    "estimate_patterns",
     "estimate_constraint_set",
     "estimate_query_spec",
     "check_estimate",

@@ -9,8 +9,13 @@ touching a single data vertex:
 
 * per-step candidate-pool and partial-match cardinality estimates,
 * workload totals (ETask extension candidates + VTask bridge work),
-* peak-memory and per-scheduler wall-time projections,
-* a recommended ``--scheduler`` / ``--workers`` configuration.
+* a peak-memory projection and one serial wall-time projection.
+
+The wall time is the candidate total over :data:`CANDIDATES_PER_SECOND`,
+the only throughput constant calibrated, on the serial loop.  CG601
+judges it under every scheduler: it overstates a ``process`` run by
+that scheduler's measured speedup, well inside the model's own
+candidate error.
 
 The estimates feed the CG6xx diagnostics (:func:`check_estimate`) that
 power ``repro analyze --estimate`` and ``Query.strict()`` admission,
@@ -35,7 +40,6 @@ and the ``estimate_error`` metric).
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
 
@@ -43,7 +47,6 @@ from ..core.constraints import ConstraintSet, ContainmentConstraint
 from ..graph.stats import GraphStats
 
 if TYPE_CHECKING:  # pragma: no cover - import-time only
-    from ..graph.aux import AuxSummary
     from ..graph.graph import Graph
 from ..patterns.pattern import Pattern
 from ..patterns.plan import ExplorationPlan, plan_for
@@ -52,16 +55,14 @@ from .diagnostics import AnalysisReport, make
 __all__ = [
     "StepEstimate",
     "PlanEstimate",
-    "SchedulerProjection",
-    "RecommendedConfig",
     "WorkloadEstimate",
     "estimate_plan",
-    "estimate_patterns",
     "estimate_constraint_set",
     "estimate_query_spec",
     "check_estimate",
     "AdmissionDecision",
     "admit_query",
+    "strict_refuses",
     "CANDIDATES_PER_SECOND",
 ]
 
@@ -69,14 +70,6 @@ __all__ = [
 #: (extension candidates evaluated per second).  Tuned against the
 #: seed datasets; the ``estimate_error`` metric tracks drift.
 CANDIDATES_PER_SECOND = 60_000.0
-
-#: Fixed per-run overhead by scheduler: engine precomputation plus
-#: shard dispatch machinery (process pays interpreter spawn + pickling).
-SCHEDULER_STARTUP_SECONDS: Dict[str, float] = {
-    "serial": 0.01,
-    "workqueue": 0.05,
-    "process": 0.6,
-}
 
 #: Memory model constants (bytes).  Python-object scale, not array
 #: scale: a pooled candidate id costs a boxed int + list slot; a match
@@ -152,40 +145,8 @@ class PlanEstimate:
 
 
 @dataclass(frozen=True)
-class SchedulerProjection:
-    """Projected wall time for one scheduler configuration."""
-
-    scheduler: str
-    workers: int
-    seconds: float
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "scheduler": self.scheduler,
-            "workers": self.workers,
-            "seconds": round(self.seconds, 4),
-        }
-
-
-@dataclass(frozen=True)
-class RecommendedConfig:
-    """The configuration the model projects to be fastest."""
-
-    scheduler: str
-    workers: int
-    projected_seconds: float
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "scheduler": self.scheduler,
-            "workers": self.workers,
-            "projected_seconds": round(self.projected_seconds, 4),
-        }
-
-
-@dataclass(frozen=True)
 class WorkloadEstimate:
-    """Whole-workload projection: cardinalities, memory, wall time."""
+    """Whole-workload projection: cardinalities, memory, serial time."""
 
     graph: GraphStats
     plans: Tuple[PlanEstimate, ...]
@@ -193,19 +154,16 @@ class WorkloadEstimate:
     vtask_candidates: float
     est_matches: float
     peak_memory_bytes: float
-    projections: Tuple[SchedulerProjection, ...]
-    recommended: RecommendedConfig
     uncalibrated: bool
 
     @property
     def total_candidates(self) -> float:
         return self.etask_candidates + self.vtask_candidates
 
-    def projection_for(
-        self, scheduler: str, workers: int
-    ) -> SchedulerProjection:
-        """The wall-time projection for one concrete configuration."""
-        return _project(self.total_candidates, scheduler, workers)
+    @property
+    def projected_seconds(self) -> float:
+        """Projected wall time of the serial candidate loop."""
+        return self.total_candidates / CANDIDATES_PER_SECOND
 
     def to_dict(self) -> Dict[str, object]:
         return {
@@ -215,8 +173,7 @@ class WorkloadEstimate:
             "total_candidates": round(self.total_candidates, 2),
             "est_matches": round(self.est_matches, 2),
             "peak_memory_bytes": round(self.peak_memory_bytes),
-            "projections": [p.to_dict() for p in self.projections],
-            "recommended": self.recommended.to_dict(),
+            "projected_seconds": round(self.projected_seconds, 4),
             "uncalibrated": self.uncalibrated,
             "plans": [p.to_dict() for p in self.plans],
         }
@@ -249,7 +206,6 @@ def _label_multiplier(
 def estimate_plan(
     plan: ExplorationPlan,
     stats: GraphStats,
-    aux: Optional["AuxSummary"] = None,
 ) -> PlanEstimate:
     """Project candidate cardinalities for one exploration plan.
 
@@ -257,13 +213,6 @@ def estimate_plan(
     matches; the per-step candidate count equals the new partials
     (``extensions_attempted`` counts candidates after anchor, label,
     and symmetry filtering — exactly what the pool model estimates).
-
-    ``aux`` is the pattern's auxiliary-graph pruning summary
-    (:class:`repro.graph.aux.AuxSummary`) when the engine will run
-    with ``enable_aux``: roots scale by the pruning's survivor
-    fraction and per-step pools by the pruned/full average-degree
-    ratio (which may exceed 1.0 — peeling removes low-degree
-    vertices, so the surviving adjacency is denser on average).
     """
     n = float(stats.num_vertices)
     shrink = _shrink(stats)
@@ -273,11 +222,6 @@ def estimate_plan(
     multiplier, flagged = _label_multiplier(stats, root_label)
     uncalibrated = uncalibrated or flagged
     roots = n * multiplier
-    degree_scale = 1.0
-    if aux is not None:
-        roots *= aux.root_survival
-        degree_scale = aux.degree_scale
-        n = min(n, float(aux.vertices_after))
 
     steps: List[StepEstimate] = [
         StepEstimate(
@@ -299,7 +243,6 @@ def estimate_plan(
         # First hop from the size-biased anchor; every further anchor
         # survives with probability ``shrink``.
         pool = stats.avg_degree if i == 1 else stats.size_biased_degree
-        pool *= degree_scale
         pool *= shrink ** max(0, anchors - 1)
         multiplier, flagged = _label_multiplier(stats, label)
         uncalibrated = uncalibrated or flagged
@@ -359,48 +302,6 @@ def _bridge_candidates(
     return total
 
 
-# ----------------------------------------------------------------------
-# Projections and recommendation
-# ----------------------------------------------------------------------
-
-
-def _project(
-    total_candidates: float, scheduler: str, workers: int
-) -> SchedulerProjection:
-    startup = SCHEDULER_STARTUP_SECONDS.get(scheduler, 0.01)
-    work_seconds = total_candidates / CANDIDATES_PER_SECOND
-    effective = max(1, workers) if scheduler != "serial" else 1
-    return SchedulerProjection(
-        scheduler=scheduler,
-        workers=effective,
-        seconds=startup + work_seconds / effective,
-    )
-
-
-def _default_workers() -> int:
-    return max(2, min(8, os.cpu_count() or 2))
-
-
-def _projections(total_candidates: float) -> Tuple[SchedulerProjection, ...]:
-    workers = _default_workers()
-    return (
-        _project(total_candidates, "serial", 1),
-        _project(total_candidates, "workqueue", workers),
-        _project(total_candidates, "process", workers),
-    )
-
-
-def _recommend(
-    projections: Sequence[SchedulerProjection],
-) -> RecommendedConfig:
-    best = min(projections, key=lambda p: p.seconds)
-    return RecommendedConfig(
-        scheduler=best.scheduler,
-        workers=best.workers if best.scheduler != "serial" else 1,
-        projected_seconds=best.seconds,
-    )
-
-
 def _memory_bytes(
     stats: GraphStats,
     plans: Sequence[PlanEstimate],
@@ -441,7 +342,6 @@ def _assemble(
     etask_candidates = sum(p.total_candidates for p in plan_estimates)
     est_matches = sum(p.est_matches for p in plan_estimates)
     total = etask_candidates + vtask_candidates
-    projections = _projections(total)
     uncalibrated = (
         any(p.uncalibrated for p in plan_estimates)
         or stats.num_vertices < _MIN_CALIBRATED_VERTICES
@@ -456,22 +356,8 @@ def _assemble(
         peak_memory_bytes=_memory_bytes(
             stats, plan_estimates, est_matches, total
         ),
-        projections=projections,
-        recommended=_recommend(projections),
         uncalibrated=uncalibrated,
     )
-
-
-def estimate_patterns(
-    patterns: Sequence[Pattern],
-    stats: GraphStats,
-    induced: bool = False,
-) -> WorkloadEstimate:
-    """Estimate an unconstrained multi-pattern mining workload."""
-    plan_estimates = [
-        estimate_plan(plan_for(p, induced), stats) for p in patterns
-    ]
-    return _assemble(stats, plan_estimates, vtask_candidates=0.0)
 
 
 def estimate_constraint_set(
@@ -537,15 +423,12 @@ def check_estimate(
     budget_bytes: Optional[int] = None,
     scheduler: Optional[str] = None,
     n_workers: int = 2,
-    include_recommendation: bool = True,
 ) -> AnalysisReport:
     """CG6xx diagnostics for one workload estimate against a budget.
 
-    ``scheduler``/``n_workers`` name the configuration the run would
-    actually use (defaulting to the serial path, which is what the CLI
-    runs when no scheduler is requested); CG601 judges that
-    configuration, not the best one — but its message says whether the
-    recommended configuration would fit.
+    CG601 judges the serial projection whatever the scheduler: it is
+    the only one calibrated.  ``scheduler``/``n_workers`` name the
+    configuration the run would use, for the CG603 shard-skew check.
 
     Diagnostics are subject-tagged with the content-addressed graph
     version (``name@<fingerprint12>``), so an estimate computed against
@@ -559,9 +442,6 @@ def check_estimate(
     # for the old count-string collision).
     subject = estimate.graph.version
 
-    requested = scheduler if scheduler is not None else "serial"
-    projection = estimate.projection_for(requested, n_workers)
-
     if estimate.uncalibrated:
         report.add(
             make(
@@ -573,23 +453,17 @@ def check_estimate(
             )
         )
 
-    if budget_seconds is not None and projection.seconds > budget_seconds:
-        recommended = estimate.recommended
-        fits = recommended.projected_seconds <= budget_seconds
-        remedy = (
-            f"recommended configuration (--scheduler {recommended.scheduler}"
-            f" --workers {recommended.workers}) projects "
-            f"{recommended.projected_seconds:.2f}s and "
-            f"{'fits' if fits else 'does not fit either'}"
-        )
+    if (
+        budget_seconds is not None
+        and estimate.projected_seconds > budget_seconds
+    ):
         report.add(
             make(
                 "CG601",
-                f"projected wall time {projection.seconds:.2f}s under "
-                f"--scheduler {projection.scheduler} exceeds the "
+                f"projected serial wall time "
+                f"{estimate.projected_seconds:.2f}s exceeds the "
                 f"{budget_seconds:.2f}s budget "
-                f"(~{_fmt_count(estimate.total_candidates)} candidates); "
-                + remedy,
+                f"(~{_fmt_count(estimate.total_candidates)} candidates)",
                 subject=subject,
             )
         )
@@ -623,21 +497,14 @@ def check_estimate(
                 subject=subject,
             )
         )
-
-    if include_recommendation:
-        recommended = estimate.recommended
-        report.add(
-            make(
-                "CG605",
-                f"recommended --scheduler {recommended.scheduler} "
-                f"--workers {recommended.workers} "
-                f"(projected {recommended.projected_seconds:.2f}s, "
-                f"~{_fmt_count(estimate.total_candidates)} candidates, "
-                f"~{estimate.peak_memory_bytes / 1e6:.1f}MB peak)",
-                subject=subject,
-            )
-        )
     return report
+
+
+def strict_refuses(report: AnalysisReport) -> bool:
+    """The strict-admission rule: refuse an error finding (CG601 TLE,
+    CG602 OOM) only on a calibrated estimate.  An uncalibrated one
+    (CG604) is admitted with its codes, as under ``warn``."""
+    return report.has_errors and "CG604" not in report.codes()
 
 
 @dataclass
@@ -671,11 +538,9 @@ def admit_query(
 
     ``mode='off'`` admits unconditionally (empty record).  ``'warn'``
     runs the estimate and annotates but always admits; ``'strict'``
-    rejects when the report carries error-severity findings (projected
-    CG601 TLE / CG602 OOM against the given budgets).  ``admitted``
-    means "was allowed to run"; the findings are in ``codes`` and
-    ``diagnostics`` either way, so a caller that refuses can say *why*
-    and what configuration the model recommends instead.
+    rejects when :func:`strict_refuses` says so.  ``admitted`` means
+    "was allowed to run"; the findings are in ``codes`` and
+    ``diagnostics`` either way, so a caller that refuses can say *why*.
     """
     if mode == "off":
         return AdmissionDecision(True, [], [], {"mode": "off"})
@@ -688,17 +553,15 @@ def admit_query(
         scheduler=scheduler,
         n_workers=n_workers,
     ).sorted()
-    projection = estimate.projection_for(scheduler, n_workers)
     record: Dict[str, Any] = {
         "mode": mode,
         "graph": stats.version,
         "graph_fingerprint": stats.fingerprint,
         "estimated_candidates": round(estimate.total_candidates, 2),
-        "projected_seconds": round(projection.seconds, 4),
+        "projected_seconds": round(estimate.projected_seconds, 4),
         "projected_peak_memory_bytes": round(estimate.peak_memory_bytes),
-        "recommended": estimate.recommended.to_dict(),
     }
-    admitted = not (mode == "strict" and report.has_errors)
+    admitted = not (mode == "strict" and strict_refuses(report))
     return AdmissionDecision(
         admitted,
         report.codes(),

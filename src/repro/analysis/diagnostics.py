@@ -169,9 +169,8 @@ CODES: Dict[str, Tuple[str, str, str]] = {
     "CG601": (
         "projected-time-budget-exceeded",
         ERROR,
-        "the static cost model projects the run to exceed the time "
-        "budget; admit with a larger budget or the recommended "
-        "configuration",
+        "the static cost model's projected serial wall time exceeds "
+        "the time budget, whatever the scheduler",
     ),
     "CG602": (
         "projected-memory-budget-exceeded",
@@ -191,13 +190,8 @@ CODES: Dict[str, Tuple[str, str, str]] = {
         INFO,
         "the graph is outside the cost model's calibrated regime "
         "(tiny, edgeless, or missing the labels the query names); "
-        "projections are order-of-magnitude at best",
-    ),
-    "CG605": (
-        "recommended-configuration",
-        INFO,
-        "the configuration the cost model projects to be fastest for "
-        "this workload and graph",
+        "projections are order-of-magnitude at best, so strict "
+        "admission does not refuse on them",
     ),
 }
 

@@ -342,8 +342,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
         )
     if not decision.admitted:
         print(
-            "admission: rejected — raise the budget, use the "
-            "recommended configuration, or pass --admission=warn",
+            "admission: rejected — raise the budget or pass "
+            "--admission=warn",
             file=sys.stderr,
         )
         raise SystemExit(2)
@@ -635,11 +635,11 @@ def _build_estimate(args: argparse.Namespace):
     from .analysis import (
         check_estimate,
         estimate_constraint_set,
-        estimate_patterns,
         estimate_query_spec,
         library_patterns,
         lint_pattern_text,
     )
+    from .core import ConstraintSet
 
     if not args.dataset and not args.graph:
         raise SystemExit(
@@ -680,14 +680,19 @@ def _build_estimate(args: argparse.Namespace):
     elif args.workload == "kws":
         from .apps.kws import keyword_patterns
 
-        estimate = estimate_patterns(
-            keyword_patterns(_label_ids(args.keywords), args.max_size),
+        estimate = estimate_constraint_set(
+            ConstraintSet(
+                keyword_patterns(_label_ids(args.keywords), args.max_size),
+                [],
+                induced=True,
+            ),
             stats,
-            induced=True,
         )
     else:
         # Self-check mode: estimate the library patterns themselves.
-        estimate = estimate_patterns(library_patterns(), stats)
+        estimate = estimate_constraint_set(
+            ConstraintSet(library_patterns(), []), stats
+        )
     report = check_estimate(
         estimate,
         budget_seconds=args.budget_seconds,
@@ -724,11 +729,9 @@ def _render_explain(report, estimate) -> str:
             f"  projected peak memory "
             f"~{estimate.peak_memory_bytes / 1e6:.1f}MB"
         )
-        for projection in estimate.projections:
-            lines.append(
-                f"  {projection.scheduler} x{projection.workers}: "
-                f"~{projection.seconds:.2f}s"
-            )
+        lines.append(
+            f"  projected serial wall time ~{estimate.projected_seconds:.2f}s"
+        )
     lines.append("see docs/analysis.md for the diagnostic-code reference")
     return "\n".join(lines)
 
@@ -754,12 +757,10 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     else:
         text = report.render_text()
         if estimate is not None:
-            recommended = estimate.recommended
             text += (
                 f"\nestimate: ~{estimate.total_candidates:,.0f} "
-                f"candidates, recommended --scheduler "
-                f"{recommended.scheduler} --workers {recommended.workers} "
-                f"(projected {recommended.projected_seconds:.2f}s)"
+                f"candidates, projected serial "
+                f"{estimate.projected_seconds:.2f}s"
             )
         _emit(fmt, payload, text)
     return 1 if report.has_errors else 0
@@ -881,8 +882,8 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument(
         "--estimate", action="store_true",
         help="run the CG6xx static cost model against a graph "
-             "(--dataset/--graph): cardinality, memory, and wall-time "
-             "projections plus a recommended configuration",
+             "(--dataset/--graph): cardinality, peak memory, and "
+             "serial wall-time projections",
     )
     analyze.add_argument(
         "--budget-seconds", type=float, default=None, metavar="S",

@@ -180,8 +180,7 @@ class Query:
 
         Runs the CG6xx cost model (:mod:`repro.analysis.costmodel`)
         without touching a single data vertex: per-step cardinality
-        estimates, memory/wall-time projections, and a recommended
-        scheduler configuration.
+        estimates, peak memory, and the projected serial wall time.
         """
         from ..analysis.costmodel import estimate_query_spec
 
@@ -196,9 +195,8 @@ class Query:
     def check_admission(self, graph: Graph) -> "AnalysisReport":
         """CG6xx admission report for this query's configured budget.
 
-        Judges the scheduler configuration the query would actually
-        run with against its ``time_limit`` (no time limit set means
-        nothing to violate — only the recommendation is reported).
+        Judges the serial projection against its ``time_limit`` (no
+        time limit set means nothing to violate).
         """
         from ..analysis.costmodel import check_estimate
 
@@ -247,13 +245,17 @@ class Query:
         """Execute against a data graph.
 
         Strict queries with a time limit pass through the CG6xx
-        admission gate first: a projected budget violation raises
-        :class:`QueryAnalysisError` in milliseconds instead of burning
-        the budget to learn the same thing.
+        admission gate first: a projected budget violation on a
+        calibrated estimate raises :class:`QueryAnalysisError` in
+        milliseconds instead of burning the budget to learn the same
+        thing.  The rule is the daemon's
+        (:func:`~repro.analysis.costmodel.strict_refuses`).
         """
         if self._strict and self._time_limit is not None:
+            from ..analysis.costmodel import strict_refuses
+
             report = self.check_admission(graph)
-            if report.has_errors:
+            if strict_refuses(report):
                 raise QueryAnalysisError(report.errors)
         engine = ContigraEngine(
             graph,

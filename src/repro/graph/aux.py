@@ -102,12 +102,7 @@ def _degree_bound(signature: Signature, label: Optional[int]) -> Optional[int]:
 
 @dataclass(frozen=True)
 class AuxSummary:
-    """Pruning outcome, consumed by the CG6xx cost model.
-
-    :func:`repro.analysis.costmodel.estimate_plan` scales its root
-    count by :attr:`root_survival` and its per-step pools by
-    :attr:`degree_scale` when handed one of these.
-    """
+    """Pruning outcome: vertex and edge counts before and after."""
 
     vertices_before: int
     vertices_after: int
@@ -120,23 +115,6 @@ class AuxSummary:
         if self.vertices_before == 0:
             return 0.0
         return 1.0 - self.vertices_after / self.vertices_before
-
-    @property
-    def root_survival(self) -> float:
-        """Fraction of vertices that remain candidate roots."""
-        if self.vertices_before == 0:
-            return 1.0
-        return self.vertices_after / self.vertices_before
-
-    @property
-    def degree_scale(self) -> float:
-        """Pruned avg degree over full avg degree (may exceed 1.0:
-        peeling removes low-degree vertices, so survivors are denser)."""
-        if self.vertices_after == 0 or self.edges_before == 0:
-            return 1.0 if self.vertices_after else 0.0
-        full = self.edges_before / self.vertices_before
-        pruned = self.edges_after / self.vertices_after
-        return pruned / full
 
     def as_dict(self) -> Dict[str, float]:
         return {

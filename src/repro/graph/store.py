@@ -33,10 +33,6 @@ Two identities coexist by design.  The *registry coordinate*
 keys the :class:`DerivedCache` and run records, so artifact sharing
 and invalidation are correct even for graphs that were never
 registered anywhere.
-
-``python -m repro.graph.store`` runs the store smoke check used by
-CI: mine, apply a batch, re-mine, and assert the invalidation
-counters moved.
 """
 
 from __future__ import annotations
@@ -145,11 +141,11 @@ def format_version_key(name: str, fingerprint: str) -> str:
 class DerivedCache:
     """Version-keyed registry of derived artifacts.
 
-    Artifacts live in per-version *scopes*: ``scope(graph_version)``
-    is one plain dict owned by the cache, shared by reference with
-    every :class:`Graph` instance of that version (the instance-level
-    "cache dicts" the graph used to own privately are now views into
-    these scopes).  The protocol is deliberately small:
+    Artifacts live in per-version *scopes*, one plain dict per graph
+    version owned by the cache.  A :class:`Graph` instance attaches
+    to an artifact through ``get_or_build(..., attach=(graph, slot))``,
+    so every instance of a version shares one object.  The protocol
+    is deliberately small:
 
     * :meth:`get_or_build` — serve or build one artifact, counting a
       hit or miss (misses == builds, which is what the shard
@@ -243,18 +239,6 @@ class DerivedCache:
             if scope is None:
                 return None
             return scope.get(artifact_key)
-
-    def scope(self, graph_version: str) -> Dict[Hashable, object]:
-        """The (created-on-demand) artifact dict for one version."""
-        with self._lock:
-            scope = self._scopes.get(graph_version)
-            if scope is None:
-                scope = {}
-                self._scopes[graph_version] = scope
-                self._evict_locked()
-            else:
-                self._scopes.move_to_end(graph_version)
-            return scope
 
     def invalidate(
         self,
@@ -792,105 +776,3 @@ def reset_default_store() -> Tuple[GraphStore, DerivedCache]:
         _DEFAULT_STORE = GraphStore()
         return _DEFAULT_STORE, _DEFAULT_CACHE
 
-
-# ----------------------------------------------------------------------
-# Smoke check (CI: store-smoke step)
-# ----------------------------------------------------------------------
-
-
-def run_smoke() -> Dict[str, object]:
-    """Mine, mutate, re-mine; assert the invalidation counters moved.
-
-    Exercises the full lifecycle end to end: register a dataset, mine
-    it (building derived artifacts under its content version), apply a
-    mutation batch (superseding the version), mine the new version,
-    then revert.  Asserts the liveness rule both ways: content still
-    held by another name (or re-registered by the revert) keeps its
-    artifacts, while the superseded one-off version is invalidated.
-    """
-    from ..apps.mqc import maximal_quasi_cliques
-    from ..bench.datasets import dataset
-
-    store, cache = reset_default_store()
-    # Rebuild the dataset content as a fresh Graph: the memoized
-    # dataset instance may already hold artifact references attached
-    # from a previous cache generation, which would make this pass
-    # look build-free.  A fresh instance must attach (and build)
-    # through the cache created by the reset above.
-    raw = dataset("dblp")
-    # The memoized loader registers "dblp" only on first
-    # materialization; after the store reset above, pin the content
-    # under its dataset key explicitly so the liveness assertion
-    # below holds regardless of what materialized it first.
-    store.register(raw, "dblp")
-    base = Graph(
-        [raw.neighbors(v) for v in raw.vertices()],
-        labels=raw.labels,
-        name=raw.name,
-    )
-    v1 = store.register(base, "smoke")
-
-    before = cache.counters()
-    first = maximal_quasi_cliques(v1.graph, gamma=0.8, max_size=4, min_size=3)
-    mined = cache.counters()
-    if mined["misses"] <= before["misses"]:
-        raise AssertionError("mining built no derived artifacts")
-
-    u, v = next(iter(base.edges()))
-    batch = MutationBatch.of(remove_edges=[(u, v)])
-    v2 = store.apply_batch("smoke", batch)
-    after_batch = cache.counters()
-    # v1's content is still live: the dataset loader registered the
-    # same fingerprint under the "dblp" name, and the liveness rule
-    # spares content keys retained by *any* name.  Invalidating here
-    # was the pre-liveness bug.
-    if after_batch["invalidations"] != mined["invalidations"]:
-        raise AssertionError(
-            "apply_batch invalidated content still live under another name"
-        )
-    if v2.fingerprint == v1.fingerprint:
-        raise AssertionError("mutation did not change the fingerprint")
-
-    second = maximal_quasi_cliques(
-        v2.graph, gamma=0.8, max_size=4, min_size=3
-    )
-    after_second_mine = cache.counters()
-
-    # A second mutation supersedes v2, whose content no one else
-    # holds — *its* artifacts must be invalidated.
-    v3 = store.apply_batch("smoke", MutationBatch.of(add_edges=[(u, v)]))
-    final = cache.counters()
-    if final["invalidations"] <= after_second_mine["invalidations"]:
-        raise AssertionError(
-            "apply_batch did not invalidate superseded derived artifacts"
-        )
-    if v3.fingerprint != v1.fingerprint:
-        raise AssertionError("revert did not restore the fingerprint")
-    return {
-        "v1": v1.to_dict(),
-        "v2": v2.to_dict(),
-        "v3": v3.to_dict(),
-        "matches_v1": first.count,
-        "matches_v2": second.count,
-        "counters": dict(final),
-    }
-
-
-if __name__ == "__main__":  # pragma: no cover - exercised by CI
-    import json
-    import sys
-
-    # Under ``python -m repro.graph.store`` this file executes as
-    # ``__main__`` while the rest of the library imports the canonical
-    # ``repro.graph.store`` module — two module objects, two sets of
-    # process-global caches.  Route through the canonical instance so
-    # the smoke observes the same counters the library mutates.
-    from repro.graph.store import run_smoke as _canonical_run_smoke
-
-    try:
-        summary = _canonical_run_smoke()
-    except AssertionError as exc:
-        print(f"store smoke FAILED: {exc}", file=sys.stderr)
-        sys.exit(1)
-    print(json.dumps(summary, indent=2, sort_keys=True))
-    sys.exit(0)

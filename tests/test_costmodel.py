@@ -8,8 +8,12 @@ import pytest
 from repro.analysis import (
     check_estimate,
     estimate_constraint_set,
-    estimate_plan,
     estimate_query_spec,
+)
+from repro.analysis.costmodel import (
+    CANDIDATES_PER_SECOND,
+    estimate_plan,
+    strict_refuses,
 )
 from repro.apps import maximal_quasi_cliques, nested_subgraph_query
 from repro.apps.nsq import paper_query_triangles
@@ -227,14 +231,21 @@ class TestCheckEstimate:
         report = check_estimate(estimate)
         assert "CG604" in report.codes()
 
-    def test_recommendation_always_present(self):
+    def test_time_budget_judges_the_serial_projection(self):
+        # A budget between a quarter of the serial projection and the
+        # whole of it: four threads do not divide the calibrated time.
         estimate = estimate_constraint_set(
-            _mqc_constraints(), dataset("dblp").stats_summary()
+            _mqc_constraints(max_size=6, gamma=0.6),
+            dataset("mico").stats_summary(),
         )
-        report = check_estimate(estimate)
-        assert "CG605" in report.codes()
-        recommended = estimate.recommended
-        assert recommended.scheduler in ("serial", "workqueue", "process")
+        serial = estimate.total_candidates / CANDIDATES_PER_SECOND
+        assert serial > 1.0
+        for budget in (serial / 3, serial * 0.9):
+            report = check_estimate(
+                estimate, budget_seconds=budget,
+                scheduler="workqueue", n_workers=4,
+            )
+            assert "CG601" in report.codes()
 
     def test_generous_budgets_pass(self):
         estimate = estimate_constraint_set(
@@ -268,6 +279,12 @@ class TestQueryAdmission:
         with pytest.raises(QueryAnalysisError) as excinfo:
             query.run(graph)
         assert any(d.code == "CG601" for d in excinfo.value.diagnostics)
+
+    def test_strict_rule_admits_an_uncalibrated_estimate(self):
+        tiny = graph_from_edges([(0, 1), (1, 2), (0, 2)])
+        report = Query(triangle()).time_limit(1e-12).check_admission(tiny)
+        assert {"CG601", "CG604"} <= set(report.codes())
+        assert not strict_refuses(report)
 
     def test_strict_run_admits_generous_budget(self):
         graph = dataset("dblp")

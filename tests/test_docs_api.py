@@ -115,8 +115,6 @@ UNCONSUMED_EXPORTS = {
     "repro.analysis.INFO": "vocabulary",
     "repro.analysis.StepEstimate": "return-type",
     "repro.analysis.PlanEstimate": "return-type",
-    "repro.analysis.SchedulerProjection": "return-type",
-    "repro.analysis.RecommendedConfig": "return-type",
     "repro.apps.QuasiCliqueResult": "return-type",
     "repro.apps.KeywordSearchResult": "return-type",
     "repro.baselines.all_quasi_cliques": "oracle",

@@ -872,18 +872,3 @@ class TestMutateWhileMining:
             shared_graphs().release_attachments()
             unpublish_all()
 
-
-# ----------------------------------------------------------------------
-# The CI store-smoke entry point
-# ----------------------------------------------------------------------
-
-
-class TestStoreSmoke:
-    def test_run_smoke_counters_move(self):
-        from repro.graph.store import run_smoke
-
-        summary = run_smoke()
-        assert summary["v1"]["fingerprint"] != summary["v2"]["fingerprint"]
-        assert summary["counters"]["misses"] > 0
-        assert summary["counters"]["invalidations"] > 0
-        assert summary["matches_v1"] > 0

@@ -156,7 +156,7 @@ class TestAdmission:
         assert decision.codes == []
 
     def test_strict_rejects_projected_tle_with_cg601(self):
-        graph = erdos_renyi(40, 0.4, seed=2)
+        graph = erdos_renyi(60, 0.4, seed=2)
         decision = admit_query(
             graph, self._constraints(), "strict", budget_seconds=1e-12
         )
@@ -165,6 +165,14 @@ class TestAdmission:
         payload = decision.to_dict()
         assert payload["admitted"] is False
         assert payload["projected_seconds"] >= 0
+
+    def test_strict_admits_an_uncalibrated_estimate_with_its_codes(self):
+        graph = erdos_renyi(40, 0.4, seed=2)  # under 50 vertices
+        decision = admit_query(
+            graph, self._constraints(), "strict", budget_seconds=1e-12
+        )
+        assert decision.admitted
+        assert {"CG601", "CG604"} <= set(decision.codes)
 
     def test_warn_annotates_but_admits(self):
         graph = erdos_renyi(40, 0.4, seed=2)
@@ -532,7 +540,7 @@ class TestAdmissionRejection:
         handle = _daemon(admission="strict")
         try:
             client = ServeClient(handle.host, handle.port)
-            graph = erdos_renyi(40, 0.4, seed=3)
+            graph = erdos_renyi(60, 0.4, seed=3)
             graph_store().register(graph, "big")
             with pytest.raises(ServeError) as err:
                 client.query(
