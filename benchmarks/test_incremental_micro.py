@@ -2,20 +2,21 @@
 
 The acceptance row for the standing-query subsystem: a batch touching
 at most 1% of the edges must be absorbed by the incremental path
-(frontier → two-ring expansion → restricted re-mine, see
-``repro.mining.incremental``) faster than a from-scratch re-mine of
-the new version.  The report records per-trial wall-clock for both
-paths, the speedup, and the frontier/region sizes the delta planner
-produced — the same quantities the daemon exports as
-``repro_incremental_*`` metrics.
+(frontier → one ring of pattern-diameter radius → re-mine rooted in
+the ring, see ``repro.mining.incremental``) at least twice as fast on
+average as a from-scratch re-mine of the new version.  The report
+records per-trial wall-clock for both paths, the speedup, and the
+frontier/region sizes the delta planner produced — the same quantities
+the daemon exports as ``repro_incremental_*`` metrics.
 
-The substrate is a planted-community graph, where a radius-``r``
-two-ring expansion stays inside a handful of communities.  The tiny
-Table-1 analogs (252-vertex dblp) have diameter comparable to the
-pattern radius, so a ring expansion covers nearly every vertex and
-the delta path degenerates to a full re-mine plus planning overhead —
-incrementality pays off exactly when the graph is large relative to
-the query's reach, which is the deployment regime.
+The substrate is a planted-community graph, where the ring stays
+inside a handful of communities.  At γ 0.8 and size ≤ 4 every pattern
+is a clique, so the radius is one hop and the ring is the touched
+vertices' neighbourhoods.  Queries with non-clique patterns have a
+radius of two or three hops; the wider the ring relative to the
+graph's diameter, the closer the delta path comes to a full re-mine
+plus planning overhead — incrementality pays off when the graph is
+large relative to the query's reach, which is the deployment regime.
 
 Equivalence (incremental added/retracted == scratch set-diff) is
 asserted inline for every trial; the randomized property suite in
@@ -109,7 +110,6 @@ def _experiment():
                 len(batch.add_edges) + len(batch.remove_edges),
                 update.frontier_size,
                 update.region_size,
-                update.root_region_size,
                 update.revalidated,
                 f"+{len(update.added)}/-{len(update.retracted)}",
                 f"{delta_seconds * 1e3:.1f}",
@@ -119,7 +119,7 @@ def _experiment():
         )
     table = format_table(
         [
-            "trial", "edges", "frontier", "region", "roots",
+            "trial", "edges", "frontier", "region",
             "revalidated", "delta", "delta_ms", "scratch_ms", "speedup",
         ],
         rows,
@@ -138,7 +138,7 @@ def test_delta_beats_scratch_on_small_batches(benchmark):
         "",
         table,
         "",
-        "frontier-size metrics (as exported by the daemon):",
+        "delta planner metrics (as exported by the daemon):",
     ]
     lines += [
         line
@@ -146,7 +146,8 @@ def test_delta_beats_scratch_on_small_batches(benchmark):
         if line.startswith("repro_incremental_")
     ]
     emit("incremental_micro", "\n".join(lines))
-    # Acceptance: the delta path wins on average over small batches
-    # (individual trials may vary with frontier placement).
+    # Acceptance: the delta path is at least twice as fast on average
+    # over small batches (individual trials vary with frontier
+    # placement).
     mean = sum(speedups) / len(speedups)
-    assert mean > 1.0, f"delta slower than scratch: {speedups}"
+    assert mean >= 2.0, f"delta under 2x scratch: {speedups}"

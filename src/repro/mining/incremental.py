@@ -8,41 +8,46 @@ the batch could possibly have changed.  The machinery:
 * :func:`delta_frontier` — the touched-vertex frontier of a batch:
   endpoints of added/removed edges, relabeled vertices, and appended
   vertex ids.
+* :func:`pattern_radius` — the largest BFS diameter over the query's
+  patterns and every constraint's P⁺ (memoized per pattern, see
+  :func:`pattern_diameter`).
 * :func:`expand_frontier` — BFS expansion of the frontier to the
-  query's *pattern radius* over the union of the old and new
-  adjacency (a match whose existence or containment-validity changed
-  must contain a touched vertex inside the changed P or P⁺ match, and
-  patterns of ``k`` vertices have diameter ``≤ k-1``).
+  pattern radius over the union of the old and new adjacency.
 * :class:`SubscriptionRegistry` — holds :class:`Subscription` objects
   binding a :class:`StandingQuery` to a store name.  On each batch it
-  re-mines the new version *seeded only from the expanded region's
+  re-mines the new version *seeded only from the region's
   label-partition intersections* (``EngineSession.run_roots`` filters
-  every pattern's label-partition root candidates by the region), then
-  re-validates only matches whose vertex set intersects the inner
-  region.  Each pass hands the subscription's sink one
-  :class:`DeltaUpdate` listing the added and the retracted matches — a
-  retraction is a lookup in the subscription's per-version match index
-  (kept in the :class:`~repro.graph.store.DerivedCache`), never a
-  re-mine.
+  every pattern's label-partition root candidates by the region), and
+  re-derives only matches whose vertex set is contained in the region.
+  Each pass hands the subscription's sink one :class:`DeltaUpdate`
+  listing the added and the retracted matches — a retraction is a
+  lookup in the subscription's per-version match index (kept in the
+  :class:`~repro.graph.store.DerivedCache`), never a re-mine.
 
 Correctness is anchored by a property oracle (see
 ``tests/test_incremental.py``): for any (graph, batch, query) the
 incremental added/retracted sets must equal the set-diff of scratch
 re-mines of the two versions, under all three schedulers.
 
-Two-ring argument, in full.  Let ``F`` be the frontier and ``r`` the
-pattern radius (max pattern size, over workload patterns and every
-constraint's P⁺, minus one).  Ring 1 (``region``): any match whose
-existence or validity differs between versions lies within ``r`` hops
-of ``F`` in the union adjacency, so the set of *changed* matches is
-exactly captured by the predicate "vertex set intersects ring 1".
-Ring 2 (``root region``): a valid new-version match intersecting ring
-1 is connected in the new graph, so its exploration root sits within
-``r`` hops of ring 1 — mining restricted to ring-2 roots is complete
-for the predicate.  Matches failing the predicate are carried over
-from the previous index unchanged; promotion overshoot (matches the
-restricted mine finds outside ring 1) is discarded by the same
-predicate, so ``carried ∪ mined∩ring1`` equals a scratch re-mine.
+One-ring argument, in full.  Let ``F`` be the frontier and ``r`` the
+pattern radius.  A match is *changed* if it is valid in one version
+and not in the other.  Either its own existence changed — then a
+touched vertex lies in it, since a match is fixed by the edges and
+labels among its own vertices — or it exists in both versions and a
+containing P⁺ match exists in one version only, so that P⁺ match
+holds a touched vertex.  In both cases the match lies inside a
+pattern-shaped subgraph of one version that holds a vertex of ``F``;
+that subgraph's diameter is at most ``r``, and distances in either
+version bound distances in the union adjacency.  So every changed
+match is *contained* in ``region`` = the ``r``-hop ball around ``F``,
+and so is its exploration root.  Mining the full new graph from roots
+in ``region`` therefore finds every new-version match contained in
+``region``, and validates it against the whole graph (VTasks are not
+restricted by roots).  Matches not contained in ``region`` are
+unchanged and carried over from the previous index; promotion
+overshoot (matches the restricted mine reaches beyond ``region``) is
+discarded by the same predicate, so ``carried ∪ mined⊆region`` equals
+a scratch re-mine.
 """
 
 from __future__ import annotations
@@ -69,6 +74,7 @@ from ..core.constraints import ConstraintSet
 from ..core.runtime import ContigraEngine, ContigraResult
 from ..graph.graph import Graph
 from ..graph.store import (
+    PATTERN_SCOPE,
     DerivedCache,
     GraphStore,
     GraphVersion,
@@ -87,6 +93,7 @@ __all__ = [
     "SubscriptionRegistry",
     "delta_frontier",
     "expand_frontier",
+    "pattern_diameter",
     "pattern_radius",
     "scratch_index",
 ]
@@ -125,17 +132,50 @@ def delta_frontier(batch: MutationBatch, old_num_vertices: int) -> FrozenSet[int
     return frozenset(touched)
 
 
+def pattern_diameter(pattern: Pattern) -> int:
+    """Largest shortest-path distance between two vertices of ``pattern``.
+
+    A match of ``pattern`` in a data graph keeps every pattern edge, so
+    no two of its vertices are farther apart than this.  Memoized per
+    pattern under the pinned
+    :data:`~repro.graph.store.PATTERN_SCOPE` pseudo-version, next to
+    the VTask alignment memos.  Raises :class:`ValueError` for a
+    disconnected pattern, whose matches have no such bound.
+    """
+
+    def build() -> int:
+        diameter = 0
+        for source in pattern.vertices():
+            depth = {source: 0}
+            queue = [source]
+            for v in queue:
+                for w in pattern.neighbors(v):
+                    if w not in depth:
+                        depth[w] = depth[v] + 1
+                        queue.append(w)
+            if len(depth) < pattern.num_vertices:
+                raise ValueError(
+                    f"pattern {pattern!r} is disconnected: no diameter"
+                )
+            diameter = max(diameter, max(depth.values()))
+        return diameter
+
+    return derived_cache().get_or_build(
+        PATTERN_SCOPE, ("diameter", pattern), build
+    )
+
+
 def pattern_radius(constraint_set: ConstraintSet) -> int:
     """Hop radius a query can see from any touched vertex.
 
-    The largest pattern the query ever matches — a workload pattern or
-    any constraint's P⁺ — has ``k`` vertices and therefore diameter at
-    most ``k - 1``; that is how far a changed match can reach from the
-    vertex the mutation touched.
+    The largest :func:`pattern_diameter` over the workload patterns and
+    every constraint's P⁺ (floor 1): a changed match lies inside a
+    match of one of them that holds a touched vertex (module
+    docstring).
     """
-    sizes = [p.num_vertices for p in constraint_set.patterns]
-    sizes.extend(c.p_plus.num_vertices for c in constraint_set.all_constraints)
-    return max(1, max(sizes, default=2) - 1)
+    patterns = list(constraint_set.patterns)
+    patterns.extend(c.p_plus for c in constraint_set.all_constraints)
+    return max([1] + [pattern_diameter(p) for p in patterns])
 
 
 def expand_frontier(
@@ -271,7 +311,6 @@ class DeltaUpdate:
     retracted: List[Tuple[Pattern, Tuple[int, ...]]]
     frontier_size: int
     region_size: int
-    root_region_size: int
     revalidated: int
     matches: int
     mode: str  # "delta" | "scratch" | "noop"
@@ -289,7 +328,9 @@ class DeltaUpdate:
             "retracted": [_match_dict(p, a) for p, a in self.retracted],
             "frontier": self.frontier_size,
             "region": self.region_size,
-            "root_region": self.root_region_size,
+            # Roots are mined in the region itself; the wire keeps the
+            # field its readers know.
+            "root_region": self.region_size,
             "revalidated": self.revalidated,
             "matches": self.matches,
             "mode": self.mode,
@@ -482,10 +523,8 @@ class SubscriptionRegistry:
             )
 
             frontier = delta_frontier(batch, old.graph.num_vertices)
-            radius = sub.query.radius
-            region = expand_frontier(frontier, radius, old.graph, new.graph)
-            root_region = expand_frontier(
-                region, radius, old.graph, new.graph
+            region = expand_frontier(
+                frontier, sub.query.radius, old.graph, new.graph
             )
 
             if not region:
@@ -495,23 +534,20 @@ class SubscriptionRegistry:
                 mode = "noop"
             else:
                 mined = _index_of(
-                    _run_region(sub.query, new.graph, sorted(root_region))
+                    _run_region(sub.query, new.graph, sorted(region))
                 )
                 local_new = {
                     mk: p
                     for mk, p in mined.items()
-                    if not region.isdisjoint(mk[1])
+                    if region.issuperset(mk[1])
                 }
-                local_old = {
-                    mk: p
-                    for mk, p in old_index.items()
-                    if not region.isdisjoint(mk[1])
-                }
-                new_index = {
-                    mk: p
-                    for mk, p in old_index.items()
-                    if region.isdisjoint(mk[1])
-                }
+                local_old = {}
+                new_index = {}
+                for mk, p in old_index.items():
+                    if region.issuperset(mk[1]):
+                        local_old[mk] = p
+                    else:
+                        new_index[mk] = p
                 new_index.update(local_new)
 
             # Deterministic event order (assignment, then structure) —
@@ -542,7 +578,6 @@ class SubscriptionRegistry:
                 retracted=retracted,
                 frontier_size=len(frontier),
                 region_size=len(region),
-                root_region_size=len(root_region),
                 revalidated=len(local_old),
                 matches=len(stored),
                 mode=mode,
@@ -577,6 +612,11 @@ class SubscriptionRegistry:
             help_text="Touched-vertex frontier size per delta pass",
             buckets=COUNT_BUCKETS,
         ).observe(float(update.frontier_size))
+        self._metrics.histogram(
+            "repro_incremental_region_size",
+            help_text="Re-mined region size (vertices) per delta pass",
+            buckets=COUNT_BUCKETS,
+        ).observe(float(update.region_size))
         self._metrics.histogram(
             "repro_incremental_revalidated_matches",
             help_text="Existing matches re-validated per delta pass",

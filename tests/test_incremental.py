@@ -14,8 +14,12 @@ import random
 
 import pytest
 
+from repro.apps.nsq import paper_query_tailed_triangles
+from repro.core.constraints import ConstraintSet, nested_query_constraints
 from repro.graph import Graph, erdos_renyi
+from repro.graph.generators import community_graph
 from repro.graph.store import (
+    PATTERN_SCOPE,
     MutationBatch,
     derived_cache,
     graph_store,
@@ -28,9 +32,11 @@ from repro.mining.incremental import (
     _run_region,
     delta_frontier,
     expand_frontier,
+    pattern_diameter,
     pattern_radius,
     scratch_index,
 )
+from repro.patterns import Pattern
 from repro.obs.metrics import MetricsRegistry
 
 SCHEDULERS = (None, "process", "workqueue")
@@ -77,19 +83,39 @@ class TestDeltaFrontier:
         assert delta_frontier(MutationBatch.of(), 10) == frozenset()
 
 
+def _tailed_triangle_query():
+    """NSQ: tailed triangles outside the braced and dumbbell P⁺."""
+    p_m, p_plus = paper_query_tailed_triangles()
+    return StandingQuery(constraint_set=nested_query_constraints(p_m, p_plus))
+
+
 class TestPatternRadius:
-    def test_mqc_radius_is_largest_pattern_minus_one(self):
+    def test_radius_is_largest_pattern_diameter(self):
+        # γ 0.8, size ≤ 4: the triangle and K4, every pattern a clique.
         query = StandingQuery.mqc(0.8, 4)
-        cs = query.constraint_set
-        sizes = [p.num_vertices for p in cs.patterns]
-        sizes += [c.p_plus.num_vertices for c in cs.all_constraints]
-        assert query.radius == pattern_radius(cs) == max(sizes) - 1
-        assert query.radius >= 3  # at least max_size - 1
+        assert query.radius == pattern_radius(query.constraint_set) == 1
+        # γ 0.6, size ≤ 5: a 5-vertex quasi-clique leaves some pair of
+        # vertices two hops apart.
+        assert StandingQuery.mqc(0.6, 5).radius == 2
+        # Two triangles joined by a bridge: opposite ends are 3 hops
+        # apart, and the radius follows the P⁺, not the 4-vertex P.
+        _, p_plus = paper_query_tailed_triangles()
+        (dumbbell,) = [p for p in p_plus if p.name == "dumbbell"]
+        assert pattern_diameter(dumbbell) == 3
+        assert _tailed_triangle_query().radius == 3
 
     def test_radius_floor_is_one(self):
-        from repro.core.constraints import ConstraintSet
-
         assert pattern_radius(ConstraintSet([], [])) == 1
+
+    def test_diameter_is_memoized_under_pattern_scope(self):
+        path = Pattern(4, [(0, 1), (1, 2), (2, 3)])
+        assert pattern_diameter(path) == 3
+        assert derived_cache().peek(PATTERN_SCOPE, ("diameter", path)) == 3
+        assert pattern_diameter(Pattern(1, [])) == 0
+
+    def test_disconnected_pattern_has_no_diameter(self):
+        with pytest.raises(ValueError, match="disconnected"):
+            pattern_diameter(Pattern(4, [(0, 1), (2, 3)]))
 
 
 class TestExpandFrontier:
@@ -287,6 +313,7 @@ class TestSubscriptionRegistry:
         store.apply_batch("reg", _triangle_batch(g.num_vertices))
         text = registry.to_prometheus()
         assert "repro_incremental_frontier_size" in text
+        assert "repro_incremental_region_size" in text
         assert "repro_incremental_revalidated_matches" in text
         assert "repro_incremental_delta_seconds" in text
         assert "repro_incremental_matches_added" in text
@@ -322,44 +349,130 @@ def _random_batch(rng, graph):
     )
 
 
+def _assert_deltas_match_scratch(query, oracle, graph, trials, seed):
+    """Drive ``trials`` random batches; check each against scratch."""
+    rng = random.Random(seed)
+    store = graph_store()
+    store.register(graph, "dyn")
+    reg = _registry()
+    updates = []
+    sub = reg.subscribe("dyn", query, sink=updates.append)
+    for _ in range(trials):
+        old = store.latest("dyn")
+        batch = _random_batch(rng, old.graph)
+        new = store.apply_batch("dyn", batch)
+        assert new is not old, "random batch must mutate"
+        update = updates[-1]
+        old_idx = scratch_index(old.graph, oracle)
+        new_idx = scratch_index(new.graph, oracle)
+        expected_added = new_idx.keys() - old_idx.keys()
+        expected_retracted = old_idx.keys() - new_idx.keys()
+        got_added = {
+            (p.structure_key(), a) for p, a in update.added
+        }
+        got_retracted = {
+            (p.structure_key(), a) for p, a in update.retracted
+        }
+        assert got_added == expected_added
+        assert got_retracted == expected_retracted
+        assert update.mode == "delta"
+        assert sub.matches == len(new_idx)
+        # The stored per-version index equals a scratch re-mine.
+        stored = derived_cache().peek(
+            new.version_key, ("standing_matches", sub.id)
+        )
+        assert stored is not None
+        assert stored.keys() == new_idx.keys()
+    return updates
+
+
+#: Standing queries whose patterns are not all cliques, so the radius
+#: is above 1: (query, graph).  Planted communities joined by single
+#: bridges keep every region short of the whole graph, so carry-over
+#: is exercised on every batch.
+NON_CLIQUE_CASES = {
+    "mqc-0.6-5": (
+        lambda: StandingQuery.mqc(0.6, 5),
+        lambda: community_graph(
+            10, 6, intra_probability=0.5, inter_edges=1, seed=5, name="dyn"
+        ),
+    ),
+    "nsq-tailed-triangles": (
+        _tailed_triangle_query,
+        lambda: community_graph(
+            12, 5, intra_probability=0.5, inter_edges=1, seed=5, name="dyn"
+        ),
+    ),
+}
+
+
 class TestDeltaEquivalenceOracle:
     @pytest.mark.parametrize("scheduler", SCHEDULERS)
     def test_incremental_matches_scratch_setdiff(self, scheduler):
-        rng = random.Random(0xC0117A6)
-        g = erdos_renyi(20, 0.3, seed=41, name="dyn")
-        store = graph_store()
-        store.register(g, "dyn")
         query = StandingQuery.mqc(
             0.75, 4, scheduler=scheduler, n_workers=2
         )
         oracle = StandingQuery.mqc(0.75, 4)  # serial scratch re-mines
+        _assert_deltas_match_scratch(
+            query,
+            oracle,
+            erdos_renyi(20, 0.3, seed=41, name="dyn"),
+            trials=4 if scheduler is None else 2,
+            seed=0xC0117A6,
+        )
+
+    @pytest.mark.parametrize("case", sorted(NON_CLIQUE_CASES))
+    def test_non_clique_query_matches_scratch_setdiff(self, case):
+        make_query, make_graph = NON_CLIQUE_CASES[case]
+        graph = make_graph()
+        updates = _assert_deltas_match_scratch(
+            make_query(), make_query(), graph, trials=8, seed=0x5EED
+        )
+        assert all(u.region_size < graph.num_vertices for u in updates)
+        assert sum(len(u.added) + len(u.retracted) for u in updates) > 0
+
+    def test_ring_boundary_is_exactly_the_radius(self):
+        # A tailed triangle T = {0, 1, 2} + tail 3, a second tailed
+        # triangle S = {0, 1, 2} + tail 6, and a half-built second
+        # triangle on 3.  Closing it (edge 4-5) completes a dumbbell
+        # around T, so T stops being valid although none of its edges
+        # changed — and T's vertex 0 is exactly 3 hops (the radius)
+        # from the touched edge.  S reaches 4 hops out: it straddles
+        # the ring's edge and is unchanged.
+        rows = [
+            [1, 2, 6], [0, 2], [0, 1, 3], [2, 4, 5], [3], [3], [0],
+        ]
+        g = Graph(rows, name="ring")
+        store = graph_store()
+        store.register(g, "ring")
+        query = _tailed_triangle_query()
         reg = _registry()
         updates = []
-        sub = reg.subscribe("dyn", query, sink=updates.append)
-        trials = 4 if scheduler is None else 2
-        for _ in range(trials):
-            old = store.latest("dyn")
-            batch = _random_batch(rng, old.graph)
-            new = store.apply_batch("dyn", batch)
-            assert new is not old, "random batch must mutate"
-            update = updates[-1]
-            old_idx = scratch_index(old.graph, oracle)
-            new_idx = scratch_index(new.graph, oracle)
-            expected_added = new_idx.keys() - old_idx.keys()
-            expected_retracted = old_idx.keys() - new_idx.keys()
-            got_added = {
-                (p.structure_key(), a) for p, a in update.added
-            }
-            got_retracted = {
-                (p.structure_key(), a) for p, a in update.retracted
-            }
-            assert got_added == expected_added
-            assert got_retracted == expected_retracted
-            assert update.mode == "delta"
-            assert sub.matches == len(new_idx)
-            # The stored per-version index equals a scratch re-mine.
-            stored = derived_cache().peek(
-                new.version_key, ("standing_matches", sub.id)
-            )
-            assert stored is not None
-            assert stored.keys() == new_idx.keys()
+        sub = reg.subscribe("ring", query, sink=updates.append)
+        old = store.latest("ring")
+        new = store.apply_batch("ring", MutationBatch.of(add_edges=[(4, 5)]))
+        (update,) = updates
+
+        radius = query.radius
+        assert radius == 3
+        region = expand_frontier({4, 5}, radius, old.graph, new.graph)
+        short = expand_frontier({4, 5}, radius - 1, old.graph, new.graph)
+        assert 0 in region and 0 not in short
+        assert 6 not in region
+
+        old_idx = scratch_index(old.graph, query)
+        new_idx = scratch_index(new.graph, query)
+        t, s = frozenset({0, 1, 2, 3}), frozenset({0, 1, 2, 6})
+        assert {frozenset(a) for _, a in old_idx} == {t, s}
+        assert {frozenset(a) for _, a in new_idx} == {s}
+
+        # The only changed match is T, retracted.
+        assert not update.added
+        assert [frozenset(a) for _, a in update.retracted] == [t]
+        # S is carried over, not re-derived: only T was inside the ring.
+        assert update.revalidated == 1
+        assert update.region_size == update.to_dict()["root_region"] == 6
+        stored = derived_cache().peek(
+            new.version_key, ("standing_matches", sub.id)
+        )
+        assert stored.keys() == new_idx.keys()

@@ -831,7 +831,8 @@ class TestSubscriptions:
             assert subscribed["type"] == "subscribed"
             sub_id = subscribed["subscription"]
             assert subscribed["matches"] >= 0
-            assert subscribed["radius"] >= 3
+            # γ 0.8, size ≤ 4: every pattern is a clique (diameter 1).
+            assert subscribed["radius"] == 1
             listed = client.subscriptions()
             assert [s["id"] for s in listed] == [sub_id]
             assert listed[0]["tenant"] == "alice"

@@ -221,6 +221,21 @@ class TestCompiledBridge:
         # Enumerate mode on the dense graph emits thousands of
         # completions per match; a dozen matches cover both outcomes.
         limit = 60 if path == "sets" else 12
+        # Every completion is checked (hundreds of thousands on the
+        # dense graph), so the P⁺ tables are built once, outside the
+        # loop, and adjacency is a neighbour-set membership test.
+        n_plus = p_plus.num_vertices
+        pairs = [(u, v) for u in p_plus.vertices() for v in range(u)]
+        edges = [(u, v) for u, v in pairs if p_plus.has_edge(u, v)]
+        non_edges = (
+            [(u, v) for u, v in pairs if not p_plus.has_edge(u, v)]
+            if induced else []
+        )
+        labels = [
+            (v, p_plus.label(v))
+            for v in p_plus.vertices()
+            if p_plus.label(v) is not None
+        ]
         for ordered in _sampled_matches(g, p_m, induced, limit):
             got = target.run(ordered, g, cache, stats)
             emitted = []
@@ -232,18 +247,15 @@ class TestCompiledBridge:
             # One walker, one order: ``run`` stops at the completion
             # enumerate mode reaches first.
             assert got == (emitted[0] if emitted else None)
+            matched = set(ordered)
             for completion in emitted:
-                assert set(ordered) <= set(completion)
-                assert len(set(completion)) == p_plus.num_vertices
-                for v in p_plus.vertices():
-                    assert p_plus.label(v) in (None, g.label(completion[v]))
-                for u in p_plus.vertices():
-                    for v in range(u):
-                        has = g.has_edge(completion[u], completion[v])
-                        if p_plus.has_edge(u, v):
-                            assert has
-                        else:
-                            assert not (induced and has)
+                assert matched <= set(completion)
+                assert len(set(completion)) == n_plus
+                for v, label in labels:
+                    assert g.label(completion[v]) == label
+                rows = [g.neighbor_set(x) for x in completion]
+                assert all(completion[v] in rows[u] for u, v in edges)
+                assert not any(completion[v] in rows[u] for u, v in non_edges)
 
     def test_step_program_mirrors_recipe_and_survives_pickle(self):
         g = erdos_renyi(12, 0.45, seed=2)
