@@ -15,7 +15,7 @@ import math
 from typing import Dict, List, Sequence
 
 from ..core.constraints import ConstraintSet
-from ..core.vtask import alignment_embeddings, connected_extension_orders
+from ..core.vtask import alignment_embeddings, bridge_recipes_for
 from ..patterns.automorphisms import automorphisms
 from ..patterns.pattern import Pattern
 from ..patterns.plan import plan_for
@@ -146,11 +146,8 @@ def check_alignment_feasibility(
                 subject=subject,
             )
         ]
-    for embedding in embeddings:
-        covered = list(embedding)
-        added = [v for v in p_plus.vertices() if v not in set(covered)]
-        if connected_extension_orders(p_plus, covered, added):
-            return []
+    if any(bridge_recipes_for(p_plus, e, induced) for e in embeddings):
+        return []
     return [
         make(
             "CG402",

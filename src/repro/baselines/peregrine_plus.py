@@ -10,8 +10,12 @@ pattern/VTask machinery with Contigra so the comparison isolates the
 execution model rather than implementation luck:
 
 * exploration uses the same :class:`~repro.mining.engine.MiningEngine`;
-* each match's containment probe uses a *cold* cache (the UDF "has no
-  access to the ETask caches", §8.4.2) and naive constraint order.
+* each NSQ match's containment probe is the VTask's bridge without
+  what Contigra adds to it (:func:`udf_recipes`, :func:`udf_contains`):
+  every embedding instead of one per Aut(P⁺)-orbit, the first connected
+  extension order instead of Fig 9's pick, and one anchor's adjacency
+  scanned and probed edge by edge instead of cached intersections — the
+  UDF "has no access to the ETask caches" (§8.4.2).
 
 ``schedule="graphpi"`` additionally disables the exploration cache,
 standing in for the GraphPi bar of Fig 2 (a compilation-based system
@@ -23,14 +27,15 @@ from __future__ import annotations
 from typing import FrozenSet, Iterable, List, Optional, Sequence, Set
 
 from ..core import statespace
-from ..core.vtask import ValidationTarget
+from ..core.vtask import BridgeRecipe, bridge_recipes_for
 from ..exec.context import Budget
 from ..graph.graph import Graph
-from ..mining.cache import SetOperationCache
 from ..mining.engine import MiningEngine
 from ..mining.processors import CallbackProcessor
 from ..mining.stats import ConstraintStats
+from ..patterns.isomorphism import subpattern_embeddings
 from ..patterns.pattern import Pattern
+from ..patterns.plan import PlanStep
 from ..patterns.quasicliques import quasi_clique_patterns_up_to
 
 
@@ -184,22 +189,14 @@ def posthoc_nsq(
     budget = _baseline_budget(time_limit)
     engine = MiningEngine(graph, induced=induced)
     engine.stats = stats
-    targets = [
-        ValidationTarget(
-            p_m, p_plus, graph, induced=induced,
-            strategy="naive", dedup_embeddings=False,
-            use_intersections=False,
-        )
-        for p_plus in p_plus_list
-    ]
+    checks = [udf_recipes(p_m, p_plus, induced) for p_plus in p_plus_list]
     valid_assignments: Set[tuple] = set()
 
     def on_match(match) -> bool:
         budget.check_deadline()
         stats.matches_checked += 1
-        for target in targets:
-            cold_cache = SetOperationCache(stats=stats)
-            if target.run(match.assignment, graph, cold_cache, stats) is not None:
+        for recipes in checks:
+            if udf_contains(recipes, match.assignment, graph, stats):
                 return False
         # A match satisfying its plan's symmetry conditions is already
         # its own lex-min automorphic image: nothing to canonicalise.
@@ -213,6 +210,80 @@ def posthoc_nsq(
     # NSQ identity is per match orbit, not vertex set; keep both views.
     result.assignments = valid_assignments  # type: ignore[attr-defined]
     return result
+
+
+def udf_recipes(
+    p_m: Pattern, p_plus: Pattern, induced: bool
+) -> List[BridgeRecipe]:
+    """The UDF's bridge options: for every embedding of P^M into P⁺ (no
+    orbit deduplication), the recipe of the first connected extension
+    order."""
+    recipes = []
+    for emb in subpattern_embeddings(p_m, p_plus, induced=induced):
+        embedding = tuple(emb[v] for v in p_m.vertices())
+        options = bridge_recipes_for(p_plus, embedding, induced)
+        if options:
+            recipes.append(options[0])
+    return recipes
+
+
+def udf_contains(
+    recipes: Sequence[BridgeRecipe],
+    assignment: Sequence[int],
+    graph: Graph,
+    stats: ConstraintStats,
+) -> bool:
+    """Whether some P⁺ match contains the P^M match ``assignment``,
+    searched the way a hand-written callback would (see
+    :func:`udf_recipes`).  Counts like a VTask, plus
+    ``extensions_attempted`` for every edge-probed candidate."""
+    stats.constraint_checks += 1
+    stats.vtasks_started += 1
+    first = len(assignment)
+    for recipe in recipes:
+        if _udf_extend(recipe.steps, list(assignment), first, graph, stats):
+            stats.vtasks_matched += 1
+            return True
+    return False
+
+
+def _udf_extend(
+    steps: Sequence[PlanStep],
+    bound: List[int],
+    first: int,
+    graph: Graph,
+    stats: ConstraintStats,
+) -> bool:
+    """Bind the next slot of ``steps``: scan the first anchor's
+    adjacency, eagerly, then descend into each survivor in turn."""
+    slot = len(bound)
+    if slot == len(steps):
+        return True
+    if slot > first:
+        stats.bridge_steps += 1
+    stats.candidate_computations += 1
+    _, anchors, nonneighbors, label, _, _ = steps[slot]
+    anchor_data = [bound[j] for j in anchors]
+    rest = anchor_data[1:]
+    selected = []
+    for v in sorted(graph.neighbor_set(anchor_data[0])):
+        if v in bound:
+            continue
+        if label is not None and graph.label(v) != label:
+            continue
+        if rest:
+            stats.extensions_attempted += 1
+            if not all(graph.has_edge(v, w) for w in rest):
+                continue
+        if any(graph.has_edge(v, bound[j]) for j in nonneighbors):
+            continue
+        selected.append(v)
+    for v in selected:
+        bound.append(v)
+        if _udf_extend(steps, bound, first, graph, stats):
+            return True
+        bound.pop()
+    return False
 
 
 def posthoc_kws(

@@ -64,7 +64,9 @@ class LateralScheduler:
 
         Returns ``(target, completion)`` when some VTask matched (the
         subgraph violates its constraints) or None when every VTask
-        exhausted (the subgraph is valid).  With cancellation enabled,
+        exhausted (the subgraph is valid) — or when ``ctx`` was
+        cancelled first, which is no verdict: the caller checks the
+        token before it trusts a None.  With cancellation enabled,
         a match ends the chain and the remaining VTasks are counted as
         canceled (Fig 14); with it disabled every VTask runs — the
         result is identical, only the work differs, which is exactly

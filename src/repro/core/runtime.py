@@ -499,6 +499,10 @@ class EngineSession:
             assignment, engine.graph, cache, self.stats, ctx=self.ctx
         )
         if violation is None:
+            if self.ctx.cancelled:
+                # The chain skips its pending VTasks once the token is
+                # cancelled, so None is no verdict: record nothing.
+                return
             self.result.valid.append((pattern, assignment))
             if self.match_sink is not None:
                 self.match_sink(pattern, assignment)

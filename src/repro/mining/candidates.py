@@ -4,10 +4,9 @@ Given a partial match, the candidates for the next matching-order step
 are the common neighbors of the already-bound data vertices that the
 new pattern vertex must attach to.  This module computes those pools;
 the filters that depend on the task's own state (symmetry bounds,
-injectivity, induced non-neighbours) run in the walkers that consume
-them — :class:`~repro.mining.etask.ETask` over its plan's compiled step
-program, :class:`~repro.core.vtask.ValidationTarget` over its bridge
-recipes.  Two paths compute a pool:
+injectivity, induced non-neighbours) run in the one walker that
+consumes them (:func:`repro.mining.walk.walk`), for ETasks and VTasks
+alike.  Two paths compute a pool:
 
 * the ``sets`` path (:func:`raw_intersection`) — per-vertex
   ``frozenset`` intersection, the seed implementation and the oracle

@@ -3,9 +3,11 @@
 This is the substrate the paper calls **Peregrine+** (§8.1): Peregrine
 extended with per-task caches.  The paper's Peregrine+ also explores
 several patterns simultaneously; this engine does not — each pattern
-gets its own walk over its roots.  The constraint-aware engine shares
-one cache across a root's same-size patterns; a prefix trie that walks
-them together is open work (ROADMAP item 2).
+gets its own walk over its roots — each rooted ETask runs the one
+walker (:mod:`repro.mining.walk`) over its plan's step program, the
+same walker a VTask resumes.  The constraint-aware engine shares one
+cache across a root's same-size patterns; a prefix trie of step
+records that walks them together is open work (ROADMAP item 2).
 Constraint-aware execution lives in
 :class:`repro.core.runtime.ContigraEngine`, which builds on the same
 pieces.

@@ -13,11 +13,13 @@ An exploration plan fixes, for one pattern:
 * *symmetry-breaking conditions* re-keyed by step position;
 * per-step label constraints.
 
-The ETask walker reads all five per-step facts from one compiled
-:attr:`ExplorationPlan.steps` tuple (Peregrine's exploration plan taken
-literally: the matching order and each step's set operations are fixed
-ahead of time).  Plans are deterministic functions of the pattern and
-are memoized, so a step program is built once per pattern.
+The walker (:mod:`repro.mining.walk`) reads these per-step facts from
+one compiled :attr:`ExplorationPlan.steps` tuple (Peregrine's
+exploration plan taken literally: the matching order and each step's
+set operations are fixed ahead of time).  A VTask's bridge recipe
+compiles to the same record (:class:`repro.core.vtask.BridgeRecipe`).
+Plans are deterministic functions of the pattern and are memoized, so
+a step program is built once per pattern.
 """
 
 from __future__ import annotations
@@ -27,13 +29,15 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .pattern import Pattern
 from .symmetry import Condition, conditions_by_position, symmetry_conditions
 
-#: One compiled ETask step ``(anchor slots, non-neighbour slots, label,
-#: lower-bound slots, upper-bound slots)``.  Slots are earlier matching
-#: order positions: the candidate must be adjacent to every anchor's data
-#: vertex, adjacent to no non-neighbour's, greater than every lower
-#: bound's and less than every upper bound's (symmetry breaking).
+#: One compiled step ``(vertex, anchor slots, non-neighbour slots,
+#: label, lower-bound slots, upper-bound slots)``: step ``i`` binds slot
+#: ``i`` of a partial match to pattern vertex ``vertex``.  The other
+#: slots are earlier ones: the candidate must be adjacent to every
+#: anchor's data vertex, adjacent to no non-neighbour's, greater than
+#: every lower bound's and less than every upper bound's (symmetry
+#: breaking).  The record of every step program the walker runs.
 PlanStep = Tuple[
-    Tuple[int, ...], Tuple[int, ...], Optional[int],
+    int, Tuple[int, ...], Tuple[int, ...], Optional[int],
     Tuple[int, ...], Tuple[int, ...],
 ]
 
@@ -45,7 +49,6 @@ class ExplorationPlan:
     ----------
     pattern: the target pattern.
     order: ``order[i]`` is the pattern vertex bound at step ``i``.
-    position_of: inverse of ``order``.
     backward_neighbors: per step, sorted earlier positions whose data
         vertices must be adjacent to the new candidate.
     backward_nonneighbors: per step, earlier positions whose data
@@ -56,14 +59,13 @@ class ExplorationPlan:
     labels_at: label constraint per step (None = wildcard).
     induced: whether matches must be induced subgraphs.
     steps: the compiled step program, one :data:`PlanStep` per step;
-        ``backward_neighbors``, ``backward_nonneighbors``, ``labels_at``
-        and ``conditions_at`` are its columns.
+        ``order``, ``backward_neighbors``, ``backward_nonneighbors``,
+        ``labels_at`` and ``conditions_at`` are its columns.
     """
 
     __slots__ = (
         "pattern",
         "order",
-        "position_of",
         "backward_neighbors",
         "backward_nonneighbors",
         "conditions",
@@ -84,38 +86,16 @@ class ExplorationPlan:
             raise ValueError("order must be a permutation of pattern vertices")
         self.pattern = pattern
         self.order: Tuple[int, ...] = tuple(order)
-        self.position_of: Dict[int, int] = {
-            v: i for i, v in enumerate(self.order)
-        }
         self.induced = induced
         backward_n: List[Tuple[int, ...]] = []
         backward_nn: List[Tuple[int, ...]] = []
         for i, v in enumerate(self.order):
-            earlier = self.order[:i]
-            backward_n.append(
-                tuple(
-                    j for j, u in enumerate(earlier) if pattern.has_edge(v, u)
-                )
+            anchors, nonneighbors = step_links(
+                pattern, self.order[:i], v, induced
             )
-            if induced:
-                backward_nn.append(
-                    tuple(
-                        j
-                        for j, u in enumerate(earlier)
-                        if not pattern.has_edge(v, u)
-                    )
-                )
-            else:
-                # Edge-induced plans still enforce the pattern's
-                # explicit anti-edges (per-pair induced semantics).
-                backward_nn.append(
-                    tuple(
-                        j
-                        for j, u in enumerate(earlier)
-                        if pattern.has_anti_edge(v, u)
-                    )
-                )
-            if i > 0 and not backward_n[-1]:
+            backward_n.append(anchors)
+            backward_nn.append(nonneighbors)
+            if i > 0 and not anchors:
                 raise ValueError(
                     f"matching order disconnected at step {i} "
                     f"(pattern vertex {v})"
@@ -137,6 +117,7 @@ class ExplorationPlan:
         for i in range(len(self.order)):
             conditions_here = self.conditions_at.get(i, ())
             steps.append((
+                self.order[i],
                 backward_n[i],
                 backward_nn[i],
                 self.labels_at[i],
@@ -149,21 +130,37 @@ class ExplorationPlan:
     def num_steps(self) -> int:
         return len(self.order)
 
-    def prefix_pattern(self, length: int) -> Pattern:
-        """Induced subpattern on the first ``length`` order vertices.
-
-        Vertex ``i`` of the result is the pattern vertex bound at step
-        ``i`` — i.e. the structural shape a partial match of ``length``
-        bound vertices must have.  Alignment (paper §5.2.1) matches
-        foreign subgraphs against this.
-        """
-        return self.pattern.subpattern(self.order[:length])
-
     def __repr__(self) -> str:
         return (
             f"ExplorationPlan(order={self.order}, induced={self.induced}, "
             f"conditions={self.conditions})"
         )
+
+
+def step_links(
+    pattern: Pattern, earlier: Sequence[int], vertex: int, induced: bool
+) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+    """Anchor and non-neighbour slots for binding ``vertex`` after the
+    pattern vertices ``earlier`` (slot ``j`` binds ``earlier[j]``).
+
+    Anchors are the adjacent slots.  Non-neighbours are every other
+    slot under induced semantics; edge-induced steps still enforce the
+    pattern's explicit anti-edges (per-pair induced semantics).
+    """
+    anchors = tuple(
+        j for j, u in enumerate(earlier) if pattern.has_edge(vertex, u)
+    )
+    if induced:
+        nonneighbors = tuple(
+            j for j, u in enumerate(earlier)
+            if not pattern.has_edge(vertex, u)
+        )
+    else:
+        nonneighbors = tuple(
+            j for j, u in enumerate(earlier)
+            if pattern.has_anti_edge(vertex, u)
+        )
+    return anchors, nonneighbors
 
 
 def choose_matching_order(pattern: Pattern) -> Tuple[int, ...]:

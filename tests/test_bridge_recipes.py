@@ -14,20 +14,21 @@ from repro.patterns import clique, diamond_house, house, triangle
 
 class TestBridgeRecipe:
     def test_anchors_follow_pattern_adjacency(self):
-        # triangle (0,1,2 in house) extended to the full house
+        # triangle (0,1,2 in house) extended to the full house: slots
+        # 0..2 hold the triangle, slot 3 binds vertex 3, slot 4 vertex 4
         embedding = (0, 1, 2)
-        recipe = BridgeRecipe(house(), embedding, order=(3, 4))
+        recipe = BridgeRecipe(house(), embedding, order=(3, 4), induced=False)
         # vertex 3 attaches to 1 (and not 0/2); vertex 4 to 2 and 3
-        assert set(recipe.anchors[0]) == {1}
-        assert set(recipe.anchors[1]) == {2, 3}
+        assert recipe.steps[3][:2] == (3, (1,))
+        assert recipe.steps[4][:2] == (4, (2, 3))
 
     def test_nonneighbors_complement_anchors(self):
         embedding = (0, 1, 2)
-        recipe = BridgeRecipe(house(), embedding, order=(3, 4))
-        for step in range(2):
-            assert not (
-                set(recipe.anchors[step]) & set(recipe.nonneighbors[step])
-            )
+        recipe = BridgeRecipe(house(), embedding, order=(3, 4), induced=True)
+        for slot in (3, 4):
+            _, anchors, nonneighbors, *_ = recipe.steps[slot]
+            assert not set(anchors) & set(nonneighbors)
+            assert set(anchors) | set(nonneighbors) == set(range(slot))
 
     def test_unanchored_order_rejected(self):
         # lollipop: triangle 0-1-2 with tail 2-3-4.  Binding the tail
@@ -38,10 +39,10 @@ class TestBridgeRecipe:
             5, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4)]
         )
         with pytest.raises(ValueError):
-            BridgeRecipe(lollipop, (0, 1, 2), order=(4, 3))
+            BridgeRecipe(lollipop, (0, 1, 2), order=(4, 3), induced=False)
 
     def test_intermediate_density_recorded(self):
-        recipe = BridgeRecipe(house(), (0, 1, 2), order=(3, 4))
+        recipe = BridgeRecipe(house(), (0, 1, 2), order=(3, 4), induced=False)
         assert 0.0 < recipe.intermediate_density <= 1.0
 
 
@@ -84,4 +85,4 @@ class TestOrbitEmbeddings:
             triangle(), diamond_house(), g, induced=False
         )
         assert target.gap == 2
-        assert all(len(r.order) == 2 for r in target.recipes)
+        assert all(len(r.steps) == 5 for r in target.recipes)

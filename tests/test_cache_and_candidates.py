@@ -109,7 +109,7 @@ class TestComputeCandidates:
     def test_symmetry_bounds_prune(self):
         g = graph_from_edges([(0, 1), (0, 2), (1, 2)])
         plan = plan_for(triangle())
-        anchors, _, _, lower, upper = plan.steps[1]
+        _, anchors, _, _, lower, upper = plan.steps[1]
         assert anchors == (0,) and len(lower + upper) == 1
         # Each root has a neighbor on each side; the bound keeps one
         # side, so the triangle is found once, not once per automorphism.
@@ -121,7 +121,7 @@ class TestComputeCandidates:
         plan = plan_for(path(3))
         # The last step anchors on one vertex only, whose bound
         # neighbor must not be re-bound (a Match would reject it).
-        assert plan.steps[3][0] == (1,)
+        assert plan.steps[3][1] == (1,)
         assert rooted_matches(g, path(3), 1) == [(0, 1, 2, 3)]
 
     def test_label_filter(self):
@@ -139,7 +139,7 @@ class TestComputeCandidates:
         # Step 0 binds the root and is the one step without anchors; an
         # order that leaves a later step without one is rejected.
         plan = plan_for(path(2))
-        assert plan.steps[0][0] == () and all(s[0] for s in plan.steps[1:])
+        assert plan.steps[0][1] == () and all(s[1] for s in plan.steps[1:])
         with pytest.raises(ValueError):
             ExplorationPlan(path(2), (0, 2, 1), induced=False)
 

@@ -25,6 +25,7 @@ DESIGN_MD = os.path.join(ROOT, "DESIGN.md")
 SRC = os.path.join(ROOT, "src", "repro")
 _SECTION = re.compile(r"^## .* — `(repro\.\w+)`\s*$")
 _IDENTIFIER = re.compile(r"[A-Za-z_]\w*")
+_WORD = re.compile(r"\w+")
 
 
 def documented_names():
@@ -134,7 +135,6 @@ UNCONSUMED_EXPORTS = {
     "repro.core.DependencyGraph": "return-type",
     "repro.core.SUCCESSOR": "vocabulary",
     "repro.core.PREDECESSOR": "vocabulary",
-    "repro.core.BridgeRecipe": "return-type",
     "repro.exec.EventLog": "test-helper",
     "repro.exec.EVENTS": "vocabulary",
     "repro.exec.LIFECYCLE_EVENTS": "vocabulary",
@@ -201,29 +201,31 @@ def _read(path):
 def unconsumed_exports():
     """``repro.<pkg>.<name>`` for each name in a package's ``__all__``
     that no other ``src/repro`` module, benchmark or example names."""
-    defines, texts, packages = {}, {}, []
+    # Each file is tokenised once: for an identifier, "some \w+ run of
+    # the text equals the name" is the predicate ``\bname\b`` tests.
+    defines, words, packages = {}, {}, []
     for path in _python_files(SRC):
         source = _read(path)
         tree = ast.parse(source)
         defines[path] = _defined_names(tree)
-        texts[path] = _consumer_text(path, source, tree)
+        words[path] = set(_WORD.findall(_consumer_text(path, source, tree)))
         if os.path.basename(path) == "__init__.py":
             folder = os.path.relpath(os.path.dirname(path), os.path.dirname(SRC))
             packages.append(folder.replace(os.sep, "."))
-    outside_text = "\n".join(
-        _read(path)
+    outside_words = {
+        word
         for top in ("benchmarks", "examples")
         for path in _python_files(os.path.join(ROOT, top))
-    )
+        for word in _WORD.findall(_read(path))
+    }
     found = []
     for package in sorted(packages):
         for name in importlib.import_module(package).__all__:
             if name.startswith("__"):  # __version__: metadata, not API
                 continue
-            word = re.compile(rf"\b{re.escape(name)}\b")
-            if word.search(outside_text) or any(
-                word.search(text)
-                for path, text in texts.items()
+            if name in outside_words or any(
+                name in text_words
+                for path, text_words in words.items()
                 if name not in defines[path]
             ):
                 continue

@@ -72,12 +72,6 @@ class TestPlan:
         plan = ExplorationPlan(p, (1, 0, 2), induced=False)
         assert plan.labels_at == (8, 7, 9)
 
-    def test_prefix_pattern(self):
-        plan = plan_for(clique(4))
-        prefix = plan.prefix_pattern(3)
-        assert prefix.num_vertices == 3
-        assert prefix.is_clique()
-
     def test_plan_for_memoized(self):
         assert plan_for(triangle()) is plan_for(triangle())
         assert plan_for(triangle()) is not plan_for(triangle(), induced=True)

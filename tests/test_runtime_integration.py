@@ -23,6 +23,7 @@ from repro.baselines.naive import (
 )
 from repro.core import ContigraEngine, maximality_constraints
 from repro.errors import TimeLimitExceeded
+from repro.exec.context import TaskContext
 from repro.graph import erdos_renyi
 from repro.patterns import quasi_clique_patterns_up_to
 
@@ -35,6 +36,34 @@ class TestMQCAgainstOracle:
         want = oracle_mqc(g, gamma, 3, 5)
         got = maximal_quasi_cliques(g, gamma, 5).all_sets()
         assert got == want
+
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("gamma", [0.6, 0.8])
+    def test_cancelling_from_the_sink_passes_no_contained_match(
+        self, seed, gamma
+    ):
+        """A run cancelled from its match sink stops early, and every
+        match it delivered is one a scratch ``sets`` run also calls
+        valid: promotion keeps validating under the cancelled token, and
+        a VTask must never read that token as "no containing match"."""
+        g = erdos_renyi(16, 0.42, seed=seed)
+        cs = maximality_constraints(
+            quasi_clique_patterns_up_to(5, gamma), induced=True
+        )
+        scratch = ContigraEngine(g, cs, adjacency="sets").run()
+        valid = {frozenset(a) for _, a in scratch.valid}
+        for stop_after in (1, 3, 10):
+            ctx = TaskContext.create()
+            delivered = []
+
+            def sink(pattern, assignment):
+                delivered.append(frozenset(assignment))
+                if len(delivered) == stop_after:
+                    ctx.cancel("enough matches")
+
+            ContigraEngine(g, cs).run(ctx=ctx, match_sink=sink)
+            assert ctx.cancelled or len(delivered) < stop_after
+            assert set(delivered) <= valid
 
     @pytest.mark.parametrize(
         "toggles",

@@ -11,6 +11,7 @@ from repro.apps.nsq import (
     paper_query_tailed_triangles,
 )
 from repro.baselines.naive import match_contained_in, pattern_matches
+from repro.baselines.peregrine_plus import udf_contains, udf_recipes
 from repro.bench.datasets import dataset
 from repro.core import ValidationTarget
 from repro.exec.context import TaskContext
@@ -27,6 +28,7 @@ from repro.patterns import (
     tailed_triangle,
     triangle,
 )
+from repro.patterns.isomorphism import subpattern_embeddings
 
 from conftest import graph_strategy, labeled_random_graph
 
@@ -45,10 +47,10 @@ class TestConstruction:
     def test_orbit_dedup_reduces_recipes(self):
         g = erdos_renyi(10, 0.4, seed=0)
         deduped = make(clique(4), clique(6), g, induced=True)
-        full = make(
-            clique(4), clique(6), g, induced=True, dedup_embeddings=False
+        every = list(
+            subpattern_embeddings(clique(4), clique(6), induced=True)
         )
-        assert len(deduped.recipes) < len(full.recipes)
+        assert len(deduped.recipes) < len(every)
         # K4 in K6 is a single orbit under Aut(K6).
         assert len(deduped.recipes) == 1
 
@@ -61,7 +63,8 @@ class TestConstruction:
         g = erdos_renyi(10, 0.4, seed=0)
         target = make(triangle(), diamond_house(), g)
         for recipe in target.recipes:
-            assert all(recipe.anchors)
+            added = recipe.steps[len(recipe.embedding):]
+            assert added and all(anchors for _, anchors, *_ in added)
 
     def test_unknown_strategy_rejected(self):
         g = erdos_renyi(5, 0.5, seed=0)
@@ -110,15 +113,12 @@ class TestRunCorrectness:
         g = erdos_renyi(12, 0.35, seed=7)
         stats = ConstraintStats()
         cache = SetOperationCache(stats=stats)
-        fancy = make(triangle(), house(), g)
-        plain = make(
-            triangle(), house(), g,
-            strategy=mode, dedup_embeddings=False, use_intersections=False,
-        )
+        fancy = make(triangle(), house(), g, strategy=mode)
+        plain = udf_recipes(triangle(), house(), induced=False)
         for assignment in pattern_matches(g, triangle()):
             ordered = [assignment[v] for v in triangle().vertices()]
             a = fancy.run(ordered, g, cache, stats) is not None
-            b = plain.run(ordered, g, cache, stats) is not None
+            b = udf_contains(plain, ordered, g, stats)
             assert a == b
         # Only the UDF-model scan counts per-candidate probes, and it
         # stays eager: the Peregrine+ baseline numbers must not move.
@@ -236,8 +236,13 @@ class TestCompiledBridge:
             for v in p_plus.vertices()
             if p_plus.label(v) is not None
         ]
+        # A VTask never polls the token: a cancelled one that returned
+        # None would pass a contained match as valid.
+        cancelled = TaskContext.create()
+        cancelled.cancel("before the VTask")
         for ordered in _sampled_matches(g, p_m, induced, limit):
             got = target.run(ordered, g, cache, stats)
+            assert target.run(ordered, g, cache, stats, ctx=cancelled) == got
             emitted = []
             target.enumerate_completions(
                 ordered, g, cache, stats, emitted.append
@@ -268,25 +273,34 @@ class TestCompiledBridge:
             target = make(p_m, p_plus, g, induced=induced)
             clone = pickle.loads(pickle.dumps(target))
             for recipe, copy in zip(target.recipes, clone.recipes):
-                # The program, recomputed from the pattern alone.
-                bound = list(recipe.embedding)
-                for v, anchors, nonneighbors, label in recipe.steps:
-                    assert set(anchors) | set(nonneighbors) == set(bound)
-                    assert all(p_plus.has_edge(u, v) for u in anchors)
-                    assert not any(
-                        p_plus.has_edge(u, v) for u in nonneighbors
-                    )
+                # The program, recomputed from the pattern alone: the
+                # aligned slots first, then one step per added vertex,
+                # with the plan's non-neighbour rule and no bounds.
+                k = len(recipe.embedding)
+                bound = []
+                for slot, step in enumerate(recipe.steps):
+                    v, anchors, nonneighbors, label, lower, upper = step
+                    assert (lower, upper) == ((), ())
                     assert label == p_plus.label(v)
+                    if slot < k:
+                        assert v == recipe.embedding[slot]
+                        assert (anchors, nonneighbors) == ((), ())
+                    else:
+                        assert anchors
+                        assert set(nonneighbors) == (
+                            set(range(slot)) - set(anchors)
+                            if induced else set()
+                        )
+                        assert all(
+                            p_plus.has_edge(bound[j], v) for j in anchors
+                        )
+                        assert not any(
+                            p_plus.has_edge(bound[j], v)
+                            for j in nonneighbors
+                        )
                     bound.append(v)
                 assert sorted(bound) == list(p_plus.vertices())
-                assert recipe.steps == tuple(
-                    zip(
-                        recipe.order,
-                        recipe.anchors,
-                        recipe.nonneighbors,
-                        (p_plus.label(v) for v in recipe.order),
-                    )
-                )
+                assert recipe.pick(bound) == tuple(p_plus.vertices())
                 assert copy.steps == recipe.steps
                 checked += 1
             stats = ConstraintStats()
