@@ -1,11 +1,13 @@
-"""Static query analysis: pre-execution linting and plan verification.
+"""Static query analysis: pre-execution linting of user input.
 
 Inspects a containment query (patterns plus constraints) **before**
-any exploration and emits typed, coded diagnostics (``CGxxx``).  Four
-passes: pattern/DSL lint, constraint satisfiability, dependency-graph
-structure, and exploration-plan verification.  Surfaced through the
-``repro analyze`` CLI subcommand, ``Query(...).strict()``, and the
-library self-check used as the CI analysis gate.
+any exploration and emits typed, coded diagnostics (``CGxxx``).  Three
+passes: pattern/DSL lint, constraint satisfiability, and
+dependency-graph structure.  Every code answers to something a user
+can write; facts about the engine's own plans are tests, not codes.
+Surfaced through the ``repro analyze`` CLI subcommand,
+``Query(...).strict()``, and the library self-check used as the CI
+analysis gate.
 
 See ``docs/analysis.md`` for the diagnostic-code reference.
 """
@@ -36,11 +38,6 @@ from .diagnostics import (
     Diagnostic,
 )
 from .lint import lint_pattern, lint_pattern_text
-from .plancheck import (
-    check_alignment_feasibility,
-    check_constraint_alignments,
-    check_plans,
-)
 from .schedcheck import check_scheduler
 from .satisfiability import (
     check_duplicate_constraints,
@@ -66,9 +63,6 @@ __all__ = [
     "check_duplicate_constraints",
     "check_predecessor_buckets",
     "check_dependency_graph",
-    "check_plans",
-    "check_alignment_feasibility",
-    "check_constraint_alignments",
     "check_scheduler",
     "library_patterns",
     "selfcheck",

@@ -9,16 +9,11 @@ from __future__ import annotations
 
 from typing import List, Sequence
 
-from ..core.constraints import ConstraintSet, ContainmentConstraint
+from ..core.constraints import ConstraintSet
 from ..patterns.pattern import Pattern
 from .depgraph import check_dependency_graph
 from .diagnostics import AnalysisReport, make
 from .lint import lint_pattern, subject_name
-from .plancheck import (
-    check_alignment_feasibility,
-    check_constraint_alignments,
-    check_plans,
-)
 from .satisfiability import (
     check_duplicate_constraints,
     check_predecessor_buckets,
@@ -29,11 +24,10 @@ from .satisfiability import (
 def analyze_patterns(
     patterns: Sequence[Pattern], induced: bool = False
 ) -> AnalysisReport:
-    """Lint plus plan verification for a batch of patterns."""
+    """Lint a batch of patterns."""
     report = AnalysisReport()
     for pattern in patterns:
         report.extend(lint_pattern(pattern, induced=induced))
-    report.extend(check_plans(list(patterns), induced=induced))
     return report
 
 
@@ -57,10 +51,6 @@ def analyze_constraint_set(
     report.extend(check_duplicate_constraints(constraint_set))
     report.extend(check_predecessor_buckets(constraint_set))
     report.extend(check_dependency_graph(constraint_set))
-    report.extend(
-        check_plans(constraint_set.patterns, constraint_set.induced)
-    )
-    report.extend(check_constraint_alignments(constraint_set))
     return report
 
 
@@ -75,6 +65,9 @@ def analyze_query_spec(
     Unlike :class:`~repro.core.constraints.ContainmentConstraint`,
     which raises bare ``ValueError`` on a bad pair, this produces the
     full set of coded diagnostics — including problems past the first.
+    The constraint-set passes have nothing to add here: a spec's
+    duplicates are its own CG105, and its one target with strictly
+    larger containing patterns has no dead pattern and no cycle.
     """
     report = AnalysisReport()
     report.extend(lint_pattern(target, induced=induced))
@@ -83,32 +76,6 @@ def analyze_query_spec(
     report.extend(
         check_query_satisfiability(target, not_within, only_within, induced)
     )
-    report.extend(check_plans([target], induced=induced))
-    if report.has_errors:
-        # Pair-level structure is broken; constraint-set passes would
-        # only re-raise what the CG1xx diagnostics already explain.
-        return report
-    try:
-        constraint_set = ConstraintSet(
-            [target],
-            [
-                ContainmentConstraint(target, containing, induced=induced)
-                for containing in not_within
-            ],
-            induced=induced,
-        )
-    except ValueError as exc:  # pragma: no cover - safety net
-        report.add(
-            make("CG103", str(exc), subject=subject_name(target))
-        )
-        return report
-    report.extend(check_duplicate_constraints(constraint_set))
-    report.extend(check_dependency_graph(constraint_set))
-    report.extend(check_constraint_alignments(constraint_set))
-    for containing in only_within:
-        report.extend(
-            check_alignment_feasibility(target, containing, induced)
-        )
     return report
 
 

@@ -1,10 +1,10 @@
 """Pass 3: dependency-graph diagnostics (family CG3xx).
 
 Runs over :func:`repro.core.dependencies.derive_dependencies` output:
-patterns that the constrained workload never uses (dead intermediates),
-successor/predecessor cycles (a promotion chain that would cancel its
-own from-scratch ETask), and lateral groups that serialize isomorphic
-duplicates.
+patterns that the constrained workload never uses (dead intermediates)
+and successor/predecessor cycles (a promotion chain that would cancel
+its own from-scratch ETask).  A lateral group of isomorphic targets is
+a duplicated constraint, which CG105 already reports.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ from typing import Dict, List, Optional, Set
 
 from ..core.constraints import ConstraintSet
 from ..core.dependencies import LATERAL, derive_dependencies
-from ..patterns.pattern import Pattern
 from .diagnostics import Diagnostic, make
 from .lint import subject_name
 
@@ -53,7 +52,7 @@ def _find_cycle(
 def check_dependency_graph(
     constraint_set: ConstraintSet,
 ) -> List[Diagnostic]:
-    """CG301/CG302/CG303 over the derived dependency structure."""
+    """CG301/CG302 over the derived dependency structure."""
     diagnostics: List[Diagnostic] = []
     dependency_graph = derive_dependencies(constraint_set)
 
@@ -111,26 +110,6 @@ def check_dependency_graph(
                 )
             )
 
-    # --- CG303: degenerate lateral groups ---------------------------
-    for source, targets in dependency_graph.lateral_groups():
-        seen: Dict[tuple, Pattern] = {}
-        for target in targets:
-            key = target.canonical_key()
-            if key in seen:
-                diagnostics.append(
-                    make(
-                        "CG303",
-                        "lateral group for "
-                        f"{subject_name(source)} serializes two "
-                        "isomorphic validation targets "
-                        f"({subject_name(seen[key])} and "
-                        f"{subject_name(target)}); the second VTask "
-                        "can never prune anything new",
-                        subject=subject_name(source),
-                    )
-                )
-            else:
-                seen[key] = target
     return diagnostics
 
 

@@ -7,9 +7,13 @@ kebab-case name, and a fixed severity.  Codes are grouped by family:
 * ``CG1xx`` — constraint satisfiability,
 * ``CG2xx`` — virtual state-space bucketing (paper §7),
 * ``CG3xx`` — dependency-graph structure (paper §4),
-* ``CG4xx`` — exploration-plan verification (paper §2.3/§5.2),
 * ``CG5xx`` — execution-core scheduler feasibility,
 * ``CG6xx`` — static cost model: projected budgets and configuration.
+
+A code earns its place by answering to input from outside the
+program (DSL text, CLI flags, a wire body, a hand-built
+``ConstraintSet``) and by saying something no other code says.
+Retired codes are never reused (``docs/analysis.md`` lists them).
 
 The full reference table lives in ``docs/analysis.md``; the registry
 below is the single source of truth the docs mirror.
@@ -82,12 +86,6 @@ CODES: Dict[str, Tuple[str, str, str]] = {
         WARNING,
         "the same containment constraint appears more than once",
     ),
-    "CG106": (
-        "unbridgeable-gap",
-        ERROR,
-        "the constraint's gap can never be bridged: no connected "
-        "RL-Path extends the target to the containing pattern",
-    ),
     "CG201": (
         "skip-bucket-pattern",
         WARNING,
@@ -117,29 +115,6 @@ CODES: Dict[str, Tuple[str, str, str]] = {
         ERROR,
         "cyclic successor/predecessor dependencies: a promotion chain "
         "would cancel its own from-scratch ETask",
-    ),
-    "CG303": (
-        "degenerate-lateral-group",
-        WARNING,
-        "a lateral group serializes isomorphic validation targets; "
-        "the duplicates never add pruning power",
-    ),
-    "CG401": (
-        "invalid-symmetry-order",
-        ERROR,
-        "symmetry-breaking conditions do not keep exactly one "
-        "representative per match orbit",
-    ),
-    "CG402": (
-        "rl-path-alignment-infeasible",
-        ERROR,
-        "no aligned VTask recipe exists for the constraint pair; the "
-        "fused validation can never run",
-    ),
-    "CG403": (
-        "no-exploration-plan",
-        ERROR,
-        "no valid exploration plan could be built for the pattern",
     ),
     "CG501": (
         "unknown-scheduler",

@@ -16,7 +16,14 @@ from .diagnostics import Diagnostic, make
 
 
 def subject_name(pattern: Pattern) -> str:
-    return pattern.name or f"P{pattern.num_vertices}"
+    """The pattern's name; a labelled pattern appends its labels, so
+    variants of one structure stay apart: ``s3.0(0,1,*)``."""
+    name = pattern.name or f"P{pattern.num_vertices}"
+    labels = pattern.labels
+    if all(label is None for label in labels):
+        return name
+    shown = ",".join("*" if label is None else str(label) for label in labels)
+    return f"{name}({shown})"
 
 
 def lint_pattern(

@@ -1,10 +1,10 @@
 """Pass 2: constraint satisfiability (CG1xx) and bucketing (CG2xx).
 
 CG1xx diagnostics catch constraints that can never behave as the user
-intends — contradictory ``not_within``/``only_within`` pairs, size or
-relatedness violations that :class:`ContainmentConstraint` would reject
-with a bare ``ValueError``, and gaps that no connected RL-Path can
-bridge.
+intends — contradictory ``not_within``/``only_within`` pairs, and size
+or relatedness violations that :class:`ContainmentConstraint` would
+reject with a bare ``ValueError``.  A disconnected containing pattern
+is the lint pass's CG001; no CG1xx code restates it.
 
 CG2xx diagnostics generalize the paper's §7 virtual state-space
 analysis from keyword covers to arbitrary predecessor constraints:
@@ -112,15 +112,6 @@ def check_query_satisfiability(
                 )
             )
             usable = False
-        if usable and not containing.is_connected():
-            diagnostics.append(
-                make(
-                    "CG106",
-                    f"{role} pattern is disconnected: no connected "
-                    "RL-Path can bridge the gap from the target to it",
-                    subject=pair,
-                )
-            )
         return usable
 
     seen_not: Dict[tuple, str] = {}

@@ -69,7 +69,7 @@ def selfcheck(max_size: int = 4, gamma: float = 0.8) -> AnalysisReport:
     """Analyze the shipped pattern library and canonical workloads."""
     report = AnalysisReport()
 
-    # 1. Every library pattern lints and plans cleanly.
+    # 1. Every library pattern lints cleanly.
     report.merge(analyze_patterns(library_patterns(), induced=False))
     report.merge(analyze_patterns(library_patterns(), induced=True))
 

@@ -54,6 +54,23 @@ import itertools
 # ----------------------------------------------------------------------
 
 
+def _check_keyword_query(n_keywords: int, max_size: int) -> None:
+    """Reject a query no pattern can answer — no keyword, ``max_size <
+    1``, or more keywords than ``max_size`` vertices — with a
+    :class:`~repro.request.RequestError` (a ``ValueError`` naming the
+    field)."""
+    if not n_keywords:
+        raise RequestError("keywords", "need at least one keyword")
+    if max_size < 1:
+        raise RequestError("max_size", f"must be >= 1, got {max_size}")
+    if max_size < n_keywords:
+        raise RequestError(
+            "max_size",
+            f"{n_keywords} keywords need at least as many "
+            f"vertices, got {max_size}",
+        )
+
+
 def keyword_patterns(
     keywords: Sequence[int], max_size: int
 ) -> List[Pattern]:
@@ -64,10 +81,7 @@ def keyword_patterns(
     non-keyword labels).  Patterns are deduplicated canonically.
     """
     keyword_list = list(dict.fromkeys(keywords))
-    if not keyword_list:
-        raise ValueError("need at least one keyword")
-    if max_size < len(keyword_list):
-        raise ValueError("max_size smaller than the keyword count")
+    _check_keyword_query(len(keyword_list), max_size)
     results: List[Pattern] = []
     seen: Set[tuple] = set()
     for size in range(len(keyword_list), max_size + 1):
@@ -295,24 +309,13 @@ def keyword_search(
     classification).  All settings return identical minimal covers;
     only the work differs.
 
-    A query no pattern can answer — no keyword, ``max_size < 1``, or
-    more keywords than ``max_size`` vertices — is rejected before any
-    mining with a :class:`~repro.request.RequestError` (a
-    ``ValueError`` naming the field).
+    A query no pattern can answer is rejected before any mining
+    (:func:`_check_keyword_query`).
     """
     keyword_set = frozenset(keywords)
     if not graph.is_labeled:
         raise ValueError("keyword search requires a labeled graph")
-    if not keyword_set:
-        raise RequestError("keywords", "need at least one keyword")
-    if max_size < 1:
-        raise RequestError("max_size", f"must be >= 1, got {max_size}")
-    if max_size < len(keyword_set):
-        raise RequestError(
-            "max_size",
-            f"{len(keyword_set)} keywords need at least as many "
-            f"vertices, got {max_size}",
-        )
+    _check_keyword_query(len(keyword_set), max_size)
     result = KeywordSearchResult()
     stats = result.stats
     classifier = _MatchClassifier(keyword_set)

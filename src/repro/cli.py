@@ -648,11 +648,14 @@ def _build_estimate(args: argparse.Namespace):
         )
     stats = _load_graph(args).stats_summary()
     if args.pattern is not None:
-        def parse(text: str):
-            pattern, _ = lint_pattern_text(text, induced=args.induced)
+        def parse(text: str, name: str = ""):
+            pattern, _ = lint_pattern_text(
+                text, name=name, induced=args.induced
+            )
             return pattern
 
-        target = parse(args.pattern)
+        # Named as in the analyze pass: its plan reads "target".
+        target = parse(args.pattern, "target")
         if target is None:
             raise SystemExit(
                 "--estimate requires a parseable --pattern "

@@ -163,8 +163,8 @@ def bridge_recipes_for(
     p_plus: Pattern, embedding: Tuple[int, ...], induced: bool
 ) -> Tuple["BridgeRecipe", ...]:
     """One :class:`BridgeRecipe` per connected extension order from one
-    alignment embedding; empty if the gap cannot be bridged from it
-    (the analyzer's CG402).
+    alignment embedding; empty only when P⁺ is disconnected (the
+    analyzer's CG001 on P⁺).
 
     Memoized per ``(P⁺, embedding, induced)``: enumerating orders is
     factorial in the gap, and recipe construction computes
@@ -229,7 +229,7 @@ class ValidationTarget:
         # is kept — the strategy decides *which* RL-Path runs, never how
         # many (that is the entire effect Fig 16 sweeps).  An embedding
         # with no connected order (disconnected P⁺) is skipped; the
-        # analyzer reports it statically as CG402.
+        # analyzer reports that P⁺ statically as CG001.
         recipes = [
             ranked(list(options))[0]
             for options in (

@@ -36,7 +36,6 @@ from .symmetry import (
     canonical_assignment,
     canonical_assignment_oracle,
     conditions_by_position,
-    satisfies_conditions,
     symmetry_conditions,
 )
 
@@ -50,7 +49,6 @@ __all__ = [
     "plan_for",
     "automorphisms",
     "symmetry_conditions",
-    "satisfies_conditions",
     "canonical_assignment",
     "canonical_assignment_oracle",
     "conditions_by_position",

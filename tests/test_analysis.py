@@ -1,5 +1,7 @@
 """Tests for the static query analyzer (repro.analysis)."""
 
+import json
+
 import pytest
 
 from repro.analysis import (
@@ -11,13 +13,11 @@ from repro.analysis import (
     analyze_constraint_set,
     analyze_kws_workload,
     analyze_query_spec,
-    check_alignment_feasibility,
     check_dependency_graph,
     lint_pattern,
     lint_pattern_text,
     selfcheck,
 )
-from repro.analysis.plancheck import verify_symmetry_conditions
 from repro.core import ConstraintSet, ContainmentConstraint, Query
 from repro.errors import QueryAnalysisError
 from repro.graph import graph_from_edges
@@ -176,53 +176,6 @@ class TestDependencyGraph:
         )
         assert "CG301" in codes(check_dependency_graph(cs))
 
-    def test_degenerate_lateral_group_cg303(self):
-        tailed_relabeled = Pattern(
-            4, {(0, 1), (0, 2), (1, 2), (2, 3)}, name="tailed-b"
-        )
-        assert tailed_relabeled.canonical_key() == (
-            tailed_triangle().canonical_key()
-        )
-        cs = ConstraintSet(
-            [triangle()],
-            [
-                ContainmentConstraint(triangle(), tailed_triangle()),
-                ContainmentConstraint(triangle(), tailed_relabeled),
-            ],
-        )
-        assert "CG303" in codes(check_dependency_graph(cs))
-
-
-class TestPlanVerification:
-    def test_comparison_cycle_cg401(self):
-        diagnostics = verify_symmetry_conditions(
-            triangle(), [(0, 1), (1, 0)]
-        )
-        assert "CG401" in codes(diagnostics)
-
-    def test_wrong_orbit_count_cg401(self):
-        # A triangle needs three conditions to break S_3; one is not
-        # enough (it keeps 3 of the 6 orderings, not 1).
-        diagnostics = verify_symmetry_conditions(triangle(), [(0, 1)])
-        assert "CG401" in codes(diagnostics)
-
-    def test_out_of_range_vertex_cg401(self):
-        diagnostics = verify_symmetry_conditions(triangle(), [(0, 7)])
-        assert "CG401" in codes(diagnostics)
-
-    def test_valid_conditions_pass(self):
-        diagnostics = verify_symmetry_conditions(
-            triangle(), [(0, 1), (1, 2)]
-        )
-        assert diagnostics == []
-
-    def test_disconnected_containing_cg402(self):
-        p_plus = Pattern(4, {(0, 1), (1, 2), (0, 2)})  # isolated vertex 3
-        diagnostics = check_alignment_feasibility(
-            triangle(), p_plus, induced=False
-        )
-        assert "CG402" in codes(diagnostics)
-
 
 class TestEntryPoints:
     def test_selfcheck_library_is_error_free(self):
@@ -258,7 +211,8 @@ class TestStrictQuery:
     def test_non_strict_defers_to_run(self):
         # Without strict() the builder accepts the pattern and the
         # failure surfaces as a plain ValueError at execution time,
-        # when no RL-Path recipe can bridge to the disconnected P+.
+        # when no RL-Path recipe can bridge to the disconnected P+
+        # (statically, the analyzer's CG001 on that P+).
         p_plus = parse_pattern("0-1, 1-2, 0-2; vertices 4")
         query = Query(triangle()).not_within(p_plus)
         graph = graph_from_edges([(0, 1), (1, 2), (0, 2)])
@@ -431,3 +385,96 @@ class TestDeterministicOrdering:
             ("a", "other message"),
             ("b", "dup constraint"),
         ]
+
+
+TRIANGLE = "0-1, 1-2, 0-2"
+TAILED = "0-1, 1-2, 0-2, 2-3"
+
+#: code -> ``repro analyze`` argv that produces it from DSL text or CLI
+#: flags.  ``STAR`` / ``TINY`` stand for edge-list files the test writes.
+REACHED = {
+    "CG001": ["--pattern", "0-1, 2-3"],
+    "CG002": ["--pattern", "0-1, 1-2; anti 2"],
+    "CG003": ["--pattern", "0-1, 1-2; anti-edges 0-2", "--induced"],
+    "CG004": ["--pattern", "0-0"],
+    "CG005": ["--pattern", "0-1, 1-2, 0-1"],
+    "CG101": ["--pattern", TRIANGLE, "--not-within", TAILED,
+              "--only-within", TAILED],
+    "CG102": ["--pattern", TRIANGLE, "--not-within", TRIANGLE],
+    "CG103": ["--pattern", "0-1, 1-2, 2-3, 0-3", "--induced",
+              "--not-within",
+              "0-1, 0-2, 0-3, 0-4, 1-2, 1-3, 1-4, 2-3, 2-4, 3-4"],
+    "CG104": ["--pattern", TRIANGLE,
+              "--not-within", TAILED + "; anti-edges 0-3"],
+    "CG105": ["--pattern", TRIANGLE, "--not-within", TAILED,
+              "--not-within", TAILED],
+    "CG201": ["--workload", "kws", "--keywords", "0,1", "--max-size", "3"],
+    "CG203": ["--workload", "kws", "--keywords", "0,1", "--max-size", "3"],
+    "CG501": ["--pattern", TRIANGLE, "--scheduler", "bogus"],
+    "CG502": ["--workload", "mqc", "--scheduler", "workqueue"],
+    "CG503": ["--workload", "mqc", "--scheduler", "process"],
+    "CG505": ["--workload", "kws", "--scheduler", "serial"],
+    "CG601": ["--pattern", TRIANGLE, "--estimate", "--dataset", "dblp",
+              "--budget-seconds", "0.000001"],
+    "CG602": ["--pattern", TRIANGLE, "--estimate", "--dataset", "dblp",
+              "--budget-bytes", "1"],
+    "CG603": ["--pattern", "0-1, 1-2", "--estimate", "--graph", "STAR",
+              "--scheduler", "process"],
+    "CG604": ["--pattern", "0-1, 1-2", "--estimate", "--graph", "TINY"],
+}
+
+#: codes only a hand-built ``ConstraintSet`` reaches.  They stay: they
+#: check input from outside the program (``TestBucketing`` and
+#: ``TestDependencyGraph`` reach each one).
+LIBRARY_ONLY = {
+    "CG202": "keyword workloads always keep a NO_CHECK pattern of the "
+             "keyword count's size, so only hand-built predecessor "
+             "constraints make every pattern SKIP",
+    "CG301": "the CLI's MQC workload constrains every mined pattern; a "
+             "hand-built set can mine a pattern nothing constrains",
+    "CG302": "CLI specs only point at strictly larger patterns and MQC "
+             "closures only at larger ones; a hand-built set can close "
+             "a cycle",
+}
+
+#: retired codes, never reused: (code, what reports the fact now)
+RETIRED = {
+    "CG106": "CG001 on the containing pattern",
+    "CG303": "CG105",
+    "CG401": "tests/test_symmetry.py::TestPlanConditions",
+    "CG402": "tests/test_bridge_recipes.py::TestShippedWorkloadsBridge",
+    "CG403": "unreachable: a connected pattern always has a plan",
+    "CG504": "one worker runs the serial path",
+}
+
+
+class TestEveryCodeIsReached:
+    """Every CG code answers to something a user can write."""
+
+    def test_reached_and_library_only_partition_the_registry(self):
+        assert not set(REACHED) & set(LIBRARY_ONLY)
+        assert set(REACHED) | set(LIBRARY_ONLY) == set(CODES)
+        assert all(reason for reason in LIBRARY_ONLY.values())
+
+    def test_retired_codes_are_not_reused(self):
+        assert not set(RETIRED) & set(CODES)
+
+    @pytest.mark.parametrize("code", sorted(REACHED))
+    def test_analyze_argv_reaches_the_code(self, code, tmp_path, capsys):
+        from repro.cli import main
+        from repro.graph.io import write_edge_list
+
+        files = {
+            "STAR": graph_from_edges([(0, leaf) for leaf in range(1, 21)]),
+            "TINY": graph_from_edges([(0, 1)]),
+        }
+        argv = []
+        for arg in REACHED[code]:
+            if arg in files:
+                path = str(tmp_path / f"{arg.lower()}.txt")
+                write_edge_list(files[arg], path)
+                arg = path
+            argv.append(arg)
+        main(["analyze", *argv, "--format", "json"])
+        payload = json.loads(capsys.readouterr().out)
+        assert code in {d["code"] for d in payload["diagnostics"]}

@@ -2,14 +2,27 @@
 
 import pytest
 
+from repro.apps.nsq import (
+    paper_query_tailed_triangles,
+    paper_query_triangles,
+)
+from repro.core import maximality_constraints, nested_query_constraints
 from repro.core.vtask import (
     BridgeRecipe,
     ValidationTarget,
+    bridge_recipes_for,
     connected_extension_orders,
     alignment_embeddings,
 )
 from repro.graph import erdos_renyi
-from repro.patterns import clique, diamond_house, house, triangle
+from repro.patterns import (
+    clique,
+    diamond,
+    diamond_house,
+    house,
+    quasi_clique_patterns_up_to,
+    triangle,
+)
 
 
 class TestBridgeRecipe:
@@ -86,3 +99,35 @@ class TestOrbitEmbeddings:
         )
         assert target.gap == 2
         assert all(len(r.steps) == 5 for r in target.recipes)
+
+
+class TestShippedWorkloadsBridge:
+    """A connected P⁺ bridges from every alignment embedding: each one
+    has at least one recipe, so a fused VTask can always run."""
+
+    @staticmethod
+    def _shipped_constraint_sets():
+        # The self-check's successor workloads, and the Table 3 shape.
+        for gamma, max_size in ((0.8, 4), (0.6, 6)):
+            yield maximality_constraints(
+                quasi_clique_patterns_up_to(max_size, gamma, min_size=3),
+                induced=True,
+            )
+        for build in (paper_query_triangles, paper_query_tailed_triangles):
+            yield nested_query_constraints(*build())
+        yield nested_query_constraints(triangle(), [house()])
+        yield nested_query_constraints(diamond(), [diamond_house()])
+
+    def test_every_alignment_embedding_has_a_recipe(self):
+        for constraint_set in self._shipped_constraint_sets():
+            induced = constraint_set.induced
+            for constraint in constraint_set.all_constraints:
+                p_m, p_plus = constraint.p_m, constraint.p_plus
+                if not constraint.is_successor or not p_plus.is_connected():
+                    continue
+                embeddings = alignment_embeddings(p_m, p_plus, induced)
+                assert embeddings, (p_m, p_plus)
+                for embedding in embeddings:
+                    assert bridge_recipes_for(p_plus, embedding, induced), (
+                        p_m, p_plus, embedding,
+                    )

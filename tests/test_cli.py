@@ -197,6 +197,25 @@ class TestAnalyze:
             ["analyze", "--workload", "mqc", "--max-size", "4"]
         ) == 0
 
+    def test_repeated_not_within_is_one_cg105(self, capsys):
+        tailed = "0-1, 1-2, 0-2, 2-3"
+        assert main(
+            ["analyze", "--pattern", "0-1, 1-2, 0-2",
+             "--not-within", tailed, "--not-within", tailed,
+             "--format", "json"]
+        ) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert [d["code"] for d in payload["diagnostics"]] == ["CG105"]
+
+    def test_labelled_variants_render_distinct_lines(self, capsys):
+        assert main(
+            ["analyze", "--workload", "kws", "--keywords", "0,1",
+             "--max-size", "4"]
+        ) == 0
+        lines = capsys.readouterr().out.splitlines()[:-1]  # drop totals
+        assert len(lines) == 27
+        assert len(set(lines)) == len(lines)
+
 
 class TestAnalyzeExitCodeContract:
     """Error-severity findings exit nonzero under EVERY --format value.
@@ -358,6 +377,8 @@ class TestBadFlagValues:
               "--max-size", "2"], "max_size"),
             (["analyze", "--workload", "mqc", "--scheduler", "process",
               "--workers", "0"], "workers"),
+            (["analyze", "--workload", "kws", "--keywords", "0,1,2",
+              "--max-size", "2"], "max_size"),
         ],
     )
     def test_exit_2_with_field_message(self, argv, field, capsys):

@@ -7,10 +7,13 @@ subgraph exactly once.
 """
 
 import itertools
+import math
 import random
 
+import pytest
 from hypothesis import given, settings
 
+from repro.analysis import library_patterns
 from repro.patterns import (
     Pattern,
     automorphisms,
@@ -20,13 +23,15 @@ from repro.patterns import (
     conditions_by_position,
     cycle,
     path,
+    plan_for,
     quasi_clique_patterns,
-    satisfies_conditions,
+    quasi_clique_patterns_up_to,
     star,
     symmetry_conditions,
     tailed_triangle,
     triangle,
 )
+from repro.patterns.symmetry import satisfies_conditions
 
 from conftest import connected_pattern_strategy
 
@@ -120,6 +125,29 @@ class TestConditions:
             assert sum(
                 1 for a in images if satisfies_conditions(a, conditions)
             ) == 1
+
+
+class TestPlanConditions:
+    """The conditions the engine's own plans carry keep exactly one
+    assignment per match orbit: k!/|Aut(P)| of the k! permutations of
+    distinct ids (more would duplicate matches, fewer lose them)."""
+
+    @pytest.mark.parametrize("induced", [False, True])
+    def test_plan_keeps_one_assignment_per_orbit(self, induced):
+        shipped = list(library_patterns())
+        for group in quasi_clique_patterns_up_to(6, 0.6).values():
+            shipped.extend(group)
+        assert len(shipped) > 26
+        for pattern in shipped:
+            k = pattern.num_vertices
+            conditions = plan_for(pattern, induced).conditions
+            kept = sum(
+                1
+                for assignment in itertools.permutations(range(k))
+                if satisfies_conditions(assignment, conditions)
+            )
+            expected = math.factorial(k) // len(automorphisms(pattern))
+            assert kept == expected, pattern
 
 
 def _pattern_library():
