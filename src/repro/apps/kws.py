@@ -121,16 +121,18 @@ class _MatchClassifier:
     The mined pattern of a match keeps keyword labels where the data
     has them and wildcards elsewhere (merged labels, §2.3), so the
     class depends only on the structure plus keyword placement.  The
-    memo key is the *exact* labeled shape in sorted-vertex form: one
-    int with a bit per adjacent pair of sorted positions (pairs in
-    lexicographic order, read off ``neighbor_set`` membership) plus
-    the keyword-or-``None`` label tuple.  That is O(pairs) set probes
-    on a hit; the edge list is rebuilt from the int only on a miss.
-    Exact-form equality implies isomorphism, so entries are merely
-    duplicated across isomorphic forms instead of being re-derived per
-    match.  (Keying by canonical form would compute a factorial-cost
-    canonicalization per match, which dwarfs the classification
-    itself.)
+    memo key is the *exact* labeled shape in walk order (:meth:`key`):
+    one int with a bit per adjacent pair of positions, read off
+    ``neighbor_set`` membership, plus the keyword-or-``None`` label
+    tuple.  Pairs are numbered colexicographically — pair (i, j),
+    i < j, owns bit ``j(j-1)/2 + i`` — so the key of ``s + [w]`` is the
+    key of ``s`` plus ``w``'s ``len(s)`` adjacency bits and one label:
+    a sibling batch keys its shared prefix once.  The edge list is
+    rebuilt from the int only on a miss.  Exact-form equality implies
+    isomorphism, so entries are merely duplicated across isomorphic
+    forms instead of being re-derived per match.  (Keying by canonical
+    form would compute a factorial-cost canonicalization per match,
+    which dwarfs the classification itself.)
     """
 
     def __init__(self, keywords: FrozenSet[int]) -> None:
@@ -140,26 +142,43 @@ class _MatchClassifier:
         self._pattern_label = {kw: kw for kw in keywords}.get
         self._classes: Dict[Tuple[int, tuple], str] = {}
 
-    def classify(self, graph: Graph, vertex_set: Sequence[int]) -> str:
-        ordered = sorted(vertex_set)
-        data_labels = graph.labels
-        labels = tuple(
-            [self._pattern_label(data_labels[v]) for v in ordered]
-        )
+    def key(
+        self,
+        graph: Graph,
+        members: Sequence[int],
+        prefix: Tuple[int, tuple] = (0, ()),
+    ) -> Tuple[int, tuple]:
+        """Walk-order shape key of ``members``, grown from ``prefix``,
+        the key of ``members[:len(prefix[1])]``."""
+        adjacency, labels = prefix
+        start = len(labels)
+        bit = 1 << (start * (start - 1) // 2)
         neighbor_set = graph.neighbor_set
-        adjacency = 0
-        pair = 1
-        for i, v in enumerate(ordered[:-1], 1):
-            adjacent = neighbor_set(v)
-            for w in ordered[i:]:
-                if w in adjacent:
-                    adjacency |= pair
-                pair <<= 1
-        key = (adjacency, labels)
+        data_labels = graph.labels
+        pattern_label = self._pattern_label
+        for j in range(start, len(members)):
+            w = members[j]
+            adjacent = neighbor_set(w)
+            for v in members[:j]:
+                if v in adjacent:
+                    adjacency |= bit
+                bit <<= 1
+            labels += (pattern_label(data_labels[w]),)
+        return adjacency, labels
+
+    def classify(
+        self,
+        graph: Graph,
+        members: Sequence[int],
+        prefix: Tuple[int, tuple] = (0, ()),
+    ) -> str:
+        """The class of ``members``; ``prefix`` as in :meth:`key`."""
+        key = self.key(graph, members, prefix)
         cached = self._classes.get(key)
         if cached is None:
-            n = len(ordered)
-            pairs = itertools.combinations(range(n), 2)
+            adjacency, labels = key
+            n = len(labels)
+            pairs = [(i, j) for j in range(n) for i in range(j)]
             edges = [
                 edge
                 for slot, edge in enumerate(pairs)
@@ -344,11 +363,14 @@ def keyword_search(
     bits, full, room = coverage.bits, coverage.full, coverage.room
     covered = [0] * (max_size + 1)
 
-    def handle_cover(current: Sequence[int]) -> None:
-        """Classify a covering match and emit if minimal."""
+    def handle_cover(
+        current: Sequence[int], prefix: Tuple[int, tuple] = (0, ())
+    ) -> None:
+        """Classify a covering match and emit if minimal (``prefix``:
+        the classifier key of ``current[:-1]``, when one is known)."""
         stats.matches_found += 1
         if enable_elimination:
-            cls = classifier.classify(graph, current)
+            cls = classifier.classify(graph, current, prefix)
             if cls == statespace.SKIP:
                 stats.etasks_skipped += 1
                 return
@@ -386,8 +408,31 @@ def keyword_search(
             return False
         return depth < max_size
 
+    def leaves(prefix: List[int], children: List[int]) -> None:
+        """``visit``'s answer for one batch of ``max_size``-vertex
+        siblings.  At the size cap a mask short of ``full`` misses a
+        keyword, so ``max_size > room[mask]``: each child either covers
+        or takes the size-cap prune, and one comprehension sorts them.
+        """
+        check_deadline()
+        mask = covered[len(prefix)]
+        covering = [w for w in children if mask | bits[w] == full]
+        if enable_elimination:
+            stats.etasks_skipped += len(children) - len(covering)
+        if not covering:
+            return
+        key = classifier.key(graph, prefix)
+        for w in covering:
+            prefix.append(w)
+            handle_cover(prefix, key)
+            prefix.pop()
+        if enable_eager_filter:
+            stats.eager_filter_cuts += len(covering)
+
     if enable_promotion:
-        explore_connected_sets(graph, max_size, visit, stats=stats)
+        explore_connected_sets(
+            graph, max_size, visit, stats=stats, leaves=leaves
+        )
     else:
         # Without promotion each level's patterns are explored from
         # scratch: sizes re-walk their whole prefix trees.

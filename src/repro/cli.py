@@ -36,6 +36,11 @@ from .apps import (
 from .apps.mqc import MaximalQuasiCliqueResult, mqc_constraint_set
 from .bench import dataset, dataset_keys, spec
 from .bench.report import format_table
+from .errors import (
+    MemoryBudgetExceeded,
+    StorageBudgetExceeded,
+    TimeLimitExceeded,
+)
 from .exec.resilience import ON_FAILURE_MODES
 from .exec.scheduler import SCHEDULER_NAMES
 from .graph.graph import Graph
@@ -1020,6 +1025,14 @@ def main(argv: Optional[list] = None) -> int:
         # rejects: same one-line exit-2 shape, same text as the
         # daemon's 400.
         parser.error(str(exc))
+    except (
+        TimeLimitExceeded, MemoryBudgetExceeded, StorageBudgetExceeded
+    ) as exc:
+        # A run that outgrew its budget (``--on-failure degrade`` turns
+        # this into a partial record instead): one line, the daemon's
+        # ``error`` text.
+        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
     except BrokenPipeError:
         # Downstream consumer (e.g. ``| head``) closed the pipe; exit
         # quietly like a well-behaved Unix filter.  Redirect stdout to

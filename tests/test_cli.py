@@ -8,6 +8,11 @@ import sys
 import pytest
 
 from repro.cli import build_parser, main
+from repro.errors import (
+    MemoryBudgetExceeded,
+    StorageBudgetExceeded,
+    TimeLimitExceeded,
+)
 from repro.graph import erdos_renyi, graph_from_edges
 from repro.graph.io import write_edge_list, write_labels
 
@@ -327,15 +332,48 @@ class TestAdmissionGate:
     def test_warn_mode_proceeds_past_projected_violation(self, capsys):
         # warn prints the CG601 projection but still starts the run —
         # which then genuinely hits the time limit (proving the gate
-        # did not block; strict mode would have exited 2 first).
-        from repro.exec.context import TimeLimitExceeded
+        # did not block; strict mode would have exited 2 first) and
+        # ends with the daemon's one-line error, not a traceback.
+        assert main(
+            ["mqc", "--dataset", "dblp", "--max-size", "4",
+             "--time-limit", "0.0001", "--admission", "warn"]
+        ) == 1
+        err = capsys.readouterr().err
+        assert "CG601" in err
+        assert "Traceback" not in err
+        last = err.strip().splitlines()[-1]
+        assert last.startswith("TimeLimitExceeded: time limit exceeded: ")
 
-        with pytest.raises(TimeLimitExceeded):
-            main(
-                ["mqc", "--dataset", "dblp", "--max-size", "4",
-                 "--time-limit", "0.0001", "--admission", "warn"]
-            )
-        assert "CG601" in capsys.readouterr().err
+    def test_kws_time_limit_exits_1_with_one_line(self, capsys):
+        assert main(
+            ["kws", "--dataset", "patents", "--keywords", "mf",
+             "--max-size", "5", "--time-limit", "0.0001"]
+        ) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("TimeLimitExceeded: time limit exceeded: ")
+
+    @pytest.mark.parametrize(
+        "exc",
+        [
+            TimeLimitExceeded(1.0, 2.0),
+            MemoryBudgetExceeded(10, 20),
+            StorageBudgetExceeded(10, 20),
+        ],
+        ids=lambda exc: type(exc).__name__,
+    )
+    def test_every_budget_error_is_one_line(self, exc, capsys, monkeypatch):
+        import repro.cli as cli
+
+        def fails(_args):
+            raise exc
+
+        monkeypatch.setattr(cli, "_cmd_kws", fails)
+        assert main(["kws", "--dataset", "mico", "--max-size", "4"]) == 1
+        err = capsys.readouterr().err
+        assert err == f"{type(exc).__name__}: {exc}\n"
 
     def test_strict_mode_rejects_with_exit_2(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

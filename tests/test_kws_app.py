@@ -1,10 +1,16 @@
 """Tests for the keyword-search application (paper §7 / §8.5)."""
 
+import itertools
+import random
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.apps.kws as kws
 from repro.apps.kws import (
+    _MatchClassifier,
     classify_workload,
     frequent_and_rare_keywords,
     keyword_patterns,
@@ -188,6 +194,73 @@ class TestQueryValidation:
         assert result.minimal == minimal_keyword_covers(g, [2], 1)
 
 
+def _per_leaf_explorer(explore):
+    """``explore_connected_sets`` without the caller's ``leaves``: the
+    default per-leaf adapter sends every leaf through ``visit``."""
+
+    def per_leaf(*args, leaves=None, **kwargs):
+        return explore(*args, **kwargs)
+
+    return per_leaf
+
+
+class TestLeafBatch:
+    """The promoted walk answers each last-level sibling batch at once;
+    covers and every counter equal the per-leaf walk's."""
+
+    TOGGLES = list(itertools.product([True, False], repeat=3))
+
+    @pytest.mark.parametrize("toggles", TOGGLES)
+    @given(
+        st.integers(10, 16),
+        st.floats(0.15, 0.45),
+        st.integers(3, 6),
+        st.integers(0, 10_000),
+    )
+    @settings(max_examples=8, deadline=None)
+    def test_same_covers_and_counters_as_per_leaf(
+        self, toggles, n, p, num_labels, seed
+    ):
+        promotion, eager_filter, elimination = toggles
+        g = labeled_random_graph(n, p, num_labels=num_labels, seed=seed)
+
+        def run():
+            result = keyword_search(
+                g, KW, 5,
+                enable_promotion=promotion,
+                enable_eager_filter=eager_filter,
+                enable_elimination=elimination,
+                collect_workload_stats=False,
+            )
+            return result.minimal, result.stats.as_dict()
+
+        batched = run()
+        per_leaf = _per_leaf_explorer(kws.explore_connected_sets)
+        with mock.patch.object(kws, "explore_connected_sets", per_leaf):
+            reference = run()
+        assert batched == reference
+
+    def test_time_limit_with_the_batch_on(self):
+        batches = []
+        explore = kws.explore_connected_sets
+
+        def spying(*args, leaves=None, **kwargs):
+            def counting(prefix, children):
+                batches.append(len(children))
+                leaves(prefix, children)
+
+            return explore(*args, leaves=counting, **kwargs)
+
+        g = labeled_random_graph(80, 0.3, num_labels=8, seed=3)
+        with mock.patch.object(kws, "explore_connected_sets", spying):
+            with pytest.raises(TimeLimitExceeded):
+                keyword_search(
+                    g, KW, 5, time_limit=0.001,
+                    collect_workload_stats=False,
+                )
+        assert batches
+
+
 class TestCounterPin:
     """Same nodes, same order, every counter: the work counters and the
     covers of one seeded graph under all eight ablations, as recorded
@@ -268,15 +341,14 @@ class TestFastClassifier:
     @given(st.integers(0, 10_000))
     @settings(max_examples=30, deadline=None)
     def test_matches_statespace_classification(self, seed):
-        """The bitmask fast path must equal the reference classifier."""
-        import itertools
-
-        from repro.apps.kws import _MatchClassifier
+        """The bitmask fast path must equal the reference classifier, on
+        every connected combo fed sorted and in a shuffled walk order."""
         from repro.patterns import Pattern
 
         g = labeled_random_graph(9, 0.35, num_labels=5, seed=seed)
         keywords = frozenset({0, 1, 2})
         classifier = _MatchClassifier(keywords)
+        rng = random.Random(seed)
         for size in (3, 4, 5):
             for combo in itertools.combinations(range(9), size):
                 if not g.is_connected_subset(combo):
@@ -293,17 +365,46 @@ class TestFastClassifier:
                     g.label(v) if g.label(v) in keywords else None
                     for v in ordered
                 ]
-                fast = classifier.classify(g, combo)
                 reference = statespace.classify_minimality(
                     Pattern(size, edges, labels=labels), keywords
                 )
-                assert fast == reference
+                shuffled = list(combo)
+                rng.shuffle(shuffled)
+                assert classifier.classify(g, combo) == reference
+                assert classifier.classify(g, shuffled) == reference
 
+    @given(
+        st.integers(2, 9),
+        st.floats(0.2, 0.8),
+        st.integers(0, 10_000),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_key_is_prefix_stable(self, n, p, seed):
+        """The key of ``s[:k]`` is the low k(k-1)/2 bits and first k
+        labels of the key of ``s``, and growing a prefix key one member
+        at a time gives the key of the whole set."""
+        g = labeled_random_graph(n, p, num_labels=4, seed=seed)
+        members = list(range(n))
+        random.Random(seed).shuffle(members)
+        classifier = _MatchClassifier(frozenset({0, 1}))
+        adjacency, labels = classifier.key(g, members)
+        grown = (0, ())
+        for k in range(1, n + 1):
+            low = (1 << (k * (k - 1) // 2)) - 1
+            assert classifier.key(g, members[:k]) == (
+                adjacency & low, labels[:k]
+            )
+            grown = classifier.key(g, members[:k], grown)
+        assert grown == (adjacency, labels)
+        # Pair (i, j), i < j, owns bit j(j-1)/2 + i.
+        for j in range(n):
+            for i in range(j):
+                bit = adjacency >> (j * (j - 1) // 2 + i) & 1
+                assert bit == (members[i] in g.neighbor_set(members[j]))
 
     def test_same_shape_shares_one_memo_entry(self, monkeypatch):
-        """The key is the shape in sorted-position form, not the vertex
-        ids: two paths with the keyword in the middle classify once."""
-        from repro.apps.kws import _MatchClassifier
+        """The key is the shape in walk-order form, not the vertex ids:
+        two paths walked from their keyword middle classify once."""
         from repro.graph import Graph
 
         # Two paths, 0 - 1 - 2 and 3 - 4 - 5, keyword on the middle
@@ -319,15 +420,20 @@ class TestFastClassifier:
             return derive(n, edges, labels)
 
         monkeypatch.setattr(classifier, "_classify_shape", counting)
-        first = classifier.classify(g, [2, 0, 1])
-        second = classifier.classify(g, [4, 5, 3])
+        first = classifier.classify(g, [1, 2, 0])
+        second = classifier.classify(g, [4, 3, 5])
         assert first == second == statespace.SKIP
-        assert calls == [(3, ((0, 1), (1, 2)), (None, 0, None))]
+        assert calls == [(3, ((0, 1), (0, 2)), (0, None, None))]
         assert len(classifier._classes) == 1
+        # The same path walked from an end is another form: one more
+        # entry, the same class.
+        assert classifier.classify(g, [0, 1, 2]) == statespace.SKIP
+        assert calls[1] == (3, ((0, 1), (1, 2)), (None, 0, None))
+        assert len(classifier._classes) == 2
         # A different shape on the same vertices' labels is a new entry.
-        triangle = Graph([[1, 2], [0, 2], [0, 1]], labels=[7, 0, 8])
+        triangle = Graph([[1, 2], [0, 2], [0, 1]], labels=[0, 7, 8])
         classifier.classify(triangle, [0, 1, 2])
-        assert len(calls) == 2 and len(classifier._classes) == 2
+        assert len(calls) == 3 and len(classifier._classes) == 3
 
 
 class TestKeywordSelection:

@@ -11,6 +11,7 @@ from repro.apps.quasicliques import (
 )
 from repro.baselines.naive import all_quasi_cliques, connected_vertex_sets
 from repro.graph import erdos_renyi, graph_from_edges
+from repro.mining.stats import MiningStats
 from repro.mining.subsets import count_connected_sets, explore_connected_sets
 
 from conftest import graph_strategy
@@ -93,6 +94,48 @@ class TestESU:
             return rng.random() < 0.7
 
         explore_connected_sets(g, max_size, visit)
+
+    @given(
+        st.integers(6, 10),
+        st.floats(0.2, 0.7),
+        st.integers(0, 10_000),
+        st.integers(1, 5),
+        st.integers(2, 5),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_leaves_batches_expand_to_the_per_leaf_walk(
+        self, n, p, seed, max_size, keep
+    ):
+        """A ``leaves`` callback sees the last level one sibling batch at
+        a time; expanded child by child (last child first) the batches
+        are exactly the sets the per-leaf default visits, in the same
+        order, with every counter the same."""
+        g = erdos_renyi(n, p, seed=seed)
+
+        def walk(batched):
+            seen = []
+            stats = MiningStats()
+
+            def visit(current):
+                seen.append(tuple(current))
+                # Prune some branches: the contract holds whatever
+                # ``visit`` answers.
+                return sum(current) % keep != 0
+
+            def leaves(prefix, children):
+                assert len(prefix) == max_size - 1
+                before = list(prefix)
+                for w in reversed(children):
+                    seen.append(tuple(prefix) + (w,))
+                assert prefix == before
+
+            explore_connected_sets(
+                g, max_size, visit, stats=stats,
+                leaves=leaves if batched else None,
+            )
+            return seen, stats.as_dict()
+
+        assert walk(batched=True) == walk(batched=False)
 
 
 class TestQuasiCliqueMining:
