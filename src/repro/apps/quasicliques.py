@@ -20,7 +20,6 @@ from typing import Dict, FrozenSet, List, Set
 
 from ..graph.graph import Graph
 from ..mining.engine import MiningEngine
-from ..mining.processors import CallbackProcessor
 from ..mining.stats import ConstraintStats
 from ..mining.subsets import explore_connected_sets
 from ..patterns.pattern import Pattern
@@ -54,27 +53,19 @@ def mine_quasi_cliques(
     gamma: float,
     max_size: int,
     min_size: int = 3,
-    cache_enabled: bool = True,
     adjacency: str = "auto",
 ) -> QuasiCliqueResult:
     """Baseline mode: every pattern explored by its own ETasks."""
     start = time.monotonic()
     result = QuasiCliqueResult()
-    engine = MiningEngine(
-        graph, induced=True, cache_enabled=cache_enabled,
-        adjacency=adjacency,
-    )
+    engine = MiningEngine(graph, induced=True, adjacency=adjacency)
     patterns_by_size = quasi_clique_patterns_up_to(
         max_size, gamma, min_size=min_size
     )
     for size in sorted(patterns_by_size):
         for pattern in patterns_by_size[size]:
-            engine.explore(
-                pattern,
-                CallbackProcessor(
-                    lambda match: result.add(match.vertex_set) or False
-                ),
-            )
+            for match in engine.stream(pattern):
+                result.add(match.vertex_set)
     result.stats.merge(engine.stats)
     result.elapsed = time.monotonic() - start
     return result

@@ -31,7 +31,6 @@ from ..core.vtask import BridgeRecipe, bridge_recipes_for
 from ..exec.context import Budget
 from ..graph.graph import Graph
 from ..mining.engine import MiningEngine
-from ..mining.processors import CallbackProcessor
 from ..mining.stats import ConstraintStats
 from ..patterns.isomorphism import subpattern_embeddings
 from ..patterns.pattern import Pattern
@@ -100,13 +99,13 @@ def posthoc_mqc(
     ]
     matches: List = []
 
-    def collect(match) -> bool:
+    def collect(match) -> None:
         budget.check_deadline()
         matches.append(match)
-        return False
 
     for pattern in all_patterns:
-        engine.explore(pattern, CallbackProcessor(collect))
+        for match in engine.stream(pattern):
+            collect(match)
 
     if not check_maximality:
         for match in matches:
@@ -192,18 +191,18 @@ def posthoc_nsq(
     checks = [udf_recipes(p_m, p_plus, induced) for p_plus in p_plus_list]
     valid_assignments: Set[tuple] = set()
 
-    def on_match(match) -> bool:
+    def on_match(match) -> None:
         budget.check_deadline()
         stats.matches_checked += 1
         for recipes in checks:
             if udf_contains(recipes, match.assignment, graph, stats):
-                return False
+                return
         # A match satisfying its plan's symmetry conditions is already
         # its own lex-min automorphic image: nothing to canonicalise.
         valid_assignments.add(match.assignment)
-        return False
 
-    engine.explore(p_m, CallbackProcessor(on_match))
+    for match in engine.stream(p_m):
+        on_match(match)
     result.valid = {frozenset(a) for a in valid_assignments}
     result.stats = stats
     result.elapsed = budget.elapsed()
@@ -315,15 +314,15 @@ def posthoc_kws(
     # compare execution models and not two spellings of "covers".
     coverage = statespace.KeywordCoverage(graph, keyword_set, max_size)
 
-    def on_match(match) -> bool:
+    def on_match(match) -> None:
         budget.check_deadline()
         if coverage.covers(match.vertex_set):
             covering.append(match.vertex_set)
-        return False
 
     for size in range(len(keyword_set), max_size + 1):
         for structure in connected_structures(size):
-            engine.explore(structure, CallbackProcessor(on_match))
+            for match in engine.stream(structure):
+                on_match(match)
 
     for vertex_set in covering:
         budget.check_deadline()

@@ -1,4 +1,5 @@
-"""Mining substrate: ETasks, caches, processors (the Peregrine+ layer)."""
+"""Mining substrate: ETasks, caches, the one-pattern match stream (the
+Peregrine+ layer)."""
 
 from .cache import SetOperationCache
 from .candidates import (
@@ -9,13 +10,6 @@ from .candidates import (
 from .engine import MiningEngine
 from .etask import ETask, run_single_pattern
 from .match import Match
-from .processors import (
-    CallbackProcessor,
-    CollectProcessor,
-    CountProcessor,
-    FirstMatchProcessor,
-    Processor,
-)
 from .stats import ConstraintStats, MiningStats
 from .subsets import explore_connected_sets
 
@@ -51,11 +45,6 @@ __all__ = [
     "kernel_pool",
     "raw_intersection",
     "root_candidates",
-    "Processor",
-    "CountProcessor",
-    "CollectProcessor",
-    "FirstMatchProcessor",
-    "CallbackProcessor",
     "MiningStats",
     "ConstraintStats",
     "explore_connected_sets",

@@ -12,14 +12,15 @@ Constraint-aware execution lives in
 :class:`repro.core.runtime.ContigraEngine`, which builds on the same
 pieces.
 
-Matches move through a **streaming pipeline**: :meth:`MiningEngine.stream`
-is a generator over all ETasks of a pattern, and processors consume it
-incrementally (:meth:`~repro.mining.processors.Processor.consume`).
-Early-exit consumers (``exists``, bounded ``find_all``) close the
-generator, which unwinds the DFS — the exploration stops, it is not
-just ignored.  Deadlines and cancellation arrive through an optional
-:class:`~repro.exec.context.TaskContext` shared with the execution
-core.
+:meth:`MiningEngine.stream` is the one loop that mines one pattern: a
+generator over the pattern's rooted ETasks, each with a fresh cache.
+Every consumer — the user callback of the Peregrine+ baselines, the
+``count`` / ``find_all`` / ``exists`` conveniences,
+:func:`repro.mining.etask.run_single_pattern` — iterates it.  An early
+exit closes the generator, which unwinds the DFS: the exploration
+stops, it is not just ignored.  Deadlines and cancellation arrive
+through an optional :class:`~repro.exec.context.TaskContext` shared
+with the execution core.
 
 Parallelism note: the paper's implementation uses 80 hardware threads;
 pure Python cannot profit from fine-grained thread parallelism (GIL),
@@ -31,6 +32,8 @@ job (:mod:`repro.exec.scheduler`).
 
 from __future__ import annotations
 
+from contextlib import closing
+from itertools import islice
 from typing import Iterator, List, Optional, Sequence
 
 from ..exec.context import TaskContext
@@ -42,12 +45,6 @@ from .cache import SetOperationCache
 from .candidates import root_candidates
 from .etask import ETask
 from .match import Match
-from .processors import (
-    CollectProcessor,
-    CountProcessor,
-    FirstMatchProcessor,
-    Processor,
-)
 from .stats import MiningStats
 
 
@@ -65,9 +62,6 @@ class MiningEngine:
     cache_enabled:
         ``False`` turns every task cache into a pass-through (each
         lookup a miss) — the GraphPi-style no-cache baseline.
-    ctx:
-        Optional execution context (deadline + cancellation token)
-        honored by every ETask this engine runs.
     adjacency:
         Candidate-kernel mode: ``auto`` (default; kernels where the
         graph's degree warrants them) or ``sets`` (the seed frozenset
@@ -79,25 +73,14 @@ class MiningEngine:
         graph: Graph,
         induced: bool = False,
         cache_enabled: bool = True,
-        ctx: Optional[TaskContext] = None,
         adjacency: str = "auto",
     ) -> None:
         self.graph = graph
         self.induced = induced
-        self.ctx = ctx
         self.adjacency = adjacency
         self.index = resolve_index(graph, adjacency)
         self._cache_enabled = cache_enabled
         self.stats = MiningStats()
-
-    def _task_cache(self) -> SetOperationCache:
-        """A fresh cache for one rooted task — the paper's task model
-        (§2.3): the cache C is task-local."""
-        return SetOperationCache(
-            stats=self.stats,
-            enabled=self._cache_enabled,
-            bus=self.ctx.bus if self.ctx is not None else None,
-        )
 
     # ------------------------------------------------------------------
     # Core exploration
@@ -115,32 +98,24 @@ class MiningEngine:
     ) -> Iterator[Match]:
         """Stream every match of ``pattern``, root task by root task.
 
-        The generator is the engine's primitive: processors,
-        ``find_all``/``exists`` conveniences, and app pipelines all
-        pull from it.  Closing it stops the underlying DFS.
+        Each rooted ETask gets a fresh cache — the paper's task model
+        (§2.3): the cache C is task-local.  ``ctx``'s deadline and
+        cancellation token are honoured at every node.  Closing the
+        generator stops the underlying DFS.
         """
-        run_ctx = ctx if ctx is not None else self.ctx
         plan = self.plan(pattern)
         task_roots = list(roots) if roots is not None else root_candidates(
             self.graph, plan
         )
         for root in task_roots:
+            cache = SetOperationCache(
+                stats=self.stats, enabled=self._cache_enabled
+            )
             task = ETask(
-                self.graph, plan, root, self._task_cache(), self.stats,
-                pattern=pattern, ctx=run_ctx, index=self.index,
+                self.graph, plan, root, cache, self.stats,
+                pattern=pattern, ctx=ctx, index=self.index,
             )
             yield from task.matches()
-
-    def explore(
-        self,
-        pattern: Pattern,
-        processor: Processor,
-        roots: Optional[Sequence[int]] = None,
-        ctx: Optional[TaskContext] = None,
-    ) -> Processor:
-        """Run all ETasks for ``pattern``, feeding matches to ``processor``."""
-        processor.consume(self.stream(pattern, roots=roots, ctx=ctx))
-        return processor
 
     # ------------------------------------------------------------------
     # Conveniences
@@ -148,14 +123,18 @@ class MiningEngine:
 
     def count(self, pattern: Pattern) -> int:
         """Number of matches for ``pattern``."""
-        return self.explore(pattern, CountProcessor()).result()
+        return sum(1 for _ in self.stream(pattern))
 
     def find_all(
         self, pattern: Pattern, limit: Optional[int] = None
     ) -> List[Match]:
-        """All matches (optionally capped at ``limit``)."""
-        return self.explore(pattern, CollectProcessor(limit=limit)).result()
+        """All matches, or the first ``limit`` (the walk stops there)."""
+        if limit is not None and limit < 0:
+            raise ValueError(f"limit must be >= 0, got {limit}")
+        with closing(self.stream(pattern)) as matches:
+            return list(islice(matches, limit))
 
     def exists(self, pattern: Pattern) -> bool:
-        """Whether at least one match exists."""
-        return self.explore(pattern, FirstMatchProcessor()).result() is not None
+        """Whether at least one match exists (the walk stops at it)."""
+        with closing(self.stream(pattern)) as matches:
+            return next(matches, None) is not None

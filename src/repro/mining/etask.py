@@ -11,25 +11,30 @@ it (:mod:`repro.core.runtime`).
 
 :meth:`ETask.matches` runs the one walker (:mod:`repro.mining.walk`)
 over the plan's step program from ``[root]`` in enumerate mode and
-yields matches as they are found; closing it (an early-exit ``first``,
-a bounded ``collect``) stops the walk mid-descent, and
-:meth:`ETask.run` is the callback protocol over the same generator.
-The ETask knows nothing about containment constraints, but it honours
-a :class:`~repro.exec.context.TaskContext`'s deadline and cancellation
+yields matches as they are found; closing it (``exists``, a bounded
+``find_all``) stops the walk mid-descent, and :meth:`ETask.run` is the
+callback protocol over the same generator.  The ETask knows nothing
+about containment constraints, but it honours a
+:class:`~repro.exec.context.TaskContext`'s deadline and cancellation
 token at every node.
+
+One pattern's ETasks are built root by root in one place,
+:meth:`~repro.mining.engine.MiningEngine.stream`;
+:func:`run_single_pattern` is its callback-protocol adapter for callers
+that hold a plan.
 """
 
 from __future__ import annotations
 
+from contextlib import closing
 from typing import Callable, Iterator, List, Optional
 
 from ..exec.context import TaskContext
 from ..exec.events import TASK_COMPLETE, TASK_START
 from ..graph.graph import Graph
-from ..graph.index import GraphIndex, resolve_index
+from ..graph.index import GraphIndex
 from ..patterns.plan import ExplorationPlan
 from .cache import SetOperationCache
-from .candidates import root_candidates
 from .match import Match
 from .stats import MiningStats
 from .walk import walk
@@ -130,42 +135,26 @@ class ETask:
         return Match(self.pattern, assignment)
 
 
-def stream_single_pattern(
-    graph: Graph,
-    plan: ExplorationPlan,
-    cache: Optional[SetOperationCache] = None,
-    stats: Optional[MiningStats] = None,
-    roots: Optional[List[int]] = None,
-    ctx: Optional[TaskContext] = None,
-    adjacency: str = "auto",
-) -> Iterator[Match]:
-    """Stream matches of one pattern over all (or the given) roots."""
-    stats = stats if stats is not None else MiningStats()
-    cache = cache if cache is not None else SetOperationCache(stats=stats)
-    index = resolve_index(graph, adjacency)
-    if roots is None:
-        roots = root_candidates(graph, plan)
-    for root in roots:
-        task = ETask(graph, plan, root, cache, stats, ctx=ctx, index=index)
-        yield from task.matches()
-
-
 def run_single_pattern(
     graph: Graph,
     plan: ExplorationPlan,
     on_match: OnMatch,
-    cache: Optional[SetOperationCache] = None,
     stats: Optional[MiningStats] = None,
     roots: Optional[List[int]] = None,
     ctx: Optional[TaskContext] = None,
     adjacency: str = "auto",
 ) -> MiningStats:
-    """Run ETasks for one pattern over all (or the given) roots, serially."""
-    stats = stats if stats is not None else MiningStats()
-    for match in stream_single_pattern(
-        graph, plan, cache=cache, stats=stats, roots=roots, ctx=ctx,
-        adjacency=adjacency,
-    ):
-        if on_match(match):
-            break
-    return stats
+    """Run ``plan``'s pattern over all (or the given) roots, serially,
+    until ``on_match`` returns True: the callback protocol over
+    :meth:`~repro.mining.engine.MiningEngine.stream`, which mines the
+    memoized ``plan_for(plan.pattern, plan.induced)``."""
+    from .engine import MiningEngine  # engine builds on this module
+
+    engine = MiningEngine(graph, induced=plan.induced, adjacency=adjacency)
+    if stats is not None:
+        engine.stats = stats
+    with closing(engine.stream(plan.pattern, roots=roots, ctx=ctx)) as found:
+        for match in found:
+            if on_match(match):
+                break
+    return engine.stats

@@ -73,11 +73,13 @@ logger = logging.getLogger(__name__)
 
 #: The run fields a request body may set; ``RunRequest`` has more
 #: (``adjacency`` / ``aux`` / ``retries`` / ``on_failure``), which the
-#: wire ignores until they come with their own oracle tests.
+#: wire refuses until they come with their own oracle tests.
 _WIRE_FIELDS = (
     "workload", "query", "gamma", "max_size", "min_size", "scheduler",
     "workers", "time_limit", "admission",
 )
+#: The daemon's own body fields; any other key is a 400.
+_DAEMON_FIELDS = ("tenant", "graph", "cost", "stream")
 _QUERY_TERMINALS = ("summary", "error", "cancelled")
 
 _REASONS = {
@@ -779,7 +781,8 @@ class MiningDaemon:
 
         Tenant, ``graph``, ``cost`` and ``stream`` are the daemon's own;
         the run fields go to :meth:`RunRequest.of`, whose field error
-        becomes a 400 carrying the field name.
+        becomes a 400 carrying the field name.  A key that is neither
+        is such an error too, not silently dropped.
         """
         tenant_name = body.get("tenant", "default")
         if not isinstance(tenant_name, str) or not tenant_name:
@@ -798,6 +801,9 @@ class MiningDaemon:
             raise QueryError(400, {"error": "'cost' must be positive"})
         stream = body.get("stream", True)
         try:
+            for key in body:
+                if key not in _WIRE_FIELDS and key not in _DAEMON_FIELDS:
+                    raise RequestError(str(key), "unknown field")
             if not isinstance(stream, bool):
                 raise RequestError(
                     "stream",

@@ -25,8 +25,8 @@ from repro.apps.mqc import maximal_quasi_cliques
 from repro.exec.context import TaskContext
 from repro.graph import Graph, erdos_renyi, resolve_index
 from repro.graph.index import BITSET_MIN_DEGREE
-from repro.mining import MiningStats
-from repro.mining.etask import run_single_pattern, stream_single_pattern
+from repro.mining import MiningEngine
+from repro.mining.etask import run_single_pattern
 from repro.patterns import Pattern, clique, path, plan_for, star, triangle
 
 #: Counters the walker must not move (cache traffic may).
@@ -195,17 +195,14 @@ def test_early_closed_generator_stops_mid_walk():
     is never completed, and no node past the last yielded match was
     visited."""
     graph = GRAPHS["plain"]()
-    plan = plan_for(clique(4), induced=True)
     for adjacency in ("sets", "auto"):
-        stats = MiningStats()
-        stream = stream_single_pattern(
-            graph, plan, stats=stats, adjacency=adjacency
-        )
+        engine = MiningEngine(graph, induced=True, adjacency=adjacency)
+        stream = engine.stream(clique(4))
         taken = [next(stream).assignment for _ in range(25)]
         stream.close()
         assert digest(taken) == PINS["early-close"][1]
         assert tuple(
-            getattr(stats, name) for name in WALK_COUNTERS
+            getattr(engine.stats, name) for name in WALK_COUNTERS
         ) == PINS["early-close"][0]
 
 

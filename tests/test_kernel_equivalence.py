@@ -42,7 +42,6 @@ from repro.mining import (
     SetOperationCache,
     kernel_pool,
     root_candidates,
-    run_single_pattern,
 )
 from repro.patterns import clique, path, plan_for, star, triangle
 from repro.patterns.pattern import Pattern
@@ -258,10 +257,11 @@ class TestKernelPool:
         )
         stats = ConstraintStats()
         cache = SetOperationCache(stats=stats)
-        run_single_pattern(
-            graph, plan_for(clique(4)), lambda m: False, cache=cache,
-            stats=stats, roots=sorted((a, b, c)), adjacency="auto",
-        )
+        plan, index = plan_for(clique(4)), resolve_index(graph, "auto")
+        for root in sorted((a, b, c)):
+            ETask(graph, plan, root, cache, stats, index=index).run(
+                lambda m: False
+            )
         walked = (stats.cache_hits, stats.cache_misses)
         assert stats.bitset_intersections > 0
         intersections = stats.bitset_intersections

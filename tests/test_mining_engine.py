@@ -7,12 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.graph import erdos_renyi, triangle_count
-from repro.mining import (
-    CollectProcessor,
-    CountProcessor,
-    FirstMatchProcessor,
-    MiningEngine,
-)
+from repro.mining import MiningEngine
 from repro.patterns import (
     Pattern,
     automorphisms,
@@ -101,10 +96,20 @@ class TestMatchesAndProcessors:
     def test_collect_limit_stops_early(self):
         g = erdos_renyi(20, 0.5, seed=1)
         engine = MiningEngine(g)
-        matches = engine.explore(
-            triangle(), CollectProcessor(limit=5)
-        ).result()
+        matches = engine.find_all(triangle(), limit=5)
         assert len(matches) == 5
+        # The stream was closed mid-task: the open ETask never completes.
+        assert engine.stats.matches_found == 5
+        assert engine.stats.etasks_completed < engine.stats.etasks_started
+
+    def test_find_all_limit_zero_and_negative(self):
+        g = erdos_renyi(30, 0.3, seed=1)
+        engine = MiningEngine(g)
+        assert engine.find_all(triangle(), limit=0) == []
+        assert engine.stats.etasks_started == 0
+        with pytest.raises(ValueError):
+            engine.find_all(triangle(), limit=-1)
+        assert len(engine.find_all(triangle())) == 140
 
     def test_first_match(self):
         g = erdos_renyi(20, 0.5, seed=1)
@@ -113,12 +118,6 @@ class TestMatchesAndProcessors:
         # to enumerate (K10 is absent too, at 3.6 M and 66 s).
         assert MiningEngine(g).find_all(clique(7), limit=1) == []
         assert not MiningEngine(g).exists(clique(7))
-
-    def test_counts_per_pattern_name(self):
-        g = erdos_renyi(12, 0.5, seed=7)
-        engine = MiningEngine(g)
-        processor = engine.explore(triangle(), CountProcessor())
-        assert processor.per_pattern == {"triangle": processor.total}
 
 
 class TestEngineInternals:
@@ -149,8 +148,6 @@ class TestEngineInternals:
     def test_roots_restriction(self):
         g = erdos_renyi(15, 0.5, seed=6)
         engine = MiningEngine(g)
-        processor = engine.explore(
-            triangle(), CountProcessor(), roots=[0, 1]
-        )
+        rooted = sum(1 for _ in engine.stream(triangle(), roots=[0, 1]))
         full = MiningEngine(g).count(triangle())
-        assert 0 < processor.total <= full
+        assert 0 < rooted <= full

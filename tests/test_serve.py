@@ -477,7 +477,7 @@ class TestNestedQueriesOverTheWire:
                 assert events[-1]["status"] == "ok"
                 streamed = [e for e in events if e["type"] == "match"]
                 assert {tuple(e["vertices"]) for e in streamed} == want
-                assert len(streamed) == len(want)
+                assert events[-1]["matches"] == len(streamed) == len(want)
                 result = client.query(**params)
                 assert result["summary"]["status"] == "ok"
                 assert {
@@ -743,6 +743,8 @@ class TestIntakeValidation:
             ({"workers": 0, "scheduler": "process"}, "workers"),
             ({"stream": "false"}, "stream"),
             ({"workload": "kws"}, "workload"),
+            ({"gama": 0.6}, "gama"),
+            ({"adjacency": "sets"}, "adjacency"),
         ],
     )
     def test_malformed_query_bodies_get_field_level_400(
@@ -865,6 +867,7 @@ class TestSubscriptions:
                 in metrics
             )
             assert "repro_serve_delta_events_total" in metrics
+            assert "repro_incremental_frontier_size" in metrics
 
             # Disconnecting tears the subscription down server-side.
             stream.close()
