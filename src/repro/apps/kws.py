@@ -36,7 +36,6 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tup
 
 from ..core import statespace
 from ..core.ordering import resolve_strategy
-from ..core.runtime import _DEADLINE_CHECK_INTERVAL
 from ..exec.context import Budget
 from ..graph.graph import Graph
 from ..mining.stats import ConstraintStats
@@ -338,9 +337,7 @@ def keyword_search(
     result = KeywordSearchResult()
     stats = result.stats
     classifier = _MatchClassifier(keyword_set)
-    budget = Budget(
-        time_limit=time_limit, check_interval=_DEADLINE_CHECK_INTERVAL
-    )
+    budget = Budget(time_limit=time_limit)
     check_deadline = budget.check_deadline
     # The KWS workload always spans sparse (tree) and dense (clique)
     # structures, so Fig 9's decision tree lands in the "mixed

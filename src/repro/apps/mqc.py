@@ -82,7 +82,6 @@ def build_mqc_engine(
     enable_promotion: bool = True,
     enable_lateral: bool = True,
     rl_strategy: str = "heuristic",
-    time_limit: Optional[float] = None,
     adjacency: str = "auto",
     enable_aux: bool = False,
 ) -> ContigraEngine:
@@ -98,7 +97,6 @@ def build_mqc_engine(
         enable_promotion=enable_promotion,
         enable_lateral=enable_lateral,
         rl_strategy=rl_strategy,
-        time_limit=time_limit,
         adjacency=adjacency,
         enable_aux=enable_aux,
     )
@@ -125,7 +123,8 @@ def maximal_quasi_cliques(
     scheduler (``serial`` / ``process`` / ``workqueue``); None keeps
     the in-process serial run.  ``ctx`` supplies an external execution
     context (deadline, cancellation, observability bus — see
-    :func:`repro.obs.observed_context`).  ``retries`` re-dispatches
+    :func:`repro.obs.observed_context`), which then carries the
+    deadline in place of ``time_limit``.  ``retries`` re-dispatches
     shards lost to transient worker failures; ``on_failure="degrade"``
     turns exhausted retries into a partial result with
     ``result.incomplete`` set (see docs/execution.md, "Failure
@@ -137,7 +136,6 @@ def maximal_quasi_cliques(
         gamma,
         max_size,
         min_size=min_size,
-        time_limit=time_limit,
         **engine_options,
     )
     return MaximalQuasiCliqueResult(
@@ -146,6 +144,7 @@ def maximal_quasi_cliques(
             scheduler=scheduler,
             n_workers=n_workers,
             ctx=ctx,
+            time_limit=time_limit,
             retries=retries,
             on_failure=on_failure,
         )

@@ -46,7 +46,7 @@ def nested_subgraph_query(
     ``scheduler`` selects an execution-core scheduler (``serial`` /
     ``process`` / ``workqueue``); None keeps the serial in-process run.
     ``ctx`` supplies an external execution context (deadline,
-    cancellation, observability bus).  ``retries`` re-dispatches
+    cancellation, observability bus) that replaces ``time_limit``.  ``retries`` re-dispatches
     shards lost to transient worker failures; ``on_failure="degrade"``
     returns a partial result with ``result.incomplete`` set instead of
     raising (see docs/execution.md, "Failure semantics").
@@ -54,17 +54,12 @@ def nested_subgraph_query(
     constraint_set = nested_query_constraints(
         p_m, list(p_plus_list), induced=induced
     )
-    engine = ContigraEngine(
-        graph,
-        constraint_set,
-        time_limit=time_limit,
-        **engine_options,
-    )
     return run_engine(
-        engine,
+        ContigraEngine(graph, constraint_set, **engine_options),
         scheduler=scheduler,
         n_workers=n_workers,
         ctx=ctx,
+        time_limit=time_limit,
         retries=retries,
         on_failure=on_failure,
     )

@@ -263,10 +263,12 @@ class Query:
             enable_fusion=self._fusion,
             enable_lateral=self._lateral,
             rl_strategy=self._rl_strategy,
-            time_limit=self._time_limit,
         )
         result = run_engine(
-            engine, scheduler=self._scheduler, n_workers=self._n_workers
+            engine,
+            scheduler=self._scheduler,
+            n_workers=self._n_workers,
+            time_limit=self._time_limit,
         )
         if self._only_within:
             self._apply_only_within(result, graph)

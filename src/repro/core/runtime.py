@@ -18,13 +18,14 @@ The engine is split along the execution core's task model:
   :class:`~repro.exec.TaskContext`).
   Serial runs use one session; process shards and work-stealing
   workers each get their own, over the same engine.
-* **ContigraJob** adapts an engine to the
-  :class:`~repro.exec.scheduler.ExecutionJob` protocol so any
+* **ContigraJob** adapts an engine, a root region and a match sink to
+  the :class:`~repro.exec.scheduler.ExecutionJob` protocol so any
   scheduler (``serial`` / ``process`` / ``workqueue``) can run it.
 
 Deadlines, byte budgets, and cancellation all flow through the
-session's TaskContext — the engine has no deadline code of its own
-(:meth:`repro.exec.context.Budget._check_deadline` is the single
+session's TaskContext — the engine holds no time limit and has no
+deadline code of its own
+(:meth:`repro.exec.context.Budget.check_deadline` is the single
 implementation).  Every counter, lifecycle ones included
 (cancellations, promotions, checked matches), is an integer add on the
 session's own stats at the place it happens; the context's event bus
@@ -86,8 +87,6 @@ from .constraints import ConstraintSet
 from .lateral import LateralScheduler
 from .promotion import PromotionRegistry
 from .vtask import ValidationTarget
-
-_DEADLINE_CHECK_INTERVAL = 256
 
 #: Incremental match consumer: ``(pattern, canonical_assignment)``,
 #: called synchronously on the mining thread as matches validate.
@@ -158,7 +157,6 @@ class ContigraEngine:
         enable_promotion: bool = True,
         enable_lateral: bool = True,
         rl_strategy: str = "heuristic",
-        time_limit: Optional[float] = None,
         adjacency: str = "auto",
         enable_aux: bool = False,
     ) -> None:
@@ -183,7 +181,6 @@ class ContigraEngine:
         self.rl_strategy = rl_strategy
         self.adjacency = adjacency
         self.enable_aux = enable_aux
-        self.time_limit = time_limit
         self.stats = ConstraintStats()
 
         unsupported = [
@@ -246,20 +243,6 @@ class ContigraEngine:
     # Execution
     # ------------------------------------------------------------------
 
-    def session(
-        self,
-        stats: Optional[ConstraintStats] = None,
-        ctx: Optional[TaskContext] = None,
-        match_sink: Optional[MatchSink] = None,
-    ) -> "EngineSession":
-        """A fresh run session (own registry/result) over this engine.
-
-        ``match_sink`` is called with ``(pattern, canonical_assignment)``
-        the moment a match passes validation — the incremental delivery
-        hook streaming consumers (the serving daemon) attach to.
-        """
-        return EngineSession(self, stats=stats, ctx=ctx, match_sink=match_sink)
-
     def run(
         self,
         roots: Optional[Sequence[int]] = None,
@@ -272,18 +255,18 @@ class ContigraEngine:
         sharding hook the process scheduler uses.  Validation (VTasks)
         is never restricted: a shard's matches are checked against the
         whole graph, so per-shard results are exact for the subgraphs
-        their roots own.  ``ctx`` supplies an external deadline/token;
-        without one the engine's ``time_limit`` applies.
+        their roots own.  ``ctx`` carries the run's deadline, token and
+        bus; without one the run is unlimited.  ``match_sink`` is called
+        with ``(pattern, canonical_assignment)`` the moment a match
+        passes validation.
 
         Each run gets **fresh** stats: ``self.stats`` is rebound to the
         new run's counters so ``engine.stats`` always describes the
-        *last* run.  (Previously the counters accumulated across runs,
-        which inflated every second in-process run's reported totals —
-        fatal for a long-lived daemon attributing work per query.)
+        *last* run, and a long-lived daemon attributes work per query.
         """
         self.stats = ConstraintStats()
-        session = self.session(
-            stats=self.stats, ctx=ctx, match_sink=match_sink
+        session = EngineSession(
+            self, stats=self.stats, ctx=ctx, match_sink=match_sink
         )
         session.run_roots(roots)
         return session.finish()
@@ -294,16 +277,7 @@ class ContigraEngine:
         ctx: Optional[TaskContext] = None,
     ) -> ContigraResult:
         """Run under a pluggable scheduler from :mod:`repro.exec`."""
-        if ctx is None:
-            ctx = TaskContext.create(
-                time_limit=self.time_limit,
-                check_interval=_DEADLINE_CHECK_INTERVAL,
-            )
         return scheduler.run(ContigraJob(self), ctx=ctx)
-
-    def all_roots(self) -> List[int]:
-        """Every vertex a root shard may own (the sharding universe)."""
-        return list(self.graph.vertices())
 
 
 class EngineSession:
@@ -331,10 +305,7 @@ class EngineSession:
         # cancellation, one bus for the whole run): worker sessions
         # stay out of each other's counters because each counts on
         # its own ``stats``, not because each has its own bus.
-        self.ctx = ctx if ctx is not None else TaskContext.create(
-            time_limit=engine.time_limit,
-            check_interval=_DEADLINE_CHECK_INTERVAL,
-        )
+        self.ctx = ctx if ctx is not None else TaskContext.create()
         self._observed = self.ctx.observed
         self.result = ContigraResult()
         self.result.stats = self.stats
@@ -552,18 +523,33 @@ class ContigraJob:
     """Adapter: a ContigraEngine as a scheduler-runnable ExecutionJob.
 
     Implements the :class:`repro.exec.scheduler.ExecutionJob` protocol.
-    The job pickles with its engine, so process workers reuse the
-    already-built pattern-level tables instead of rebuilding them.
+    ``roots`` is the exploration universe (``None`` = every vertex):
+    the serial run mines it directly, and the sharding schedulers cut
+    their shards from it.  ``match_sink`` is handed to the serial run,
+    which calls it as each match validates.  The job pickles with its
+    engine, so process workers reuse the already-built pattern-level
+    tables instead of rebuilding them, as long as it carries no sink.
     """
 
-    def __init__(self, engine: ContigraEngine) -> None:
+    def __init__(
+        self,
+        engine: ContigraEngine,
+        roots: Optional[Sequence[int]] = None,
+        match_sink: Optional[MatchSink] = None,
+    ) -> None:
         self.engine = engine
+        self._roots = None if roots is None else sorted(roots)
+        self._match_sink = match_sink
 
     def all_roots(self) -> List[int]:
-        return self.engine.all_roots()
+        if self._roots is None:
+            return list(self.engine.graph.vertices())
+        return list(self._roots)
 
     def run_serial(self, ctx: Optional[TaskContext] = None) -> ContigraResult:
-        return self.engine.run(ctx=ctx)
+        return self.engine.run(
+            roots=self._roots, ctx=ctx, match_sink=self._match_sink
+        )
 
     def run_shard(
         self,
@@ -571,7 +557,7 @@ class ContigraJob:
         ctx: Optional[TaskContext] = None,
     ) -> ContigraResult:
         """One root shard with its own registry and fresh counters."""
-        session = self.engine.session(ctx=ctx)
+        session = self.worker_session(ctx)
         session.run_roots(list(roots))
         return session.finish()
 
@@ -583,15 +569,10 @@ class ContigraJob:
         whether to publish it to shared memory before dispatch."""
         return self.engine.graph
 
-    def worker_session(self, ctx: TaskContext) -> EngineSession:
-        return self.engine.session(ctx=ctx)
-
-    def shard_context(self) -> TaskContext:
-        """A worker-process context carrying the engine's deadline."""
-        return TaskContext.create(
-            time_limit=self.engine.time_limit,
-            check_interval=_DEADLINE_CHECK_INTERVAL,
-        )
+    def worker_session(
+        self, ctx: Optional[TaskContext] = None
+    ) -> EngineSession:
+        return EngineSession(self.engine, ctx=ctx)
 
     def merge(
         self, partials: Sequence[Any], elapsed: float

@@ -1,9 +1,8 @@
 """Task context: cancellation tokens and unified run budgets.
 
-This module is the single home of the lifecycle plumbing that used to
-be reimplemented by every engine (``ContigraEngine._check_deadline``,
-``peregrine_plus._Deadline``, the KWS closure deadline, TThinker's
-byte accounting):
+This module is the single home of the lifecycle plumbing every engine
+and baseline shares (the Contigra runtime, the Peregrine+ baselines,
+keyword search, TThinker's byte accounting):
 
 * :class:`CancellationToken` — hierarchical cooperative cancellation.
   Cancelling a parent cancels every descendant, which is how one
@@ -137,7 +136,7 @@ class Budget:
         self.start = time.monotonic()
         self._tick = 0
 
-    def _check_deadline(self) -> None:
+    def check_deadline(self) -> None:
         """The one shared deadline check (tick-gated; raises TLE)."""
         if self.time_limit is None:
             return
@@ -147,9 +146,6 @@ class Budget:
         elapsed = time.monotonic() - self.start
         if elapsed > self.time_limit:
             raise TimeLimitExceeded(self.time_limit, elapsed)
-
-    # Public spelling; same single implementation.
-    check_deadline = _check_deadline
 
     # ------------------------------------------------------------------
     # Bytes

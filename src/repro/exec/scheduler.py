@@ -117,10 +117,6 @@ class ExecutionJob(Protocol):
         """Combine per-shard results (dedup + counter sums)."""
         ...
 
-    def shard_context(self) -> TaskContext:
-        """A context configured for one shard worker (deadline etc.)."""
-        ...
-
 
 def merge_counter_dict(stats: Any, shard_dict: Dict[str, float]) -> None:
     """Sum a shard's integer counters into ``stats`` (rates recompute).
@@ -159,14 +155,15 @@ def run_shard_payload(
       observability subscribers pay nothing.
     * ``budget_spec`` is the parent's *residual*
       :class:`~repro.exec.resilience.BudgetSpec` at dispatch time; it
-      caps the shard context's budget so a run with ``time_limit=T``
+      is the shard context's whole budget (the parent's deadline, less
+      what the run already spent), so a run with ``time_limit=T``
       cannot burn parent setup time plus a fresh ``T`` per shard.
     * ``fault_plan`` / ``attempt`` drive deterministic chaos
       injection before the shard runs (``attempt`` is the 0-based
       dispatch count for this shard's roots).
     """
     job, roots, observe, spec, fault_plan, attempt = payload
-    ctx = job.shard_context()
+    ctx = TaskContext.create()
     spec.apply(ctx.budget)
     if fault_plan is not None:
         fault_plan.fire(
@@ -299,7 +296,7 @@ class _Scheduler:
                 PHASE_RUN, scheduler=self.name, workers=self.n_workers
             )
         try:
-            return self._drive(job, ctx, run_ctx)
+            return self._drive(job, run_ctx)
         finally:
             if observed:
                 run_ctx.phase_end(PHASE_RUN)
@@ -314,7 +311,6 @@ class _Scheduler:
     def _run_round(
         self,
         job: ExecutionJob,
-        ctx: Optional[TaskContext],
         run_ctx: TaskContext,
         units: List[_Unit],
         spec: BudgetSpec,
@@ -337,12 +333,7 @@ class _Scheduler:
             and unit.attempt < self.retries
         )
 
-    def _drive(
-        self,
-        job: ExecutionJob,
-        ctx: Optional[TaskContext],
-        run_ctx: TaskContext,
-    ) -> Any:
+    def _drive(self, job: ExecutionJob, run_ctx: TaskContext) -> Any:
         pending = [
             _Unit(index, roots)
             for index, roots in enumerate(self._units(job.all_roots()))
@@ -368,7 +359,7 @@ class _Scheduler:
                     unit.shelved = True
                 dead.extend(pending)
                 break
-            done, failed = self._run_round(job, ctx, run_ctx, pending, spec)
+            done, failed = self._run_round(job, run_ctx, pending, spec)
             partials.extend(done)
             retry = [unit for unit in failed if self._retryable(unit)]
             dead.extend(unit for unit in failed if unit not in retry)
@@ -476,24 +467,18 @@ class SerialScheduler(_Scheduler):
     def _units(self, roots: List[int]) -> List[List[int]]:
         return [roots]
 
-    def _drive(
-        self,
-        job: ExecutionJob,
-        ctx: Optional[TaskContext],
-        run_ctx: TaskContext,
-    ) -> Any:
+    def _drive(self, job: ExecutionJob, run_ctx: TaskContext) -> Any:
         if (
             self.retries == 0
             and self.on_failure == ON_FAILURE_RAISE
             and self.fault_plan is None
         ):
-            return job.run_serial(ctx=ctx)
-        return super()._drive(job, ctx, run_ctx)
+            return job.run_serial(ctx=run_ctx)
+        return super()._drive(job, run_ctx)
 
     def _run_round(
         self,
         job: ExecutionJob,
-        ctx: Optional[TaskContext],
         run_ctx: TaskContext,
         units: List[_Unit],
         spec: BudgetSpec,
@@ -507,7 +492,7 @@ class SerialScheduler(_Scheduler):
                     budget=run_ctx.budget,
                     allow_kill=False,
                 )
-            return [job.run_serial(ctx=ctx)], []
+            return [job.run_serial(ctx=run_ctx)], []
         except Exception as exc:  # noqa: BLE001 - the driver triages
             unit.errors.append(exc)
             return [], [unit]
@@ -562,15 +547,10 @@ class ProcessShardScheduler(_ParallelScheduler):
 
     name = "process"
 
-    def _drive(
-        self,
-        job: ExecutionJob,
-        ctx: Optional[TaskContext],
-        run_ctx: TaskContext,
-    ) -> Any:
+    def _drive(self, job: ExecutionJob, run_ctx: TaskContext) -> Any:
         lease = _share_job_graph(job)
         try:
-            return super()._drive(job, ctx, run_ctx)
+            return super()._drive(job, run_ctx)
         finally:
             _release_job_graph(lease)
 
@@ -596,7 +576,6 @@ class ProcessShardScheduler(_ParallelScheduler):
     def _run_round(
         self,
         job: ExecutionJob,
-        ctx: Optional[TaskContext],
         run_ctx: TaskContext,
         units: List[_Unit],
         spec: BudgetSpec,
@@ -670,7 +649,6 @@ class WorkQueueScheduler(_ParallelScheduler):
     def _run_round(
         self,
         job: ExecutionJob,
-        ctx: Optional[TaskContext],
         run_ctx: TaskContext,
         units: List[_Unit],
         spec: BudgetSpec,

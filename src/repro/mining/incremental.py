@@ -256,10 +256,7 @@ class StandingQuery:
 
     def engine(self, graph: Graph) -> ContigraEngine:
         return ContigraEngine(
-            graph,
-            self.constraint_set,
-            time_limit=self.time_limit,
-            adjacency=self.adjacency,
+            graph, self.constraint_set, adjacency=self.adjacency
         )
 
     @property
@@ -275,6 +272,7 @@ def _run_region(
         query.engine(graph),
         scheduler=query.scheduler,
         n_workers=query.n_workers,
+        time_limit=query.time_limit,
         roots=roots,
     )
 

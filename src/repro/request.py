@@ -8,8 +8,9 @@ a caller asked for into that model and back into a report:
   :meth:`RunRequest.of` argparse values, the daemon feeds it JSON, and
   both get the same field-level :class:`RequestError` (exit 2 / HTTP
   400), in the style of :meth:`repro.graph.store.MutationBatch.of`.
-* :func:`run_engine` — the only place that chooses between the
-  in-process serial fast path and a :mod:`repro.exec` scheduler.
+* :func:`run_engine` — the one call that builds a run's context and
+  hands a :class:`~repro.core.runtime.ContigraJob` to a
+  :mod:`repro.exec` scheduler.
 * :func:`admit` / :func:`run` (:func:`execute` = both) and the
   :class:`RunRecord` every front end prints.
 
@@ -22,7 +23,7 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass, fields
 from functools import cached_property
-from typing import TYPE_CHECKING, Any, Dict, List, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Dict, Mapping, Optional, Sequence
 
 from .core.constraints import ConstraintSet, nested_query_constraints
 from .core.runtime import (
@@ -34,7 +35,7 @@ from .core.runtime import (
 from .errors import QueryAnalysisError, ReproError
 from .exec.context import TaskContext
 from .exec.resilience import ON_FAILURE_MODES
-from .exec.scheduler import SCHEDULER_NAMES, SerialScheduler, make_scheduler
+from .exec.scheduler import SCHEDULER_NAMES, make_scheduler
 from .graph.graph import Graph
 from .graph.index import ADJACENCY_MODES
 from .obs import MetricsRegistry, RunScope, observe_estimate_error
@@ -173,76 +174,39 @@ class RunRequest:
         return nested_query_constraints(p_m, p_plus)
 
 
-class _RegionJob(ContigraJob):
-    """A ContigraJob whose exploration universe is a root region
-    (``None`` = every root).
-
-    Under the serial scheduler the engine runs with the restricted
-    root set directly — and hands ``match_sink`` each match as it
-    validates; under the sharded schedulers ``all_roots`` *is* the
-    sharding universe, so restricting it restricts every shard.
-    Pickles like its parent (process workers rebuild nothing) as long
-    as it carries no sink.
-    """
-
-    def __init__(
-        self,
-        engine: ContigraEngine,
-        roots: Optional[Sequence[int]],
-        match_sink: Optional[MatchSink] = None,
-    ) -> None:
-        super().__init__(engine)
-        self._roots = None if roots is None else sorted(roots)
-        self._match_sink = match_sink
-
-    def all_roots(self) -> List[int]:
-        if self._roots is None:
-            return super().all_roots()
-        return list(self._roots)
-
-    def run_serial(self, ctx: Optional[Any] = None) -> ContigraResult:
-        return self.engine.run(
-            roots=self._roots, ctx=ctx, match_sink=self._match_sink
-        )
-
-
 def run_engine(
     engine: ContigraEngine,
     *,
     scheduler: Optional[str] = None,
     n_workers: int = 2,
     ctx: Optional[TaskContext] = None,
+    time_limit: Optional[float] = None,
     match_sink: Optional[MatchSink] = None,
     retries: int = 0,
     on_failure: str = "raise",
     roots: Optional[Sequence[int]] = None,
 ) -> ContigraResult:
-    """Run ``engine`` serially in-process or under a named scheduler.
+    """Run ``engine`` under a named scheduler (``None`` = serial).
+
+    ``ctx`` is the run's context and carries its own deadline; without
+    one, ``run_engine`` builds it with ``time_limit``.  Every scheduler
+    gets that one context.  ``roots`` restricts exploration to a root
+    region (standing queries); ``None`` is the full universe.
 
     A serial run with no retries and no degrade mode is one
-    :meth:`ContigraEngine.run` that is never rerun, so ``match_sink``
-    fires as each match validates — whether or not anyone observes the
-    context (an observed one gets its run-phase span either way).
-    Everything else goes through
-    :func:`repro.exec.scheduler.make_scheduler`, so failure handling
-    applies uniformly; there ``match_sink`` sees the merged result's
-    matches after the run.  ``roots`` restricts exploration to a root
-    region (standing queries); ``None`` is the full universe.
+    :meth:`ContigraEngine.run` that is never rerun, so ``match_sink`` is
+    live there: it fires as each match validates, whether or not anyone
+    observes the context.  Everywhere else it sees the result's matches
+    after the run.
     """
     name = scheduler or "serial"
-    if name == "serial" and retries == 0 and on_failure == "raise":
-        return SerialScheduler().run(
-            _RegionJob(engine, roots, match_sink), ctx=ctx
-        )
-    chosen = make_scheduler(
+    live = name == "serial" and retries == 0 and on_failure == "raise"
+    if ctx is None:
+        ctx = TaskContext.create(time_limit=time_limit)
+    result: ContigraResult = make_scheduler(
         name, n_workers=n_workers, retries=retries, on_failure=on_failure
-    )
-    result: ContigraResult = (
-        engine.run_with(chosen, ctx=ctx)
-        if roots is None
-        else chosen.run(_RegionJob(engine, roots), ctx=ctx)
-    )
-    if match_sink is not None:
+    ).run(ContigraJob(engine, roots, match_sink if live else None), ctx)
+    if match_sink is not None and not live:
         for pattern, assignment in result.valid:
             match_sink(pattern, assignment)
     return result
@@ -359,7 +323,6 @@ def run(
     engine = ContigraEngine(
         graph,
         request.constraint_set(),
-        time_limit=request.time_limit,
         adjacency=request.adjacency,
         enable_aux=request.aux,
     )
@@ -368,6 +331,7 @@ def run(
         scheduler=request.scheduler,
         n_workers=request.workers,
         ctx=ctx,
+        time_limit=request.time_limit,
         match_sink=match_sink,
         retries=request.retries,
         on_failure=request.on_failure,

@@ -47,7 +47,6 @@ from dataclasses import dataclass
 from typing import Any, Callable, Container, Dict, List, Optional, Set, Tuple
 
 from ..analysis import AdmissionDecision
-from ..core.runtime import _DEADLINE_CHECK_INTERVAL
 from ..errors import ReproError
 from ..exec.context import TaskContext
 from ..graph.graph import Graph
@@ -892,11 +891,7 @@ class MiningDaemon:
             request=request,
             admission=decision,
             graph=version.graph,
-            ctx=TaskContext.create(
-                time_limit=request.time_limit,
-                memory_budget_bytes=tenant.budget_bytes,
-                check_interval=_DEADLINE_CHECK_INTERVAL,
-            ),
+            ctx=TaskContext.create(time_limit=request.time_limit),
             outbox=Outbox(self._loop, streamed=stream),
         )
         self._pending.put_nowait((-run.priority, self._seq, run))

@@ -218,25 +218,39 @@ class TestWorkQueueRound:
             def worker_session(self, ctx):
                 return CountingSession(super().worker_session(ctx))
 
-        plan = FaultPlan().crash(engine.all_roots()[0], times=50)
+        roots = list(graph.vertices())
+        plan = FaultPlan().crash(roots[0], times=50)
         with pytest.raises(InjectedFault):
             WorkQueueScheduler(n_workers=3, fault_plan=plan).run(
                 CountingJob(engine)
             )
-        assert len(runs) < len(engine.all_roots()) - 1
+        assert len(runs) < len(roots) - 1
 
     def test_deadline_fails_only_roots_that_ran(self):
         """Roots a deadline-cancelled round never reached are listed
-        unprocessed without a ``shard_failed`` each."""
+        unprocessed without a ``shard_failed`` each.
+
+        Each worker's first root sleeps the whole limit before it
+        mines, so the deadline passes inside a unit, never before the
+        round dispatches; the walk's first clock read after it (every
+        256 ticks, a count, not a time) fails the unit that ran."""
         graph = erdos_renyi(60, 0.4, seed=3)
-        ctx = TaskContext.create(time_limit=0.02)
+        engine = engine_for(graph)
+        limit = 0.3
+        plan = FaultPlan()
+        for root in range(3):
+            plan.delay(root, seconds=limit)
+        ctx = TaskContext.create(time_limit=limit)
         failed = []
         ctx.bus.subscribe(
             lambda event, ts, payload, track: event == SHARD_FAILED
             and failed.append(payload)
         )
-        result = engine_for(graph).run_with(
-            WorkQueueScheduler(n_workers=3, on_failure="degrade"), ctx=ctx
+        result = engine.run_with(
+            WorkQueueScheduler(
+                n_workers=3, on_failure="degrade", fault_plan=plan
+            ),
+            ctx=ctx,
         )
         assert result.incomplete
         assert 1 <= len(failed) <= 3 < len(result.unprocessed_roots)
@@ -271,9 +285,11 @@ class TestRaiseModeFidelity:
         violation, not whichever cancellation-induced failure happened
         to land first; the rest stay attached."""
         graph = erdos_renyi(60, 0.4, seed=3)
-        engine = engine_for(graph, time_limit=0.02)
         with pytest.raises(TimeLimitExceeded) as info:
-            engine.run_with(WorkQueueScheduler(n_workers=3))
+            engine_for(graph).run_with(
+                WorkQueueScheduler(n_workers=3),
+                ctx=TaskContext.create(time_limit=0.02),
+            )
         assert hasattr(info.value, "suppressed_failures")
 
 
@@ -282,7 +298,7 @@ class TestPoisonedFinish:
         """Satellite fix: ``session.finish()`` raising in the worker's
         cleanup path must not mask the original budget error."""
         graph = erdos_renyi(60, 0.4, seed=3)
-        engine = engine_for(graph, time_limit=0.02)
+        engine = engine_for(graph)
 
         class PoisonedSession:
             def __init__(self, inner):
@@ -302,7 +318,7 @@ class TestPoisonedFinish:
         with pytest.raises(TimeLimitExceeded) as info:
             scheduler.run(
                 PoisonedJob(engine),
-                ctx=TaskContext.create(time_limit=engine.time_limit),
+                ctx=TaskContext.create(time_limit=0.02),
             )
         # The masked finish() errors are preserved as secondaries.
         suppressed = getattr(info.value, "suppressed_failures", ())
@@ -325,12 +341,13 @@ class TestBudgetPropagation:
         every 256 ticks, a count, not a time)."""
         graph = erdos_renyi(60, 0.4, seed=3)
         limit = 0.15
-        engine = engine_for(graph, time_limit=limit)
+        engine = engine_for(graph)
         plan = FaultPlan().delay(0, seconds=limit).delay(1, seconds=limit)
         start = time.monotonic()
         with pytest.raises(TimeLimitExceeded) as info:
             engine.run_with(
-                ProcessShardScheduler(n_workers=2, fault_plan=plan)
+                ProcessShardScheduler(n_workers=2, fault_plan=plan),
+                ctx=TaskContext.create(time_limit=limit),
             )
         wall = time.monotonic() - start
         # The worker's own deadline is the *residual*: capped by the
@@ -365,7 +382,7 @@ class TestBudgetPropagation:
             n_workers=2, on_failure="degrade"
         ).run(ContigraJob(engine), ctx=ctx)
         assert result.incomplete
-        assert result.unprocessed_roots == sorted(engine.all_roots())
+        assert result.unprocessed_roots == sorted(graph.vertices())
         assert any(
             "TimeLimitExceeded" in reason
             for reason in result.failure_reasons

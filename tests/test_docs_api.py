@@ -144,6 +144,7 @@ UNCONSUMED_EXPORTS = {
     "repro.exec.Fault": "return-type",
     "repro.exec.InjectedFault": "return-type",
     "repro.exec.TransientWorkerError": "return-type",
+    "repro.exec.SerialScheduler": "oracle",
     "repro.graph.graph_from_edges": "test-helper",
     "repro.graph.write_edge_list": "io",
     "repro.graph.write_labels": "io",

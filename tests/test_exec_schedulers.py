@@ -27,6 +27,7 @@ from repro.errors import MemoryBudgetExceeded, TimeLimitExceeded
 from repro.exec import (
     ProcessShardScheduler,
     SerialScheduler,
+    TaskContext,
     WorkQueueScheduler,
     make_scheduler,
 )
@@ -59,11 +60,15 @@ def match_multiset(result):
     )
 
 
-def run_with(graph, constraint_set, scheduler, **engine_options):
+def run_with(
+    graph, constraint_set, scheduler, time_limit=None, **engine_options
+):
     # A fresh engine per run: serial runs write into engine.stats, so
     # reusing one engine would accumulate counters across schedulers.
     engine = ContigraEngine(graph, constraint_set, **engine_options)
-    return engine.run_with(scheduler)
+    return engine.run_with(
+        scheduler, ctx=TaskContext.create(time_limit=time_limit)
+    )
 
 
 class TestThreeSchedulerEquivalence:
@@ -213,15 +218,14 @@ def _tthinker_oom_shard(_shard_index):
 class TestWorkQueueCancellation:
     def test_deadline_in_one_worker_stops_the_run(self):
         g = erdos_renyi(60, 0.4, seed=3)
-        engine = ContigraEngine(
-            g, mqc_constraints(gamma=0.6, max_size=6), time_limit=0.02
-        )
+        engine = ContigraEngine(g, mqc_constraints(gamma=0.6, max_size=6))
         with pytest.raises(TimeLimitExceeded):
-            engine.run_with(WorkQueueScheduler(n_workers=3))
+            engine.run_with(
+                WorkQueueScheduler(n_workers=3),
+                ctx=TaskContext.create(time_limit=0.02),
+            )
 
     def test_precancelled_context_runs_nothing(self):
-        from repro.exec import TaskContext
-
         g = erdos_renyi(14, 0.5, seed=4)
         engine = ContigraEngine(g, mqc_constraints())
         ctx = TaskContext.create()
@@ -231,8 +235,6 @@ class TestWorkQueueCancellation:
         assert result.stats.etasks_started == 0
 
     def test_precancelled_degrade_run_lists_every_root(self):
-        from repro.exec import TaskContext
-
         g = erdos_renyi(14, 0.5, seed=4)
         engine = ContigraEngine(g, mqc_constraints())
         ctx = TaskContext.create()
@@ -241,4 +243,4 @@ class TestWorkQueueCancellation:
             WorkQueueScheduler(n_workers=2, on_failure="degrade"), ctx=ctx
         )
         assert result.incomplete
-        assert result.unprocessed_roots == sorted(engine.all_roots())
+        assert result.unprocessed_roots == sorted(g.vertices())

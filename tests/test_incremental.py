@@ -15,7 +15,9 @@ import random
 import pytest
 
 from repro.apps.nsq import paper_query_tailed_triangles
+from repro.bench import dataset
 from repro.core.constraints import ConstraintSet, nested_query_constraints
+from repro.errors import TimeLimitExceeded
 from repro.graph import Graph, erdos_renyi
 from repro.graph.generators import community_graph
 from repro.graph.store import (
@@ -158,6 +160,18 @@ class TestRegionMining:
             _run_region(query, g, list(g.vertices()))
         )
         assert restricted.keys() == full.keys()
+
+    @pytest.mark.parametrize("scheduler", ("serial", "process", "workqueue"))
+    def test_region_rerun_keeps_the_time_limit(self, scheduler):
+        """A delta pass's region re-mine runs under the query's time
+        limit on every scheduler: an explicit root region once let the
+        work-queue run ignore it and return a result."""
+        g = dataset("dblp")
+        query = StandingQuery.mqc(
+            0.6, 6, scheduler=scheduler, time_limit=0.05
+        )
+        with pytest.raises(TimeLimitExceeded):
+            _run_region(query, g, list(g.vertices()))
 
     def test_lazy_reexport_from_mining_package(self):
         import repro.mining as mining

@@ -8,16 +8,17 @@ must read the same through every front end that adapts to them.
 from __future__ import annotations
 
 import json
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.request as request_module
 from repro.apps import maximal_quasi_cliques
 from repro.apps.mqc import build_mqc_engine
 from repro.bench import dataset
 from repro.cli import main
+from repro.core.runtime import ContigraJob
 from repro.errors import QueryAnalysisError
 from repro.exec.context import TaskContext
 from repro.exec.events import MATCH
@@ -147,21 +148,27 @@ class TestRunRequest:
 
 
 class TestRunEngineRule:
-    """``run_engine`` is a plain ``engine.run`` exactly when the run is
-    serial with no retries and no degrade mode — whether anyone watches
-    the context has no say."""
+    """``run_engine`` is one plain ``engine.run`` with a live sink
+    exactly when the run is serial with no retries and no degrade mode
+    — whether anyone watches the context has no say."""
 
     @pytest.fixture
-    def scheduler_calls(self, monkeypatch):
-        calls = []
-        real = request_module.make_scheduler
+    def serial_runs(self, monkeypatch):
+        """Counts ``ContigraJob.run_serial`` calls; ``active`` is True
+        while one is running."""
+        runs = SimpleNamespace(count=0, active=False)
+        real = ContigraJob.run_serial
 
-        def spy(name, **kwargs):
-            calls.append(name)
-            return real(name, **kwargs)
+        def spy(job, ctx=None):
+            runs.count += 1
+            runs.active = True
+            try:
+                return real(job, ctx=ctx)
+            finally:
+                runs.active = False
 
-        monkeypatch.setattr(request_module, "make_scheduler", spy)
-        return calls
+        monkeypatch.setattr(ContigraJob, "run_serial", spy)
+        return runs
 
     @pytest.mark.parametrize(
         "options, plain",
@@ -175,20 +182,28 @@ class TestRunEngineRule:
             ({"scheduler": "workqueue"}, False),
         ],
     )
-    def test_fast_path_rule(self, scheduler_calls, options, plain):
+    def test_fast_path_rule(self, serial_runs, options, plain):
         graph = dataset("dblp")
         tracer = None
         if options.get("ctx") == "observed":
             options["ctx"], tracer, _ = observed_context()
         elif options.get("ctx") == "unobserved":
             options["ctx"] = TaskContext.create()
-        streamed = []
+        streamed, live = [], []
+
+        def sink(pattern, assignment):
+            streamed.append(assignment)
+            live.append(serial_runs.active)
+
         result = run_engine(
-            build_mqc_engine(graph, 0.8, 4),
-            match_sink=lambda p, a: streamed.append(a),
-            **options,
+            build_mqc_engine(graph, 0.8, 4), match_sink=sink, **options
         )
-        assert (scheduler_calls == []) == plain
+        if plain:
+            # One serial run, and every match reached the sink mid-run.
+            assert serial_runs.count == 1 and live and all(live)
+        else:
+            # The sink sees the result after the run.
+            assert not any(live)
         # Either way the sink sees every valid match exactly once.
         assert sorted(streamed) == sorted(a for _, a in result.valid)
         if tracer is not None:
@@ -196,13 +211,15 @@ class TestRunEngineRule:
             runs = [s for s in tracer.all_spans() if s.name == "run"]
             assert len(runs) == 1
 
-    def test_default_library_call_opens_no_scheduler(self, scheduler_calls):
+    def test_default_library_call_opens_no_scheduler(self, serial_runs):
+        """A default library call, observed or not, is one plain
+        serial run: one ``run_serial`` call each."""
         graph = dataset("dblp")
         plain = maximal_quasi_cliques(graph, 0.8, 4)
-        assert scheduler_calls == []
+        assert serial_runs.count == 1
         ctx, tracer, _ = observed_context()
         observed = maximal_quasi_cliques(graph, 0.8, 4, ctx=ctx)
-        assert scheduler_calls == []
+        assert serial_runs.count == 2
         tracer.finalize()
         assert [s.name for s in tracer.all_spans()].count("run") == 1
         assert observed.all_sets() == plain.all_sets()

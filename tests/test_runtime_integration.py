@@ -173,9 +173,9 @@ class TestRuntimeMechanics:
         cs = maximality_constraints(
             quasi_clique_patterns_up_to(6, 0.6), induced=True
         )
-        engine = ContigraEngine(g, cs, time_limit=0.01)
+        engine = ContigraEngine(g, cs)
         with pytest.raises(TimeLimitExceeded):
-            engine.run()
+            engine.run(ctx=TaskContext.create(time_limit=0.01))
 
     def test_promotion_raises_cache_hit_rate(self):
         with_promo = self._engine(enable_promotion=True)
