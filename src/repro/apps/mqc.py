@@ -123,8 +123,9 @@ def maximal_quasi_cliques(
     scheduler (``serial`` / ``process`` / ``workqueue``); None keeps
     the in-process serial run.  ``ctx`` supplies an external execution
     context (deadline, cancellation, observability bus — see
-    :func:`repro.obs.observed_context`), which then carries the
-    deadline in place of ``time_limit``.  ``retries`` re-dispatches
+    :func:`repro.obs.observed_context`); it carries the run's deadline,
+    so passing ``time_limit`` as well is a ``ValueError``.  ``retries``
+    re-dispatches
     shards lost to transient worker failures; ``on_failure="degrade"``
     turns exhausted retries into a partial result with
     ``result.incomplete`` set (see docs/execution.md, "Failure

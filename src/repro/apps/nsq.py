@@ -46,7 +46,9 @@ def nested_subgraph_query(
     ``scheduler`` selects an execution-core scheduler (``serial`` /
     ``process`` / ``workqueue``); None keeps the serial in-process run.
     ``ctx`` supplies an external execution context (deadline,
-    cancellation, observability bus) that replaces ``time_limit``.  ``retries`` re-dispatches
+    cancellation, observability bus); it carries the run's deadline, so
+    passing ``time_limit`` as well is a ``ValueError``.  ``retries``
+    re-dispatches
     shards lost to transient worker failures; ``on_failure="degrade"``
     returns a partial result with ``result.incomplete`` set instead of
     raising (see docs/execution.md, "Failure semantics").

@@ -80,6 +80,7 @@ from ..mining.candidates import root_candidates
 from ..mining.etask import ETask
 from ..mining.match import Match
 from ..mining.stats import ConstraintStats
+from ..patterns.codegen import KERNEL, SETS
 from ..patterns.pattern import Pattern
 from ..patterns.plan import ExplorationPlan, plan_for
 from ..patterns.symmetry import canonical_assignment
@@ -171,7 +172,9 @@ class ContigraEngine:
         one of its matches.  Exploration-only — containment VTasks
         always validate against the full graph, and with the ``sets``
         path (no kernel index) only root filtering applies."""
-        resolve_index(graph, adjacency)  # rejects an unknown mode
+        # Rejects an unknown mode; which pool source the runs take.
+        index = resolve_index(graph, adjacency)
+        source = SETS if index is None else KERNEL
         self.graph = graph
         self.constraints = constraint_set
         self.induced = constraint_set.induced
@@ -226,6 +229,13 @@ class ContigraEngine:
                 strategy=rl_strategy,
                 enable_cancellation=enable_lateral,
             )
+            # Every step program a run executes is compiled here, once
+            # (repro.patterns.codegen): the functions are memoised
+            # process-wide, so later engines over the same patterns and
+            # forked process workers find them built.
+            plan_for(pattern, induced=self.induced).program(source)
+            for target in targets:
+                target.programs()
         # Smallest patterns first: their VTask promotions pre-populate
         # the registry before larger patterns' ETasks run, which is
         # where promotion pays off (§5.3).  Same-size patterns form one

@@ -18,9 +18,14 @@ than ``P^M``, the added vertices are bound one at a time; the induced
 subpattern after each step is the *intermediate pattern* of that
 RL-Path.  All connected extension orders are enumerated and ranked by
 the density heuristics of Fig 9 (``repro.core.ordering``).  The chosen
-order compiles to the step record an ETask's plan emits, and the VTask
-runs the ETask's walker (:mod:`repro.mining.walk`) over it from ``S``:
-a VTask is an ETask resumed from the match it validates.
+order compiles to the step record an ETask's plan emits, and that
+program to one generated function (:mod:`repro.patterns.codegen`),
+nested loops from ``S`` with the first-match test and promotion's
+enumeration in one body: a VTask is an ETask resumed from the match it
+validates.  The functions are compiled when the engine is built
+(§8.1's pattern-level precomputation) and shared by every recipe of
+the same shape; :meth:`ValidationTarget.programs` runs them in
+heuristic order.
 
 **Task fusion (§5.2).**  Candidates are computed through the shared
 :class:`~repro.mining.cache.SetOperationCache` of the parent engine,
@@ -33,22 +38,36 @@ fusing the tasks.  Disabling fusion hands each VTask a throwaway cache.
 from __future__ import annotations
 
 import itertools
+from functools import partial
 from operator import itemgetter
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..exec.context import TaskContext
-from ..exec.events import PHASE_ALIGN, PHASE_BRIDGE, VTASK_MATCH, VTASK_SPAWN
+from ..exec.events import (
+    KERNEL_INTERSECT,
+    PHASE_ALIGN,
+    PHASE_BRIDGE,
+    VTASK_MATCH,
+    VTASK_SPAWN,
+)
 from ..graph.graph import Graph
 from ..graph.index import resolve_index
 from ..graph.store import PATTERN_SCOPE, derived_cache
 from ..mining.cache import SetOperationCache
 from ..mining.stats import ConstraintStats
-from ..mining.walk import walk
 from ..patterns.automorphisms import automorphisms
+from ..patterns.codegen import KERNEL, SETS, VTASK, step_program
 from ..patterns.isomorphism import subpattern_embeddings
 from ..patterns.pattern import Pattern
 from ..patterns.plan import PlanStep, step_links
 from .ordering import order_exploration_paths
+
+
+#: A recipe's generated function and the ``pick`` that puts the
+#: completions it finds in P⁺ order.
+_Program = Tuple[
+    Callable[..., Any], Callable[[Sequence[int]], Tuple[int, ...]]
+]
 
 
 class BridgeRecipe:
@@ -249,10 +268,31 @@ class ValidationTarget:
             )
         # Keep the globally heuristic-preferred recipes first.
         self.recipes = ranked(recipes)
+        self._programs: Optional[Tuple[_Program, ...]] = None
 
     # ------------------------------------------------------------------
     # Hot path
     # ------------------------------------------------------------------
+
+    def programs(self) -> Tuple[_Program, ...]:
+        """``(function, pick)`` per recipe, in the order they run: the
+        generated function of the recipe's step program (see
+        :func:`repro.patterns.codegen.step_program`), fetched once per
+        instance from the process-wide memo."""
+        programs = self._programs
+        if programs is None:
+            source = KERNEL if self._use_kernels else SETS
+            k = self.p_m.num_vertices
+            programs = self._programs = tuple(
+                (step_program(recipe.steps, k, VTASK, source), recipe.pick)
+                for recipe in self.recipes
+            )
+        return programs
+
+    def __getstate__(self) -> Dict[str, Any]:
+        # A generated function does not pickle; an unpickled target
+        # finds it again in the memo (inherited by forked workers).
+        return dict(self.__dict__, _programs=None)
 
     def run(
         self,
@@ -268,10 +308,10 @@ class ValidationTarget:
         Returns the full P⁺ assignment (indexed by P⁺ vertex) of the
         first containing match found, or None — VTASK-MATCHED vs
         NO-VTASK-MATCH in Algorithm 2.  With a ``ctx``, the run-wide
-        deadline is checked at every node of the walk.
+        deadline is checked at every node.
         """
         stats.constraint_checks += 1
-        return self._walk(assignment, graph, cache, stats, ctx, None)
+        return self._validate(assignment, graph, cache, stats, ctx, None)
 
     def enumerate_completions(
         self,
@@ -288,9 +328,9 @@ class ValidationTarget:
         tuple, is one promoted match of the larger pattern; duplicates
         across embeddings are the caller's to fold.
         """
-        self._walk(assignment, graph, cache, stats, ctx, emit)
+        self._validate(assignment, graph, cache, stats, ctx, emit)
 
-    def _walk(
+    def _validate(
         self,
         assignment: Sequence[int],
         graph: Graph,
@@ -299,48 +339,56 @@ class ValidationTarget:
         ctx: Optional[TaskContext],
         emit: Optional[Callable[[Tuple[int, ...]], None]],
     ) -> Optional[Tuple[int, ...]]:
-        """Resume each recipe's step program from the P^M match: in
+        """Run every recipe's step program from the P^M match: in
         first-match mode when ``emit`` is None (return the first
         completion), else in enumerate mode.  A VTask never polls the
         cancellation token: a walk cut short would read as "no
         containing match", and the caller would pass a contained match
         as valid."""
         stats.vtasks_started += 1
-        obs = ctx if ctx is not None and ctx.observed else None
-        tick = ctx.budget.check_deadline if ctx is not None else None
         index = graph.kernel_index() if self._use_kernels else None
-        first = emit is None
+        nbr = (graph if index is None else index.graph).neighbor_set
+        get = cache.inline_get()
+        fast = get is not None
+        if not fast:
+            get = cache.lookup
+        tick: Optional[Callable[[], None]] = None
+        obs: Optional[TaskContext] = None
+        ki: Optional[Callable[[], None]] = None
+        if ctx is not None:
+            tick = ctx.deadline_tick()
+            if ctx.observed:
+                obs = ctx
+                ki = partial(ctx.emit, KERNEL_INTERSECT, count=1)
         if obs is not None:
-            mode = {} if first else {"mode": "enumerate"}
+            mode = {} if emit is None else {"mode": "enumerate"}
             obs.emit(VTASK_SPAWN, gap=self.gap, **mode)
             obs.phase_start(PHASE_ALIGN, gap=self.gap, **mode)
         computed = stats.candidate_computations
         walks = 0
         try:
-            for recipe in self.recipes:
+            completion = None
+            for program, pick in self.programs():
+                walks += 1
                 if obs is not None:
                     obs.phase_start(PHASE_BRIDGE, gap=self.gap)
-                walks += 1
-                completion: Optional[Tuple[int, ...]] = None
                 try:
-                    for bound in walk(
-                        recipe.steps, list(assignment), graph, index, cache,
-                        stats, tick, None, obs, None, first,
-                    ):
-                        completion = recipe.pick(bound)
-                        if emit is not None:
-                            emit(completion)
+                    completion = program(
+                        assignment, pick, nbr, get, fast, graph, index,
+                        cache, stats, tick, ki, emit,
+                    )
                 finally:
                     if obs is not None:
                         obs.phase_end(PHASE_BRIDGE)
-                if first and completion is not None:
-                    stats.vtasks_matched += 1
-                    if obs is not None:
-                        obs.emit(VTASK_MATCH, gap=self.gap)
-                    return completion
-            return None
+                if completion is not None:
+                    break
+            if completion is not None:
+                stats.vtasks_matched += 1
+                if obs is not None:
+                    obs.emit(VTASK_MATCH, gap=self.gap)
+            return completion
         finally:
-            # A walk computes its first step once; every later
+            # A recipe computes its first step once; every later
             # computation is a bridge step.
             stats.bridge_steps += (
                 stats.candidate_computations - computed - walks

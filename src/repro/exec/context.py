@@ -21,7 +21,7 @@ keyword search, TThinker's byte accounting):
 from __future__ import annotations
 
 import time
-from typing import Any, Optional
+from typing import Any, Callable, Optional
 
 from ..errors import (
     MemoryBudgetExceeded,
@@ -253,6 +253,13 @@ class TaskContext:
 
     def check_deadline(self) -> None:
         self.budget.check_deadline()
+
+    def deadline_tick(self) -> Optional[Callable[[], None]]:
+        """The deadline check a task calls at every node, or ``None``
+        when the budget has no time limit (the check is a no-op then,
+        and a task skips the call)."""
+        budget = self.budget
+        return None if budget.time_limit is None else budget.check_deadline
 
     def emit(self, event: str, **payload: Any) -> None:
         self.bus.emit(event, **payload)

@@ -23,7 +23,7 @@ order.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Hashable, Optional
+from typing import Any, Callable, Dict, Hashable, Optional
 
 from ..exec.events import CACHE_HIT, CACHE_MISS, EventBus
 from .stats import MiningStats
@@ -107,6 +107,16 @@ class SetOperationCache:
                 self._bus.emit(CACHE_HIT, count=self._hits_pending)
                 self._hits_pending = 0
         return value
+
+    def inline_get(self) -> Optional[Callable[[CacheKey], Optional[Any]]]:
+        """The entries' ``dict.get`` when a lookup is nothing more than a
+        get and a hit / miss count (the cache is enabled and unobserved),
+        else ``None``.  Generated step programs probe through it and
+        count hits and misses themselves; otherwise they call
+        :meth:`lookup`."""
+        if self.enabled and self._bus is None:
+            return self._entries.get
+        return None
 
     def store(self, key: CacheKey, value: Any) -> None:
         """Insert a computed candidate pool, dropping the oldest-inserted

@@ -4,9 +4,12 @@ Given a partial match, the candidates for the next matching-order step
 are the common neighbors of the already-bound data vertices that the
 new pattern vertex must attach to.  This module computes those pools;
 the filters that depend on the task's own state (symmetry bounds,
-injectivity, induced non-neighbours) run in the one walker that
-consumes them (:func:`repro.mining.walk.walk`), for ETasks and VTasks
-alike.  Two paths compute a pool:
+injectivity, induced non-neighbours) are unrolled into the generated
+step programs that consume them (:mod:`repro.patterns.codegen`), for
+ETasks and VTasks alike.  Those programs probe the cache inline and
+call the miss halves here (:func:`intersect_and_store`,
+:func:`pool_and_store`), so an intersection's anchor order and its
+counters are the same whoever computes it.  Two paths compute a pool:
 
 * the ``sets`` path (:func:`raw_intersection`) — per-vertex
   ``frozenset`` intersection, the seed implementation and the oracle
@@ -30,7 +33,7 @@ from typing import List, Optional, Sequence
 from ..graph.graph import Graph
 from ..graph.index import GraphIndex, Pool
 from ..patterns.plan import ExplorationPlan
-from .cache import SetOperationCache
+from .cache import CacheKey, SetOperationCache
 from .stats import MiningStats
 
 
@@ -49,6 +52,20 @@ def raw_intersection(
     cached = cache.lookup(key)
     if cached is not None:
         return cached
+    return intersect_and_store(graph, anchor_vertices, key, cache, stats)
+
+
+def intersect_and_store(
+    graph: Graph,
+    anchor_vertices: Sequence[int],
+    key: CacheKey,
+    cache: SetOperationCache,
+    stats: MiningStats,
+) -> frozenset:
+    """The miss half of :func:`raw_intersection`, which generated step
+    programs call too: intersect smallest degree first (ties in anchor
+    order), stopping at the first empty result, and store the pool
+    under ``key``."""
     ordered = sorted(anchor_vertices, key=graph.degree)
     result = graph.neighbor_set(ordered[0])
     for v in ordered[1:]:
@@ -79,6 +96,19 @@ def kernel_pool(
     cached = cache.lookup(key)
     if cached is not None:
         return cached
+    return pool_and_store(index, anchors, label, key, cache, stats)
+
+
+def pool_and_store(
+    index: GraphIndex,
+    anchors: Sequence[int],
+    label: Optional[int],
+    key: CacheKey,
+    cache: SetOperationCache,
+    stats: MiningStats,
+) -> Pool:
+    """The miss half of :func:`kernel_pool`, which generated step
+    programs call too."""
     pool = index.pool(anchors, label, stats)
     cache.store(key, pool)
     return pool

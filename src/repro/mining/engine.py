@@ -3,11 +3,13 @@
 This is the substrate the paper calls **Peregrine+** (§8.1): Peregrine
 extended with per-task caches.  The paper's Peregrine+ also explores
 several patterns simultaneously; this engine does not — each pattern
-gets its own walk over its roots — each rooted ETask runs the one
-walker (:mod:`repro.mining.walk`) over its plan's step program, the
-same walker a VTask resumes.  The constraint-aware engine shares one
-cache across a root's same-size patterns; a prefix trie of step
-records that walks them together is open work (ROADMAP item 2).
+gets its own descent over its roots: each rooted ETask runs its plan's
+step program compiled to nested loops
+(:meth:`~repro.patterns.plan.ExplorationPlan.program`), the same
+emitter a VTask's recipes come from.  The constraint-aware engine
+shares one cache across a root's same-size patterns; emitting the
+shared prefixes of same-size plans as shared outer loops is open work
+(ROADMAP item 2).
 Constraint-aware execution lives in
 :class:`repro.core.runtime.ContigraEngine`, which builds on the same
 pieces.

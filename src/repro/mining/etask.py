@@ -9,12 +9,13 @@ constraint-aware run hands every same-size pattern's ETask at one root
 the same cache, and the VTasks fused with those tasks read and extend
 it (:mod:`repro.core.runtime`).
 
-:meth:`ETask.matches` runs the one walker (:mod:`repro.mining.walk`)
-over the plan's step program from ``[root]`` in enumerate mode and
-yields matches as they are found; closing it (``exists``, a bounded
-``find_all``) stops the walk mid-descent, and :meth:`ETask.run` is the
-callback protocol over the same generator.  The ETask knows nothing
-about containment constraints, but it honours a
+:meth:`ETask.matches` runs the plan's generated step program
+(:meth:`~repro.patterns.plan.ExplorationPlan.program`, one nested loop
+per matching-order step) from ``root`` and yields matches as they are
+found; closing it (``exists``, a bounded ``find_all``) stops the
+descent where it stands, and :meth:`ETask.run` is the callback
+protocol over the same generator.  The ETask knows nothing about
+containment constraints, but it honours a
 :class:`~repro.exec.context.TaskContext`'s deadline and cancellation
 token at every node.
 
@@ -27,17 +28,18 @@ that hold a plan.
 from __future__ import annotations
 
 from contextlib import closing
+from functools import partial
 from typing import Callable, Iterator, List, Optional
 
-from ..exec.context import TaskContext
-from ..exec.events import TASK_COMPLETE, TASK_START
+from ..exec.context import CancellationToken, TaskContext
+from ..exec.events import KERNEL_INTERSECT, TASK_COMPLETE, TASK_START
 from ..graph.graph import Graph
 from ..graph.index import GraphIndex
+from ..patterns.codegen import KERNEL, SETS
 from ..patterns.plan import ExplorationPlan
 from .cache import SetOperationCache
 from .match import Match
 from .stats import MiningStats
-from .walk import walk
 
 OnMatch = Callable[[Match], bool]
 
@@ -102,19 +104,23 @@ class ETask:
         self.stats.etasks_started += 1
         if self._trace:
             self.ctx.emit(TASK_START, kind="etask", root=self.root)
-        plan, ctx = self.plan, self.ctx
+        plan, ctx, pattern = self.plan, self.ctx, self.pattern
         root_label = plan.labels_at[0]
         if root_label is None or self.graph.label(self.root) == root_label:
-            for bound in walk(
-                plan.steps, [self.root], self.graph, self.index, self.cache,
-                self.stats,
-                tick=ctx.budget.check_deadline if ctx is not None else None,
-                token=ctx.token if ctx is not None else None,
-                obs=ctx if self._trace else None,
-                paths=self.stats,
-                first=False,
+            program = plan.program(SETS if self.index is None else KERNEL)
+            tick: Optional[Callable[[], None]] = None
+            token: Optional[CancellationToken] = None
+            if ctx is not None:
+                tick, token = ctx.deadline_tick(), ctx.token
+            ki = (
+                partial(ctx.emit, KERNEL_INTERSECT, count=1)
+                if self._trace else None
+            )
+            for assignment in program(
+                self.root, self.graph, self.index, self.cache, self.stats,
+                tick, token, ki,
             ):
-                yield self._to_match(bound)
+                yield Match(pattern, assignment)
         self.stats.etasks_completed += 1
         if self._trace:
             self.ctx.emit(TASK_COMPLETE, kind="etask", root=self.root)
@@ -125,14 +131,6 @@ class ETask:
             if on_match(match):
                 return True
         return False
-
-    def _to_match(self, bound: List[int]) -> Match:
-        """Convert order-position bindings to a pattern-vertex assignment."""
-        plan = self.plan
-        assignment = [0] * plan.num_steps
-        for position, vertex in enumerate(bound):
-            assignment[plan.order[position]] = vertex
-        return Match(self.pattern, assignment)
 
 
 def run_single_pattern(

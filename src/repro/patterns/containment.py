@@ -16,8 +16,15 @@ from .pattern import Pattern
 
 
 def contains(small: Pattern, big: Pattern, induced: bool = False) -> bool:
-    """Whether ``big`` contains ``small``."""
-    return contains_subpattern(small, big, induced=induced)
+    """Whether ``big`` contains ``small``, memoised per pattern pair in
+    the pinned pattern scope: every MQC build asks the same pairs."""
+    from ..graph.store import PATTERN_SCOPE, derived_cache
+
+    return derived_cache().get_or_build(
+        PATTERN_SCOPE,
+        ("contains", small, big, induced),
+        lambda: contains_subpattern(small, big, induced=induced),
+    )
 
 
 def classify_constraint(p_m: Pattern, p_plus: Pattern) -> str:

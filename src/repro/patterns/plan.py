@@ -13,18 +13,20 @@ An exploration plan fixes, for one pattern:
 * *symmetry-breaking conditions* re-keyed by step position;
 * per-step label constraints.
 
-The walker (:mod:`repro.mining.walk`) reads these per-step facts from
-one compiled :attr:`ExplorationPlan.steps` tuple (Peregrine's
-exploration plan taken literally: the matching order and each step's
-set operations are fixed ahead of time).  A VTask's bridge recipe
-compiles to the same record (:class:`repro.core.vtask.BridgeRecipe`).
-Plans are deterministic functions of the pattern and are memoized, so
-a step program is built once per pattern.
+These per-step facts are compiled into one :attr:`ExplorationPlan.steps`
+tuple (Peregrine's exploration plan taken literally: the matching
+order and each step's set operations are fixed ahead of time), and
+that step program into one generated nested-loop function
+(:mod:`repro.patterns.codegen`, :meth:`ExplorationPlan.program`).  A
+VTask's bridge recipe compiles to the same record
+(:class:`repro.core.vtask.BridgeRecipe`).  Plans are deterministic
+functions of the pattern and are memoized, so a step program is built
+and compiled once per pattern.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from .pattern import Pattern
 from .symmetry import Condition, conditions_by_position, symmetry_conditions
@@ -73,6 +75,7 @@ class ExplorationPlan:
         "labels_at",
         "induced",
         "steps",
+        "_programs",
     )
 
     def __init__(
@@ -125,10 +128,23 @@ class ExplorationPlan:
                 tuple(j for j, greater in conditions_here if not greater),
             ))
         self.steps: Tuple[PlanStep, ...] = tuple(steps)
+        self._programs: Dict[str, Callable[..., Any]] = {}
 
     @property
     def num_steps(self) -> int:
         return len(self.order)
+
+    def program(self, source: str) -> Callable[..., Any]:
+        """The generated ETask function of :attr:`steps` over the pool
+        ``source`` (``"sets"`` or ``"kernel"``; see
+        :func:`repro.patterns.codegen.step_program`)."""
+        program = self._programs.get(source)
+        if program is None:
+            from .codegen import ETASK, step_program
+
+            program = step_program(self.steps, 1, ETASK, source)
+            self._programs[source] = program
+        return program
 
     def __repr__(self) -> str:
         return (

@@ -189,9 +189,11 @@ def run_engine(
     """Run ``engine`` under a named scheduler (``None`` = serial).
 
     ``ctx`` is the run's context and carries its own deadline; without
-    one, ``run_engine`` builds it with ``time_limit``.  Every scheduler
-    gets that one context.  ``roots`` restricts exploration to a root
-    region (standing queries); ``None`` is the full universe.
+    one, ``run_engine`` builds it with ``time_limit``.  Passing both is
+    a ``ValueError``: the limit would otherwise be silently dropped.
+    Every scheduler gets that one context.  ``roots`` restricts
+    exploration to a root region (standing queries); ``None`` is the
+    full universe.
 
     A serial run with no retries and no degrade mode is one
     :meth:`ContigraEngine.run` that is never rerun, so ``match_sink`` is
@@ -203,6 +205,11 @@ def run_engine(
     live = name == "serial" and retries == 0 and on_failure == "raise"
     if ctx is None:
         ctx = TaskContext.create(time_limit=time_limit)
+    elif time_limit is not None:
+        raise ValueError(
+            "run_engine got both time_limit and ctx: the context carries "
+            "the run's deadline, so give the limit to the context"
+        )
     result: ContigraResult = make_scheduler(
         name, n_workers=n_workers, retries=retries, on_failure=on_failure
     ).run(ContigraJob(engine, roots, match_sink if live else None), ctx)
@@ -331,7 +338,9 @@ def run(
         scheduler=request.scheduler,
         n_workers=request.workers,
         ctx=ctx,
-        time_limit=request.time_limit,
+        # A caller's context carries the limit already (the CLI's and
+        # the daemon's are built with it).
+        time_limit=request.time_limit if ctx is None else None,
         match_sink=match_sink,
         retries=request.retries,
         on_failure=request.on_failure,

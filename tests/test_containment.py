@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.apps.mqc import mqc_constraint_set
+from repro.patterns import containment
 from repro.patterns import (
     classify_constraint,
     clique,
@@ -28,6 +30,25 @@ class TestContains:
         for emb in embs:
             for u, v in triangle().edges:
                 assert house().has_edge(emb[u], emb[v])
+
+
+    def test_mqc_tables_ask_each_pair_once(self, monkeypatch):
+        """A second γ 0.6 / ≤ 6 build reads every containment test from
+        the pattern scope: equal pairs, no subpattern search."""
+        first = mqc_constraint_set(0.6, 6)
+        calls = []
+        real = containment.contains_subpattern
+        monkeypatch.setattr(
+            containment, "contains_subpattern",
+            lambda *args, **kwargs: calls.append(args) or real(*args, **kwargs),
+        )
+        second = mqc_constraint_set(0.6, 6)
+
+        def pairs(constraints):
+            return [(c.p_m, c.p_plus) for c in constraints.all_constraints]
+
+        assert pairs(second) == pairs(first) and len(pairs(first)) == 81
+        assert calls == []
 
 
 class TestClassification:

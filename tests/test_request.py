@@ -251,6 +251,24 @@ class TestRunEngineRule:
         if watched:
             assert order == ["sink", "event"] * len(result.valid)
 
+    def test_a_time_limit_beside_a_context_is_refused_before_mining(
+        self, monkeypatch
+    ):
+        """The context carries the deadline: a ``time_limit`` passed
+        beside one used to be dropped (the run went on past it), so the
+        pair is an error raised before any ETask starts."""
+        started = []
+        monkeypatch.setattr(
+            ContigraJob, "run_serial",
+            lambda job, ctx=None: started.append(job),
+        )
+        with pytest.raises(ValueError, match="time_limit.*ctx"):
+            maximal_quasi_cliques(
+                dataset("dblp"), 0.6, 6, time_limit=0.05,
+                ctx=TaskContext.create(),
+            )
+        assert started == []
+
     def test_roots_restrict_every_scheduler(self):
         graph = dataset("dblp")
         region = list(range(0, graph.num_vertices, 3))

@@ -1,4 +1,9 @@
-"""The one walker: a compiled step program run from a bound prefix.
+"""The oracle walker: a step program interpreted from a bound prefix.
+
+The engine runs generated functions
+(:func:`repro.patterns.codegen.step_program`); this explicit-stack
+walker is what they replaced, kept beside the tests that check every
+generated function against it (``tests/test_step_programs.py``).
 
 A step program is one :data:`~repro.patterns.plan.PlanStep` record per
 slot of a partial match.  An ETask walks its
@@ -16,14 +21,14 @@ import sys
 from itertools import filterfalse
 from typing import Callable, Iterator, List, Optional, Sequence
 
-from ..exec.context import CancellationToken, TaskContext
-from ..exec.events import KERNEL_INTERSECT
-from ..graph.graph import Graph
-from ..graph.index import GraphIndex, bits_to_sorted
-from ..patterns.plan import PlanStep
-from .cache import SetOperationCache
-from .candidates import kernel_pool, raw_intersection
-from .stats import MiningStats
+from repro.exec.context import CancellationToken, TaskContext
+from repro.exec.events import KERNEL_INTERSECT
+from repro.graph.graph import Graph
+from repro.graph.index import GraphIndex, bits_to_sorted
+from repro.mining.cache import SetOperationCache
+from repro.mining.candidates import kernel_pool, raw_intersection
+from repro.mining.stats import MiningStats
+from repro.patterns.plan import PlanStep
 
 #: ``hi`` of a step without upper bounds.
 _UNBOUNDED = sys.maxsize
