@@ -51,6 +51,7 @@ Every toggle the paper ablates is a constructor flag:
 from __future__ import annotations
 
 import time
+from contextlib import closing
 from itertools import groupby
 from typing import (
     Any,
@@ -78,7 +79,6 @@ from ..graph.index import GraphIndex, resolve_index
 from ..mining.cache import SetOperationCache
 from ..mining.candidates import root_candidates
 from ..mining.etask import ETask
-from ..mining.match import Match
 from ..mining.stats import ConstraintStats
 from ..patterns.codegen import KERNEL, SETS
 from ..patterns.pattern import Pattern
@@ -405,17 +405,19 @@ class EngineSession:
                 )
             try:
                 for root in sorted(at_root):
-                    self._task_cache = SetOperationCache(
-                        stats=self.stats, bus=self.ctx.bus
-                    )
+                    self._task_cache = SetOperationCache(stats=self.stats)
                     for pattern, plan, pattern_index in at_root[root]:
                         if self.ctx.cancelled:
                             return
-                        ETask(
+                        task = ETask(
                             engine.graph, plan, root, self._task_cache,
-                            self.stats, pattern=pattern, ctx=self.ctx,
-                            index=pattern_index,
-                        ).run(self._on_etask_match)
+                            self.stats, ctx=self.ctx, index=pattern_index,
+                        )
+                        # Closed here, inside the phase, however the
+                        # loop ends: the program's counts land in it.
+                        with closing(task.matches()) as found:
+                            for assignment in found:
+                                self._on_etask_match(pattern, assignment)
             finally:
                 if self._observed:
                     self.ctx.phase_end(PHASE_PATTERN)
@@ -433,26 +435,26 @@ class EngineSession:
     # Match handling (Algorithm 1 lines 2–19)
     # ------------------------------------------------------------------
 
-    def _on_etask_match(self, match: Match) -> bool:
+    def _on_etask_match(
+        self, pattern: Pattern, assignment: Tuple[int, ...]
+    ) -> None:
         self.ctx.check_deadline()
-        engine = self.engine
-        if match.pattern.structure_key() not in engine._promotable:
+        if pattern.structure_key() not in self.engine._promotable:
             # Nothing can pre-register this pattern's matches (it is
             # not a promotion target), and symmetry breaking already
             # emits each match once — skip the registry entirely.
-            self._process_subgraph(match.pattern, match.assignment)
-            return False
+            self._process_subgraph(pattern, assignment)
+            return
         # An ETask match satisfies its plan's symmetry conditions, so it
         # is already the lex-min image the registry is keyed by.
-        if not self.registry.mark(match.pattern, match.assignment):
+        if not self.registry.mark(pattern, assignment):
             # Already handled through promotion: the from-scratch ETask
             # work for this subgraph is canceled (§5.3).
             self.stats.etasks_canceled += 1
             if self._observed:
                 self.ctx.emit(CANCEL, kind="etask", count=1)
-            return False
-        self._process_subgraph(match.pattern, match.assignment)
-        return False
+            return
+        self._process_subgraph(pattern, assignment)
 
     def _process_subgraph(
         self, pattern: Pattern, assignment: Tuple[int, ...]
@@ -474,7 +476,7 @@ class EngineSession:
         cache = (
             self._task_cache
             if engine.enable_fusion and self._task_cache is not None
-            else SetOperationCache(stats=self.stats, bus=self.ctx.bus)
+            else SetOperationCache(stats=self.stats)
         )
         violation = scheduler.validate(
             assignment, engine.graph, cache, self.stats, ctx=self.ctx

@@ -25,7 +25,10 @@ enumeration in one body: a VTask is an ETask resumed from the match it
 validates.  The functions are compiled when the engine is built
 (§8.1's pattern-level precomputation) and shared by every recipe of
 the same shape; :meth:`ValidationTarget.programs` runs them in
-heuristic order.
+heuristic order, each call inside its own ``bridge`` phase.  An
+observed call reports its pools, hits and misses once, as it ends,
+inside that phase (``kernel_intersect``, ``cache_hit``,
+``cache_miss``, exact counts).
 
 **Task fusion (§5.2).**  Candidates are computed through the shared
 :class:`~repro.mining.cache.SetOperationCache` of the parent engine,
@@ -38,13 +41,11 @@ fusing the tasks.  Disabling fusion hands each VTask a throwaway cache.
 from __future__ import annotations
 
 import itertools
-from functools import partial
 from operator import itemgetter
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..exec.context import TaskContext
 from ..exec.events import (
-    KERNEL_INTERSECT,
     PHASE_ALIGN,
     PHASE_BRIDGE,
     VTASK_MATCH,
@@ -348,18 +349,14 @@ class ValidationTarget:
         stats.vtasks_started += 1
         index = graph.kernel_index() if self._use_kernels else None
         nbr = (graph if index is None else index.graph).neighbor_set
-        get = cache.inline_get()
-        fast = get is not None
-        if not fast:
-            get = cache.lookup
         tick: Optional[Callable[[], None]] = None
         obs: Optional[TaskContext] = None
-        ki: Optional[Callable[[], None]] = None
+        report: Optional[Callable[[int, int], None]] = None
         if ctx is not None:
             tick = ctx.deadline_tick()
             if ctx.observed:
                 obs = ctx
-                ki = partial(ctx.emit, KERNEL_INTERSECT, count=1)
+                report = ctx.report_steps
         if obs is not None:
             mode = {} if emit is None else {"mode": "enumerate"}
             obs.emit(VTASK_SPAWN, gap=self.gap, **mode)
@@ -374,8 +371,8 @@ class ValidationTarget:
                     obs.phase_start(PHASE_BRIDGE, gap=self.gap)
                 try:
                     completion = program(
-                        assignment, pick, nbr, get, fast, graph, index,
-                        cache, stats, tick, ki, emit,
+                        assignment, pick, nbr, graph, index, cache, stats,
+                        tick, report, emit,
                     )
                 finally:
                     if obs is not None:

@@ -28,7 +28,14 @@ from ..errors import (
     StorageBudgetExceeded,
     TimeLimitExceeded,
 )
-from .events import PHASE_END, PHASE_START, EventBus
+from .events import (
+    CACHE_HIT,
+    CACHE_MISS,
+    KERNEL_INTERSECT,
+    PHASE_END,
+    PHASE_START,
+    EventBus,
+)
 
 
 class CancellationToken:
@@ -277,6 +284,19 @@ class TaskContext:
     def phase_end(self, phase: str) -> None:
         """Close the innermost open phase named ``phase``."""
         self.bus.emit(PHASE_END, phase=phase)
+
+    def report_steps(self, computed: int, misses: int) -> None:
+        """One step-program call's set operations, as exact counts:
+        ``computed`` pools, ``misses`` of them computed afresh and the
+        rest cache hits.  A generated step program calls this once, as
+        it ends, when the run is observed; zero counts emit nothing."""
+        emit = self.bus.emit
+        if computed:
+            emit(KERNEL_INTERSECT, count=computed)
+        if computed > misses:
+            emit(CACHE_HIT, count=computed - misses)
+        if misses:
+            emit(CACHE_MISS, count=misses)
 
     def __repr__(self) -> str:
         return f"TaskContext({self.token!r}, {self.budget!r})"

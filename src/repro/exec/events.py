@@ -19,9 +19,12 @@ Event vocabulary (the ``on_*`` hooks of the execution model):
 ``vtask_match``     a VTask found a containing match
 ``cancel``          work was canceled (payload: kind, count)
 ``promote``         a VTask match was promoted to task processing
-``cache_hit``       set-operation cache hits (sampled; payload: count)
-``cache_miss``      set-operation cache misses (sampled; payload: count)
-``kernel_intersect``  a candidate set operation ran (payload: count)
+``cache_hit``       set-operation cache hits, one per step-program
+                    call, exact (payload: count)
+``cache_miss``      set-operation cache misses, one per step-program
+                    call, exact (payload: count)
+``kernel_intersect``  candidate pools computed, one per step-program
+                    call, exact (payload: count)
 ``shard_retry``     a failed shard is re-dispatched (payload: shard,
                     attempt, delay, error, roots)
 ``shard_failed``    a shard exhausted its retries or failed terminally

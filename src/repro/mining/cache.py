@@ -19,24 +19,24 @@ fixed bound: at :data:`MAX_ENTRIES` the oldest-inserted entry makes
 room.  No recency order is kept — on the ledger's workloads a cache
 peaks far below the bound and never evicts, so there is nothing to
 order.
+
+A cache counts on its stats and emits no events.  Generated step
+programs probe :attr:`SetOperationCache.get`, count a call's hits and
+misses in locals, and add them to the stats at the end of the call; an
+observed run gets them then, as exact counts
+(:meth:`~repro.exec.context.TaskContext.report_steps`).
+:meth:`SetOperationCache.lookup` is the counting probe for everything
+else.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Hashable, Optional
+from typing import Any, Dict, Hashable, Optional
 
-from ..exec.events import CACHE_HIT, CACHE_MISS, EventBus
 from .stats import MiningStats
 
 #: Entries one cache holds before the oldest-inserted one is dropped.
 MAX_ENTRIES = 200_000
-
-#: Sampling interval for cache events: one ``cache_hit`` /
-#: ``cache_miss`` event per this many occurrences (with ``count`` set
-#: to the interval), so tracing a run does not emit one bus event per
-#: set operation.  Counters in :class:`MiningStats` stay exact either
-#: way; the events are the coarse observability feed.
-CACHE_EVENT_SAMPLE = 64
 
 #: Semantic identity of one set operation.  The legacy frozenset-path
 #: key is the frozenset of intersected data vertices; kernel-path keys
@@ -54,69 +54,34 @@ class SetOperationCache:
     form — frozensets on the legacy path, sorted tuples or big-int
     bitmasks on the kernel paths — always *before* symmetry /
     injectivity filtering, which is caller-local.
+
+    A disabled cache stores nothing, so every probe of it misses.
     """
 
-    __slots__ = (
-        "_entries", "stats", "enabled",
-        "_bus", "_hits_pending", "_misses_pending",
-    )
+    __slots__ = ("_entries", "get", "stats", "enabled")
 
     def __init__(
-        self,
-        stats: Optional[MiningStats] = None,
-        enabled: bool = True,
-        bus: Optional[EventBus] = None,
+        self, stats: Optional[MiningStats] = None, enabled: bool = True
     ) -> None:
-        """``bus`` opts the cache into sampled ``cache_hit`` /
-        ``cache_miss`` events: every :data:`CACHE_EVENT_SAMPLE`-th hit
-        (miss) emits one event with ``count`` set to the interval.
-        Whether the bus is observed is read here, once: a cache on an
-        unobserved bus keeps no bus at all and pays one ``None`` check
-        per lookup."""
         self._entries: Dict[CacheKey, Any] = {}
+        #: The entries' ``dict.get``: a probe that counts nothing.
+        #: Generated step programs probe through it and count their own
+        #: hits and misses (:mod:`repro.patterns.codegen`).
+        self.get = self._entries.get
         self.stats = stats if stats is not None else MiningStats()
         self.enabled = enabled
-        self._bus = bus if bus is not None and bus.observed else None
-        self._hits_pending = 0
-        self._misses_pending = 0
 
     def __len__(self) -> int:
         return len(self._entries)
 
-    def _count_miss(self) -> None:
-        self.stats.cache_misses += 1
-        if self._bus is not None:
-            self._misses_pending += 1
-            if self._misses_pending >= CACHE_EVENT_SAMPLE:
-                self._bus.emit(CACHE_MISS, count=self._misses_pending)
-                self._misses_pending = 0
-
     def lookup(self, key: CacheKey) -> Optional[Any]:
         """Cached candidates for ``key``, counting a hit or miss."""
-        if not self.enabled:
-            self._count_miss()
-            return None
         value = self._entries.get(key)
         if value is None:
-            self._count_miss()
-            return None
-        self.stats.cache_hits += 1
-        if self._bus is not None:
-            self._hits_pending += 1
-            if self._hits_pending >= CACHE_EVENT_SAMPLE:
-                self._bus.emit(CACHE_HIT, count=self._hits_pending)
-                self._hits_pending = 0
+            self.stats.cache_misses += 1
+        else:
+            self.stats.cache_hits += 1
         return value
-
-    def inline_get(self) -> Optional[Callable[[CacheKey], Optional[Any]]]:
-        """The entries' ``dict.get`` when a lookup is nothing more than a
-        get and a hit / miss count (the cache is enabled and unobserved),
-        else ``None``.  Generated step programs probe through it and
-        count hits and misses themselves; otherwise they call
-        :meth:`lookup`."""
-        if self.enabled and self._bus is None:
-            return self._entries.get
-        return None
 
     def store(self, key: CacheKey, value: Any) -> None:
         """Insert a computed candidate pool, dropping the oldest-inserted

@@ -115,9 +115,13 @@ class MiningEngine:
             )
             task = ETask(
                 self.graph, plan, root, cache, self.stats,
-                pattern=pattern, ctx=ctx, index=self.index,
+                ctx=ctx, index=self.index,
             )
-            yield from task.matches()
+            # The caller's pattern, not the memoized plan's: plans are
+            # shared per structure, names and identity are not.
+            with closing(task.matches()) as found:
+                for assignment in found:
+                    yield Match(pattern, assignment)
 
     # ------------------------------------------------------------------
     # Conveniences

@@ -11,13 +11,13 @@ it (:mod:`repro.core.runtime`).
 
 :meth:`ETask.matches` runs the plan's generated step program
 (:meth:`~repro.patterns.plan.ExplorationPlan.program`, one nested loop
-per matching-order step) from ``root`` and yields matches as they are
-found; closing it (``exists``, a bounded ``find_all``) stops the
-descent where it stands, and :meth:`ETask.run` is the callback
-protocol over the same generator.  The ETask knows nothing about
-containment constraints, but it honours a
-:class:`~repro.exec.context.TaskContext`'s deadline and cancellation
-token at every node.
+per matching-order step) from ``root`` and yields each match as the
+tuple the program builds, indexed by pattern vertex; closing it
+(``exists``, a bounded ``find_all``) stops the descent where it
+stands.  The ETask knows nothing about containment constraints, but it
+honours a :class:`~repro.exec.context.TaskContext`'s deadline and
+cancellation token at every node, and an observed context gets the
+program's set-operation counts once, when the program ends.
 
 One pattern's ETasks are built root by root in one place,
 :meth:`~repro.mining.engine.MiningEngine.stream`;
@@ -28,11 +28,10 @@ that hold a plan.
 from __future__ import annotations
 
 from contextlib import closing
-from functools import partial
-from typing import Callable, Iterator, List, Optional
+from typing import Callable, Generator, List, Optional, Tuple
 
 from ..exec.context import CancellationToken, TaskContext
-from ..exec.events import KERNEL_INTERSECT, TASK_COMPLETE, TASK_START
+from ..exec.events import TASK_COMPLETE, TASK_START
 from ..graph.graph import Graph
 from ..graph.index import GraphIndex
 from ..patterns.codegen import KERNEL, SETS
@@ -61,8 +60,7 @@ class ETask:
     """
 
     __slots__ = (
-        "graph", "plan", "root", "cache", "stats", "pattern", "ctx",
-        "index", "_trace",
+        "graph", "plan", "root", "cache", "stats", "ctx", "index", "_trace",
     )
 
     def __init__(
@@ -72,65 +70,50 @@ class ETask:
         root: int,
         cache: SetOperationCache,
         stats: MiningStats,
-        pattern=None,
         ctx: Optional[TaskContext] = None,
         index: Optional[GraphIndex] = None,
     ) -> None:
-        """``pattern`` overrides the pattern reported on matches: plans
-        are memoized per *structure*, so the cached plan may carry a
-        same-structure pattern with a different name/identity than the
-        one the caller asked to mine."""
         self.graph = graph
         self.plan = plan
         self.root = root
         self.cache = cache
         self.stats = stats
-        self.pattern = pattern if pattern is not None else plan.pattern
         self.ctx = ctx
         self.index = index
         # Instrumentation gate, resolved once per task: the subscriber
-        # set cannot change mid-descent, so the walk pays a bool test
-        # instead of a bus lookup per candidate computation.
+        # set cannot change mid-descent.
         self._trace = ctx is not None and ctx.observed
 
-    def matches(self) -> Iterator[Match]:
-        """Stream all matches rooted here, depth first.
+    def matches(self) -> Generator[Tuple[int, ...], None, None]:
+        """Stream all matches rooted here, depth first, each the data
+        vertex per pattern vertex of :attr:`plan`'s pattern (plans are
+        memoized per structure: the caller names the pattern).
 
-        Counters follow the callback protocol exactly: a task counts
-        as completed only when the generator runs to exhaustion — a
-        consumer that stops early (closes the generator) leaves the
-        task uncompleted, like a canceled task.
+        A task counts as completed only when the generator runs to
+        exhaustion — a consumer that stops early (closes the generator)
+        leaves the task uncompleted, like a canceled task.
         """
         self.stats.etasks_started += 1
         if self._trace:
             self.ctx.emit(TASK_START, kind="etask", root=self.root)
-        plan, ctx, pattern = self.plan, self.ctx, self.pattern
+        plan, ctx = self.plan, self.ctx
         root_label = plan.labels_at[0]
         if root_label is None or self.graph.label(self.root) == root_label:
             program = plan.program(SETS if self.index is None else KERNEL)
             tick: Optional[Callable[[], None]] = None
             token: Optional[CancellationToken] = None
+            report: Optional[Callable[[int, int], None]] = None
             if ctx is not None:
                 tick, token = ctx.deadline_tick(), ctx.token
-            ki = (
-                partial(ctx.emit, KERNEL_INTERSECT, count=1)
-                if self._trace else None
-            )
-            for assignment in program(
+                if self._trace:
+                    report = ctx.report_steps
+            yield from program(
                 self.root, self.graph, self.index, self.cache, self.stats,
-                tick, token, ki,
-            ):
-                yield Match(pattern, assignment)
+                tick, token, report,
+            )
         self.stats.etasks_completed += 1
         if self._trace:
             self.ctx.emit(TASK_COMPLETE, kind="etask", root=self.root)
-
-    def run(self, on_match: OnMatch) -> bool:
-        """Explore all matches rooted here; returns True if stopped early."""
-        for match in self.matches():
-            if on_match(match):
-                return True
-        return False
 
 
 def run_single_pattern(

@@ -380,7 +380,7 @@ class MetricsSubscriber:
             registry.counter(
                 "repro_cache_operations_total",
                 labels={"outcome": outcome},
-                help_text="Sampled set-operation cache outcomes",
+                help_text="Set-operation cache outcomes, exact",
             ).inc(count)
         elif event == SHARD_RETRY:
             registry.counter(

@@ -93,7 +93,7 @@ def rooted_matches(graph, pattern, root, induced=False):
         graph, plan_for(pattern, induced=induced), root,
         SetOperationCache(stats=stats), stats,
     )
-    return [m.assignment for m in task.matches()]
+    return list(task.matches())
 
 
 class TestComputeCandidates:

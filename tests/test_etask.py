@@ -24,23 +24,17 @@ class TestETask:
         g = Graph([(1,), (0,)], labels=[3, 4])
         pattern = path(1).with_labels([5, None])
         task, stats = make_task(g, pattern, 0)
-        stopped = task.run(lambda m: False)
-        assert not stopped
+        assert list(task.matches()) == []
         assert stats.matches_found == 0
         assert stats.etasks_completed == 1
 
     def test_early_stop_propagates(self):
         g = erdos_renyi(12, 0.6, seed=0)
         task, stats = make_task(g, triangle(), 0)
-        seen = []
-
-        def stop_after_one(match):
-            seen.append(match)
-            return True
-
-        stopped = task.run(stop_after_one)
-        assert stopped
-        assert len(seen) == 1
+        found = task.matches()
+        assert next(found, None) is not None
+        found.close()
+        assert stats.matches_found == 1
         # a stopped task never counts as completed
         assert stats.etasks_completed == 0
 
@@ -48,7 +42,7 @@ class TestETask:
         # star center has no triangles: every descent dead-ends
         g = graph_from_edges([(0, 1), (0, 2), (0, 3)])
         task, stats = make_task(g, triangle(), 0)
-        task.run(lambda m: False)
+        assert list(task.matches()) == []
         assert stats.matches_found == 0
         assert stats.rl_paths > 0
 
@@ -57,10 +51,7 @@ class TestETask:
         pattern = triangle()
         plan = plan_for(pattern)
         task, _ = make_task(g, pattern, 5)
-        roots = set()
-        task.run(
-            lambda m: roots.add(m.assignment[plan.order[0]]) or False
-        )
+        roots = {assignment[plan.order[0]] for assignment in task.matches()}
         assert roots <= {5}
 
 

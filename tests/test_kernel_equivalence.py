@@ -259,9 +259,9 @@ class TestKernelPool:
         cache = SetOperationCache(stats=stats)
         plan, index = plan_for(clique(4)), resolve_index(graph, "auto")
         for root in sorted((a, b, c)):
-            ETask(graph, plan, root, cache, stats, index=index).run(
-                lambda m: False
-            )
+            task = ETask(graph, plan, root, cache, stats, index=index)
+            for _ in task.matches():
+                pass
         walked = (stats.cache_hits, stats.cache_misses)
         assert stats.bitset_intersections > 0
         intersections = stats.bitset_intersections
@@ -320,7 +320,7 @@ def _assert_candidates_equivalent(
                 graph, plan, root, SetOperationCache(stats=run_stats),
                 run_stats, index=index,
             )
-            matches.extend(m.assignment for m in task.matches())
+            matches.extend(task.matches())
         walks.append((matches, [
             getattr(run_stats, name) for name in (
                 "candidate_computations", "extensions_attempted",

@@ -32,6 +32,7 @@ from repro.exec import (
 from repro.exec.events import (
     CACHE_HIT,
     CACHE_MISS,
+    KERNEL_INTERSECT,
     EventBus,
     EventLog,
     EventRecorder,
@@ -39,7 +40,7 @@ from repro.exec.events import (
 )
 from repro.graph import erdos_renyi
 from repro.graph.store import GraphStore, MutationBatch
-from repro.mining.cache import CACHE_EVENT_SAMPLE, SetOperationCache
+from repro.mining import ETask, MiningStats, SetOperationCache
 from repro.mining.incremental import StandingQuery, SubscriptionRegistry
 from repro.obs import (
     COUNT_BUCKETS,
@@ -50,7 +51,7 @@ from repro.obs import (
     validate_chrome_trace,
     validate_prometheus,
 )
-from repro.patterns import quasi_clique_patterns_up_to
+from repro.patterns import path, plan_for, quasi_clique_patterns_up_to
 
 
 def mqc_constraints(gamma=0.7, max_size=4):
@@ -59,23 +60,21 @@ def mqc_constraints(gamma=0.7, max_size=4):
     )
 
 
-def sampled_cache_traffic(bus):
-    """Enough misses, then hits, for one sampled event of each."""
-    cache = SetOperationCache(bus=bus)
-    for i in range(CACHE_EVENT_SAMPLE):
-        cache.lookup(("k", i))
-        cache.store(("k", i), (i,))
-    for i in range(CACHE_EVENT_SAMPLE):
-        cache.lookup(("k", i))
-
-
 def assert_events_equal_counters(log, stats):
     """The events' summed ``count`` is the counter kept in place."""
     summed = {}
     for name, payload in log.records:
-        if name in ("match_checked", "promote", "cancel"):
+        if name in (
+            "match_checked", "promote", "cancel",
+            KERNEL_INTERSECT, CACHE_HIT, CACHE_MISS,
+        ):
             key = (name, payload.get("kind"))
             summed[key] = summed.get(key, 0) + payload["count"]
+    assert summed.pop((KERNEL_INTERSECT, None), 0) == (
+        stats.candidate_computations
+    )
+    assert summed.pop((CACHE_HIT, None), 0) == stats.cache_hits
+    assert summed.pop((CACHE_MISS, None), 0) == stats.cache_misses
     assert summed.pop(("match_checked", None), 0) == stats.matches_checked
     assert summed.pop(("promote", None), 0) == stats.promotions
     assert summed.pop(("cancel", "etask"), 0) == stats.etasks_canceled
@@ -85,11 +84,14 @@ def assert_events_equal_counters(log, stats):
     assert not summed, f"cancel kinds no counter holds: {summed}"
 
 
-def observed_run(graph, scheduler, **engine_options):
-    """One engine run under ``scheduler`` with full observability on."""
+def observed_run(graph, scheduler, gamma=0.7, max_size=4, **engine_options):
+    """One MQC engine run under ``scheduler`` with full observability
+    on."""
     ctx, tracer, registry = observed_context()
     log = EventLog(ctx.bus)
-    engine = ContigraEngine(graph, mqc_constraints(), **engine_options)
+    engine = ContigraEngine(
+        graph, mqc_constraints(gamma, max_size), **engine_options
+    )
     result = engine.run_with(scheduler, ctx=ctx)
     tracer.finalize()
     return result, tracer, registry, log
@@ -107,32 +109,37 @@ class TestEventVocabularyIsAlive:
         graph = erdos_renyi(20, 0.9, seed=11)
         _, _, _, log = observed_run(graph, SerialScheduler())
         seen = {name for name, _ in log.records}
-        # Cache events need a cache; resilience events need a failure.
-        missing = (
-            set(EVENTS)
-            - seen
-            - {CACHE_HIT, CACHE_MISS}
-            - set(RESILIENCE_EVENTS)
-        )
+        # Resilience events need a failure.
+        missing = set(EVENTS) - seen - set(RESILIENCE_EVENTS)
         assert not missing, f"declared but never emitted: {missing}"
 
-    def test_cache_emits_sampled_hit_and_miss_events(self):
-        """The previously dead ``cache_hit``/``cache_miss`` vocabulary."""
-        bus = EventBus(strict=True)
-        log = EventLog(bus)
-        sampled_cache_traffic(bus)
-        seen = {name for name, _ in log.records}
-        assert CACHE_HIT in seen and CACHE_MISS in seen
+    def test_a_step_program_call_reports_its_set_operations_once(self):
+        """One ETask's generated function, observed: one record per
+        event name, each with the exact count the stats hold."""
+        ctx, _, _ = observed_context()
+        log = EventLog(ctx.bus)
+        stats = MiningStats()
+        task = ETask(
+            erdos_renyi(12, 0.6, seed=0), plan_for(path(3)), 0,
+            SetOperationCache(stats=stats), stats, ctx=ctx,
+        )
+        assert list(task.matches())
+        assert stats.cache_hits and stats.cache_misses
+        steps = [
+            (name, payload) for name, payload in log.records
+            if name in (KERNEL_INTERSECT, CACHE_HIT, CACHE_MISS)
+        ]
+        assert steps == [
+            (KERNEL_INTERSECT, {"count": stats.candidate_computations}),
+            (CACHE_HIT, {"count": stats.cache_hits}),
+            (CACHE_MISS, {"count": stats.cache_misses}),
+        ]
 
     def test_every_event_name_is_emitted_somewhere(self):
         """The regression gate: EVENTS may not contain dead names."""
         graph = erdos_renyi(20, 0.9, seed=11)
         _, _, _, log = observed_run(graph, SerialScheduler())
         seen = {name for name, _ in log.records}
-        bus = EventBus()
-        cache_log = EventLog(bus)
-        sampled_cache_traffic(bus)
-        seen |= {name for name, _ in cache_log.records}
         # Resilience events only fire on failures: a degraded chaos run
         # (every attempt crashes) emits retry, failure, and degradation.
         ctx, _, _ = observed_context()
@@ -151,26 +158,6 @@ class TestEventVocabularyIsAlive:
         seen |= {name for name, _ in chaos_log.records}
         assert seen >= set(EVENTS)
 
-    def test_cache_events_are_sampled_with_counts(self):
-        bus = EventBus(strict=True)
-        log = EventLog(bus)
-        cache = SetOperationCache(bus=bus)
-        for i in range(2 * CACHE_EVENT_SAMPLE - 1):
-            cache.lookup(("miss", i))
-        assert log.count(CACHE_MISS) == 1
-        assert log.records[0][1]["count"] == CACHE_EVENT_SAMPLE
-        # the rest are still pending, below the sampling threshold
-        assert cache.stats.cache_misses == 2 * CACHE_EVENT_SAMPLE - 1
-
-    def test_unobserved_cache_pays_no_events(self, monkeypatch):
-        bus = EventBus()
-        monkeypatch.setattr(
-            EventBus, "emit", lambda *a, **kw: pytest.fail("emitted")
-        )
-        cache = SetOperationCache(bus=bus)
-        for i in range(CACHE_EVENT_SAMPLE):
-            cache.lookup(("k", i))  # no subscribers: just counted
-        assert cache.stats.cache_misses == CACHE_EVENT_SAMPLE
 
 
 # ----------------------------------------------------------------------
@@ -561,6 +548,28 @@ class TestSchedulerObservabilityEquivalence:
             result, _, _, log = observed_run(graph, scheduler)
             assert result.stats.promotions and result.stats.etasks_canceled
             assert_events_equal_counters(log, result.stats)
+
+    @pytest.mark.parametrize("name", ["serial", "process", "workqueue"])
+    def test_step_program_events_equal_the_exact_counters(self, name):
+        """dblp at size <= 4: each per-root cache sees only a few hits,
+        so a feed that reported every 64th one would read none."""
+        scheduler = dict(self.make_schedulers())[name]
+        result, _, registry, log = observed_run(
+            dataset("dblp"), scheduler, max_size=4, gamma=0.8
+        )
+        stats = result.stats
+        assert stats.cache_hits and stats.cache_misses
+        assert_events_equal_counters(log, stats)
+        snapshot = registry.snapshot()
+        assert snapshot['repro_cache_operations_total{outcome="hit"}'] == (
+            stats.cache_hits
+        )
+        assert snapshot['repro_cache_operations_total{outcome="miss"}'] == (
+            stats.cache_misses
+        )
+        assert snapshot['repro_events_total{event="kernel_intersect"}'] == (
+            stats.candidate_computations
+        )
 
     def test_exports_validate_for_every_scheduler(self):
         graph = erdos_renyi(10, 0.4, seed=7)

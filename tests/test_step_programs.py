@@ -14,17 +14,16 @@ behaviour of the generated code is pinned against the same oracle.
 import itertools
 import random
 import re
-from functools import partial
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core import ValidationTarget
+from repro.core import ValidationTarget, maximality_constraints
+from repro.core.vtask import alignment_embeddings, bridge_recipes_for
 from repro.errors import TimeLimitExceeded
 from repro.exec.context import Budget, TaskContext
 from repro.exec.events import (
-    KERNEL_INTERSECT,
     PHASE_ALIGN,
     PHASE_BRIDGE,
     VTASK_MATCH,
@@ -35,7 +34,14 @@ from repro.exec.events import (
 from repro.graph import Graph, community_graph, erdos_renyi, resolve_index
 from repro.graph.index import BITSET_MIN_DEGREE
 from repro.mining import ConstraintStats, MiningEngine, SetOperationCache
-from repro.patterns import ExplorationPlan, Pattern, clique, plan_for, star
+from repro.patterns import (
+    ExplorationPlan,
+    Pattern,
+    clique,
+    plan_for,
+    quasi_clique_patterns_up_to,
+    star,
+)
 from repro.patterns.codegen import (
     ETASK,
     KERNEL,
@@ -123,9 +129,10 @@ def patterns(draw, min_vertices=1, max_vertices=6, num_labels=2):
     return Pattern(n, sorted(edges), labels=labels, anti_edges=anti)
 
 
-#: How a side's cache and context look: ``fast`` probes the entries
-#: inline, ``disabled`` and ``observed`` go through ``cache.lookup``.
-CACHE_MODES = ["fast", "disabled", "observed"]
+#: How a side's cache and context look: ``plain`` (enabled and
+#: unobserved), ``disabled`` (stores nothing) or ``observed`` (an event
+#: log on the bus).
+CACHE_MODES = ["plain", "disabled", "observed"]
 
 #: Nodes one drawn example may visit per side: dense graphs hold far
 #: more matches than a test can enumerate.
@@ -160,7 +167,7 @@ class Side:
         self.tick = self.ctx.deadline_tick()
         self.stats = ConstraintStats()
         self.cache = SetOperationCache(
-            stats=self.stats, enabled=mode != "disabled", bus=bus,
+            stats=self.stats, enabled=mode != "disabled"
         )
         self.obs = self.ctx if mode == "observed" else None
 
@@ -200,9 +207,9 @@ def oracle_plan(plan, root, graph, index, side, tick=None, token=None):
 
 
 def generated_plan(plan, root, graph, index, side, tick=None, token=None):
-    ki = partial(side.obs.emit, KERNEL_INTERSECT, count=1) if side.obs else None
+    report = side.obs.report_steps if side.obs else None
     return plan.program(SETS if index is None else KERNEL)(
-        root, graph, index, side.cache, side.stats, tick, token, ki,
+        root, graph, index, side.cache, side.stats, tick, token, report,
     )
 
 
@@ -337,7 +344,7 @@ def test_every_matching_order_matches_the_walker(name, induced, adjacency):
         for root in (0, 25):
             runs = []
             for run in (oracle_plan, generated_plan):
-                side = Side("fast", budget=NodeCap(2_000))
+                side = Side("plain", budget=NodeCap(2_000))
                 found = []
                 cut = drain(run(plan, root, graph, index, side, side.tick), found)
                 runs.append((cut, found, side.stats.as_dict()))
@@ -442,6 +449,51 @@ def test_no_user_string_reaches_the_source():
     assert target.run((0, 1, 2), graph, SetOperationCache(), ConstraintStats())
 
 
+def test_observers_hear_from_a_program_only_in_its_finally():
+    """No loop of any γ 0.6 / size ≤ 6 MQC plan or recipe, ETask or
+    VTask, ``sets`` or ``kernel``, calls an observer: the one call is
+    the ``report`` in the ``finally``."""
+    constraints = maximality_constraints(
+        quasi_clique_patterns_up_to(6, 0.6), induced=True
+    )
+    programs = [
+        (plan_for(pattern, induced=True).steps, 1, ETASK)
+        for pattern in constraints.patterns
+    ] + [
+        (recipe.steps, c.p_m.num_vertices, VTASK)
+        for c in constraints.all_constraints
+        for embedding in alignment_embeddings(c.p_m, c.p_plus, True)
+        for recipe in bridge_recipes_for(c.p_plus, embedding, True)
+    ]
+    assert len(programs) > 243
+    for steps, prefix, mode in programs:
+        for source in (SETS, KERNEL):
+            text = program_source(steps, prefix, mode, source)
+            body, last = text.split("    finally:\n")
+            loops = body.split("\n", 1)[1]  # below the signature
+            assert not re.search(r"\bki\b|\breport\b|\.emit\(", loops), text
+            assert last.count("report") == 2, text  # the test and the call
+            assert last.strip().endswith("report(n, mi)"), text
+
+
+def test_each_compiled_function_has_its_own_code_identity():
+    """A profile or a traceback tells two programs apart: each is named
+    by mode, pool source and a serial."""
+    plan = plan_for(clique(4), induced=True)
+    other = plan_for(star(3), induced=True)
+    codes = [
+        plan.program(SETS).__code__,
+        other.program(SETS).__code__,
+        plan.program(KERNEL).__code__,
+    ]
+    assert len({code.co_filename for code in codes}) == 3
+    assert len({code.co_name for code in codes}) == 3
+    for code in codes:
+        assert code.co_filename == f"<step program {code.co_name}>"
+    assert codes[0].co_name.startswith("etask_sets_")
+    assert codes[2].co_name.startswith("etask_kernel_")
+
+
 def test_identical_shapes_share_one_function():
     """Recipes are keyed by shape: which pattern vertex a slot binds
     reaches only ``pick``."""
@@ -487,7 +539,7 @@ def test_a_vtask_past_its_deadline_raises_within_one_interval():
     assignment = core_triangle(graph)
     sides = []
     for validate in (oracle_validate, generated_validate):
-        side = Side("fast", budget=expired_budget())
+        side = Side("plain", budget=expired_budget())
         with pytest.raises(TimeLimitExceeded):
             validate(target, assignment, graph, side, lambda c: None)
         # The first clock read trips it: the 256th node.
@@ -529,7 +581,7 @@ def test_early_close_flushes_what_the_walker_counted(adjacency, taken):
     plan = plan_for(clique(4), induced=True)
     counters = []
     for run in (oracle_plan, generated_plan):
-        side = Side("fast")
+        side = Side("plain")
         stream = run(plan, 0, graph, index, side, side.tick)
         for _ in range(taken):
             next(stream)
@@ -544,7 +596,7 @@ def test_a_cancelled_token_stops_the_generated_walk_where_the_walker_stops():
     plan = plan_for(clique(4), induced=True)
     counters = []
     for run in (oracle_plan, generated_plan):
-        side = Side("fast")
+        side = Side("plain")
         token = side.ctx.token
         stream = run(plan, 0, graph, None, side, side.tick, token)
         next(stream)

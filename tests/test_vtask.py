@@ -327,7 +327,10 @@ class TestCompiledBridge:
             lambda completion: None, ctx=ctx,
         )
         assert 0 < stats.bridge_steps < stats.candidate_computations
-        assert len(intersects) == stats.candidate_computations
+        # One record per recipe call, each with its exact count.
+        assert sum(p["count"] for p in intersects) == (
+            stats.candidate_computations
+        )
 
     def test_paper_nsq_counters_pinned(self):
         # Laziness must not change what is visited: these are the

@@ -22,7 +22,6 @@ from itertools import filterfalse
 from typing import Callable, Iterator, List, Optional, Sequence
 
 from repro.exec.context import CancellationToken, TaskContext
-from repro.exec.events import KERNEL_INTERSECT
 from repro.graph.graph import Graph
 from repro.graph.index import GraphIndex, bits_to_sorted
 from repro.mining.cache import SetOperationCache
@@ -51,10 +50,11 @@ def walk(
 
     Yields ``bound`` itself whenever every slot is bound.  Every node
     calls ``tick`` and ends the walk if ``token`` is cancelled; every
-    incomplete node counts a candidate computation and, when ``obs`` is
-    given, emits ``kernel_intersect``.  ``paths``, if given, gets the
-    RL-path counters: ``rl_paths`` per match and dead end,
-    ``matches_found``, ``extensions_attempted`` per descent.
+    incomplete node counts a candidate computation.  When ``obs`` is
+    given, the walk reports its computations and cache misses to it
+    once, as it ends, the way a generated function does.  ``paths``,
+    if given, gets the RL-path counters: ``rl_paths`` per match and dead
+    end, ``matches_found``, ``extensions_attempted`` per descent.
 
     Enumerate mode filters each pool eagerly, so a step without
     candidates is a dead end.  First-match mode (``first``, Algorithm 2)
@@ -64,6 +64,35 @@ def walk(
     step without bounds or non-neighbours allocates no filter (short
     VTask walks are many; GC pressure is their cost).
     """
+    # Nothing else counts on these while the walk runs (the tests drive
+    # one walk at a time), so the walk's counts are the differences.
+    counted = cache.stats
+    computed, misses = stats.candidate_computations, counted.cache_misses
+    try:
+        yield from _walk(
+            steps, bound, graph, index, cache, stats, tick, token, paths,
+            first,
+        )
+    finally:
+        if obs is not None:
+            obs.report_steps(
+                stats.candidate_computations - computed,
+                counted.cache_misses - misses,
+            )
+
+
+def _walk(
+    steps: Sequence[PlanStep],
+    bound: List[int],
+    graph: Graph,
+    index: Optional[GraphIndex],
+    cache: SetOperationCache,
+    stats: MiningStats,
+    tick: Optional[Callable[[], None]],
+    token: Optional[CancellationToken],
+    paths: Optional[MiningStats],
+    first: bool,
+) -> Iterator[List[int]]:
     full = len(steps)
     frames: List[Iterator[int]] = []
     while True:
@@ -81,8 +110,6 @@ def walk(
                 return
             bound.pop()
         else:
-            if obs is not None:
-                obs.emit(KERNEL_INTERSECT, count=1)
             stats.candidate_computations += 1
             _, anchors, nonneighbors, label, lower, upper = steps[slot]
             lo = -1
