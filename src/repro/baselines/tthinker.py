@@ -11,14 +11,16 @@ exhausted 64 GB of RAM (OOM).
 We cannot run the closed-source original, so this module implements
 the algorithmic skeleton faithfully — k-core pruning, set-enumeration
 with degree-feasibility bounds, candidate buffering, post-hoc
-maximality — and **simulates the budgets** through the unified
-:class:`repro.exec.context.Budget`: every buffered candidate and every
-live recursion state is charged as resident memory, every enqueued
-task state as cumulative storage, raising
+maximality — and **simulates the budgets** in
+:class:`TThinkerAccounting`: every buffered candidate and every live
+recursion state is charged as resident memory, every enqueued task
+state as cumulative storage, raising
 :class:`~repro.errors.MemoryBudgetExceeded` /
 :class:`~repro.errors.StorageBudgetExceeded` exactly where the real
-system dies.  The wall-clock deadline is the same shared budget check
-every other engine uses.  DESIGN.md documents this substitution.
+system dies.  The byte budgets are TThinker's alone (the Contigra
+engine is bounded by wall clock only); the wall-clock deadline is the
+shared :class:`repro.exec.context.Budget` check every other engine
+uses.  DESIGN.md documents this substitution.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import FrozenSet, List, Optional, Set
 
+from ..errors import MemoryBudgetExceeded, StorageBudgetExceeded
 from ..exec.context import Budget
 from ..graph.algorithms import k_core
 from ..graph.graph import Graph
@@ -52,32 +55,26 @@ class TThinkerConfig:
     time_limit: Optional[float] = None
 
     def budget(self) -> Budget:
-        """The unified exec-core budget enforcing this config.
+        """The exec-core deadline enforcing this config's time limit.
 
         ``check_interval=1``: the simulation's recursion states are
         orders of magnitude coarser than ETask descents, so the
         per-call clock read is cheap and keeps sub-millisecond test
         deadlines firing on tiny graphs.
         """
-        return Budget(
-            time_limit=self.time_limit,
-            memory_budget_bytes=self.memory_budget_bytes,
-            storage_budget_bytes=self.storage_budget_bytes,
-            check_interval=1,
-        )
+        return Budget(time_limit=self.time_limit, check_interval=1)
 
 
 @dataclass
 class TThinkerAccounting:
-    """Running byte counters mirroring the budget's view of the run.
+    """The simulated RAM and disk of one run, checked against a config.
 
     The model mirrors how the real system dies in the paper: RAM holds
     the *live* recursion states plus the buffered candidates (hubs with
     huge candidate sets spike live bytes — the Patents/Youtube/Products
     OOMs), while the spilled task buffer accumulates on disk (millions
-    of small tasks — the MiCo OOS).  Enforcement happens in the shared
-    :class:`~repro.exec.context.Budget`; these counters keep the
-    breakdown (candidates vs live states) the budget folds together.
+    of small tasks — the MiCo OOS).  Memory in use is
+    ``candidate_bytes + live_bytes``; storage in use is ``task_bytes``.
     """
 
     candidate_bytes: int = 0
@@ -87,27 +84,34 @@ class TThinkerAccounting:
     candidates_buffered: int = 0
     tasks_created: int = 0
 
-    def charge_candidate(self, size: int, budget: Budget) -> None:
+    def charge_candidate(self, size: int, config: TThinkerConfig) -> None:
         self.candidates_buffered += 1
-        n_bytes = _CANDIDATE_OVERHEAD + _BYTES_PER_VERTEX * size
-        self.candidate_bytes += n_bytes
-        budget.charge_memory(n_bytes)  # one-way: buffered until post-hoc
-        self.peak_memory_bytes = budget.peak_memory_bytes
+        # One-way: buffered until post-processing.
+        self.candidate_bytes += _CANDIDATE_OVERHEAD + _BYTES_PER_VERTEX * size
+        self._check_memory(config)
 
-    def enter_task(self, state_size: int, budget: Budget) -> int:
+    def enter_task(self, state_size: int, config: TThinkerConfig) -> int:
         """Charge one recursion state; returns its bytes for release."""
         self.tasks_created += 1
         bytes_used = _TASK_OVERHEAD + _BYTES_PER_VERTEX * state_size
         self.task_bytes += bytes_used
         self.live_bytes += bytes_used
-        budget.charge_storage(bytes_used)
-        budget.charge_memory(bytes_used)
-        self.peak_memory_bytes = budget.peak_memory_bytes
+        if self.task_bytes > config.storage_budget_bytes:
+            raise StorageBudgetExceeded(
+                config.storage_budget_bytes, self.task_bytes
+            )
+        self._check_memory(config)
         return bytes_used
 
-    def exit_task(self, bytes_used: int, budget: Budget) -> None:
+    def exit_task(self, bytes_used: int) -> None:
         self.live_bytes -= bytes_used
-        budget.release_memory(bytes_used)
+
+    def _check_memory(self, config: TThinkerConfig) -> None:
+        """Raise OOM past the budget, else track the peak."""
+        used = self.candidate_bytes + self.live_bytes
+        if used > config.memory_budget_bytes:
+            raise MemoryBudgetExceeded(config.memory_budget_bytes, used)
+        self.peak_memory_bytes = max(self.peak_memory_bytes, used)
 
 
 @dataclass
@@ -196,12 +200,12 @@ def tthinker_mqc(
     def expand(members: Set[int], candidates: Set[int]) -> None:
         budget.check_deadline()
         state_bytes = accounting.enter_task(
-            len(members) + len(candidates), budget
+            len(members) + len(candidates), config
         )
         try:
             _expand_body(members, candidates)
         finally:
-            accounting.exit_task(state_bytes, budget)
+            accounting.exit_task(state_bytes)
 
     def _expand_body(members: Set[int], candidates: Set[int]) -> None:
         size = len(members)
@@ -210,7 +214,7 @@ def tthinker_mqc(
             if min(degrees) >= quasi_clique_min_degree(size, gamma):
                 if graph.is_connected_subset(sorted(members)):
                     buffered.append(frozenset(members))
-                    accounting.charge_candidate(size, budget)
+                    accounting.charge_candidate(size, config)
         if size == max_size:
             return
         for v in sorted(candidates):

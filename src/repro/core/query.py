@@ -34,6 +34,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, List, Optional, Tuple
 
 from ..errors import QueryAnalysisError
+from ..exec.context import TaskContext
 from ..exec.scheduler import SCHEDULER_NAMES
 from ..graph.graph import Graph
 from ..mining.cache import SetOperationCache
@@ -264,24 +265,27 @@ class Query:
             enable_lateral=self._lateral,
             rl_strategy=self._rl_strategy,
         )
+        # One context for the run and its post-filter: the time limit
+        # bounds both.
+        ctx = TaskContext.create(time_limit=self._time_limit)
         result = run_engine(
             engine,
             scheduler=self._scheduler,
             n_workers=self._n_workers,
-            time_limit=self._time_limit,
+            ctx=ctx,
         )
         if self._only_within:
-            self._apply_only_within(result, graph)
+            self._apply_only_within(result, graph, ctx)
         return result
 
     def _apply_only_within(
-        self, result: ContigraResult, graph: Graph
+        self, result: ContigraResult, graph: Graph, ctx: TaskContext
     ) -> None:
         """Filter to matches contained in every ``only_within`` pattern.
 
         Required containment runs as ordinary VTasks over each valid
-        match; a match survives only when every required target finds
-        a containing completion.
+        match, under the run's context; a match survives only when
+        every required target finds a containing completion.
         """
         required = [
             ValidationTarget(
@@ -298,7 +302,7 @@ class Query:
             (pattern, assignment)
             for pattern, assignment in result.valid
             if all(
-                target.run(assignment, graph, cache, result.stats)
+                target.run(assignment, graph, cache, result.stats, ctx=ctx)
                 is not None
                 for target in required
             )

@@ -72,7 +72,6 @@ from ..exec.events import (
     PHASE_PATTERN,
     PROMOTE,
 )
-from ..exec.scheduler import merge_counter_dict
 from ..graph.aux import auxiliary_graph
 from ..graph.graph import Graph
 from ..graph.index import GraphIndex, resolve_index
@@ -592,13 +591,13 @@ class ContigraJob:
         """Combine shard results: canonical dedup + summed counters."""
         merged = ContigraResult()
         seen: set = set()
-        for valid, stats_dict, _elapsed, *_ in partials:
+        for valid, stats, _elapsed, *_ in partials:
             for pattern, assignment in valid:
                 key = (pattern.structure_key(), assignment)
                 if key in seen:
                     continue
                 seen.add(key)
                 merged.valid.append((pattern, assignment))
-            merge_counter_dict(merged.stats, stats_dict)
+            merged.stats.merge(stats)
         merged.elapsed = elapsed
         return merged

@@ -1,21 +1,21 @@
-"""Task context: cancellation tokens and unified run budgets.
+"""Task context: cancellation tokens and the run's deadline.
 
 This module is the single home of the lifecycle plumbing every engine
 and baseline shares (the Contigra runtime, the Peregrine+ baselines,
-keyword search, TThinker's byte accounting):
+keyword search, the TThinker simulation's clock):
 
 * :class:`CancellationToken` — hierarchical cooperative cancellation.
-  Cancelling a parent cancels every descendant, which is how one
-  matching VTask cancels its lateral siblings (§6) and how an aborted
-  ETask takes its pending child VTasks down with it.
-* :class:`Budget` — wall-clock deadline plus simulated memory/storage
-  byte budgets, raising the :mod:`repro.errors` vocabulary (TLE / OOM
-  / OOS).  The deadline check is tick-gated so hot loops pay one
-  integer op per call, one clock read per ``check_interval`` calls.
+  Cancelling a parent cancels every descendant: the work-queue
+  scheduler gives each round a child token, so a failure that ends
+  the run stops that round's workers without touching the caller's
+  context.
+* :class:`Budget` — the wall-clock deadline, raising
+  :class:`~repro.errors.TimeLimitExceeded`.  The check is tick-gated
+  so hot loops pay one integer op per call, one clock read per
+  ``check_interval`` calls.
 * :class:`TaskContext` — the bundle engines carry: token + budget +
   event bus.  ``child()`` derives a context whose token is subordinate
-  but whose budget and bus are shared — the task hierarchy of the
-  paper's ETask → VTask spawning.
+  but whose budget and bus are shared.
 """
 
 from __future__ import annotations
@@ -23,11 +23,7 @@ from __future__ import annotations
 import time
 from typing import Any, Callable, Optional
 
-from ..errors import (
-    MemoryBudgetExceeded,
-    StorageBudgetExceeded,
-    TimeLimitExceeded,
-)
+from ..errors import TimeLimitExceeded
 from .events import (
     CACHE_HIT,
     CACHE_MISS,
@@ -80,50 +76,25 @@ class CancellationToken:
 
 
 class Budget:
-    """Unified wall-clock / memory / storage budget for one run.
+    """The wall-clock deadline of one run.
 
     This is the *only* deadline implementation in the codebase; every
-    engine and baseline checks time through it.  Memory is modeled as
-    resident bytes (charge/release pairs around live state, one-way
-    charges for buffered results); storage is cumulative spill.  All
-    three violations raise the shared :mod:`repro.errors` types the
-    benchmark harness maps to the paper's TLE / OOM / OOS cells.
+    engine and baseline checks time through it, and a violation raises
+    the :class:`~repro.errors.TimeLimitExceeded` the benchmark harness
+    maps to the paper's TLE cell.
     """
 
-    __slots__ = (
-        "time_limit",
-        "memory_budget_bytes",
-        "storage_budget_bytes",
-        "check_interval",
-        "start",
-        "memory_used_bytes",
-        "peak_memory_bytes",
-        "storage_used_bytes",
-        "_tick",
-    )
+    __slots__ = ("time_limit", "check_interval", "start", "_tick")
 
     def __init__(
-        self,
-        time_limit: Optional[float] = None,
-        memory_budget_bytes: Optional[int] = None,
-        storage_budget_bytes: Optional[int] = None,
-        check_interval: int = 256,
+        self, time_limit: Optional[float] = None, check_interval: int = 256
     ) -> None:
         if check_interval < 1:
             raise ValueError("check_interval must be >= 1")
         self.time_limit = time_limit
-        self.memory_budget_bytes = memory_budget_bytes
-        self.storage_budget_bytes = storage_budget_bytes
         self.check_interval = check_interval
         self.start = time.monotonic()
-        self.memory_used_bytes = 0
-        self.peak_memory_bytes = 0
-        self.storage_used_bytes = 0
         self._tick = 0
-
-    # ------------------------------------------------------------------
-    # Wall clock
-    # ------------------------------------------------------------------
 
     def elapsed(self) -> float:
         return time.monotonic() - self.start
@@ -131,17 +102,13 @@ class Budget:
     def remaining_time(self) -> Optional[float]:
         """Wall clock left before the deadline (None when unlimited).
 
-        Schedulers use this to size retry backoff sleeps and to compute
-        the residual budget shards are dispatched with — never negative.
+        Schedulers use this to size retry backoff sleeps, to shelve
+        what is left once it reads ``0.0``, and as the deadline a
+        process shard starts from — never negative.
         """
         if self.time_limit is None:
             return None
         return max(0.0, self.time_limit - self.elapsed())
-
-    def restart(self) -> None:
-        """Re-anchor the clock (a fresh run reusing the same budget)."""
-        self.start = time.monotonic()
-        self._tick = 0
 
     def check_deadline(self) -> None:
         """The one shared deadline check (tick-gated; raises TLE)."""
@@ -154,56 +121,15 @@ class Budget:
         if elapsed > self.time_limit:
             raise TimeLimitExceeded(self.time_limit, elapsed)
 
-    # ------------------------------------------------------------------
-    # Bytes
-    # ------------------------------------------------------------------
-
-    def charge_memory(self, n_bytes: int) -> int:
-        """Charge resident bytes; raises OOM past the budget.
-
-        Returns ``n_bytes`` so callers can pair the charge with a later
-        :meth:`release_memory`.
-        """
-        self.memory_used_bytes += n_bytes
-        if self.memory_used_bytes > self.peak_memory_bytes:
-            self.peak_memory_bytes = self.memory_used_bytes
-        if (
-            self.memory_budget_bytes is not None
-            and self.memory_used_bytes > self.memory_budget_bytes
-        ):
-            raise MemoryBudgetExceeded(
-                self.memory_budget_bytes, self.memory_used_bytes
-            )
-        return n_bytes
-
-    def release_memory(self, n_bytes: int) -> None:
-        self.memory_used_bytes -= n_bytes
-
-    def charge_storage(self, n_bytes: int) -> int:
-        """Charge cumulative spill bytes; raises OOS past the budget."""
-        self.storage_used_bytes += n_bytes
-        if (
-            self.storage_budget_bytes is not None
-            and self.storage_used_bytes > self.storage_budget_bytes
-        ):
-            raise StorageBudgetExceeded(
-                self.storage_budget_bytes, self.storage_used_bytes
-            )
-        return n_bytes
-
     def __repr__(self) -> str:
-        return (
-            f"Budget(time_limit={self.time_limit}, "
-            f"mem={self.memory_used_bytes}/{self.memory_budget_bytes}, "
-            f"disk={self.storage_used_bytes}/{self.storage_budget_bytes})"
-        )
+        return f"Budget(time_limit={self.time_limit})"
 
 
 class TaskContext:
     """Everything a task needs from its runtime, in one handle.
 
     ``token`` gates cooperative cancellation, ``budget`` owns the
-    deadline and byte accounting, and ``bus`` carries instrumentation
+    deadline, and ``bus`` carries instrumentation
     events to whoever observes the run.  Counters are not the
     context's business: each session owns its stats and counts in
     place.
@@ -227,19 +153,12 @@ class TaskContext:
         cls,
         time_limit: Optional[float] = None,
         check_interval: int = 256,
-        memory_budget_bytes: Optional[int] = None,
-        storage_budget_bytes: Optional[int] = None,
         bus: Optional[EventBus] = None,
     ) -> "TaskContext":
         """Standard context: fresh token, fresh budget."""
         return cls(
             token=CancellationToken(),
-            budget=Budget(
-                time_limit=time_limit,
-                memory_budget_bytes=memory_budget_bytes,
-                storage_budget_bytes=storage_budget_bytes,
-                check_interval=check_interval,
-            ),
+            budget=Budget(time_limit, check_interval),
             bus=bus,
         )
 

@@ -1,4 +1,4 @@
-"""Fault-tolerant scheduling: retries, residual budgets, degradation.
+"""Fault-tolerant scheduling: retries, fault injection, degradation.
 
 Long containment runs (MQC/NSQ on mid-size graphs run for minutes,
 §8) must not vaporize every healthy shard's work because one worker
@@ -11,14 +11,8 @@ resilience vocabulary the schedulers in
   :class:`TransientWorkerError` is retryable; budget violations
   (TLE/OOM/OOS) and everything else are terminal.  Retries wait
   :func:`backoff_delay` — a fixed capped exponential schedule.
-* :class:`BudgetSpec` — the picklable *residual* budget a shard is
-  dispatched with: remaining wall clock and byte headroom measured on
-  the parent's :class:`~repro.exec.context.Budget` at dispatch time,
-  not a fresh copy of the configured limits.  This is the fix for the
-  ~2T blowup where a run with ``time_limit=T`` shipped every shard a
-  full fresh ``T`` after the parent had already burned setup time.
 * :class:`FaultPlan` — a deterministic fault-injection harness for
-  the chaos test suite: seeded plans kill worker processes, raise
+  the chaos test suite: plans kill worker processes, raise
   transient crashes, delay shards, or exhaust budgets at chosen
   roots/attempts.  Plans are picklable and travel inside shard
   payloads, so faults fire inside real worker processes.
@@ -39,7 +33,7 @@ from __future__ import annotations
 import os
 import time
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Any, List, Optional, Sequence, Tuple
 
 from ..errors import (
@@ -54,7 +48,6 @@ __all__ = [
     "BACKOFF_BASE",
     "BACKOFF_MAX",
     "BUDGET_ERRORS",
-    "BudgetSpec",
     "Fault",
     "FAULT_KINDS",
     "FaultPlan",
@@ -64,8 +57,6 @@ __all__ = [
     "backoff_delay",
     "is_transient",
     "mark_degraded",
-    "register_crash_cleanup",
-    "run_crash_cleanups",
     "select_primary_failure",
 ]
 
@@ -134,51 +125,6 @@ def backoff_delay(attempt: int) -> float:
     return min(BACKOFF_MAX, BACKOFF_BASE * 2.0 ** max(0, attempt - 1))
 
 
-@dataclass(frozen=True)
-class BudgetSpec:
-    """Picklable residual budget a shard is dispatched with.
-
-    ``residual`` measures what is *left* of a run budget — remaining
-    wall clock, unspent byte headroom — so workers inherit the
-    parent's progress toward the limits instead of a fresh copy of
-    them.  ``apply`` imposes the spec on a worker-side
-    :class:`~repro.exec.context.Budget` (capping, never extending,
-    whatever the job configured) and re-anchors its clock.  The fields
-    are named after the :class:`~repro.exec.context.Budget` attributes
-    they cap.
-    """
-
-    time_limit: Optional[float] = None
-    memory_budget_bytes: Optional[int] = None
-    storage_budget_bytes: Optional[int] = None
-
-    @classmethod
-    def residual(cls, budget: Budget) -> "BudgetSpec":
-        def left(limit: Any, used: Any) -> Any:
-            return None if limit is None else max(limit - used, 0)
-
-        return cls(
-            left(budget.time_limit, budget.elapsed()),
-            left(budget.memory_budget_bytes, budget.memory_used_bytes),
-            left(budget.storage_budget_bytes, budget.storage_used_bytes),
-        )
-
-    @property
-    def exhausted(self) -> bool:
-        """Whether dispatching under this spec is pointless."""
-        limits = [getattr(self, f.name) for f in fields(self)]
-        return any(limit is not None and limit <= 0 for limit in limits)
-
-    def apply(self, budget: Budget) -> Budget:
-        """Cap ``budget`` by this spec and re-anchor its clock."""
-        for f in fields(self):
-            cap, own = getattr(self, f.name), getattr(budget, f.name)
-            if cap is not None:
-                setattr(budget, f.name, cap if own is None else min(own, cap))
-        budget.restart()
-        return budget
-
-
 # ----------------------------------------------------------------------
 # Fault injection
 # ----------------------------------------------------------------------
@@ -227,7 +173,7 @@ class Fault:
 class FaultPlan:
     """Deterministic fault-injection harness for chaos tests.
 
-    A plan is a seeded, ordered list of :class:`Fault` entries.
+    A plan is an ordered list of :class:`Fault` entries.
     Schedulers carry the plan to every dispatch point — shard payloads
     pickle it into worker processes; thread/serial workers call it in
     process — and invoke :meth:`fire` with the dispatched roots and
@@ -236,8 +182,7 @@ class FaultPlan:
     scheduler) triple always fails in exactly the same places.
     """
 
-    def __init__(self, seed: int = 0, faults: Sequence[Fault] = ()) -> None:
-        self.seed = seed
+    def __init__(self, faults: Sequence[Fault] = ()) -> None:
         self.faults: List[Fault] = list(faults)
 
     # -- builders -------------------------------------------------------
@@ -294,7 +239,7 @@ class FaultPlan:
                 raise InjectedFault(fault.root, attempt)
 
     def __repr__(self) -> str:
-        return f"FaultPlan(seed={self.seed}, faults={self.faults!r})"
+        return f"FaultPlan(faults={self.faults!r})"
 
 
 # ----------------------------------------------------------------------
@@ -362,43 +307,3 @@ def mark_degraded(
         [f"{type(exc).__name__}: {exc}" for exc in failures],
     )
     return result
-
-
-# ----------------------------------------------------------------------
-# Crash-cleanup hooks
-# ----------------------------------------------------------------------
-
-#: Hooks fired when a run ends with dead shards (see
-#: ``ProcessShardScheduler``): resources whose child-side cleanup a
-#: crashed worker skipped (a chaos kill is ``os._exit``) are reclaimed
-#: by the parent here instead of waiting for interpreter exit.  The
-#: shared-memory graph registry (:mod:`repro.graph.shm`) registers its
-#: segment reclamation at import time.
-_CRASH_CLEANUPS: List[Any] = []
-
-
-def register_crash_cleanup(hook: Any) -> None:
-    """Register a zero-argument callable fired on terminal shard failure.
-
-    Hooks must be idempotent and safe to call from a healthy process:
-    the scheduler may fire them while other runs' resources are being
-    re-created, and re-registration of the same callable is a no-op.
-    """
-    if hook not in _CRASH_CLEANUPS:
-        _CRASH_CLEANUPS.append(hook)
-
-
-def run_crash_cleanups() -> int:
-    """Fire every registered crash-cleanup hook; returns how many ran.
-
-    A raising hook is skipped (cleanup must never mask the primary
-    failure the scheduler is about to surface).
-    """
-    ran = 0
-    for hook in list(_CRASH_CLEANUPS):
-        try:
-            hook()
-            ran += 1
-        except Exception:  # pragma: no cover - defensive isolation
-            pass
-    return ran

@@ -38,14 +38,13 @@ failure (``on_failure="raise"``) or merge the healthy partials into a
 result marked ``incomplete`` (``"degrade"``).  Units a cancelled round
 or a spent budget set aside unrun are dead too: listed as unprocessed,
 never re-run, with no ``shard_failed`` of their own.  Every round
-runs under the *residual* run budget
-(:class:`~repro.exec.resilience.BudgetSpec`); an optional
+runs under what is left of the run's deadline, and a round that would
+start with none left shelves its units instead; an optional
 :class:`~repro.exec.resilience.FaultPlan` injects deterministic chaos.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import threading
 import time
 from collections import deque
@@ -76,12 +75,10 @@ from .events import (
 from .resilience import (
     ON_FAILURE_MODES,
     ON_FAILURE_RAISE,
-    BudgetSpec,
     FaultPlan,
     backoff_delay,
     is_transient,
     mark_degraded,
-    run_crash_cleanups,
     select_primary_failure,
 )
 
@@ -118,32 +115,17 @@ class ExecutionJob(Protocol):
         ...
 
 
-def merge_counter_dict(stats: Any, shard_dict: Dict[str, float]) -> None:
-    """Sum a shard's integer counters into ``stats`` (rates recompute).
-
-    Works for any stats dataclass whose fields are integer counters —
-    the single merge implementation behind every sharded path.
-    """
-    for field in dataclasses.fields(stats):
-        value = shard_dict.get(field.name)
-        if value is None:
-            continue
-        setattr(
-            stats, field.name, getattr(stats, field.name) + int(value)
-        )
-
-
 def run_shard_payload(
     payload: Tuple[
-        Any, Sequence[int], bool, BudgetSpec, Optional[FaultPlan], int
+        Any, Sequence[int], bool, Optional[float], Optional[FaultPlan], int
     ],
-) -> Tuple[Any, Dict[str, float], float, Optional[List[RecordedEvent]]]:
+) -> Tuple[Any, Any, float, Optional[List[RecordedEvent]]]:
     """Process-pool entry point: run one shard end to end.
 
     Module-level so it pickles; budget exceptions propagate with their
     original types (see ``repro.errors`` ``__reduce__``).
 
-    The payload is the six-tuple ``(job, roots, observe, budget_spec,
+    The payload is the six-tuple ``(job, roots, observe, remaining,
     fault_plan, attempt)`` :meth:`ProcessShardScheduler._run_round`
     builds:
 
@@ -153,25 +135,24 @@ def run_shard_payload(
       the cross-process half of trace/metric completeness.
       Unobserved shards skip recording entirely, so runs without
       observability subscribers pay nothing.
-    * ``budget_spec`` is the parent's *residual*
-      :class:`~repro.exec.resilience.BudgetSpec` at dispatch time; it
-      is the shard context's whole budget (the parent's deadline, less
-      what the run already spent), so a run with ``time_limit=T``
-      cannot burn parent setup time plus a fresh ``T`` per shard.
+    * ``remaining`` is the parent's remaining wall clock at dispatch
+      (``None`` when unlimited); it is the shard context's whole
+      deadline, anchored when the shard starts, so a run with
+      ``time_limit=T`` cannot burn parent setup time plus a fresh ``T``
+      per shard.
     * ``fault_plan`` / ``attempt`` drive deterministic chaos
       injection before the shard runs (``attempt`` is the 0-based
       dispatch count for this shard's roots).
     """
-    job, roots, observe, spec, fault_plan, attempt = payload
-    ctx = TaskContext.create()
-    spec.apply(ctx.budget)
+    job, roots, observe, remaining, fault_plan, attempt = payload
+    ctx = TaskContext.create(time_limit=remaining)
     if fault_plan is not None:
         fault_plan.fire(
             roots, attempt, budget=ctx.budget, allow_kill=True
         )
     if not observe:
         result = job.run_shard(roots, ctx=ctx)
-        return result.valid, result.stats.as_dict(), result.elapsed, None
+        return result.valid, result.stats, result.elapsed, None
     recorder = EventRecorder(ctx.bus)
     ctx.phase_start(PHASE_SHARD, roots=len(roots))
     try:
@@ -180,7 +161,7 @@ def run_shard_payload(
         ctx.phase_end(PHASE_SHARD)
     return (
         result.valid,
-        result.stats.as_dict(),
+        result.stats,
         result.elapsed,
         recorder.serialize(),
     )
@@ -313,7 +294,7 @@ class _Scheduler:
         job: ExecutionJob,
         run_ctx: TaskContext,
         units: List[_Unit],
-        spec: BudgetSpec,
+        remaining: Optional[float],
     ) -> _Round:
         raise NotImplementedError
 
@@ -343,10 +324,11 @@ class _Scheduler:
         dead: List[_Unit] = []
         retry_round = 0
         while pending:
-            # Dispatch with what is *left* of the run budget, so unit
-            # deadlines include parent-side setup and earlier rounds.
-            spec = BudgetSpec.residual(run_ctx.budget)
-            if spec.exhausted:
+            # Dispatch with what is *left* of the run's deadline, so
+            # unit deadlines include parent-side setup and earlier
+            # rounds.
+            remaining = run_ctx.budget.remaining_time()
+            if remaining == 0.0:
                 # What is left never runs: shelved, with the budget
                 # verdict as the reason.
                 limit = run_ctx.budget.time_limit
@@ -359,7 +341,7 @@ class _Scheduler:
                     unit.shelved = True
                 dead.extend(pending)
                 break
-            done, failed = self._run_round(job, run_ctx, pending, spec)
+            done, failed = self._run_round(job, run_ctx, pending, remaining)
             partials.extend(done)
             retry = [unit for unit in failed if self._retryable(unit)]
             dead.extend(unit for unit in failed if unit not in retry)
@@ -481,7 +463,7 @@ class SerialScheduler(_Scheduler):
         job: ExecutionJob,
         run_ctx: TaskContext,
         units: List[_Unit],
-        spec: BudgetSpec,
+        remaining: Optional[float],
     ) -> _Round:
         (unit,) = units
         try:
@@ -565,20 +547,24 @@ class ProcessShardScheduler(_ParallelScheduler):
             return super()._finish(job, run_ctx, partials, dead)
         finally:
             if dead:
-                # Reclaim crash-scoped resources (shared-memory graph
-                # segments) now: a chaos-killed worker skipped all of
-                # its own cleanup, and a raise may be the run's last
-                # act in this process for a long time.  Only worker
-                # processes die that way, so only this scheduler fires
-                # the hooks.
-                run_crash_cleanups()
+                # Reclaim unleased shared-memory graph segments now: a
+                # chaos-killed worker skipped all of its own cleanup,
+                # and a raise may be the run's last act in this process
+                # for a long time.  Only worker processes die that way,
+                # so only this scheduler reclaims.
+                from ..graph.shm import shared_graphs
+
+                try:
+                    shared_graphs().reclaim_unleased()
+                except Exception:  # noqa: BLE001 - never mask the failure
+                    pass
 
     def _run_round(
         self,
         job: ExecutionJob,
         run_ctx: TaskContext,
         units: List[_Unit],
-        spec: BudgetSpec,
+        remaining: Optional[float],
     ) -> _Round:
         observed = run_ctx.observed
         partials: List[Any] = []
@@ -596,7 +582,7 @@ class ProcessShardScheduler(_ParallelScheduler):
                     pool.submit(
                         run_shard_payload,
                         tuple(job.shard_payload(unit.roots))
-                        + (observed, spec, self.fault_plan, unit.attempt),
+                        + (observed, remaining, self.fault_plan, unit.attempt),
                     ),
                 )
                 for unit in units
@@ -651,7 +637,7 @@ class WorkQueueScheduler(_ParallelScheduler):
         job: ExecutionJob,
         run_ctx: TaskContext,
         units: List[_Unit],
-        spec: BudgetSpec,
+        remaining: Optional[float],
     ) -> _Round:
         observed = run_ctx.observed
         # The round's own token: cancelling it stops this round's
@@ -697,9 +683,7 @@ class WorkQueueScheduler(_ParallelScheduler):
                 fail(held, exc)
                 return
             with lock:
-                partials.append(
-                    (result.valid, result.stats.as_dict(), result.elapsed)
-                )
+                partials.append((result.valid, result.stats, result.elapsed))
 
         def worker(me: int) -> None:
             # Shard phase events go straight to the run bus from this

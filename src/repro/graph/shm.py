@@ -37,13 +37,12 @@ publish time).  Four reclamation paths cover every exit mode:
   never auto-reclaimed by a lease release, only by these);
 * normal exit — an ``atexit`` hook runs :func:`unpublish_all` in the
   owner;
-* failed runs — :meth:`SharedGraphManager.reclaim_unleased` is
-  registered as a crash-cleanup hook with :mod:`repro.exec.resilience`,
-  which the process scheduler fires when a run ends with dead shards,
-  so a chaos-killed worker (``os._exit`` skips all child-side cleanup)
-  cannot leak segments: the *parent* reclaims every segment no live
-  run leases, and spares the ones a concurrent run still holds
-  (covered in ``tests/test_chaos.py``).
+* failed runs — the process scheduler calls
+  :meth:`SharedGraphManager.reclaim_unleased` when a run ends with
+  dead shards, so a chaos-killed worker (``os._exit`` skips all
+  child-side cleanup) cannot leak segments: the *parent* reclaims
+  every segment no live run leases, and spares the ones a concurrent
+  run still holds (covered in ``tests/test_chaos.py``).
 
 Only the owner PID ever unlinks: forked workers inherit the publish
 registry, and their (inherited) ``atexit`` hooks must not destroy
@@ -293,10 +292,11 @@ class SharedGraphManager:
         return count
 
     def reclaim_unleased(self) -> int:
-        """Reclaim every owned segment no live run leases (the crash
-        hook): a failed run must not unlink a segment a concurrent run
-        still holds.  The failed run's own segment goes when its lease
-        is released, like any other run's."""
+        """Reclaim every owned segment no live run leases (called when
+        a process-scheduler run ends with dead shards): a failed run
+        must not unlink a segment a concurrent run still holds.  The
+        failed run's own segment goes when its lease is released, like
+        any other run's."""
         with self._lock:
             idle = [
                 fingerprint
@@ -494,10 +494,3 @@ def _cleanup() -> None:  # pragma: no cover - exercised at interpreter exit
 
 
 atexit.register(_cleanup)
-
-# Failed runs reclaim segments immediately instead of waiting for
-# process exit: the scheduler fires resilience's crash cleanups when a
-# run ends with dead shards (see ProcessShardScheduler._finish).
-from ..exec.resilience import register_crash_cleanup  # noqa: E402
-
-register_crash_cleanup(_MANAGER.reclaim_unleased)

@@ -9,7 +9,7 @@ cheap integer adds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Dict
 
 
@@ -38,34 +38,20 @@ class MiningStats:
         return self.cache_hits / total
 
     def merge(self, other: "MiningStats") -> None:
-        """Accumulate another stats object into this one (worker joins)."""
-        self.etasks_started += other.etasks_started
-        self.etasks_completed += other.etasks_completed
-        self.rl_paths += other.rl_paths
-        self.matches_found += other.matches_found
-        self.candidate_computations += other.candidate_computations
-        self.set_intersections += other.set_intersections
-        self.bitset_intersections += other.bitset_intersections
-        self.galloping_intersections += other.galloping_intersections
-        self.cache_hits += other.cache_hits
-        self.cache_misses += other.cache_misses
-        self.extensions_attempted += other.extensions_attempted
+        """Accumulate another stats object into this one (shard and
+        worker joins); counters ``other`` lacks count as zero."""
+        for f in fields(self):
+            setattr(
+                self, f.name, getattr(self, f.name) + getattr(other, f.name, 0)
+            )
 
     def as_dict(self) -> Dict[str, float]:
-        return {
-            "etasks_started": self.etasks_started,
-            "etasks_completed": self.etasks_completed,
-            "rl_paths": self.rl_paths,
-            "matches_found": self.matches_found,
-            "candidate_computations": self.candidate_computations,
-            "set_intersections": self.set_intersections,
-            "bitset_intersections": self.bitset_intersections,
-            "galloping_intersections": self.galloping_intersections,
-            "cache_hits": self.cache_hits,
-            "cache_misses": self.cache_misses,
-            "cache_hit_rate": self.cache_hit_rate,
-            "extensions_attempted": self.extensions_attempted,
+        """Every counter, then the derived rates."""
+        data: Dict[str, float] = {
+            f.name: getattr(self, f.name) for f in fields(self)
         }
+        data["cache_hit_rate"] = self.cache_hit_rate
+        return data
 
 
 @dataclass
@@ -91,35 +77,7 @@ class ConstraintStats(MiningStats):
             return 0.0
         return self.vtasks_canceled_lateral / total
 
-    def merge(self, other: "MiningStats") -> None:  # noqa: D102
-        super().merge(other)
-        if isinstance(other, ConstraintStats):
-            self.vtasks_started += other.vtasks_started
-            self.vtasks_matched += other.vtasks_matched
-            self.vtasks_canceled_lateral += other.vtasks_canceled_lateral
-            self.etasks_canceled += other.etasks_canceled
-            self.etasks_skipped += other.etasks_skipped
-            self.promotions += other.promotions
-            self.constraint_checks += other.constraint_checks
-            self.matches_checked += other.matches_checked
-            self.eager_filter_cuts += other.eager_filter_cuts
-            self.bridge_steps += other.bridge_steps
-
     def as_dict(self) -> Dict[str, float]:  # noqa: D102
         data = super().as_dict()
-        data.update(
-            {
-                "vtasks_started": self.vtasks_started,
-                "vtasks_matched": self.vtasks_matched,
-                "vtasks_canceled_lateral": self.vtasks_canceled_lateral,
-                "vtask_cancel_rate": self.vtask_cancel_rate,
-                "etasks_canceled": self.etasks_canceled,
-                "etasks_skipped": self.etasks_skipped,
-                "promotions": self.promotions,
-                "constraint_checks": self.constraint_checks,
-                "matches_checked": self.matches_checked,
-                "eager_filter_cuts": self.eager_filter_cuts,
-                "bridge_steps": self.bridge_steps,
-            }
-        )
+        data["vtask_cancel_rate"] = self.vtask_cancel_rate
         return data

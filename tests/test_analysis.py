@@ -234,6 +234,30 @@ class TestOnlyWithinRuntime:
         assert unconstrained == 5  # 4 in the K4 + 1 isolated
         assert within_k4 == 4
 
+    def test_only_within_runs_under_the_query_deadline(self, monkeypatch):
+        from repro.core import ValidationTarget
+
+        edges = [
+            (0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3),
+            (4, 5), (5, 6), (4, 6),
+        ]
+        contexts = []
+        original = ValidationTarget.run
+
+        def spy(self, assignment, graph, cache, stats, ctx=None):
+            contexts.append(ctx)
+            return original(self, assignment, graph, cache, stats, ctx=ctx)
+
+        monkeypatch.setattr(ValidationTarget, "run", spy)
+        query = Query(triangle()).only_within(clique(4)).time_limit(30.0)
+        assert query.count(graph_from_edges(edges)) == 4
+        # One post-filter VTask per unconstrained triangle.
+        assert len(contexts) == 5
+        assert all(
+            ctx is not None and ctx.budget.time_limit == 30.0
+            for ctx in contexts
+        )
+
     def test_only_within_conjoins(self):
         edges = [
             (0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3),

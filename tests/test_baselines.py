@@ -158,3 +158,41 @@ class TestTThinker:
         assert result.candidates_examined == (
             result.accounting.candidates_buffered
         )
+
+
+class TestTThinkerAccounting:
+    """The simulated RAM and disk, with the byte model cut down to one
+    byte per vertex so a charge is exactly the state size."""
+
+    @pytest.fixture(autouse=True)
+    def unit_bytes(self, monkeypatch):
+        from repro.baselines import tthinker
+
+        monkeypatch.setattr(tthinker, "_TASK_OVERHEAD", 0)
+        monkeypatch.setattr(tthinker, "_BYTES_PER_VERTEX", 1)
+
+    def test_memory_charge_release_and_peak(self):
+        from repro.baselines.tthinker import TThinkerAccounting
+
+        config = TThinkerConfig(memory_budget_bytes=100)
+        acct = TThinkerAccounting()
+        acct.enter_task(60, config)
+        acct.enter_task(30, config)
+        acct.exit_task(50)
+        assert acct.live_bytes == 40
+        assert acct.peak_memory_bytes == 90
+        with pytest.raises(MemoryBudgetExceeded) as info:
+            acct.enter_task(61, config)
+        assert info.value.budget_bytes == 100
+        assert info.value.used_bytes == 101
+
+    def test_storage_is_cumulative(self):
+        from repro.baselines.tthinker import TThinkerAccounting
+
+        config = TThinkerConfig(storage_budget_bytes=100)
+        acct = TThinkerAccounting()
+        acct.exit_task(acct.enter_task(60, config))
+        with pytest.raises(StorageBudgetExceeded) as info:
+            acct.enter_task(41, config)
+        assert info.value.budget_bytes == 100
+        assert info.value.used_bytes == 101

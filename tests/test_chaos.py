@@ -78,7 +78,7 @@ class TestDeterminismUnderCrashRetry:
         )
         # Crash the shard(s) owning three different roots on their
         # first dispatch; retries must recover every one of them.
-        plan = FaultPlan(seed=seed)
+        plan = FaultPlan()
         for root in (0, 3, 7):
             plan.crash(root, times=1)
         chaotic = engine_for(graph).run_with(

@@ -77,31 +77,13 @@ class TestBudget:
         with pytest.raises(TimeLimitExceeded):
             budget.check_deadline()  # tick 4 reads the clock
 
-    def test_restart_reanchors_the_clock(self):
-        budget = Budget(time_limit=30.0, check_interval=1)
-        budget.start -= 60.0  # pretend a minute passed
-        with pytest.raises(TimeLimitExceeded):
-            budget.check_deadline()
-        budget.restart()
-        budget.check_deadline()
-
-    def test_memory_charge_release_and_peak(self):
-        budget = Budget(memory_budget_bytes=100)
-        budget.charge_memory(60)
-        budget.charge_memory(30)
-        budget.release_memory(50)
-        assert budget.memory_used_bytes == 40
-        assert budget.peak_memory_bytes == 90
-        with pytest.raises(MemoryBudgetExceeded):
-            budget.charge_memory(61)
-
-    def test_storage_is_cumulative(self):
-        budget = Budget(storage_budget_bytes=100)
-        budget.charge_storage(60)
-        with pytest.raises(StorageBudgetExceeded) as info:
-            budget.charge_storage(41)
-        assert info.value.budget_bytes == 100
-        assert info.value.used_bytes == 101
+    def test_remaining_time_counts_down_to_zero(self):
+        assert Budget().remaining_time() is None
+        budget = Budget(time_limit=10.0)
+        budget.start -= 4.0  # pretend four seconds passed
+        assert budget.remaining_time() == pytest.approx(6.0, abs=0.1)
+        budget.start -= 60.0
+        assert budget.remaining_time() == 0.0  # never negative
 
     def test_invalid_check_interval(self):
         with pytest.raises(ValueError):

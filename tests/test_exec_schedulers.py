@@ -184,9 +184,9 @@ class TestCrossProcessFailureTypes:
                 ProcessShardScheduler(n_workers=2),
                 time_limit=0.02,
             )
-        # Shards run under the *residual* budget at dispatch time —
-        # never more than the configured limit (and never a fresh copy
-        # of it; see repro.exec.resilience.BudgetSpec).
+        # Shards run under what is left of the deadline at dispatch
+        # time — never more than the configured limit (and never a
+        # fresh copy of it; see repro.exec.scheduler.run_shard_payload).
         assert 0 < info.value.limit_seconds <= 0.02
         assert info.value.elapsed > 0
 

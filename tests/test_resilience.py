@@ -1,8 +1,8 @@
 """Unit tests for the resilience layer (repro.exec.resilience).
 
 Covers the retry policy (the fixed capped backoff, the split
-schedule), the transient/terminal failure classification, residual
-budget specs, multi-failure triage, degraded-result marking, and the
+schedule), the transient/terminal failure classification,
+multi-failure triage, degraded-result marking, and the
 fault-injection plan primitives the chaos suite is built on.
 """
 
@@ -21,7 +21,6 @@ from repro.errors import (
 )
 from repro.exec import (
     SHARD_RETRY,
-    Budget,
     EventLog,
     ProcessShardScheduler,
     SerialScheduler,
@@ -34,7 +33,6 @@ from repro.exec.resilience import (
     BUDGET_ERRORS,
     FAULT_KINDS,
     ON_FAILURE_MODES,
-    BudgetSpec,
     Fault,
     FaultPlan,
     InjectedFault,
@@ -126,57 +124,6 @@ class TestTransientClassification:
         clone = pickle.loads(pickle.dumps(fault))
         assert isinstance(clone, InjectedFault)
         assert clone.root == 5 and clone.attempt == 2
-
-
-class TestBudgetSpec:
-    def test_residual_subtracts_progress(self):
-        budget = Budget(
-            time_limit=10.0,
-            memory_budget_bytes=1000,
-            storage_budget_bytes=500,
-        )
-        budget.charge_memory(400)
-        budget.charge_storage(100)
-        budget.start = time.monotonic() - 4.0  # simulate 4s elapsed
-        spec = BudgetSpec.residual(budget)
-        assert spec.time_limit == pytest.approx(6.0, abs=0.1)
-        assert spec.memory_budget_bytes == 600
-        assert spec.storage_budget_bytes == 400
-        assert not spec.exhausted
-
-    def test_residual_unlimited_stays_unlimited(self):
-        spec = BudgetSpec.residual(Budget())
-        assert spec.time_limit is None
-        assert spec.memory_budget_bytes is None
-        assert spec.storage_budget_bytes is None
-        assert not spec.exhausted
-
-    def test_exhausted_when_any_dimension_empty(self):
-        assert BudgetSpec(time_limit=0.0).exhausted
-        assert BudgetSpec(memory_budget_bytes=0).exhausted
-        assert BudgetSpec(storage_budget_bytes=0).exhausted
-        assert not BudgetSpec(time_limit=1.0).exhausted
-
-    def test_apply_caps_but_never_extends(self):
-        spec = BudgetSpec(time_limit=2.0, memory_budget_bytes=100)
-        worker = Budget(time_limit=10.0, memory_budget_bytes=50)
-        spec.apply(worker)
-        assert worker.time_limit == 2.0     # capped down
-        assert worker.memory_budget_bytes == 50  # already tighter
-        unlimited = Budget()
-        spec.apply(unlimited)
-        assert unlimited.time_limit == 2.0  # imposed on unlimited
-        assert unlimited.memory_budget_bytes == 100
-
-    def test_apply_reanchors_clock(self):
-        worker = Budget(time_limit=5.0)
-        worker.start = time.monotonic() - 100.0
-        BudgetSpec(time_limit=1.0).apply(worker)
-        assert worker.elapsed() < 1.0
-
-    def test_spec_is_picklable(self):
-        spec = BudgetSpec(1.5, 10, 20)
-        assert pickle.loads(pickle.dumps(spec)) == spec
 
 
 class TestFailureTriage:
@@ -274,7 +221,6 @@ class TestFaultPlan:
             plan.fire([7], 0, allow_kill=False)
 
     def test_plan_is_picklable(self):
-        plan = FaultPlan(seed=3).kill(1).crash(2, times=2).delay(3, 0.1)
+        plan = FaultPlan().kill(1).crash(2, times=2).delay(3, 0.1)
         clone = pickle.loads(pickle.dumps(plan))
-        assert clone.seed == 3
         assert clone.faults == plan.faults
