@@ -126,7 +126,8 @@ CODES: Dict[str, Tuple[str, str, str]] = {
         WARNING,
         "promotion-eligible constraints under a sharded scheduler use "
         "per-worker promotion registries; promotion and cancellation "
-        "counters diverge from a serial run (valid matches do not)",
+        "counters diverge from a serial run (valid matches do not), and "
+        "under workqueue also from run to run",
     ),
     "CG503": (
         "process-local-cancellation",

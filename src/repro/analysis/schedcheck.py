@@ -103,6 +103,13 @@ def check_scheduler(
     if constraint_set is not None and name in SHARDED_SCHEDULERS:
         promotable = promotable_constraints(constraint_set)
         if promotable:
+            repeat = (
+                "they repeat from run to run, as its round-robin "
+                "shards are fixed"
+                if name == "process"
+                else "they also vary from run to run, as stealing "
+                "order decides what each worker's registry sees"
+            )
             report.add(
                 make(
                     "CG502",
@@ -110,7 +117,8 @@ def check_scheduler(
                     f"constraint(s) under the sharded {name!r} "
                     "scheduler use per-worker promotion registries; "
                     "promotion/cancellation counters will differ "
-                    "from a serial run (valid matches will not)",
+                    "from a serial run (valid matches will not); "
+                    f"{repeat}",
                     subject="scheduler",
                 )
             )

@@ -46,7 +46,7 @@ from .exec.scheduler import SCHEDULER_NAMES
 from .graph.graph import Graph
 from .graph.index import ADJACENCY_MODES
 from .graph.io import read_edge_list
-from .obs import observed_context
+from .obs import observed_context, publish_process_metrics
 from .request import (
     ADMISSION_MODES,
     NSQ_QUERIES,
@@ -183,13 +183,7 @@ def _export_observability(args: argparse.Namespace, tracer, registry) -> dict:
     if tracer is None:
         return extra
     tracer.finalize()
-    from .graph.aux import publish_aux_graph_metrics
-    from .graph.shm import publish_shared_graph_metrics
-    from .graph.store import publish_derived_cache_metrics
-
-    publish_derived_cache_metrics(registry)
-    publish_shared_graph_metrics(registry)
-    publish_aux_graph_metrics(registry)
+    publish_process_metrics(registry)
     if args.trace:
         tracer.write_chrome(args.trace)
         extra["trace_file"] = args.trace
@@ -955,7 +949,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--min-size", type=int, default=3, help="smallest pattern size"
     )
     watch.add_argument(
-        "--scheduler", choices=("serial", "process", "workqueue"),
+        "--scheduler", choices=SCHEDULER_NAMES,
         default="serial", help="scheduler for delta re-exploration",
     )
     watch.add_argument(

@@ -22,9 +22,10 @@ The engine is split along the execution core's task model:
   the :class:`~repro.exec.scheduler.ExecutionJob` protocol so any
   scheduler (``serial`` / ``process`` / ``workqueue``) can run it.
 
-Deadlines, byte budgets, and cancellation all flow through the
-session's TaskContext — the engine holds no time limit and has no
-deadline code of its own
+The deadline and cancellation both flow through the session's
+TaskContext (a run is bounded by wall clock only; byte budgets belong
+to the simulated TThinker baseline) — the engine holds no time limit
+and has no deadline code of its own
 (:meth:`repro.exec.context.Budget.check_deadline` is the single
 implementation).  Every counter, lifecycle ones included
 (cancellations, promotions, checked matches), is an integer add on the

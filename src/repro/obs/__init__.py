@@ -36,6 +36,7 @@ from .metrics import (
     MetricsRegistry,
     MetricsSubscriber,
     observe_estimate_error,
+    publish_process_metrics,
 )
 from .runscope import RunScope
 from .trace import Span, SpanTracer
@@ -53,6 +54,7 @@ __all__ = [
     "COUNT_BUCKETS",
     "observe_estimate_error",
     "observed_context",
+    "publish_process_metrics",
     "validate_chrome_trace",
     "validate_prometheus",
 ]

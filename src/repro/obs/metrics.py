@@ -403,6 +403,24 @@ class MetricsSubscriber:
             ).inc(count)
 
 
+def publish_process_metrics(registry: MetricsRegistry) -> None:
+    """Mirror the process-wide counters into ``registry``.
+
+    The derived cache (``repro_derived_cache_*``), shared-memory
+    graphs (``repro_shared_graph_*``) and auxiliary pruned graphs
+    (``repro_aux_graph_*``) count per process, not per run; each
+    publisher applies only the delta, so this is safe at every export
+    point (``repro mqc --metrics`` and the daemon's ``/metrics``).
+    """
+    from ..graph.aux import publish_aux_graph_metrics
+    from ..graph.shm import publish_shared_graph_metrics
+    from ..graph.store import publish_derived_cache_metrics
+
+    publish_derived_cache_metrics(registry)
+    publish_shared_graph_metrics(registry)
+    publish_aux_graph_metrics(registry)
+
+
 def observe_estimate_error(
     registry: MetricsRegistry, estimated: float, actual: float
 ) -> Optional[float]:

@@ -1,14 +1,18 @@
 """Automorphism groups of small patterns.
 
 Symmetry-breaking (paper §2.3 "symmetry-breaking restrictions") is
-derived from Aut(P); patterns are tiny so a backtracking enumeration
-is sufficient.  Results are memoized per structure.
+derived from Aut(P), the isomorphisms of a pattern onto itself.
+Anti-edges are structure too: an automorphism that moved one onto a
+plain non-edge would let symmetry breaking discard matches whose only
+valid representative violates the moved constraint.  Results are
+memoized per structure.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, Tuple
 
+from .isomorphism import isomorphisms
 from .pattern import Pattern
 
 _AUT_CACHE: Dict[tuple, Tuple[Tuple[int, ...], ...]] = {}
@@ -21,49 +25,7 @@ def automorphisms(pattern: Pattern) -> Tuple[Tuple[int, ...], ...]:
     of vertex ``v``.  The identity is always included.
     """
     key = pattern.structure_key()
-    cached = _AUT_CACHE.get(key)
-    if cached is not None:
-        return cached
-
-    n = pattern.num_vertices
-    results: List[Tuple[int, ...]] = []
-    image = [-1] * n
-    used = [False] * n
-
-    def extend(v: int) -> None:
-        if v == n:
-            results.append(tuple(image))
-            return
-        for w in range(n):
-            if used[w]:
-                continue
-            if pattern.label(v) != pattern.label(w):
-                continue
-            if pattern.degree(v) != pattern.degree(w):
-                continue
-            ok = True
-            for prev in range(v):
-                if pattern.has_edge(v, prev) != pattern.has_edge(w, image[prev]):
-                    ok = False
-                    break
-                # Anti-edges are structure too: an automorphism that
-                # moved one onto a plain non-edge would let symmetry
-                # breaking discard matches whose only valid
-                # representative violates the moved constraint.
-                if pattern.has_anti_edge(v, prev) != pattern.has_anti_edge(
-                    w, image[prev]
-                ):
-                    ok = False
-                    break
-            if not ok:
-                continue
-            image[v] = w
-            used[w] = True
-            extend(v + 1)
-            image[v] = -1
-            used[w] = False
-
-    extend(0)
-    frozen = tuple(sorted(results))
-    _AUT_CACHE[key] = frozen
-    return frozen
+    group = _AUT_CACHE.get(key)
+    if group is None:
+        group = _AUT_CACHE[key] = tuple(isomorphisms(pattern, pattern))
+    return group

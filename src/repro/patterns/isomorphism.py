@@ -8,67 +8,63 @@ enough.  All functions respect labels: a pattern vertex with label
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional
+from collections import Counter
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from .pattern import Pattern
 
 
-def _labels_compatible(
-    small_label: Optional[int], big_label: Optional[int]
-) -> bool:
-    """Wildcard (None) on the small side matches anything."""
-    return small_label is None or small_label == big_label
+def isomorphisms(a: Pattern, b: Pattern) -> Iterator[Tuple[int, ...]]:
+    """Every bijection ``a -> b`` that keeps labels, edges and anti-edges.
 
-
-def find_isomorphism(a: Pattern, b: Pattern) -> Optional[Dict[int, int]]:
-    """One isomorphism ``a -> b`` respecting labels exactly, or None.
-
-    Unlike subpattern embedding, isomorphism requires labels to be
-    equal on both sides (wildcard == wildcard).
+    Each result is a tuple ``sigma`` with ``sigma[v]`` the image of
+    ``a``'s vertex ``v``, yielded in lexicographic order.  Labels must
+    be equal on both sides (wildcard == wildcard), and edges, non-edges
+    and anti-edges must all map onto their own kind, so ``a`` and ``b``
+    have an isomorphism exactly when their canonical keys are equal.
     """
-    if (
-        a.num_vertices != b.num_vertices
-        or a.num_edges != b.num_edges
-        or sorted(a.degree(v) for v in a.vertices())
-        != sorted(b.degree(v) for v in b.vertices())
-    ):
-        return None
-    mapping: Dict[int, int] = {}
-    used = [False] * b.num_vertices
+    n = a.num_vertices
+    if n != b.num_vertices or len(a.anti_edges) != len(b.anti_edges):
+        return
+    # A vertex may only map onto one of the same degree and label.
+    kinds = [(a.degree(v), a.label(v)) for v in range(n)]
+    images_of: Dict[tuple, List[int]] = {}
+    for w in range(n):
+        images_of.setdefault((b.degree(w), b.label(w)), []).append(w)
+    if Counter(kinds) != {kind: len(ws) for kind, ws in images_of.items()}:
+        return
+    anti = a.has_anti_edges
+    image = [-1] * n
+    used = [False] * n
 
-    def extend(v: int) -> bool:
-        if v == a.num_vertices:
-            return True
-        for w in b.vertices():
+    def extend(v: int) -> Iterator[Tuple[int, ...]]:
+        if v == n:
+            yield tuple(image)
+            return
+        near = a.neighbors(v)
+        for w in images_of[kinds[v]]:
             if used[w]:
                 continue
-            if a.label(v) != b.label(w):
-                continue
-            if a.degree(v) != b.degree(w):
-                continue
-            ok = True
-            for prev, image in mapping.items():
-                if a.has_edge(v, prev) != b.has_edge(w, image):
-                    ok = False
+            images = b.neighbors(w)
+            for prev in range(v):
+                mapped = image[prev]
+                if (prev in near) != (mapped in images) or (
+                    anti
+                    and a.has_anti_edge(v, prev) != b.has_anti_edge(w, mapped)
+                ):
                     break
-            if not ok:
-                continue
-            mapping[v] = w
-            used[w] = True
-            if extend(v + 1):
-                return True
-            del mapping[v]
-            used[w] = False
-        return False
+            else:
+                image[v] = w
+                used[w] = True
+                yield from extend(v + 1)
+                used[w] = False
 
-    if extend(0):
-        return dict(mapping)
-    return None
+    yield from extend(0)
 
 
 def are_isomorphic(a: Pattern, b: Pattern) -> bool:
-    """Whether two patterns are isomorphic (labels respected)."""
-    return find_isomorphism(a, b) is not None
+    """Whether two patterns are isomorphic, labels and anti-edges kept."""
+    return next(isomorphisms(a, b), None) is not None
 
 
 def subpattern_embeddings(
@@ -95,7 +91,8 @@ def subpattern_embeddings(
         for w in big.vertices():
             if used[w]:
                 continue
-            if not _labels_compatible(small.label(v), big.label(w)):
+            wanted = small.label(v)  # a wildcard matches anything
+            if wanted is not None and wanted != big.label(w):
                 continue
             ok = True
             for prev, image in mapping.items():
@@ -138,7 +135,7 @@ def connected_subpatterns(
     """
     limit = pattern.num_vertices if max_size is None else max_size
     results: List[List[int]] = []
-    seen = set()
+    seen: Set[frozenset] = set()
 
     # Standard connected-subgraph enumeration: grow from each root,
     # only allowing extensions by vertices greater than the root to

@@ -13,12 +13,14 @@ filter explicitly so smaller gammas are also safe.
 
 from __future__ import annotations
 
-import itertools
 import math
-from typing import Dict, List, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Sequence, Tuple
 
-from .isomorphism import are_isomorphic
 from .pattern import Pattern
+from .structures import _classes
+
+if TYPE_CHECKING:  # pragma: no cover - import-time only
+    from ..graph.graph import Graph
 
 
 def quasi_clique_min_degree(size: int, gamma: float) -> int:
@@ -30,11 +32,10 @@ def quasi_clique_min_degree(size: int, gamma: float) -> int:
     return math.ceil(gamma * (size - 1) - 1e-9)
 
 
-def is_quasi_clique(graph, vertex_set: Sequence[int], gamma: float) -> bool:
-    """Whether ``vertex_set`` induces a gamma-quasi-clique in ``graph``.
-
-    ``graph`` is a data graph (:class:`repro.graph.Graph`).
-    """
+def is_quasi_clique(
+    graph: Graph, vertex_set: Sequence[int], gamma: float
+) -> bool:
+    """Whether ``vertex_set`` induces a gamma-quasi-clique in ``graph``."""
     members = list(dict.fromkeys(vertex_set))
     threshold = quasi_clique_min_degree(len(members), gamma)
     degrees = graph.degrees_within(members)
@@ -43,58 +44,14 @@ def is_quasi_clique(graph, vertex_set: Sequence[int], gamma: float) -> bool:
     return graph.is_connected_subset(members)
 
 
-_QC_CACHE: Dict[Tuple[int, int], Tuple[Pattern, ...]] = {}
-
-
 def quasi_clique_patterns(size: int, gamma: float) -> Tuple[Pattern, ...]:
     """All canonical quasi-clique patterns of exactly ``size`` vertices.
 
     Patterns are returned sorted by descending edge count (densest —
     the clique — first).  Results are memoized on ``(size, min_degree)``.
     """
-    threshold = quasi_clique_min_degree(size, gamma)
-    key = (size, threshold)
-    cached = _QC_CACHE.get(key)
-    if cached is not None:
-        return cached
-
-    if size == 1:
-        result: Tuple[Pattern, ...] = (Pattern(1, [], name="qc-1"),)
-        _QC_CACHE[key] = result
-        return result
-
-    pairs = list(itertools.combinations(range(size), 2))
-    min_edges = math.ceil(size * threshold / 2)
-    representatives: List[Pattern] = []
-    for mask in range(1 << len(pairs)):
-        if bin(mask).count("1") < min_edges:
-            continue
-        degrees = [0] * size
-        edges = []
-        for bit, (u, v) in enumerate(pairs):
-            if mask >> bit & 1:
-                degrees[u] += 1
-                degrees[v] += 1
-                edges.append((u, v))
-        if min(degrees) < threshold:
-            continue
-        candidate = Pattern(size, edges)
-        if not candidate.is_connected():
-            continue
-        if any(are_isomorphic(candidate, rep) for rep in representatives):
-            continue
-        representatives.append(candidate)
-    representatives.sort(key=lambda p: (-p.num_edges, p.canonical_key()))
-    named = tuple(
-        Pattern(
-            size,
-            p.edges,
-            name=f"qc-{size}.{index}",
-        )
-        for index, p in enumerate(representatives)
-    )
-    _QC_CACHE[key] = named
-    return named
+    min_degree = quasi_clique_min_degree(size, gamma)
+    return _classes(f"qc-{size}", size, min_degree, densest_first=True)
 
 
 def quasi_clique_patterns_up_to(

@@ -61,7 +61,7 @@ from ..mining.incremental import (
     StandingQuery,
     SubscriptionRegistry,
 )
-from ..obs import Gauge, MetricsRegistry
+from ..obs import Gauge, MetricsRegistry, publish_process_metrics
 from ..patterns.pattern import Pattern
 from ..request import RequestError, RunRecord, RunRequest, admit
 from ..request import run as run_request
@@ -698,13 +698,7 @@ class MiningDaemon:
             active.dec()
 
     def _render_metrics(self) -> str:
-        from ..graph.aux import publish_aux_graph_metrics
-        from ..graph.shm import publish_shared_graph_metrics
-        from ..graph.store import publish_derived_cache_metrics
-
-        publish_derived_cache_metrics(self.registry)
-        publish_shared_graph_metrics(self.registry)
-        publish_aux_graph_metrics(self.registry)
+        publish_process_metrics(self.registry)
         self.registry.gauge(
             "repro_serve_uptime_seconds",
             help_text="Daemon uptime",

@@ -30,6 +30,25 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
 
+    def test_every_scheduler_option_offers_every_scheduler(self):
+        import argparse
+
+        from repro.exec.scheduler import SCHEDULER_NAMES
+
+        (commands,) = [
+            action
+            for action in build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        ]
+        offered = {
+            name: tuple(action.choices)
+            for name, sub in commands.choices.items()
+            for action in sub._actions
+            if "--scheduler" in action.option_strings and action.choices
+        }
+        assert {"mqc", "nsq", "watch"} <= set(offered)
+        assert set(offered.values()) == {SCHEDULER_NAMES}
+
     def test_mqc_defaults(self):
         args = build_parser().parse_args(["mqc", "--dataset", "dblp"])
         args_dict = vars(args)

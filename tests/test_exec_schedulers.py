@@ -112,6 +112,23 @@ class TestThreeSchedulerEquivalence:
             assert match_multiset(process) == reference, f"seed {seed}"
             assert match_multiset(workqueue) == reference, f"seed {seed}"
 
+    def test_process_counters_and_workqueue_matches_repeat(self):
+        """Promotion on, two runs each: fixed round-robin shards give
+        identical counters; work stealing only promises the matches."""
+        graph = erdos_renyi(16, 0.45, seed=5)
+        constraint_set = mqc_constraints(max_size=5)
+        first, second = (
+            run_with(graph, constraint_set, ProcessShardScheduler(2))
+            for _ in range(2)
+        )
+        assert first.stats.promotions > 0
+        assert first.stats.as_dict() == second.stats.as_dict()
+        first, second = (
+            run_with(graph, constraint_set, WorkQueueScheduler(3))
+            for _ in range(2)
+        )
+        assert match_multiset(first) == match_multiset(second)
+
     def test_make_scheduler_round_trip(self):
         assert isinstance(make_scheduler("serial"), SerialScheduler)
         assert isinstance(make_scheduler("process"), ProcessShardScheduler)

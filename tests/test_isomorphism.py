@@ -1,6 +1,8 @@
 """Tests for isomorphism, embeddings, and connected subpatterns."""
 
-from hypothesis import given, settings
+import itertools
+
+from hypothesis import given, settings, strategies as st
 
 from repro.patterns import (
     Pattern,
@@ -9,16 +11,39 @@ from repro.patterns import (
     connected_subpatterns,
     contains_subpattern,
     cycle,
-    diamond,
     house,
     path,
     subpattern_embeddings,
     triangle,
 )
 
-from repro.patterns.isomorphism import find_isomorphism
+from repro.patterns.isomorphism import isomorphisms
 
 from conftest import connected_pattern_strategy
+
+
+@st.composite
+def decorated_pattern_strategy(draw, max_vertices=4):
+    """A small pattern, not always connected, with anti-edges and labels."""
+    n = draw(st.integers(min_value=1, max_value=max_vertices))
+    pairs = list(itertools.combinations(range(n), 2))
+    kinds = draw(
+        st.lists(
+            st.sampled_from(["edge", "anti", "none"]),
+            min_size=len(pairs),
+            max_size=len(pairs),
+        )
+    )
+    labels = draw(
+        st.lists(st.sampled_from([None, 0, 1]), min_size=n, max_size=n)
+    )
+
+    def having(wanted):
+        return [pair for pair, kind in zip(pairs, kinds) if kind == wanted]
+
+    return Pattern(
+        n, having("edge"), labels=labels, anti_edges=having("anti")
+    )
 
 
 class TestIsomorphism:
@@ -46,13 +71,32 @@ class TestIsomorphism:
         b = triangle().with_labels([1, 2, 4])
         assert not are_isomorphic(a, b)
 
-    def test_find_isomorphism_is_valid_mapping(self):
-        a = diamond()
-        b = a.relabel({0: 3, 1: 2, 2: 1, 3: 0})
-        mapping = find_isomorphism(a, b)
-        assert mapping is not None
-        for u, v in a.edges:
-            assert b.has_edge(mapping[u], mapping[v])
+    def test_every_isomorphism_is_a_valid_mapping(self):
+        a = Pattern(
+            5,
+            [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4)],
+            labels=[None, 1, 1, 1, None],
+            anti_edges=[(1, 3), (2, 4)],
+        )
+        b = a.relabel({0: 3, 1: 0, 2: 4, 3: 1, 4: 2})
+        mappings = list(isomorphisms(a, b))
+        # ``a`` has two automorphisms, the identity and the swap of 1
+        # and 3, so there are two isomorphisms onto any relabelling.
+        assert len(mappings) == 2
+        for sigma in mappings:
+            assert sorted(sigma) == list(a.vertices())
+            for u, v in itertools.combinations(a.vertices(), 2):
+                assert a.has_edge(u, v) == b.has_edge(sigma[u], sigma[v])
+                assert a.has_anti_edge(u, v) == b.has_anti_edge(
+                    sigma[u], sigma[v]
+                )
+            for v in a.vertices():
+                assert a.label(v) == b.label(sigma[v])
+
+    def test_anti_edges_count(self):
+        p3 = path(2)
+        assert not are_isomorphic(p3, p3.with_anti_edges([(0, 2)]))
+        assert list(isomorphisms(p3, p3.with_anti_edges([(0, 2)]))) == []
 
     @given(connected_pattern_strategy(max_vertices=5))
     @settings(max_examples=40, deadline=None)
@@ -63,6 +107,35 @@ class TestIsomorphism:
         random.Random(1).shuffle(perm)
         q = p.relabel(dict(enumerate(perm)))
         assert are_isomorphic(p, q)
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_agrees_with_canonical_key(self, data):
+        a = data.draw(decorated_pattern_strategy())
+        if data.draw(st.booleans()):
+            # A permuted copy of ``a`` in which two vertex pairs may
+            # swap kinds (edge / anti-edge / neither): every count
+            # stays, so only the search itself can tell them apart.
+            perm = data.draw(st.permutations(list(a.vertices())))
+            b = a.relabel(dict(enumerate(perm)))
+            pairs = list(itertools.combinations(b.vertices(), 2))
+            if len(pairs) > 1 and data.draw(st.booleans()):
+                x, y = data.draw(
+                    st.lists(
+                        st.sampled_from(pairs),
+                        min_size=2, max_size=2, unique=True,
+                    )
+                )
+                swap = {x: y, y: x}
+                b = Pattern(
+                    b.num_vertices,
+                    [swap.get(pair, pair) for pair in b.edges],
+                    labels=b.labels,
+                    anti_edges=[swap.get(pair, pair) for pair in b.anti_edges],
+                )
+        else:
+            b = data.draw(decorated_pattern_strategy())
+        assert are_isomorphic(a, b) == (a.canonical_key() == b.canonical_key())
 
 
 class TestEmbeddings:

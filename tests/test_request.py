@@ -129,6 +129,7 @@ class TestRunRequest:
         max_leaves=6,
     )
 
+    @pytest.mark.slow  # 300 examples: ~2 s alone, over 5 s under load
     @given(
         st.dictionaries(
             st.sampled_from(REQUEST_FIELDS) | st.text(max_size=6),

@@ -260,6 +260,34 @@ class TestDaemonLifecycle:
             handle.stop()
 
 
+PROCESS_METRIC_FAMILIES = (
+    "repro_derived_cache_hits",
+    "repro_shared_graph_publish_total",
+    "repro_aux_graph_prune_ratio",
+)
+
+
+def test_process_metrics_on_both_front_ends(tmp_path):
+    """``repro mqc --metrics`` and ``/metrics`` publish the same three
+    process-wide families (one publisher, repro.obs)."""
+    from repro.cli import main
+
+    path = tmp_path / "run.prom"
+    assert main(
+        ["mqc", "--dataset", "dblp", "--max-size", "3",
+         "--metrics", str(path)]
+    ) == 0
+    exported = path.read_text()
+    handle = _daemon()
+    try:
+        scraped = ServeClient(handle.host, handle.port).metrics()
+    finally:
+        handle.stop()
+    for family in PROCESS_METRIC_FAMILIES:
+        assert f"\n{family} " in exported, family
+        assert f"\n{family} " in scraped, family
+
+
 class TestStreaming:
     def test_streamed_matches_arrive_incrementally(self):
         handle = _daemon()
