@@ -32,6 +32,7 @@ Contigra's treatment (paper §7) drives this implementation:
 
 from __future__ import annotations
 
+import functools
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..core import statespace
@@ -130,8 +131,8 @@ class _MatchClassifier:
     rebuilt from the int only on a miss.  Exact-form equality implies
     isomorphism, so entries are merely duplicated across isomorphic
     forms instead of being re-derived per match.  (Keying by canonical
-    form would compute a factorial-cost canonicalization per match,
-    which dwarfs the classification itself.)
+    form would build a :class:`Pattern` and search its vertex orders
+    for every match, which dwarfs the classification itself.)
     """
 
     def __init__(self, keywords: FrozenSet[int]) -> None:
@@ -458,20 +459,13 @@ def keyword_search(
     return result
 
 
-_PATTERN_CACHE: Dict[Tuple[FrozenSet[int], int], List[Pattern]] = {}
-
-
+@functools.lru_cache(maxsize=None)
 def keyword_patterns_cached(
     keyword_set: FrozenSet[int], max_size: int
 ) -> List[Pattern]:
     """Memoized :func:`keyword_patterns` (workload classification and
     strategy resolution re-enumerate nothing)."""
-    key = (keyword_set, max_size)
-    cached = _PATTERN_CACHE.get(key)
-    if cached is None:
-        cached = keyword_patterns(sorted(keyword_set), max_size)
-        _PATTERN_CACHE[key] = cached
-    return cached
+    return keyword_patterns(sorted(keyword_set), max_size)
 
 
 def frequent_and_rare_keywords(

@@ -15,6 +15,7 @@ Both return identical results; Fig 19 measures the work difference.
 
 from __future__ import annotations
 
+import functools
 import time
 from typing import Dict, FrozenSet, List, Set
 
@@ -147,10 +148,10 @@ def _pairwise_feasible(
     return True
 
 
-_VIABLE_CACHE: Dict[tuple, Dict[int, frozenset]] = {}
-
-
-def _viable_classes(gamma: float, max_size: int, min_size: int):
+@functools.lru_cache(maxsize=None)
+def _viable_classes(
+    gamma: float, max_size: int, min_size: int
+) -> Dict[int, frozenset]:
     """Per-size canonical classes that occur inside workload patterns.
 
     A tree node whose induced subgraph is not (isomorphic to) a
@@ -161,10 +162,6 @@ def _viable_classes(gamma: float, max_size: int, min_size: int):
     """
     from ..patterns.isomorphism import connected_subpatterns
 
-    key = (quasi_clique_min_degree(max_size, gamma), max_size, min_size)
-    cached = _VIABLE_CACHE.get(key)
-    if cached is not None:
-        return cached
     viable: Dict[int, set] = {k: set() for k in range(1, max_size + 1)}
     for size, patterns in quasi_clique_patterns_up_to(
         max_size, gamma, min_size=min_size
@@ -173,16 +170,15 @@ def _viable_classes(gamma: float, max_size: int, min_size: int):
             for subset in connected_subpatterns(pattern):
                 sub = pattern.subpattern(subset)
                 viable[len(subset)].add(sub.canonical_key())
-    frozen = {k: frozenset(v) for k, v in viable.items()}
-    _VIABLE_CACHE[key] = frozen
-    return frozen
+    return {k: frozenset(v) for k, v in viable.items()}
 
 
 class _ShapeViability:
     """Memoized 'is this exact induced shape viable?' oracle.
 
-    Keyed by the exact sorted-position edge tuple, so the factorial
-    canonicalization runs once per distinct shape, not per tree node.
+    Keyed by the exact sorted-position edge tuple, so a shape's
+    canonical key is computed once per distinct shape, not per tree
+    node.
     """
 
     def __init__(self, viable_by_size: Dict[int, frozenset]) -> None:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import Dict, List, NoReturn, Optional, Set, Tuple
 
-from .pattern import Pattern
+from .pattern import Pattern, _normalize_edge
 
 
 def parse_pattern(text: str, name: str = "") -> Pattern:
@@ -86,7 +86,7 @@ def parse_pattern(text: str, name: str = "") -> Pattern:
                             "anti-edge items must look like A-B",
                         )
                     anti_edges.add(
-                        _normalize(
+                        _normalize_edge(
                             _parse_vertex(a_text), _parse_vertex(b_text)
                         )
                     )
@@ -130,10 +130,6 @@ def parse_pattern(text: str, name: str = "") -> Pattern:
         size, edges, labels=label_list, anti_vertices=anti,
         anti_edges=anti_edges, name=name,
     )
-
-
-def _normalize(a: int, b: int) -> Tuple[int, int]:
-    return (a, b) if a < b else (b, a)
 
 
 def _parse_vertex(text: str) -> int:

@@ -88,23 +88,15 @@ def subpattern_embeddings(
         if v == small.num_vertices:
             yield dict(mapping)
             return
+        wanted = small.label(v)  # a wildcard matches anything
         for w in big.vertices():
-            if used[w]:
+            if used[w] or wanted is not None and wanted != big.label(w):
                 continue
-            wanted = small.label(v)  # a wildcard matches anything
-            if wanted is not None and wanted != big.label(w):
-                continue
-            ok = True
-            for prev, image in mapping.items():
-                small_edge = small.has_edge(v, prev)
-                big_edge = big.has_edge(w, image)
-                if small_edge and not big_edge:
-                    ok = False
-                    break
-                if induced and not small_edge and big_edge:
-                    ok = False
-                    break
-            if not ok:
+            if not all(
+                big.has_edge(w, image) if small.has_edge(v, prev)
+                else not (induced and big.has_edge(w, image))
+                for prev, image in mapping.items()
+            ):
                 continue
             mapping[v] = w
             used[w] = True
@@ -119,9 +111,8 @@ def contains_subpattern(
     small: Pattern, big: Pattern, induced: bool = False
 ) -> bool:
     """Whether ``big`` contains ``small`` as a (possibly induced) subgraph."""
-    for _ in subpattern_embeddings(small, big, induced=induced):
-        return True
-    return False
+    embeddings = subpattern_embeddings(small, big, induced=induced)
+    return next(embeddings, None) is not None
 
 
 def connected_subpatterns(

@@ -201,8 +201,6 @@ class Pattern:
         return min(len(s) for s in self._adj)
 
     def is_connected(self) -> bool:
-        if self._n == 0:
-            return True
         seen = {0}
         frontier = [0]
         while frontier:
@@ -222,9 +220,8 @@ class Pattern:
 
     def relabel(self, mapping: Dict[int, int]) -> "Pattern":
         """Apply a vertex permutation ``old -> new`` and return the result."""
-        if sorted(mapping) != list(range(self._n)) or sorted(
-            mapping.values()
-        ) != list(range(self._n)):
+        every = list(range(self._n))
+        if sorted(mapping) != every or sorted(mapping.values()) != every:
             raise ValueError("mapping must be a permutation of pattern vertices")
         edges = [(mapping[u], mapping[v]) for u, v in self._edges]
         anti_edges = [(mapping[u], mapping[v]) for u, v in self._anti_edges]
@@ -250,45 +247,32 @@ class Pattern:
         if len(set(ordered)) != len(ordered):
             raise ValueError("vertex_set contains duplicates")
         position = {v: i for i, v in enumerate(ordered)}
-        edges = [
-            (position[u], position[v])
-            for u, v in self._edges
-            if u in position and v in position
-        ]
-        anti_edges = [
-            (position[u], position[v])
-            for u, v in self._anti_edges
-            if u in position and v in position
-        ]
+
+        def kept(pairs: FrozenSet[Edge]) -> List[Edge]:
+            return [(position[u], position[v]) for u, v in pairs
+                    if u in position and v in position]
+
         labels = None
         if self._labels is not None:
             labels = [self._labels[v] for v in ordered]
         anti = [position[a] for a in self._anti if a in position]
         return Pattern(
-            len(ordered), edges, labels=labels, anti_vertices=anti,
-            anti_edges=anti_edges,
+            len(ordered), kept(self._edges), labels=labels,
+            anti_vertices=anti, anti_edges=kept(self._anti_edges),
         )
 
     def with_labels(self, labels: Sequence[Optional[int]]) -> "Pattern":
         """Same structure, new labels."""
         return Pattern(
-            self._n,
-            self._edges,
-            labels=labels,
-            anti_vertices=self._anti,
-            anti_edges=self._anti_edges,
-            name=self._name,
+            self._n, self._edges, labels=labels, anti_vertices=self._anti,
+            anti_edges=self._anti_edges, name=self._name,
         )
 
     def with_anti_edges(self, anti_edges: Iterable[Edge]) -> "Pattern":
         """Same structure and labels, new anti-edge set."""
         return Pattern(
-            self._n,
-            self._edges,
-            labels=self._labels,
-            anti_vertices=self._anti,
-            anti_edges=anti_edges,
-            name=self._name,
+            self._n, self._edges, labels=self._labels,
+            anti_vertices=self._anti, anti_edges=anti_edges, name=self._name,
         )
 
     def unlabeled(self) -> "Pattern":
@@ -298,9 +282,7 @@ class Pattern:
         return Pattern(self._n, self._edges, name=self._name)
 
     def add_vertex(
-        self,
-        connect_to: Iterable[int],
-        label: Optional[int] = None,
+        self, connect_to: Iterable[int], label: Optional[int] = None
     ) -> "Pattern":
         """Extend with one new vertex adjacent to ``connect_to``."""
         new = self._n
@@ -322,39 +304,48 @@ class Pattern:
         return (self._n, self._edges, self._labels, self._anti_edges)
 
     def canonical_key(self) -> tuple:
-        """Isomorphism-invariant key (lazy; brute force over permutations).
+        """Isomorphism-invariant key (lazy, cached after first call).
 
-        Two patterns have equal canonical keys iff they are isomorphic
-        respecting labels and anti-edges.  Suitable for the small
-        (k <= 8) patterns graph mining uses; cached after first
-        computation.
+        The smallest ``(n, edges, labels, anti_edges)`` over the vertex
+        orders, pairs as sorted tuples, a wildcard ranked -1 and a
+        negative label one below itself: equal iff isomorphic, labels
+        and anti-edges kept.  Edges compare first, and the smallest
+        starts ``(0, 1) ... (0, Δ)`` for the maximum degree Δ, so only
+        orders with a degree-Δ vertex then its neighbours are tried.
         """
         if self._canonical_key is None:
+            n = self._n
+            ranks = [-1 if x is None else x - (x < 0) for x in self.labels]
+            # Pair (a, b), a < b, as a * n + b, which orders the same.
+            code = [[min(a, b) * n + max(a, b) for b in range(n)]
+                    for a in range(n)]
+            delta = max(map(len, self._adj))
+            tops = [v for v in range(n) if len(self._adj[v]) == delta]
+            slot = [0] * n
+
+            def moved(pairs: FrozenSet[Edge]) -> List[int]:
+                return sorted([code[slot[u]][slot[v]] for u, v in pairs])
+
             best: Optional[tuple] = None
-            base_labels = self.labels
-            for perm in itertools.permutations(range(self._n)):
-                edges = tuple(
-                    sorted(
-                        _normalize_edge(perm[u], perm[v])
-                        for u, v in self._edges
-                    )
-                )
-                anti_edges = tuple(
-                    sorted(
-                        _normalize_edge(perm[u], perm[v])
-                        for u, v in self._anti_edges
-                    )
-                )
-                labels = [None] * self._n  # type: List[Optional[int]]
-                for old in range(self._n):
-                    labels[perm[old]] = base_labels[old]
-                key = (self._n, edges, tuple(
-                    -1 if lab is None else lab for lab in labels
-                ), anti_edges)
-                if best is None or key < best:
-                    best = key
+            for first in tops:
+                near = self._adj[first]
+                far = [v for v in range(n) if v != first and v not in near]
+                for head, tail in itertools.product(
+                    itertools.permutations(near), itertools.permutations(far)
+                ):
+                    order = (first, *head, *tail)
+                    for position, v in enumerate(order):
+                        slot[v] = position
+                    key = (moved(self._edges), [ranks[v] for v in order],
+                           moved(self._anti_edges))
+                    if best is None or key < best:
+                        best = key
             assert best is not None
-            self._canonical_key = best
+            edges, labels, anti_edges = best
+            self._canonical_key = (
+                n, tuple(divmod(c, n) for c in edges), tuple(labels),
+                tuple(divmod(c, n) for c in anti_edges),
+            )
         return self._canonical_key
 
     def __eq__(self, other: object) -> bool:

@@ -7,8 +7,8 @@ minimum-degree property and finds their *induced* matches: each data
 vertex set then matches exactly one pattern (its induced isomorphism
 class), so sets are never double counted.
 
-For ``gamma >= 0.5`` the degree bound forces connectivity, but we
-filter explicitly so smaller gammas are also safe.
+For ``gamma >= 0.5`` the degree bound forces connectivity; smaller
+gammas are safe too, because the classes are connected by construction.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import math
 from typing import TYPE_CHECKING, Dict, Sequence, Tuple
 
 from .pattern import Pattern
-from .structures import _classes
+from .structures import _named
 
 if TYPE_CHECKING:  # pragma: no cover - import-time only
     from ..graph.graph import Graph
@@ -51,7 +51,7 @@ def quasi_clique_patterns(size: int, gamma: float) -> Tuple[Pattern, ...]:
     the clique — first).  Results are memoized on ``(size, min_degree)``.
     """
     min_degree = quasi_clique_min_degree(size, gamma)
-    return _classes(f"qc-{size}", size, min_degree, densest_first=True)
+    return _named(f"qc-{size}", size, min_degree, densest_first=True)
 
 
 def quasi_clique_patterns_up_to(

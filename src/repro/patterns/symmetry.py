@@ -59,10 +59,7 @@ def satisfies_conditions(
 
     ``assignment[v]`` is the data vertex matched to pattern vertex ``v``.
     """
-    for v, u in conditions:
-        if assignment[v] >= assignment[u]:
-            return False
-    return True
+    return all(assignment[v] < assignment[u] for v, u in conditions)
 
 
 def canonical_assignment(
@@ -95,12 +92,10 @@ def canonical_assignment_oracle(
     For tests and baselines only — it shares nothing with the compiled
     form it checks, and costs one candidate tuple per automorphism.
     """
-    best = tuple(assignment)
-    for sigma in automorphisms(pattern):
-        candidate = tuple(assignment[sigma[v]] for v in pattern.vertices())
-        if candidate < best:
-            best = candidate
-    return best
+    return min(
+        tuple(assignment[sigma[v]] for v in pattern.vertices())
+        for sigma in automorphisms(pattern)
+    )
 
 
 Canonicaliser = Callable[[Sequence[int]], Tuple[int, ...]]

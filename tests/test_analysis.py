@@ -124,6 +124,21 @@ class TestSatisfiability:
         assert report.ok
         assert len(report) == 0
 
+    # A vertex labelled -1 matches only data label -1, so the tailed
+    # triangle with -1 on its tail is not the unlabelled one.
+    MINUS_ONE_TAIL = tailed_triangle().with_labels([None, None, None, -1])
+
+    def test_minus_one_label_is_no_contradiction_cg101(self):
+        query = Query(triangle()).not_within(self.MINUS_ONE_TAIL)
+        report = query.only_within(tailed_triangle()).analyze()
+        assert "CG101" not in report.codes()
+        assert not report.has_errors
+
+    def test_minus_one_label_is_no_duplicate_cg105(self):
+        query = Query(triangle()).not_within(self.MINUS_ONE_TAIL)
+        report = query.not_within(tailed_triangle()).analyze()
+        assert "CG105" not in report.codes()
+
 
 class TestBucketing:
     def test_all_skip_workload_cg201_cg202(self):

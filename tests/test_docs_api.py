@@ -151,6 +151,7 @@ UNCONSUMED_EXPORTS = {
     "repro.graph.triangle_count": "oracle",
     "repro.obs.Histogram": "return-type",
     "repro.obs.validate_prometheus": "io",
+    "repro.patterns.are_isomorphic": "oracle",
     "repro.patterns.to_dsl": "io",
     "repro.patterns.quasi_clique_patterns": "test-helper",
     "repro.serve.DaemonHandle": "return-type",

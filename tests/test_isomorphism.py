@@ -19,12 +19,17 @@ from repro.patterns import (
 
 from repro.patterns.isomorphism import isomorphisms
 
+from canonical import brute_force_key
 from conftest import connected_pattern_strategy
 
 
 @st.composite
 def decorated_pattern_strategy(draw, max_vertices=4):
-    """A small pattern, not always connected, with anti-edges and labels."""
+    """A small pattern, not always connected, with anti-edges and labels.
+
+    Label -1 is drawn beside the wildcard, whose key rank it must not
+    share.
+    """
     n = draw(st.integers(min_value=1, max_value=max_vertices))
     pairs = list(itertools.combinations(range(n), 2))
     kinds = draw(
@@ -35,7 +40,7 @@ def decorated_pattern_strategy(draw, max_vertices=4):
         )
     )
     labels = draw(
-        st.lists(st.sampled_from([None, 0, 1]), min_size=n, max_size=n)
+        st.lists(st.sampled_from([None, -1, 0, 1]), min_size=n, max_size=n)
     )
 
     def having(wanted):
@@ -136,6 +141,21 @@ class TestIsomorphism:
         else:
             b = data.draw(decorated_pattern_strategy())
         assert are_isomorphic(a, b) == (a.canonical_key() == b.canonical_key())
+
+
+class TestCanonicalKey:
+    def test_minus_one_is_not_a_wildcard(self):
+        p = Pattern(4, [(0, 1), (1, 2), (0, 2), (2, 3)])
+        q = p.with_labels([None, None, None, -1])
+        assert not are_isomorphic(p, q)
+        assert p.canonical_key() != q.canonical_key()
+
+    @given(decorated_pattern_strategy(max_vertices=6))
+    @settings(max_examples=150, deadline=None)
+    def test_equals_the_permutation_oracle(self, p):
+        # Only orders with a maximum-degree vertex first and its
+        # neighbours next are tried; the oracle tries all n!.
+        assert p.canonical_key() == brute_force_key(p)
 
 
 class TestEmbeddings:
