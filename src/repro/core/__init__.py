@@ -16,14 +16,12 @@ from .dependencies import (
     derive_dependencies,
 )
 from .explain import explain_workload
-from .lateral import LateralScheduler
 from .ordering import (
     STRATEGIES,
     order_validation_targets,
     prefer_sparse_first,
     resolve_strategy,
 )
-from .promotion import PromotionRegistry
 from .query import Query
 from .runtime import ContigraEngine, ContigraResult
 from .statespace import (
@@ -56,8 +54,6 @@ __all__ = [
     "LATERAL",
     "ValidationTarget",
     "BridgeRecipe",
-    "LateralScheduler",
-    "PromotionRegistry",
     "ContigraEngine",
     "ContigraResult",
     "STRATEGIES",

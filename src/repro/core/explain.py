@@ -1,11 +1,12 @@
 """Workload explanation: what will the runtime actually do?
 
-``explain_workload`` renders the pattern-level precomputation of a
-constrained workload — patterns, matching orders, symmetry conditions,
-constraint/dependency structure, VTask recipes and their chosen
-RL-Path orderings, lateral schedules — as text.  This is the artifact
-you read to answer "why is this workload slow" or "what did the
-heuristic pick" without stepping through the engine.
+``explain_workload`` builds the engine a run would build and renders
+its pattern-level precomputation as text: patterns, matching orders,
+symmetry conditions, constraint/dependency structure, and each
+pattern's validation chain — its VTasks in lateral order, their
+aligned RL-Path recipes, and which ones promote into a mined pattern.
+This is the artifact you read to answer "why is this workload slow"
+or "what did the heuristic pick" without stepping through the engine.
 """
 
 from __future__ import annotations
@@ -16,9 +17,8 @@ from ..graph.graph import Graph
 from ..patterns.plan import plan_for
 from .constraints import ConstraintSet
 from .dependencies import derive_dependencies
-from .lateral import LateralScheduler
 from .ordering import prefer_sparse_first
-from .vtask import ValidationTarget
+from .runtime import ContigraEngine
 
 
 def explain_workload(
@@ -49,10 +49,9 @@ def explain_workload(
     )
     lines.append("")
 
-    for pattern in sorted(
-        constraint_set.patterns,
-        key=lambda p: (p.num_vertices, -p.num_edges),
-    ):
+    engine = ContigraEngine(graph, constraint_set, rl_strategy=rl_strategy)
+    for chain in engine.chains:
+        pattern = chain.pattern
         name = pattern.name or f"P{pattern.num_vertices}"
         plan = plan_for(pattern, induced=induced)
         lines.append(
@@ -63,30 +62,25 @@ def explain_workload(
             f"  matching order: {plan.order}  "
             f"symmetry conditions: {plan.conditions or 'none'}"
         )
-        successor = constraint_set.successor_constraints_for(pattern)
-        if not successor:
+        if not chain.targets:
             lines.append("  no successor constraints (always valid)")
             lines.append("")
             continue
-        targets = [
-            ValidationTarget(
-                c.p_m, c.p_plus, graph, induced=induced, strategy=rl_strategy
-            )
-            for c in successor
-        ]
-        scheduler = LateralScheduler(targets, graph, strategy=rl_strategy)
         lines.append(
-            f"  VTask schedule ({len(scheduler)} targets, serial, "
+            f"  VTask schedule ({len(chain.targets)} targets, serial, "
             f"most-likely-to-match first):"
         )
-        for index, target in enumerate(scheduler.targets):
+        for index, (target, into) in enumerate(
+            zip(chain.targets, chain.promote_into)
+        ):
             target_name = (
                 target.p_plus.name or f"P{target.p_plus.num_vertices}"
             )
+            promotes = ", promotes" if into is not None else ""
             lines.append(
                 f"    {index + 1}. {target_name} "
                 f"(gap {target.gap}, {len(target.recipes)} aligned "
-                f"recipes, density {target.p_plus.density:.2f})"
+                f"recipes, density {target.p_plus.density:.2f}{promotes})"
             )
         lines.append("")
     return "\n".join(lines)

@@ -2,20 +2,22 @@
 
 :class:`ContigraEngine` runs successor-constrained workloads (MQC and
 NSQ): ETasks explore the workload patterns smallest first, and every
-matching RL-Path triggers the fused, laterally scheduled VTask chain.
-VTask matches invalidate the subgraph and — when the containing
-pattern is itself in the workload — promote into immediate processing
-of the containing subgraph, canceling the ETask work that would
-rediscover it.
+matching RL-Path runs its pattern's fused, laterally scheduled VTask
+chain.  VTask matches invalidate the subgraph and — when the
+containing pattern is itself in the workload — promote into immediate
+processing of the containing subgraph, canceling the ETask work that
+would rediscover it.
 
 The engine is split along the execution core's task model:
 
-* **ContigraEngine** holds the pattern-level precomputation (§8.1:
-  alignment tables, lateral schedulers, promotability sets) — built
-  once, shared by every run and every scheduler worker.
-* **EngineSession** holds the per-run state (promotion registry,
-  result, the live per-(size, root) cache, stats,
-  :class:`~repro.exec.TaskContext`).
+* **ContigraEngine** holds the pattern-level precomputation (§8.1):
+  one :class:`ValidationChain` per mined pattern — its VTasks in
+  lateral order, the chain each one promotes into, whether anything
+  promotes into it — built once, shared by every run and every
+  scheduler worker.
+* **EngineSession** holds the per-run state (one processed set per
+  chain, the result, the live per-(size, root) cache, stats,
+  :class:`~repro.exec.TaskContext`) and runs the chains.
   Serial runs use one session; process shards and work-stealing
   workers each get their own, over the same engine.
 * **ContigraJob** adapts an engine, a root region and a match sink to
@@ -43,8 +45,8 @@ Every toggle the paper ablates is a constructor flag:
 
 ========================  ===========================================
 ``enable_fusion``         share the set-operation cache with VTasks
-``enable_promotion``      process VTask matches immediately + registry
-``enable_lateral``        serial VTasks with cancellation (§6)
+``enable_promotion``      process VTask matches immediately (§5.3)
+``enable_lateral``        first VTask match cancels the rest (§6)
 ``rl_strategy``           RL-Path ordering (Figs 9, 16, 18)
 ========================  ===========================================
 """
@@ -62,6 +64,7 @@ from typing import (
     List,
     Optional,
     Sequence,
+    Set,
     Tuple,
 )
 
@@ -85,17 +88,45 @@ from ..patterns.pattern import Pattern
 from ..patterns.plan import ExplorationPlan, plan_for
 from ..patterns.symmetry import canonical_assignment
 from .constraints import ConstraintSet
-from .lateral import LateralScheduler
-from .promotion import PromotionRegistry
+from .ordering import order_validation_targets
 from .vtask import ValidationTarget
 
 #: Incremental match consumer: ``(pattern, canonical_assignment)``,
 #: called synchronously on the mining thread as matches validate.
 MatchSink = Callable[[Pattern, Tuple[int, ...]], None]
 
-#: One pattern's ETask at a root: the pattern, its plan, and the kernel
+
+class ValidationChain:
+    """One mined pattern's whole check, fixed before exploration.
+
+    ``targets`` are the pattern's VTasks in lateral order, most likely
+    to match first (§6).  ``promote_into[i]`` is the chain of the mined
+    pattern with the structure of ``targets[i]``'s P⁺, or None when
+    that P⁺ is not mined or promotion is off (§5.3).  ``promotable``
+    says whether any VTask promotes into this pattern: only then can
+    one of its matches be handled before its ETask reaches it, so only
+    then does an ETask match probe the session's processed set at
+    ``slot``.  Patterns with one structure share a slot.  Holds no
+    plan or compiled function: engines pickle with their chains.
+    """
+
+    __slots__ = ("pattern", "targets", "promote_into", "promotable", "slot")
+
+    def __init__(
+        self, pattern: Pattern, targets: List[ValidationTarget], slot: int
+    ) -> None:
+        self.pattern = pattern
+        self.targets = targets
+        self.slot = slot
+        self.promote_into: List[Optional[ValidationChain]] = (
+            [None] * len(targets)
+        )
+        self.promotable = False
+
+
+#: One pattern's ETask at a root: its chain, its plan, and the kernel
 #: index its exploration runs on (None: the sets path).
-_RootTask = Tuple[Pattern, ExplorationPlan, Optional[GraphIndex]]
+_RootTask = Tuple[ValidationChain, ExplorationPlan, Optional[GraphIndex]]
 
 
 class ContigraResult:
@@ -196,22 +227,16 @@ class ContigraEngine:
                 f"got {unsupported[0]!r}"
             )
 
-        # Pattern-level precomputation (paper §8.1: 0.1s–2s, amortized).
-        workload_keys = {
-            p.structure_key(): p for p in constraint_set.patterns
-        }
-        self._workload_pattern_for: Dict[tuple, Pattern] = workload_keys
-        # Patterns that can be promoted *into*: they appear as the P⁺
-        # of some constraint and are themselves mined.  Only their
-        # matches can be pre-registered by promotion, so only they pay
-        # the canonicalization + registry lookup per match.
-        self._promotable: set = {
-            c.p_plus.structure_key()
-            for c in constraint_set.all_constraints
-            if c.is_successor and c.p_plus.structure_key() in workload_keys
-        } if enable_promotion else set()
-        self._schedulers: Dict[tuple, LateralScheduler] = {}
-        for pattern in constraint_set.patterns:
+        # Pattern-level precomputation (paper §8.1: 0.1s–2s, amortized),
+        # smallest patterns first: their VTask promotions fill the
+        # processed sets before larger patterns' ETasks run, which is
+        # where promotion pays off (§5.3).
+        self.chains: List[ValidationChain] = []
+        chain_for: Dict[tuple, ValidationChain] = {}
+        for pattern in sorted(
+            constraint_set.patterns,
+            key=lambda p: (p.num_vertices, -p.num_edges),
+        ):
             targets = [
                 ValidationTarget(
                     c.p_m,
@@ -223,12 +248,21 @@ class ContigraEngine:
                 )
                 for c in constraint_set.successor_constraints_for(pattern)
             ]
-            self._schedulers[pattern.structure_key()] = LateralScheduler(
-                targets,
-                graph,
-                strategy=rl_strategy,
-                enable_cancellation=enable_lateral,
+            key = pattern.structure_key()
+            shared = chain_for.get(key)
+            chain = ValidationChain(
+                pattern,
+                order_validation_targets(
+                    targets,
+                    density_of=lambda t: t.p_plus.density,
+                    strategy=rl_strategy,
+                    target_patterns=[t.p_plus for t in targets],
+                    graph=graph,
+                ),
+                len(chain_for) if shared is None else shared.slot,
             )
+            self.chains.append(chain)
+            chain_for[key] = chain
             # Every step program a run executes is compiled here, once
             # (repro.patterns.codegen): the functions are memoised
             # process-wide, so later engines over the same patterns and
@@ -236,17 +270,27 @@ class ContigraEngine:
             plan_for(pattern, induced=self.induced).program(source)
             for target in targets:
                 target.programs()
-        # Smallest patterns first: their VTask promotions pre-populate
-        # the registry before larger patterns' ETasks run, which is
-        # where promotion pays off (§5.3).  Same-size patterns form one
-        # group, run root-major (EngineSession.run_roots).
-        ordered = sorted(
-            constraint_set.patterns,
-            key=lambda p: (p.num_vertices, -p.num_edges),
-        )
-        self._patterns_by_size: List[Tuple[int, List[Pattern]]] = [
+        if enable_promotion:
+            promoted_into: Set[int] = set()
+            for chain in self.chains:
+                chain.promote_into = [
+                    chain_for.get(t.p_plus.structure_key())
+                    for t in chain.targets
+                ]
+                promoted_into.update(
+                    into.slot
+                    for into in chain.promote_into
+                    if into is not None
+                )
+            for chain in self.chains:
+                chain.promotable = chain.slot in promoted_into
+        # Same-size patterns form one group, run root-major
+        # (EngineSession.run_roots).
+        self._chains_by_size: List[Tuple[int, List[ValidationChain]]] = [
             (size, list(group))
-            for size, group in groupby(ordered, key=lambda p: p.num_vertices)
+            for size, group in groupby(
+                self.chains, key=lambda c: c.pattern.num_vertices
+            )
         ]
 
     # ------------------------------------------------------------------
@@ -293,7 +337,7 @@ class ContigraEngine:
 class EngineSession:
     """Mutable state of one constraint-aware run over one engine.
 
-    Owns the promotion registry, the in-progress result, the live
+    Owns the processed sets, the in-progress result, the live
     per-(size, root) cache, the stats sink, and the
     :class:`TaskContext` whose budget and cancellation token govern the
     run.  Scheduler workers create one session each and feed it roots
@@ -319,7 +363,15 @@ class EngineSession:
         self._observed = self.ctx.observed
         self.result = ContigraResult()
         self.result.stats = self.stats
-        self.registry = PromotionRegistry()
+        # Per chain slot: the canonical matches already processed, by
+        # an ETask or by promotion (§5.3), and the memoised roots.
+        self._processed: List[Set[Tuple[int, ...]]] = [
+            set() for _ in engine.chains
+        ]
+        self._roots: List[Optional[FrozenSet[int]]] = (
+            [None] * len(engine.chains)
+        )
+        self._root_sets: Dict[FrozenSet[int], FrozenSet[int]] = {}
         # Resolved per session (not stored on the engine): the graph
         # caches its index, so sessions share kernels while pickled
         # engines stay lean.
@@ -331,7 +383,6 @@ class EngineSession:
         # is no cross-root cache — that is exactly what promotion is
         # for (Fig 10 / Fig 13).
         self._task_cache: Optional[SetOperationCache] = None
-        self._pattern_roots: Dict[tuple, List[int]] = {}
         self._start = time.monotonic()
         self._finished = False
 
@@ -339,22 +390,27 @@ class EngineSession:
     # Root execution
     # ------------------------------------------------------------------
 
-    def _roots_for(self, pattern: Pattern) -> List[int]:
-        """Root candidates for one pattern, memoized per session.
+    def _roots_for(self, chain: ValidationChain) -> FrozenSet[int]:
+        """Root candidates for one chain's pattern, memoized per session.
 
         With auxiliary graphs enabled, roots the pruning proved
         unusable for this pattern are dropped up front — skipping a
         pruned root is sound because no match can bind it at
         matching-order position 0."""
-        key = pattern.structure_key()
-        cached = self._pattern_roots.get(key)
+        cached = self._roots[chain.slot]
         if cached is None:
+            pattern = chain.pattern
             plan = plan_for(pattern, induced=self.engine.induced)
-            cached = root_candidates(self.engine.graph, plan)
+            roots = root_candidates(self.engine.graph, plan)
             if self.engine.enable_aux:
                 aux = auxiliary_graph(self.engine.graph, pattern)
-                cached = aux.filter_roots(cached)
-            self._pattern_roots[key] = cached
+                roots = aux.filter_roots(roots)
+            # Equal root sets (every unlabelled pattern, without aux
+            # pruning) are held once: a set costs several times a list.
+            root_set = frozenset(roots)
+            cached = self._roots[chain.slot] = self._root_sets.setdefault(
+                root_set, root_set
+            )
         return cached
 
     def _pattern_index(self, pattern: Pattern) -> Optional[GraphIndex]:
@@ -373,7 +429,7 @@ class EngineSession:
         """Run every workload pattern over ``roots`` (None = all roots).
 
         Sizes run smallest first within the given root set, so the
-        promotion registry fills in the same order as a full serial
+        processed sets fill in the same order as a full serial
         run restricted to those roots: a promotion always lands in a
         strictly larger pattern, so no size waits on its own matches.
         Within one size the run is root-major: each root's ETasks, one
@@ -381,32 +437,35 @@ class EngineSession:
         neighbourhood intersected for one pattern is a hit for the next
         (the multi-pattern reuse of Peregrine+, PAPER.md §8.1).  May be
         called repeatedly (the work-stealing scheduler feeds one root
-        at a time).
+        at a time): only the given roots are walked, not every
+        pattern's root list.
         """
         engine = self.engine
         shard = set(roots) if roots is not None else None
-        for size, patterns in engine._patterns_by_size:
+        for size, chains in engine._chains_by_size:
             at_root: Dict[int, List[_RootTask]] = {}
-            for pattern in patterns:
+            for chain in chains:
                 task = (
-                    pattern,
-                    plan_for(pattern, induced=engine.induced),
-                    self._pattern_index(pattern),
+                    chain,
+                    plan_for(chain.pattern, induced=engine.induced),
+                    self._pattern_index(chain.pattern),
                 )
-                for root in self._roots_for(pattern):
-                    if shard is None or root in shard:
-                        at_root.setdefault(root, []).append(task)
+                chain_roots = self._roots_for(chain)
+                for root in (
+                    chain_roots if shard is None else chain_roots & shard
+                ):
+                    at_root.setdefault(root, []).append(task)
             if not at_root:
                 continue
             if self._observed:
                 self.ctx.phase_start(
                     PHASE_PATTERN, size=size,
-                    patterns=len(patterns), roots=len(at_root),
+                    patterns=len(chains), roots=len(at_root),
                 )
             try:
                 for root in sorted(at_root):
                     self._task_cache = SetOperationCache(stats=self.stats)
-                    for pattern, plan, pattern_index in at_root[root]:
+                    for chain, plan, pattern_index in at_root[root]:
                         if self.ctx.cancelled:
                             return
                         task = ETask(
@@ -417,7 +476,7 @@ class EngineSession:
                         # loop ends: the program's counts land in it.
                         with closing(task.matches()) as found:
                             for assignment in found:
-                                self._on_etask_match(pattern, assignment)
+                                self._on_etask_match(chain, assignment)
             finally:
                 if self._observed:
                     self.ctx.phase_end(PHASE_PATTERN)
@@ -436,30 +495,29 @@ class EngineSession:
     # ------------------------------------------------------------------
 
     def _on_etask_match(
-        self, pattern: Pattern, assignment: Tuple[int, ...]
+        self, chain: ValidationChain, assignment: Tuple[int, ...]
     ) -> None:
         self.ctx.check_deadline()
-        if pattern.structure_key() not in self.engine._promotable:
-            # Nothing can pre-register this pattern's matches (it is
-            # not a promotion target), and symmetry breaking already
-            # emits each match once — skip the registry entirely.
-            self._process_subgraph(pattern, assignment)
-            return
-        # An ETask match satisfies its plan's symmetry conditions, so it
-        # is already the lex-min image the registry is keyed by.
-        if not self.registry.mark(pattern, assignment):
-            # Already handled through promotion: the from-scratch ETask
-            # work for this subgraph is canceled (§5.3).
-            self.stats.etasks_canceled += 1
-            if self._observed:
-                self.ctx.emit(CANCEL, kind="etask", count=1)
-            return
-        self._process_subgraph(pattern, assignment)
+        if chain.promotable:
+            # An ETask match satisfies its plan's symmetry conditions,
+            # so it is already the lex-min image promotion records.
+            processed = self._processed[chain.slot]
+            if assignment in processed:
+                # Already handled through promotion: the from-scratch
+                # ETask work for this subgraph is canceled (§5.3).
+                self.stats.etasks_canceled += 1
+                if self._observed:
+                    self.ctx.emit(CANCEL, kind="etask", count=1)
+                return
+            processed.add(assignment)
+        # Otherwise nothing can handle this match first, and symmetry
+        # breaking already emits each match once: no probe.
+        self._process_subgraph(chain, assignment)
 
     def _process_subgraph(
-        self, pattern: Pattern, assignment: Tuple[int, ...]
+        self, chain: ValidationChain, assignment: Tuple[int, ...]
     ) -> None:
-        """Validate one subgraph match and emit/promote.
+        """Run one subgraph match's chain, then store or promote.
 
         ``assignment`` must be canonical (the lex-min automorphic
         image), and is on both arrival paths: promoted completions are
@@ -467,68 +525,91 @@ class EngineSession:
         symmetry conditions every :func:`plan_for` plan carries, which
         makes it its own lex-min image — so valid matches are stored
         as they arrive, with no second canonicalisation here.
+
+        The chain runs its VTasks serially (§6).  Before each one the
+        token is checked, so a cancelled parent (deadline, aborted run)
+        stops the pending VTasks and leaves no verdict.  A VTask match
+        makes the subgraph invalid; with lateral cancellation on it
+        ends the chain, with it off every VTask runs and the last match
+        is the one promoted — the result is identical, only the work
+        differs, which is the ablation Fig 14 plots.  Either way the
+        skipped VTasks count as lateral cancellations.
         """
         engine = self.engine
-        self.stats.matches_checked += 1
+        stats = self.stats
+        ctx = self.ctx
+        stats.matches_checked += 1
         if self._observed:
-            self.ctx.emit(MATCH_CHECKED, count=1)
-        scheduler = engine._schedulers[pattern.structure_key()]
+            ctx.emit(MATCH_CHECKED, count=1)
         cache = (
             self._task_cache
             if engine.enable_fusion and self._task_cache is not None
-            else SetOperationCache(stats=self.stats)
+            else SetOperationCache(stats=stats)
         )
-        violation = scheduler.validate(
-            assignment, engine.graph, cache, self.stats, ctx=self.ctx
-        )
-        if violation is None:
-            if self.ctx.cancelled:
-                # The chain skips its pending VTasks once the token is
-                # cancelled, so None is no verdict: record nothing.
-                return
-            self.result.valid.append((pattern, assignment))
-            if self.match_sink is not None:
-                self.match_sink(pattern, assignment)
+        targets = chain.targets
+        hit: Optional[int] = None
+        skipped = 0
+        for index, target in enumerate(targets):
+            if ctx.cancelled:
+                skipped = len(targets) - index
+                break
+            # Looked up on the target at each call, so boundary
+            # instrumentation patched onto ValidationTarget sees it.
+            if target.run(
+                assignment, engine.graph, cache, stats, ctx=ctx
+            ) is not None:
+                hit = index
+                if engine.enable_lateral:
+                    skipped = len(targets) - index - 1
+                    break
+        if skipped:
+            stats.vtasks_canceled_lateral += skipped
             if self._observed:
-                self.ctx.emit(
+                ctx.emit(CANCEL, kind="lateral", count=skipped)
+        if hit is None:
+            if ctx.cancelled:
+                return
+            self.result.valid.append((chain.pattern, assignment))
+            if self.match_sink is not None:
+                self.match_sink(chain.pattern, assignment)
+            if self._observed:
+                pattern = chain.pattern
+                ctx.emit(
                     MATCH,
                     pattern=pattern.name or f"P{pattern.num_vertices}",
                 )
             return
-        target, completion = violation
-        if not engine.enable_promotion:
-            return
-        workload_pattern = engine._workload_pattern_for.get(
-            target.p_plus.structure_key()
-        )
-        if workload_pattern is None:
-            # The containing pattern is not mined itself (NSQ-style
-            # constraints): nothing to promote into.
+        into = chain.promote_into[hit]
+        if into is None:
+            # Promotion is off, or the containing pattern is not mined
+            # itself (NSQ-style constraints): nothing to promote into.
             return
         # Promote the VTask to an ETask (§5.3): beyond the matching
         # RL-Path, "the remaining RL-Paths in the search tree also get
         # explored" — every containing match reachable from this state
         # is processed now, reusing the candidates the VTask cached
         # (the Fig 10 "immediately finds another match without
-        # additional computation" effect), and registered so the
+        # additional computation" effect), and recorded so the
         # from-scratch ETasks skip them later.
         completions: List[Tuple[int, ...]] = []
-        target.enumerate_completions(
-            assignment, engine.graph, cache, self.stats,
-            completions.append, ctx=self.ctx,
+        targets[hit].enumerate_completions(
+            assignment, engine.graph, cache, stats,
+            completions.append, ctx=ctx,
         )
+        processed = self._processed[into.slot]
         for found in completions:
             # The one site that canonicalises: completions follow the
             # VTask's bridge order, not P⁺'s symmetry conditions.  Looked
             # up through the module global so boundary instrumentation
             # patched onto this module sees every call.
-            canonical = canonical_assignment(found, workload_pattern)
-            if not self.registry.mark(workload_pattern, canonical):
+            canonical = canonical_assignment(found, into.pattern)
+            if canonical in processed:
                 continue
-            self.stats.promotions += 1
+            processed.add(canonical)
+            stats.promotions += 1
             if self._observed:
-                self.ctx.emit(PROMOTE, count=1)
-            self._process_subgraph(workload_pattern, canonical)
+                ctx.emit(PROMOTE, count=1)
+            self._process_subgraph(into, canonical)
 
 
 class ContigraJob:
@@ -568,7 +649,7 @@ class ContigraJob:
         roots: Sequence[int],
         ctx: Optional[TaskContext] = None,
     ) -> ContigraResult:
-        """One root shard with its own registry and fresh counters."""
+        """One root shard with its own processed sets and fresh counters."""
         session = self.worker_session(ctx)
         session.run_roots(list(roots))
         return session.finish()

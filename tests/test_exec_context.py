@@ -3,14 +3,19 @@
 Covers the ``repro.exec`` primitives directly plus the two lifecycle
 guarantees the refactor was for: budget exceptions survive pickling
 with their original types (the process-scheduler contract), and a
-parent token cancellation stops pending child VTasks.
+parent token cancellation stops a validation chain's pending VTasks.
 """
 
 import pickle
 
 import pytest
 
-from repro.core import LateralScheduler, ValidationTarget
+from repro.core import (
+    ContigraEngine,
+    ValidationTarget,
+    nested_query_constraints,
+)
+from repro.core.runtime import EngineSession
 from repro.errors import (
     MemoryBudgetExceeded,
     StorageBudgetExceeded,
@@ -167,56 +172,48 @@ class TestTaskContext:
             ctx.check_deadline()
 
 
-def lateral_scheduler(graph, cancellation=True):
-    targets = [
-        ValidationTarget(triangle(), bigger, graph, induced=True)
-        for bigger in (
-            quasi_clique_patterns(4, 0.8) + quasi_clique_patterns(5, 0.8)
-        )
-    ]
-    return LateralScheduler(
-        targets, graph, enable_cancellation=cancellation
+def check_triangle(graph, ctx):
+    """Run the triangle (0, 1, 2)'s chain of 4- and 5-vertex VTasks in
+    a session under ``ctx``; returns the chain length and the session."""
+    bigger = quasi_clique_patterns(4, 0.8) + quasi_clique_patterns(5, 0.8)
+    engine = ContigraEngine(
+        graph, nested_query_constraints(triangle(), bigger, induced=True)
     )
+    (chain,) = engine.chains
+    session = EngineSession(engine, ctx=ctx)
+    session._process_subgraph(chain, (0, 1, 2))
+    return len(chain.targets), session
 
 
 class TestParentCancellation:
     def test_cancelled_parent_cancels_all_pending_child_vtasks(self):
         g = erdos_renyi(10, 0.9, seed=1)
-        scheduler = lateral_scheduler(g)
-        stats = ConstraintStats()
         ctx = TaskContext.create()
         ctx.cancel("parent aborted")
-        cache = SetOperationCache(stats=stats)
-        result = scheduler.validate([0, 1, 2], g, cache, stats, ctx=ctx)
-        assert result is None
-        assert stats.vtasks_started == 0
-        assert stats.vtasks_canceled_lateral == len(scheduler)
+        chain_length, session = check_triangle(g, ctx)
+        # No verdict: the triangle is neither stored nor promoted.
+        assert session.result.valid == []
+        assert session.stats.vtasks_started == 0
+        assert session.stats.vtasks_canceled_lateral == chain_length
 
     def test_live_parent_runs_the_chain_normally(self):
         g = graph_from_edges([(0, 1), (1, 2), (0, 2)])  # lone triangle
-        scheduler = lateral_scheduler(g)
-        stats = ConstraintStats()
-        ctx = TaskContext.create()
-        cache = SetOperationCache(stats=stats)
-        assert (
-            scheduler.validate([0, 1, 2], g, cache, stats, ctx=ctx)
-            is None
-        )
-        assert stats.vtasks_started == len(scheduler)
-        assert stats.vtasks_canceled_lateral == 0
+        chain_length, session = check_triangle(g, TaskContext.create())
+        assert session.result.assignments() == [(0, 1, 2)]
+        assert session.stats.vtasks_started == chain_length
+        assert session.stats.vtasks_canceled_lateral == 0
 
     def test_lateral_match_cancels_chain_via_the_bus(self):
         g = erdos_renyi(10, 0.9, seed=1)  # nearly complete: contained
-        scheduler = lateral_scheduler(g)
-        stats = ConstraintStats()
         ctx = TaskContext.create()
-        cache = SetOperationCache(stats=stats)
         log = EventLog(ctx.bus)
-        hit = scheduler.validate([0, 1, 2], g, cache, stats, ctx=ctx)
-        assert hit is not None
+        chain_length, session = check_triangle(g, ctx)
+        stats = session.stats
+        assert session.result.valid == []
+        assert stats.vtasks_canceled_lateral > 0
         assert (
             stats.vtasks_started + stats.vtasks_canceled_lateral
-            == len(scheduler)
+            == chain_length
         )
         # Counted in place; the bus tells observers the same number.
         assert [p for name, p in log.records if name == CANCEL] == [

@@ -1,11 +1,14 @@
-"""Tests for RL-Path ordering heuristics, lateral scheduling, promotion."""
+"""Tests for RL-Path ordering heuristics and lateral scheduling.
+
+Promotion is checked against the naive oracle by the maximality rows
+of ``tests/test_small_scope.py``.
+"""
 
 import pytest
 
 from repro.core import (
-    LateralScheduler,
-    PromotionRegistry,
-    ValidationTarget,
+    ContigraEngine,
+    nested_query_constraints,
     order_validation_targets,
     prefer_sparse_first,
     resolve_strategy,
@@ -16,12 +19,10 @@ from repro.core.ordering import (
     order_exploration_paths,
     pattern_is_dense,
 )
-from repro.graph import erdos_renyi
-from repro.mining import ConstraintStats, SetOperationCache
+from repro.graph import erdos_renyi, graph_from_edges
 from repro.patterns import (
     clique,
     cycle,
-    house,
     path,
     quasi_clique_patterns,
     star,
@@ -81,70 +82,41 @@ class TestDecisionTree:
 
 
 class TestLateralScheduler:
-    def _scheduler(self, graph, cancellation=True):
-        targets = [
-            ValidationTarget(triangle(), bigger, graph, induced=True)
-            for bigger in (
-                quasi_clique_patterns(4, 0.8) + quasi_clique_patterns(5, 0.8)
-            )
-        ]
-        return LateralScheduler(
-            targets, graph, enable_cancellation=cancellation
+    """Each checked triangle runs one chain of 4- and 5-vertex VTasks."""
+
+    def _run(self, graph, lateral=True):
+        bigger = quasi_clique_patterns(4, 0.8) + quasi_clique_patterns(5, 0.8)
+        engine = ContigraEngine(
+            graph,
+            nested_query_constraints(triangle(), bigger, induced=True),
+            enable_lateral=lateral,
         )
+        (chain,) = engine.chains
+        assert len(chain.targets) == len(bigger)
+        result = engine.run()
+        return result, result.stats.matches_checked * len(chain.targets)
 
     def test_match_cancels_remaining(self):
         g = erdos_renyi(10, 0.9, seed=1)  # nearly complete: contained
-        scheduler = self._scheduler(g)
-        stats = ConstraintStats()
-        cache = SetOperationCache(stats=stats)
-        hit = scheduler.validate([0, 1, 2], g, cache, stats)
-        assert hit is not None
-        assert stats.vtasks_started < len(scheduler)
+        result, vtasks = self._run(g)
+        assert result.count == 0
+        assert result.stats.vtasks_started < vtasks
         assert (
-            stats.vtasks_started + stats.vtasks_canceled_lateral
-            == len(scheduler)
+            result.stats.vtasks_started + result.stats.vtasks_canceled_lateral
+            == vtasks
         )
 
     def test_no_cancellation_runs_everything(self):
         g = erdos_renyi(10, 0.9, seed=1)
-        scheduler = self._scheduler(g, cancellation=False)
-        stats = ConstraintStats()
-        cache = SetOperationCache(stats=stats)
-        hit = scheduler.validate([0, 1, 2], g, cache, stats)
-        assert hit is not None
-        assert stats.vtasks_started == len(scheduler)
-        assert stats.vtasks_canceled_lateral == 0
+        result, vtasks = self._run(g, lateral=False)
+        assert result.count == 0
+        assert result.stats.vtasks_started == vtasks
+        assert result.stats.vtasks_canceled_lateral == 0
 
     def test_valid_subgraph_runs_all_vtasks(self):
         # a lone triangle: nothing contains it
-        from repro.graph import graph_from_edges
-
         g = graph_from_edges([(0, 1), (1, 2), (0, 2)])
-        scheduler = self._scheduler(g)
-        stats = ConstraintStats()
-        cache = SetOperationCache(stats=stats)
-        assert scheduler.validate([0, 1, 2], g, cache, stats) is None
-        assert stats.vtasks_started == len(scheduler)
-
-
-class TestPromotionRegistry:
-    def test_mark_and_seen(self):
-        registry = PromotionRegistry()
-        key = (1, 2, 3)
-        assert registry.mark(triangle(), key)  # newly recorded
-        assert not registry.mark(triangle(), key)  # already seen
-        assert registry.count() == 1
-
-    def test_patterns_are_separate_namespaces(self):
-        registry = PromotionRegistry()
-        registry.mark(triangle(), (1, 2, 3))
-        assert registry.mark(house(), (1, 2, 3))
-
-    def test_count_and_clear(self):
-        registry = PromotionRegistry()
-        registry.mark(triangle(), (1, 2, 3))
-        registry.mark(triangle(), (4, 5, 6))
-        registry.mark(house(), (1, 2, 3, 4, 5))
-        assert registry.count() == 3
-        registry.clear()
-        assert registry.count() == 0
+        result, vtasks = self._run(g)
+        assert result.assignments() == [(0, 1, 2)]
+        assert result.stats.matches_checked == 1
+        assert result.stats.vtasks_started == vtasks

@@ -8,6 +8,15 @@ vertex adjacent to 0, 2 and 3.  Each pair runs edge-induced and induced
 on three seeded G(11, p) graphs, and ``nested_subgraph_query`` must
 return exactly ``baselines.naive.nested_query_matches``.
 
+The maximality rows reuse the pairs: each P^M with all of its 1-gap
+P⁺s is one induced ``ConstraintSet`` that mines P^M and every P⁺ and
+holds ⟨P^M, P⁺⟩ for each.  A P^M match then runs a chain of several
+VTasks, and one that matches promotes into one of several mined
+patterns.  On the same three graphs, with promotion and lateral
+cancellation each on and off, ``ContigraEngine`` must return, per
+pattern, the oracle's P^M matches contained in no P⁺ and every P⁺
+match.
+
 The cells that fail today are strict xfails.  Under ``induced=False`` a
 VTask never looks up the P⁺ edges between vertices the P^M match already
 bound (ROADMAP item 11), so matches go missing; every xfailed pair has
@@ -21,6 +30,7 @@ import pytest
 
 from repro.apps.nsq import nested_subgraph_query
 from repro.baselines.naive import nested_query_matches
+from repro.core import ContainmentConstraint, ConstraintSet, ContigraEngine
 from repro.graph.generators import erdos_renyi
 from repro.patterns import connected_structures, subpattern_embeddings
 
@@ -120,3 +130,56 @@ def test_each_xfailed_pair_shows_item_11s_mechanism(name):
         for embedding in subpattern_embeddings(p_m, p_plus)
         for u, v in non_edges
     )
+
+
+def maximality_sets():
+    """``{P^M name: (P^M, [every 1-gap P⁺ of it])}``."""
+    sets = {}
+    for p_m, p_plus in PAIRS.values():
+        sets.setdefault(p_m.name, (p_m, []))[1].append(p_plus)
+    return sets
+
+
+MAXIMALITY = maximality_sets()
+
+
+@pytest.mark.parametrize("lateral", [True, False], ids=["lateral", "serial"])
+@pytest.mark.parametrize(
+    "promotion", [True, False], ids=["promotion", "no-promotion"]
+)
+@pytest.mark.parametrize(
+    "index", range(len(GRAPHS)), ids=[f"p{p}" for p, _ in GRAPHS]
+)
+@pytest.mark.parametrize("name", sorted(MAXIMALITY))
+def test_maximality_rows_equal_the_oracle(name, index, promotion, lateral):
+    p_m, p_pluses = MAXIMALITY[name]
+    p, seed = GRAPHS[index]
+    graph = erdos_renyi(11, p, seed=seed)
+    constraints = ConstraintSet(
+        [p_m, *p_pluses],
+        [ContainmentConstraint(p_m, q, induced=True) for q in p_pluses],
+        induced=True,
+    )
+    result = ContigraEngine(
+        graph, constraints,
+        enable_promotion=promotion, enable_lateral=lateral,
+    ).run()
+    want = {
+        p_m.structure_key(): nested_query_matches(
+            graph, p_m, p_pluses, induced=True
+        )
+    }
+    for q in p_pluses:
+        want[q.structure_key()] = nested_query_matches(
+            graph, q, [], induced=True
+        )
+    got = {key: set() for key in want}
+    for pattern, assignment in result.valid:
+        got[pattern.structure_key()].add(assignment)
+    assert got == want
+    assert len(result.valid) == sum(map(len, want.values()))
+    if not promotion:
+        assert result.stats.promotions == 0
+    elif index > 0:
+        # Every row promotes on the two denser graphs (1 705 in all).
+        assert result.stats.promotions > 0
