@@ -113,11 +113,16 @@ def _add_graph_arguments(parser: argparse.ArgumentParser) -> None:
              "name[@vN|@latest] (see 'repro graphs')",
     )
     parser.add_argument("--labels", help="label file (with --graph)")
+    _add_format_argument(parser)
+
+
+def _add_time_limit_argument(parser: argparse.ArgumentParser) -> None:
+    """``--time-limit``, on the commands that honour it (``mqc``,
+    ``nsq`` and ``kws``)."""
     parser.add_argument(
         "--time-limit", type=float, default=None,
         help="abort after this many seconds",
     )
-    _add_format_argument(parser)
 
 
 def _add_adjacency_argument(parser: argparse.ArgumentParser) -> None:
@@ -133,6 +138,7 @@ def _add_adjacency_argument(parser: argparse.ArgumentParser) -> None:
 def _add_run_arguments(parser: argparse.ArgumentParser) -> None:
     """The flags of an engine run (``mqc`` and ``nsq``): everything
     :class:`repro.request.RunRequest` reads, plus the exports."""
+    _add_time_limit_argument(parser)
     _add_adjacency_argument(parser)
     parser.add_argument(
         "--aux", action="store_true",
@@ -801,6 +807,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     kws = sub.add_parser("kws", help="minimal keyword search")
     _add_graph_arguments(kws)
+    _add_time_limit_argument(kws)
     kws.add_argument(
         "--keywords", default="mf",
         help="'mf', 'lf', or comma-separated label ids",

@@ -128,6 +128,10 @@ class ValidationChain:
 #: index its exploration runs on (None: the sets path).
 _RootTask = Tuple[ValidationChain, ExplorationPlan, Optional[GraphIndex]]
 
+#: A session's ETask table row: one chain's task and the roots it runs
+#: from.
+_ETaskEntry = Tuple[_RootTask, FrozenSet[int]]
+
 
 class ContigraResult:
     """Valid (constraint-satisfying) matches plus run statistics.
@@ -364,18 +368,22 @@ class EngineSession:
         self.result = ContigraResult()
         self.result.stats = self.stats
         # Per chain slot: the canonical matches already processed, by
-        # an ETask or by promotion (§5.3), and the memoised roots.
+        # an ETask or by promotion (§5.3).
         self._processed: List[Set[Tuple[int, ...]]] = [
             set() for _ in engine.chains
         ]
-        self._roots: List[Optional[FrozenSet[int]]] = (
-            [None] * len(engine.chains)
-        )
-        self._root_sets: Dict[FrozenSet[int], FrozenSet[int]] = {}
         # Resolved per session (not stored on the engine): the graph
         # caches its index, so sessions share kernels while pickled
         # engines stay lean.
         self._index = resolve_index(engine.graph, engine.adjacency)
+        # Every chain's ETask and roots, per size group, resolved once.
+        # Equal root sets (every unlabelled pattern, without aux
+        # pruning) are held once: a set costs several times a list.
+        root_sets: Dict[FrozenSet[int], FrozenSet[int]] = {}
+        self._tasks: List[Tuple[int, List[_ETaskEntry]]] = [
+            (size, [self._etask_entry(c, root_sets) for c in chains])
+            for size, chains in engine._chains_by_size
+        ]
         # Caches are scoped per (pattern size, root): the C of the task
         # state ⟨P, S, C⟩, shared by the root's same-size ETasks.
         # Fusion lets VTasks read/extend the live cache, promotion
@@ -390,40 +398,31 @@ class EngineSession:
     # Root execution
     # ------------------------------------------------------------------
 
-    def _roots_for(self, chain: ValidationChain) -> FrozenSet[int]:
-        """Root candidates for one chain's pattern, memoized per session.
+    def _etask_entry(
+        self,
+        chain: ValidationChain,
+        root_sets: Dict[FrozenSet[int], FrozenSet[int]],
+    ) -> _ETaskEntry:
+        """One chain's ETask and its roots, the same set object for
+        equal roots (``root_sets``).
 
-        With auxiliary graphs enabled, roots the pruning proved
-        unusable for this pattern are dropped up front — skipping a
-        pruned root is sound because no match can bind it at
+        With auxiliary graphs enabled, the pattern's ETasks run on its
+        pruned-adjacency index (distinct cache key — see
+        :mod:`repro.graph.aux` on fusion safety; VTasks keep validating
+        over the full graph), and roots the pruning proved unusable are
+        dropped up front — sound because no match can bind them at
         matching-order position 0."""
-        cached = self._roots[chain.slot]
-        if cached is None:
-            pattern = chain.pattern
-            plan = plan_for(pattern, induced=self.engine.induced)
-            roots = root_candidates(self.engine.graph, plan)
-            if self.engine.enable_aux:
-                aux = auxiliary_graph(self.engine.graph, pattern)
-                roots = aux.filter_roots(roots)
-            # Equal root sets (every unlabelled pattern, without aux
-            # pruning) are held once: a set costs several times a list.
-            root_set = frozenset(roots)
-            cached = self._roots[chain.slot] = self._root_sets.setdefault(
-                root_set, root_set
-            )
-        return cached
-
-    def _pattern_index(self, pattern: Pattern) -> Optional[GraphIndex]:
-        """The kernel index this pattern's ETasks should run on.
-
-        The session index unless auxiliary graphs are on, in which
-        case the pattern's pruned-adjacency index (distinct cache
-        key — see :mod:`repro.graph.aux` on fusion safety).
-        Exploration only: VTasks keep validating over the full graph.
-        """
-        if self._index is None or not self.engine.enable_aux:
-            return self._index
-        return auxiliary_graph(self.engine.graph, pattern).index()
+        engine = self.engine
+        plan = plan_for(chain.pattern, induced=engine.induced)
+        roots = root_candidates(engine.graph, plan)
+        index = self._index
+        if engine.enable_aux:
+            aux = auxiliary_graph(engine.graph, chain.pattern)
+            roots = aux.filter_roots(roots)
+            if index is not None:
+                index = aux.index()
+        root_set = frozenset(roots)
+        return (chain, plan, index), root_sets.setdefault(root_set, root_set)
 
     def run_roots(self, roots: Optional[Sequence[int]] = None) -> None:
         """Run every workload pattern over ``roots`` (None = all roots).
@@ -442,15 +441,9 @@ class EngineSession:
         """
         engine = self.engine
         shard = set(roots) if roots is not None else None
-        for size, chains in engine._chains_by_size:
+        for size, entries in self._tasks:
             at_root: Dict[int, List[_RootTask]] = {}
-            for chain in chains:
-                task = (
-                    chain,
-                    plan_for(chain.pattern, induced=engine.induced),
-                    self._pattern_index(chain.pattern),
-                )
-                chain_roots = self._roots_for(chain)
+            for task, chain_roots in entries:
                 for root in (
                     chain_roots if shard is None else chain_roots & shard
                 ):
@@ -460,7 +453,7 @@ class EngineSession:
             if self._observed:
                 self.ctx.phase_start(
                     PHASE_PATTERN, size=size,
-                    patterns=len(chains), roots=len(at_root),
+                    patterns=len(entries), roots=len(at_root),
                 )
             try:
                 for root in sorted(at_root):

@@ -41,6 +41,7 @@ fusing the tasks.  Disabling fusion hands each VTask a throwaway cache.
 from __future__ import annotations
 
 import itertools
+from functools import lru_cache
 from operator import itemgetter
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -53,7 +54,6 @@ from ..exec.events import (
 )
 from ..graph.graph import Graph
 from ..graph.index import resolve_index
-from ..graph.store import PATTERN_SCOPE, derived_cache
 from ..mining.cache import SetOperationCache
 from ..mining.stats import ConstraintStats
 from ..patterns.automorphisms import automorphisms
@@ -121,14 +121,14 @@ class BridgeRecipe:
 # Query-compile-time memoization (§8.1's "lookup table indexed by
 # pattern combinations"): alignments and recipes are deterministic
 # functions of the pattern pair, so every ValidationTarget over one
-# ⟨P^M, P⁺⟩ shares one derivation.  They live in the process-global
-# derived cache under the pinned PATTERN_SCOPE pseudo-version, one
-# invalidation protocol with every graph-scoped artifact.
+# ⟨P^M, P⁺⟩ shares one derivation, held in an ``lru_cache`` for the
+# life of the process.
 
 
+@lru_cache(maxsize=None)
 def alignment_embeddings(
     p_m: Pattern, p_plus: Pattern, induced: bool
-) -> List[Tuple[int, ...]]:
+) -> Tuple[Tuple[int, ...], ...]:
     """Embeddings of P^M into P⁺, deduplicated modulo Aut(P⁺).
 
     These are the §5.2.1 alignment options: each embedding is one way
@@ -137,26 +137,19 @@ def alignment_embeddings(
     constructing a full :class:`ValidationTarget`.  Memoized per
     pattern pair (the analyzer and every engine share one table).
     """
-
-    def build() -> Tuple[Tuple[int, ...], ...]:
-        p_plus_auts = automorphisms(p_plus)
-        seen: set = set()
-        representatives: List[Tuple[int, ...]] = []
-        for emb in subpattern_embeddings(p_m, p_plus, induced=induced):
-            image = tuple(emb[v] for v in p_m.vertices())
-            orbit_key = min(
-                tuple(sigma[x] for x in image) for sigma in p_plus_auts
-            )
-            if orbit_key in seen:
-                continue
-            seen.add(orbit_key)
-            representatives.append(image)
-        return tuple(representatives)
-
-    cached = derived_cache().get_or_build(
-        PATTERN_SCOPE, ("alignment", p_m, p_plus, induced), build
-    )
-    return list(cached)
+    p_plus_auts = automorphisms(p_plus)
+    seen: set = set()
+    representatives: List[Tuple[int, ...]] = []
+    for emb in subpattern_embeddings(p_m, p_plus, induced=induced):
+        image = tuple(emb[v] for v in p_m.vertices())
+        orbit_key = min(
+            tuple(sigma[x] for x in image) for sigma in p_plus_auts
+        )
+        if orbit_key in seen:
+            continue
+        seen.add(orbit_key)
+        representatives.append(image)
+    return tuple(representatives)
 
 
 def connected_extension_orders(
@@ -179,6 +172,7 @@ def connected_extension_orders(
     return orders
 
 
+@lru_cache(maxsize=None)
 def bridge_recipes_for(
     p_plus: Pattern, embedding: Tuple[int, ...], induced: bool
 ) -> Tuple["BridgeRecipe", ...]:
@@ -191,16 +185,10 @@ def bridge_recipes_for(
     intermediate-pattern densities — the dominant cost of
     ValidationTarget construction.  Recipes are immutable and shared.
     """
-
-    def build() -> Tuple["BridgeRecipe", ...]:
-        added = [v for v in p_plus.vertices() if v not in embedding]
-        return tuple(
-            BridgeRecipe(p_plus, embedding, order, induced)
-            for order in connected_extension_orders(p_plus, embedding, added)
-        )
-
-    return derived_cache().get_or_build(
-        PATTERN_SCOPE, ("recipes", p_plus, embedding, induced), build
+    added = [v for v in p_plus.vertices() if v not in embedding]
+    return tuple(
+        BridgeRecipe(p_plus, embedding, order, induced)
+        for order in connected_extension_orders(p_plus, embedding, added)
     )
 
 

@@ -23,10 +23,11 @@ over the full graph — pruning only removes dead exploration work
 
 Cache scoping (important): artifacts are keyed under the **graph's
 content version** plus the pattern's requirement signature — they are
-graph-derived, so they must invalidate with the graph, *not* live in
-the pinned :data:`~repro.graph.store.PATTERN_SCOPE` like the
-graph-independent alignment tables.  Patterns with identical label /
-degree requirements (e.g. same-size quasi-cliques) share one artifact.
+graph-derived, so they must invalidate with the graph, unlike the
+graph-independent alignment tables, which are ``lru_cache`` memos in
+:mod:`repro.core.vtask` (the derived cache is graph-scoped).  Patterns
+with identical label / degree requirements (e.g. same-size
+quasi-cliques) share one artifact.
 
 Fusion safety: kernel indexes over the pruned graph carry a distinct
 :attr:`~repro.graph.index.GraphIndex.cache_key`, so their pools can

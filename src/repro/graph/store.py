@@ -68,7 +68,6 @@ __all__ = [
     "GraphVersion",
     "MutationBatch",
     "MutationListener",
-    "PATTERN_SCOPE",
     "apply_mutation",
     "derived_cache",
     "format_version_key",
@@ -88,12 +87,6 @@ _T = TypeVar("_T")
 MutationListener = Callable[
     [str, "GraphVersion", "GraphVersion", "MutationBatch"], None
 ]
-
-#: Pseudo-version for pattern-scope memos (alignment embeddings,
-#: extension orders, bridge recipes).  These are pure functions of
-#: pattern values, not of any data graph, so they live under one
-#: pinned scope that version eviction never touches.
-PATTERN_SCOPE = "pattern@memo"
 
 #: Characters of the content hash shown in version keys and listings.
 SHORT_FINGERPRINT_LEN = 12
@@ -154,8 +147,9 @@ class DerivedCache:
       everything, counting every dropped entry as an invalidation.
 
     Scopes are bounded LRU over versions (``max_versions``); evicting
-    a scope counts its entries as invalidations too.  The pinned
-    :data:`PATTERN_SCOPE` is exempt from eviction.  Builders run
+    a scope counts its entries as invalidations too.  Every scope is
+    a graph version: facts about patterns alone are memoised where
+    they are computed, not here.  Builders run
     outside the lock, so artifact builders may recursively use the
     cache; a racing duplicate build is benign (first store wins).
 
@@ -247,10 +241,10 @@ class DerivedCache:
     ) -> int:
         """Drop artifacts; returns how many entries were dropped.
 
-        ``invalidate()`` clears everything (including the pattern
-        scope); ``invalidate(version)`` drops one version's scope;
-        ``invalidate(version, key)`` drops one artifact.  Every
-        dropped entry counts toward the invalidation counter.
+        ``invalidate()`` clears everything; ``invalidate(version)``
+        drops one version's scope; ``invalidate(version, key)`` drops
+        one artifact.  Every dropped entry counts toward the
+        invalidation counter.
         """
         with self._lock:
             if graph_version is None:
@@ -325,9 +319,9 @@ class DerivedCache:
         return len(scope) if scope else 0
 
     def _evict_locked(self) -> None:
-        evictable = [v for v in self._scopes if v != PATTERN_SCOPE]
-        while len(evictable) > self._max_versions:
-            self._invalidations += self._drop_scope_locked(evictable.pop(0))
+        while len(self._scopes) > self._max_versions:
+            oldest = next(iter(self._scopes))
+            self._invalidations += self._drop_scope_locked(oldest)
 
 
 def publish_derived_cache_metrics(

@@ -55,6 +55,7 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import (
     Any,
     Callable,
@@ -74,7 +75,6 @@ from ..core.constraints import ConstraintSet
 from ..core.runtime import ContigraEngine, ContigraResult
 from ..graph.graph import Graph
 from ..graph.store import (
-    PATTERN_SCOPE,
     DerivedCache,
     GraphStore,
     GraphVersion,
@@ -132,37 +132,32 @@ def delta_frontier(batch: MutationBatch, old_num_vertices: int) -> FrozenSet[int
     return frozenset(touched)
 
 
+@lru_cache(maxsize=None)
 def pattern_diameter(pattern: Pattern) -> int:
     """Largest shortest-path distance between two vertices of ``pattern``.
 
     A match of ``pattern`` in a data graph keeps every pattern edge, so
     no two of its vertices are farther apart than this.  Memoized per
-    pattern under the pinned
-    :data:`~repro.graph.store.PATTERN_SCOPE` pseudo-version, next to
-    the VTask alignment memos.  Raises :class:`ValueError` for a
+    pattern for the life of the process, like the VTask alignment
+    memos.  Raises :class:`ValueError` for a
     disconnected pattern, whose matches have no such bound.
     """
 
-    def build() -> int:
-        diameter = 0
-        for source in pattern.vertices():
-            depth = {source: 0}
-            queue = [source]
-            for v in queue:
-                for w in pattern.neighbors(v):
-                    if w not in depth:
-                        depth[w] = depth[v] + 1
-                        queue.append(w)
-            if len(depth) < pattern.num_vertices:
-                raise ValueError(
-                    f"pattern {pattern!r} is disconnected: no diameter"
-                )
-            diameter = max(diameter, max(depth.values()))
-        return diameter
-
-    return derived_cache().get_or_build(
-        PATTERN_SCOPE, ("diameter", pattern), build
-    )
+    diameter = 0
+    for source in pattern.vertices():
+        depth = {source: 0}
+        queue = [source]
+        for v in queue:
+            for w in pattern.neighbors(v):
+                if w not in depth:
+                    depth[w] = depth[v] + 1
+                    queue.append(w)
+        if len(depth) < pattern.num_vertices:
+            raise ValueError(
+                f"pattern {pattern!r} is disconnected: no diameter"
+            )
+        diameter = max(diameter, max(depth.values()))
+    return diameter
 
 
 def pattern_radius(constraint_set: ConstraintSet) -> int:

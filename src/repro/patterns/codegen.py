@@ -50,10 +50,10 @@ carries an observer call.  Only the integers of the steps (slots, and
 labels when they are ints) are written into the source; nothing a user
 named reaches ``compile``.
 
-Functions are memoised process-wide in the pinned
-:data:`~repro.graph.store.PATTERN_SCOPE`, keyed by the program's
-value, so identical shapes share one function and forked process
-workers inherit what their parent compiled.  A recipe is one function,
+Functions are memoised for the life of the process in an
+``lru_cache`` on ``_compile``, keyed by the program's value, so
+identical shapes share one function and forked process workers
+inherit what their parent compiled.  A recipe is one function,
 not a whole target, because compiling a function costs transient
 memory in proportion to its length, and what the compiler leaves
 behind stays in the process.  Each compiled function is named by its
@@ -65,6 +65,7 @@ walker these functions replaced, as their oracle.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import count
 from typing import Any, Callable, Dict, List, Sequence, Tuple
 
@@ -99,7 +100,7 @@ def step_program(
     steps: Tuple[PlanStep, ...], prefix: int, mode: str, source: str
 ) -> Callable[..., Any]:
     """The compiled function for ``steps`` run from ``prefix`` bound
-    slots, memoised by value in the pinned pattern scope.
+    slots, memoised by value.
 
     ``"etask"``: ``(root, graph, index, cache, stats, tick, token,
     report)``, a generator of matches indexed by the vertex each slot
@@ -113,14 +114,7 @@ def step_program(
     bind, and which vertex each later slot binds, reach only ``pick``,
     so recipes of one shape share one function.
     """
-    from ..graph.store import PATTERN_SCOPE, derived_cache
-
-    program = _shape(steps, prefix, mode)
-    return derived_cache().get_or_build(
-        PATTERN_SCOPE,
-        ("step-program", program, prefix, mode, source),
-        lambda: _compile(program, prefix, mode, source),
-    )
+    return _compile(_shape(steps, prefix, mode), prefix, mode, source)
 
 
 def program_source(
@@ -142,6 +136,7 @@ def _shape(
     return tuple((0,) + step[1:] for step in steps[prefix:])
 
 
+@lru_cache(maxsize=None)
 def _compile(
     steps: Tuple[PlanStep, ...], prefix: int, mode: str, source: str
 ) -> Callable[..., Any]:

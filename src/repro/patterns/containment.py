@@ -11,20 +11,17 @@ one pattern embeds in the other, for plan alignment and bridging, is
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from .isomorphism import contains_subpattern
 from .pattern import Pattern
 
 
+@lru_cache(maxsize=None)
 def contains(small: Pattern, big: Pattern, induced: bool = False) -> bool:
-    """Whether ``big`` contains ``small``, memoised per pattern pair in
-    the pinned pattern scope: every MQC build asks the same pairs."""
-    from ..graph.store import PATTERN_SCOPE, derived_cache
-
-    return derived_cache().get_or_build(
-        PATTERN_SCOPE,
-        ("contains", small, big, induced),
-        lambda: contains_subpattern(small, big, induced=induced),
-    )
+    """Whether ``big`` contains ``small``, memoised per pattern pair for
+    the life of the process: every MQC build asks the same pairs."""
+    return contains_subpattern(small, big, induced=induced)
 
 
 def classify_constraint(p_m: Pattern, p_plus: Pattern) -> str:

@@ -49,6 +49,14 @@ class TestParser:
         assert {"mqc", "nsq", "watch"} <= set(offered)
         assert set(offered.values()) == {SCHEDULER_NAMES}
 
+    @pytest.mark.parametrize("command", ["explain", "quasicliques"])
+    def test_time_limit_only_where_it_is_honoured(self, command, capsys):
+        # Neither command reads a deadline, so it does not take one.
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "--dataset", "dblp", "--time-limit", "0.000001"])
+        assert exit_info.value.code == 2
+        assert "--time-limit" in capsys.readouterr().err
+
     def test_mqc_defaults(self):
         args = build_parser().parse_args(["mqc", "--dataset", "dblp"])
         args_dict = vars(args)

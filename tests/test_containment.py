@@ -34,7 +34,7 @@ class TestContains:
 
     def test_mqc_tables_ask_each_pair_once(self, monkeypatch):
         """A second γ 0.6 / ≤ 6 build reads every containment test from
-        the pattern scope: equal pairs, no subpattern search."""
+        the ``contains`` memo: equal pairs, no subpattern search."""
         first = mqc_constraint_set(0.6, 6)
         calls = []
         real = containment.contains_subpattern

@@ -26,7 +26,6 @@ from repro.apps.mqc import build_mqc_engine
 from repro.apps.nsq import nested_subgraph_query, paper_query_triangles
 from repro.graph import Graph, erdos_renyi
 from repro.graph.store import (
-    PATTERN_SCOPE,
     DerivedCache,
     GraphStore,
     MutationBatch,
@@ -149,13 +148,14 @@ class TestDerivedCache:
         assert "g@1" not in cache.versions()
         assert cache.counters()["invalidations"] == 1
 
-    def test_pattern_scope_survives_eviction(self):
-        cache = DerivedCache(max_versions=1)
-        memo = cache.get_or_build(PATTERN_SCOPE, ("orders", 1), dict)
-        cache.get_or_build("g@1", "a", dict)
-        cache.get_or_build("g@2", "a", dict)
-        assert PATTERN_SCOPE in cache.versions()
-        assert cache.get_or_build(PATTERN_SCOPE, ("orders", 1), dict) is memo
+    def test_engine_leaves_only_its_graph_version(self):
+        # Pattern facts (alignments, recipes, compiled programs,
+        # containment, diameters) are memoised where they are
+        # computed; the cache holds graph-version artifacts only.
+        g = erdos_renyi(18, 0.3, seed=4)
+        engine = build_mqc_engine(g, gamma=0.6, max_size=4, min_size=3)
+        engine.run()
+        assert derived_cache().versions() == [g.version_key]
 
 
 # ----------------------------------------------------------------------

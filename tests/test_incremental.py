@@ -21,7 +21,6 @@ from repro.errors import TimeLimitExceeded
 from repro.graph import Graph, erdos_renyi
 from repro.graph.generators import community_graph
 from repro.graph.store import (
-    PATTERN_SCOPE,
     MutationBatch,
     derived_cache,
     graph_store,
@@ -109,10 +108,13 @@ class TestPatternRadius:
     def test_radius_floor_is_one(self):
         assert pattern_radius(ConstraintSet([], [])) == 1
 
-    def test_diameter_is_memoized_under_pattern_scope(self):
+    def test_diameter_is_memoized(self):
         path = Pattern(4, [(0, 1), (1, 2), (2, 3)])
         assert pattern_diameter(path) == 3
-        assert derived_cache().peek(PATTERN_SCOPE, ("diameter", path)) == 3
+        before = pattern_diameter.cache_info()
+        assert pattern_diameter(Pattern(4, [(0, 1), (1, 2), (2, 3)])) == 3
+        after = pattern_diameter.cache_info()
+        assert (after.hits, after.misses) == (before.hits + 1, before.misses)
         assert pattern_diameter(Pattern(1, [])) == 0
 
     def test_disconnected_pattern_has_no_diameter(self):

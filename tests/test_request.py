@@ -29,6 +29,7 @@ from repro.request import (
     RequestError,
     RunRequest,
     execute,
+    run as request_run,
     run_engine,
 )
 from repro.serve import ServeConfig, serve_in_thread
@@ -297,6 +298,16 @@ class TestExecute:
         record = execute(RunRequest.of({}), dataset("dblp"))
         assert "admission" not in record.to_dict()
         assert record.result.count > 0
+
+    def test_repeated_run_probes_no_derived_artifact(self):
+        # The graph keeps the artifacts it attached to, and pattern
+        # facts are memoised outside the derived cache, so a repeated
+        # run's record counts no probe at all.
+        graph = dataset("dblp")
+        request = RunRequest.of({"gamma": 0.8, "max_size": 4})
+        request_run(request, graph)
+        scope = request_run(request, graph).to_dict()["derived_cache"]
+        assert (scope["hits"], scope["misses"]) == (0, 0)
 
 
 class TestOnePath:

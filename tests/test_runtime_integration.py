@@ -204,6 +204,26 @@ class TestRuntimeMechanics:
         result = self._engine(enable_promotion=True).run()
         assert result.stats.etasks_canceled == result.stats.promotions
 
+    def test_session_resolves_each_plan_once(self, monkeypatch):
+        # The work-queue scheduler feeds a session one root at a time;
+        # each chain's plan is looked up once, not once per call.
+        from repro.core import runtime
+
+        engine = self._engine()
+        calls = []
+        real_plan_for = runtime.plan_for
+
+        def counting_plan_for(pattern, induced=False):
+            calls.append(pattern)
+            return real_plan_for(pattern, induced=induced)
+
+        monkeypatch.setattr(runtime, "plan_for", counting_plan_for)
+        session = runtime.EngineSession(engine)
+        for root in engine.graph.vertices():
+            session.run_roots([root])
+        assert len(calls) <= len(engine.chains)
+        assert set(session.finish().valid) == set(engine.run().valid)
+
     def test_result_reporting(self):
         result = self._engine().run()
         assert result.count == len(result.valid)

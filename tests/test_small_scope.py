@@ -1,12 +1,18 @@
 """Every small nested query, both semantics, against the naive oracle.
 
-The small-scope sweep of ROADMAP item 23, its 1-gap half.  P^M is every
-connected structure on 2–4 vertices, and P⁺ is P^M plus one vertex with
-any non-empty neighbour set, one per isomorphism class: 54 pairs.  A
-pair is named ``{P^M}+{neighbours}``, ``s4.1+023`` being ``s4.1`` plus a
-vertex adjacent to 0, 2 and 3.  Each pair runs edge-induced and induced
-on three seeded G(11, p) graphs, and ``nested_subgraph_query`` must
-return exactly ``baselines.naive.nested_query_matches``.
+The small-scope sweep of ROADMAP item 23.  In the 1-gap rows P^M is
+every connected structure on 2–4 vertices, and P⁺ is P^M plus one vertex
+with any non-empty neighbour set, one per isomorphism class: 54 pairs.
+A pair is named ``{P^M}+{neighbours}``, ``s4.1+023`` being ``s4.1`` plus
+a vertex adjacent to 0, 2 and 3.  The 2-gap rows bridge two vertices,
+where VTasks run multi-step recipes over several extension orders: P^M
+is every connected structure on 2–3 vertices, and P⁺ adds two vertices,
+each adjacent to a non-empty set of the vertices before it, one per
+isomorphism class: 41 pairs, ``s3.0+1+023`` adding a vertex 3 adjacent
+to 1 and then a vertex 4 adjacent to 0, 2 and 3.  Each pair runs
+edge-induced and induced on three seeded G(11, p) graphs, and
+``nested_subgraph_query`` must return exactly
+``baselines.naive.nested_query_matches``.
 
 The maximality rows reuse the pairs: each P^M with all of its 1-gap
 P⁺s is one induced ``ConstraintSet`` that mines P^M and every P⁺ and
@@ -59,6 +65,20 @@ ITEM_11 = {
     "s4.3+0123": (1, 2),
     "s4.4+012": (1, 2),
     "s4.4+0123": (1, 2),
+    "s3.0+0+01": (0, 1, 2),
+    "s3.0+0+012": (0,),
+    "s3.0+0+0123": (1, 2),
+    "s3.0+1+01": (0,),
+    "s3.0+1+02": (0,),
+    "s3.0+1+012": (0,),
+    "s3.0+1+023": (0,),
+    "s3.0+1+0123": (1,),
+    "s3.0+01+02": (1, 2),
+    "s3.0+01+013": (1, 2),
+    "s3.0+01+123": (1,),
+    "s3.0+01+0123": (1, 2),
+    "s3.0+12+0123": (1, 2),
+    "s3.0+012+0123": (1, 2),
 }
 
 REASON = (
@@ -67,28 +87,40 @@ REASON = (
 )
 
 
-def one_gap_pairs():
-    """``{name: (P^M, P⁺)}`` for every 1-gap pair, in sweep order."""
+def gap_pairs(sizes, gap):
+    """``{name: (P^M, P⁺)}`` for every pair whose P⁺ adds ``gap``
+    vertices to a P^M on one of ``sizes`` vertices, in sweep order."""
     pairs = {}
-    for size in (2, 3, 4):
+    for size in sizes:
         for p_m in connected_structures(size):
+            grown = [(p_m, p_m.name)]
+            for _ in range(gap):
+                grown = [
+                    (p.add_vertex(near), f"{name}+{''.join(map(str, near))}")
+                    for p, name in grown
+                    for count in range(1, p.num_vertices + 1)
+                    for near in itertools.combinations(
+                        range(p.num_vertices), count
+                    )
+                ]
             seen = set()
-            for count in range(1, size + 1):
-                for near in itertools.combinations(range(size), count):
-                    p_plus = p_m.add_vertex(near)
-                    key = p_plus.canonical_key()
-                    if key not in seen:
-                        seen.add(key)
-                        name = f"{p_m.name}+{''.join(map(str, near))}"
-                        pairs[name] = (p_m, p_plus)
+            for p_plus, name in grown:
+                key = p_plus.canonical_key()
+                if key not in seen:
+                    seen.add(key)
+                    pairs[name] = (p_m, p_plus)
     return pairs
 
 
-PAIRS = one_gap_pairs()
+#: The 1-gap pairs; the maximality rows are built from these.
+PAIRS = gap_pairs((2, 3, 4), 1)
+
+#: Every pair of the sweep, 1-gap then 2-gap.
+ALL_PAIRS = {**PAIRS, **gap_pairs((2, 3), 2)}
 
 
 def cells():
-    for name in PAIRS:
+    for name in ALL_PAIRS:
         for induced in (False, True):
             for index, (p, seed) in enumerate(GRAPHS):
                 marks = ()
@@ -102,12 +134,16 @@ def cells():
 
 def test_the_sweep_has_54_pairs():
     assert len(PAIRS) == 54
-    assert set(ITEM_11) <= set(PAIRS)
+    assert set(ITEM_11) <= set(ALL_PAIRS)
+
+
+def test_the_2_gap_sweep_has_41_pairs():
+    assert len(ALL_PAIRS) - len(PAIRS) == 41
 
 
 @pytest.mark.parametrize("name, induced, index", cells())
 def test_nested_query_equals_the_oracle(name, induced, index):
-    p_m, p_plus = PAIRS[name]
+    p_m, p_plus = ALL_PAIRS[name]
     p, seed = GRAPHS[index]
     graph = erdos_renyi(11, p, seed=seed)
     got = nested_subgraph_query(graph, p_m, [p_plus], induced=induced)
@@ -119,7 +155,7 @@ def test_nested_query_equals_the_oracle(name, induced, index):
 def test_each_xfailed_pair_shows_item_11s_mechanism(name):
     # Some embedding of P^M into P+ maps a P^M non-edge onto a P+ edge:
     # the edge a VTask's recipe never checks.
-    p_m, p_plus = PAIRS[name]
+    p_m, p_plus = ALL_PAIRS[name]
     non_edges = [
         (u, v)
         for u, v in itertools.combinations(p_m.vertices(), 2)
